@@ -26,7 +26,6 @@ from .errors import (
     SearchExhaustedError,
     SolverStallError,
     ValidationError,
-    ZeroEnergySpreadError,
     ZeroNuError,
     ZeroTargetQFIError,
     ZeroTargetVarianceError,
@@ -41,6 +40,7 @@ from .linalg import (
     dephase,
     density_matrix,
     eig_hermitian,
+    eig_of,
     fidelity,
     noninteracting_hamiltonian,
     observable,
@@ -87,6 +87,7 @@ from .clockdist import (
     overlap_copy_count,
     poisson_distance_bound,
     shift,
+    snap_levels,
     tp_distance,
     translated_poisson,
     tv_distance,

@@ -11,17 +11,14 @@ instead of averaging over sampled times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import (
-    DimMismatchError,
-    IncommensurateSpectrumError,
-    ValidationError,
-)
-from .linalg import eig_hermitian, obs_matrix, state_matrix
+from .clockdist import snap_levels
+from .errors import DimMismatchError, ValidationError
+from .linalg import eig_of, state_matrix
 from .measures import (
     MeasureValue,
     purity_of_coherence,
@@ -46,9 +43,6 @@ class TIChannel(KrausChannel):
     index), covariant for the Hamiltonians it was twirled against."""
 
     mode_index: tuple = ()
-    h_in: np.ndarray | None = None
-    h_out: np.ndarray | None = None
-    tau: float = 0.0
 
 
 def kraus_channel(ops, tols: Tolerances = DEFAULT) -> KrausChannel:
@@ -116,21 +110,11 @@ def superoperator(ch: KrausChannel) -> np.ndarray:
 def _integer_levels(H, tau: float, tols: Tolerances):
     """Eigensystem of H with eigenvalues snapped to the 2*pi/tau grid.
 
-    Returns (n, V) where n[i] is the integer level of eigenvector i,
-    referenced to the lowest eigenvalue.
+    Returns (n, w, V) where n[i] is the integer level of eigenvector i,
+    referenced to the lowest eigenvalue w[0].
     """
-    w, V = eig_hermitian(obs_matrix(H), tols)
-    unit = 2.0 * math.pi / tau
-    ns = np.empty(len(w), dtype=int)
-    for i, e in enumerate(w):
-        x = (e - w[0]) / unit
-        n = round(x)
-        if abs(x - n) > tols.level_rel:
-            raise IncommensurateSpectrumError(
-                f"eigenvalue offset {x:.12g} grid units from integer"
-            )
-        ns[i] = n
-    return ns, V
+    w, V = eig_of(H, tols)
+    return snap_levels(w, w[0], tau, tols), w, V
 
 
 def twirl(ch: KrausChannel, H_in, H_out, tau: float,
@@ -142,8 +126,8 @@ def twirl(ch: KrausChannel, H_in, H_out, tau: float,
     fixed-mode components survive the average.  Components with max-abs
     weight below pair_cutoff are dropped.
     """
-    n_in, V_in = _integer_levels(H_in, tau, tols)
-    n_out, V_out = _integer_levels(H_out, tau, tols)
+    n_in, _, V_in = _integer_levels(H_in, tau, tols)
+    n_out, _, V_out = _integer_levels(H_out, tau, tols)
     if len(n_in) != ch.d_in or len(n_out) != ch.d_out:
         raise DimMismatchError("Hamiltonian dims do not match the channel")
     mode_grid = n_out[:, None] - n_in[None, :]
@@ -159,8 +143,7 @@ def twirl(ch: KrausChannel, H_in, H_out, tau: float,
             modes.append(int(mode))
     base = kraus_channel(ops, tols)
     return TIChannel(kraus=base.kraus, d_in=base.d_in, d_out=base.d_out,
-                     mode_index=tuple(modes),
-                     h_in=obs_matrix(H_in), h_out=obs_matrix(H_out), tau=tau)
+                     mode_index=tuple(modes))
 
 
 def is_ti(ch: KrausChannel, H_in, H_out, tau: float,
@@ -172,10 +155,8 @@ def is_ti(ch: KrausChannel, H_in, H_out, tau: float,
     2*max_span + 2 equally spaced times in [0, tau) implies vanishing for
     all t.  Returns (flag, max residual).
     """
-    n_in, V_in = _integer_levels(H_in, tau, tols)
-    n_out, V_out = _integer_levels(H_out, tau, tols)
-    w_in = eig_hermitian(obs_matrix(H_in), tols)[0]
-    w_out = eig_hermitian(obs_matrix(H_out), tols)[0]
+    n_in, w_in, V_in = _integer_levels(H_in, tau, tols)
+    n_out, w_out, V_out = _integer_levels(H_out, tau, tols)
     S = superoperator(ch)
     span = max(int(n_in.max() - n_in.min()),
                int(n_out.max() - n_out.min()))

@@ -26,8 +26,6 @@ from .errors import (
     ZeroNuError,
 )
 from .linalg import (
-    DensityMatrix,
-    HermitianObservable,
     PureState,
     array_from_json,
     array_to_json,
@@ -67,13 +65,20 @@ def load_hamiltonian(path: str, tau: float | None = None):
         obj = json.load(fh)
     if isinstance(obj, dict) and "levels_in_2pi_over_tau" in obj:
         levels = obj["levels_in_2pi_over_tau"]
+        # 2**53 bounds the integers a float holds exactly; it also turns
+        # away inf and nan before int() sees them
         if not isinstance(levels, list) or not all(
-                isinstance(n, int) or (isinstance(n, float) and n == int(n))
+                isinstance(n, (int, float)) and abs(n) <= 2**53 and n == int(n)
                 for n in levels):
-            raise SchemaError("levels_in_2pi_over_tau must be integers")
-        t = float(obj.get("tau", tau if tau is not None else 2.0 * math.pi))
-        if t <= 0:
-            raise ValidationError("tau must be positive")
+            raise SchemaError("levels_in_2pi_over_tau must be integers "
+                              "of magnitude at most 2**53")
+        try:
+            t = float(obj.get("tau",
+                              tau if tau is not None else 2.0 * math.pi))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"tau must be a number: {exc}") from exc
+        if not 0 < t < math.inf:
+            raise ValidationError("tau must be positive and finite")
         unit = 2.0 * math.pi / t
         H = np.diag([unit * int(n) for n in levels]).astype(complex)
         if "basis" in obj:

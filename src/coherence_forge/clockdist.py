@@ -27,9 +27,7 @@ from .errors import (
 from .linalg import (
     HermitianObservable,
     PureState,
-    eig_hermitian,
     group_levels,
-    obs_matrix,
     observable,
     pure_state,
 )
@@ -128,6 +126,23 @@ class BarbourTerms:
     nu: float
 
 
+def snap_levels(energies, ref: float, tau: float,
+                tols: Tolerances = DEFAULT) -> np.ndarray:
+    """Integer levels n with energies = ref + (2*pi/tau) * n.
+
+    Each energy must land within level_rel grid units of its integer,
+    else IncommensurateSpectrumError.
+    """
+    x = (np.asarray(energies, dtype=float) - ref) / (2.0 * math.pi / tau)
+    n = np.rint(x)
+    off = np.abs(x - n) > tols.level_rel
+    if np.any(off):
+        raise IncommensurateSpectrumError(
+            f"level offset {x[np.argmax(off)]:.12g} grid units from integer"
+        )
+    return n.astype(int)
+
+
 def extract_distribution(psi, H, tau: float,
                          tols: Tolerances = DEFAULT) -> PeriodicClockState:
     """Integer energy distribution of psi under H for reference period tau.
@@ -140,10 +155,11 @@ def extract_distribution(psi, H, tau: float,
         raise ValidationError(f"tau must be positive, got {tau}")
     if not isinstance(psi, PureState):
         psi = pure_state(psi, tols)
-    Hm = obs_matrix(H)
-    if Hm.shape[0] != psi.dim:
+    if not isinstance(H, HermitianObservable):
+        H = observable(H, tols)
+    if H.dim != psi.dim:
         raise ValidationError("state and Hamiltonian dimensions differ")
-    w, V = eig_hermitian(Hm, tols)
+    w, V = H.spectrum, H.eigenbasis
     amps = V.conj().T @ psi.vector
     weights = np.abs(amps) ** 2
 
@@ -155,30 +171,12 @@ def extract_distribution(psi, H, tau: float,
         if mass > tols.prob:
             energies.append(float(np.mean(w[g])))
             masses.append(mass)
-    unit = 2.0 * math.pi / tau
-    e_min = min(energies)
-    ns = []
-    for e in energies:
-        x = (e - e_min) / unit
-        n = round(x)
-        if abs(x - n) > tols.level_rel:
-            raise IncommensurateSpectrumError(
-                f"occupied level offset {x:.12g} grid units from integer"
-            )
-        ns.append(int(n))
-
-    width = max(ns) + 1
-    probs = np.zeros(width)
-    for n, mass in zip(ns, masses):
-        probs[n] += mass
-    probs = probs / probs.sum()
-    dist = integer_distribution(0, probs, tols)
-    nz = [n for n in sorted(ns) if n != 0]
-    g = 0
-    for n in nz:
-        g = math.gcd(g, n)
+    ns = snap_levels(energies, min(energies), tau, tols).tolist()
+    probs = np.bincount(ns, weights=masses)
+    dist = integer_distribution(0, probs / probs.sum(), tols)
+    g = math.gcd(*ns)
     per = 0.0 if g == 0 else tau / g
-    return PeriodicClockState(state=psi, hamiltonian=observable(Hm, tols),
+    return PeriodicClockState(state=psi, hamiltonian=H,
                               tau=tau, levels=tuple(sorted(set(ns))),
                               distribution=dist, period=per)
 

@@ -73,9 +73,5 @@ class ZeroTargetQFIError(CoherenceForgeError):
     """Target state carries no metrological resource."""
 
 
-class ZeroEnergySpreadError(CoherenceForgeError):
-    """State is an energy eigenstate and has no clock content."""
-
-
 class SolverStallError(CoherenceForgeError):
     """Interior-point solver exceeded its iteration budget."""

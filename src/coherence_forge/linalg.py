@@ -4,6 +4,11 @@ Wraps numpy's Hermitian eigensolver with explicit validation (Hermiticity,
 reconstruction residual) and provides the state / observable containers,
 tensor-product helpers, energy dephasing, and the JSON wire format for
 matrices and vectors.
+
+Each container owns the eigendecomposition of its operand: spectrum
+ascending, eigenbasis columns aligned with it, both read-only.  eig_of
+hands that cached pair to every layer, so a validated operand is
+eigendecomposed exactly once.
 """
 
 from __future__ import annotations
@@ -133,7 +138,7 @@ def dephase(rho, H, tols: Tolerances = DEFAULT) -> np.ndarray:
     same level, so exact degeneracies survive intact.
     """
     rho = require_square(state_matrix(rho))
-    w, V = eig_hermitian(obs_matrix(H), tols)
+    w, V = eig_of(H, tols)
     if w.size != rho.shape[0]:
         raise DimMismatchError("state and Hamiltonian dimensions differ")
     rt = V.conj().T @ rho @ V
@@ -180,7 +185,8 @@ def trace_distance(rho, sigma) -> float:
 class HermitianObservable:
     """Validated Hermitian matrix with a cached eigendecomposition.
 
-    spectrum is ascending; eigenbasis columns align with it.
+    spectrum is ascending; eigenbasis columns align with it.  Both arrays
+    are read-only.
     """
 
     matrix: np.ndarray
@@ -196,8 +202,9 @@ class HermitianObservable:
 class DensityMatrix:
     """Validated density matrix.
 
-    spectrum is descending (largest population first); eigenbasis columns
-    align with it.  support_rank counts eigenvalues above rank_cutoff.
+    spectrum is ascending (largest population last); eigenbasis columns
+    align with it.  Both arrays are read-only.  support_rank counts
+    eigenvalues above rank_cutoff.
     """
 
     matrix: np.ndarray
@@ -208,10 +215,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def support_projector(self) -> np.ndarray:
-        Vs = self.eigenbasis[:, : self.support_rank]
-        return Vs @ Vs.conj().T
 
 
 @dataclass(frozen=True)
@@ -230,6 +233,7 @@ class PureState:
 
 def observable(M, tols: Tolerances = DEFAULT) -> HermitianObservable:
     w, V = eig_hermitian(M, tols)
+    w.flags.writeable = V.flags.writeable = False
     return HermitianObservable(matrix=np.asarray(M, dtype=complex), spectrum=w,
                                eigenbasis=V)
 
@@ -237,13 +241,11 @@ def observable(M, tols: Tolerances = DEFAULT) -> HermitianObservable:
 def density_matrix(M, tols: Tolerances = DEFAULT) -> DensityMatrix:
     M = require_square(M)
     w, V = eig_hermitian(M, tols)
+    w.flags.writeable = V.flags.writeable = False
     if abs(np.sum(w) - 1.0) > tols.trace:
         raise ValidationError(f"trace is {np.sum(w):.12f}, expected 1")
     if w[0] < -tols.psd:
         raise ValidationError(f"negative eigenvalue {w[0]:.3e}")
-    # flip to descending
-    w = w[::-1].copy()
-    V = V[:, ::-1].copy()
     rank = int(np.count_nonzero(w > tols.rank_cutoff))
     return DensityMatrix(matrix=M, spectrum=w, eigenbasis=V, support_rank=rank)
 
@@ -276,6 +278,19 @@ def obs_matrix(x) -> np.ndarray:
     if isinstance(x, HermitianObservable):
         return x.matrix
     return require_square(x)
+
+
+def eig_of(x, tols: Tolerances = DEFAULT):
+    """(w ascending, V) of a state or observable.
+
+    A DensityMatrix or HermitianObservable hands back its cached,
+    read-only pair; anything else is coerced like state_matrix (a vector
+    or PureState stands for its density matrix) and decomposed by one
+    eig_hermitian call.
+    """
+    if isinstance(x, (DensityMatrix, HermitianObservable)):
+        return x.spectrum, x.eigenbasis
+    return eig_hermitian(state_matrix(x), tols)
 
 
 # ---------------------------------------------------------------------------
@@ -322,26 +337,29 @@ def array_to_json(a) -> dict:
 
 
 def array_from_json(obj) -> np.ndarray:
-    """Decode the wire format back into a 1-D or 2-D complex ndarray."""
+    """Decode the wire format back into a 1-D or 2-D complex ndarray.
+
+    "dim" is either the side length n or the full shape, [n] or [n, n].
+    """
     if not isinstance(obj, dict):
         raise SchemaError(f"expected an object, got {type(obj).__name__}")
     for key in ("dim", "re", "im"):
         if key not in obj:
             raise SchemaError(f"missing key {key!r}")
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
+        dim = [int(n) for n in dim] if isinstance(dim, list) else int(dim)
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"non-numeric payload: {exc}") from exc
     if re.shape != im.shape:
         raise SchemaError(f"re/im shapes differ: {re.shape} vs {im.shape}")
-    if re.ndim == 1:
-        if re.shape != (dim,):
-            raise SchemaError(f"vector length {re.shape[0]} != dim {dim}")
-    elif re.ndim == 2:
-        if re.shape != (dim, dim):
-            raise SchemaError(f"matrix shape {re.shape} != ({dim}, {dim})")
-    else:
+    if re.ndim not in (1, 2):
         raise SchemaError(f"payload must be 1-D or 2-D, got {re.ndim}-D")
+    # "dim" is n for either rank, or the shape itself: [n] or [n, n]
+    shape = tuple(dim) if isinstance(dim, list) else (dim,) * re.ndim
+    if re.shape != shape or len(set(shape)) != 1:
+        raise SchemaError(f"payload shape {re.shape} does not match "
+                          f"dim {obj['dim']}")
     return re + 1j * im

@@ -27,7 +27,7 @@ from .errors import (
     PureInputError,
     ValidationError,
 )
-from .linalg import eig_hermitian, fidelity, obs_matrix, state_matrix
+from .linalg import eig_of, fidelity, obs_matrix, state_matrix
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,37 @@ class MeasureValue:
         return self.value
 
 
-def _spectral(rho, H, tols: Tolerances):
-    """Eigenvalues p of rho (ascending) and H in rho's eigenbasis."""
-    rho = state_matrix(rho)
-    H = obs_matrix(H)
+def _operands(rho, H):
+    """rho and H as plain matrices, after checking that their dims agree."""
+    rho, H = state_matrix(rho), obs_matrix(H)
     if rho.shape != H.shape:
         raise DimMismatchError(
             f"state dim {rho.shape[0]} != Hamiltonian dim {H.shape[0]}"
         )
-    p, V = eig_hermitian(rho, tols)
-    A = V.conj().T @ H @ V
-    return p, A
+    return rho, H
+
+
+def _spectral(rho, H, tols: Tolerances):
+    """Eigenvalues p of rho (ascending), its eigenbasis V, and
+    A = V^dag H V, H in rho's eigenbasis."""
+    _, H = _operands(rho, H)
+    p, V = eig_of(rho, tols)
+    return p, V, V.conj().T @ H @ V
+
+
+def _support_commutes(p, V, H, tols: Tolerances) -> bool:
+    """Max-abs entry of [Pi, H] below tols.commute, with Pi the projector
+    onto the eigenvectors V of rho whose eigenvalue p clears rank_cutoff.
+
+    The norm is taken in the computational basis, as H is given."""
+    sup = p > tols.rank_cutoff
+    if np.all(sup):
+        return True
+    H = obs_matrix(H)
+    Vs = V[:, sup]
+    proj = Vs @ Vs.conj().T
+    comm = proj @ H - H @ proj
+    return bool(np.max(np.abs(comm)) < tols.commute)
 
 
 def qfi(rho, H, tols: Tolerances = DEFAULT) -> float:
@@ -72,7 +92,7 @@ def qfi(rho, H, tols: Tolerances = DEFAULT) -> float:
     Pairs with p_j + p_k below pair_cutoff contribute nothing (both
     populations are numerically zero) and are skipped to avoid 0/0.
     """
-    p, A = _spectral(rho, H, tols)
+    p, _, A = _spectral(rho, H, tols)
     diff = p[:, None] - p[None, :]
     tot = p[:, None] + p[None, :]
     mask = tot > tols.pair_cutoff
@@ -83,12 +103,7 @@ def qfi(rho, H, tols: Tolerances = DEFAULT) -> float:
 
 def energy_variance(state, H, tols: Tolerances = DEFAULT) -> float:
     """<H^2> - <H>^2 in the given state (pure or mixed), clamped at 0."""
-    rho = state_matrix(state)
-    H = obs_matrix(H)
-    if rho.shape != H.shape:
-        raise DimMismatchError(
-            f"state dim {rho.shape[0]} != Hamiltonian dim {H.shape[0]}"
-        )
+    rho, H = _operands(state, H)
     mean = np.trace(rho @ H).real
     second = np.trace(rho @ H @ H).real
     var = second - mean * mean
@@ -103,18 +118,8 @@ def support_commutes(rho, H, tols: Tolerances = DEFAULT) -> bool:
     This is exactly the finiteness condition for purity of coherence:
     coherence must not leak between the support and the kernel.
     """
-    rho = state_matrix(rho)
-    H = obs_matrix(H)
-    if rho.shape != H.shape:
-        raise DimMismatchError("state and Hamiltonian dimensions differ")
-    p, V = eig_hermitian(rho, tols)
-    sup = p > tols.rank_cutoff
-    if np.all(sup):
-        return True
-    Vs = V[:, sup]
-    proj = Vs @ Vs.conj().T
-    comm = proj @ H - H @ proj
-    return bool(np.max(np.abs(comm)) < tols.commute)
+    p, V, _ = _spectral(rho, H, tols)
+    return _support_commutes(p, V, H, tols)
 
 
 def purity_of_coherence(rho, H, tols: Tolerances = DEFAULT) -> MeasureValue:
@@ -125,9 +130,9 @@ def purity_of_coherence(rho, H, tols: Tolerances = DEFAULT) -> MeasureValue:
     sum_{jk} (p_k^2 - p_j^2)/p_j |H_kj|^2, which is algebraically the same
     but never forms the pseudo-inverse explicitly.
     """
-    if not support_commutes(rho, H, tols):
+    p, V, A = _spectral(rho, H, tols)
+    if not _support_commutes(p, V, H, tols):
         return MeasureValue.inf()
-    p, A = _spectral(rho, H, tols)
     sup = p > tols.rank_cutoff
     ps = p[sup]
     As = A[np.ix_(sup, sup)]
@@ -142,7 +147,7 @@ def skew_information(rho, H, tols: Tolerances = DEFAULT) -> float:
 
     Evaluated in the eigenbasis: sum_{jk} (p_j - sqrt(p_j p_k)) |H_jk|^2.
     """
-    p, A = _spectral(rho, H, tols)
+    p, _, A = _spectral(rho, H, tols)
     p = np.clip(p, 0.0, None)
     root = np.sqrt(p)
     coeff = p[:, None] - root[:, None] * root[None, :]
@@ -156,10 +161,9 @@ def q2_divergence(rho, sigma, tols: Tolerances = DEFAULT) -> MeasureValue:
     sigma^{-1} means the pseudo-inverse on its support.
     """
     rho = state_matrix(rho)
-    sigma = state_matrix(sigma)
-    if rho.shape != sigma.shape:
+    s, V = eig_of(sigma, tols)
+    if rho.shape[0] != s.size:
         raise DimMismatchError("states have different dimensions")
-    s, V = eig_hermitian(sigma, tols)
     sup = s > tols.rank_cutoff
     rt = V.conj().T @ rho @ V
     if not np.all(sup):
@@ -180,9 +184,9 @@ def renyi_purity_monotone(rho, H, alpha: float,
     """
     if not (1.0 < alpha <= 2.0):
         raise AlphaOutOfRangeError(f"alpha must be in (1, 2], got {alpha}")
-    if not support_commutes(rho, H, tols):
+    p, V, A = _spectral(rho, H, tols)
+    if not _support_commutes(p, V, H, tols):
         return MeasureValue.inf()
-    p, A = _spectral(rho, H, tols)
     sup = p > tols.rank_cutoff
     ps = p[sup]
     As = np.abs(A[np.ix_(sup, sup)]) ** 2
@@ -201,11 +205,8 @@ def qfi_via_fidelity(rho, H, h: float | None = None,
         h = tols.fd_step
     if not (1e-4 <= h <= 1e-2):
         raise ValidationError(f"step h must be in [1e-4, 1e-2], got {h}")
-    rho = state_matrix(rho)
-    Hm = obs_matrix(H)
-    if rho.shape != Hm.shape:
-        raise DimMismatchError("state and Hamiltonian dimensions differ")
-    w, V = eig_hermitian(Hm, tols)
+    rho, _ = _operands(rho, H)
+    w, V = eig_of(H, tols)
 
     def rotated(t):
         U = (V * np.exp(-1j * w * t)) @ V.conj().T
@@ -229,16 +230,12 @@ def near_pure_bound(rho, H, tols: Tolerances = DEFAULT) -> float:
     Returns V(psi_max) * (p_max^2/(1-p_max) - 1); any state this close to
     the pure state psi_max must have at least this much P.
     """
-    rho = state_matrix(rho)
-    Hm = obs_matrix(H)
-    if rho.shape != Hm.shape:
-        raise DimMismatchError("state and Hamiltonian dimensions differ")
-    p, V = eig_hermitian(rho, tols)
+    p, V, _ = _spectral(rho, H, tols)
     p_max = float(p[-1])
     if p_max >= 1.0 - tols.rank_cutoff:
         raise PureInputError("leading eigenvalue is 1; the bound is infinite")
     psi = V[:, -1]
-    v = energy_variance(psi, Hm, tols)
+    v = energy_variance(psi, H, tols)
     return v * (p_max * p_max / (1.0 - p_max) - 1.0)
 
 

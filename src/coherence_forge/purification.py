@@ -17,6 +17,7 @@ must be transposed in this basis before rotating back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .linalg import (
     HermitianObservable,
     PureState,
     eig_hermitian,
+    eig_of,
     group_levels,
     obs_matrix,
     observable,
@@ -34,14 +36,17 @@ from .linalg import (
     state_matrix,
     tensor,
 )
-from .measures import energy_variance, qfi
+from .measures import energy_variance
 
 
 @dataclass(frozen=True)
 class Purification:
+    """total_hamiltonian is H_S x I + I x H_A as a plain matrix; it is
+    built for the variance and never eigendecomposed."""
+
     joint_state: PureState
     aux_hamiltonian: HermitianObservable
-    total_hamiltonian: HermitianObservable
+    total_hamiltonian: np.ndarray
     total_variance: float
 
 
@@ -60,12 +65,13 @@ class PureEnsemble:
 
 def aligned_eigensystem(rho, H, tols: Tolerances = DEFAULT):
     """Eigendecomposition of rho with H diagonalized inside each degenerate
-    eigenspace of rho.  Returns (p ascending, V)."""
-    rho = state_matrix(rho)
+    eigenspace of rho.  Returns (p ascending, V); V is a fresh array, so a
+    cached eigenbasis is never rotated in place."""
     H = obs_matrix(H)
-    if rho.shape != H.shape:
+    p, V = eig_of(rho, tols)
+    if p.size != H.shape[0]:
         raise DimMismatchError("state and Hamiltonian dimensions differ")
-    p, V = eig_hermitian(rho, tols)
+    V = V.copy()
     for g in group_levels(p, tols.gap_cutoff):
         if len(g) < 2:
             continue
@@ -82,15 +88,13 @@ def canonical_purification(rho, tols: Tolerances = DEFAULT) -> PureState:
     representation, since the copy is unconjugated and the basis
     orthonormal).
     """
-    rho = state_matrix(rho)
-    p, V = eig_hermitian(rho, tols)
-    d = rho.shape[0]
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        if p[i] <= 0.0:
-            continue
-        phi += np.sqrt(p[i]) * np.kron(V[:, i], V[:, i])
-    return pure_state(phi, tols)
+    return pure_state(_purification_vector(*eig_of(rho, tols)), tols)
+
+
+def _purification_vector(p, V) -> np.ndarray:
+    """sum_i sqrt(p_i) |phi_i> x |phi_i> over the eigenpairs (p, V),
+    with nonpositive p_i left out."""
+    return ((V * np.sqrt(np.clip(p, 0.0, None))) @ V.T).reshape(-1)
 
 
 def _coordinate_aux(p, S, tols: Tolerances) -> np.ndarray:
@@ -114,13 +118,18 @@ def optimal_aux_hamiltonian(rho, H_S, tols: Tolerances = DEFAULT) -> np.ndarray:
     transpose of the coordinate formula).  Shifted by a multiple of the
     identity so the purification's mean total energy is zero.
     """
-    p, V = aligned_eigensystem(rho, H_S, tols)
-    S = V.conj().T @ obs_matrix(H_S) @ V
-    coeff = _coordinate_aux(p, S, tols)
+    return _aux_hamiltonian(rho, H_S, *aligned_eigensystem(rho, H_S, tols),
+                            tols)
+
+
+def _aux_hamiltonian(rho, H_S, p, V, tols: Tolerances) -> np.ndarray:
+    """optimal_aux_hamiltonian from the aligned eigensystem (p, V) of rho."""
+    H_S = obs_matrix(H_S)
+    coeff = _coordinate_aux(p, V.conj().T @ H_S @ V, tols)
     H_A = V @ coeff.T @ V.conj().T
     # mean total energy of the purification: tr(rho H_S) + tr(rho_A H_A)
     rho_m = state_matrix(rho)
-    shift = np.trace(rho_m @ obs_matrix(H_S)).real + np.trace(rho_m @ H_A).real
+    shift = np.trace(rho_m @ H_S).real + np.trace(rho_m @ H_A).real
     return H_A - shift * np.eye(p.size)
 
 
@@ -137,9 +146,9 @@ def kkt_residual(rho, H_S, H_A=None, tols: Tolerances = DEFAULT) -> float:
     shifts drop out, so the identity component of H_A is projected away
     on the support first).
     """
-    if H_A is None:
-        H_A = optimal_aux_hamiltonian(rho, H_S, tols)
     p, V = aligned_eigensystem(rho, H_S, tols)
+    if H_A is None:
+        H_A = _aux_hamiltonian(rho, H_S, p, V, tols)
     S = V.conj().T @ obs_matrix(H_S) @ V
     A = V.conj().T @ obs_matrix(H_A) @ V
     # re-gauge to the zero-mean-energy convention the identity assumes
@@ -159,18 +168,13 @@ def build_optimal_purification(rho, H_S,
     """Assemble the minimal-variance purification of rho under H_S."""
     p, V = aligned_eigensystem(rho, H_S, tols)
     d = p.size
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        if p[i] <= 0.0:
-            continue
-        phi += np.sqrt(p[i]) * np.kron(V[:, i], V[:, i])
-    H_A = optimal_aux_hamiltonian(rho, H_S, tols)
+    H_A = _aux_hamiltonian(rho, H_S, p, V, tols)
     H_tot = tensor(obs_matrix(H_S), np.eye(d)) + tensor(np.eye(d), H_A)
-    joint = pure_state(phi, tols)
+    joint = pure_state(_purification_vector(p, V), tols)
     var = energy_variance(joint.vector, H_tot, tols)
     return Purification(joint_state=joint,
                         aux_hamiltonian=observable(H_A, tols),
-                        total_hamiltonian=observable(H_tot, tols),
+                        total_hamiltonian=H_tot,
                         total_variance=var)
 
 
@@ -198,13 +202,8 @@ def transpose_purification_variance(rho, H_S,
     d = p.size
     S = V.conj().T @ obs_matrix(H_S) @ V
     H_A = V @ (-S.T) @ V.conj().T
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        if p[i] <= 0.0:
-            continue
-        phi += np.sqrt(p[i]) * np.kron(V[:, i], V[:, i])
     H_tot = tensor(obs_matrix(H_S), np.eye(d)) + tensor(np.eye(d), H_A)
-    return energy_variance(phi, H_tot, tols)
+    return energy_variance(_purification_vector(p, V), H_tot, tols)
 
 
 def optimal_ensemble(rho, H_S, tols: Tolerances = DEFAULT) -> PureEnsemble:
@@ -216,14 +215,8 @@ def optimal_ensemble(rho, H_S, tols: Tolerances = DEFAULT) -> PureEnsemble:
     """
     p, V = aligned_eigensystem(rho, H_S, tols)
     d = p.size
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        if p[i] <= 0.0:
-            continue
-        phi += np.sqrt(p[i]) * np.kron(V[:, i], V[:, i])
-    H_A = optimal_aux_hamiltonian(rho, H_S, tols)
-    _, U = eig_hermitian(H_A, tols)
-    phi_mat = phi.reshape(d, d)          # [s, a] amplitudes
+    _, U = eig_hermitian(_aux_hamiltonian(rho, H_S, p, V, tols), tols)
+    phi_mat = _purification_vector(p, V).reshape(d, d)   # [s, a] amplitudes
     weights = []
     states = []
     for k in range(d):
@@ -248,8 +241,7 @@ def coherence_sectors(rho, H, tau: float, tols: Tolerances):
     occupied coherence gap is not an integer multiple of 2*pi/tau.
     """
     rho = state_matrix(rho)
-    H = obs_matrix(H)
-    w, V = eig_hermitian(H, tols)
+    w, V = eig_of(H, tols)
     groups = group_levels(w, tols.gap_cutoff)
     rt = V.conj().T @ rho @ V
     n_groups = len(groups)
@@ -284,15 +276,9 @@ def coherence_sectors(rho, H, tau: float, tols: Tolerances):
         sectors.setdefault(find(g), []).append(g)
     projectors = []
     for members in sectors.values():
-        idx = np.concatenate([groups[m] for m in members])
-        P = np.zeros_like(rho)
-        Vv = V[:, idx]
-        P += Vv @ Vv.conj().T
-        projectors.append(P)
-    gcd = 0
-    for k in gap_ints:
-        gcd = np.gcd(gcd, k)
-    return projectors, int(gcd)
+        Vv = V[:, np.concatenate([groups[m] for m in members])]
+        projectors.append(Vv @ Vv.conj().T)
+    return projectors, math.gcd(*gap_ints)
 
 
 def period_respecting_ensemble(rho, H, tau: float,

@@ -7,7 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from coherence_forge.linalg import array_to_json
+from coherence_forge import cli
+from coherence_forge.linalg import (
+    array_to_json,
+    random_density,
+    random_observable,
+)
 
 TAU = 2 * math.pi
 
@@ -199,3 +204,57 @@ def test_dense_hamiltonian_warns(fixtures):
                   "--ham", fixtures["hz_dense"])
     assert res.returncode == 0
     assert "snapped" in res.stderr
+
+
+PLUS = {"re": [2 ** -0.5, 2 ** -0.5], "im": [0.0, 0.0]}
+HALF = {"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+HZ = {"re": [[0.5, 0.0], [0.0, -0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("state, ham, code", [
+    # the README's list forms of "dim"
+    ({"dim": [2], **PLUS}, {"dim": [2, 2], **HZ}, 0),
+    ({"dim": [2, 2], **HALF}, {"levels_in_2pi_over_tau": [0, 1]}, 0),
+    # bad input: exit 1 with a message, never a traceback
+    ({"dim": [2, 3], **HALF}, {"dim": 2, **HZ}, 1),
+    ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, math.inf]}, 1),
+    ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, math.nan]}, 1),
+    ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 10 ** 400]}, 1),
+    ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 1], "tau": "abc"}, 1),
+    ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 1], "tau": 1e400}, 1),
+])
+def test_loader_edges(tmp_path, capsys, state, ham, code):
+    (tmp_path / "s.json").write_text(json.dumps(state))
+    (tmp_path / "h.json").write_text(json.dumps(ham))
+    rc = cli.main(["measures", "--state", str(tmp_path / "s.json"),
+                   "--ham", str(tmp_path / "h.json")])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert ("error:" in err) == (code == 1)
+
+
+def test_eigensolve_budget(tmp_path, monkeypatch, capsys):
+    # every operand is eigendecomposed once, at load; the purification's
+    # d^2 x d^2 total Hamiltonian is never decomposed
+    rng = np.random.default_rng(60)
+    d = 4
+    (tmp_path / "rho.json").write_text(
+        json.dumps(array_to_json(random_density(d, rng))))
+    (tmp_path / "h.json").write_text(
+        json.dumps(array_to_json(random_observable(d, rng))))
+    files = ["--state", str(tmp_path / "rho.json"),
+             "--ham", str(tmp_path / "h.json")]
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(M, *args, **kwargs):
+        sizes.append(M.shape[0])
+        return eigh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert cli.main(["measures", *files, "--alpha", "1.5"]) == 0
+    assert sizes == [d, d]
+    sizes.clear()
+    assert cli.main(["purify", *files, "--ensemble"]) == 0
+    assert len(sizes) <= 4 and max(sizes) == d
+    capsys.readouterr()

@@ -13,6 +13,7 @@ from coherence_forge.clockdist import (
     period,
     poisson_distance_bound,
     shift,
+    snap_levels,
     tp_distance,
     translated_poisson,
     tv_distance,
@@ -73,6 +74,22 @@ def test_extract_incommensurate_raises():
     H = np.diag([0.0, math.sqrt(2.0)])
     with pytest.raises(IncommensurateSpectrumError):
         extract_distribution(PLUS, H, TAU)
+
+
+def test_snap_levels_matches_per_level_rounding():
+    rng = np.random.default_rng(70)
+    tau = 2 * math.pi / 3.0
+    unit = 3.0
+    for _ in range(20):
+        ref = rng.normal()
+        n = rng.integers(-5, 20, size=8)
+        noise = rng.uniform(-1e-10, 1e-10, size=8) * unit
+        energies = ref + unit * n + noise
+        expect = [round((e - ref) / unit) for e in energies]
+        assert snap_levels(energies, ref, tau).tolist() == expect
+        energies[3] += 1e-6 * unit
+        with pytest.raises(IncommensurateSpectrumError):
+            snap_levels(energies, ref, tau)
 
 
 def test_integer_distribution_validation():

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from coherence_forge.errors import PeriodMismatchError
-from coherence_forge.linalg import partial_trace, random_density, random_pure
+from coherence_forge.linalg import (
+    density_matrix,
+    eig_hermitian,
+    partial_trace,
+    random_density,
+    random_pure,
+)
 from coherence_forge.measures import energy_variance, qfi, skew_information
 from coherence_forge.purification import (
     aux_qfi,
@@ -26,6 +32,12 @@ def test_canonical_purification_reduces_to_rho():
         joint = np.outer(phi.vector, phi.vector.conj())
         red = partial_trace(joint, (d, d), "A")
         assert np.max(np.abs(red - rho)) < 1e-10
+        # reference: the sum over eigenpairs, one Kronecker term each
+        # (same eigensolver, so the eigenvector phases agree)
+        p, V = eig_hermitian(rho)
+        ref = sum(np.sqrt(p[i]) * np.kron(V[:, i], V[:, i])
+                  for i in range(d) if p[i] > 0)
+        assert np.max(np.abs(phi.vector - ref)) < 1e-12
 
 
 def test_optimal_purification_hits_quarter_qfi():
@@ -53,6 +65,18 @@ def test_optimal_purification_degenerate_spectrum():
     F = qfi(rho, H)
     assert abs(pur.total_variance - F / 4) < 1e-8 * max(1.0, F)
     assert kkt_residual(rho, H, pur.aux_hamiltonian.matrix) < 1e-10
+    # the container's cached eigenbasis gives the same result and is
+    # neither rotated in place nor writable
+    dm = density_matrix(rho)
+    basis = dm.eigenbasis.copy()
+    pur_dm = build_optimal_purification(dm, H)
+    assert abs(pur_dm.total_variance - pur.total_variance) < 1e-12
+    assert np.max(np.abs(pur_dm.aux_hamiltonian.matrix
+                         - pur.aux_hamiltonian.matrix)) < 1e-12
+    assert kkt_residual(dm, H, pur_dm.aux_hamiltonian) < 1e-10
+    assert np.array_equal(dm.eigenbasis, basis)
+    with pytest.raises(ValueError):
+        dm.eigenbasis[0, 0] = 0.0
 
 
 def test_transpose_purification_doubles_skew():
