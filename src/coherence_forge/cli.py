@@ -124,16 +124,18 @@ def _mv(value) -> object:
 def cmd_measures(args) -> int:
     st = load_state(args.state)
     H, _, _ = load_hamiltonian(args.ham)
+    pure = isinstance(st, PureState)
+    # one cached spectrum serves every measure; the vector keeps the variance
+    rho = density_matrix(st.density()) if pure else st
     out = {
-        "F": measures.qfi(st, H),
-        "P": _mv(measures.purity_of_coherence(st, H)),
-        "W": measures.skew_information(st, H),
-        "variance_if_pure": (measures.energy_variance(st, H)
-                             if isinstance(st, PureState) else None),
-        "support_commutes": measures.support_commutes(st, H),
+        "F": measures.qfi(rho, H),
+        "P": _mv(measures.purity_of_coherence(rho, H)),
+        "W": measures.skew_information(rho, H),
+        "variance_if_pure": measures.energy_variance(st, H) if pure else None,
+        "support_commutes": measures.support_commutes(rho, H),
     }
     if args.alpha is not None:
-        out["renyi"] = _mv(measures.renyi_purity_monotone(st, H, args.alpha))
+        out["renyi"] = _mv(measures.renyi_purity_monotone(rho, H, args.alpha))
         out["renyi_alpha"] = args.alpha
     _emit(out)
     return 0
@@ -221,13 +223,13 @@ def cmd_distill(args) -> int:
     tvec = _pure_vec(tgt, "--target")
     single = st.density() if isinstance(st, PureState) else st.matrix
     rho = single
-    Hm = H.matrix
+    Hm = H   # the loaded observable lends omega_state its cached spectrum
     n = args.copies
     if n > 1:
         for _ in range(n - 1):
             rho = tensor(rho, single)
         Hm = noninteracting_hamiltonian([H.matrix] * n)
-    om = distill.omega_state(rho, Hm, tvec, Ht.matrix)
+    om = distill.omega_state(rho, Hm, tvec, Ht)
     res = distill.conditional_min_entropy(om)
     bound_exact = bound_asym = None
     if single.shape[0] == 2 and tvec.size == 2:

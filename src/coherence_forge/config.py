@@ -2,8 +2,10 @@
 
 Every cutoff used anywhere in the package lives here so that tests and the
 CLI agree on what "zero" means.  All values are absolute unless the name
-says otherwise; inputs are assumed to be desk-scale (matrix entries O(1),
-dimensions in the tens).
+says otherwise, save herm and recon: eig_hermitian scales both by
+max(1, max|M_ij|), so an operator in any units is judged alike.  The
+other values assume desk-scale inputs (matrix entries O(1), dimensions
+in the tens).
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     # Hermiticity / state validation
-    herm: float = 1e-10          # max |M - M^dag| entry
+    herm: float = 1e-10          # max |M - M^dag| entry, x max(1, max|M|)
     trace: float = 1e-10         # |tr(rho) - 1|
     psd: float = 1e-10           # eigenvalues >= -psd
     norm: float = 1e-10          # | ||v|| - 1 | for pure states
-    recon: float = 1e-10         # eigendecomposition reconstruction residual
+    recon: float = 1e-10         # reconstruction residual, x max(1, max|M|)
 
     # Spectral cutoffs
     rank_cutoff: float = 1e-10   # eigenvalue counts toward the support

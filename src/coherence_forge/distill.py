@@ -29,8 +29,7 @@ from .linalg import (
     DensityMatrix,
     PureState,
     density_matrix,
-    eig_hermitian,
-    obs_matrix,
+    eig_of,
     partial_trace,
     state_matrix,
 )
@@ -106,8 +105,8 @@ def omega_state(sigma_A, H_A, psi_B, H_B,
     yet closer than sqrt(gap_cutoff) make the grouping ill-defined and
     raise IncommensurateSpectrum."""
     sA = state_matrix(sigma_A)
-    a, U_A = eig_hermitian(obs_matrix(H_A), tols)
-    b, U_B = eig_hermitian(obs_matrix(H_B), tols)
+    a, U_A = eig_of(H_A, tols)
+    b, U_B = eig_of(H_B, tols)
     d_A, d_B = len(a), len(b)
     if sA.shape[0] != d_A:
         raise ValidationError("state and Hamiltonian dims differ on A")

@@ -40,18 +40,20 @@ def eig_hermitian(M, tols: Tolerances = DEFAULT):
     orthonormal eigenvectors.  Raises NonHermitianError if M is not
     Hermitian within tols.herm, and ValidationError if the reconstruction
     V diag(w) V^dag misses M by more than tols.recon (which would indicate
-    a solver failure, not bad input).
+    a solver failure, not bad input).  Both limits are scaled by
+    max(1, max|M_ij|), so operators in any units are judged alike.
     """
     M = require_square(M)
-    if M.size and np.max(np.abs(M - M.conj().T)) > tols.herm:
+    Mh = M.conj().T
+    scale = max(1.0, np.abs(M).max(initial=0.0))
+    dev = np.abs(M - Mh).max(initial=0.0)
+    if dev > tols.herm * scale:
         raise NonHermitianError(
-            f"matrix deviates from Hermiticity by "
-            f"{np.max(np.abs(M - M.conj().T)):.3e}"
-        )
-    Msym = 0.5 * (M + M.conj().T)
+            f"matrix deviates from Hermiticity by {dev:.3e}")
+    Msym = 0.5 * (M + Mh)
     w, V = np.linalg.eigh(Msym)
-    resid = np.max(np.abs(V @ np.diag(w) @ V.conj().T - Msym)) if M.size else 0.0
-    if resid > tols.recon:
+    resid = np.abs((V * w) @ V.conj().T - Msym).max(initial=0.0)
+    if resid > tols.recon * scale:
         raise ValidationError(f"eigendecomposition residual {resid:.3e}")
     return w, V
 
@@ -59,9 +61,11 @@ def eig_hermitian(M, tols: Tolerances = DEFAULT):
 def psd_sqrt(M, tols: Tolerances = DEFAULT):
     """Square root of a positive semidefinite Hermitian matrix.
 
-    Eigenvalues in [-tols.psd, 0) are treated as zero.
+    A DensityMatrix or HermitianObservable lends its cached
+    eigendecomposition (see eig_of).  Eigenvalues in [-tols.psd, 0) are
+    treated as zero.
     """
-    w, V = eig_hermitian(M, tols)
+    w, V = eig_of(M, tols)
     if w.size and w[0] < -tols.psd:
         raise ValidationError(f"matrix has a negative eigenvalue {w[0]:.3e}")
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
@@ -151,13 +155,13 @@ def dephase(rho, H, tols: Tolerances = DEFAULT) -> np.ndarray:
 def fidelity(rho, sigma, tols: Tolerances = DEFAULT) -> float:
     """Root fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
 
-    For a pure rho this reduces to sqrt(<psi|sigma|psi>).
+    For a pure rho this reduces to sqrt(<psi|sigma|psi>).  A DensityMatrix
+    rho lends its cached eigendecomposition to sqrt(rho).
     """
-    rho = state_matrix(rho)
-    sigma = state_matrix(sigma)
-    if rho.shape != sigma.shape:
-        raise DimMismatchError("states have different dimensions")
     sq = psd_sqrt(rho, tols)
+    sigma = state_matrix(sigma)
+    if sq.shape != sigma.shape:
+        raise DimMismatchError("states have different dimensions")
     inner = sq @ sigma @ sq
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))

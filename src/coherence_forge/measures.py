@@ -199,18 +199,20 @@ def qfi_via_fidelity(rho, H, h: float | None = None,
     """QFI from the curvature of t -> fidelity(rho, e^{-iHt} rho e^{iHt}).
 
     Central second difference -4 (Fid(h) - 2 Fid(0) + Fid(-h)) / h^2 with
-    one Richardson extrapolation step (h and h/2).
+    one Richardson extrapolation step (h and h/2).  Every fidelity takes
+    sqrt(rho) from the caller's rho, so a DensityMatrix is never
+    eigendecomposed again.
     """
     if h is None:
         h = tols.fd_step
     if not (1e-4 <= h <= 1e-2):
         raise ValidationError(f"step h must be in [1e-4, 1e-2], got {h}")
-    rho, _ = _operands(rho, H)
+    rho_m, _ = _operands(rho, H)
     w, V = eig_of(H, tols)
 
     def rotated(t):
         U = (V * np.exp(-1j * w * t)) @ V.conj().T
-        return U @ rho @ U.conj().T
+        return U @ rho_m @ U.conj().T
 
     f0 = fidelity(rho, rho, tols)
 

@@ -12,7 +12,10 @@ degenerate eigenspaces rotated so that H_S is diagonal inside each block
 (this pins down an otherwise arbitrary basis choice), S = V^dag H_S V, and
 the purification is |Phi> = sum_i sqrt(p_i) |phi_i> x |phi_i> with the
 *unconjugated* copy, so A-side operators built from coordinate formulas
-must be transposed in this basis before rotating back.
+must be transposed in this basis before rotating back.  |Phi> is held as
+its d x d amplitude matrix Phi = V diag(sqrt p) V^T, indexed [s, a], and
+(H_S x I + I x H_A) vec Phi = vec(H_S Phi + Phi H_A^T) keeps every
+joint-state quantity at d x d.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import DimMismatchError, PeriodMismatchError
+from .errors import DimMismatchError, PeriodMismatchError, ValidationError
 from .linalg import (
     HermitianObservable,
     PureState,
@@ -34,19 +37,14 @@ from .linalg import (
     observable,
     pure_state,
     state_matrix,
-    tensor,
 )
 from .measures import energy_variance
 
 
 @dataclass(frozen=True)
 class Purification:
-    """total_hamiltonian is H_S x I + I x H_A as a plain matrix; it is
-    built for the variance and never eigendecomposed."""
-
     joint_state: PureState
     aux_hamiltonian: HermitianObservable
-    total_hamiltonian: np.ndarray
     total_variance: float
 
 
@@ -88,13 +86,38 @@ def canonical_purification(rho, tols: Tolerances = DEFAULT) -> PureState:
     representation, since the copy is unconjugated and the basis
     orthonormal).
     """
-    return pure_state(_purification_vector(*eig_of(rho, tols)), tols)
+    return pure_state(_amplitudes(*eig_of(rho, tols)).reshape(-1), tols)
 
 
-def _purification_vector(p, V) -> np.ndarray:
-    """sum_i sqrt(p_i) |phi_i> x |phi_i> over the eigenpairs (p, V),
-    with nonpositive p_i left out."""
-    return ((V * np.sqrt(np.clip(p, 0.0, None))) @ V.T).reshape(-1)
+def _amplitudes(p, V) -> np.ndarray:
+    """Amplitude matrix V diag(sqrt p) V^T of sum_i sqrt(p_i) |phi_i> x
+    |phi_i> over the eigenpairs (p, V), nonpositive p_i left out."""
+    return (V * np.sqrt(np.clip(p, 0.0, None))) @ V.T
+
+
+def _joint_variance(phi, H_S, H_A, tols: Tolerances) -> float:
+    """<act|act> - <phi|act>^2, the variance of H_S x I + I x H_A in vec phi,
+    with act = H_S phi + phi H_A^T."""
+    act = obs_matrix(H_S) @ phi + phi @ obs_matrix(H_A).T
+    var = np.vdot(act, act).real - np.vdot(phi, act).real ** 2
+    if var < -tols.num:
+        raise ValidationError(f"variance {var:.3e} below -tolerance")
+    return float(max(var, 0.0))
+
+
+def _mean_energy(rho, H_S, H_A) -> float:
+    """tr(rho H_S) + tr(rho H_A): the purification's mean total energy."""
+    rho = state_matrix(rho)
+    return (np.trace(rho @ obs_matrix(H_S)).real
+            + np.trace(rho @ obs_matrix(H_A)).real)
+
+
+def _ensemble(weights, states, H, tols: Tolerances) -> PureEnsemble:
+    """Renormalise the weights and average the members' variances under H."""
+    weights = np.asarray(weights) / np.sum(weights)
+    avg = float(sum(w * energy_variance(st.vector, H, tols)
+                    for w, st in zip(weights, states)))
+    return PureEnsemble(weights=weights, states=states, average_variance=avg)
 
 
 def _coordinate_aux(p, S, tols: Tolerances) -> np.ndarray:
@@ -127,10 +150,7 @@ def _aux_hamiltonian(rho, H_S, p, V, tols: Tolerances) -> np.ndarray:
     H_S = obs_matrix(H_S)
     coeff = _coordinate_aux(p, V.conj().T @ H_S @ V, tols)
     H_A = V @ coeff.T @ V.conj().T
-    # mean total energy of the purification: tr(rho H_S) + tr(rho_A H_A)
-    rho_m = state_matrix(rho)
-    shift = np.trace(rho_m @ H_S).real + np.trace(rho_m @ H_A).real
-    return H_A - shift * np.eye(p.size)
+    return H_A - _mean_energy(rho, H_S, H_A) * np.eye(p.size)
 
 
 def kkt_residual(rho, H_S, H_A=None, tols: Tolerances = DEFAULT) -> float:
@@ -152,10 +172,7 @@ def kkt_residual(rho, H_S, H_A=None, tols: Tolerances = DEFAULT) -> float:
     S = V.conj().T @ obs_matrix(H_S) @ V
     A = V.conj().T @ obs_matrix(H_A) @ V
     # re-gauge to the zero-mean-energy convention the identity assumes
-    rho_m = state_matrix(rho)
-    shift = np.trace(rho_m @ obs_matrix(H_S)).real \
-        + np.trace(rho_m @ obs_matrix(H_A)).real
-    A = A - shift * np.eye(p.size)
+    A = A - _mean_energy(rho, H_S, H_A) * np.eye(p.size)
     D = np.diag(np.clip(p, 0.0, None))
     sq = np.sqrt(D)
     At = A.T
@@ -167,15 +184,11 @@ def build_optimal_purification(rho, H_S,
                                tols: Tolerances = DEFAULT) -> Purification:
     """Assemble the minimal-variance purification of rho under H_S."""
     p, V = aligned_eigensystem(rho, H_S, tols)
-    d = p.size
     H_A = _aux_hamiltonian(rho, H_S, p, V, tols)
-    H_tot = tensor(obs_matrix(H_S), np.eye(d)) + tensor(np.eye(d), H_A)
-    joint = pure_state(_purification_vector(p, V), tols)
-    var = energy_variance(joint.vector, H_tot, tols)
-    return Purification(joint_state=joint,
+    phi = _amplitudes(p, V)
+    return Purification(joint_state=pure_state(phi.reshape(-1), tols),
                         aux_hamiltonian=observable(H_A, tols),
-                        total_hamiltonian=H_tot,
-                        total_variance=var)
+                        total_variance=_joint_variance(phi, H_S, H_A, tols))
 
 
 def aux_qfi(rho, H_S, tols: Tolerances = DEFAULT) -> float:
@@ -199,11 +212,9 @@ def transpose_purification_variance(rho, H_S,
     information, an upper reference point for the optimal variance.
     """
     p, V = aligned_eigensystem(rho, H_S, tols)
-    d = p.size
     S = V.conj().T @ obs_matrix(H_S) @ V
     H_A = V @ (-S.T) @ V.conj().T
-    H_tot = tensor(obs_matrix(H_S), np.eye(d)) + tensor(np.eye(d), H_A)
-    return energy_variance(_purification_vector(p, V), H_tot, tols)
+    return _joint_variance(_amplitudes(p, V), H_S, H_A, tols)
 
 
 def optimal_ensemble(rho, H_S, tols: Tolerances = DEFAULT) -> PureEnsemble:
@@ -214,23 +225,17 @@ def optimal_ensemble(rho, H_S, tols: Tolerances = DEFAULT) -> PureEnsemble:
     ||<E_k|Phi>||^2 and leaves S in the corresponding conditional state.
     """
     p, V = aligned_eigensystem(rho, H_S, tols)
-    d = p.size
     _, U = eig_hermitian(_aux_hamiltonian(rho, H_S, p, V, tols), tols)
-    phi_mat = _purification_vector(p, V).reshape(d, d)   # [s, a] amplitudes
-    weights = []
-    states = []
-    for k in range(d):
-        eta = phi_mat @ U[:, k].conj()
+    phi = _amplitudes(p, V)
+    weights, states = [], []
+    for k in range(p.size):
+        eta = phi @ U[:, k].conj()
         w = float(np.vdot(eta, eta).real)
         if w <= tols.pair_cutoff:
             continue
         weights.append(w)
         states.append(pure_state(eta / np.sqrt(w), tols))
-    weights = np.asarray(weights)
-    weights = weights / weights.sum()
-    avg = float(sum(w * energy_variance(st.vector, obs_matrix(H_S), tols)
-                    for w, st in zip(weights, states)))
-    return PureEnsemble(weights=weights, states=states, average_variance=avg)
+    return _ensemble(weights, states, H_S, tols)
 
 
 def coherence_sectors(rho, H, tau: float, tols: Tolerances):
@@ -298,9 +303,7 @@ def period_respecting_ensemble(rho, H, tau: float,
             f"state period is tau/{gcd}, not tau"
         )
     base = optimal_ensemble(rho, H, tols)
-    weights = []
-    states = []
-    H_m = obs_matrix(H)
+    weights, states = [], []
     for w, st in zip(base.weights, base.states):
         for P in projectors:
             comp = P @ st.vector
@@ -309,8 +312,4 @@ def period_respecting_ensemble(rho, H, tau: float,
                 continue
             weights.append(wc)
             states.append(pure_state(comp / np.linalg.norm(comp), tols))
-    weights = np.asarray(weights)
-    weights = weights / weights.sum()
-    avg = float(sum(wc * energy_variance(st.vector, H_m, tols)
-                    for wc, st in zip(weights, states)))
-    return PureEnsemble(weights=weights, states=states, average_variance=avg)
+    return _ensemble(weights, states, H, tols)

@@ -12,6 +12,7 @@ from coherence_forge.linalg import (
     array_to_json,
     random_density,
     random_observable,
+    random_pure,
 )
 
 TAU = 2 * math.pi
@@ -234,14 +235,17 @@ def test_loader_edges(tmp_path, capsys, state, ham, code):
 
 
 def test_eigensolve_budget(tmp_path, monkeypatch, capsys):
-    # every operand is eigendecomposed once, at load; the purification's
-    # d^2 x d^2 total Hamiltonian is never decomposed
+    # every operand is eigendecomposed once, at load (a pure state once
+    # as its density matrix); the purification is built from d x d
+    # amplitude matrices, so no solve is ever larger than d
     rng = np.random.default_rng(60)
     d = 4
     (tmp_path / "rho.json").write_text(
         json.dumps(array_to_json(random_density(d, rng))))
     (tmp_path / "h.json").write_text(
         json.dumps(array_to_json(random_observable(d, rng))))
+    (tmp_path / "psi.json").write_text(
+        json.dumps(array_to_json(random_pure(d, rng))))
     files = ["--state", str(tmp_path / "rho.json"),
              "--ham", str(tmp_path / "h.json")]
     sizes = []
@@ -257,4 +261,8 @@ def test_eigensolve_budget(tmp_path, monkeypatch, capsys):
     sizes.clear()
     assert cli.main(["purify", *files, "--ensemble"]) == 0
     assert len(sizes) <= 4 and max(sizes) == d
+    sizes.clear()
+    assert cli.main(["measures", "--state", str(tmp_path / "psi.json"),
+                     "--ham", str(tmp_path / "h.json"), "--alpha", "1.5"]) == 0
+    assert sizes == [d, d]
     capsys.readouterr()

@@ -18,7 +18,7 @@ from coherence_forge.errors import (
     IncommensurateSpectrumError,
     ValidationError,
 )
-from coherence_forge.linalg import dephase, random_density
+from coherence_forge.linalg import dephase, observable, random_density
 from coherence_forge.config import DEFAULT
 from coherence_forge.distill import _min_trace_sdp
 
@@ -98,6 +98,30 @@ def test_omega_state_eigenstate_target_factorizes():
     om = omega_state(sigma, H_A, psi, H_B)
     want = np.kron(dephase(sigma, H_A), np.outer(psi, psi))
     assert np.max(np.abs(om.matrix.matrix - want)) < 1e-12
+
+
+def test_omega_state_reads_cached_hamiltonian_spectra(monkeypatch):
+    # observables lend their cached eigenpairs, which are the ones a
+    # plain matrix would give: the same Omega, and only Omega's own
+    # validation solve
+    rng = np.random.default_rng(62)
+    U = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    H_A = U @ np.diag([0.0, 1.0, 2.0]) @ U.conj().T
+    H_B = np.diag([0.0, 1.0])
+    sigma = random_density(3, rng)
+    plain = omega_state(sigma, H_A, CBIT, H_B)
+    obs_A, obs_B = observable(H_A), observable(H_B)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(M, *args, **kwargs):
+        sizes.append(M.shape[0])
+        return eigh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cached = omega_state(sigma, obs_A, CBIT, obs_B)
+    assert sizes == [6]
+    assert np.array_equal(cached.matrix.matrix, plain.matrix.matrix)
 
 
 def test_omega_state_ambiguous_difference_spectrum():

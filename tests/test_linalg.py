@@ -88,6 +88,20 @@ def test_eig_hermitian_reconstructs():
     assert np.max(np.abs((V * w) @ V.conj().T - H)) < 1e-10
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e5, 1e8])
+def test_eig_hermitian_checks_scale_with_the_operator(scale):
+    # a valid operator decomposes in any units, and a relative 1e-6
+    # anti-Hermitian part is still caught
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        H = scale * random_observable(16, rng)
+        w, V = eig_hermitian(H)
+        assert np.max(np.abs((V * w) @ V.conj().T - H)) < 1e-10 * scale
+        K = 1j * random_observable(16, rng)
+        with pytest.raises(NonHermitianError):
+            eig_hermitian(H + 1e-6 * scale * K)
+
+
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(4)
     rho = random_density(4, rng)

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from coherence_forge.linalg import dephase, random_density, random_pure
+from coherence_forge.linalg import (
+    density_matrix,
+    dephase,
+    observable,
+    random_density,
+    random_observable,
+    random_pure,
+)
 from coherence_forge.errors import (
     AlphaOutOfRangeError,
     EpsOutOfRangeError,
@@ -177,6 +184,25 @@ def test_qfi_via_fidelity_matches_closed_form():
         H = np.diag(rng.normal(size=d))
         F = qfi(rho, H)
         assert abs(qfi_via_fidelity(rho, H) - F) < 1e-5 * max(1.0, F)
+
+
+def test_qfi_via_fidelity_reads_cached_spectra(monkeypatch):
+    # a DensityMatrix and an observable lend their spectra to every
+    # fidelity, so the curvature QFI makes no eigensolve of its own
+    rng = np.random.default_rng(20)
+    rho = density_matrix(random_density(4, rng))
+    H = observable(random_observable(4, rng))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(M, *args, **kwargs):
+        calls.append(M.shape[0])
+        return eigh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    F = qfi(rho, H)
+    assert abs(qfi_via_fidelity(rho, H) - F) < 1e-5 * max(1.0, F)
+    assert calls == []
 
 
 def test_near_mixed_deviation_is_quadratic():

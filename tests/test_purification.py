@@ -9,10 +9,12 @@ from coherence_forge.linalg import (
     eig_hermitian,
     partial_trace,
     random_density,
+    random_observable,
     random_pure,
 )
 from coherence_forge.measures import energy_variance, qfi, skew_information
 from coherence_forge.purification import (
+    aligned_eigensystem,
     aux_qfi,
     build_optimal_purification,
     canonical_purification,
@@ -52,15 +54,20 @@ def test_optimal_purification_hits_quarter_qfi():
         assert kkt_residual(rho, H, pur.aux_hamiltonian.matrix) < 1e-10
 
 
-def test_optimal_purification_degenerate_spectrum():
-    # two-fold degenerate rho eigenvalue: the aligned frame must still
-    # deliver variance F/4 and a clean stationarity residual
+def _degenerate_fixture():
+    """rho with a two-fold degenerate eigenvalue, and a diagonal H."""
     rng = np.random.default_rng(32)
     G = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     V = np.linalg.qr(G)[0]
     rho = V @ np.diag([0.4, 0.3, 0.15, 0.15]) @ V.conj().T
     rho = (rho + rho.conj().T) / 2
-    H = np.diag(rng.normal(size=4))
+    return rho, np.diag(rng.normal(size=4))
+
+
+def test_optimal_purification_degenerate_spectrum():
+    # two-fold degenerate rho eigenvalue: the aligned frame must still
+    # deliver variance F/4 and a clean stationarity residual
+    rho, H = _degenerate_fixture()
     pur = build_optimal_purification(rho, H)
     F = qfi(rho, H)
     assert abs(pur.total_variance - F / 4) < 1e-8 * max(1.0, F)
@@ -77,6 +84,33 @@ def test_optimal_purification_degenerate_spectrum():
     assert np.array_equal(dm.eigenbasis, basis)
     with pytest.raises(ValueError):
         dm.eigenbasis[0, 0] = 0.0
+
+
+def _kron_variance(vec, H_S, H_A):
+    """Reference: the variance of the d^2 x d^2 matrix H_S x I + I x H_A
+    in the joint vector."""
+    I = np.eye(H_S.shape[0])
+    return energy_variance(vec, np.kron(H_S, I) + np.kron(I, H_A))
+
+
+def test_joint_variance_matches_kronecker_reference():
+    rng = np.random.default_rng(39)
+    cases = [(random_density(d, rng), random_observable(d, rng))
+             for d in range(2, 7) for _ in range(3)]
+    for rho, H in cases + [_degenerate_fixture()]:
+        F = qfi(rho, H)
+        pur = build_optimal_purification(rho, H)
+        ref = _kron_variance(pur.joint_state.vector, H,
+                             pur.aux_hamiltonian.matrix)
+        assert abs(pur.total_variance - ref) < 1e-12 * max(1.0, F)
+        # the transpose choice, with |Phi> as a sum of Kronecker terms
+        p, V = aligned_eigensystem(rho, H)
+        S = V.conj().T @ H @ V
+        vec = sum(np.sqrt(p[i]) * np.kron(V[:, i], V[:, i])
+                  for i in range(p.size) if p[i] > 0)
+        ref = _kron_variance(vec, H, V @ (-S.T) @ V.conj().T)
+        tv = transpose_purification_variance(rho, H)
+        assert abs(tv - ref) < 1e-12 * max(1.0, F)
 
 
 def test_transpose_purification_doubles_skew():
