@@ -14,6 +14,7 @@ Modules:
 from .config import DEFAULT, Tolerances
 from .errors import (
     AlphaOutOfRangeError,
+    CertificateError,
     CoherenceForgeError,
     DimMismatchError,
     EpsOutOfRangeError,
@@ -43,6 +44,7 @@ from .linalg import (
     eig_of,
     fidelity,
     noninteracting_hamiltonian,
+    obs_eig,
     observable,
     partial_trace,
     pure_state,
@@ -125,6 +127,8 @@ from .distill import (
     max_distill_fidelity,
     omega_state,
     qubit_infidelity_bound,
+    single_sector,
+    verify_certificate,
 )
 
 __version__ = "0.1.0"

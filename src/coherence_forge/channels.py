@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .clockdist import snap_levels
 from .errors import DimMismatchError, ValidationError
-from .linalg import eig_of, state_matrix
+from .linalg import obs_eig, state_matrix
 from .measures import (
     MeasureValue,
     purity_of_coherence,
@@ -113,7 +113,7 @@ def _integer_levels(H, tau: float, tols: Tolerances):
     Returns (n, w, V) where n[i] is the integer level of eigenvector i,
     referenced to the lowest eigenvalue w[0].
     """
-    w, V = eig_of(H, tols)
+    w, V = obs_eig(H, tols)
     return snap_levels(w, w[0], tau, tols), w, V
 
 

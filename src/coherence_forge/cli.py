@@ -17,7 +17,9 @@ import sys
 import numpy as np
 
 from . import acceptance, channels, clockdist, convert, distill, measures, purification
+from .config import DEFAULT
 from .errors import (
+    CertificateError,
     CoherenceForgeError,
     GcdNotOneError,
     SchemaError,
@@ -30,11 +32,19 @@ from .linalg import (
     array_from_json,
     array_to_json,
     density_matrix,
+    group_levels,
     noninteracting_hamiltonian,
     observable,
     pure_state,
     tensor,
 )
+
+# distill refuses n copies whose dense Omega side d**n * d_B, or whose
+# estimated count of tau parameters, exceeds these: a dense Omega of
+# side 1024 takes 16 MB per matrix, and 924 parameters (six qubit
+# copies) take about 0.1 s per Newton step at one BLAS thread
+MAX_OMEGA_SIDE = 1024
+MAX_SDP_PARAMS = 1000
 
 
 def default_seed() -> int:
@@ -214,6 +224,33 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _distill_size(H, d_B: int, n: int) -> None:
+    """Refuse n copies before any tensor power is built when the dense
+    Omega side or the tau parameter count would pass its budget.
+
+    The parameter count sum_E deg(E)^2 over the n-copy levels E is
+    counted as if the distinct single-copy levels were equally spaced:
+    exact for equally spaced levels, with each level's degeneracy in
+    full."""
+    if n < 1:
+        raise ValidationError(f"--copies must be at least 1, got {n}")
+    d = H.dim
+    # a one-level source is counted as two, since each copy is a loop
+    if n * math.log(max(d, 2)) + math.log(d_B) > math.log(MAX_OMEGA_SIDE):
+        raise ValidationError(
+            f"{n} copies make Omega {d}**{n} * {d_B} wide, above the "
+            f"budget of {MAX_OMEGA_SIDE}")
+    mult = [g.size for g in group_levels(H.spectrum, DEFAULT.gap_cutoff)]
+    deg = [1]
+    for _ in range(n):
+        deg = np.convolve(deg, mult)
+    params = int(np.sum(np.square(deg)))
+    if params > MAX_SDP_PARAMS:
+        raise ValidationError(
+            f"{n} copies give about {params} SDP parameters, above the "
+            f"budget of {MAX_SDP_PARAMS}")
+
+
 def cmd_distill(args) -> int:
     st = load_state(args.infiles[0])
     H, _, dense = load_hamiltonian(args.infiles[1])
@@ -221,10 +258,11 @@ def cmd_distill(args) -> int:
     Ht, _, dense_t = load_hamiltonian(args.target[1])
     _dense_warning(dense or dense_t, "difference-spectrum dephasing")
     tvec = _pure_vec(tgt, "--target")
+    n = args.copies
+    _distill_size(H, Ht.dim, n)
     single = st.density() if isinstance(st, PureState) else st.matrix
     rho = single
     Hm = H   # the loaded observable lends omega_state its cached spectrum
-    n = args.copies
     if n > 1:
         for _ in range(n - 1):
             rho = tensor(rho, single)
@@ -242,6 +280,9 @@ def cmd_distill(args) -> int:
         "gap": res.primal_dual_gap,
         "bound_exact": bound_exact,
         "bound_asymptotic": bound_asym,
+        "newton_steps": res.newton_steps,
+        "barrier_stages": res.barrier_stages,
+        "min_slack": res.min_slack,
     })
     return 0
 
@@ -354,7 +395,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SolverStallError as exc:
+    except (SolverStallError, CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CoherenceForgeError, OSError, json.JSONDecodeError) as exc:

@@ -29,7 +29,7 @@ from .clockdist import (
     shift,
     tv_distance,
 )
-from .linalg import eig_of, pure_state, PureState
+from .linalg import obs_eig, pure_state, PureState
 from .measures import energy_variance, qfi
 from .purification import coherence_sectors
 
@@ -63,7 +63,7 @@ def intrinsic_period(psi, H, tols: Tolerances = DEFAULT) -> float:
     """
     if not isinstance(psi, PureState):
         psi = pure_state(psi, tols)
-    w, V = eig_of(H, tols)
+    w, V = obs_eig(H, tols)
     weights = (abs(V.conj().T @ psi.vector) ** 2)
     occ = [float(w[i]) for i in range(len(w)) if weights[i] > tols.prob]
     e0 = min(occ)

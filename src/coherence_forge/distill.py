@@ -14,12 +14,14 @@ weak-duality proof (gap below sdp_gap).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import (
+    CertificateError,
+    DimMismatchError,
     EpsOutOfRangeError,
     IncommensurateSpectrumError,
     SolverStallError,
@@ -29,7 +31,7 @@ from .linalg import (
     DensityMatrix,
     PureState,
     density_matrix,
-    eig_of,
+    obs_eig,
     partial_trace,
     state_matrix,
 )
@@ -79,10 +81,31 @@ def distillation_copy_floor(rho, H, psi_target, H_t, eps: float,
 @dataclass(frozen=True)
 class OmegaState:
     """Source-target joint state dephased in the eigenbasis of
-    H_A (x) I - I (x) H_B."""
+    H_A (x) I - I (x) H_B.
+
+    sectors[i, j] labels the difference eigenspace that holds
+    U_A[:, i] (x) U_B[:, j]; rotated into the U_A (x) U_B basis, matrix
+    is block-diagonal in these labels.  A joint state with no
+    Hamiltonians is one sector in the standard bases (single_sector)."""
 
     matrix: DensityMatrix
     dims: tuple
+    sectors: np.ndarray = field(repr=False)
+    U_A: np.ndarray = field(repr=False)
+    U_B: np.ndarray = field(repr=False)
+
+
+def single_sector(Om, d_A: int, d_B: int,
+                  tols: Tolerances = DEFAULT) -> OmegaState:
+    """A joint state on A (x) B with no time-translation structure: one
+    sector, standard bases, so the SDP runs on the full space."""
+    rho = density_matrix(Om, tols)
+    if rho.dim != d_A * d_B:
+        raise DimMismatchError(
+            f"dims ({d_A}, {d_B}) do not match a state of size {rho.dim}")
+    return OmegaState(matrix=rho, dims=(d_A, d_B),
+                      sectors=np.zeros((d_A, d_B), dtype=int),
+                      U_A=np.eye(d_A), U_B=np.eye(d_B))
 
 
 def _pure_vector(psi) -> np.ndarray:
@@ -105,8 +128,8 @@ def omega_state(sigma_A, H_A, psi_B, H_B,
     yet closer than sqrt(gap_cutoff) make the grouping ill-defined and
     raise IncommensurateSpectrum."""
     sA = state_matrix(sigma_A)
-    a, U_A = eig_of(H_A, tols)
-    b, U_B = eig_of(H_B, tols)
+    a, U_A = obs_eig(H_A, tols)
+    b, U_B = obs_eig(H_B, tols)
     d_A, d_B = len(a), len(b)
     if sA.shape[0] != d_A:
         raise ValidationError("state and Hamiltonian dims differ on A")
@@ -133,54 +156,123 @@ def omega_state(sigma_A, H_A, psi_B, H_B,
     mask = labels[:, None] == labels[None, :]
     W = np.kron(U_A, U_B)
     Om = W @ (M * mask) @ W.conj().T
-    return OmegaState(matrix=density_matrix(Om, tols), dims=(d_A, d_B))
+    return OmegaState(matrix=density_matrix(Om, tols), dims=(d_A, d_B),
+                      sectors=labels.reshape(d_A, d_B), U_A=U_A, U_B=U_B)
 
 
 @dataclass(frozen=True)
 class SdpResult:
+    """Optimum Tr(tau) with its primal tau and dual X in the caller's
+    basis.  newton_steps and barrier_stages count the solver's work;
+    min_slack is the least eigenvalue of tau (x) I - Omega it ended on."""
+
     optimum: float
     tau: np.ndarray
     dual_certificate: np.ndarray
     primal_dual_gap: float
+    newton_steps: int
+    barrier_stages: int
+    min_slack: float
 
 
-def _hermitian_basis(d: int):
-    basis = []
-    for i in range(d):
-        B = np.zeros((d, d), dtype=complex)
-        B[i, i] = 1.0
-        basis.append(B)
-    r = 1.0 / math.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            B = np.zeros((d, d), dtype=complex)
-            B[i, j] = r
-            B[j, i] = r
-            basis.append(B)
-            B = np.zeros((d, d), dtype=complex)
-            B[i, j] = 1j * r
-            B[j, i] = -1j * r
-            basis.append(B)
-    return basis
+def _hermitian_coords(block: np.ndarray):
+    """Real coordinates of the Hermitian matrices block-diagonal in block.
+
+    Returns (ui, uk, u, c): the entries (ui[q], uk[q]) the blocks allow,
+    and for coordinate r the basis matrix c[0, r] E_u[0, r] +
+    c[1, r] E_u[1, r] with E_q the unit at entry q: E_ii, or
+    (E_ik + E_ki)/sqrt 2 and i(E_ik - E_ki)/sqrt 2 for i < k in one
+    block.  The basis is orthonormal, sum of squared block sizes long."""
+    same = block[:, None] == block[None, :]
+    ui, uk = np.nonzero(same)
+    q = np.full(same.shape, -1)
+    q[ui, uk] = np.arange(ui.size)
+    diag = np.arange(block.size)
+    i, k = np.nonzero(np.triu(same, 1))
+    r = np.full(i.size, 1.0 / math.sqrt(2.0))
+    u = np.array([np.concatenate([q[diag, diag], q[i, k], q[i, k]]),
+                  np.concatenate([q[diag, diag], q[k, i], q[k, i]])])
+    c = np.array([np.concatenate([np.ones(block.size), r, 1j * r]),
+                  np.concatenate([np.zeros(block.size), r, -1j * r])])
+    return ui, uk, u, c
 
 
-def _min_trace_sdp(Om: np.ndarray, d_A: int, d_B: int,
-                   tols: Tolerances) -> SdpResult:
-    """Barrier Newton solve of min Tr(tau) s.t. tau (x) I >= Om.
+class _Sectors:
+    """The LMI sectors of tau (x) I - Omega, padded to one size so that a
+    Newton step treats all of them in one batched call.
 
-    Works on Om scaled to unit largest eigenvalue; the barrier weight is
-    driven down to gap_tol/(4*N*scale), which pins the centered duality
-    gap mu*N under the requested tolerance after unscaling."""
+    Row b of each padded array belongs to sector b, whose product
+    indices fill the places where valid[b] holds; a pad entry is an
+    identity row of the slack and zero elsewhere."""
+
+    def __init__(self, lmi, d_B, Os):
+        sizes = np.bincount(lmi)
+        self.sizes = sizes
+        n = sizes.max()
+        self.valid = np.arange(n)[None, :] < sizes[:, None]
+        E = np.zeros(self.valid.shape, dtype=int)
+        E[self.valid] = np.argsort(lmi, kind="stable")
+        a, j = np.divmod(E, d_B)
+        self.pair = self.valid[:, :, None] & self.valid[:, None, :]
+        self.same_j = self.pair & (j[:, :, None] == j[:, None, :])
+        self.a_row, self.a_col = a[:, :, None], a[:, None, :]
+        rows, cols = E[:, :, None], E[:, None, :]
+        self.omega = (np.where(self.pair, Os[rows, cols], 0.0)
+                      - (~self.valid)[:, :, None] * np.eye(n))
+        self.rows = np.broadcast_to(rows, self.pair.shape)[self.pair]
+        self.cols = np.broadcast_to(cols, self.pair.shape)[self.pair]
+
+    def lift(self, t: np.ndarray) -> np.ndarray:
+        """Each sector's block of t (x) I_B, zero on the pads."""
+        return t[self.a_row, self.a_col] * self.same_j
+
+    def slack(self, t: np.ndarray):
+        """Eigenpairs of the sector blocks of t (x) I - Os."""
+        w, V = np.linalg.eigh(self.lift(t) - self.omega)
+        if w.min() <= 0.0:
+            raise SolverStallError("barrier iterate left the cone")
+        return w, V
+
+    def inverse(self, w, V, N: int) -> np.ndarray:
+        """S^-1 on the full space: block-diagonal, zero across sectors."""
+        inv = (V / w[:, None, :]) @ V.conj().swapaxes(1, 2)
+        out = np.zeros((N, N), dtype=complex)
+        out[self.rows, self.cols] = inv[self.pair]
+        return out
+
+
+def _min_trace_sdp(omega: OmegaState, tols: Tolerances) -> SdpResult:
+    """Barrier Newton solve of min Tr(tau) s.t. tau (x) I >= Omega.
+
+    Omega and the barrier are invariant under the time translations of
+    H_A (x) I - I (x) H_B, so the optimal tau is block-diagonal over A's
+    levels and the LMI splits into difference-energy sectors (Gatermann
+    & Parrilo, 2004).  The solve runs on those blocks in the
+    U_A (x) U_B basis and rotates tau and X back at the end.
+
+    Works on Omega scaled to unit largest eigenvalue; the barrier weight
+    is driven down to gap_tol/(4*N*scale), which pins the centered
+    duality gap mu*N under the requested tolerance after unscaling.  The
+    dual X = mu S^-1 is rescaled by the congruence T^-1/2 (x) I with
+    T = Tr_B X, which makes Tr_B X = I and keeps X >= 0."""
+    d_A, d_B = omega.dims
     N = d_A * d_B
-    scale = float(np.linalg.eigvalsh(Om).max())
-    if scale <= 0.0:
-        raise ValidationError("Omega must have a positive largest eigenvalue")
-    Os = Om / scale
-    I_B = np.eye(d_B)
-    basis = _hermitian_basis(d_A)
-    n_par = len(basis)
-    lifted = [np.kron(B, I_B) for B in basis]
-    trace_vec = np.array([float(B.trace().real) for B in basis])
+    scale = float(omega.matrix.spectrum[-1])
+    W = np.kron(omega.U_A, omega.U_B)
+    Os = W.conj().T @ omega.matrix.matrix @ W / scale
+    # A's levels i and k share a tau block when (i, j) and (k, j) share a
+    # sector.  omega_state's grouping makes that hold for every j or for
+    # none: a_i - a_k is the same in each column, and its groups lie at
+    # least sqrt(gap_cutoff) apart or it raises.  So column 0 gives the
+    # blocks, and each sector is closed under them.
+    labels = np.asarray(omega.sectors)
+    sectors = _Sectors(labels.ravel(), d_B, Os)
+    ui, uk, u, c = _hermitian_coords(labels[:, 0])
+    # K[q, q'] = (Tr_B S^-1 (E_q' (x) I) S^-1)[q] for units q = (i, k),
+    # q' = (l, m) is sum_{j, j'} S^-1[(i,j),(l,j')] S^-1[(m,j'),(k,j)]:
+    # one gather per (j, j') from the reshaped block-diagonal inverse
+    il = ui[:, None] * d_A + ui[None, :]
+    km = uk[:, None] * d_A + uk[None, :]
 
     tau = 1.1 * np.eye(d_A, dtype=complex)
     mu_final = tols.sdp_gap / (4.0 * N * scale)
@@ -194,23 +286,29 @@ def _min_trace_sdp(Om: np.ndarray, d_A: int, d_B: int,
     steps = 0
     for mu in mus:
         for _ in range(60):
-            S = np.kron(tau, I_B) - Os
-            w, V = np.linalg.eigh(S)
-            if w.min() <= 0.0:
-                raise SolverStallError("barrier iterate left the cone")
-            S_inv = (V / w) @ V.conj().T
-            G_A = partial_trace(S_inv, (d_A, d_B), "A")
-            grad = trace_vec - mu * np.array(
-                [float(np.trace(G_A @ B).real) for B in basis])
-            P = np.stack([S_inv @ L for L in lifted])
-            Hmat = mu * np.einsum("rab,sba->rs", P, P).real
+            w, V = sectors.slack(tau)
+            S_inv = sectors.inverse(w, V, N)
+            g = np.eye(d_A) - mu * partial_trace(S_inv, (d_A, d_B), "A")
+            grad = (c * g[uk, ui][u]).sum(axis=0).real
+            R = S_inv.reshape(d_A, d_B, d_A, d_B)
+            P1 = R.transpose(1, 3, 0, 2).reshape(d_B * d_B, d_A * d_A)
+            P2 = R.transpose(3, 1, 2, 0).reshape(d_B * d_B, d_A * d_A)
+            K = sum(P1[jj][il] * P2[jj][km] for jj in range(d_B * d_B))
+            KC = K[:, u[0]] * c[0] + K[:, u[1]] * c[1]
+            Hmat = mu * (c[0].conj()[:, None] * KC[u[0]]
+                         + c[1].conj()[:, None] * KC[u[1]]).real
             Hmat = 0.5 * (Hmat + Hmat.T)
             dx = -np.linalg.solve(Hmat, grad)
             decrement = -float(grad @ dx)
-            d_tau = sum(x * B for x, B in zip(dx, basis))
-            S_half_inv = (V / np.sqrt(w)) @ V.conj().T
-            T = S_half_inv @ np.kron(d_tau, I_B) @ S_half_inv
-            t_min = float(np.linalg.eigvalsh(T).min())
+            entries = np.zeros(ui.size, dtype=complex)
+            np.add.at(entries, u.ravel(), (c * dx).ravel())
+            d_tau = np.zeros((d_A, d_A), dtype=complex)
+            d_tau[ui, uk] = entries
+            # S^-1/2 dS S^-1/2 per sector, in each slack's eigenbasis
+            r = 1.0 / np.sqrt(w)
+            T = V.conj().swapaxes(1, 2) @ sectors.lift(d_tau) @ V
+            t_min = float(np.linalg.eigvalsh(
+                T * r[:, :, None] * r[:, None, :]).min())
             t = 1.0 if t_min >= 0.0 else min(1.0, 0.98 / (-t_min))
             tau = tau + t * d_tau
             steps += 1
@@ -223,28 +321,73 @@ def _min_trace_sdp(Om: np.ndarray, d_A: int, d_B: int,
                     1.0, abs(float(np.trace(tau).real))):
                 break
 
-    S = np.kron(tau, I_B) - Os
-    w, V = np.linalg.eigh(S)
-    S_inv = (V / w) @ V.conj().T
-    X = mus[-1] * S_inv
-    tb = partial_trace(X, (d_A, d_B), "A")
-    lam = float(np.linalg.eigvalsh(tb).max())
+    w, V = sectors.slack(tau)
+    X = mus[-1] * sectors.inverse(w, V, N)
+    wT, VT = np.linalg.eigh(partial_trace(X, (d_A, d_B), "A"))
+    C = np.kron((VT / np.sqrt(wT)) @ VT.conj().T, np.eye(d_B))
+    X = C @ X @ C
+    lam = float(np.linalg.eigvalsh(partial_trace(X, (d_A, d_B), "A")).max())
     if lam > 1.0:
         X = X / lam
     primal = float(np.trace(tau).real)
-    dual = float(np.trace(Os @ X).real)
+    dual = float(np.sum(Os * X.T).real)
     gap = scale * (primal - dual)
     if gap >= tols.sdp_gap:
         raise SolverStallError(f"certified gap {gap:.3e} over budget")
-    return SdpResult(optimum=scale * primal, tau=scale * tau,
-                     dual_certificate=X, primal_dual_gap=gap)
+    # the pads' unit eigenvalues are not slack: take each sector's own
+    S = sectors.lift(tau) - sectors.omega
+    min_slack = min(float(np.linalg.eigvalsh(S[b, :n, :n])[0])
+                    for b, n in enumerate(sectors.sizes))
+    U_A = omega.U_A
+    return SdpResult(optimum=scale * primal,
+                     tau=scale * (U_A @ tau @ U_A.conj().T),
+                     dual_certificate=W @ X @ W.conj().T,
+                     primal_dual_gap=gap, newton_steps=steps,
+                     barrier_stages=len(mus), min_slack=scale * min_slack)
+
+
+def verify_certificate(result: SdpResult, omega: OmegaState,
+                       tols: Tolerances = DEFAULT) -> SdpResult:
+    """Re-check an SDP result on the dense full-space matrices, apart from
+    the solver: tau (x) I - Omega has no negative eigenvalue; X >= 0
+    (within sdp_feas) with lambda_max(Tr_B X) <= 1 + sdp_feas; the gap
+    Tr tau - Tr(Omega X), recomputed, is below sdp_gap; and the reported
+    optimum and gap match Tr tau and that gap within sdp_feas.
+
+    Returns result; raises CertificateError on the first check that
+    fails."""
+    d_A, d_B = omega.dims
+    Om = omega.matrix.matrix
+    tau, X = result.tau, result.dual_certificate
+    s_min = float(np.linalg.eigvalsh(np.kron(tau, np.eye(d_B)) - Om)[0])
+    if s_min < 0.0:
+        raise CertificateError(f"tau (x) I - Omega has eigenvalue {s_min:.3e}")
+    x_min = float(np.linalg.eigvalsh(X)[0])
+    if x_min < -tols.sdp_feas:
+        raise CertificateError(f"dual X has eigenvalue {x_min:.3e}")
+    marginal = float(np.linalg.eigvalsh(
+        partial_trace(X, (d_A, d_B), "A"))[-1])
+    if marginal > 1.0 + tols.sdp_feas:
+        raise CertificateError(
+            f"lambda_max(Tr_B X) = {marginal:.12f} exceeds 1")
+    primal = float(np.trace(tau).real)
+    gap = primal - float(np.sum(Om * X.T).real)
+    if not gap < tols.sdp_gap:
+        raise CertificateError(f"recomputed gap {gap:.3e} over budget")
+    if (abs(result.optimum - primal) > tols.sdp_feas
+            or abs(result.primal_dual_gap - gap) > tols.sdp_feas):
+        raise CertificateError(
+            f"reported optimum {result.optimum!r} and gap "
+            f"{result.primal_dual_gap:.3e} differ from Tr tau = {primal!r} "
+            f"and gap {gap:.3e}")
+    return result
 
 
 def conditional_min_entropy(omega: OmegaState,
                             tols: Tolerances = DEFAULT) -> SdpResult:
-    """2^{-Hmin(B|A)} of the dephased state, with dual certificate."""
-    d_A, d_B = omega.dims
-    return _min_trace_sdp(omega.matrix.matrix, d_A, d_B, tols)
+    """2^{-Hmin(B|A)} of the dephased state, with a dual certificate that
+    verify_certificate has re-checked."""
+    return verify_certificate(_min_trace_sdp(omega, tols), omega, tols)
 
 
 def max_distill_fidelity(sigma_A, H_A, psi_B, H_B,

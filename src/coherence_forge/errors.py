@@ -75,3 +75,7 @@ class ZeroTargetQFIError(CoherenceForgeError):
 
 class SolverStallError(CoherenceForgeError):
     """Interior-point solver exceeded its iteration budget."""
+
+
+class CertificateError(CoherenceForgeError):
+    """A primal-dual certificate failed its independent re-check."""

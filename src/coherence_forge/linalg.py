@@ -142,7 +142,7 @@ def dephase(rho, H, tols: Tolerances = DEFAULT) -> np.ndarray:
     same level, so exact degeneracies survive intact.
     """
     rho = require_square(state_matrix(rho))
-    w, V = eig_of(H, tols)
+    w, V = obs_eig(H, tols)
     if w.size != rho.shape[0]:
         raise DimMismatchError("state and Hamiltonian dimensions differ")
     rt = V.conj().T @ rho @ V
@@ -295,6 +295,18 @@ def eig_of(x, tols: Tolerances = DEFAULT):
     if isinstance(x, (DensityMatrix, HermitianObservable)):
         return x.spectrum, x.eigenbasis
     return eig_hermitian(state_matrix(x), tols)
+
+
+def obs_eig(H, tols: Tolerances = DEFAULT):
+    """(w ascending, V) of a Hamiltonian.
+
+    A HermitianObservable hands back its cached pair; anything else goes
+    through obs_matrix first, so a vector raises DimMismatchError instead
+    of standing for |h><h| as it would in eig_of.
+    """
+    if isinstance(H, HermitianObservable):
+        return H.spectrum, H.eigenbasis
+    return eig_hermitian(obs_matrix(H), tols)
 
 
 # ---------------------------------------------------------------------------

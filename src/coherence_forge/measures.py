@@ -27,7 +27,15 @@ from .errors import (
     PureInputError,
     ValidationError,
 )
-from .linalg import eig_of, fidelity, obs_matrix, state_matrix
+from .linalg import (
+    DensityMatrix,
+    density_matrix,
+    eig_of,
+    fidelity,
+    obs_eig,
+    obs_matrix,
+    state_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -199,16 +207,18 @@ def qfi_via_fidelity(rho, H, h: float | None = None,
     """QFI from the curvature of t -> fidelity(rho, e^{-iHt} rho e^{iHt}).
 
     Central second difference -4 (Fid(h) - 2 Fid(0) + Fid(-h)) / h^2 with
-    one Richardson extrapolation step (h and h/2).  Every fidelity takes
-    sqrt(rho) from the caller's rho, so a DensityMatrix is never
-    eigendecomposed again.
+    one Richardson extrapolation step (h and h/2).  A plain rho becomes a
+    DensityMatrix once here, so every fidelity takes sqrt(rho) from one
+    cached eigendecomposition.
     """
     if h is None:
         h = tols.fd_step
     if not (1e-4 <= h <= 1e-2):
         raise ValidationError(f"step h must be in [1e-4, 1e-2], got {h}")
     rho_m, _ = _operands(rho, H)
-    w, V = eig_of(H, tols)
+    if not isinstance(rho, DensityMatrix):
+        rho = density_matrix(rho_m, tols)
+    w, V = obs_eig(H, tols)
 
     def rotated(t):
         U = (V * np.exp(-1j * w * t)) @ V.conj().T

@@ -33,6 +33,7 @@ from .linalg import (
     eig_hermitian,
     eig_of,
     group_levels,
+    obs_eig,
     obs_matrix,
     observable,
     pure_state,
@@ -246,7 +247,7 @@ def coherence_sectors(rho, H, tau: float, tols: Tolerances):
     occupied coherence gap is not an integer multiple of 2*pi/tau.
     """
     rho = state_matrix(rho)
-    w, V = eig_of(H, tols)
+    w, V = obs_eig(H, tols)
     groups = group_levels(w, tols.gap_cutoff)
     rt = V.conj().T @ rho @ V
     n_groups = len(groups)

@@ -159,6 +159,31 @@ def test_distill_single_and_double_copy(fixtures):
         assert out["gap"] < 1e-7
         assert out["bound_exact"] is not None
         assert out["bound_asymptotic"] is not None
+        assert out["newton_steps"] > out["barrier_stages"] > 0
+        assert 0.0 < out["min_slack"] < 1e-6
+
+
+@pytest.mark.parametrize("copies,levels", [
+    ("40", [0, 1]),   # Omega 2**40 * 2 wide
+    ("7", [0, 1]),    # C(14, 7) = 3432 tau parameters
+    ("5", [0, 0]),    # one level: a single 32 x 32 tau block, 1024
+    ("0", [0, 1]),
+])
+def test_distill_refuses_oversized_requests(fixtures, monkeypatch, capsys,
+                                            copies, levels):
+    # the refusal comes before any tensor power is built
+    def no_tensor(*args, **kwargs):
+        raise AssertionError("tensor power built")
+
+    ham = fixtures["dir"] / "ham.json"
+    ham.write_text(json.dumps({"levels_in_2pi_over_tau": levels}))
+    monkeypatch.setattr(cli, "tensor", no_tensor)
+    monkeypatch.setattr(cli, "noninteracting_hamiltonian", no_tensor)
+    rc = cli.main(["distill", "--in", fixtures["rho"], str(ham),
+                   "--target", fixtures["cbit"], fixtures["h2"],
+                   "--copies", copies])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_qubit_bound_table(fixtures):

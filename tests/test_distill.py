@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+
+import coherence_forge
 
 from coherence_forge.distill import (
     cirac_comparison,
@@ -12,8 +18,11 @@ from coherence_forge.distill import (
     max_distill_fidelity,
     omega_state,
     qubit_infidelity_bound,
+    single_sector,
+    verify_certificate,
 )
 from coherence_forge.errors import (
+    CertificateError,
     EpsOutOfRangeError,
     IncommensurateSpectrumError,
     ValidationError,
@@ -134,12 +143,12 @@ def test_omega_state_ambiguous_difference_spectrum():
 
 def test_sdp_uniform_and_entangled():
     Om = np.eye(4) / 4
-    res = _min_trace_sdp(Om, 2, 2, DEFAULT)
+    res = _min_trace_sdp(single_sector(Om, 2, 2), DEFAULT)
     assert abs(res.optimum - 0.5) < 1e-6
     assert res.primal_dual_gap < 1e-7
     phi = np.zeros(4)
     phi[0] = phi[3] = 1 / math.sqrt(2)
-    res = _min_trace_sdp(np.outer(phi, phi), 2, 2, DEFAULT)
+    res = _min_trace_sdp(single_sector(np.outer(phi, phi), 2, 2), DEFAULT)
     assert abs(res.optimum - 2.0) < 1e-6
 
 
@@ -161,7 +170,7 @@ def test_sdp_block_diagonal_oracle():
     for k in range(d_A):
         expect += float(np.max(np.linalg.eigvalsh(
             Om[k * d_B:(k + 1) * d_B, k * d_B:(k + 1) * d_B])))
-    res = _min_trace_sdp(Om, d_A, d_B, DEFAULT)
+    res = _min_trace_sdp(single_sector(Om, d_A, d_B), DEFAULT)
     assert abs(res.optimum - expect) < 1e-6
 
 
@@ -172,7 +181,7 @@ def test_sdp_certificates():
         G = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         Om = G @ G.conj().T
         Om = Om / np.trace(Om).real
-        res = _min_trace_sdp(Om, d_A, d_B, DEFAULT)
+        res = _min_trace_sdp(single_sector(Om, d_A, d_B), DEFAULT)
         assert res.primal_dual_gap < 1e-7
         # primal feasibility of tau
         slack = np.kron(res.tau, np.eye(d_B)) - Om
@@ -239,3 +248,108 @@ def test_helper_bound():
     assert hi > val and lo < hi
     with pytest.raises(EpsOutOfRangeError):
         helper_bound(qubit(0.6), H_CBIT, CBIT, H_CBIT, 100, 1.0 / 3.0)
+
+
+H01 = np.diag([0.0, 1.0])
+
+
+def _qubit_copies(lam, n):
+    """n copies of qubit(lam) with their summed Hamiltonian H01."""
+    rho, H = qubit(lam), H01
+    for _ in range(n - 1):
+        rho = np.kron(rho, qubit(lam))
+        H = np.kron(H, np.eye(2)) + np.kron(np.eye(H.shape[0]), H01)
+    return rho, H
+
+
+def test_sector_solve_matches_full_space_solve():
+    # a rotated, degenerate H_A and a generic target: the sector-reduced
+    # problem and the one-sector problem on the same Omega agree
+    rng = np.random.default_rng(64)
+
+    def rotated(levels):
+        d = len(levels)
+        G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        U = np.linalg.qr(G)[0]
+        return U @ np.diag(levels) @ U.conj().T
+
+    H_A = rotated([0.0, 0.0, 1.0, 1.0, 1.0, 2.0])
+    H_B = rotated([0.0, 1.0, 3.0])
+    sigma = random_density(6, rng)
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    om = omega_state(sigma, H_A, psi, H_B)
+    assert len(np.unique(om.sectors)) > 1
+    full = single_sector(om.matrix.matrix, 6, 3)
+    a = conditional_min_entropy(om)
+    b = conditional_min_entropy(full)
+    assert abs(a.optimum - b.optimum) < 1e-7
+    # tau is block-diagonal over H_A's eigenspaces, in the caller's basis
+    assert np.max(np.abs(a.tau @ H_A - H_A @ a.tau)) < 1e-9
+
+
+@pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])
+def test_four_copy_gap_has_margin(lam):
+    # the congruence-rescaled dual certifies the centered gap mu*N
+    rho, H = _qubit_copies(lam, 4)
+    res = conditional_min_entropy(omega_state(rho, H, CBIT, H01))
+    assert res.primal_dual_gap < 5e-8
+
+
+def test_fstar_independent_of_blas_threads():
+    # each child sets its own thread count; this process keeps its own
+    src = os.path.dirname(os.path.dirname(coherence_forge.__file__))
+    code = (
+        "import math, numpy as np\n"
+        "from coherence_forge.distill import max_distill_fidelity\n"
+        "plus = np.array([1.0, 1.0]) / math.sqrt(2)\n"
+        "h = np.diag([0.0, 1.0])\n"
+        "for lam in (0.6, 0.75, 0.9):\n"
+        "    q = lam * np.outer(plus, plus) + (1 - lam) * np.eye(2) / 2\n"
+        "    rho, H = q, h\n"
+        "    for _ in range(3):\n"
+        "        rho = np.kron(rho, q)\n"
+        "        H = np.kron(H, np.eye(2)) + np.kron(np.eye(len(H)), h)\n"
+        "    print(repr(max_distill_fidelity(rho, H, plus, h)))\n"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].split()) == 3
+
+
+def test_sdp_result_reports_solver_work():
+    rho, H = _qubit_copies(0.6, 2)
+    om = omega_state(rho, H, CBIT, H01)
+    res = conditional_min_entropy(om)
+    assert res.newton_steps > res.barrier_stages > 0
+    slack = np.kron(res.tau, np.eye(2)) - om.matrix.matrix
+    assert abs(res.min_slack - np.linalg.eigvalsh(slack)[0]) < 1e-12
+    assert res.min_slack > 0.0
+
+
+def test_verify_certificate_rejects_tampering():
+    rho, H = _qubit_copies(0.6, 2)
+    om = omega_state(rho, H, CBIT, H01)
+    res = conditional_min_entropy(om)
+    assert verify_certificate(res, om) is res
+    tau, X = res.tau, res.dual_certificate
+    eye_A, eye = np.eye(tau.shape[0]), np.eye(X.shape[0])
+    tampered = [
+        (replace(res, tau=tau - 1e-6 * eye_A), "Omega has eigenvalue"),
+        (replace(res, dual_certificate=X - 1e-6 * eye), "dual X has"),
+        (replace(res, dual_certificate=1.001 * X), "Tr_B X"),
+        (replace(res, tau=tau + 1e-6 * eye_A,
+                 optimum=float(np.trace(tau).real) + 4e-6), "recomputed gap"),
+        (replace(res, primal_dual_gap=0.0), "reported"),
+        (replace(res, optimum=res.optimum - 1e-6), "reported"),
+    ]
+    for bad, match in tampered:
+        with pytest.raises(CertificateError, match=match):
+            verify_certificate(bad, om)

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from coherence_forge.channels import _integer_levels
+from coherence_forge.config import DEFAULT
+from coherence_forge.convert import intrinsic_period
+from coherence_forge.distill import omega_state
 from coherence_forge.errors import (
+    DimMismatchError,
     NonHermitianError,
     SchemaError,
     ValidationError,
@@ -24,6 +29,11 @@ from coherence_forge.linalg import (
     tensor,
     trace_distance,
 )
+from coherence_forge.purification import coherence_sectors
+
+H_1D = np.array([0.0, 1.0])   # a level list, not a Hamiltonian matrix
+H_QUBIT = np.diag([0.0, 1.0])
+PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 
 
 def test_fidelity_pure_vs_maximally_mixed():
@@ -168,3 +178,18 @@ def test_json_schema_errors():
         array_from_json({"re": [[1.0]]})
     with pytest.raises(SchemaError):
         array_from_json({"dim": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dephase(np.eye(2) / 2, H_1D),
+    lambda: coherence_sectors(np.eye(2) / 2, H_1D, 2 * math.pi, DEFAULT),
+    lambda: omega_state(np.eye(2) / 2, H_1D, PLUS, H_QUBIT),
+    lambda: omega_state(np.eye(2) / 2, H_QUBIT, PLUS, H_1D),
+    lambda: intrinsic_period(PLUS, H_1D),
+    lambda: _integer_levels(H_1D, 2 * math.pi, DEFAULT),
+], ids=["dephase", "coherence_sectors", "omega_state_A", "omega_state_B",
+        "intrinsic_period", "integer_levels"])
+def test_one_dimensional_hamiltonian_is_refused(call):
+    # a vector is a state to eig_of, but never a Hamiltonian
+    with pytest.raises(DimMismatchError):
+        call()

@@ -205,6 +205,24 @@ def test_qfi_via_fidelity_reads_cached_spectra(monkeypatch):
     assert calls == []
 
 
+def test_qfi_via_fidelity_decomposes_a_plain_rho_once(monkeypatch):
+    # plain arrays, as acceptance criterion 6 passes them: one solve for
+    # rho, kept for all five fidelities, and one for H
+    rng = np.random.default_rng(20)
+    rho, H = random_density(4, rng), random_observable(4, rng)
+    F = qfi(rho, H)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(M, *args, **kwargs):
+        calls.append(M.shape[0])
+        return eigh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert abs(qfi_via_fidelity(rho, H) - F) < 1e-5 * max(1.0, F)
+    assert calls == [4, 4]
+
+
 def test_near_mixed_deviation_is_quadratic():
     # rho = I/d + eps A: P/F - 1 vanishes like eps^2, so halving eps
     # cuts the deviation by about 4 (acceptance criterion 5 uses the
