@@ -2,10 +2,13 @@
 
 A channel E is covariant (TI) when E(e^{-iH_in t} X e^{iH_in t}) =
 e^{-iH_out t} E(X) e^{iH_out t} for all t.  For Hamiltonians whose spectra
-sit on an integer grid 2*pi*n/tau this is equivalent to every Kraus
-operator splitting into Bohr-mode components connecting levels with a
-fixed integer gap; the twirl here performs that mode split exactly
-instead of averaging over sampled times.
+sit on an integer grid 2*pi*n/tau, write each Kraus operator in the energy
+eigenframes, K~_ab = <a|V_out^dag K V_in|b>, and give entry (a, b) the Bohr
+mode n_out[a] - n_in[b].  E is covariant exactly when its eigenframe
+superoperator sum_k K~_ab conj(K~_ce) vanishes wherever the modes of (a, b)
+and (c, e) differ (Marvian & Spekkens, PRA 90, 062110, 2014).  The twirl
+keeps the on-mode part by splitting each operator by mode; is_ti measures
+the off-mode part.  Both read the one mode mask of _eigenframe.
 """
 
 from __future__ import annotations
@@ -30,11 +33,17 @@ from .measures import (
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """CPTP map stored as Kraus operators, each d_out x d_in."""
+    """CPTP map stored as one read-only (rank, d_out, d_in) Kraus array."""
 
-    kraus: tuple
-    d_in: int
-    d_out: int
+    kraus: np.ndarray
+
+    @property
+    def d_in(self) -> int:
+        return self.kraus.shape[2]
+
+    @property
+    def d_out(self) -> int:
+        return self.kraus.shape[1]
 
 
 @dataclass(frozen=True)
@@ -46,27 +55,42 @@ class TIChannel(KrausChannel):
 
 
 def kraus_channel(ops, tols: Tolerances = DEFAULT) -> KrausChannel:
-    ops = tuple(np.asarray(K, dtype=complex) for K in ops)
-    if not ops:
+    """Validated channel from d_out x d_in operators, given as a sequence
+    or as one stacked (rank, d_out, d_in) array."""
+    try:
+        K = np.array(tuple(ops), dtype=complex)
+    except ValueError as exc:
+        raise DimMismatchError("Kraus operators have mixed shapes") from exc
+    if len(K) == 0:
         raise ValidationError("a channel needs at least one Kraus operator")
-    d_out, d_in = ops[0].shape
-    for K in ops:
-        if K.shape != (d_out, d_in):
-            raise DimMismatchError("Kraus operators have mixed shapes")
-    total = sum(K.conj().T @ K for K in ops)
-    resid = np.max(np.abs(total - np.eye(d_in)))
-    if resid > tols.cptp:
+    if K.ndim != 3:
+        raise DimMismatchError(
+            f"Kraus operators must be matrices, got shape {K.shape[1:]}"
+        )
+    total = np.einsum("kab,kac->bc", K.conj(), K)
+    resid = np.max(np.abs(total - np.eye(K.shape[2])))
+    if not resid <= tols.cptp:   # NaN fails too
         raise ValidationError(f"sum K^dag K misses identity by {resid:.3e}")
-    return KrausChannel(kraus=ops, d_in=d_in, d_out=d_out)
+    K.setflags(write=False)
+    return KrausChannel(kraus=K)
+
+
+def _phase_fixed_qr(G) -> np.ndarray:
+    """Q of G = QR with R's diagonal rotated to be real positive, so Q is
+    a deterministic function of G (and Haar for a complex Gaussian G)."""
+    Q, R = np.linalg.qr(G)
+    diag = np.diagonal(R)
+    mag = np.abs(diag)
+    phase = np.where(mag > 0, diag / np.where(mag > 0, mag, 1.0), 1.0)
+    return Q * phase.conj()
 
 
 def random_channel(d_in: int, d_out: int, rank: int,
                    seed, tols: Tolerances = DEFAULT) -> KrausChannel:
     """Seeded random CPTP map via a QR-orthonormalized Gaussian isometry.
 
-    The R-factor phases are normalized so the draw is deterministic per
-    seed.  rank Kraus operators of shape d_out x d_in require
-    rank * d_out >= d_in for trace preservation.
+    rank Kraus operators of shape d_out x d_in require rank * d_out >= d_in
+    for trace preservation.
     """
     if rank < 1 or rank > d_in * d_out:
         raise ValidationError(f"rank must be in [1, {d_in * d_out}]")
@@ -77,13 +101,7 @@ def random_channel(d_in: int, d_out: int, rank: int,
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(rank * d_out, d_in)) \
         + 1j * rng.normal(size=(rank * d_out, d_in))
-    Q, R = np.linalg.qr(G)
-    diag = np.diagonal(R)
-    phase = np.where(np.abs(diag) > 0, diag / np.abs(np.where(
-        np.abs(diag) > 0, diag, 1.0)), 1.0)
-    Q = Q * phase.conj()[None, :]
-    ops = tuple(Q[k * d_out:(k + 1) * d_out, :] for k in range(rank))
-    return kraus_channel(ops, tols)
+    return kraus_channel(_phase_fixed_qr(G).reshape(rank, d_out, d_in), tols)
 
 
 def apply(ch: KrausChannel, rho) -> np.ndarray:
@@ -93,82 +111,62 @@ def apply(ch: KrausChannel, rho) -> np.ndarray:
         raise DimMismatchError(
             f"state dim {rho.shape[0]} != channel input dim {ch.d_in}"
         )
-    out = np.zeros((ch.d_out, ch.d_out), dtype=complex)
-    for K in ch.kraus:
-        out += K @ rho @ K.conj().T
-    return out
+    K = ch.kraus
+    return np.sum(K @ rho @ K.conj().transpose(0, 2, 1), axis=0)
 
 
 def superoperator(ch: KrausChannel) -> np.ndarray:
     """Matrix of the channel on vectorized operators: sum_k K (x) conj(K)."""
-    S = np.zeros((ch.d_out ** 2, ch.d_in ** 2), dtype=complex)
-    for K in ch.kraus:
-        S += np.kron(K, K.conj())
-    return S
+    S = np.einsum("kab,kcd->acbd", ch.kraus, ch.kraus.conj())
+    return S.reshape(ch.d_out ** 2, ch.d_in ** 2)
 
 
-def _integer_levels(H, tau: float, tols: Tolerances):
-    """Eigensystem of H with eigenvalues snapped to the 2*pi/tau grid.
-
-    Returns (n, w, V) where n[i] is the integer level of eigenvector i,
-    referenced to the lowest eigenvalue w[0].
-    """
-    w, V = obs_eig(H, tols)
-    return snap_levels(w, w[0], tau, tols), w, V
+def _eigenframe(ch: KrausChannel, H_in, H_out, tau: float,
+                tols: Tolerances):
+    """(K~, grid, V_in, V_out): every Kraus operator as V_out^dag K V_in,
+    and the Bohr mode grid[a, b] = n_out[a] - n_in[b] of each entry, with
+    levels snapped to the 2*pi/tau grid above each lowest eigenvalue."""
+    w_in, V_in = obs_eig(H_in, tols)
+    w_out, V_out = obs_eig(H_out, tols)
+    n_in = snap_levels(w_in, w_in[0], tau, tols)
+    n_out = snap_levels(w_out, w_out[0], tau, tols)
+    if len(n_in) != ch.d_in or len(n_out) != ch.d_out:
+        raise DimMismatchError("Hamiltonian dims do not match the channel")
+    Kt = V_out.conj().T @ ch.kraus @ V_in
+    return Kt, n_out[:, None] - n_in[None, :], V_in, V_out
 
 
 def twirl(ch: KrausChannel, H_in, H_out, tau: float,
           tols: Tolerances = DEFAULT) -> TIChannel:
     """Time average of the channel over the period tau, computed exactly.
 
-    Each Kraus operator is rotated into the product energy eigenframe and
-    split by integer Bohr mode (output level minus input level); only the
-    fixed-mode components survive the average.  Components with max-abs
-    weight below pair_cutoff are dropped.
+    Each Kraus operator is split in the energy eigenframe by Bohr mode;
+    only the fixed-mode components survive the average.  Components with
+    max-abs weight below pair_cutoff are dropped; the rest are kept
+    operator-major, modes ascending within each operator.
     """
-    n_in, _, V_in = _integer_levels(H_in, tau, tols)
-    n_out, _, V_out = _integer_levels(H_out, tau, tols)
-    if len(n_in) != ch.d_in or len(n_out) != ch.d_out:
-        raise DimMismatchError("Hamiltonian dims do not match the channel")
-    mode_grid = n_out[:, None] - n_in[None, :]
-    ops = []
-    modes = []
-    for K in ch.kraus:
-        Kt = V_out.conj().T @ K @ V_in
-        for mode in np.unique(mode_grid):
-            comp = np.where(mode_grid == mode, Kt, 0.0)
-            if np.max(np.abs(comp)) <= tols.pair_cutoff:
-                continue
-            ops.append(V_out @ comp @ V_in.conj().T)
-            modes.append(int(mode))
-    base = kraus_channel(ops, tols)
-    return TIChannel(kraus=base.kraus, d_in=base.d_in, d_out=base.d_out,
-                     mode_index=tuple(modes))
+    Kt, grid, V_in, V_out = _eigenframe(ch, H_in, H_out, tau, tols)
+    modes = np.unique(grid)
+    comps = np.where(grid == modes[:, None, None], Kt[:, None], 0.0)
+    keep = np.max(np.abs(comps), axis=(2, 3)) > tols.pair_cutoff
+    base = kraus_channel(V_out @ comps[keep] @ V_in.conj().T, tols)
+    return TIChannel(kraus=base.kraus,
+                     mode_index=tuple(modes[np.nonzero(keep)[1]].tolist()))
 
 
 def is_ti(ch: KrausChannel, H_in, H_out, tau: float,
           tols: Tolerances = DEFAULT):
-    """Covariance check on the superoperator at sampled times.
+    """Exact covariance check on the Bohr-mode mask.
 
-    The covariance defect is a trigonometric polynomial whose frequencies
-    are bounded by the larger integer level span, so vanishing at
-    2*max_span + 2 equally spaced times in [0, tau) implies vanishing for
-    all t.  Returns (flag, max residual).
+    The residual is the largest |sum_k K~_ab conj(K~_ce)| over eigenframe
+    entries whose modes differ, n_out[a] - n_in[b] != n_out[c] - n_in[e];
+    the channel is covariant exactly when every such entry vanishes.
+    Returns (flag, max residual).
     """
-    n_in, w_in, V_in = _integer_levels(H_in, tau, tols)
-    n_out, w_out, V_out = _integer_levels(H_out, tau, tols)
-    S = superoperator(ch)
-    span = max(int(n_in.max() - n_in.min()),
-               int(n_out.max() - n_out.min()))
-    n_t = 2 * span + 2
-    resid = 0.0
-    for j in range(n_t):
-        t = tau * j / n_t
-        U_in = (V_in * np.exp(-1j * w_in * t)) @ V_in.conj().T
-        U_out = (V_out * np.exp(-1j * w_out * t)) @ V_out.conj().T
-        C_in = np.kron(U_in, U_in.conj())
-        C_out = np.kron(U_out, U_out.conj())
-        resid = max(resid, float(np.max(np.abs(S @ C_in - C_out @ S))))
+    Kt, grid, _, _ = _eigenframe(ch, H_in, H_out, tau, tols)
+    S = np.einsum("kab,kce->abce", Kt, Kt.conj())
+    off = grid[:, :, None, None] != grid[None, None, :, :]
+    resid = float(np.max(np.abs(S[off]), initial=0.0))
     return resid < tols.ti_residual, resid
 
 
@@ -201,10 +199,7 @@ def _measure(measure_id: str, rho, H, tau: float, alpha: float,
 
 def _random_integer_hamiltonian(d: int, rng, tols: Tolerances) -> np.ndarray:
     levels = rng.integers(0, 4, size=d)
-    G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    Q, R = np.linalg.qr(G)
-    diag = np.diagonal(R)
-    Q = Q * (diag / np.abs(diag)).conj()[None, :]
+    Q = _phase_fixed_qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return (Q * levels.astype(float)) @ Q.conj().T
 
 

@@ -123,8 +123,7 @@ def _emit(obj) -> None:
 
 
 def _mv(value) -> object:
-    from .measures import MeasureValue
-    if isinstance(value, MeasureValue):
+    if isinstance(value, measures.MeasureValue):
         return "inf" if value.infinite else value.value
     if isinstance(value, float) and math.isinf(value):
         return "inf"
@@ -288,8 +287,8 @@ def cmd_distill(args) -> int:
 
 
 def cmd_qubit_bound(args) -> int:
-    if args.lam is None:
-        raise ValidationError("--lambda is required")
+    if args.n < 1:
+        raise ValidationError(f"--n must be at least 1, got {args.n}")
     print("n,exact,asymptotic,cirac")
     for n in range(1, args.n + 1):
         exact, asym = distill.qubit_infidelity_bound(args.lam, n)

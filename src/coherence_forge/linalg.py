@@ -343,10 +343,7 @@ def random_pure(d: int, rng) -> np.ndarray:
 def array_to_json(a) -> dict:
     """Encode a vector or matrix as {"dim": n, "re": ..., "im": ...}."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim == 1:
-        return {"dim": int(a.shape[0]), "re": a.real.tolist(),
-                "im": a.imag.tolist()}
-    if a.ndim == 2 and a.shape[0] == a.shape[1]:
+    if a.ndim == 1 or (a.ndim == 2 and a.shape[0] == a.shape[1]):
         return {"dim": int(a.shape[0]), "re": a.real.tolist(),
                 "im": a.imag.tolist()}
     raise DimMismatchError(f"cannot encode array of shape {a.shape}")

@@ -16,10 +16,13 @@ from coherence_forge.linalg import (
 )
 
 TAU = 2 * math.pi
+# the child imports the same coherence_forge the tests do
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, os.environ.get("PYTHONPATH", "")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -195,6 +198,14 @@ def test_qubit_bound_table(fixtures):
     for ln in lines[1:]:
         n, exact, asym, cirac = ln.split(",")
         assert abs(float(cirac) / float(asym) - 2 / 1.6) < 1e-12
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_qubit_bound_refuses_empty_table(capsys, n):
+    assert cli.main(["qubit-bound", "--lambda", "0.6", "--n", n]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_proptest_deterministic_and_seeded():

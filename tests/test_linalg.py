@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coherence_forge.channels import _integer_levels
+from coherence_forge.channels import is_ti, random_channel, twirl
 from coherence_forge.config import DEFAULT
 from coherence_forge.convert import intrinsic_period
 from coherence_forge.distill import omega_state
@@ -186,9 +186,10 @@ def test_json_schema_errors():
     lambda: omega_state(np.eye(2) / 2, H_1D, PLUS, H_QUBIT),
     lambda: omega_state(np.eye(2) / 2, H_QUBIT, PLUS, H_1D),
     lambda: intrinsic_period(PLUS, H_1D),
-    lambda: _integer_levels(H_1D, 2 * math.pi, DEFAULT),
+    lambda: twirl(random_channel(2, 2, 2, 0), H_1D, H_QUBIT, 2 * math.pi),
+    lambda: is_ti(random_channel(2, 2, 2, 0), H_QUBIT, H_1D, 2 * math.pi),
 ], ids=["dephase", "coherence_sectors", "omega_state_A", "omega_state_B",
-        "intrinsic_period", "integer_levels"])
+        "intrinsic_period", "integer_levels", "is_ti"])
 def test_one_dimensional_hamiltonian_is_refused(call):
     # a vector is a state to eig_of, but never a Hamiltonian
     with pytest.raises(DimMismatchError):
