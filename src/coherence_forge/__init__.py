@@ -43,6 +43,7 @@ from .linalg import (
     eig_hermitian,
     eig_of,
     fidelity,
+    level_labels,
     noninteracting_hamiltonian,
     obs_eig,
     observable,
@@ -86,6 +87,7 @@ from .clockdist import (
     convolve_n,
     extract_distribution,
     integer_distribution,
+    occupied_levels,
     overlap_copy_count,
     poisson_distance_bound,
     shift,

@@ -26,13 +26,14 @@ from .errors import (
     SolverStallError,
     ValidationError,
     ZeroNuError,
+    ZeroVarianceError,
 )
 from .linalg import (
     PureState,
     array_from_json,
     array_to_json,
     density_matrix,
-    group_levels,
+    level_labels,
     noninteracting_hamiltonian,
     observable,
     pure_state,
@@ -180,33 +181,35 @@ def cmd_dist(args) -> int:
     vec = _pure_vec(st, "--state")
     clock = clockdist.extract_distribution(vec, H, tau)
     p_m = clockdist.convolve_n(clock.distribution, args.copies)
-    print("n,p")
-    for n, pr in zip(range(p_m.offset, p_m.offset + len(p_m.probs)),
-                     p_m.probs):
-        print(f"{n},{float(pr)!r}")
     try:
         L = clockdist.overlap_copy_count(clock.distribution)
     except GcdNotOneError:
         L = "GcdNotOne"
     try:
         bound = clockdist.barbour_bound(clock.distribution, args.copies)
-    except ZeroNuError:
-        bound = math.inf   # never overlaps its unit shift; bound is vacuous
+    except (ZeroNuError, ZeroVarianceError):
+        # a point mass, or no overlap with its unit shift: bound is vacuous
+        bound = math.inf
     summary = {
         "period": clock.period,
         "L": L,
         "tv_to_tp": clockdist.tp_distance(clock.distribution, args.copies),
         "barbour_bound": _mv(bound),
     }
+    # the summary is built first, so an error never leaves half a table
+    print("n,p")
+    for n, pr in zip(range(p_m.offset, p_m.offset + len(p_m.probs)),
+                     p_m.probs):
+        print(f"{n},{float(pr)!r}")
     _emit(summary)
     return 0
 
 
 def cmd_convert(args) -> int:
     s1 = load_state(args.infiles[0])
-    H1, tau1, dense1 = load_hamiltonian(args.infiles[1], args.tau)
+    H1, _, dense1 = load_hamiltonian(args.infiles[1], args.tau)
     s2 = load_state(args.outfiles[0])
-    H2, tau2, dense2 = load_hamiltonian(args.outfiles[1], args.tau)
+    H2, _, dense2 = load_hamiltonian(args.outfiles[1], args.tau)
     _dense_warning(dense1 or dense2, "conversion planning")
     v1 = _pure_vec(s1, "--in")
     v2 = _pure_vec(s2, "--out")
@@ -239,7 +242,7 @@ def _distill_size(H, d_B: int, n: int) -> None:
         raise ValidationError(
             f"{n} copies make Omega {d}**{n} * {d_B} wide, above the "
             f"budget of {MAX_OMEGA_SIDE}")
-    mult = [g.size for g in group_levels(H.spectrum, DEFAULT.gap_cutoff)]
+    mult = np.bincount(level_labels(H.spectrum, DEFAULT.gap_cutoff))
     deg = [1]
     for _ in range(n):
         deg = np.convolve(deg, mult)
@@ -289,10 +292,13 @@ def cmd_distill(args) -> int:
 def cmd_qubit_bound(args) -> int:
     if args.n < 1:
         raise ValidationError(f"--n must be at least 1, got {args.n}")
+    # every row is computed before any is printed, so a bad --lambda
+    # leaves stdout empty
+    rows = [(n, *distill.qubit_infidelity_bound(args.lam, n),
+             distill.cirac_comparison(args.lam, n))
+            for n in range(1, args.n + 1)]
     print("n,exact,asymptotic,cirac")
-    for n in range(1, args.n + 1):
-        exact, asym = distill.qubit_infidelity_bound(args.lam, n)
-        ach = distill.cirac_comparison(args.lam, n)
+    for n, exact, asym, ach in rows:
         print(f"{n},{exact!r},{asym!r},{ach!r}")
     return 0
 

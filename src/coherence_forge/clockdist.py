@@ -27,7 +27,8 @@ from .errors import (
 from .linalg import (
     HermitianObservable,
     PureState,
-    group_levels,
+    level_labels,
+    obs_eig,
     observable,
     pure_state,
 )
@@ -143,11 +144,29 @@ def snap_levels(energies, ref: float, tau: float,
     return n.astype(int)
 
 
+def occupied_levels(psi, H, tols: Tolerances = DEFAULT):
+    """(mean energies, masses) of the levels of H that psi occupies.
+
+    Levels follow level_labels at gap_cutoff; a level is occupied when
+    psi puts more than tols.prob of its weight on it.  Energies ascend.
+    """
+    if not isinstance(psi, PureState):
+        psi = pure_state(psi, tols)
+    w, V = obs_eig(H, tols)
+    if w.size != psi.dim:
+        raise ValidationError("state and Hamiltonian dimensions differ")
+    lab = level_labels(w, tols.gap_cutoff)
+    mass = np.bincount(lab, weights=np.abs(V.conj().T @ psi.vector) ** 2)
+    energy = np.bincount(lab, weights=w) / np.bincount(lab)
+    occ = mass > tols.prob
+    return energy[occ], mass[occ]
+
+
 def extract_distribution(psi, H, tau: float,
                          tols: Tolerances = DEFAULT) -> PeriodicClockState:
     """Integer energy distribution of psi under H for reference period tau.
 
-    Occupied eigenvalues must sit on the grid E_min + (2*pi/tau) * n within
+    Occupied levels must sit on the grid E_min + (2*pi/tau) * n within
     level_rel grid units, else IncommensurateSpectrum.  The lowest occupied
     level maps to n = 0.
     """
@@ -157,21 +176,8 @@ def extract_distribution(psi, H, tau: float,
         psi = pure_state(psi, tols)
     if not isinstance(H, HermitianObservable):
         H = observable(H, tols)
-    if H.dim != psi.dim:
-        raise ValidationError("state and Hamiltonian dimensions differ")
-    w, V = H.spectrum, H.eigenbasis
-    amps = V.conj().T @ psi.vector
-    weights = np.abs(amps) ** 2
-
-    # accumulate weight per (possibly degenerate) eigenvalue group
-    energies = []
-    masses = []
-    for g in group_levels(w, tols.gap_cutoff):
-        mass = float(np.sum(weights[g]))
-        if mass > tols.prob:
-            energies.append(float(np.mean(w[g])))
-            masses.append(mass)
-    ns = snap_levels(energies, min(energies), tau, tols).tolist()
+    energies, masses = occupied_levels(psi, H, tols)
+    ns = snap_levels(energies, energies[0], tau, tols).tolist()
     probs = np.bincount(ns, weights=masses)
     dist = integer_distribution(0, probs / probs.sum(), tols)
     g = math.gcd(*ns)
@@ -241,12 +247,10 @@ def overlap_copy_count(p: IntegerDistribution, L_max: int = 64,
     offs = sorted({int(n - sup[0]) for n in sup} - {0})
     if not offs:
         raise GcdNotOneError("point mass never overlaps its shift")
-    g = 0
-    for d in offs:
-        g = math.gcd(g, d)
+    g = math.gcd(*offs)
     if g != 1:
         raise GcdNotOneError(f"support offsets share factor {g}")
-    steps = [d for d in offs] + [-d for d in offs]
+    steps = offs + [-d for d in offs]
     frontier = {0}
     seen = {0}
     bound = max(offs) * (L_max + 1)
@@ -269,34 +273,16 @@ def _poisson_window(lam: float, tail_eps: float):
     mean and variance by less than tail_eps.  Returns (k_lo, probs)."""
     if lam <= 0.0:
         return 0, np.array([1.0])
-    if lam < 700.0:
-        k_hi = int(lam + 20.0 * math.sqrt(lam + 1.0) + 30.0)
-        ks = np.arange(k_hi + 1)
-        pmf = np.empty(k_hi + 1)
-        pmf[0] = math.exp(-lam)
-        for k in range(1, k_hi + 1):
-            pmf[k] = pmf[k - 1] * lam / k
-    else:
-        half = int(20.0 * math.sqrt(lam) + 30.0)
-        k_lo0 = max(0, int(lam) - half)
-        ks = np.arange(k_lo0, int(lam) + half + 1)
-        logs = ks * math.log(lam) - lam - np.array(
-            [math.lgamma(k + 1) for k in ks]
-        )
-        pmf = np.exp(logs)
+    half = int(20.0 * math.sqrt(lam) + 30.0)
+    ks = np.arange(max(0, int(lam) - half), int(lam) + half + 1)
+    pmf = np.exp(ks * math.log(lam) - lam
+                 - np.array([math.lgamma(k + 1) for k in ks]))
     # trim each tail while its mean/variance impact stays under budget
     weight = pmf * (1.0 + np.abs(ks - lam) + (ks - lam) ** 2)
     budget = tail_eps / 2.0
-    lo = 0
-    acc = 0.0
-    while lo < len(pmf) - 1 and acc + weight[lo] < budget:
-        acc += weight[lo]
-        lo += 1
-    hi = len(pmf) - 1
-    acc = 0.0
-    while hi > lo and acc + weight[hi] < budget:
-        acc += weight[hi]
-        hi -= 1
+    lo = min(int(np.searchsorted(np.cumsum(weight), budget)), len(pmf) - 1)
+    hi = max(len(pmf) - 1
+             - int(np.searchsorted(np.cumsum(weight[::-1]), budget)), lo)
     return int(ks[lo]), pmf[lo: hi + 1]
 
 

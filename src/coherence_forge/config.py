@@ -25,7 +25,7 @@ class Tolerances:
     # Spectral cutoffs
     rank_cutoff: float = 1e-10   # eigenvalue counts toward the support
     pair_cutoff: float = 1e-14   # p_j + p_k below this: pair skipped
-    gap_cutoff: float = 1e-8     # eigenvalue gaps below this: same level
+    gap_cutoff: float = 1e-8     # steps below this link values into a level
 
     # Commutator norm below which operators count as commuting
     commute: float = 1e-9

@@ -26,10 +26,10 @@ from .clockdist import (
     IntegerDistribution,
     convolve_n,
     extract_distribution,
+    occupied_levels,
     shift,
     tv_distance,
 )
-from .linalg import obs_eig, pure_state, PureState
 from .measures import energy_variance, qfi
 from .purification import coherence_sectors
 
@@ -57,31 +57,25 @@ def _plan(rate, m, m2, k, eps) -> ConversionPlan:
 def intrinsic_period(psi, H, tols: Tolerances = DEFAULT) -> float:
     """Recurrence time of a pure state from its occupied energy gaps.
 
-    Gaps are snapped to rationals (denominator <= max_denominator); the
-    period is 2*pi over their gcd.  0.0 flags an energy eigenstate.
-    IncommensurateSpectrum when a gap will not snap.
+    The gaps between the mean energies of the occupied levels (see
+    clockdist.occupied_levels) are snapped to rationals (denominator <=
+    max_denominator); the period is 2*pi over their gcd.  0.0 flags an
+    energy eigenstate.  IncommensurateSpectrum when a gap will not snap.
     """
-    if not isinstance(psi, PureState):
-        psi = pure_state(psi, tols)
-    w, V = obs_eig(H, tols)
-    weights = (abs(V.conj().T @ psi.vector) ** 2)
-    occ = [float(w[i]) for i in range(len(w)) if weights[i] > tols.prob]
-    e0 = min(occ)
-    gaps = sorted({e - e0 for e in occ if e - e0 > tols.gap_cutoff})
+    energies, _ = occupied_levels(psi, H, tols)
+    gaps = (energies[1:] - energies[0]).tolist()
     if not gaps:
         return 0.0
-    g = Fraction(0)
-    for gap in gaps:
-        f = Fraction(gap).limit_denominator(tols.max_denominator)
+    fracs = [Fraction(x).limit_denominator(tols.max_denominator) for x in gaps]
+    for gap, f in zip(gaps, fracs):
         if abs(gap - float(f)) > tols.level_rel * max(1.0, abs(gap)):
             raise IncommensurateSpectrumError(
                 f"gap {gap:.12g} is not rational at denominator "
                 f"<= {tols.max_denominator}"
             )
-        g = Fraction(math.gcd(g.numerator * f.denominator,
-                              f.numerator * g.denominator),
-                     g.denominator * f.denominator)
-    return 2.0 * math.pi / float(g)
+    den = math.lcm(*(f.denominator for f in fracs))
+    num = math.gcd(*(f.numerator * (den // f.denominator) for f in fracs))
+    return 2.0 * math.pi / float(Fraction(num, den))
 
 
 def _common_period(psi1, H1, psi2, H2, tols: Tolerances) -> float:

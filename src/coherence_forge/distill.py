@@ -31,6 +31,7 @@ from .linalg import (
     DensityMatrix,
     PureState,
     density_matrix,
+    level_labels,
     obs_eig,
     partial_trace,
     state_matrix,
@@ -124,9 +125,10 @@ def omega_state(sigma_A, H_A, psi_B, H_B,
     of the difference Hamiltonian H_A (x) I - I (x) H_B.
 
     The conjugate of psi_B is taken in the H_B eigenbasis.  Eigenvalue
-    differences are grouped at gap_cutoff; differences that are distinct
-    yet closer than sqrt(gap_cutoff) make the grouping ill-defined and
-    raise IncommensurateSpectrum."""
+    differences form levels by level_labels at gap_cutoff; a step between
+    sorted differences that is at least gap_cutoff yet below
+    sqrt(gap_cutoff) makes the levels ill-defined and raises
+    IncommensurateSpectrum."""
     sA = state_matrix(sigma_A)
     a, U_A = obs_eig(H_A, tols)
     b, U_B = obs_eig(H_B, tols)
@@ -140,19 +142,14 @@ def omega_state(sigma_A, H_A, psi_B, H_B,
     M = np.kron(U_A.conj().T @ sA @ U_A, np.outer(psi_bar, psi_bar.conj()))
     delta = (a[:, None] - b[None, :]).ravel()
     order = np.argsort(delta)
+    steps = np.diff(delta[order])
+    vague = (steps >= tols.gap_cutoff) & (steps < math.sqrt(tols.gap_cutoff))
+    if np.any(vague):
+        raise IncommensurateSpectrumError(
+            f"difference-spectrum gap {steps[np.argmax(vague)]:.3e} too "
+            "small to separate eigenspaces reliably")
     labels = np.empty(delta.size, dtype=int)
-    current = 0
-    labels[order[0]] = 0
-    for prev, here in zip(order[:-1], order[1:]):
-        step = delta[here] - delta[prev]
-        if step >= tols.gap_cutoff:
-            if step < math.sqrt(tols.gap_cutoff):
-                raise IncommensurateSpectrumError(
-                    f"difference-spectrum gap {step:.3e} too small to "
-                    "separate eigenspaces reliably"
-                )
-            current += 1
-        labels[here] = current
+    labels[order] = level_labels(delta[order], tols.gap_cutoff)
     mask = labels[:, None] == labels[None, :]
     W = np.kron(U_A, U_B)
     Om = W @ (M * mask) @ W.conj().T

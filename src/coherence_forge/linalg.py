@@ -2,8 +2,8 @@
 
 Wraps numpy's Hermitian eigensolver with explicit validation (Hermiticity,
 reconstruction residual) and provides the state / observable containers,
-tensor-product helpers, energy dephasing, and the JSON wire format for
-matrices and vectors.
+tensor-product helpers, energy levels and dephasing, and the JSON wire
+format for matrices and vectors.
 
 Each container owns the eigendecomposition of its operand: spectrum
 ascending, eigenbasis columns aligned with it, both read-only.  eig_of
@@ -117,39 +117,29 @@ def noninteracting_hamiltonian(terms) -> np.ndarray:
     return total
 
 
-def group_levels(w, gap_cutoff: float):
-    """Partition a sorted eigenvalue array into degenerate groups.
+def level_labels(w, gap_cutoff: float) -> np.ndarray:
+    """Level index 0, 1, ... of each value of an ascending array.
 
-    Consecutive values closer than gap_cutoff land in the same group.
-    Returns a list of index arrays.
+    A step of gap_cutoff or more between neighbours starts a new level,
+    so values linked by steps below it share a level.
     """
     w = np.asarray(w, dtype=float)
-    if w.size == 0:
-        return []
-    groups = [[0]]
-    for i in range(1, w.size):
-        if w[i] - w[groups[-1][0]] < gap_cutoff and w[i] - w[i - 1] < gap_cutoff:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return [np.asarray(g, dtype=int) for g in groups]
+    return np.cumsum(np.diff(w, prepend=w[:1]) >= gap_cutoff)
 
 
 def dephase(rho, H, tols: Tolerances = DEFAULT) -> np.ndarray:
     """Project a state onto the eigenspaces of H (pinching).
 
-    Eigenvalues of H within tols.gap_cutoff of each other count as the
-    same level, so exact degeneracies survive intact.
+    Eigenvalues of H linked by steps below tols.gap_cutoff count as one
+    level (see level_labels), so exact degeneracies survive intact.
     """
     rho = require_square(state_matrix(rho))
     w, V = obs_eig(H, tols)
     if w.size != rho.shape[0]:
         raise DimMismatchError("state and Hamiltonian dimensions differ")
+    lab = level_labels(w, tols.gap_cutoff)
     rt = V.conj().T @ rho @ V
-    out = np.zeros_like(rt)
-    for g in group_levels(w, tols.gap_cutoff):
-        out[np.ix_(g, g)] = rt[np.ix_(g, g)]
-    return V @ out @ V.conj().T
+    return V @ (rt * (lab[:, None] == lab[None, :])) @ V.conj().T
 
 
 def fidelity(rho, sigma, tols: Tolerances = DEFAULT) -> float:

@@ -32,7 +32,7 @@ from .linalg import (
     PureState,
     eig_hermitian,
     eig_of,
-    group_levels,
+    level_labels,
     obs_eig,
     obs_matrix,
     observable,
@@ -71,9 +71,9 @@ def aligned_eigensystem(rho, H, tols: Tolerances = DEFAULT):
     if p.size != H.shape[0]:
         raise DimMismatchError("state and Hamiltonian dimensions differ")
     V = V.copy()
-    for g in group_levels(p, tols.gap_cutoff):
-        if len(g) < 2:
-            continue
+    lab = level_labels(p, tols.gap_cutoff)
+    for k in np.flatnonzero(np.bincount(lab) > 1):
+        g = np.flatnonzero(lab == k)
         block = V[:, g].conj().T @ H @ V[:, g]
         _, Q = eig_hermitian(block, tols)
         V[:, g] = V[:, g] @ Q
@@ -240,51 +240,44 @@ def optimal_ensemble(rho, H_S, tols: Tolerances = DEFAULT) -> PureEnsemble:
 
 
 def coherence_sectors(rho, H, tau: float, tols: Tolerances):
-    """Partition the eigenspaces of H into groups linked by coherence of rho.
+    """Partition the levels of H (see level_labels) into sectors linked by
+    coherence of rho.
 
-    Returns (sector projectors, integer level per eigenspace group,
-    gcd of coherence-gap integers).  Raises PeriodMismatchError when an
-    occupied coherence gap is not an integer multiple of 2*pi/tau.
+    Returns (sector projectors, gcd of the coherence-gap integers).  Two
+    levels are coherent when a block of rho between them has an entry
+    above rank_cutoff; a sector is a class of the transitive closure of
+    that relation.  Raises PeriodMismatchError when the mean-energy gap
+    of a coherent pair is not an integer multiple of 2*pi/tau.
     """
     rho = state_matrix(rho)
     w, V = obs_eig(H, tols)
-    groups = group_levels(w, tols.gap_cutoff)
-    rt = V.conj().T @ rho @ V
-    n_groups = len(groups)
+    lab = level_labels(w, tols.gap_cutoff)
+    energy = np.bincount(lab, weights=w) / np.bincount(lab)
+    L = energy.size
+    # largest coherence between each pair of levels
+    C = np.zeros((L, L))
+    np.maximum.at(C, (lab[:, None], lab[None, :]),
+                  np.abs(V.conj().T @ rho @ V))
+    coherent = C > tols.rank_cutoff
+    lo, hi = np.nonzero(np.triu(coherent, 1))
+    gaps = energy[hi] - energy[lo]
     unit = 2.0 * np.pi / tau
-
-    # adjacency: nonzero coherence between eigenspace groups
-    parent = list(range(n_groups))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    gap_ints = []
-    for g in range(n_groups):
-        for h in range(g + 1, n_groups):
-            block = rt[np.ix_(groups[g], groups[h])]
-            if np.max(np.abs(block)) <= tols.rank_cutoff:
-                continue
-            gap = w[groups[h][0]] - w[groups[g][0]]
-            k = round(gap / unit)
-            if abs(gap - k * unit) > tols.level_rel * unit:
-                raise PeriodMismatchError(
-                    f"coherence gap {gap:.6g} is not a multiple of 2*pi/tau"
-                )
-            gap_ints.append(abs(int(k)))
-            parent[find(g)] = find(h)
-
-    sectors = {}
-    for g in range(n_groups):
-        sectors.setdefault(find(g), []).append(g)
+    ks = np.rint(gaps / unit)
+    off = np.abs(gaps - ks * unit) > tols.level_rel * unit
+    if np.any(off):
+        raise PeriodMismatchError(f"coherence gap {gaps[np.argmax(off)]:.6g} "
+                                  "is not a multiple of 2*pi/tau")
+    # k squarings reach along paths of up to 2**k links; L - 1 suffice
+    reach = coherent | coherent.T | np.eye(L, dtype=bool)
+    for _ in range((L - 1).bit_length()):
+        reach = (reach @ reach.astype(float)) > 0
+    # each sector once, led by its lowest level, with columns ascending
+    leads = np.flatnonzero(reach.argmax(axis=0) == np.arange(L))
     projectors = []
-    for members in sectors.values():
-        Vv = V[:, np.concatenate([groups[m] for m in members])]
-        projectors.append(Vv @ Vv.conj().T)
-    return projectors, math.gcd(*gap_ints)
+    for s in leads:
+        Vs = V[:, reach[s][lab]]
+        projectors.append(Vs @ Vs.conj().T)
+    return projectors, math.gcd(*np.abs(ks).astype(int).tolist())
 
 
 def period_respecting_ensemble(rho, H, tau: float,

@@ -125,6 +125,21 @@ def test_dist_gcd_not_one(fixtures, tmp_path):
     assert abs(summary["period"] - TAU / 2) < 1e-9
 
 
+def test_dist_energy_eigenstate(fixtures, tmp_path, capsys):
+    # a point mass: no period, no overlap with its shift, zero variance
+    state = tmp_path / "ground.json"
+    state.write_text(json.dumps({"dim": [2], "re": [1, 0], "im": [0, 0]}))
+    assert cli.main(["dist", "--state", str(state),
+                     "--ham", fixtures["h2"]]) == 0
+    out, _ = capsys.readouterr()
+    lines = out.strip().splitlines()
+    assert lines[:2] == ["n,p", "0,1.0"]
+    summary = json.loads(lines[2])
+    assert summary["period"] == 0
+    assert summary["L"] == "GcdNotOne"
+    assert summary["barbour_bound"] == "inf"
+
+
 def test_convert_defaults_to_max_rate(fixtures):
     res = run_cli("convert", "--in", fixtures["u023"], fixtures["h4"],
                   "--out", fixtures["cbit"], fixtures["h2"],
@@ -200,9 +215,12 @@ def test_qubit_bound_table(fixtures):
         assert abs(float(cirac) / float(asym) - 2 / 1.6) < 1e-12
 
 
-@pytest.mark.parametrize("n", ["0", "-3"])
-def test_qubit_bound_refuses_empty_table(capsys, n):
-    assert cli.main(["qubit-bound", "--lambda", "0.6", "--n", n]) == 1
+@pytest.mark.parametrize("lam, n", [
+    ("0.6", "0"), ("0.6", "-3"),
+    ("1.5", "20"), ("0", "20"), ("-0.2", "20"), ("nan", "20"),
+], ids=["0", "-3", "lambda=1.5", "lambda=0", "lambda=-0.2", "lambda=nan"])
+def test_qubit_bound_refuses_empty_table(capsys, lam, n):
+    assert cli.main(["qubit-bound", "--lambda", lam, "--n", n]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coherence_forge.clockdist import (
+    _poisson_window,
     barbour_bound,
     barbour_terms,
     convolve_n,
@@ -18,6 +19,7 @@ from coherence_forge.clockdist import (
     translated_poisson,
     tv_distance,
 )
+from coherence_forge.config import DEFAULT
 from coherence_forge.errors import (
     GcdNotOneError,
     IncommensurateSpectrumError,
@@ -144,6 +146,38 @@ def test_translated_poisson_moments():
         assert abs(sum(tp.dist.probs) - 1.0) < 1e-9
     tp = translated_poisson(4.0, 1.0)
     assert tp.shift == 3 and abs(tp.gamma) < 1e-12
+
+
+def _poisson_window_reference(lam, tail_eps):
+    """The former small-lambda path: the pmf by the recursion
+    p(k) = p(k-1) lam / k from k = 0, tails trimmed one entry at a time."""
+    k_hi = int(lam + 20.0 * math.sqrt(lam + 1.0) + 30.0)
+    ks = np.arange(k_hi + 1)
+    pmf = np.empty(k_hi + 1)
+    pmf[0] = math.exp(-lam)
+    for k in range(1, k_hi + 1):
+        pmf[k] = pmf[k - 1] * lam / k
+    weight = pmf * (1.0 + np.abs(ks - lam) + (ks - lam) ** 2)
+    budget = tail_eps / 2.0
+    lo, acc = 0, 0.0
+    while lo < len(pmf) - 1 and acc + weight[lo] < budget:
+        acc += weight[lo]
+        lo += 1
+    hi, acc = len(pmf) - 1, 0.0
+    while hi > lo and acc + weight[hi] < budget:
+        acc += weight[hi]
+        hi -= 1
+    return int(ks[lo]), pmf[lo: hi + 1]
+
+
+def test_poisson_window_matches_recursion():
+    # the former code took the recursion below lam = 700, where exp(-lam)
+    # is still a normal float
+    for lam in np.geomspace(1e-3, 699.0, 120):
+        k_lo, pmf = _poisson_window(float(lam), DEFAULT.tail_eps)
+        ref_lo, ref = _poisson_window_reference(float(lam), DEFAULT.tail_eps)
+        assert (k_lo, len(pmf)) == (ref_lo, len(ref))
+        assert np.max(np.abs(pmf - ref) / ref) < 1e-11
 
 
 def test_barbour_bound_frozen_value():

@@ -20,6 +20,7 @@ from coherence_forge.linalg import (
     density_matrix,
     eig_hermitian,
     fidelity,
+    level_labels,
     noninteracting_hamiltonian,
     partial_trace,
     psd_sqrt,
@@ -144,6 +145,41 @@ def test_dephase_projects_and_is_idempotent():
     # the degenerate 2x2 block survives
     assert np.max(np.abs(deph[:2, :2] - rho[:2, :2])) < 1e-12
     assert abs(deph[0, 2]) < 1e-14
+
+
+def _group_levels_reference(w, gap_cutoff):
+    """The former grouping: a value joins the open group when it is within
+    gap_cutoff of both its predecessor and the group's first value."""
+    groups = [[0]]
+    for i in range(1, len(w)):
+        if (w[i] - w[groups[-1][0]] < gap_cutoff
+                and w[i] - w[i - 1] < gap_cutoff):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
+def test_level_labels_match_former_grouping():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        d = int(rng.integers(1, 12))
+        # distinct levels at least 1e-6 apart, repeated exactly or split
+        # by 1e-12 to mimic a degenerate eigensolve
+        steps = rng.choice([0.0, 1e-12, 1e-6, 0.3, 1.0], size=d,
+                           p=[0.3, 0.2, 0.1, 0.2, 0.2])
+        w = np.cumsum(steps) + rng.normal()
+        lab = level_labels(w, DEFAULT.gap_cutoff)
+        groups = _group_levels_reference(w, DEFAULT.gap_cutoff)
+        assert [np.flatnonzero(lab == k).tolist()
+                for k in range(lab.max() + 1)] == groups
+
+
+def test_level_labels_link_a_chain_of_small_steps():
+    # each step is below gap_cutoff, the span is not: still one level
+    lab = level_labels([0.0, 0.6e-8, 1.2e-8, 1.0], 1e-8)
+    assert lab.tolist() == [0, 0, 0, 1]
+    assert level_labels([], 1e-8).size == 0
 
 
 def test_density_matrix_validation():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coherence_forge.config import DEFAULT
 from coherence_forge.errors import PeriodMismatchError
 from coherence_forge.linalg import (
     density_matrix,
@@ -18,6 +19,7 @@ from coherence_forge.purification import (
     aux_qfi,
     build_optimal_purification,
     canonical_purification,
+    coherence_sectors,
     kkt_residual,
     optimal_ensemble,
     period_respecting_ensemble,
@@ -226,3 +228,84 @@ def test_period_respecting_splits_cross_sector_members():
     assert abs(ens.average_variance - F / 4) < 1e-8 * max(1.0, F)
     for st in ens.states:
         assert _member_is_periodic(st.vector, H, 2 * math.pi)
+
+
+def _coherence_sectors_reference(rho, H, tau, tols):
+    """The former coherence_sectors: eigenvalue groups by first-value and
+    neighbour gaps, each coherent pair of groups snapped on its own, and
+    sectors from a union-find."""
+    w, V = np.linalg.eigh(H)
+    groups = [[0]]
+    for i in range(1, w.size):
+        if (w[i] - w[groups[-1][0]] < tols.gap_cutoff
+                and w[i] - w[i - 1] < tols.gap_cutoff):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    rt = V.conj().T @ rho @ V
+    unit = 2.0 * np.pi / tau
+    parent = list(range(len(groups)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    gap_ints = []
+    for g in range(len(groups)):
+        for h in range(g + 1, len(groups)):
+            block = rt[np.ix_(groups[g], groups[h])]
+            if np.max(np.abs(block)) <= tols.rank_cutoff:
+                continue
+            gap = w[groups[h][0]] - w[groups[g][0]]
+            k = round(gap / unit)
+            if abs(gap - k * unit) > tols.level_rel * unit:
+                raise PeriodMismatchError(f"coherence gap {gap:.6g}")
+            gap_ints.append(abs(int(k)))
+            parent[find(g)] = find(h)
+    sectors = {}
+    for g in range(len(groups)):
+        sectors.setdefault(find(g), []).extend(groups[g])
+    projectors = [V[:, m] @ V[:, m].conj().T for m in sectors.values()]
+    return projectors, math.gcd(*gap_ints)
+
+
+def test_coherence_sectors_match_union_find_reference():
+    rng = np.random.default_rng(44)
+    gcds = set()
+    for _ in range(150):
+        d = int(rng.integers(2, 7))
+        tau = float(rng.choice([2 * math.pi, 1.0]))
+        # integer levels, often degenerate, on a random eigenbasis
+        step = int(rng.integers(1, 3))
+        levels = step * np.sort(rng.integers(0, 4, size=d))
+        U = np.linalg.qr(rng.normal(size=(d, d))
+                         + 1j * rng.normal(size=(d, d)))[0]
+        H = U @ np.diag(levels * 2 * math.pi / tau) @ U.conj().T
+        H = (H + H.conj().T) / 2
+        # a mixture of pure states, each on a few random levels, so that
+        # sectors form from chains of coherent pairs as well as blocks
+        distinct = np.unique(levels)
+        M = np.zeros((d, d), dtype=complex)
+        for _ in range(int(rng.integers(1, 5))):
+            size = int(rng.integers(1, min(3, distinct.size) + 1))
+            on = np.isin(levels, rng.choice(distinct, size, replace=False))
+            v = (rng.normal(size=d) + 1j * rng.normal(size=d)) * on
+            M += np.outer(v, v.conj())
+        V = np.linalg.eigh(H)[1]
+        rho = V @ (M / np.trace(M).real) @ V.conj().T
+        for t in (tau, 1.3 * tau):
+            try:
+                ref, ref_gcd = _coherence_sectors_reference(rho, H, t, DEFAULT)
+            except PeriodMismatchError:
+                with pytest.raises(PeriodMismatchError):
+                    coherence_sectors(rho, H, t, DEFAULT)
+                continue
+            got, got_gcd = coherence_sectors(rho, H, t, DEFAULT)
+            assert got_gcd == ref_gcd
+            gcds.add(got_gcd)
+            assert len(got) == len(ref)
+            for P in ref:
+                assert sum(np.max(np.abs(P - Q)) < 1e-12 for Q in got) == 1
+    assert {0, 1, 2} <= gcds
