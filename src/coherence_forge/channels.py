@@ -146,7 +146,9 @@ def twirl(ch: KrausChannel, H_in, H_out, tau: float,
     operator-major, modes ascending within each operator.
     """
     Kt, grid, V_in, V_out = _eigenframe(ch, H_in, H_out, tau, tols)
-    modes = np.unique(grid)
+    # ascending modes without np.unique, which imports numpy.ma
+    lo = grid.min()
+    modes = np.flatnonzero(np.bincount((grid - lo).ravel())) + lo
     comps = np.where(grid == modes[:, None, None], Kt[:, None], 0.0)
     keep = np.max(np.abs(comps), axis=(2, 3)) > tols.pair_cutoff
     base = kraus_channel(V_out @ comps[keep] @ V_in.conj().T, tols)

@@ -25,11 +25,9 @@ from .errors import (
     ZeroVarianceError,
 )
 from .linalg import (
-    HermitianObservable,
     PureState,
     level_labels,
     obs_eig,
-    observable,
     pure_state,
 )
 
@@ -86,16 +84,13 @@ def integer_distribution(offset: int, probs,
 
 @dataclass(frozen=True)
 class PeriodicClockState:
-    """A pure state with its integer energy occupation data.
+    """The integer energy occupation data of a pure state.
 
     levels are the occupied integers after shifting the lowest occupied
-    level to 0; period is tau divided by the gcd of the levels (0.0 flags
-    an energy eigenstate, which never moves).
+    level to 0; period is the reference period tau divided by the gcd of
+    the levels (0.0 flags an energy eigenstate, which never moves).
     """
 
-    state: PureState
-    hamiltonian: HermitianObservable
-    tau: float
     levels: tuple
     distribution: IntegerDistribution
     period: float
@@ -168,22 +163,18 @@ def extract_distribution(psi, H, tau: float,
 
     Occupied levels must sit on the grid E_min + (2*pi/tau) * n within
     level_rel grid units, else IncommensurateSpectrum.  The lowest occupied
-    level maps to n = 0.
+    level maps to n = 0.  psi and H are coerced by occupied_levels, which
+    reads H's spectrum through one cached eigensolve.
     """
     if tau <= 0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    if not isinstance(psi, PureState):
-        psi = pure_state(psi, tols)
-    if not isinstance(H, HermitianObservable):
-        H = observable(H, tols)
     energies, masses = occupied_levels(psi, H, tols)
     ns = snap_levels(energies, energies[0], tau, tols).tolist()
     probs = np.bincount(ns, weights=masses)
     dist = integer_distribution(0, probs / probs.sum(), tols)
     g = math.gcd(*ns)
     per = 0.0 if g == 0 else tau / g
-    return PeriodicClockState(state=psi, hamiltonian=H,
-                              tau=tau, levels=tuple(sorted(set(ns))),
+    return PeriodicClockState(levels=tuple(sorted(set(ns))),
                               distribution=dist, period=per)
 
 

@@ -172,28 +172,6 @@ class SdpResult:
     min_slack: float
 
 
-def _hermitian_coords(block: np.ndarray):
-    """Real coordinates of the Hermitian matrices block-diagonal in block.
-
-    Returns (ui, uk, u, c): the entries (ui[q], uk[q]) the blocks allow,
-    and for coordinate r the basis matrix c[0, r] E_u[0, r] +
-    c[1, r] E_u[1, r] with E_q the unit at entry q: E_ii, or
-    (E_ik + E_ki)/sqrt 2 and i(E_ik - E_ki)/sqrt 2 for i < k in one
-    block.  The basis is orthonormal, sum of squared block sizes long."""
-    same = block[:, None] == block[None, :]
-    ui, uk = np.nonzero(same)
-    q = np.full(same.shape, -1)
-    q[ui, uk] = np.arange(ui.size)
-    diag = np.arange(block.size)
-    i, k = np.nonzero(np.triu(same, 1))
-    r = np.full(i.size, 1.0 / math.sqrt(2.0))
-    u = np.array([np.concatenate([q[diag, diag], q[i, k], q[i, k]]),
-                  np.concatenate([q[diag, diag], q[k, i], q[k, i]])])
-    c = np.array([np.concatenate([np.ones(block.size), r, 1j * r]),
-                  np.concatenate([np.zeros(block.size), r, -1j * r])])
-    return ui, uk, u, c
-
-
 class _Sectors:
     """The LMI sectors of tau (x) I - Omega, padded to one size so that a
     Newton step treats all of them in one batched call.
@@ -247,6 +225,13 @@ def _min_trace_sdp(omega: OmegaState, tols: Tolerances) -> SdpResult:
     & Parrilo, 2004).  The solve runs on those blocks in the
     U_A (x) U_B basis and rotates tau and X back at the end.
 
+    The unknowns are tau's complex block entries (sum of squared block
+    sizes of them).  Each Newton step solves mu K d = -G on those
+    entries, with G = I - mu Tr_B S^-1 the gradient and K the
+    Hilbert-Schmidt matrix of d -> Tr_B(S^-1 (d (x) I) S^-1).  That map is
+    self-adjoint and positive definite, so a Hermitian G gives a Hermitian
+    d; one symmetrization removes the rounding.
+
     Works on Omega scaled to unit largest eigenvalue; the barrier weight
     is driven down to gap_tol/(4*N*scale), which pins the centered
     duality gap mu*N under the requested tolerance after unscaling.  The
@@ -264,7 +249,8 @@ def _min_trace_sdp(omega: OmegaState, tols: Tolerances) -> SdpResult:
     # blocks, and each sector is closed under them.
     labels = np.asarray(omega.sectors)
     sectors = _Sectors(labels.ravel(), d_B, Os)
-    ui, uk, u, c = _hermitian_coords(labels[:, 0])
+    block = labels[:, 0]
+    ui, uk = np.nonzero(block[:, None] == block[None, :])
     # K[q, q'] = (Tr_B S^-1 (E_q' (x) I) S^-1)[q] for units q = (i, k),
     # q' = (l, m) is sum_{j, j'} S^-1[(i,j),(l,j')] S^-1[(m,j'),(k,j)]:
     # one gather per (j, j') from the reshaped block-diagonal inverse
@@ -286,21 +272,14 @@ def _min_trace_sdp(omega: OmegaState, tols: Tolerances) -> SdpResult:
             w, V = sectors.slack(tau)
             S_inv = sectors.inverse(w, V, N)
             g = np.eye(d_A) - mu * partial_trace(S_inv, (d_A, d_B), "A")
-            grad = (c * g[uk, ui][u]).sum(axis=0).real
             R = S_inv.reshape(d_A, d_B, d_A, d_B)
             P1 = R.transpose(1, 3, 0, 2).reshape(d_B * d_B, d_A * d_A)
             P2 = R.transpose(3, 1, 2, 0).reshape(d_B * d_B, d_A * d_A)
             K = sum(P1[jj][il] * P2[jj][km] for jj in range(d_B * d_B))
-            KC = K[:, u[0]] * c[0] + K[:, u[1]] * c[1]
-            Hmat = mu * (c[0].conj()[:, None] * KC[u[0]]
-                         + c[1].conj()[:, None] * KC[u[1]]).real
-            Hmat = 0.5 * (Hmat + Hmat.T)
-            dx = -np.linalg.solve(Hmat, grad)
-            decrement = -float(grad @ dx)
-            entries = np.zeros(ui.size, dtype=complex)
-            np.add.at(entries, u.ravel(), (c * dx).ravel())
             d_tau = np.zeros((d_A, d_A), dtype=complex)
-            d_tau[ui, uk] = entries
+            d_tau[ui, uk] = np.linalg.solve(mu * K, -g[ui, uk])
+            d_tau = 0.5 * (d_tau + d_tau.conj().T)
+            decrement = -float(np.vdot(g, d_tau).real)
             # S^-1/2 dS S^-1/2 per sector, in each slack's eigenbasis
             r = 1.0 / np.sqrt(w)
             T = V.conj().swapaxes(1, 2) @ sectors.lift(d_tau) @ V
@@ -346,16 +325,22 @@ def _min_trace_sdp(omega: OmegaState, tols: Tolerances) -> SdpResult:
 def verify_certificate(result: SdpResult, omega: OmegaState,
                        tols: Tolerances = DEFAULT) -> SdpResult:
     """Re-check an SDP result on the dense full-space matrices, apart from
-    the solver: tau (x) I - Omega has no negative eigenvalue; X >= 0
-    (within sdp_feas) with lambda_max(Tr_B X) <= 1 + sdp_feas; the gap
-    Tr tau - Tr(Omega X), recomputed, is below sdp_gap; and the reported
-    optimum and gap match Tr tau and that gap within sdp_feas.
+    the solver: tau and X are Hermitian within sdp_feas (the eigenvalue
+    tests read one triangle only); tau (x) I - Omega has no negative
+    eigenvalue; X >= 0 (within sdp_feas) with lambda_max(Tr_B X) <=
+    1 + sdp_feas; the gap Tr tau - Tr(Omega X), recomputed, is below
+    sdp_gap; and the reported optimum and gap match Tr tau and that gap
+    within sdp_feas.
 
     Returns result; raises CertificateError on the first check that
     fails."""
     d_A, d_B = omega.dims
     Om = omega.matrix.matrix
     tau, X = result.tau, result.dual_certificate
+    for name, M in (("tau", tau), ("dual X", X)):
+        skew = float(np.max(np.abs(M - M.conj().T)))
+        if skew > tols.sdp_feas:
+            raise CertificateError(f"{name} is not Hermitian: {skew:.3e}")
     s_min = float(np.linalg.eigvalsh(np.kron(tau, np.eye(d_B)) - Om)[0])
     if s_min < 0.0:
         raise CertificateError(f"tau (x) I - Omega has eigenvalue {s_min:.3e}")

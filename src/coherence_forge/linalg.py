@@ -84,8 +84,7 @@ def tensor(*ops) -> np.ndarray:
 def partial_trace(M, dims, keep) -> np.ndarray:
     """Trace out one tensor factor of a bipartite operator.
 
-    dims = (dA, dB); keep = 0 (or "A") keeps the first factor, 1 (or "B")
-    the second.
+    dims = (dA, dB); keep = "A" keeps the first factor, "B" the second.
     """
     M = require_square(M)
     dA, dB = int(dims[0]), int(dims[1])
@@ -93,16 +92,12 @@ def partial_trace(M, dims, keep) -> np.ndarray:
         raise DimMismatchError(
             f"dims {dims} inconsistent with matrix of size {M.shape[0]}"
         )
-    if keep in ("A", "a"):
-        keep = 0
-    elif keep in ("B", "b"):
-        keep = 1
-    if keep not in (0, 1):
-        raise ValidationError(f"keep must be 0/1/'A'/'B', got {keep!r}")
     T = M.reshape(dA, dB, dA, dB)
-    if keep == 0:
+    if keep == "A":
         return np.einsum("ijkj->ik", T)
-    return np.einsum("ijil->jl", T)
+    if keep == "B":
+        return np.einsum("ijil->jl", T)
+    raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def noninteracting_hamiltonian(terms) -> np.ndarray:
@@ -310,12 +305,10 @@ def random_observable(d: int, rng) -> np.ndarray:
     return (G + G.conj().T) / 2.0
 
 
-def random_density(d: int, rng, rank: int | None = None) -> np.ndarray:
-    """Random density matrix: G G^dag / tr for a Gaussian d x rank factor."""
+def random_density(d: int, rng) -> np.ndarray:
+    """Random density matrix: G G^dag / tr for a Gaussian d x d factor."""
     rng = np.random.default_rng(rng)
-    if rank is None:
-        rank = d
-    G = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     M = G @ G.conj().T
     return M / np.trace(M).real
 

@@ -202,17 +202,16 @@ def renyi_purity_monotone(rho, H, alpha: float,
     return MeasureValue.finite(max(float(np.sum(coeff * As)), 0.0))
 
 
-def qfi_via_fidelity(rho, H, h: float | None = None,
-                     tols: Tolerances = DEFAULT) -> float:
+def qfi_via_fidelity(rho, H, tols: Tolerances = DEFAULT) -> float:
     """QFI from the curvature of t -> fidelity(rho, e^{-iHt} rho e^{iHt}).
 
     Central second difference -4 (Fid(h) - 2 Fid(0) + Fid(-h)) / h^2 with
-    one Richardson extrapolation step (h and h/2).  A plain rho becomes a
+    one Richardson extrapolation step (h and h/2), h = tols.fd_step,
+    which must lie in [1e-4, 1e-2].  A plain rho becomes a
     DensityMatrix once here, so every fidelity takes sqrt(rho) from one
     cached eigendecomposition.
     """
-    if h is None:
-        h = tols.fd_step
+    h = tols.fd_step
     if not (1e-4 <= h <= 1e-2):
         raise ValidationError(f"step h must be in [1e-4, 1e-2], got {h}")
     rho_m, _ = _operands(rho, H)

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import coherence_forge
 
 from coherence_forge.channels import (
     apply,
@@ -276,3 +281,22 @@ def test_monotonicity_small_runs():
     assert rep.alpha == 1.5
     with pytest.raises(ValidationError):
         monotonicity_suite("nope", trials=1)
+
+
+def test_proptest_does_not_import_numpy_ma():
+    # np.unique pulls in numpy.ma (about 1.7 MB resident); a fresh
+    # interpreter that twirls must not load it
+    src = os.path.dirname(os.path.dirname(coherence_forge.__file__))
+    code = (
+        "import contextlib, io, sys\n"
+        "from coherence_forge.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['proptest', '--trials', '5', '--seed', '1'])\n"
+        "print(rc, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "False"]

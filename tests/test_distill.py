@@ -262,9 +262,8 @@ def _qubit_copies(lam, n):
     return rho, H
 
 
-def test_sector_solve_matches_full_space_solve():
-    # a rotated, degenerate H_A and a generic target: the sector-reduced
-    # problem and the one-sector problem on the same Omega agree
+def _rotated_instance():
+    """(Omega, H_A) for a rotated, degenerate H_A and a generic target."""
     rng = np.random.default_rng(64)
 
     def rotated(levels):
@@ -277,7 +276,13 @@ def test_sector_solve_matches_full_space_solve():
     H_B = rotated([0.0, 1.0, 3.0])
     sigma = random_density(6, rng)
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-    om = omega_state(sigma, H_A, psi, H_B)
+    return omega_state(sigma, H_A, psi, H_B), H_A
+
+
+def test_sector_solve_matches_full_space_solve():
+    # the sector-reduced problem and the one-sector problem on the same
+    # Omega agree
+    om, H_A = _rotated_instance()
     assert len(np.unique(om.sectors)) > 1
     full = single_sector(om.matrix.matrix, 6, 3)
     a = conditional_min_entropy(om)
@@ -285,6 +290,38 @@ def test_sector_solve_matches_full_space_solve():
     assert abs(a.optimum - b.optimum) < 1e-7
     # tau is block-diagonal over H_A's eigenspaces, in the caller's basis
     assert np.max(np.abs(a.tau @ H_A - H_A @ a.tau)) < 1e-9
+
+
+# (newton_steps, optimum) at commit e28f8b9, which solved the Newton
+# system in a real basis of the Hermitian blocks; solving it in tau's
+# complex block entries must take the same path
+PARENT_PATH = {
+    (1, 0.6): (93, 0.8000000062499851),
+    (1, 0.9): (92, 0.9500000062499989),
+    (2, 0.6): (95, 0.8000000124999995),
+    (2, 0.9): (95, 0.9500000125000001),
+    (3, 0.6): (92, 0.8683389908633298),
+    (3, 0.9): (96, 0.9789817693783244),
+    (4, 0.6): (94, 0.87575850592743),
+    (4, 0.9): (100, 0.9824722612870068),
+    "rotated sectors": (93, 0.8670921733107926),
+    "rotated full": (93, 0.8670921733107932),
+}
+
+
+def test_newton_path_matches_parent():
+    om, _ = _rotated_instance()
+    cases = {"rotated sectors": om,
+             "rotated full": single_sector(om.matrix.matrix, 6, 3)}
+    for n in range(1, 5):
+        for lam in (0.6, 0.9):
+            rho, H = _qubit_copies(lam, n)
+            cases[n, lam] = omega_state(rho, H, CBIT, H01)
+    for key, omega in cases.items():
+        steps, optimum = PARENT_PATH[key]
+        res = conditional_min_entropy(omega)
+        assert res.newton_steps == steps, key
+        assert abs(res.optimum - optimum) < 1e-12, key
 
 
 @pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])
@@ -341,7 +378,12 @@ def test_verify_certificate_rejects_tampering():
     assert verify_certificate(res, om) is res
     tau, X = res.tau, res.dual_certificate
     eye_A, eye = np.eye(tau.shape[0]), np.eye(X.shape[0])
+    # eigvalsh reads one triangle, so these pass every eigenvalue test
+    upper_A, upper = np.triu(np.ones_like(tau), 1), np.triu(np.ones_like(X), 1)
     tampered = [
+        (replace(res, tau=tau + upper_A), "tau is not Hermitian"),
+        (replace(res, dual_certificate=X + 0.3j * upper),
+         "dual X is not Hermitian"),
         (replace(res, tau=tau - 1e-6 * eye_A), "Omega has eigenvalue"),
         (replace(res, dual_certificate=X - 1e-6 * eye), "dual X has"),
         (replace(res, dual_certificate=1.001 * X), "Tr_B X"),

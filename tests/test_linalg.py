@@ -127,6 +127,9 @@ def test_partial_trace_of_product():
     ab = tensor(a, b)
     assert np.max(np.abs(partial_trace(ab, (2, 3), "A") - a)) < 1e-12
     assert np.max(np.abs(partial_trace(ab, (2, 3), "B") - b)) < 1e-12
+    for keep in (0, "C"):
+        with pytest.raises(ValidationError):
+            partial_trace(ab, (2, 3), keep)
 
 
 def test_noninteracting_hamiltonian_two_qubits():
