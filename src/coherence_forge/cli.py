@@ -9,6 +9,7 @@ environment variable (1234 if unset); --seed wins over the environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -217,7 +218,11 @@ def cmd_convert(args) -> int:
     if rate is None:
         rate = convert.max_rate(v1, H1, v2, H2)
         print(f"note: using max rate {rate!r}", file=sys.stderr)
-    copies = [int(tok) for tok in args.copies.split(",") if tok]
+    try:
+        copies = [int(tok) for tok in args.copies.split(",") if tok]
+    except ValueError:
+        raise ValidationError("--copies must be comma-separated integers, "
+                              f"got {args.copies!r}") from None
     plans = convert.iid_sweep(v1, H1, v2, H2, rate, copies)
     print("m,k,tv_error,fidelity_floor")
     for plan in plans:
@@ -327,7 +332,10 @@ def cmd_accept(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each parse returns a
+    fresh namespace, so one call's options never reach the next."""
     parser = argparse.ArgumentParser(
         prog="coherence-forge",
         description="Coherence and asymmetry toolkit: measures, optimal "
@@ -341,21 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ham", required=True)
     p.add_argument("--alpha", type=float, default=None,
                    help="also report the Renyi monotone at this order")
-    p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("purify", help="variance-optimal purification")
     p.add_argument("--state", required=True)
     p.add_argument("--ham", required=True)
     p.add_argument("--ensemble", action="store_true",
                    help="also emit the optimal pure-state ensemble")
-    p.set_defaults(func=cmd_purify)
 
     p = sub.add_parser("dist", help="clock energy distribution of copies")
     p.add_argument("--state", required=True)
     p.add_argument("--ham", required=True)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--copies", type=int, default=1)
-    p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("convert", help="iid conversion error sweep")
     p.add_argument("--in", dest="infiles", nargs=2, required=True,
@@ -365,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--copies", default="16,64,256")
-    p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("distill", help="single-shot distillation fidelity")
     p.add_argument("--in", dest="infiles", nargs=2, required=True,
@@ -373,12 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", nargs=2, required=True,
                    metavar=("STATE", "HAM"))
     p.add_argument("--copies", type=int, default=1)
-    p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("qubit-bound", help="qubit infidelity bound table")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--n", type=int, default=20)
-    p.set_defaults(func=cmd_qubit_bound)
 
     p = sub.add_parser("proptest", help="randomized property suites")
     p.add_argument("--suite", choices=["monotonicity"],
@@ -388,18 +390,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.5)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_proptest)
 
-    p = sub.add_parser("accept", help="run the acceptance suite")
-    p.set_defaults(func=cmd_accept)
+    sub.add_parser("accept", help="run the acceptance suite")
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at call time, not stored in the cached parser, so that a
+    # cmd_* replaced after the first call (a tracing wrapper) is the one run
+    cmd = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return cmd(args)
     except (SolverStallError, CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

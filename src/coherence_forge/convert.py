@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .config import DEFAULT, Tolerances
 from .errors import (
     IncommensurateSpectrumError,
@@ -99,26 +101,72 @@ def max_rate(psi1, H1, psi2, H2, tols: Tolerances = DEFAULT) -> float:
     return v1 / v2
 
 
+def _shift_bounds(p: IntegerDistribution, q: IntegerDistribution):
+    """LB(k) <= tv(p, shift(q, k)) for the shifts k = k_lo, k_lo + 1, ...
+    where the windows overlap (k_lo = p.support_min - q.support_max), and
+    a margin that covers the rounding of the cumsums behind it."""
+    cp = np.cumsum(p.probs)
+    cq = np.concatenate(([0.0], np.cumsum(q.probs)))
+    i0 = min(int(np.searchsorted(cp, 0.5 * cp[-1])), len(cp) - 1)
+    n = len(cp) + len(cq) - 2
+    # F_q(x0 - k), read from cq backwards
+    top = p.offset + i0 - q.offset + 1 - (p.support_min - q.support_max)
+    fq = cq[np.clip(np.arange(top, top - n, -1), 0, len(cq) - 1)]
+    lb = np.abs(cp[i0] - fq)                              # |A|
+    lb += np.abs(fq + ((cp[-1] - cp[i0]) - cq[-1]))       # |B|
+    lb *= 0.5
+    mass = float(np.sum(np.abs(p.probs)) + np.sum(np.abs(q.probs)))
+    return lb, 8.0 * n * np.finfo(float).eps * mass
+
+
 def best_shift(p: IntegerDistribution, q: IntegerDistribution,
                tols: Tolerances = DEFAULT):
     """Integer shift k of q minimizing tv(p, shift(q, k)).
 
-    Exhaustive over every k where the windows overlap.  Ties go to the
-    smaller |k|, then to the negative one.
+    Exact, but evaluates only the shifts that can still win.  With x0 at
+    p's median, split the line at x0; the triangle inequality on each half
+    gives, for every k at once from one cumsum of each operand,
+
+        LB(k) = (|A| + |B|) / 2 <= tv(p, shift(q, k)),
+        A = F_p(x0) - F_q(x0 - k),
+        B = (M_p - F_p(x0)) - (M_q - F_q(x0 - k)),
+
+    with F the cumulative mass and M the total mass (neither need be 1).
+    Shifts are visited in ascending LB; the search stops at the first k
+    whose LB, less a margin for cumsum rounding, exceeds the best tv so
+    far by more than the 1e-15 tie width.  Every shift not visited has a
+    tv above that, so it could neither beat nor tie the minimum.  The
+    visited shifts then go through the tie rule in ascending k: a smaller
+    tv by more than 1e-15 wins, and ties go to the smaller |k|, then to
+    the negative one.
     """
     k_lo = p.support_min - q.support_max
-    k_hi = p.support_max - q.support_min
+    lb, margin = _shift_bounds(p, q)
+    i_min = int(np.argmin(lb))
+    best_e = tv_distance(p, shift(q, k_lo + i_min))
+    visited = [(k_lo + i_min, best_e)]
+    # only the shifts whose bound is within reach of that first tv are
+    # sorted, and the full-length bound array is freed before the search
+    near = np.flatnonzero(lb - margin <= best_e + 1e-15)
+    lb = lb[near]
+    for j in np.argsort(lb, kind="stable"):
+        if lb[j] - margin > best_e + 1e-15:
+            break
+        if near[j] != i_min:
+            k = k_lo + int(near[j])
+            e = tv_distance(p, shift(q, k))
+            visited.append((k, e))
+            best_e = min(best_e, e)
     best_k = None
     best_e = math.inf
-    for k in range(k_lo, k_hi + 1):
-        e = tv_distance(p, shift(q, k))
+    for k, e in sorted(visited):
         better = e < best_e - 1e-15
         tie = abs(e - best_e) <= 1e-15
         if better or (tie and (abs(k) < abs(best_k)
                                or (abs(k) == abs(best_k) and k < best_k))):
             best_k, best_e = k, e
     if best_k is None:
-        # windows never overlap for any k in range; any k gives tv = 1
+        # every tv was NaN (a NaN mass); no shift can be certified
         best_k, best_e = 0, 1.0
     return int(best_k), float(best_e)
 
@@ -142,12 +190,15 @@ def iid_sweep(psi1, H1, psi2, H2, R: float, m_list,
     (R snapped to a rational first so the ceiling never flickers at
     representable boundaries).
     """
-    if R <= 0:
-        raise ValidationError(f"rate must be positive, got {R}")
+    if not 0 < R < math.inf:
+        raise ValidationError(f"rate must be positive and finite, got {R}")
+    r = Fraction(R).limit_denominator(tols.max_denominator)
+    if r == 0:
+        raise ValidationError(f"rate {R} snaps to 0 at denominator "
+                              f"<= {tols.max_denominator}")
     tau = _common_period(psi1, H1, psi2, H2, tols)
     p = extract_distribution(psi1, H1, tau, tols).distribution
     q = extract_distribution(psi2, H2, tau, tols).distribution
-    r = Fraction(R).limit_denominator(tols.max_denominator)
     plans = []
     for m in m_list:
         m = int(m)

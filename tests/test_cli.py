@@ -165,6 +165,58 @@ def test_convert_below_rate_improves_with_copies(fixtures):
     assert float(rows[1][2]) < float(rows[0][2])
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--rate", "nan"), ("--rate", "inf"),
+    ("--rate", "1e-300"),   # snaps to 0 at the rate's max denominator
+    ("--copies", "abc"), ("--copies", "16,x"),
+])
+def test_convert_refuses_bad_rate_and_copies(fixtures, capsys, flag, value):
+    argv = ["convert", "--in", fixtures["u023"], fixtures["h4"],
+            "--out", fixtures["cbit"], fixtures["h2"],
+            "--rate", "1.0", "--copies", "8"]
+    argv[argv.index(flag) + 1] = value
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag.lstrip("-") in err
+
+
+def test_cached_parser_matches_fresh_processes(fixtures, capsys):
+    # the parser is built once per process; options of one call, and the
+    # defaults they override, must not reach the next
+    convert = ["convert", "--in", fixtures["u023"], fixtures["h4"],
+               "--out", fixtures["cbit"], fixtures["h2"], "--copies", "8,16"]
+    measures = ["measures", "--state", fixtures["rho"],
+                "--ham", fixtures["hz_dense"]]
+    calls = [convert + ["--rate", "2.5"], convert,
+             measures + ["--alpha", "2.0"], measures,
+             ["dist", "--state", fixtures["cbit"], "--ham", fixtures["h2"],
+              "--copies", "3"],
+             ["dist", "--state", fixtures["cbit"], "--ham", fixtures["h2"]]]
+    outs = []
+    for argv in calls:
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] != outs[1] and outs[2] != outs[3] and outs[4] != outs[5]
+    for argv, out in zip(calls, outs):
+        res = run_cli(*argv)
+        assert res.returncode == 0
+        assert res.stdout == out
+
+
+def test_command_replaced_after_first_call_is_run(monkeypatch, capsys):
+    # the cached parser names the command; the function is looked up per
+    # call, so a wrapper installed later (as tracing does) sees the call
+    assert cli.main(["qubit-bound", "--lambda", "0.6", "--n", "1"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_qubit_bound",
+                        lambda args: seen.append(args.n) or 0)
+    assert cli.main(["qubit-bound", "--lambda", "0.6", "--n", "2"]) == 0
+    assert seen == [2]
+    capsys.readouterr()
+
+
 def test_distill_single_and_double_copy(fixtures):
     for copies, expect in (("1", 0.8), ("2", 0.8)):
         res = run_cli("distill", "--in", fixtures["rho"], fixtures["h2"],

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from coherence_forge.clockdist import integer_distribution
+from coherence_forge import convert
+from coherence_forge.clockdist import (
+    IntegerDistribution,
+    integer_distribution,
+    shift,
+    tv_distance,
+)
 from coherence_forge.convert import (
     best_shift,
     coherence_cost,
@@ -71,6 +77,95 @@ def test_best_shift():
     q1 = integer_distribution(0, [1.0])
     k, e = best_shift(p3, q1)
     assert k in (0, 1) and abs(e - 0.5) < 1e-12
+
+
+def _exhaustive_shift(p, q):
+    """Reference: every k where the windows overlap, same tie rule."""
+    best_k, best_e = None, math.inf
+    for k in range(p.support_min - q.support_max,
+                   p.support_max - q.support_min + 1):
+        e = tv_distance(p, shift(q, k))
+        better = e < best_e - 1e-15
+        tie = abs(e - best_e) <= 1e-15
+        if better or (tie and (abs(k) < abs(best_k)
+                               or (abs(k) == abs(best_k) and k < best_k))):
+            best_k, best_e = k, e
+    return int(best_k), float(best_e)
+
+
+def _random_pair(rng, kind):
+    def draw(n):
+        a = rng.random(n) * (rng.random(n) < 0.6)   # interior zeros
+        a[[0, -1]] += rng.random(2)                 # nonzero at both ends
+        return a / a.sum()
+
+    def off():
+        return int(rng.integers(-40, 41))            # negative offsets too
+
+    p = IntegerDistribution(off(), draw(int(rng.integers(1, 25))))
+    if kind == 0:     # two unrelated distributions
+        return p, IntegerDistribution(off(), draw(int(rng.integers(1, 25))))
+    if kind == 1:     # a point mass on either side
+        pm = IntegerDistribution(off(), np.array([1.0]))
+        return (p, pm) if rng.random() < 0.5 else (pm, p)
+    if kind == 2:     # p == q
+        return p, p
+    if kind == 3:     # a shifted copy: tv 0 at exactly one k
+        return p, shift(p, off())
+    # ties: a palindrome against a point mass or another palindrome, or
+    # two equal masses against a point mass, centred near 0 so that k and
+    # -k compete
+    h = rng.random(int(rng.integers(1, 6)))
+    pal = np.concatenate([h, h[::-1][int(rng.integers(0, 2)):]])
+    p = IntegerDistribution(-(len(pal) // 2), pal / pal.sum())
+    if kind == 4:
+        return p, IntegerDistribution(0, np.array([1.0]))
+    if kind == 5:
+        gap = int(rng.integers(1, 6))
+        two = np.zeros(gap + 1)
+        two[[0, gap]] = 0.5
+        return IntegerDistribution(-(gap // 2), two), \
+            IntegerDistribution(0, np.array([1.0]))
+    h = rng.random(int(rng.integers(1, 4)))
+    pal2 = np.concatenate([h, h[::-1][int(rng.integers(0, 2)):]])
+    return p, IntegerDistribution(-(len(pal2) // 2), pal2 / pal2.sum())
+
+
+def test_best_shift_matches_exhaustive(monkeypatch):
+    rng = np.random.default_rng(90)
+    for i in range(350):
+        p, q = _random_pair(rng, i % 7)
+        assert best_shift(p, q) == _exhaustive_shift(p, q), (p, q)
+    # the m-copy pairs of acceptance criterion 8, as iid_sweep builds them
+    seen = []
+
+    def checked(p, q, tols):
+        got = best_shift(p, q, tols)
+        assert got == _exhaustive_shift(p, q)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(convert, "best_shift", checked)
+    for psi, H in ((CBIT, H_CBIT), (U023, H4)):
+        R = max_rate(psi, H, CBIT, H_CBIT)
+        for f in (0.9, 1.1):
+            iid_sweep(psi, H, CBIT, H_CBIT, f * R, (16, 64, 256, 1024))
+    assert len(seen) == 16
+
+
+def test_best_shift_budget(monkeypatch):
+    # u023 -> cbit at 0.9R, 4096 copies: 35227 candidate shifts, each a
+    # tv evaluation for the exhaustive search
+    calls = []
+
+    def counted(p, q):
+        calls.append(1)
+        return tv_distance(p, q)
+
+    monkeypatch.setattr(convert, "tv_distance", counted)
+    (plan,) = iid_sweep(U023, H4, CBIT, H_CBIT, 0.9 * 56.0 / 9.0, (4096,))
+    assert (plan.shift_k, plan.tv_error) == (-4642, 0.025507420161638858)
+    assert len(calls) <= 64
 
 
 def test_single_shot_identity():
