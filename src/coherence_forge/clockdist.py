@@ -31,6 +31,14 @@ from .linalg import (
     pure_state,
 )
 
+# np.convolve is direct, O(W^2) in the window W: the last squaring at
+# W = 2**17 takes about 1.5 s on one Xeon core, at 2**18 about 7 s.  2**17
+# admits the 112k-entry windows of a 16384-copy conversion sweep at 1.1x
+# the u023 -> cbit rate.  extract_distribution holds its level window to
+# the same budget, so a near-degenerate level pair cannot make it build
+# an array of millions of entries that no convolution could take.
+MAX_CONV_WINDOW = 2**17
+
 
 @dataclass(frozen=True)
 class IntegerDistribution:
@@ -73,6 +81,8 @@ def integer_distribution(offset: int, probs,
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         raise ValidationError("probs must be a nonempty 1-D array")
+    if not np.all(np.isfinite(probs)):
+        raise ValidationError("masses must be finite")
     if np.min(probs) < -tols.prob:
         raise ValidationError(f"negative mass {np.min(probs):.3e}")
     total = float(np.sum(probs))
@@ -164,26 +174,22 @@ def extract_distribution(psi, H, tau: float,
     Occupied levels must sit on the grid E_min + (2*pi/tau) * n within
     level_rel grid units, else IncommensurateSpectrum.  The lowest occupied
     level maps to n = 0.  psi and H are coerced by occupied_levels, which
-    reads H's spectrum through one cached eigensolve.
+    reads H's spectrum through one cached eigensolve.  ValidationError
+    when the levels span more than MAX_CONV_WINDOW integers.
     """
     if tau <= 0:
         raise ValidationError(f"tau must be positive, got {tau}")
     energies, masses = occupied_levels(psi, H, tols)
     ns = snap_levels(energies, energies[0], tau, tols).tolist()
+    if ns[-1] >= MAX_CONV_WINDOW:
+        raise ValidationError(f"occupied levels span {ns[-1] + 1} integers, "
+                              f"above the budget of {MAX_CONV_WINDOW}")
     probs = np.bincount(ns, weights=masses)
     dist = integer_distribution(0, probs / probs.sum(), tols)
     g = math.gcd(*ns)
     per = 0.0 if g == 0 else tau / g
     return PeriodicClockState(levels=tuple(sorted(set(ns))),
                               distribution=dist, period=per)
-
-
-def period(psi, H, tau_ref: float, tols: Tolerances = DEFAULT) -> float:
-    """Recurrence time of psi under H: tau_ref / gcd(occupied levels).
-
-    Returns 0.0 for energy eigenstates (stationary, no period).
-    """
-    return extract_distribution(psi, H, tau_ref, tols).period
 
 
 def shift(p: IntegerDistribution, k: int) -> IntegerDistribution:
@@ -197,9 +203,16 @@ def _convolve(p: IntegerDistribution,
 
 
 def convolve_n(p: IntegerDistribution, m: int) -> IntegerDistribution:
-    """Exact m-fold convolution by repeated squaring."""
+    """Exact m-fold convolution by repeated squaring.  ValidationError,
+    before any convolution, when the result window passes MAX_CONV_WINDOW.
+    """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
+    window = m * (len(p.probs) - 1) + 1
+    if window > MAX_CONV_WINDOW:
+        raise ValidationError(f"{m}-fold convolution needs a window of "
+                              f"{window} entries, above the budget of "
+                              f"{MAX_CONV_WINDOW}")
     result = None
     base = p
     k = m

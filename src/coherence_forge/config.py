@@ -53,7 +53,7 @@ class Tolerances:
     # Generic numeric slack for identities that hold exactly in theory
     num: float = 1e-9
 
-    # Rational snapping of measured gaps and rates
+    # Rational snapping of gap ratios and rates
     max_denominator: int = 10**6
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import (
-    IncommensurateSpectrumError,
     PeriodMismatchError,
     ValidationError,
     ZeroTargetQFIError,
@@ -32,6 +31,7 @@ from .clockdist import (
     shift,
     tv_distance,
 )
+from .linalg import HermitianObservable, observable
 from .measures import energy_variance, qfi
 from .purification import coherence_sectors
 
@@ -60,24 +60,25 @@ def intrinsic_period(psi, H, tols: Tolerances = DEFAULT) -> float:
     """Recurrence time of a pure state from its occupied energy gaps.
 
     The gaps between the mean energies of the occupied levels (see
-    clockdist.occupied_levels) are snapped to rationals (denominator <=
-    max_denominator); the period is 2*pi over their gcd.  0.0 flags an
-    energy eigenstate.  IncommensurateSpectrum when a gap will not snap.
+    clockdist.occupied_levels) are divided by the smallest gap, and each
+    ratio is snapped to a rational (denominator <= max_denominator) only
+    to pick a candidate grid: with k the lcm of those denominators, the
+    period is the one extract_distribution gives at tau' = 2*pi*k /
+    (smallest gap), so snap_levels accepts or rejects the levels in grid
+    units and the rule does not depend on the units of H.  0.0 flags an
+    energy eigenstate.  IncommensurateSpectrum when a level is off that
+    grid.
     """
+    if not isinstance(H, HermitianObservable):
+        H = observable(H, tols)   # one eigensolve serves both reads of H
     energies, _ = occupied_levels(psi, H, tols)
-    gaps = (energies[1:] - energies[0]).tolist()
-    if not gaps:
+    gaps = energies[1:] - energies[0]
+    if not gaps.size:
         return 0.0
-    fracs = [Fraction(x).limit_denominator(tols.max_denominator) for x in gaps]
-    for gap, f in zip(gaps, fracs):
-        if abs(gap - float(f)) > tols.level_rel * max(1.0, abs(gap)):
-            raise IncommensurateSpectrumError(
-                f"gap {gap:.12g} is not rational at denominator "
-                f"<= {tols.max_denominator}"
-            )
-    den = math.lcm(*(f.denominator for f in fracs))
-    num = math.gcd(*(f.numerator * (den // f.denominator) for f in fracs))
-    return 2.0 * math.pi / float(Fraction(num, den))
+    k = math.lcm(*(Fraction(x).limit_denominator(tols.max_denominator)
+                   .denominator for x in (gaps / gaps[0]).tolist()))
+    return extract_distribution(psi, H, 2.0 * math.pi * k / gaps[0],
+                                tols).period
 
 
 def _common_period(psi1, H1, psi2, H2, tols: Tolerances) -> float:
@@ -98,7 +99,7 @@ def max_rate(psi1, H1, psi2, H2, tols: Tolerances = DEFAULT) -> float:
         raise ZeroTargetVarianceError("target state has no energy spread")
     _common_period(psi1, H1, psi2, H2, tols)
     v1 = energy_variance(psi1, H1, tols)
-    return v1 / v2
+    return float(v1 / v2)
 
 
 def _shift_bounds(p: IntegerDistribution, q: IntegerDistribution):

@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import DimMismatchError, PeriodMismatchError, ValidationError
+from .clockdist import snap_levels
+from .errors import (
+    DimMismatchError,
+    IncommensurateSpectrumError,
+    PeriodMismatchError,
+    ValidationError,
+)
 from .linalg import (
     HermitianObservable,
     PureState,
@@ -246,8 +252,9 @@ def coherence_sectors(rho, H, tau: float, tols: Tolerances):
     Returns (sector projectors, gcd of the coherence-gap integers).  Two
     levels are coherent when a block of rho between them has an entry
     above rank_cutoff; a sector is a class of the transitive closure of
-    that relation.  Raises PeriodMismatchError when the mean-energy gap
-    of a coherent pair is not an integer multiple of 2*pi/tau.
+    that relation.  The mean-energy gaps of coherent pairs go through
+    snap_levels on the 2*pi/tau grid; PeriodMismatchError when one is
+    off it.
     """
     rho = state_matrix(rho)
     w, V = obs_eig(H, tols)
@@ -260,13 +267,11 @@ def coherence_sectors(rho, H, tau: float, tols: Tolerances):
                   np.abs(V.conj().T @ rho @ V))
     coherent = C > tols.rank_cutoff
     lo, hi = np.nonzero(np.triu(coherent, 1))
-    gaps = energy[hi] - energy[lo]
-    unit = 2.0 * np.pi / tau
-    ks = np.rint(gaps / unit)
-    off = np.abs(gaps - ks * unit) > tols.level_rel * unit
-    if np.any(off):
-        raise PeriodMismatchError(f"coherence gap {gaps[np.argmax(off)]:.6g} "
-                                  "is not a multiple of 2*pi/tau")
+    try:
+        ks = snap_levels(energy[hi] - energy[lo], 0.0, tau, tols)
+    except IncommensurateSpectrumError as exc:
+        raise PeriodMismatchError("a coherence gap is not a multiple of "
+                                  f"2*pi/tau: {exc}") from exc
     # k squarings reach along paths of up to 2**k links; L - 1 suffice
     reach = coherent | coherent.T | np.eye(L, dtype=bool)
     for _ in range((L - 1).bit_length()):
@@ -277,7 +282,7 @@ def coherence_sectors(rho, H, tau: float, tols: Tolerances):
     for s in leads:
         Vs = V[:, reach[s][lab]]
         projectors.append(Vs @ Vs.conj().T)
-    return projectors, math.gcd(*np.abs(ks).astype(int).tolist())
+    return projectors, math.gcd(*ks.tolist())
 
 
 def period_respecting_ensemble(rho, H, tau: float,

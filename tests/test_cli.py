@@ -182,6 +182,50 @@ def test_convert_refuses_bad_rate_and_copies(fixtures, capsys, flag, value):
     assert flag.lstrip("-") in err
 
 
+@pytest.mark.parametrize("argv", [
+    # 16 copies in, 1.6 million cbit copies out
+    ["convert", "--in", "cbit", "h2", "--out", "cbit", "h2",
+     "--rate", "100000", "--copies", "16"],
+    ["dist", "--state", "cbit", "--ham", "h2", "--copies", "3000000"],
+])
+def test_oversized_convolutions_are_refused(fixtures, capsys, argv):
+    argv = [fixtures.get(a, a) for a in argv]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "window" in err
+
+
+def test_convert_max_rate_note_prints_a_plain_float(fixtures, capsys):
+    assert cli.main(["convert", "--in", fixtures["cbit"], fixtures["h2"],
+                     "--out", fixtures["cbit"], fixtures["h2"],
+                     "--copies", "8"]) == 0
+    assert capsys.readouterr().err == "note: using max rate 1.0\n"
+
+
+def test_convert_is_independent_of_the_files_tau(fixtures, capsys):
+    # levels-form files at tau = 1 carry H = 2*pi*n: the same integer
+    # distributions as at tau = 2*pi, so the same certificates
+    def dump(name, levels, tau):
+        path = fixtures["dir"] / name
+        path.write_text(json.dumps({"levels_in_2pi_over_tau": levels,
+                                    "tau": tau}))
+        return str(path)
+
+    rows = []
+    for tau in (TAU, 1.0):
+        argv = ["convert", "--in", fixtures["u023"],
+                dump("h4t.json", [0, 1, 2, 3], tau),
+                "--out", fixtures["cbit"], dump("h2t.json", [0, 1], tau),
+                "--rate", repr(0.9 * 56.0 / 9.0), "--copies", "16,256"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        rows.append([ln.split(",") for ln in lines])
+    for r2pi, r1 in zip(*rows):
+        assert r2pi[:2] == r1[:2]
+        assert abs(float(r2pi[2]) - float(r1[2])) < 1e-12
+
+
 def test_cached_parser_matches_fresh_processes(fixtures, capsys):
     # the parser is built once per process; options of one call, and the
     # defaults they override, must not reach the next

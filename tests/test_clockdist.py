@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from coherence_forge.clockdist import (
+    MAX_CONV_WINDOW,
+    IntegerDistribution,
     _poisson_window,
     barbour_bound,
     barbour_terms,
@@ -11,7 +13,6 @@ from coherence_forge.clockdist import (
     extract_distribution,
     integer_distribution,
     overlap_copy_count,
-    period,
     poisson_distance_bound,
     shift,
     snap_levels,
@@ -46,7 +47,6 @@ def test_extract_gap_two_halves_period():
     clock = extract_distribution(psi, H, TAU)
     assert clock.levels == (0, 2)
     assert abs(clock.period - TAU / 2) < 1e-12
-    assert abs(period(psi, H, TAU) - TAU / 2) < 1e-12
 
 
 def test_extract_uniform_023():
@@ -99,6 +99,28 @@ def test_integer_distribution_validation():
         integer_distribution(0, [0.5, 0.4])
     with pytest.raises(ValidationError):
         integer_distribution(0, [1.2, -0.2])
+    # NaN fails every comparison, so the negativity and sum checks alone
+    # would let it through
+    for bad in ([math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]):
+        with pytest.raises(ValidationError):
+            integer_distribution(0, bad)
+
+
+def test_convolve_n_refuses_windows_over_budget(monkeypatch):
+    def no_convolve(*args, **kwargs):
+        raise AssertionError("np.convolve called")
+
+    monkeypatch.setattr(np, "convolve", no_convolve)
+    p = integer_distribution(0, [0.25, 0.5, 0.25])
+    # 2 m + 1 entries: the first m past the budget is refused unconvolved
+    with pytest.raises(ValidationError):
+        convolve_n(p, MAX_CONV_WINDOW // 2)
+    with pytest.raises(ValidationError):
+        convolve_n(integer_distribution(0, [0.5, 0.5]), 3_000_000)
+    # a window of exactly the budget is admitted
+    wide = IntegerDistribution(0, np.full(MAX_CONV_WINDOW,
+                                          1.0 / MAX_CONV_WINDOW))
+    assert convolve_n(wide, 1) is wide
 
 
 def test_convolution_moments():

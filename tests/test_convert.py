@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from coherence_forge import convert
 from coherence_forge.clockdist import (
     IntegerDistribution,
     integer_distribution,
+    occupied_levels,
     shift,
     tv_distance,
 )
+from coherence_forge.config import DEFAULT
 from coherence_forge.convert import (
     best_shift,
     coherence_cost,
@@ -22,6 +25,7 @@ from coherence_forge.convert import (
 from coherence_forge.errors import (
     IncommensurateSpectrumError,
     PeriodMismatchError,
+    ValidationError,
     ZeroTargetQFIError,
     ZeroTargetVarianceError,
 )
@@ -49,8 +53,85 @@ def test_intrinsic_period():
         intrinsic_period(psi, np.diag([0.0, 1.0, 1.0 + 5e-7]))
 
 
+def _rational_period(psi, H, tols=DEFAULT):
+    """Reference: the rational rule, which snaps each gap to a rational
+    with the absolute slack level_rel * max(1, |gap|) and takes 2*pi over
+    the rationals' gcd."""
+    energies, _ = occupied_levels(psi, H, tols)
+    gaps = (energies[1:] - energies[0]).tolist()
+    if not gaps:
+        return 0.0
+    fracs = [Fraction(x).limit_denominator(tols.max_denominator)
+             for x in gaps]
+    for gap, f in zip(gaps, fracs):
+        if abs(gap - float(f)) > tols.level_rel * max(1.0, abs(gap)):
+            raise IncommensurateSpectrumError(gap)
+    den = math.lcm(*(f.denominator for f in fracs))
+    num = math.gcd(*(f.numerator * (den // f.denominator) for f in fracs))
+    return 2.0 * math.pi / float(Fraction(num, den))
+
+
+def test_intrinsic_period_matches_rational_reference():
+    # rotated integer-level states at scales where the rational rule
+    # holds: the grid rule must give the same periods
+    rng = np.random.default_rng(101)
+    scales = (1.0, 0.5, 2.0 / 3.0, 3.0, 1.0 / 7.0)
+    for i in range(400):
+        d = int(rng.integers(2, 7))
+        levels = rng.integers(-5, 21, size=d).astype(float)
+        G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        B, _ = np.linalg.qr(G)
+        H = scales[i % 5] * (B * levels) @ B.conj().T
+        amp = rng.normal(size=d) * (rng.random(d) < 0.7)
+        amp[int(rng.integers(d))] += 1.0
+        psi = B @ (amp / np.linalg.norm(amp))
+        ref = _rational_period(psi, H)
+        got = intrinsic_period(psi, H)
+        assert abs(got - ref) <= 1e-12 * ref, (i, got, ref)
+
+
+@pytest.mark.parametrize("s", [1e-7, math.sqrt(2), math.pi, 1e6])
+def test_intrinsic_period_is_scale_free(s):
+    # a rule with an absolute slack per gap refuses 1e-7, and gives u023
+    # at sqrt(2) or pi a period near 1.2e12 * 2*pi
+    for psi, H in ((CBIT, np.diag([0.0, 1.0])), (U023, H4)):
+        assert abs(intrinsic_period(psi, s * H) * s / TAU - 1.0) < 1e-12
+
+
+def test_intrinsic_period_rejects_irrational_gap_ratio():
+    # 1 + sqrt(2) is irrational, yet a denominator of 665857 hits it
+    # within an absolute slack of 1e-9
+    psi = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
+    with pytest.raises(IncommensurateSpectrumError):
+        intrinsic_period(psi, np.diag([0.0, 1.0, 1.0 + math.sqrt(2)]))
+
+
+def test_intrinsic_period_refuses_a_grid_wider_than_the_budget():
+    # gaps 2**-18 and 1 put the levels at 0, 1 and 2**18 on the grid
+    psi = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
+    with pytest.raises(ValidationError):
+        intrinsic_period(psi, np.diag([0.0, 2.0 ** -18, 1.0]))
+
+
+def test_plain_hamiltonians_are_eigendecomposed_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(M, *args, **kwargs):
+        calls.append(len(M))
+        return eigh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    intrinsic_period(U023, H4)
+    assert len(calls) == 1
+    calls.clear()
+    iid_sweep(U023, H4, CBIT, H_CBIT, 5.0, (4,))
+    assert len(calls) <= 4   # two periods and two distributions
+
+
 def test_max_rate_reference_values():
     assert abs(max_rate(CBIT, H_CBIT, CBIT, H_CBIT) - 1.0) < 1e-12
+    assert type(max_rate(CBIT, H_CBIT, CBIT, H_CBIT)) is float
     assert abs(max_rate(U023, H4, CBIT, H_CBIT) - 56.0 / 9.0) < 1e-9
     assert abs(max_rate(CBIT, H_CBIT, U023, H4) - 9.0 / 56.0) < 1e-9
 
