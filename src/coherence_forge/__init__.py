@@ -22,13 +22,11 @@ from .errors import (
     IncommensurateSpectrumError,
     NonHermitianError,
     PeriodMismatchError,
-    PureInputError,
     SchemaError,
     SearchExhaustedError,
     SolverStallError,
     ValidationError,
     ZeroNuError,
-    ZeroTargetQFIError,
     ZeroTargetVarianceError,
     ZeroVarianceError,
 )
@@ -50,15 +48,11 @@ from .linalg import (
     partial_trace,
     pure_state,
     tensor,
-    trace_distance,
 )
 from .measures import (
     MeasureValue,
-    cor_var_ceiling,
     energy_variance,
-    near_pure_bound,
     purity_of_coherence,
-    q2_divergence,
     qfi,
     qfi_via_fidelity,
     renyi_purity_monotone,
@@ -68,7 +62,6 @@ from .measures import (
 from .purification import (
     Purification,
     PureEnsemble,
-    aux_qfi,
     build_optimal_purification,
     canonical_purification,
     coherence_sectors,
@@ -76,7 +69,6 @@ from .purification import (
     optimal_aux_hamiltonian,
     optimal_ensemble,
     period_respecting_ensemble,
-    transpose_purification_variance,
 )
 from .clockdist import (
     IntegerDistribution,
@@ -89,7 +81,6 @@ from .clockdist import (
     integer_distribution,
     occupied_levels,
     overlap_copy_count,
-    poisson_distance_bound,
     shift,
     snap_levels,
     tp_distance,
@@ -103,8 +94,6 @@ from .convert import (
     iid_sweep,
     intrinsic_period,
     max_rate,
-    rate_feasibility,
-    single_shot_bound,
 )
 from .channels import (
     KrausChannel,
@@ -124,9 +113,7 @@ from .distill import (
     cirac_comparison,
     conditional_min_entropy,
     distillation_copy_floor,
-    helper_bound,
     is_bound_resource,
-    max_distill_fidelity,
     omega_state,
     qubit_infidelity_bound,
     single_sector,

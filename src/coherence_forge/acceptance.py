@@ -233,7 +233,8 @@ def criterion_7() -> CriterionResult:
     ok = True
     notes = []
     for name, p in fixtures.items():
-        tvs = [clockdist.tp_distance(p, m) for m in ms]
+        tvs = [clockdist.tp_distance(p, m, clockdist.convolve_n(p, m))
+               for m in ms]
         bounds = [clockdist.barbour_bound(p, m) for m in ms]
         if not (tvs[0] > tvs[1] > tvs[2]):
             ok = False

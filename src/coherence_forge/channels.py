@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .clockdist import snap_levels
+from .convert import coherence_cost
 from .errors import DimMismatchError, ValidationError
 from .linalg import obs_eig, state_matrix
 from .measures import (
@@ -194,8 +195,7 @@ def _measure(measure_id: str, rho, H, tau: float, alpha: float,
     if measure_id == "renyi":
         return renyi_purity_monotone(rho, H, alpha, tols)
     if measure_id == "cost":
-        scale = tau / (2.0 * math.pi)
-        return MeasureValue.finite(scale * scale * qfi(rho, H, tols))
+        return MeasureValue.finite(coherence_cost(rho, H, tau, tols))
     raise ValidationError(f"unknown measure id {measure_id!r}")
 
 

@@ -134,7 +134,7 @@ def _mv(value) -> object:
 
 def cmd_measures(args) -> int:
     st = load_state(args.state)
-    H, _, _ = load_hamiltonian(args.ham)
+    H, tau, dense = load_hamiltonian(args.ham)
     pure = isinstance(st, PureState)
     # one cached spectrum serves every measure; the vector keeps the variance
     rho = density_matrix(st.density()) if pure else st
@@ -143,6 +143,8 @@ def cmd_measures(args) -> int:
         "P": _mv(measures.purity_of_coherence(rho, H)),
         "W": measures.skew_information(rho, H),
         "variance_if_pure": measures.energy_variance(st, H) if pure else None,
+        # in units of the reference qubit that the levels form's tau fixes
+        "cost": None if dense else convert.coherence_cost(rho, H, tau),
         "support_commutes": measures.support_commutes(rho, H),
     }
     if args.alpha is not None:
@@ -194,7 +196,8 @@ def cmd_dist(args) -> int:
     summary = {
         "period": clock.period,
         "L": L,
-        "tv_to_tp": clockdist.tp_distance(clock.distribution, args.copies),
+        "tv_to_tp": clockdist.tp_distance(clock.distribution, args.copies,
+                                           p_m),
         "barbour_bound": _mv(bound),
     }
     # the summary is built first, so an error never leaves half a table

@@ -343,18 +343,9 @@ def barbour_bound(p: IntegerDistribution, m: int,
     return t.c / math.sqrt(m * t.b - 0.5) + 2.0 / (m * t.a)
 
 
-def tp_distance(p: IntegerDistribution, m: int,
+def tp_distance(p: IntegerDistribution, m: int, conv: IntegerDistribution,
                 tols: Tolerances = DEFAULT) -> float:
-    """tv(p^{*m}, TP(m mu, m var)): the quantity barbour_bound dominates."""
-    conv = convolve_n(p, m)
+    """tv(conv, TP(m mu, m var)) for conv = convolve_n(p, m), which the
+    caller already holds: the quantity barbour_bound dominates."""
     tp = translated_poisson(m * p.mean(), m * p.variance(), tols)
     return tv_distance(conv, tp.dist)
-
-
-def poisson_distance_bound(sigma2: float, x: float) -> float:
-    """Total-variation bound between Poisson(sigma2) and Poisson(sigma2+x):
-    min(x, sqrt(2/e) (sqrt(sigma2+x) - sqrt(sigma2)))."""
-    if sigma2 < 0 or x < 0:
-        raise ValidationError("sigma2 and x must be >= 0")
-    return min(x, math.sqrt(2.0 / math.e)
-               * (math.sqrt(sigma2 + x) - math.sqrt(sigma2)))

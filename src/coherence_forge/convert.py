@@ -20,7 +20,6 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     PeriodMismatchError,
     ValidationError,
-    ZeroTargetQFIError,
     ZeroTargetVarianceError,
 )
 from .clockdist import (
@@ -56,6 +55,11 @@ def _plan(rate, m, m2, k, eps) -> ConversionPlan:
                           fidelity_lower_bound=max(0.0, 1.0 - 2.0 * eps))
 
 
+def _observable(H, tols: Tolerances) -> HermitianObservable:
+    """H with its eigendecomposition cached, solving a plain array once."""
+    return H if isinstance(H, HermitianObservable) else observable(H, tols)
+
+
 def intrinsic_period(psi, H, tols: Tolerances = DEFAULT) -> float:
     """Recurrence time of a pure state from its occupied energy gaps.
 
@@ -69,8 +73,7 @@ def intrinsic_period(psi, H, tols: Tolerances = DEFAULT) -> float:
     energy eigenstate.  IncommensurateSpectrum when a level is off that
     grid.
     """
-    if not isinstance(H, HermitianObservable):
-        H = observable(H, tols)   # one eigensolve serves both reads of H
+    H = _observable(H, tols)   # one eigensolve serves both reads of H
     energies, _ = occupied_levels(psi, H, tols)
     gaps = energies[1:] - energies[0]
     if not gaps.size:
@@ -172,16 +175,6 @@ def best_shift(p: IntegerDistribution, q: IntegerDistribution,
     return int(best_k), float(best_e)
 
 
-def single_shot_bound(psi1, H1, psi2, H2, tau: float,
-                      tols: Tolerances = DEFAULT) -> ConversionPlan:
-    """One-copy conversion certificate: extract both distributions at the
-    given reference period, shift-match them, floor = 1 - 2 eps."""
-    p = extract_distribution(psi1, H1, tau, tols).distribution
-    q = extract_distribution(psi2, H2, tau, tols).distribution
-    k, eps = best_shift(p, q, tols)
-    return _plan(1.0, 1, 1, k, eps)
-
-
 def iid_sweep(psi1, H1, psi2, H2, R: float, m_list,
               tols: Tolerances = DEFAULT):
     """Conversion certificates at rate R for each copy count in m_list.
@@ -197,6 +190,7 @@ def iid_sweep(psi1, H1, psi2, H2, R: float, m_list,
     if r == 0:
         raise ValidationError(f"rate {R} snaps to 0 at denominator "
                               f"<= {tols.max_denominator}")
+    H1, H2 = _observable(H1, tols), _observable(H2, tols)
     tau = _common_period(psi1, H1, psi2, H2, tols)
     p = extract_distribution(psi1, H1, tau, tols).distribution
     q = extract_distribution(psi2, H2, tau, tols).distribution
@@ -211,17 +205,6 @@ def iid_sweep(psi1, H1, psi2, H2, R: float, m_list,
         k, eps = best_shift(pm, qm, tols)
         plans.append(_plan(R, m, m2, k, eps))
     return plans
-
-
-def rate_feasibility(rho_in, H_in, rho_out, H_out, R: float,
-                     tols: Tolerances = DEFAULT) -> bool:
-    """Necessary condition for converting rho_in to rho_out at rate R:
-    R <= qfi_in / qfi_out."""
-    f_out = qfi(rho_out, H_out, tols)
-    if f_out <= tols.num:
-        raise ZeroTargetQFIError("target state has no Fisher information")
-    f_in = qfi(rho_in, H_in, tols)
-    return bool(R <= f_in / f_out + tols.num)
 
 
 def coherence_cost(rho, H, tau: float, tols: Tolerances = DEFAULT) -> float:

@@ -372,15 +372,6 @@ def conditional_min_entropy(omega: OmegaState,
     return verify_certificate(_min_trace_sdp(omega, tols), omega, tols)
 
 
-def max_distill_fidelity(sigma_A, H_A, psi_B, H_B,
-                         tols: Tolerances = DEFAULT) -> float:
-    """Best fidelity with the pure target reachable by any covariant
-    channel from sigma_A: the min-entropy SDP optimum of the dephased
-    joint state."""
-    om = omega_state(sigma_A, H_A, psi_B, H_B, tols)
-    return conditional_min_entropy(om, tols).optimum
-
-
 def qubit_infidelity_bound(lam: float, n: int):
     """(exact_bound, asymptotic) lower bounds on the output infidelity
     when distilling one coherent qubit from n copies at visibility lam.
@@ -407,22 +398,3 @@ def cirac_comparison(lam: float, n: int) -> float:
     if n < 1:
         raise ValidationError(f"n must be a positive integer, got {n}")
     return (1.0 - lam) / (2.0 * lam * lam * n)
-
-
-def helper_bound(rho, H, chi, H_help, n: int, eps: float,
-                 tols: Tolerances = DEFAULT) -> float:
-    """Largest per-copy output variance a coherent helper chi admits:
-    [eps*P(rho) + 2(d_chi - 1) V(chi)/n] / (1 - 3 eps).
-
-    Quantifies how little a finite helper changes the zero-rate verdict:
-    the ceiling shrinks with eps and 1/n."""
-    if not 0.0 < eps < 1.0 / 3.0:
-        raise EpsOutOfRangeError(f"eps must lie in (0, 1/3), got {eps}")
-    if n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n}")
-    P = purity_of_coherence(rho, H, tols)
-    if P.infinite:
-        return math.inf
-    chi_vec = _pure_vector(chi)
-    v = energy_variance(chi_vec, H_help, tols)
-    return (eps * P.value + 2.0 * (chi_vec.size - 1) * v / n) / (1.0 - 3.0 * eps)

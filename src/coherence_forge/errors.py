@@ -35,10 +35,6 @@ class EpsOutOfRangeError(ValidationError):
     """Error budget outside the admissible interval."""
 
 
-class PureInputError(ValidationError):
-    """Operation requires a mixed state but received a pure one."""
-
-
 class IncommensurateSpectrumError(CoherenceForgeError):
     """Occupied energy levels are not integer multiples of 2*pi/tau."""
 
@@ -67,10 +63,6 @@ class ZeroNuError(CoherenceForgeError):
 
 class ZeroTargetVarianceError(CoherenceForgeError):
     """Target state carries no energy spread, so no finite rate exists."""
-
-
-class ZeroTargetQFIError(CoherenceForgeError):
-    """Target state carries no metrological resource."""
 
 
 class SolverStallError(CoherenceForgeError):

@@ -152,20 +152,6 @@ def fidelity(rho, sigma, tols: Tolerances = DEFAULT) -> float:
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
 
 
-def trace_distance(rho, sigma) -> float:
-    """Unnormalized 1-norm ||rho - sigma||_1, in [0, 2] for states.
-
-    Computed as the sum of absolute eigenvalues of the Hermitian
-    difference.
-    """
-    rho = state_matrix(rho)
-    sigma = state_matrix(sigma)
-    if rho.shape != sigma.shape:
-        raise DimMismatchError("states have different dimensions")
-    w = np.linalg.eigvalsh(rho - sigma)
-    return float(np.sum(np.abs(w)))
-
-
 # ---------------------------------------------------------------------------
 # containers
 

@@ -23,8 +23,6 @@ from .config import DEFAULT, Tolerances
 from .errors import (
     AlphaOutOfRangeError,
     DimMismatchError,
-    EpsOutOfRangeError,
-    PureInputError,
     ValidationError,
 )
 from .linalg import (
@@ -162,27 +160,6 @@ def skew_information(rho, H, tols: Tolerances = DEFAULT) -> float:
     return max(float(np.sum(coeff * np.abs(A) ** 2)), 0.0)
 
 
-def q2_divergence(rho, sigma, tols: Tolerances = DEFAULT) -> MeasureValue:
-    """Order-2 Petz divergence tr(rho^2 sigma^{-1}).
-
-    Infinite when rho has weight outside the support of sigma; otherwise
-    sigma^{-1} means the pseudo-inverse on its support.
-    """
-    rho = state_matrix(rho)
-    s, V = eig_of(sigma, tols)
-    if rho.shape[0] != s.size:
-        raise DimMismatchError("states have different dimensions")
-    sup = s > tols.rank_cutoff
-    rt = V.conj().T @ rho @ V
-    if not np.all(sup):
-        leak = np.sum(np.diag(rt).real[~sup])
-        if leak > tols.rank_cutoff:
-            return MeasureValue.inf()
-    rt2 = rt @ rt
-    val = np.sum(np.diag(rt2).real[sup] / s[sup])
-    return MeasureValue.finite(val)
-
-
 def renyi_purity_monotone(rho, H, alpha: float,
                           tols: Tolerances = DEFAULT) -> MeasureValue:
     """tr(rho^alpha H rho^{1-alpha} H) - tr(rho H^2) for alpha in (1, 2].
@@ -233,31 +210,3 @@ def qfi_via_fidelity(rho, H, tols: Tolerances = DEFAULT) -> float:
     coarse = second_diff(h)
     fine = second_diff(h / 2.0)
     return float((4.0 * fine - coarse) / 3.0)
-
-
-def near_pure_bound(rho, H, tols: Tolerances = DEFAULT) -> float:
-    """Purity-of-coherence floor from the leading eigenvector.
-
-    Returns V(psi_max) * (p_max^2/(1-p_max) - 1); any state this close to
-    the pure state psi_max must have at least this much P.
-    """
-    p, V, _ = _spectral(rho, H, tols)
-    p_max = float(p[-1])
-    if p_max >= 1.0 - tols.rank_cutoff:
-        raise PureInputError("leading eigenvalue is 1; the bound is infinite")
-    psi = V[:, -1]
-    v = energy_variance(psi, H, tols)
-    return v * (p_max * p_max / (1.0 - p_max) - 1.0)
-
-
-def cor_var_ceiling(psi_target, H, eps: float,
-                    tols: Tolerances = DEFAULT) -> float:
-    """Minimum purity of coherence of any state within trace distance eps
-    (unnormalized 1-norm) of the pure target: V(psi) * (2/eps - 3).
-
-    Vacuous at eps = 2/3 where the prefactor hits zero.
-    """
-    if not (0.0 < eps < 2.0 / 3.0):
-        raise EpsOutOfRangeError(f"eps must be in (0, 2/3), got {eps}")
-    v = energy_variance(psi_target, H, tols)
-    return v * (2.0 / eps - 3.0)

@@ -198,32 +198,6 @@ def build_optimal_purification(rho, H_S,
                         total_variance=_joint_variance(phi, H_S, H_A, tols))
 
 
-def aux_qfi(rho, H_S, tols: Tolerances = DEFAULT) -> float:
-    """QFI of rho with respect to the optimal auxiliary Hamiltonian,
-    via the closed form sum 8 p_i p_j (p_i - p_j)^2 / (p_i + p_j)^3 |S_ij|^2."""
-    p, V = aligned_eigensystem(rho, H_S, tols)
-    S = V.conj().T @ obs_matrix(H_S) @ V
-    tot = p[:, None] + p[None, :]
-    num = 8.0 * np.outer(p, p) * (p[:, None] - p[None, :]) ** 2
-    terms = np.zeros_like(tot)
-    np.divide(num, tot ** 3, out=terms, where=tot > tols.pair_cutoff)
-    return float(np.sum(terms * np.abs(S) ** 2))
-
-
-def transpose_purification_variance(rho, H_S,
-                                    tols: Tolerances = DEFAULT) -> float:
-    """Total variance of the canonical purification with H_A chosen as the
-    negated transpose of H_S in the rho eigenbasis.
-
-    This suboptimal but simple choice gives exactly twice the skew
-    information, an upper reference point for the optimal variance.
-    """
-    p, V = aligned_eigensystem(rho, H_S, tols)
-    S = V.conj().T @ obs_matrix(H_S) @ V
-    H_A = V @ (-S.T) @ V.conj().T
-    return _joint_variance(_amplitudes(p, V), H_S, H_A, tols)
-
-
 def optimal_ensemble(rho, H_S, tols: Tolerances = DEFAULT) -> PureEnsemble:
     """Pure ensemble of rho achieving average variance qfi/4.
 

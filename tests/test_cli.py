@@ -77,6 +77,33 @@ def test_measures_infinite_purity(fixtures):
     assert abs(out["variance_if_pure"] - 0.25) < 1e-12
 
 
+
+@pytest.mark.parametrize("tau", [TAU, 3.0])
+def test_measures_cost_field(fixtures, tmp_path, capsys, tau):
+    # the levels form's tau fixes the reference qubit, so cbit on levels
+    # {0, 1} costs one reference qubit whatever tau is
+    ham = tmp_path / "h.json"
+    ham.write_text(json.dumps({"levels_in_2pi_over_tau": [0, 1], "tau": tau}))
+    assert cli.main(["measures", "--state", fixtures["cbit"],
+                     "--ham", str(ham)]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["cost"] - 1.0) < 1e-12
+    # a dense file carries no tau of its own
+    assert cli.main(["measures", "--state", fixtures["cbit"],
+                     "--ham", fixtures["hz_dense"]]) == 0
+    assert json.loads(capsys.readouterr().out)["cost"] is None
+
+
+def test_proptest_cost_report_is_frozen():
+    # the cost measure is coherence_cost, (tau/2pi)^2 F; this report was
+    # frozen from the same formula written inline in the suite
+    res = run_cli("proptest", "--measure", "cost", "--trials", "200",
+                  "--seed", "7")
+    assert res.returncode == 0
+    assert res.stdout == (
+        '{"suite": "monotonicity", "measure": "cost", "alpha": null, '
+        '"trials": 200, "seed": 7, "max_violation": 1.2206661476690594e-30, '
+        '"worst_trial": 142, "violations": 0}\n')
+
 def test_purify_round_trip(fixtures):
     from coherence_forge.linalg import array_from_json
 
@@ -108,6 +135,22 @@ def test_dist_csv_and_summary(fixtures):
     assert abs(total - 1.0) < 1e-9
     assert rows[0][0] == "0" and rows[-1][0] == "12"
 
+
+
+def test_dist_convolves_once(fixtures, monkeypatch, capsys):
+    # the table and tv_to_tp share one m-fold convolution
+    calls = []
+    convolve_n = cli.clockdist.convolve_n
+
+    def counted(p, m):
+        calls.append(m)
+        return convolve_n(p, m)
+
+    monkeypatch.setattr(cli.clockdist, "convolve_n", counted)
+    assert cli.main(["dist", "--state", fixtures["u023"],
+                     "--ham", fixtures["h4"], "--copies", "4"]) == 0
+    capsys.readouterr()
+    assert calls == [4]
 
 def test_dist_gcd_not_one(fixtures, tmp_path):
     psi02 = np.zeros(3)

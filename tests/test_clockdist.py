@@ -13,7 +13,6 @@ from coherence_forge.clockdist import (
     extract_distribution,
     integer_distribution,
     overlap_copy_count,
-    poisson_distance_bound,
     shift,
     snap_levels,
     tp_distance,
@@ -213,7 +212,7 @@ def test_barbour_bound_dominates_tp_distance():
     for p in (bern, u):
         prev = None
         for m in (16, 64):
-            d = tp_distance(p, m)
+            d = tp_distance(p, m, convolve_n(p, m))
             assert d <= barbour_bound(p, m)
             if prev is not None:
                 assert d < prev
@@ -226,10 +225,3 @@ def test_barbour_nu_zero_raises():
         barbour_terms(integer_distribution(0, [0.5, 0.0, 0.5]))
     with pytest.raises(ZeroVarianceError):
         barbour_terms(integer_distribution(5, [1.0]))
-
-
-def test_poisson_distance_bound():
-    assert abs(poisson_distance_bound(4.0, 1.0) - 0.20249058549503643) < 1e-12
-    assert poisson_distance_bound(4.0, 0.0) == 0.0
-    # small-x regime takes the x branch
-    assert abs(poisson_distance_bound(0.0, 0.01) - 0.01) < 1e-12

@@ -19,14 +19,11 @@ from coherence_forge.convert import (
     intrinsic_period,
     iid_sweep,
     max_rate,
-    rate_feasibility,
-    single_shot_bound,
 )
 from coherence_forge.errors import (
     IncommensurateSpectrumError,
     PeriodMismatchError,
     ValidationError,
-    ZeroTargetQFIError,
     ZeroTargetVarianceError,
 )
 
@@ -125,8 +122,9 @@ def test_plain_hamiltonians_are_eigendecomposed_once(monkeypatch):
     intrinsic_period(U023, H4)
     assert len(calls) == 1
     calls.clear()
+    # one solve per Hamiltonian serves both its period and its distribution
     iid_sweep(U023, H4, CBIT, H_CBIT, 5.0, (4,))
-    assert len(calls) <= 4   # two periods and two distributions
+    assert calls == [4, 2]
 
 
 def test_max_rate_reference_values():
@@ -249,13 +247,6 @@ def test_best_shift_budget(monkeypatch):
     assert len(calls) <= 64
 
 
-def test_single_shot_identity():
-    plan = single_shot_bound(CBIT, H_CBIT, CBIT, H_CBIT, TAU)
-    assert plan.tv_error < 1e-12
-    assert plan.fidelity_lower_bound > 1.0 - 1e-11
-    assert plan.copies_in == 1 and plan.copies_out == 1
-
-
 def test_iid_sweep_copy_accounting():
     R = 0.9 * 56.0 / 9.0
     plans = iid_sweep(U023, H4, CBIT, H_CBIT, R, (4, 16, 64))
@@ -266,21 +257,17 @@ def test_iid_sweep_copy_accounting():
         assert abs(plan.fidelity_lower_bound - (1 - 2 * plan.tv_error)) < 1e-12
     errs = [pl.tv_error for pl in plans]
     assert errs[2] < errs[0]
+    # one copy of a state into one copy of itself is exact
+    (plan,) = iid_sweep(CBIT, H_CBIT, CBIT, H_CBIT, 1.0, (1,))
+    assert plan.tv_error < 1e-12
+    assert plan.fidelity_lower_bound > 1.0 - 1e-11
+    assert plan.copies_in == 1 and plan.copies_out == 1
 
 
 def test_iid_sweep_below_rate_converges():
     R = 0.9 * 56.0 / 9.0
     (plan,) = iid_sweep(U023, H4, CBIT, H_CBIT, R, (256,))
     assert plan.tv_error < 0.05
-
-
-def test_rate_feasibility():
-    rng = np.random.default_rng(40)
-    rho = 0.6 * np.outer(CBIT, CBIT) + 0.4 * np.eye(2) / 2
-    assert rate_feasibility(rho, H_CBIT, rho, H_CBIT, 1.0)
-    assert not rate_feasibility(rho, H_CBIT, rho, H_CBIT, 1.5)
-    with pytest.raises(ZeroTargetQFIError):
-        rate_feasibility(rho, H_CBIT, np.diag([1.0, 0.0]), H_CBIT, 1.0)
 
 
 def test_coherence_cost():

@@ -13,9 +13,7 @@ from coherence_forge.distill import (
     cirac_comparison,
     conditional_min_entropy,
     distillation_copy_floor,
-    helper_bound,
     is_bound_resource,
-    max_distill_fidelity,
     omega_state,
     qubit_infidelity_bound,
     single_sector,
@@ -59,8 +57,10 @@ def test_copy_floor_frozen_value():
 
 
 def test_copy_floor_edge_cases():
-    with pytest.raises(EpsOutOfRangeError):
-        distillation_copy_floor(qubit(0.6), H_CBIT, CBIT, H_CBIT, 2.0 / 3.0)
+    # V (2/eps - 3) is a floor only for eps in (0, 2/3)
+    for bad in (0.0, 2.0 / 3.0, 1.0):
+        with pytest.raises(EpsOutOfRangeError):
+            distillation_copy_floor(qubit(0.6), H_CBIT, CBIT, H_CBIT, bad)
     with pytest.raises(ValidationError):
         distillation_copy_floor(qubit(0.6), H_CBIT, CBIT, H_CBIT, 0.01,
                                 prob=0.0)
@@ -200,14 +200,15 @@ def test_sdp_certificates():
         assert dual_val <= res.optimum + 1e-7
 
 
-def test_max_distill_fidelity_qubit():
+def test_min_entropy_fidelity_qubit():
     # one copy: best fidelity (1 + lam)/2
     for lam in (0.3, 0.6, 0.9):
-        f = max_distill_fidelity(qubit(lam), H_CBIT, CBIT, H_CBIT)
+        om = omega_state(qubit(lam), H_CBIT, CBIT, H_CBIT)
+        f = conditional_min_entropy(om).optimum
         assert abs(f - (1 + lam) / 2) < 1e-6
 
 
-def test_max_distill_fidelity_three_copies():
+def test_min_entropy_fidelity_three_copies():
     lam = 0.6
     rho3 = qubit(lam)
     rho3 = np.kron(np.kron(rho3, rho3), rho3)
@@ -215,7 +216,8 @@ def test_max_distill_fidelity_three_copies():
     H3 = (np.kron(np.kron(H1, np.eye(2)), np.eye(2))
           + np.kron(np.kron(np.eye(2), H1), np.eye(2))
           + np.kron(np.kron(np.eye(2), np.eye(2)), H1))
-    f = max_distill_fidelity(rho3, H3, CBIT, np.diag([0.0, 1.0]))
+    om = omega_state(rho3, H3, CBIT, np.diag([0.0, 1.0]))
+    f = conditional_min_entropy(om).optimum
     assert abs(f - 0.868339) < 1e-5
 
 
@@ -235,19 +237,6 @@ def test_cirac_gap_is_exactly_two_over_one_plus_lam():
             _, asym = qubit_infidelity_bound(lam, n)
             ratio = cirac_comparison(lam, n) / asym
             assert abs(ratio - 2 / (1 + lam)) < 1e-12
-
-
-def test_helper_bound():
-    # an incoherent helper contributes only through eps
-    val = helper_bound(qubit(0.6), H_CBIT, np.array([1.0, 0.0]), H_CBIT,
-                       100, 0.01)
-    assert abs(val - 0.01 * 0.5625 / 0.97) < 1e-12
-    # a coherent helper raises the ceiling, and more copies lower it
-    hi = helper_bound(qubit(0.6), H_CBIT, CBIT, H_CBIT, 100, 0.01)
-    lo = helper_bound(qubit(0.6), H_CBIT, CBIT, H_CBIT, 10000, 0.01)
-    assert hi > val and lo < hi
-    with pytest.raises(EpsOutOfRangeError):
-        helper_bound(qubit(0.6), H_CBIT, CBIT, H_CBIT, 100, 1.0 / 3.0)
 
 
 H01 = np.diag([0.0, 1.0])
@@ -337,7 +326,8 @@ def test_fstar_independent_of_blas_threads():
     src = os.path.dirname(os.path.dirname(coherence_forge.__file__))
     code = (
         "import math, numpy as np\n"
-        "from coherence_forge.distill import max_distill_fidelity\n"
+        "from coherence_forge.distill import conditional_min_entropy, "
+        "omega_state\n"
         "plus = np.array([1.0, 1.0]) / math.sqrt(2)\n"
         "h = np.diag([0.0, 1.0])\n"
         "for lam in (0.6, 0.75, 0.9):\n"
@@ -346,7 +336,8 @@ def test_fstar_independent_of_blas_threads():
         "    for _ in range(3):\n"
         "        rho = np.kron(rho, q)\n"
         "        H = np.kron(H, np.eye(2)) + np.kron(np.eye(len(H)), h)\n"
-        "    print(repr(max_distill_fidelity(rho, H, plus, h)))\n"
+        "    om = omega_state(rho, H, plus, h)\n"
+        "    print(repr(conditional_min_entropy(om).optimum))\n"
     )
     outs = []
     for threads in ("1", "2"):

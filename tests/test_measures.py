@@ -5,23 +5,15 @@ import pytest
 
 from coherence_forge.linalg import (
     density_matrix,
-    dephase,
     observable,
     random_density,
     random_observable,
     random_pure,
 )
-from coherence_forge.errors import (
-    AlphaOutOfRangeError,
-    EpsOutOfRangeError,
-    PureInputError,
-)
+from coherence_forge.errors import AlphaOutOfRangeError
 from coherence_forge.measures import (
-    cor_var_ceiling,
     energy_variance,
-    near_pure_bound,
     purity_of_coherence,
-    q2_divergence,
     qfi,
     qfi_via_fidelity,
     renyi_purity_monotone,
@@ -148,34 +140,6 @@ def test_renyi_alpha_range():
         renyi_purity_monotone(QUBIT, SZ_HALF, 2.5)
 
 
-def test_q2_divergence_basics():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        d = int(rng.integers(2, 5))
-        rho = random_density(d, rng)
-        sigma = random_density(d, rng)
-        q = q2_divergence(rho, sigma)
-        assert not q.infinite
-        assert q.value >= 1.0 - 1e-10
-        assert abs(q2_divergence(rho, rho).value - 1.0) < 1e-10
-    # weight outside the support of sigma
-    sigma = np.diag([1.0, 0.0])
-    rho = np.eye(2) / 2
-    assert q2_divergence(rho, sigma).infinite
-
-
-def test_q2_links_purity_to_dephasing():
-    # P(rho) = Q2(rho || D(rho)) - 1 scaled by nothing holds only for
-    # qubits in special frames, so only the inequality is universal:
-    # dephasing in the H eigenbasis can only lose Q2 against rho itself.
-    rng = np.random.default_rng(18)
-    for _ in range(20):
-        rho = random_density(3, rng)
-        H = np.diag([0.0, 1.0, 2.0])
-        deph = dephase(rho, H)
-        assert q2_divergence(rho, deph).value >= 1.0 - 1e-10
-
-
 def test_qfi_via_fidelity_matches_closed_form():
     rng = np.random.default_rng(19)
     for _ in range(20):
@@ -243,30 +207,3 @@ def test_near_mixed_deviation_is_quadratic():
             devs.append(abs(P / F - 1.0))
         assert 0.2 < devs[1] / devs[0] < 0.3
         assert 0.2 < devs[2] / devs[1] < 0.3
-
-
-def test_near_pure_bound_is_a_floor():
-    rng = np.random.default_rng(20)
-    for _ in range(30):
-        d = int(rng.integers(2, 5))
-        psi = random_pure(d, rng)
-        delta = float(rng.uniform(0.01, 0.3))
-        rho = (1 - delta) * np.outer(psi, psi.conj()) + delta * np.eye(d) / d
-        H = np.diag(rng.normal(size=d))
-        P = purity_of_coherence(rho, H)
-        assert P.value >= near_pure_bound(rho, H) - 1e-9
-
-
-def test_near_pure_bound_rejects_pure():
-    rho = np.diag([1.0, 0.0])
-    with pytest.raises(PureInputError):
-        near_pure_bound(rho, SZ_HALF)
-
-
-def test_cor_var_ceiling_values_and_range():
-    v = energy_variance(PLUS, SZ_HALF)
-    assert abs(v - 0.25) < 1e-14
-    assert abs(cor_var_ceiling(PLUS, SZ_HALF, 0.01) - 0.25 * 197.0) < 1e-10
-    for bad in (0.0, 2.0 / 3.0, 1.0):
-        with pytest.raises(EpsOutOfRangeError):
-            cor_var_ceiling(PLUS, SZ_HALF, bad)

@@ -16,14 +16,12 @@ from coherence_forge.linalg import (
 from coherence_forge.measures import energy_variance, qfi, skew_information
 from coherence_forge.purification import (
     aligned_eigensystem,
-    aux_qfi,
     build_optimal_purification,
     canonical_purification,
     coherence_sectors,
     kkt_residual,
     optimal_ensemble,
     period_respecting_ensemble,
-    transpose_purification_variance,
 )
 
 
@@ -105,44 +103,14 @@ def test_joint_variance_matches_kronecker_reference():
         ref = _kron_variance(pur.joint_state.vector, H,
                              pur.aux_hamiltonian.matrix)
         assert abs(pur.total_variance - ref) < 1e-12 * max(1.0, F)
-        # the transpose choice, with |Phi> as a sum of Kronecker terms
+        # the transpose choice H_A = -S^T, with |Phi> as a sum of
+        # Kronecker terms, has total variance twice the skew information
         p, V = aligned_eigensystem(rho, H)
         S = V.conj().T @ H @ V
         vec = sum(np.sqrt(p[i]) * np.kron(V[:, i], V[:, i])
                   for i in range(p.size) if p[i] > 0)
         ref = _kron_variance(vec, H, V @ (-S.T) @ V.conj().T)
-        tv = transpose_purification_variance(rho, H)
-        assert abs(tv - ref) < 1e-12 * max(1.0, F)
-
-
-def test_transpose_purification_doubles_skew():
-    rng = np.random.default_rng(33)
-    for _ in range(20):
-        d = int(rng.integers(2, 6))
-        rho = random_density(d, rng)
-        H = np.diag(rng.normal(size=d))
-        tv = transpose_purification_variance(rho, H)
-        assert abs(tv - 2 * skew_information(rho, H)) < 1e-10
-
-
-def test_transpose_variance_never_beats_optimum():
-    rng = np.random.default_rng(34)
-    for _ in range(20):
-        d = int(rng.integers(2, 5))
-        rho = random_density(d, rng)
-        H = np.diag(rng.normal(size=d))
-        assert transpose_purification_variance(rho, H) >= qfi(rho, H) / 4 - 1e-10
-
-
-def test_aux_qfi_closed_form():
-    rng = np.random.default_rng(35)
-    for _ in range(20):
-        d = int(rng.integers(2, 5))
-        rho = random_density(d, rng)
-        H = np.diag(rng.normal(size=d))
-        pur = build_optimal_purification(rho, H)
-        direct = qfi(rho, pur.aux_hamiltonian.matrix)
-        assert abs(aux_qfi(rho, H) - direct) < 1e-9 * max(1.0, direct)
+        assert abs(ref - 2 * skew_information(rho, H)) < 1e-10 * max(1.0, F)
 
 
 def test_optimal_ensemble_reconstructs_and_is_optimal():
