@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,9 +23,13 @@ from .config import DEFAULT, Tolerances
 from .clockdist import snap_levels
 from .convert import coherence_cost
 from .errors import DimMismatchError, ValidationError
-from .linalg import obs_eig, state_matrix
+from .linalg import HermitianObservable, eig_hermitian, obs_eig, state_matrix
 from .measures import (
-    MeasureValue,
+    _check_alpha,
+    _purity,
+    _qfi,
+    _renyi,
+    _skew,
     purity_of_coherence,
     qfi,
     renyi_purity_monotone,
@@ -59,7 +64,9 @@ def kraus_channel(ops, tols: Tolerances = DEFAULT) -> KrausChannel:
     """Validated channel from d_out x d_in operators, given as a sequence
     or as one stacked (rank, d_out, d_in) array."""
     try:
-        K = np.array(tuple(ops), dtype=complex)
+        # a stacked array copies whole; tuple() would split it into views
+        K = np.array(ops if isinstance(ops, np.ndarray) else tuple(ops),
+                     dtype=complex)
     except ValueError as exc:
         raise DimMismatchError("Kraus operators have mixed shapes") from exc
     if len(K) == 0:
@@ -78,12 +85,18 @@ def kraus_channel(ops, tols: Tolerances = DEFAULT) -> KrausChannel:
 
 def _phase_fixed_qr(G) -> np.ndarray:
     """Q of G = QR with R's diagonal rotated to be real positive, so Q is
-    a deterministic function of G (and Haar for a complex Gaussian G)."""
+    a deterministic function of G (and Haar for a complex Gaussian G).
+    G may be a stack (..., m, n)."""
     Q, R = np.linalg.qr(G)
-    diag = np.diagonal(R)
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
     mag = np.abs(diag)
     phase = np.where(mag > 0, diag / np.where(mag > 0, mag, 1.0), 1.0)
-    return Q * phase.conj()
+    return Q * phase.conj()[..., None, :]
+
+
+def _gaussian(rng, m: int, n: int) -> np.ndarray:
+    """m x n complex Gaussian, real part drawn first."""
+    return rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
 
 
 def random_channel(d_in: int, d_out: int, rank: int,
@@ -99,9 +112,7 @@ def random_channel(d_in: int, d_out: int, rank: int,
         raise ValidationError(
             f"rank {rank} too small: need rank*d_out >= d_in"
         )
-    rng = np.random.default_rng(seed)
-    G = rng.normal(size=(rank * d_out, d_in)) \
-        + 1j * rng.normal(size=(rank * d_out, d_in))
+    G = _gaussian(np.random.default_rng(seed), rank * d_out, d_in)
     return kraus_channel(_phase_fixed_qr(G).reshape(rank, d_out, d_in), tols)
 
 
@@ -184,25 +195,130 @@ class MonotonicityReport:
     alpha: float | None = None
 
 
-def _measure(measure_id: str, rho, H, tau: float, alpha: float,
-             tols: Tolerances) -> MeasureValue:
-    if measure_id == "F":
-        return MeasureValue.finite(qfi(rho, H, tols))
-    if measure_id == "P":
-        return purity_of_coherence(rho, H, tols)
-    if measure_id == "W":
-        return MeasureValue.finite(skew_information(rho, H, tols))
-    if measure_id == "renyi":
-        return renyi_purity_monotone(rho, H, alpha, tols)
+# Trials are drawn, stacked and measured this many at a time, so that
+# peak memory does not grow with the trial count.
+_BLOCK = 256
+
+
+def _dag(X) -> np.ndarray:
+    return X.conj().swapaxes(-1, -2)
+
+
+def _by_dim(fn, *cols) -> list:
+    """fn run once per dimension on stacked items, results per item.
+
+    cols are equal-length sequences of arrays whose last axis is the
+    item's dimension; items group by the first column.  fn takes one
+    stack per column and returns a tuple of arrays indexed by stack row;
+    item i gets the tuple of its rows, in the order of the input.
+    """
+    groups = {}
+    for i, a in enumerate(cols[0]):
+        groups.setdefault(a.shape[-1], []).append(i)
+    out = [None] * len(cols[0])
+    for rows in groups.values():
+        res = fn(*(np.stack([c[i] for i in rows]) for c in cols))
+        for j, i in enumerate(rows):
+            out[i] = tuple(r[j] for r in res)
+    return out
+
+
+def _draw(seed: int, t: int, tols: Tolerances):
+    """Trial t's inputs from its own stream (seed, t), in a fixed order:
+    dims, then (levels, G) of H_in and of H_out, the state's G, the rank,
+    and last the channel."""
+    rng = np.random.default_rng([seed, t])
+    d_in = int(rng.integers(2, 5))
+    d_out = int(rng.integers(2, 5))
+    hams = [(rng.integers(0, 4, size=d), _gaussian(rng, d, d))
+            for d in (d_in, d_out)]
+    G = _gaussian(rng, d_in, d_in)
+    rank = int(rng.integers(-(-d_in // d_out), d_in * d_out + 1))
+    return hams, G, random_channel(d_in, d_out, rank, rng, tols)
+
+
+def _hamiltonians(levels, G, tols: Tolerances):
+    """H = Q diag(levels) Q^dag for the phase-fixed Q of each G, with its
+    eigenpairs (read-only, as an observable holds them)."""
+    Q = _phase_fixed_qr(G)
+    H = (Q * levels.astype(float)[..., None, :]) @ _dag(Q)
+    w, V = eig_hermitian(H, tols)
+    w.flags.writeable = V.flags.writeable = False
+    return H, w, V
+
+
+def _densities(G):
+    """G G^dag / tr for each G."""
+    R = G @ _dag(G)
+    return (R / np.trace(R, axis1=-2, axis2=-1).real[..., None, None],)
+
+
+def _suite_measure(measure_id: str, alpha: float, tau: float,
+                   tols: Tolerances):
+    """values(states, hams): the measure of each state under its
+    observable, as floats with inf for an infinite value.
+
+    F, P, W and renyi run one eigensolve and one kernel per stack of
+    equal dimension.  A state without full support goes to the public
+    function instead, whose support check decides whether P or renyi is
+    finite, so no kernel sees a zero eigenvalue.  cost is coherence_cost
+    per state.  The id and alpha are checked here, before any trial is
+    drawn.
+    """
     if measure_id == "cost":
-        return MeasureValue.finite(coherence_cost(rho, H, tau, tols))
-    raise ValidationError(f"unknown measure id {measure_id!r}")
+        return lambda states, hams: [coherence_cost(r, h, tau, tols)
+                                     for r, h in zip(states, hams)]
+    if measure_id == "renyi":
+        _check_alpha(alpha)
+    pairs = {"F": (partial(_qfi, tols=tols), qfi),
+             "P": (_purity, purity_of_coherence),
+             "W": (_skew, skew_information),
+             "renyi": (partial(_renyi, alpha=alpha),
+                       partial(renyi_purity_monotone, alpha=alpha))}
+    if measure_id not in pairs:
+        raise ValidationError(f"unknown measure id {measure_id!r}")
+    kernel, single = pairs[measure_id]
+
+    def stacked(rho, H):
+        p, V = eig_hermitian(rho, tols)
+        A = _dag(V) @ H @ V
+        full = np.all(p > tols.rank_cutoff, axis=-1)
+        vals = np.empty(len(p))
+        vals[full] = kernel(p[full], A[full])
+        for i in np.flatnonzero(~full):
+            vals[i] = float(single(rho[i], H[i], tols=tols))
+        return (vals,)
+
+    return lambda states, hams: [
+        float(v) for (v,) in _by_dim(stacked, states,
+                                     [h.matrix for h in hams])]
 
 
-def _random_integer_hamiltonian(d: int, rng, tols: Tolerances) -> np.ndarray:
-    levels = rng.integers(0, 4, size=d)
-    Q = _phase_fixed_qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return (Q * levels.astype(float)) @ Q.conj().T
+def _gap(v_in: float, v_out: float) -> float:
+    """v_out - v_in, 0 when both are infinite; a NaN measure counts as an
+    infinite violation."""
+    if math.isnan(v_in) or math.isnan(v_out):
+        return math.inf
+    if v_in == v_out == math.inf:
+        return 0.0
+    return v_out - v_in
+
+
+def _block_gaps(measure, seed: int, ts, tau: float, tols: Tolerances):
+    """Gaps of the trials ts: drawn one at a time, then stacked by
+    dimension for the Hamiltonians, states and measures; only each
+    trial's twirl and apply run alone, on the stacked eigenpairs."""
+    draws = [_draw(seed, t, tols) for t in ts]
+    levels, Gs = zip(*(h for hams, _, _ in draws for h in hams))
+    obs = [HermitianObservable(matrix=H, spectrum=w, eigenbasis=V)
+           for H, w, V in _by_dim(partial(_hamiltonians, tols=tols),
+                                  levels, Gs)]
+    obs_in, obs_out = obs[0::2], obs[1::2]
+    rhos = [r for (r,) in _by_dim(_densities, [G for _, G, _ in draws])]
+    sigmas = [apply(twirl(ch, h_in, h_out, tau, tols), rho)
+              for (_, _, ch), rho, h_in, h_out
+              in zip(draws, rhos, obs_in, obs_out)]
+    return map(_gap, measure(rhos, obs_in), measure(sigmas, obs_out))
 
 
 def monotonicity_suite(measure_id: str, trials: int = 100, seed: int = 0,
@@ -214,41 +330,26 @@ def monotonicity_suite(measure_id: str, trials: int = 100, seed: int = 0,
     Each trial draws its own RNG stream from (seed, trial) so trials are
     reproducible independently of each other; dims run 2-4 and the input
     state is full rank, keeping all measures finite.  tau is fixed at
-    2*pi so integer levels are energies directly.
+    2*pi so integer levels are energies directly.  Trials run in blocks
+    of _BLOCK, with their linear algebra stacked by dimension; the
+    report is bit for bit what a loop over single trials gives.  A NaN
+    measure counts as a violation of size inf.
     """
+    tau = 2.0 * math.pi
+    measure = _suite_measure(measure_id, alpha, tau, tols)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    tau = 2.0 * math.pi
     worst = -math.inf
     worst_trial = -1
     violations = 0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        d_in = int(rng.integers(2, 5))
-        d_out = int(rng.integers(2, 5))
-        H_in = _random_integer_hamiltonian(d_in, rng, tols)
-        H_out = _random_integer_hamiltonian(d_out, rng, tols)
-        G = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
-        rho = G @ G.conj().T
-        rho = rho / np.trace(rho).real
-        rank_min = -(-d_in // d_out)
-        rank = int(rng.integers(rank_min, d_in * d_out + 1))
-        ch = random_channel(d_in, d_out, rank, rng, tols)
-        tw = twirl(ch, H_in, H_out, tau, tols)
-        sigma = apply(tw, rho)
-        v_in = _measure(measure_id, rho, H_in, tau, alpha, tols)
-        v_out = _measure(measure_id, sigma, H_out, tau, alpha, tols)
-        if v_in.infinite:
-            gap = 0.0 if v_out.infinite else -math.inf
-        elif v_out.infinite:
-            gap = math.inf
-        else:
-            gap = v_out.value - v_in.value
-        if gap > worst:
-            worst = gap
-            worst_trial = t
-        if gap > 1e-8:
-            violations += 1
+    for start in range(0, trials, _BLOCK):
+        ts = range(start, min(start + _BLOCK, trials))
+        for t, gap in zip(ts, _block_gaps(measure, seed, ts, tau, tols)):
+            if gap > worst:
+                worst = gap
+                worst_trial = t
+            if gap > 1e-8:
+                violations += 1
     return MonotonicityReport(measure_id=measure_id, trials=trials,
                               seed=seed, max_violation=worst,
                               worst_trial=worst_trial,

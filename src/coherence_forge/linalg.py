@@ -13,6 +13,7 @@ eigendecomposed exactly once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,27 +35,40 @@ def require_square(M: np.ndarray) -> np.ndarray:
 
 
 def eig_hermitian(M, tols: Tolerances = DEFAULT):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix in a
+    stack of shape (..., n, n).
 
-    Returns (w, V) with w ascending and columns of V the matching
-    orthonormal eigenvectors.  Raises NonHermitianError if M is not
-    Hermitian within tols.herm, and ValidationError if the reconstruction
-    V diag(w) V^dag misses M by more than tols.recon (which would indicate
-    a solver failure, not bad input).  Both limits are scaled by
+    Returns (w, V) with w ascending along its last axis and the columns
+    of V the matching orthonormal eigenvectors; a stack gives stacks,
+    each entry bit for bit what the single matrix gives.  Raises
+    NonHermitianError if a matrix is not Hermitian within tols.herm, and
+    ValidationError if the reconstruction V diag(w) V^dag misses it by
+    more than tols.recon (which would indicate a solver failure, not bad
+    input).  Both limits are scaled by each matrix's own
     max(1, max|M_ij|), so operators in any units are judged alike.
     """
-    M = require_square(M)
-    Mh = M.conj().T
-    scale = max(1.0, np.abs(M).max(initial=0.0))
-    dev = np.abs(M - Mh).max(initial=0.0)
-    if dev > tols.herm * scale:
-        raise NonHermitianError(
-            f"matrix deviates from Hermiticity by {dev:.3e}")
+    M = np.asarray(M, dtype=complex)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise DimMismatchError(
+            f"expected a square matrix or a stack of them, got shape {M.shape}")
+    # one flat reduction per matrix, cheaper than reducing an axis pair;
+    # a single matrix is a stack of one, so the checks below see arrays
+    flat = (math.prod(M.shape[:-2]), M.shape[-1] ** 2)
+    Mh = M.conj().swapaxes(-1, -2)
+    scale = np.abs(M).reshape(flat).max(axis=-1, initial=1.0)
+    dev = np.abs(M - Mh).reshape(flat).max(axis=-1, initial=0.0)
+    bad = dev > tols.herm * scale
+    if np.count_nonzero(bad):
+        raise NonHermitianError("matrix deviates from Hermiticity by "
+                                f"{np.max(dev, where=bad, initial=0.0):.3e}")
     Msym = 0.5 * (M + Mh)
     w, V = np.linalg.eigh(Msym)
-    resid = np.abs((V * w) @ V.conj().T - Msym).max(initial=0.0)
-    if resid > tols.recon * scale:
-        raise ValidationError(f"eigendecomposition residual {resid:.3e}")
+    resid = np.abs((V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
+                   - Msym).reshape(flat).max(axis=-1, initial=0.0)
+    bad = resid > tols.recon * scale
+    if np.count_nonzero(bad):
+        raise ValidationError("eigendecomposition residual "
+                              f"{np.max(resid, where=bad, initial=0.0):.3e}")
     return w, V
 
 
@@ -207,10 +221,10 @@ class PureState:
 
 
 def observable(M, tols: Tolerances = DEFAULT) -> HermitianObservable:
+    M = require_square(M)
     w, V = eig_hermitian(M, tols)
     w.flags.writeable = V.flags.writeable = False
-    return HermitianObservable(matrix=np.asarray(M, dtype=complex), spectrum=w,
-                               eigenbasis=V)
+    return HermitianObservable(matrix=M, spectrum=w, eigenbasis=V)
 
 
 def density_matrix(M, tols: Tolerances = DEFAULT) -> DensityMatrix:

@@ -59,6 +59,11 @@ class MeasureValue:
         return self.value
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (1.0 < alpha <= 2.0):
+        raise AlphaOutOfRangeError(f"alpha must be in (1, 2], got {alpha}")
+
+
 def _operands(rho, H):
     """rho and H as plain matrices, after checking that their dims agree."""
     rho, H = state_matrix(rho), obs_matrix(H)
@@ -92,6 +97,58 @@ def _support_commutes(p, V, H, tols: Tolerances) -> bool:
     return bool(np.max(np.abs(comm)) < tols.commute)
 
 
+# Kernels: each measure from the spectrum p of rho and A = V^dag H V,
+# broadcast over any leading stack axes.  The public functions call them
+# on one matrix and the monotonicity suite on stacks, so both give the
+# same bits.  _purity and _renyi take support eigenvalues only.
+
+
+def _pair_sum(coeff, A):
+    """sum_jk coeff_jk |A_jk|^2 of each matrix, as one flat sum."""
+    terms = coeff * np.abs(A) ** 2
+    n = A.shape[-1]
+    return terms.reshape(terms.shape[:-2] + (n * n,)).sum(axis=-1)
+
+
+def _floor0(v):
+    """max(v, 0.0) elementwise as Python's max takes it: NaN and -0.0
+    pass through."""
+    return np.where(v < 0.0, 0.0, v)
+
+
+def _qfi(p, A, tols: Tolerances):
+    """2 sum_jk (p_j-p_k)^2/(p_j+p_k) |A_jk|^2, skipping pairs whose
+    p_j + p_k is below pair_cutoff (both populations numerically zero)."""
+    diff = p[..., :, None] - p[..., None, :]
+    tot = p[..., :, None] + p[..., None, :]
+    terms = np.zeros_like(tot)
+    np.divide(diff * diff, tot, out=terms, where=tot > tols.pair_cutoff)
+    return 2.0 * _pair_sum(terms, A)
+
+
+def _skew(p, A):
+    """sum_jk (p_j - sqrt(p_j p_k)) |A_jk|^2, negative p clipped to 0."""
+    p = np.clip(p, 0.0, None)
+    root = np.sqrt(p)
+    return _floor0(_pair_sum(
+        p[..., :, None] - root[..., :, None] * root[..., None, :], A))
+
+
+def _purity(p, A):
+    """sum_jk (p_k^2 - p_j^2)/p_j |A_kj|^2 over a support spectrum p."""
+    # ratio[k, j] = (p_k^2 - p_j^2) / p_j
+    ratio = (p[..., :, None] ** 2 - p[..., None, :] ** 2) / p[..., None, :]
+    return _floor0(_pair_sum(ratio, A))
+
+
+def _renyi(p, A, alpha: float):
+    """sum_jk (p_j^alpha p_k^(1-alpha) - p_j) |A_jk|^2 over a support
+    spectrum p."""
+    coeff = (p[..., :, None] ** alpha * p[..., None, :] ** (1.0 - alpha)
+             - p[..., :, None])
+    return _floor0(_pair_sum(coeff, A))
+
+
 def qfi(rho, H, tols: Tolerances = DEFAULT) -> float:
     """Quantum Fisher information of t -> exp(-iHt) rho exp(iHt).
 
@@ -99,12 +156,7 @@ def qfi(rho, H, tols: Tolerances = DEFAULT) -> float:
     populations are numerically zero) and are skipped to avoid 0/0.
     """
     p, _, A = _spectral(rho, H, tols)
-    diff = p[:, None] - p[None, :]
-    tot = p[:, None] + p[None, :]
-    mask = tot > tols.pair_cutoff
-    terms = np.zeros_like(tot)
-    np.divide(diff * diff, tot, out=terms, where=mask)
-    return float(2.0 * np.sum(terms * np.abs(A) ** 2))
+    return float(_qfi(p, A, tols))
 
 
 def energy_variance(state, H, tols: Tolerances = DEFAULT) -> float:
@@ -140,12 +192,7 @@ def purity_of_coherence(rho, H, tols: Tolerances = DEFAULT) -> MeasureValue:
     if not _support_commutes(p, V, H, tols):
         return MeasureValue.inf()
     sup = p > tols.rank_cutoff
-    ps = p[sup]
-    As = A[np.ix_(sup, sup)]
-    # ratio[k, j] = (p_k^2 - p_j^2) / p_j
-    ratio = (ps[:, None] ** 2 - ps[None, :] ** 2) / ps[None, :]
-    val = np.sum(ratio * np.abs(As) ** 2)
-    return MeasureValue.finite(max(val, 0.0))
+    return MeasureValue.finite(_purity(p[sup], A[np.ix_(sup, sup)]))
 
 
 def skew_information(rho, H, tols: Tolerances = DEFAULT) -> float:
@@ -154,10 +201,7 @@ def skew_information(rho, H, tols: Tolerances = DEFAULT) -> float:
     Evaluated in the eigenbasis: sum_{jk} (p_j - sqrt(p_j p_k)) |H_jk|^2.
     """
     p, _, A = _spectral(rho, H, tols)
-    p = np.clip(p, 0.0, None)
-    root = np.sqrt(p)
-    coeff = p[:, None] - root[:, None] * root[None, :]
-    return max(float(np.sum(coeff * np.abs(A) ** 2)), 0.0)
+    return float(_skew(p, A))
 
 
 def renyi_purity_monotone(rho, H, alpha: float,
@@ -167,16 +211,12 @@ def renyi_purity_monotone(rho, H, alpha: float,
     alpha = 2 reproduces purity_of_coherence; the same support condition
     governs finiteness (the p_k^{1-alpha} factor diverges on the kernel).
     """
-    if not (1.0 < alpha <= 2.0):
-        raise AlphaOutOfRangeError(f"alpha must be in (1, 2], got {alpha}")
+    _check_alpha(alpha)
     p, V, A = _spectral(rho, H, tols)
     if not _support_commutes(p, V, H, tols):
         return MeasureValue.inf()
     sup = p > tols.rank_cutoff
-    ps = p[sup]
-    As = np.abs(A[np.ix_(sup, sup)]) ** 2
-    coeff = ps[:, None] ** alpha * ps[None, :] ** (1.0 - alpha) - ps[:, None]
-    return MeasureValue.finite(max(float(np.sum(coeff * As)), 0.0))
+    return MeasureValue.finite(_renyi(p[sup], A[np.ix_(sup, sup)], alpha))
 
 
 def qfi_via_fidelity(rho, H, tols: Tolerances = DEFAULT) -> float:

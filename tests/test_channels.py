@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -8,7 +9,9 @@ import pytest
 
 import coherence_forge
 
+from coherence_forge import channels, cli
 from coherence_forge.channels import (
+    MonotonicityReport,
     apply,
     is_ti,
     kraus_channel,
@@ -19,13 +22,21 @@ from coherence_forge.channels import (
 )
 from coherence_forge.clockdist import snap_levels
 from coherence_forge.config import DEFAULT
+from coherence_forge.convert import coherence_cost
 from coherence_forge.errors import (
     DimMismatchError,
     IncommensurateSpectrumError,
     ValidationError,
 )
-from coherence_forge.linalg import eig_hermitian, random_density
-from coherence_forge.measures import qfi
+from coherence_forge.linalg import density_matrix, eig_hermitian, random_density
+from coherence_forge.measures import (
+    MeasureValue,
+    _qfi,
+    purity_of_coherence,
+    qfi,
+    renyi_purity_monotone,
+    skew_information,
+)
 from coherence_forge.purification import coherence_sectors
 
 TAU = 2 * math.pi
@@ -279,8 +290,136 @@ def test_monotonicity_small_runs():
     rep = monotonicity_suite("renyi", trials=100, seed=2, alpha=1.5)
     assert rep.violations == 0
     assert rep.alpha == 1.5
-    with pytest.raises(ValidationError):
-        monotonicity_suite("nope", trials=1)
+
+
+def _reference_phase_fixed_qr(G):
+    Q, R = np.linalg.qr(G)
+    diag = np.diagonal(R)
+    mag = np.abs(diag)
+    phase = np.where(mag > 0, diag / np.where(mag > 0, mag, 1.0), 1.0)
+    return Q * phase.conj()
+
+
+def _reference_hamiltonian(d, rng):
+    levels = rng.integers(0, 4, size=d)
+    G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    Q = _reference_phase_fixed_qr(G)
+    return (Q * levels.astype(float)) @ Q.conj().T
+
+
+def _reference_measure(measure_id, rho, H, tau, alpha):
+    if measure_id == "F":
+        return MeasureValue.finite(qfi(rho, H))
+    if measure_id == "P":
+        return purity_of_coherence(rho, H)
+    if measure_id == "W":
+        return MeasureValue.finite(skew_information(rho, H))
+    if measure_id == "renyi":
+        return renyi_purity_monotone(rho, H, alpha)
+    return MeasureValue.finite(coherence_cost(rho, H, tau))
+
+
+def _reference_suite(measure_id, trials, seed, alpha=1.5):
+    """The suite as a loop over single trials, each measure called once
+    per state; also counts the outputs sigma without full support."""
+    tau = 2.0 * math.pi
+    worst, worst_trial, violations, deficient = -math.inf, -1, 0, 0
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        d_in = int(rng.integers(2, 5))
+        d_out = int(rng.integers(2, 5))
+        H_in = _reference_hamiltonian(d_in, rng)
+        H_out = _reference_hamiltonian(d_out, rng)
+        G = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+        rho = G @ G.conj().T
+        rho = rho / np.trace(rho).real
+        rank_min = -(-d_in // d_out)
+        rank = int(rng.integers(rank_min, d_in * d_out + 1))
+        ch = random_channel(d_in, d_out, rank, rng)
+        sigma = apply(twirl(ch, H_in, H_out, tau), rho)
+        deficient += density_matrix(sigma).support_rank < d_out
+        v_in = _reference_measure(measure_id, rho, H_in, tau, alpha)
+        v_out = _reference_measure(measure_id, sigma, H_out, tau, alpha)
+        if v_in.infinite:
+            gap = 0.0 if v_out.infinite else -math.inf
+        elif v_out.infinite:
+            gap = math.inf
+        else:
+            gap = v_out.value - v_in.value
+        if gap > worst:
+            worst, worst_trial = gap, t
+        if gap > 1e-8:
+            violations += 1
+    rep = MonotonicityReport(
+        measure_id=measure_id, trials=trials, seed=seed,
+        max_violation=worst, worst_trial=worst_trial,
+        violations=violations,
+        alpha=alpha if measure_id == "renyi" else None)
+    return rep, deficient
+
+
+@pytest.mark.parametrize("measure_id, alpha", [
+    ("F", 1.5), ("P", 1.5), ("W", 1.5), ("renyi", 1.5), ("renyi", 2.0),
+    ("cost", 1.5)])
+def test_suite_matches_per_trial_reference(measure_id, alpha):
+    # the stacked suite must reproduce the loop bit for bit; seeds 11, 16
+    # and 47 hold outputs without full support, which P and renyi send
+    # through their public functions
+    deficient = 0
+    for seed in (0, 11, 16, 47):
+        ref, n = _reference_suite(measure_id, 40, seed, alpha)
+        deficient += n
+        rep = monotonicity_suite(measure_id, trials=40, seed=seed,
+                                 alpha=alpha)
+        assert repr(rep) == repr(ref)
+    assert deficient > 0
+
+
+def test_suite_blocks_match_per_trial_reference():
+    # one full block and a partial one; the worst trial is in the second
+    trials = channels._BLOCK + 7
+    ref, deficient = _reference_suite("P", trials, 11)
+    assert repr(monotonicity_suite("P", trials=trials, seed=11)) == repr(ref)
+    assert deficient > 0
+
+
+def test_suite_validates_before_drawing(monkeypatch, capsys):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(channels.np.random, "default_rng", no_draws)
+    for kw in ({"measure_id": "nope"}, {"measure_id": "F", "trials": 0},
+               {"measure_id": "renyi", "alpha": 2.5},
+               {"measure_id": "renyi", "alpha": 1.0}):
+        with pytest.raises(ValidationError):
+            monotonicity_suite(**kw)
+    rc = cli.main(["proptest", "--measure", "renyi", "--alpha", "2.5"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_nan_measure_fails_the_suite(monkeypatch, capsys):
+    # a NaN compares false both ways; it must count as a violation and
+    # not be passed over as neither worst nor violating
+    def poisoned(p, A, tols):
+        v = _qfi(p, A, tols)
+        if not hits:
+            v[0] = math.nan
+        hits.append(1)
+        return v
+
+    monkeypatch.setattr(channels, "_qfi", poisoned)
+    hits = []
+    rep = monotonicity_suite("F", trials=10, seed=0)
+    assert rep.violations == 1
+    assert rep.max_violation == math.inf
+    hits = []
+    rc = cli.main(["proptest", "--measure", "F", "--trials", "10",
+                   "--seed", "0"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["violations"] == 1
 
 
 def test_proptest_does_not_import_numpy_ma():

@@ -107,6 +107,35 @@ def test_eig_hermitian_checks_scale_with_the_operator(scale):
             eig_hermitian(H + 1e-6 * scale * K)
 
 
+def test_eig_hermitian_accepts_stacks():
+    rng = np.random.default_rng(7)
+    for shape in ((5, 2), (4, 3), (2, 3, 4)):
+        *lead, n = shape
+        M = np.stack([random_observable(n, rng)
+                      for _ in range(math.prod(lead))]).reshape(*lead, n, n)
+        w, V = eig_hermitian(M)
+        assert w.shape == (*lead, n) and V.shape == (*lead, n, n)
+        for idx in np.ndindex(*lead):
+            w1, V1 = eig_hermitian(M[idx])
+            assert np.array_equal(w[idx], w1) and np.array_equal(V[idx], V1)
+    # one bad matrix fails the stack
+    M = np.stack([random_observable(3, rng) for _ in range(4)])
+    M[2, 0, 1] += 1e-3
+    with pytest.raises(NonHermitianError):
+        eig_hermitian(M)
+    # each matrix is judged at its own scale: units of 1e8 next to units
+    # of 1 pass, and a 1e-6 defect in the small one is still caught
+    M = np.stack([random_observable(4, rng), 1e8 * random_observable(4, rng)])
+    w, V = eig_hermitian(M)
+    assert np.max(np.abs((V[1] * w[1]) @ V[1].conj().T - M[1])) < 1e-10 * 1e8
+    M[0] += 1e-6j * random_observable(4, rng)
+    with pytest.raises(NonHermitianError):
+        eig_hermitian(M)
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3))):
+        with pytest.raises(DimMismatchError):
+            eig_hermitian(bad)
+
+
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(4)
     rho = random_density(4, rng)

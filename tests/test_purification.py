@@ -20,6 +20,7 @@ from coherence_forge.purification import (
     canonical_purification,
     coherence_sectors,
     kkt_residual,
+    optimal_aux_hamiltonian,
     optimal_ensemble,
     period_respecting_ensemble,
 )
@@ -52,6 +53,9 @@ def test_optimal_purification_hits_quarter_qfi():
         F = qfi(rho, H)
         assert abs(pur.total_variance - F / 4) < 1e-8 * max(1.0, F)
         assert kkt_residual(rho, H, pur.aux_hamiltonian.matrix) < 1e-10
+        # the standalone optimum is the reference for the built one
+        H_A = optimal_aux_hamiltonian(rho, H)
+        assert np.max(np.abs(pur.aux_hamiltonian.matrix - H_A)) < 1e-12
 
 
 def _degenerate_fixture():
