@@ -11,7 +11,7 @@ Modules:
   acceptance    the numbered acceptance suite
 """
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import (
     AlphaOutOfRangeError,
     CertificateError,

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .clockdist import snap_levels
 from .convert import coherence_cost
 from .errors import DimMismatchError, ValidationError
@@ -60,7 +60,7 @@ class TIChannel(KrausChannel):
     mode_index: tuple = ()
 
 
-def kraus_channel(ops, tols: Tolerances = DEFAULT) -> KrausChannel:
+def kraus_channel(ops) -> KrausChannel:
     """Validated channel from d_out x d_in operators, given as a sequence
     or as one stacked (rank, d_out, d_in) array."""
     try:
@@ -77,7 +77,7 @@ def kraus_channel(ops, tols: Tolerances = DEFAULT) -> KrausChannel:
         )
     total = np.einsum("kab,kac->bc", K.conj(), K)
     resid = np.max(np.abs(total - np.eye(K.shape[2])))
-    if not resid <= tols.cptp:   # NaN fails too
+    if not resid <= DEFAULT.cptp:   # NaN fails too
         raise ValidationError(f"sum K^dag K misses identity by {resid:.3e}")
     K.setflags(write=False)
     return KrausChannel(kraus=K)
@@ -99,8 +99,7 @@ def _gaussian(rng, m: int, n: int) -> np.ndarray:
     return rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
 
 
-def random_channel(d_in: int, d_out: int, rank: int,
-                   seed, tols: Tolerances = DEFAULT) -> KrausChannel:
+def random_channel(d_in: int, d_out: int, rank: int, seed) -> KrausChannel:
     """Seeded random CPTP map via a QR-orthonormalized Gaussian isometry.
 
     rank Kraus operators of shape d_out x d_in require rank * d_out >= d_in
@@ -113,7 +112,7 @@ def random_channel(d_in: int, d_out: int, rank: int,
             f"rank {rank} too small: need rank*d_out >= d_in"
         )
     G = _gaussian(np.random.default_rng(seed), rank * d_out, d_in)
-    return kraus_channel(_phase_fixed_qr(G).reshape(rank, d_out, d_in), tols)
+    return kraus_channel(_phase_fixed_qr(G).reshape(rank, d_out, d_in))
 
 
 def apply(ch: KrausChannel, rho) -> np.ndarray:
@@ -133,23 +132,21 @@ def superoperator(ch: KrausChannel) -> np.ndarray:
     return S.reshape(ch.d_out ** 2, ch.d_in ** 2)
 
 
-def _eigenframe(ch: KrausChannel, H_in, H_out, tau: float,
-                tols: Tolerances):
+def _eigenframe(ch: KrausChannel, H_in, H_out, tau: float):
     """(K~, grid, V_in, V_out): every Kraus operator as V_out^dag K V_in,
     and the Bohr mode grid[a, b] = n_out[a] - n_in[b] of each entry, with
     levels snapped to the 2*pi/tau grid above each lowest eigenvalue."""
-    w_in, V_in = obs_eig(H_in, tols)
-    w_out, V_out = obs_eig(H_out, tols)
-    n_in = snap_levels(w_in, w_in[0], tau, tols)
-    n_out = snap_levels(w_out, w_out[0], tau, tols)
+    w_in, V_in = obs_eig(H_in)
+    w_out, V_out = obs_eig(H_out)
+    n_in = snap_levels(w_in, w_in[0], tau)
+    n_out = snap_levels(w_out, w_out[0], tau)
     if len(n_in) != ch.d_in or len(n_out) != ch.d_out:
         raise DimMismatchError("Hamiltonian dims do not match the channel")
     Kt = V_out.conj().T @ ch.kraus @ V_in
     return Kt, n_out[:, None] - n_in[None, :], V_in, V_out
 
 
-def twirl(ch: KrausChannel, H_in, H_out, tau: float,
-          tols: Tolerances = DEFAULT) -> TIChannel:
+def twirl(ch: KrausChannel, H_in, H_out, tau: float) -> TIChannel:
     """Time average of the channel over the period tau, computed exactly.
 
     Each Kraus operator is split in the energy eigenframe by Bohr mode;
@@ -157,19 +154,18 @@ def twirl(ch: KrausChannel, H_in, H_out, tau: float,
     max-abs weight below pair_cutoff are dropped; the rest are kept
     operator-major, modes ascending within each operator.
     """
-    Kt, grid, V_in, V_out = _eigenframe(ch, H_in, H_out, tau, tols)
+    Kt, grid, V_in, V_out = _eigenframe(ch, H_in, H_out, tau)
     # ascending modes without np.unique, which imports numpy.ma
     lo = grid.min()
     modes = np.flatnonzero(np.bincount((grid - lo).ravel())) + lo
     comps = np.where(grid == modes[:, None, None], Kt[:, None], 0.0)
-    keep = np.max(np.abs(comps), axis=(2, 3)) > tols.pair_cutoff
-    base = kraus_channel(V_out @ comps[keep] @ V_in.conj().T, tols)
+    keep = np.max(np.abs(comps), axis=(2, 3)) > DEFAULT.pair_cutoff
+    base = kraus_channel(V_out @ comps[keep] @ V_in.conj().T)
     return TIChannel(kraus=base.kraus,
                      mode_index=tuple(modes[np.nonzero(keep)[1]].tolist()))
 
 
-def is_ti(ch: KrausChannel, H_in, H_out, tau: float,
-          tols: Tolerances = DEFAULT):
+def is_ti(ch: KrausChannel, H_in, H_out, tau: float):
     """Exact covariance check on the Bohr-mode mask.
 
     The residual is the largest |sum_k K~_ab conj(K~_ce)| over eigenframe
@@ -177,11 +173,11 @@ def is_ti(ch: KrausChannel, H_in, H_out, tau: float,
     the channel is covariant exactly when every such entry vanishes.
     Returns (flag, max residual).
     """
-    Kt, grid, _, _ = _eigenframe(ch, H_in, H_out, tau, tols)
+    Kt, grid, _, _ = _eigenframe(ch, H_in, H_out, tau)
     S = np.einsum("kab,kce->abce", Kt, Kt.conj())
     off = grid[:, :, None, None] != grid[None, None, :, :]
     resid = float(np.max(np.abs(S[off]), initial=0.0))
-    return resid < tols.ti_residual, resid
+    return resid < DEFAULT.ti_residual, resid
 
 
 @dataclass(frozen=True)
@@ -223,7 +219,7 @@ def _by_dim(fn, *cols) -> list:
     return out
 
 
-def _draw(seed: int, t: int, tols: Tolerances):
+def _draw(seed: int, t: int):
     """Trial t's inputs from its own stream (seed, t), in a fixed order:
     dims, then (levels, G) of H_in and of H_out, the state's G, the rank,
     and last the channel."""
@@ -234,15 +230,15 @@ def _draw(seed: int, t: int, tols: Tolerances):
             for d in (d_in, d_out)]
     G = _gaussian(rng, d_in, d_in)
     rank = int(rng.integers(-(-d_in // d_out), d_in * d_out + 1))
-    return hams, G, random_channel(d_in, d_out, rank, rng, tols)
+    return hams, G, random_channel(d_in, d_out, rank, rng)
 
 
-def _hamiltonians(levels, G, tols: Tolerances):
+def _hamiltonians(levels, G):
     """H = Q diag(levels) Q^dag for the phase-fixed Q of each G, with its
     eigenpairs (read-only, as an observable holds them)."""
     Q = _phase_fixed_qr(G)
     H = (Q * levels.astype(float)[..., None, :]) @ _dag(Q)
-    w, V = eig_hermitian(H, tols)
+    w, V = eig_hermitian(H)
     w.flags.writeable = V.flags.writeable = False
     return H, w, V
 
@@ -253,8 +249,7 @@ def _densities(G):
     return (R / np.trace(R, axis1=-2, axis2=-1).real[..., None, None],)
 
 
-def _suite_measure(measure_id: str, alpha: float, tau: float,
-                   tols: Tolerances):
+def _suite_measure(measure_id: str, alpha: float, tau: float):
     """values(states, hams): the measure of each state under its
     observable, as floats with inf for an infinite value.
 
@@ -266,11 +261,11 @@ def _suite_measure(measure_id: str, alpha: float, tau: float,
     drawn.
     """
     if measure_id == "cost":
-        return lambda states, hams: [coherence_cost(r, h, tau, tols)
+        return lambda states, hams: [coherence_cost(r, h, tau)
                                      for r, h in zip(states, hams)]
     if measure_id == "renyi":
         _check_alpha(alpha)
-    pairs = {"F": (partial(_qfi, tols=tols), qfi),
+    pairs = {"F": (_qfi, qfi),
              "P": (_purity, purity_of_coherence),
              "W": (_skew, skew_information),
              "renyi": (partial(_renyi, alpha=alpha),
@@ -280,13 +275,13 @@ def _suite_measure(measure_id: str, alpha: float, tau: float,
     kernel, single = pairs[measure_id]
 
     def stacked(rho, H):
-        p, V = eig_hermitian(rho, tols)
+        p, V = eig_hermitian(rho)
         A = _dag(V) @ H @ V
-        full = np.all(p > tols.rank_cutoff, axis=-1)
+        full = np.all(p > DEFAULT.rank_cutoff, axis=-1)
         vals = np.empty(len(p))
         vals[full] = kernel(p[full], A[full])
         for i in np.flatnonzero(~full):
-            vals[i] = float(single(rho[i], H[i], tols=tols))
+            vals[i] = float(single(rho[i], H[i]))
         return (vals,)
 
     return lambda states, hams: [
@@ -304,26 +299,24 @@ def _gap(v_in: float, v_out: float) -> float:
     return v_out - v_in
 
 
-def _block_gaps(measure, seed: int, ts, tau: float, tols: Tolerances):
+def _block_gaps(measure, seed: int, ts, tau: float):
     """Gaps of the trials ts: drawn one at a time, then stacked by
     dimension for the Hamiltonians, states and measures; only each
     trial's twirl and apply run alone, on the stacked eigenpairs."""
-    draws = [_draw(seed, t, tols) for t in ts]
+    draws = [_draw(seed, t) for t in ts]
     levels, Gs = zip(*(h for hams, _, _ in draws for h in hams))
     obs = [HermitianObservable(matrix=H, spectrum=w, eigenbasis=V)
-           for H, w, V in _by_dim(partial(_hamiltonians, tols=tols),
-                                  levels, Gs)]
+           for H, w, V in _by_dim(_hamiltonians, levels, Gs)]
     obs_in, obs_out = obs[0::2], obs[1::2]
     rhos = [r for (r,) in _by_dim(_densities, [G for _, G, _ in draws])]
-    sigmas = [apply(twirl(ch, h_in, h_out, tau, tols), rho)
+    sigmas = [apply(twirl(ch, h_in, h_out, tau), rho)
               for (_, _, ch), rho, h_in, h_out
               in zip(draws, rhos, obs_in, obs_out)]
     return map(_gap, measure(rhos, obs_in), measure(sigmas, obs_out))
 
 
 def monotonicity_suite(measure_id: str, trials: int = 100, seed: int = 0,
-                       alpha: float = 1.5,
-                       tols: Tolerances = DEFAULT) -> MonotonicityReport:
+                       alpha: float = 1.5) -> MonotonicityReport:
     """Monte Carlo check that the measure never grows under twirled
     channels.
 
@@ -336,7 +329,7 @@ def monotonicity_suite(measure_id: str, trials: int = 100, seed: int = 0,
     measure counts as a violation of size inf.
     """
     tau = 2.0 * math.pi
-    measure = _suite_measure(measure_id, alpha, tau, tols)
+    measure = _suite_measure(measure_id, alpha, tau)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     worst = -math.inf
@@ -344,7 +337,7 @@ def monotonicity_suite(measure_id: str, trials: int = 100, seed: int = 0,
     violations = 0
     for start in range(0, trials, _BLOCK):
         ts = range(start, min(start + _BLOCK, trials))
-        for t, gap in zip(ts, _block_gaps(measure, seed, ts, tau, tols)):
+        for t, gap in zip(ts, _block_gaps(measure, seed, ts, tau)):
             if gap > worst:
                 worst = gap
                 worst_trial = t

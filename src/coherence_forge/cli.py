@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import acceptance, channels, clockdist, convert, distill, measures, purification
-from .config import DEFAULT
 from .errors import (
     CertificateError,
     CoherenceForgeError,
@@ -178,8 +177,6 @@ def cmd_purify(args) -> int:
 def cmd_dist(args) -> int:
     st = load_state(args.state)
     H, tau, dense = load_hamiltonian(args.ham, args.tau)
-    if args.tau is not None:
-        tau = args.tau
     _dense_warning(dense, "clock distribution extraction")
     vec = _pure_vec(st, "--state")
     clock = clockdist.extract_distribution(vec, H, tau)
@@ -250,7 +247,7 @@ def _distill_size(H, d_B: int, n: int) -> None:
         raise ValidationError(
             f"{n} copies make Omega {d}**{n} * {d_B} wide, above the "
             f"budget of {MAX_OMEGA_SIDE}")
-    mult = np.bincount(level_labels(H.spectrum, DEFAULT.gap_cutoff))
+    mult = np.bincount(level_labels(H.spectrum))
     deg = [1]
     for _ in range(n):
         deg = np.convolve(deg, mult)
@@ -300,13 +297,14 @@ def cmd_distill(args) -> int:
 def cmd_qubit_bound(args) -> int:
     if args.n < 1:
         raise ValidationError(f"--n must be at least 1, got {args.n}")
-    # every row is computed before any is printed, so a bad --lambda
-    # leaves stdout empty
-    rows = [(n, *distill.qubit_infidelity_bound(args.lam, n),
-             distill.cirac_comparison(args.lam, n))
-            for n in range(1, args.n + 1)]
+    # the n = 1 row checks --lambda, so a bad one leaves stdout empty;
+    # after it each row is printed as it is computed
+    distill.qubit_infidelity_bound(args.lam, 1)
+    distill.cirac_comparison(args.lam, 1)
     print("n,exact,asymptotic,cirac")
-    for n, exact, asym, ach in rows:
+    for n in range(1, args.n + 1):
+        exact, asym = distill.qubit_infidelity_bound(args.lam, n)
+        ach = distill.cirac_comparison(args.lam, n)
         print(f"{n},{exact!r},{asym!r},{ach!r}")
     return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import (
     GcdNotOneError,
     IncommensurateSpectrumError,
@@ -38,6 +38,9 @@ from .linalg import (
 # the same budget, so a near-degenerate level pair cannot make it build
 # an array of millions of entries that no convolution could take.
 MAX_CONV_WINDOW = 2**17
+
+# overlap_copy_count gives up after this many copies
+MAX_OVERLAP_COPIES = 64
 
 
 @dataclass(frozen=True)
@@ -70,23 +73,17 @@ class IntegerDistribution:
         m = np.sum(n * self.probs)
         return float(np.sum((n - m) ** 2 * self.probs))
 
-    def support(self, cutoff: float = 0.0) -> np.ndarray:
-        """Integers carrying mass above cutoff."""
-        idx = np.nonzero(self.probs > cutoff)[0]
-        return idx + self.offset
 
-
-def integer_distribution(offset: int, probs,
-                         tols: Tolerances = DEFAULT) -> IntegerDistribution:
+def integer_distribution(offset: int, probs) -> IntegerDistribution:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         raise ValidationError("probs must be a nonempty 1-D array")
     if not np.all(np.isfinite(probs)):
         raise ValidationError("masses must be finite")
-    if np.min(probs) < -tols.prob:
+    if np.min(probs) < -DEFAULT.prob:
         raise ValidationError(f"negative mass {np.min(probs):.3e}")
     total = float(np.sum(probs))
-    if abs(total - 1.0) > tols.prob:
+    if abs(total - 1.0) > DEFAULT.prob:
         raise ValidationError(f"mass sums to {total:.15f}, expected 1")
     return IntegerDistribution(offset=int(offset),
                                probs=np.clip(probs, 0.0, None))
@@ -132,8 +129,7 @@ class BarbourTerms:
     nu: float
 
 
-def snap_levels(energies, ref: float, tau: float,
-                tols: Tolerances = DEFAULT) -> np.ndarray:
+def snap_levels(energies, ref: float, tau: float) -> np.ndarray:
     """Integer levels n with energies = ref + (2*pi/tau) * n.
 
     Each energy must land within level_rel grid units of its integer,
@@ -141,7 +137,7 @@ def snap_levels(energies, ref: float, tau: float,
     """
     x = (np.asarray(energies, dtype=float) - ref) / (2.0 * math.pi / tau)
     n = np.rint(x)
-    off = np.abs(x - n) > tols.level_rel
+    off = np.abs(x - n) > DEFAULT.level_rel
     if np.any(off):
         raise IncommensurateSpectrumError(
             f"level offset {x[np.argmax(off)]:.12g} grid units from integer"
@@ -149,26 +145,25 @@ def snap_levels(energies, ref: float, tau: float,
     return n.astype(int)
 
 
-def occupied_levels(psi, H, tols: Tolerances = DEFAULT):
+def occupied_levels(psi, H):
     """(mean energies, masses) of the levels of H that psi occupies.
 
     Levels follow level_labels at gap_cutoff; a level is occupied when
-    psi puts more than tols.prob of its weight on it.  Energies ascend.
+    psi puts more than prob of its weight on it.  Energies ascend.
     """
     if not isinstance(psi, PureState):
-        psi = pure_state(psi, tols)
-    w, V = obs_eig(H, tols)
+        psi = pure_state(psi)
+    w, V = obs_eig(H)
     if w.size != psi.dim:
         raise ValidationError("state and Hamiltonian dimensions differ")
-    lab = level_labels(w, tols.gap_cutoff)
+    lab = level_labels(w)
     mass = np.bincount(lab, weights=np.abs(V.conj().T @ psi.vector) ** 2)
     energy = np.bincount(lab, weights=w) / np.bincount(lab)
-    occ = mass > tols.prob
+    occ = mass > DEFAULT.prob
     return energy[occ], mass[occ]
 
 
-def extract_distribution(psi, H, tau: float,
-                         tols: Tolerances = DEFAULT) -> PeriodicClockState:
+def extract_distribution(psi, H, tau: float) -> PeriodicClockState:
     """Integer energy distribution of psi under H for reference period tau.
 
     Occupied levels must sit on the grid E_min + (2*pi/tau) * n within
@@ -179,13 +174,13 @@ def extract_distribution(psi, H, tau: float,
     """
     if tau <= 0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    energies, masses = occupied_levels(psi, H, tols)
-    ns = snap_levels(energies, energies[0], tau, tols).tolist()
+    energies, masses = occupied_levels(psi, H)
+    ns = snap_levels(energies, energies[0], tau).tolist()
     if ns[-1] >= MAX_CONV_WINDOW:
         raise ValidationError(f"occupied levels span {ns[-1] + 1} integers, "
                               f"above the budget of {MAX_CONV_WINDOW}")
     probs = np.bincount(ns, weights=masses)
-    dist = integer_distribution(0, probs / probs.sum(), tols)
+    dist = integer_distribution(0, probs / probs.sum())
     g = math.gcd(*ns)
     per = 0.0 if g == 0 else tau / g
     return PeriodicClockState(levels=tuple(sorted(set(ns))),
@@ -236,18 +231,18 @@ def tv_distance(p: IntegerDistribution, q: IntegerDistribution) -> float:
     return float(0.5 * np.sum(np.abs(a - b)))
 
 
-def overlap_copy_count(p: IntegerDistribution, L_max: int = 64,
-                       tols: Tolerances = DEFAULT) -> int:
+def overlap_copy_count(p: IntegerDistribution) -> int:
     """Copies needed before the convolution power can straddle a unit step.
 
-    Writes 1 as a signed combination of the support offsets (relative to
-    the lowest occupied integer) with as few terms as possible; that term
-    count L certifies that p^{*L} and its unit shift share support, hence
-    tv(p^{*L}, shift) < 1.  Found by breadth-first search over partial
-    sums.  GcdNotOne when no combination exists (support gcd > 1);
-    SearchExhausted when L_max copies do not suffice.
+    Writes 1 as a signed combination of the support offsets (integers
+    with mass above prob, relative to the lowest of them) with as few
+    terms as possible; that term count L certifies that p^{*L} and its
+    unit shift share support, hence tv(p^{*L}, shift) < 1.  Found by
+    breadth-first search over partial sums.  GcdNotOne when no
+    combination exists (support gcd > 1); SearchExhausted when
+    MAX_OVERLAP_COPIES copies do not suffice.
     """
-    sup = p.support(cutoff=tols.prob)
+    sup = np.flatnonzero(p.probs > DEFAULT.prob)
     offs = sorted({int(n - sup[0]) for n in sup} - {0})
     if not offs:
         raise GcdNotOneError("point mass never overlaps its shift")
@@ -257,8 +252,8 @@ def overlap_copy_count(p: IntegerDistribution, L_max: int = 64,
     steps = offs + [-d for d in offs]
     frontier = {0}
     seen = {0}
-    bound = max(offs) * (L_max + 1)
-    for level in range(1, L_max + 1):
+    bound = max(offs) * (MAX_OVERLAP_COPIES + 1)
+    for level in range(1, MAX_OVERLAP_COPIES + 1):
         nxt = set()
         for x in frontier:
             for s in steps:
@@ -269,10 +264,11 @@ def overlap_copy_count(p: IntegerDistribution, L_max: int = 64,
                     seen.add(y)
                     nxt.add(y)
         frontier = nxt
-    raise SearchExhaustedError(f"no combination within {L_max} copies")
+    raise SearchExhaustedError(
+        f"no combination within {MAX_OVERLAP_COPIES} copies")
 
 
-def _poisson_window(lam: float, tail_eps: float):
+def _poisson_window(lam: float):
     """Poisson(lam) pmf over a window whose discarded tails perturb the
     mean and variance by less than tail_eps.  Returns (k_lo, probs)."""
     if lam <= 0.0:
@@ -283,15 +279,14 @@ def _poisson_window(lam: float, tail_eps: float):
                  - np.array([math.lgamma(k + 1) for k in ks]))
     # trim each tail while its mean/variance impact stays under budget
     weight = pmf * (1.0 + np.abs(ks - lam) + (ks - lam) ** 2)
-    budget = tail_eps / 2.0
+    budget = DEFAULT.tail_eps / 2.0
     lo = min(int(np.searchsorted(np.cumsum(weight), budget)), len(pmf) - 1)
     hi = max(len(pmf) - 1
              - int(np.searchsorted(np.cumsum(weight[::-1]), budget)), lo)
     return int(ks[lo]), pmf[lo: hi + 1]
 
 
-def translated_poisson(mu: float, sigma2: float,
-                       tols: Tolerances = DEFAULT) -> TranslatedPoisson:
+def translated_poisson(mu: float, sigma2: float) -> TranslatedPoisson:
     """TP(mu, sigma2): Z = s + Poisson(sigma2 + gamma) with s = floor(mu -
     sigma2) and gamma the leftover fraction, so the mean is exactly mu and
     the variance lands in [sigma2, sigma2 + 1)."""
@@ -300,14 +295,13 @@ def translated_poisson(mu: float, sigma2: float,
     s = math.floor(mu - sigma2)
     gamma = mu - sigma2 - s
     lam = sigma2 + gamma
-    k_lo, pmf = _poisson_window(lam, tols.tail_eps)
+    k_lo, pmf = _poisson_window(lam)
     dist = IntegerDistribution(offset=s + k_lo, probs=pmf)
     return TranslatedPoisson(mu=mu, sigma2=sigma2, shift=s, gamma=gamma,
                              dist=dist)
 
 
-def barbour_terms(p: IntegerDistribution,
-                  tols: Tolerances = DEFAULT) -> BarbourTerms:
+def barbour_terms(p: IntegerDistribution) -> BarbourTerms:
     """Per-copy quantities feeding barbour_bound.
 
     phi = E[X(X-1)] + (|mu - var|/var) E[(X-1)(X-2)] + E|X(X-1)(X-2)|/var;
@@ -315,7 +309,7 @@ def barbour_terms(p: IntegerDistribution,
     """
     mu = p.mean()
     var = p.variance()
-    if var < tols.prob:
+    if var < DEFAULT.prob:
         raise ZeroVarianceError("per-copy variance is zero")
     n = p.offset + np.arange(len(p.probs))
     e_ff = float(np.sum(p.probs * n * (n - 1)))
@@ -331,21 +325,20 @@ def barbour_terms(p: IntegerDistribution,
     return BarbourTerms(a=math.sqrt(var), b=nu, c=phi / var, phi=phi, nu=nu)
 
 
-def barbour_bound(p: IntegerDistribution, m: int,
-                  tols: Tolerances = DEFAULT) -> float:
+def barbour_bound(p: IntegerDistribution, m: int) -> float:
     """Total-variation bound between p^{*m} and TP(m mu, m var):
     c / sqrt(m b - 1/2) + 2 / (m a).  Infinite when m b <= 1/2."""
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    t = barbour_terms(p, tols)
+    t = barbour_terms(p)
     if m * t.b - 0.5 <= 0.0:
         return math.inf
     return t.c / math.sqrt(m * t.b - 0.5) + 2.0 / (m * t.a)
 
 
-def tp_distance(p: IntegerDistribution, m: int, conv: IntegerDistribution,
-                tols: Tolerances = DEFAULT) -> float:
+def tp_distance(p: IntegerDistribution, m: int,
+                conv: IntegerDistribution) -> float:
     """tv(conv, TP(m mu, m var)) for conv = convolve_n(p, m), which the
     caller already holds: the quantity barbour_bound dominates."""
-    tp = translated_poisson(m * p.mean(), m * p.variance(), tols)
+    tp = translated_poisson(m * p.mean(), m * p.variance())
     return tv_distance(conv, tp.dist)

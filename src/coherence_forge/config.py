@@ -1,11 +1,11 @@
 """Centralized numerical tolerances.
 
-Every cutoff used anywhere in the package lives here so that tests and the
-CLI agree on what "zero" means.  All values are absolute unless the name
-says otherwise, save herm and recon: eig_hermitian scales both by
-max(1, max|M_ij|), so an operator in any units is judged alike.  The
-other values assume desk-scale inputs (matrix entries O(1), dimensions
-in the tens).
+Every cutoff used anywhere in the package is a field of DEFAULT, which
+every function reads directly, so tests and the CLI agree on what "zero"
+means.  All values are absolute unless the name says otherwise, save
+herm and recon: eig_hermitian scales both by max(1, max|M_ij|), so an
+operator in any units is judged alike.  The other values assume
+desk-scale inputs (matrix entries O(1), dimensions in the tens).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import (
     PeriodMismatchError,
     ValidationError,
@@ -30,7 +30,7 @@ from .clockdist import (
     shift,
     tv_distance,
 )
-from .linalg import HermitianObservable, observable
+from .linalg import observable
 from .measures import energy_variance, qfi
 from .purification import coherence_sectors
 
@@ -55,12 +55,7 @@ def _plan(rate, m, m2, k, eps) -> ConversionPlan:
                           fidelity_lower_bound=max(0.0, 1.0 - 2.0 * eps))
 
 
-def _observable(H, tols: Tolerances) -> HermitianObservable:
-    """H with its eigendecomposition cached, solving a plain array once."""
-    return H if isinstance(H, HermitianObservable) else observable(H, tols)
-
-
-def intrinsic_period(psi, H, tols: Tolerances = DEFAULT) -> float:
+def intrinsic_period(psi, H) -> float:
     """Recurrence time of a pure state from its occupied energy gaps.
 
     The gaps between the mean energies of the occupied levels (see
@@ -73,35 +68,34 @@ def intrinsic_period(psi, H, tols: Tolerances = DEFAULT) -> float:
     energy eigenstate.  IncommensurateSpectrum when a level is off that
     grid.
     """
-    H = _observable(H, tols)   # one eigensolve serves both reads of H
-    energies, _ = occupied_levels(psi, H, tols)
+    H = observable(H)   # one eigensolve serves both reads of H
+    energies, _ = occupied_levels(psi, H)
     gaps = energies[1:] - energies[0]
     if not gaps.size:
         return 0.0
-    k = math.lcm(*(Fraction(x).limit_denominator(tols.max_denominator)
+    k = math.lcm(*(Fraction(x).limit_denominator(DEFAULT.max_denominator)
                    .denominator for x in (gaps / gaps[0]).tolist()))
-    return extract_distribution(psi, H, 2.0 * math.pi * k / gaps[0],
-                                tols).period
+    return extract_distribution(psi, H, 2.0 * math.pi * k / gaps[0]).period
 
 
-def _common_period(psi1, H1, psi2, H2, tols: Tolerances) -> float:
-    t1 = intrinsic_period(psi1, H1, tols)
-    t2 = intrinsic_period(psi2, H2, tols)
+def _common_period(psi1, H1, psi2, H2) -> float:
+    t1 = intrinsic_period(psi1, H1)
+    t2 = intrinsic_period(psi2, H2)
     if t1 <= 0.0 or t2 <= 0.0:
         raise PeriodMismatchError("an energy eigenstate has no period")
-    if abs(t1 - t2) > tols.level_rel * max(t1, t2):
+    if abs(t1 - t2) > DEFAULT.level_rel * max(t1, t2):
         raise PeriodMismatchError(f"periods differ: {t1:.12g} vs {t2:.12g}")
     return t1
 
 
-def max_rate(psi1, H1, psi2, H2, tols: Tolerances = DEFAULT) -> float:
+def max_rate(psi1, H1, psi2, H2) -> float:
     """Asymptotically achievable copies of psi2 per copy of psi1:
     the variance ratio V1/V2.  Both states must share a period."""
-    v2 = energy_variance(psi2, H2, tols)
-    if v2 <= tols.num:
+    v2 = energy_variance(psi2, H2)
+    if v2 <= DEFAULT.num:
         raise ZeroTargetVarianceError("target state has no energy spread")
-    _common_period(psi1, H1, psi2, H2, tols)
-    v1 = energy_variance(psi1, H1, tols)
+    _common_period(psi1, H1, psi2, H2)
+    v1 = energy_variance(psi1, H1)
     return float(v1 / v2)
 
 
@@ -123,8 +117,7 @@ def _shift_bounds(p: IntegerDistribution, q: IntegerDistribution):
     return lb, 8.0 * n * np.finfo(float).eps * mass
 
 
-def best_shift(p: IntegerDistribution, q: IntegerDistribution,
-               tols: Tolerances = DEFAULT):
+def best_shift(p: IntegerDistribution, q: IntegerDistribution):
     """Integer shift k of q minimizing tv(p, shift(q, k)).
 
     Exact, but evaluates only the shifts that can still win.  With x0 at
@@ -175,8 +168,7 @@ def best_shift(p: IntegerDistribution, q: IntegerDistribution,
     return int(best_k), float(best_e)
 
 
-def iid_sweep(psi1, H1, psi2, H2, R: float, m_list,
-              tols: Tolerances = DEFAULT):
+def iid_sweep(psi1, H1, psi2, H2, R: float, m_list):
     """Conversion certificates at rate R for each copy count in m_list.
 
     For each m the planner compares the m-fold convolution of the input
@@ -186,14 +178,14 @@ def iid_sweep(psi1, H1, psi2, H2, R: float, m_list,
     """
     if not 0 < R < math.inf:
         raise ValidationError(f"rate must be positive and finite, got {R}")
-    r = Fraction(R).limit_denominator(tols.max_denominator)
+    r = Fraction(R).limit_denominator(DEFAULT.max_denominator)
     if r == 0:
         raise ValidationError(f"rate {R} snaps to 0 at denominator "
-                              f"<= {tols.max_denominator}")
-    H1, H2 = _observable(H1, tols), _observable(H2, tols)
-    tau = _common_period(psi1, H1, psi2, H2, tols)
-    p = extract_distribution(psi1, H1, tau, tols).distribution
-    q = extract_distribution(psi2, H2, tau, tols).distribution
+                              f"<= {DEFAULT.max_denominator}")
+    H1, H2 = observable(H1), observable(H2)
+    tau = _common_period(psi1, H1, psi2, H2)
+    p = extract_distribution(psi1, H1, tau).distribution
+    q = extract_distribution(psi2, H2, tau).distribution
     plans = []
     for m in m_list:
         m = int(m)
@@ -202,18 +194,18 @@ def iid_sweep(psi1, H1, psi2, H2, R: float, m_list,
         m2 = -((-r.numerator * m) // r.denominator)   # exact ceil(R m)
         pm = convolve_n(p, m)
         qm = convolve_n(q, m2)
-        k, eps = best_shift(pm, qm, tols)
+        k, eps = best_shift(pm, qm)
         plans.append(_plan(R, m, m2, k, eps))
     return plans
 
 
-def coherence_cost(rho, H, tau: float, tols: Tolerances = DEFAULT) -> float:
+def coherence_cost(rho, H, tau: float) -> float:
     """Asymptotic cost of forming rho, in units of the reference two-level
     state of period tau: (tau/2pi)^2 * qfi(rho, H).
 
     rho must be tau-periodic (every coherence gap an integer multiple of
     2*pi/tau); incoherent states pass trivially with cost 0.
     """
-    coherence_sectors(rho, H, tau, tols)   # raises PeriodMismatch if not
+    coherence_sectors(rho, H, tau)   # raises PeriodMismatch if not
     scale = tau / (2.0 * math.pi)
-    return scale * scale * qfi(rho, H, tols)
+    return scale * scale * qfi(rho, H)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import (
     CertificateError,
     DimMismatchError,
@@ -45,18 +45,17 @@ from .measures import (
 )
 
 
-def is_bound_resource(rho, H, tols: Tolerances = DEFAULT) -> bool:
+def is_bound_resource(rho, H) -> bool:
     """True when the state carries coherence that cannot be distilled.
 
     That is the case exactly when the support projector commutes with H
     (finite purity of coherence, hence zero distillation rate) while the
     QFI is still positive (some coherence is present)."""
-    return support_commutes(rho, H, tols) and qfi(rho, H, tols) > tols.num
+    return support_commutes(rho, H) and qfi(rho, H) > DEFAULT.num
 
 
 def distillation_copy_floor(rho, H, psi_target, H_t, eps: float,
-                            prob: float = 1.0,
-                            tols: Tolerances = DEFAULT) -> MeasureValue:
+                            prob: float = 1.0) -> MeasureValue:
     """Minimum copies of rho needed for an eps-accurate target at success
     probability prob: prob * V(target) * (2/eps - 3) / P(rho).
 
@@ -68,13 +67,13 @@ def distillation_copy_floor(rho, H, psi_target, H_t, eps: float,
         raise EpsOutOfRangeError(f"eps must lie in (0, 2/3), got {eps}")
     if not 0.0 < prob <= 1.0:
         raise ValidationError(f"prob must lie in (0, 1], got {prob}")
-    v_t = energy_variance(psi_target, H_t, tols)
-    if v_t <= tols.num:
+    v_t = energy_variance(psi_target, H_t)
+    if v_t <= DEFAULT.num:
         return MeasureValue.finite(0.0)
-    P = purity_of_coherence(rho, H, tols)
+    P = purity_of_coherence(rho, H)
     if P.infinite:
         return MeasureValue.finite(0.0)
-    if P.value <= tols.num:
+    if P.value <= DEFAULT.num:
         return MeasureValue.inf()
     return MeasureValue.finite(prob * v_t * (2.0 / eps - 3.0) / P.value)
 
@@ -96,11 +95,10 @@ class OmegaState:
     U_B: np.ndarray = field(repr=False)
 
 
-def single_sector(Om, d_A: int, d_B: int,
-                  tols: Tolerances = DEFAULT) -> OmegaState:
+def single_sector(Om, d_A: int, d_B: int) -> OmegaState:
     """A joint state on A (x) B with no time-translation structure: one
     sector, standard bases, so the SDP runs on the full space."""
-    rho = density_matrix(Om, tols)
+    rho = density_matrix(Om)
     if rho.dim != d_A * d_B:
         raise DimMismatchError(
             f"dims ({d_A}, {d_B}) do not match a state of size {rho.dim}")
@@ -119,8 +117,7 @@ def _pure_vector(psi) -> np.ndarray:
     return v / nrm
 
 
-def omega_state(sigma_A, H_A, psi_B, H_B,
-                tols: Tolerances = DEFAULT) -> OmegaState:
+def omega_state(sigma_A, H_A, psi_B, H_B) -> OmegaState:
     """Dephase sigma_A (x) |conj(psi_B)><conj(psi_B)| over the eigenspaces
     of the difference Hamiltonian H_A (x) I - I (x) H_B.
 
@@ -130,8 +127,8 @@ def omega_state(sigma_A, H_A, psi_B, H_B,
     sqrt(gap_cutoff) makes the levels ill-defined and raises
     IncommensurateSpectrum."""
     sA = state_matrix(sigma_A)
-    a, U_A = obs_eig(H_A, tols)
-    b, U_B = obs_eig(H_B, tols)
+    a, U_A = obs_eig(H_A)
+    b, U_B = obs_eig(H_B)
     d_A, d_B = len(a), len(b)
     if sA.shape[0] != d_A:
         raise ValidationError("state and Hamiltonian dims differ on A")
@@ -143,17 +140,18 @@ def omega_state(sigma_A, H_A, psi_B, H_B,
     delta = (a[:, None] - b[None, :]).ravel()
     order = np.argsort(delta)
     steps = np.diff(delta[order])
-    vague = (steps >= tols.gap_cutoff) & (steps < math.sqrt(tols.gap_cutoff))
+    vague = ((steps >= DEFAULT.gap_cutoff)
+             & (steps < math.sqrt(DEFAULT.gap_cutoff)))
     if np.any(vague):
         raise IncommensurateSpectrumError(
             f"difference-spectrum gap {steps[np.argmax(vague)]:.3e} too "
             "small to separate eigenspaces reliably")
     labels = np.empty(delta.size, dtype=int)
-    labels[order] = level_labels(delta[order], tols.gap_cutoff)
+    labels[order] = level_labels(delta[order])
     mask = labels[:, None] == labels[None, :]
     W = np.kron(U_A, U_B)
     Om = W @ (M * mask) @ W.conj().T
-    return OmegaState(matrix=density_matrix(Om, tols), dims=(d_A, d_B),
+    return OmegaState(matrix=density_matrix(Om), dims=(d_A, d_B),
                       sectors=labels.reshape(d_A, d_B), U_A=U_A, U_B=U_B)
 
 
@@ -216,7 +214,7 @@ class _Sectors:
         return out
 
 
-def _min_trace_sdp(omega: OmegaState, tols: Tolerances) -> SdpResult:
+def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     """Barrier Newton solve of min Tr(tau) s.t. tau (x) I >= Omega.
 
     Omega and the barrier are invariant under the time translations of
@@ -258,7 +256,7 @@ def _min_trace_sdp(omega: OmegaState, tols: Tolerances) -> SdpResult:
     km = uk[:, None] * d_A + uk[None, :]
 
     tau = 1.1 * np.eye(d_A, dtype=complex)
-    mu_final = tols.sdp_gap / (4.0 * N * scale)
+    mu_final = DEFAULT.sdp_gap / (4.0 * N * scale)
     mus = []
     mu = 1.0
     while mu > mu_final:
@@ -288,10 +286,10 @@ def _min_trace_sdp(omega: OmegaState, tols: Tolerances) -> SdpResult:
             t = 1.0 if t_min >= 0.0 else min(1.0, 0.98 / (-t_min))
             tau = tau + t * d_tau
             steps += 1
-            if steps > tols.sdp_max_newton:
+            if steps > DEFAULT.sdp_max_newton:
                 raise SolverStallError(
-                    f"no gap < {tols.sdp_gap} within "
-                    f"{tols.sdp_max_newton} Newton steps"
+                    f"no gap < {DEFAULT.sdp_gap} within "
+                    f"{DEFAULT.sdp_max_newton} Newton steps"
                 )
             if t == 1.0 and decrement < 1e-13 * max(
                     1.0, abs(float(np.trace(tau).real))):
@@ -308,7 +306,7 @@ def _min_trace_sdp(omega: OmegaState, tols: Tolerances) -> SdpResult:
     primal = float(np.trace(tau).real)
     dual = float(np.sum(Os * X.T).real)
     gap = scale * (primal - dual)
-    if gap >= tols.sdp_gap:
+    if gap >= DEFAULT.sdp_gap:
         raise SolverStallError(f"certified gap {gap:.3e} over budget")
     # the pads' unit eigenvalues are not slack: take each sector's own
     S = sectors.lift(tau) - sectors.omega
@@ -322,8 +320,7 @@ def _min_trace_sdp(omega: OmegaState, tols: Tolerances) -> SdpResult:
                      barrier_stages=len(mus), min_slack=scale * min_slack)
 
 
-def verify_certificate(result: SdpResult, omega: OmegaState,
-                       tols: Tolerances = DEFAULT) -> SdpResult:
+def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
     """Re-check an SDP result on the dense full-space matrices, apart from
     the solver: tau and X are Hermitian within sdp_feas (the eigenvalue
     tests read one triangle only); tau (x) I - Omega has no negative
@@ -339,25 +336,25 @@ def verify_certificate(result: SdpResult, omega: OmegaState,
     tau, X = result.tau, result.dual_certificate
     for name, M in (("tau", tau), ("dual X", X)):
         skew = float(np.max(np.abs(M - M.conj().T)))
-        if skew > tols.sdp_feas:
+        if skew > DEFAULT.sdp_feas:
             raise CertificateError(f"{name} is not Hermitian: {skew:.3e}")
     s_min = float(np.linalg.eigvalsh(np.kron(tau, np.eye(d_B)) - Om)[0])
     if s_min < 0.0:
         raise CertificateError(f"tau (x) I - Omega has eigenvalue {s_min:.3e}")
     x_min = float(np.linalg.eigvalsh(X)[0])
-    if x_min < -tols.sdp_feas:
+    if x_min < -DEFAULT.sdp_feas:
         raise CertificateError(f"dual X has eigenvalue {x_min:.3e}")
     marginal = float(np.linalg.eigvalsh(
         partial_trace(X, (d_A, d_B), "A"))[-1])
-    if marginal > 1.0 + tols.sdp_feas:
+    if marginal > 1.0 + DEFAULT.sdp_feas:
         raise CertificateError(
             f"lambda_max(Tr_B X) = {marginal:.12f} exceeds 1")
     primal = float(np.trace(tau).real)
     gap = primal - float(np.sum(Om * X.T).real)
-    if not gap < tols.sdp_gap:
+    if not gap < DEFAULT.sdp_gap:
         raise CertificateError(f"recomputed gap {gap:.3e} over budget")
-    if (abs(result.optimum - primal) > tols.sdp_feas
-            or abs(result.primal_dual_gap - gap) > tols.sdp_feas):
+    if (abs(result.optimum - primal) > DEFAULT.sdp_feas
+            or abs(result.primal_dual_gap - gap) > DEFAULT.sdp_feas):
         raise CertificateError(
             f"reported optimum {result.optimum!r} and gap "
             f"{result.primal_dual_gap:.3e} differ from Tr tau = {primal!r} "
@@ -365,11 +362,10 @@ def verify_certificate(result: SdpResult, omega: OmegaState,
     return result
 
 
-def conditional_min_entropy(omega: OmegaState,
-                            tols: Tolerances = DEFAULT) -> SdpResult:
+def conditional_min_entropy(omega: OmegaState) -> SdpResult:
     """2^{-Hmin(B|A)} of the dephased state, with a dual certificate that
     verify_certificate has re-checked."""
-    return verify_certificate(_min_trace_sdp(omega, tols), omega, tols)
+    return verify_certificate(_min_trace_sdp(omega), omega)
 
 
 def qubit_infidelity_bound(lam: float, n: int):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import (
     DimMismatchError,
     NonHermitianError,
@@ -34,16 +34,16 @@ def require_square(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def eig_hermitian(M, tols: Tolerances = DEFAULT):
+def eig_hermitian(M):
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a
     stack of shape (..., n, n).
 
     Returns (w, V) with w ascending along its last axis and the columns
     of V the matching orthonormal eigenvectors; a stack gives stacks,
     each entry bit for bit what the single matrix gives.  Raises
-    NonHermitianError if a matrix is not Hermitian within tols.herm, and
+    NonHermitianError if a matrix is not Hermitian within herm, and
     ValidationError if the reconstruction V diag(w) V^dag misses it by
-    more than tols.recon (which would indicate a solver failure, not bad
+    more than recon (which would indicate a solver failure, not bad
     input).  Both limits are scaled by each matrix's own
     max(1, max|M_ij|), so operators in any units are judged alike.
     """
@@ -57,7 +57,7 @@ def eig_hermitian(M, tols: Tolerances = DEFAULT):
     Mh = M.conj().swapaxes(-1, -2)
     scale = np.abs(M).reshape(flat).max(axis=-1, initial=1.0)
     dev = np.abs(M - Mh).reshape(flat).max(axis=-1, initial=0.0)
-    bad = dev > tols.herm * scale
+    bad = dev > DEFAULT.herm * scale
     if np.count_nonzero(bad):
         raise NonHermitianError("matrix deviates from Hermiticity by "
                                 f"{np.max(dev, where=bad, initial=0.0):.3e}")
@@ -65,22 +65,22 @@ def eig_hermitian(M, tols: Tolerances = DEFAULT):
     w, V = np.linalg.eigh(Msym)
     resid = np.abs((V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
                    - Msym).reshape(flat).max(axis=-1, initial=0.0)
-    bad = resid > tols.recon * scale
+    bad = resid > DEFAULT.recon * scale
     if np.count_nonzero(bad):
         raise ValidationError("eigendecomposition residual "
                               f"{np.max(resid, where=bad, initial=0.0):.3e}")
     return w, V
 
 
-def psd_sqrt(M, tols: Tolerances = DEFAULT):
+def psd_sqrt(M):
     """Square root of a positive semidefinite Hermitian matrix.
 
     A DensityMatrix or HermitianObservable lends its cached
-    eigendecomposition (see eig_of).  Eigenvalues in [-tols.psd, 0) are
-    treated as zero.
+    eigendecomposition (see eig_of).  Eigenvalues in [-psd, 0) are treated
+    as zero.
     """
-    w, V = eig_of(M, tols)
-    if w.size and w[0] < -tols.psd:
+    w, V = eig_of(M)
+    if w.size and w[0] < -DEFAULT.psd:
         raise ValidationError(f"matrix has a negative eigenvalue {w[0]:.3e}")
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
 
@@ -126,38 +126,38 @@ def noninteracting_hamiltonian(terms) -> np.ndarray:
     return total
 
 
-def level_labels(w, gap_cutoff: float) -> np.ndarray:
+def level_labels(w) -> np.ndarray:
     """Level index 0, 1, ... of each value of an ascending array.
 
     A step of gap_cutoff or more between neighbours starts a new level,
     so values linked by steps below it share a level.
     """
     w = np.asarray(w, dtype=float)
-    return np.cumsum(np.diff(w, prepend=w[:1]) >= gap_cutoff)
+    return np.cumsum(np.diff(w, prepend=w[:1]) >= DEFAULT.gap_cutoff)
 
 
-def dephase(rho, H, tols: Tolerances = DEFAULT) -> np.ndarray:
+def dephase(rho, H) -> np.ndarray:
     """Project a state onto the eigenspaces of H (pinching).
 
-    Eigenvalues of H linked by steps below tols.gap_cutoff count as one
-    level (see level_labels), so exact degeneracies survive intact.
+    Eigenvalues of H linked by steps below gap_cutoff count as one level
+    (see level_labels), so exact degeneracies survive intact.
     """
     rho = require_square(state_matrix(rho))
-    w, V = obs_eig(H, tols)
+    w, V = obs_eig(H)
     if w.size != rho.shape[0]:
         raise DimMismatchError("state and Hamiltonian dimensions differ")
-    lab = level_labels(w, tols.gap_cutoff)
+    lab = level_labels(w)
     rt = V.conj().T @ rho @ V
     return V @ (rt * (lab[:, None] == lab[None, :])) @ V.conj().T
 
 
-def fidelity(rho, sigma, tols: Tolerances = DEFAULT) -> float:
+def fidelity(rho, sigma) -> float:
     """Root fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
 
     For a pure rho this reduces to sqrt(<psi|sigma|psi>).  A DensityMatrix
     rho lends its cached eigendecomposition to sqrt(rho).
     """
-    sq = psd_sqrt(rho, tols)
+    sq = psd_sqrt(rho)
     sigma = state_matrix(sigma)
     if sq.shape != sigma.shape:
         raise DimMismatchError("states have different dimensions")
@@ -220,31 +220,35 @@ class PureState:
         return np.outer(self.vector, self.vector.conj())
 
 
-def observable(M, tols: Tolerances = DEFAULT) -> HermitianObservable:
+def observable(M) -> HermitianObservable:
+    """M with its eigendecomposition cached; a HermitianObservable is
+    returned as it is, so a validated operand is solved only once."""
+    if isinstance(M, HermitianObservable):
+        return M
     M = require_square(M)
-    w, V = eig_hermitian(M, tols)
+    w, V = eig_hermitian(M)
     w.flags.writeable = V.flags.writeable = False
     return HermitianObservable(matrix=M, spectrum=w, eigenbasis=V)
 
 
-def density_matrix(M, tols: Tolerances = DEFAULT) -> DensityMatrix:
+def density_matrix(M) -> DensityMatrix:
     M = require_square(M)
-    w, V = eig_hermitian(M, tols)
+    w, V = eig_hermitian(M)
     w.flags.writeable = V.flags.writeable = False
-    if abs(np.sum(w) - 1.0) > tols.trace:
+    if abs(np.sum(w) - 1.0) > DEFAULT.trace:
         raise ValidationError(f"trace is {np.sum(w):.12f}, expected 1")
-    if w[0] < -tols.psd:
+    if w[0] < -DEFAULT.psd:
         raise ValidationError(f"negative eigenvalue {w[0]:.3e}")
-    rank = int(np.count_nonzero(w > tols.rank_cutoff))
+    rank = int(np.count_nonzero(w > DEFAULT.rank_cutoff))
     return DensityMatrix(matrix=M, spectrum=w, eigenbasis=V, support_rank=rank)
 
 
-def pure_state(v, tols: Tolerances = DEFAULT) -> PureState:
+def pure_state(v) -> PureState:
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
         raise DimMismatchError(f"expected a vector, got shape {v.shape}")
     n = np.linalg.norm(v)
-    if abs(n - 1.0) > tols.norm:
+    if abs(n - 1.0) > DEFAULT.norm:
         raise ValidationError(f"norm is {n:.12f}, expected 1")
     return PureState(vector=v / n)
 
@@ -269,7 +273,7 @@ def obs_matrix(x) -> np.ndarray:
     return require_square(x)
 
 
-def eig_of(x, tols: Tolerances = DEFAULT):
+def eig_of(x):
     """(w ascending, V) of a state or observable.
 
     A DensityMatrix or HermitianObservable hands back its cached,
@@ -279,10 +283,10 @@ def eig_of(x, tols: Tolerances = DEFAULT):
     """
     if isinstance(x, (DensityMatrix, HermitianObservable)):
         return x.spectrum, x.eigenbasis
-    return eig_hermitian(state_matrix(x), tols)
+    return eig_hermitian(state_matrix(x))
 
 
-def obs_eig(H, tols: Tolerances = DEFAULT):
+def obs_eig(H):
     """(w ascending, V) of a Hamiltonian.
 
     A HermitianObservable hands back its cached pair; anything else goes
@@ -291,7 +295,7 @@ def obs_eig(H, tols: Tolerances = DEFAULT):
     """
     if isinstance(H, HermitianObservable):
         return H.spectrum, H.eigenbasis
-    return eig_hermitian(obs_matrix(H), tols)
+    return eig_hermitian(obs_matrix(H))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import (
     AlphaOutOfRangeError,
     DimMismatchError,
@@ -74,27 +74,27 @@ def _operands(rho, H):
     return rho, H
 
 
-def _spectral(rho, H, tols: Tolerances):
+def _spectral(rho, H):
     """Eigenvalues p of rho (ascending), its eigenbasis V, and
     A = V^dag H V, H in rho's eigenbasis."""
     _, H = _operands(rho, H)
-    p, V = eig_of(rho, tols)
+    p, V = eig_of(rho)
     return p, V, V.conj().T @ H @ V
 
 
-def _support_commutes(p, V, H, tols: Tolerances) -> bool:
-    """Max-abs entry of [Pi, H] below tols.commute, with Pi the projector
+def _support_commutes(p, V, H) -> bool:
+    """Max-abs entry of [Pi, H] below commute, with Pi the projector
     onto the eigenvectors V of rho whose eigenvalue p clears rank_cutoff.
 
     The norm is taken in the computational basis, as H is given."""
-    sup = p > tols.rank_cutoff
+    sup = p > DEFAULT.rank_cutoff
     if np.all(sup):
         return True
     H = obs_matrix(H)
     Vs = V[:, sup]
     proj = Vs @ Vs.conj().T
     comm = proj @ H - H @ proj
-    return bool(np.max(np.abs(comm)) < tols.commute)
+    return bool(np.max(np.abs(comm)) < DEFAULT.commute)
 
 
 # Kernels: each measure from the spectrum p of rho and A = V^dag H V,
@@ -116,13 +116,13 @@ def _floor0(v):
     return np.where(v < 0.0, 0.0, v)
 
 
-def _qfi(p, A, tols: Tolerances):
+def _qfi(p, A):
     """2 sum_jk (p_j-p_k)^2/(p_j+p_k) |A_jk|^2, skipping pairs whose
     p_j + p_k is below pair_cutoff (both populations numerically zero)."""
     diff = p[..., :, None] - p[..., None, :]
     tot = p[..., :, None] + p[..., None, :]
     terms = np.zeros_like(tot)
-    np.divide(diff * diff, tot, out=terms, where=tot > tols.pair_cutoff)
+    np.divide(diff * diff, tot, out=terms, where=tot > DEFAULT.pair_cutoff)
     return 2.0 * _pair_sum(terms, A)
 
 
@@ -149,38 +149,38 @@ def _renyi(p, A, alpha: float):
     return _floor0(_pair_sum(coeff, A))
 
 
-def qfi(rho, H, tols: Tolerances = DEFAULT) -> float:
+def qfi(rho, H) -> float:
     """Quantum Fisher information of t -> exp(-iHt) rho exp(iHt).
 
     Pairs with p_j + p_k below pair_cutoff contribute nothing (both
     populations are numerically zero) and are skipped to avoid 0/0.
     """
-    p, _, A = _spectral(rho, H, tols)
-    return float(_qfi(p, A, tols))
+    p, _, A = _spectral(rho, H)
+    return float(_qfi(p, A))
 
 
-def energy_variance(state, H, tols: Tolerances = DEFAULT) -> float:
+def energy_variance(state, H) -> float:
     """<H^2> - <H>^2 in the given state (pure or mixed), clamped at 0."""
     rho, H = _operands(state, H)
     mean = np.trace(rho @ H).real
     second = np.trace(rho @ H @ H).real
     var = second - mean * mean
-    if var < -tols.num:
+    if var < -DEFAULT.num:
         raise ValidationError(f"variance {var:.3e} below -tolerance")
     return max(var, 0.0)
 
 
-def support_commutes(rho, H, tols: Tolerances = DEFAULT) -> bool:
+def support_commutes(rho, H) -> bool:
     """Whether the support projector of rho commutes with H.
 
     This is exactly the finiteness condition for purity of coherence:
     coherence must not leak between the support and the kernel.
     """
-    p, V, _ = _spectral(rho, H, tols)
-    return _support_commutes(p, V, H, tols)
+    p, V, _ = _spectral(rho, H)
+    return _support_commutes(p, V, H)
 
 
-def purity_of_coherence(rho, H, tols: Tolerances = DEFAULT) -> MeasureValue:
+def purity_of_coherence(rho, H) -> MeasureValue:
     """P = tr(H rho^2 H rho^+) - tr(rho H^2), with rho^+ the support
     pseudo-inverse.  Infinite unless the support projector commutes with H.
 
@@ -188,63 +188,59 @@ def purity_of_coherence(rho, H, tols: Tolerances = DEFAULT) -> MeasureValue:
     sum_{jk} (p_k^2 - p_j^2)/p_j |H_kj|^2, which is algebraically the same
     but never forms the pseudo-inverse explicitly.
     """
-    p, V, A = _spectral(rho, H, tols)
-    if not _support_commutes(p, V, H, tols):
+    p, V, A = _spectral(rho, H)
+    if not _support_commutes(p, V, H):
         return MeasureValue.inf()
-    sup = p > tols.rank_cutoff
+    sup = p > DEFAULT.rank_cutoff
     return MeasureValue.finite(_purity(p[sup], A[np.ix_(sup, sup)]))
 
 
-def skew_information(rho, H, tols: Tolerances = DEFAULT) -> float:
+def skew_information(rho, H) -> float:
     """Wigner-Yanase skew information -tr([sqrt(rho), H]^2)/2.
 
     Evaluated in the eigenbasis: sum_{jk} (p_j - sqrt(p_j p_k)) |H_jk|^2.
     """
-    p, _, A = _spectral(rho, H, tols)
+    p, _, A = _spectral(rho, H)
     return float(_skew(p, A))
 
 
-def renyi_purity_monotone(rho, H, alpha: float,
-                          tols: Tolerances = DEFAULT) -> MeasureValue:
+def renyi_purity_monotone(rho, H, alpha: float) -> MeasureValue:
     """tr(rho^alpha H rho^{1-alpha} H) - tr(rho H^2) for alpha in (1, 2].
 
     alpha = 2 reproduces purity_of_coherence; the same support condition
     governs finiteness (the p_k^{1-alpha} factor diverges on the kernel).
     """
     _check_alpha(alpha)
-    p, V, A = _spectral(rho, H, tols)
-    if not _support_commutes(p, V, H, tols):
+    p, V, A = _spectral(rho, H)
+    if not _support_commutes(p, V, H):
         return MeasureValue.inf()
-    sup = p > tols.rank_cutoff
+    sup = p > DEFAULT.rank_cutoff
     return MeasureValue.finite(_renyi(p[sup], A[np.ix_(sup, sup)], alpha))
 
 
-def qfi_via_fidelity(rho, H, tols: Tolerances = DEFAULT) -> float:
+def qfi_via_fidelity(rho, H) -> float:
     """QFI from the curvature of t -> fidelity(rho, e^{-iHt} rho e^{iHt}).
 
     Central second difference -4 (Fid(h) - 2 Fid(0) + Fid(-h)) / h^2 with
-    one Richardson extrapolation step (h and h/2), h = tols.fd_step,
-    which must lie in [1e-4, 1e-2].  A plain rho becomes a
-    DensityMatrix once here, so every fidelity takes sqrt(rho) from one
-    cached eigendecomposition.
+    one Richardson extrapolation step (h and h/2), h = fd_step.  A plain
+    rho becomes a DensityMatrix once here, so every fidelity takes
+    sqrt(rho) from one cached eigendecomposition.
     """
-    h = tols.fd_step
-    if not (1e-4 <= h <= 1e-2):
-        raise ValidationError(f"step h must be in [1e-4, 1e-2], got {h}")
+    h = DEFAULT.fd_step
     rho_m, _ = _operands(rho, H)
     if not isinstance(rho, DensityMatrix):
-        rho = density_matrix(rho_m, tols)
-    w, V = obs_eig(H, tols)
+        rho = density_matrix(rho_m)
+    w, V = obs_eig(H)
 
     def rotated(t):
         U = (V * np.exp(-1j * w * t)) @ V.conj().T
         return U @ rho_m @ U.conj().T
 
-    f0 = fidelity(rho, rho, tols)
+    f0 = fidelity(rho, rho)
 
     def second_diff(s):
-        fp = fidelity(rho, rotated(s), tols)
-        fm = fidelity(rho, rotated(-s), tols)
+        fp = fidelity(rho, rotated(s))
+        fm = fidelity(rho, rotated(-s))
         return -4.0 * (fp - 2.0 * f0 + fm) / (s * s)
 
     coarse = second_diff(h)

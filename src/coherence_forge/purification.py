@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .clockdist import snap_levels
 from .errors import (
     DimMismatchError,
@@ -68,32 +68,32 @@ class PureEnsemble:
         return out
 
 
-def aligned_eigensystem(rho, H, tols: Tolerances = DEFAULT):
+def aligned_eigensystem(rho, H):
     """Eigendecomposition of rho with H diagonalized inside each degenerate
     eigenspace of rho.  Returns (p ascending, V); V is a fresh array, so a
     cached eigenbasis is never rotated in place."""
     H = obs_matrix(H)
-    p, V = eig_of(rho, tols)
+    p, V = eig_of(rho)
     if p.size != H.shape[0]:
         raise DimMismatchError("state and Hamiltonian dimensions differ")
     V = V.copy()
-    lab = level_labels(p, tols.gap_cutoff)
+    lab = level_labels(p)
     for k in np.flatnonzero(np.bincount(lab) > 1):
         g = np.flatnonzero(lab == k)
         block = V[:, g].conj().T @ H @ V[:, g]
-        _, Q = eig_hermitian(block, tols)
+        _, Q = eig_hermitian(block)
         V[:, g] = V[:, g] @ Q
     return p, V
 
 
-def canonical_purification(rho, tols: Tolerances = DEFAULT) -> PureState:
+def canonical_purification(rho) -> PureState:
     """|Phi> = sum_i sqrt(p_i) |phi_i> x |phi_i| on S x A.
 
     Both marginals equal rho (the A marginal in the same matrix
     representation, since the copy is unconjugated and the basis
     orthonormal).
     """
-    return pure_state(_amplitudes(*eig_of(rho, tols)).reshape(-1), tols)
+    return pure_state(_amplitudes(*eig_of(rho)).reshape(-1))
 
 
 def _amplitudes(p, V) -> np.ndarray:
@@ -102,12 +102,12 @@ def _amplitudes(p, V) -> np.ndarray:
     return (V * np.sqrt(np.clip(p, 0.0, None))) @ V.T
 
 
-def _joint_variance(phi, H_S, H_A, tols: Tolerances) -> float:
+def _joint_variance(phi, H_S, H_A) -> float:
     """<act|act> - <phi|act>^2, the variance of H_S x I + I x H_A in vec phi,
     with act = H_S phi + phi H_A^T."""
     act = obs_matrix(H_S) @ phi + phi @ obs_matrix(H_A).T
     var = np.vdot(act, act).real - np.vdot(phi, act).real ** 2
-    if var < -tols.num:
+    if var < -DEFAULT.num:
         raise ValidationError(f"variance {var:.3e} below -tolerance")
     return float(max(var, 0.0))
 
@@ -119,15 +119,15 @@ def _mean_energy(rho, H_S, H_A) -> float:
             + np.trace(rho @ obs_matrix(H_A)).real)
 
 
-def _ensemble(weights, states, H, tols: Tolerances) -> PureEnsemble:
+def _ensemble(weights, states, H) -> PureEnsemble:
     """Renormalise the weights and average the members' variances under H."""
     weights = np.asarray(weights) / np.sum(weights)
-    avg = float(sum(w * energy_variance(st.vector, H, tols)
+    avg = float(sum(w * energy_variance(st.vector, H)
                     for w, st in zip(weights, states)))
     return PureEnsemble(weights=weights, states=states, average_variance=avg)
 
 
-def _coordinate_aux(p, S, tols: Tolerances) -> np.ndarray:
+def _coordinate_aux(p, S) -> np.ndarray:
     """Optimal H_A in rho-eigenbasis coordinates (before transposing).
 
     Entry [j, i] = -2 sqrt(p_i p_j)/(p_i + p_j) * S_ij; pairs with
@@ -136,11 +136,11 @@ def _coordinate_aux(p, S, tols: Tolerances) -> np.ndarray:
     tot = p[:, None] + p[None, :]
     geo = np.sqrt(np.outer(np.clip(p, 0.0, None), np.clip(p, 0.0, None)))
     M = np.zeros_like(tot)
-    np.divide(geo, tot, out=M, where=tot > tols.pair_cutoff)
+    np.divide(geo, tot, out=M, where=tot > DEFAULT.pair_cutoff)
     return -2.0 * M * S
 
 
-def optimal_aux_hamiltonian(rho, H_S, tols: Tolerances = DEFAULT) -> np.ndarray:
+def optimal_aux_hamiltonian(rho, H_S) -> np.ndarray:
     """Auxiliary Hamiltonian minimizing the purification's total variance.
 
     Returned in the computational basis of A (A carries the same basis
@@ -148,19 +148,18 @@ def optimal_aux_hamiltonian(rho, H_S, tols: Tolerances = DEFAULT) -> np.ndarray:
     transpose of the coordinate formula).  Shifted by a multiple of the
     identity so the purification's mean total energy is zero.
     """
-    return _aux_hamiltonian(rho, H_S, *aligned_eigensystem(rho, H_S, tols),
-                            tols)
+    return _aux_hamiltonian(rho, H_S, *aligned_eigensystem(rho, H_S))
 
 
-def _aux_hamiltonian(rho, H_S, p, V, tols: Tolerances) -> np.ndarray:
+def _aux_hamiltonian(rho, H_S, p, V) -> np.ndarray:
     """optimal_aux_hamiltonian from the aligned eigensystem (p, V) of rho."""
     H_S = obs_matrix(H_S)
-    coeff = _coordinate_aux(p, V.conj().T @ H_S @ V, tols)
+    coeff = _coordinate_aux(p, V.conj().T @ H_S @ V)
     H_A = V @ coeff.T @ V.conj().T
     return H_A - _mean_energy(rho, H_S, H_A) * np.eye(p.size)
 
 
-def kkt_residual(rho, H_S, H_A=None, tols: Tolerances = DEFAULT) -> float:
+def kkt_residual(rho, H_S, H_A) -> float:
     """Stationarity residual of the variance-minimization problem.
 
     In rho-eigenbasis coordinates with D = diag(p) and S = V^dag H_S V,
@@ -173,9 +172,7 @@ def kkt_residual(rho, H_S, H_A=None, tols: Tolerances = DEFAULT) -> float:
     shifts drop out, so the identity component of H_A is projected away
     on the support first).
     """
-    p, V = aligned_eigensystem(rho, H_S, tols)
-    if H_A is None:
-        H_A = _aux_hamiltonian(rho, H_S, p, V, tols)
+    p, V = aligned_eigensystem(rho, H_S)
     S = V.conj().T @ obs_matrix(H_S) @ V
     A = V.conj().T @ obs_matrix(H_A) @ V
     # re-gauge to the zero-mean-energy convention the identity assumes
@@ -187,39 +184,38 @@ def kkt_residual(rho, H_S, H_A=None, tols: Tolerances = DEFAULT) -> float:
     return float(np.max(np.abs(resid)))
 
 
-def build_optimal_purification(rho, H_S,
-                               tols: Tolerances = DEFAULT) -> Purification:
+def build_optimal_purification(rho, H_S) -> Purification:
     """Assemble the minimal-variance purification of rho under H_S."""
-    p, V = aligned_eigensystem(rho, H_S, tols)
-    H_A = _aux_hamiltonian(rho, H_S, p, V, tols)
+    p, V = aligned_eigensystem(rho, H_S)
+    H_A = _aux_hamiltonian(rho, H_S, p, V)
     phi = _amplitudes(p, V)
-    return Purification(joint_state=pure_state(phi.reshape(-1), tols),
-                        aux_hamiltonian=observable(H_A, tols),
-                        total_variance=_joint_variance(phi, H_S, H_A, tols))
+    return Purification(joint_state=pure_state(phi.reshape(-1)),
+                        aux_hamiltonian=observable(H_A),
+                        total_variance=_joint_variance(phi, H_S, H_A))
 
 
-def optimal_ensemble(rho, H_S, tols: Tolerances = DEFAULT) -> PureEnsemble:
+def optimal_ensemble(rho, H_S) -> PureEnsemble:
     """Pure ensemble of rho achieving average variance qfi/4.
 
     Obtained by measuring the A side of the optimal purification in the
     eigenbasis of the auxiliary Hamiltonian; outcome k has weight
     ||<E_k|Phi>||^2 and leaves S in the corresponding conditional state.
     """
-    p, V = aligned_eigensystem(rho, H_S, tols)
-    _, U = eig_hermitian(_aux_hamiltonian(rho, H_S, p, V, tols), tols)
+    p, V = aligned_eigensystem(rho, H_S)
+    _, U = eig_hermitian(_aux_hamiltonian(rho, H_S, p, V))
     phi = _amplitudes(p, V)
     weights, states = [], []
     for k in range(p.size):
         eta = phi @ U[:, k].conj()
         w = float(np.vdot(eta, eta).real)
-        if w <= tols.pair_cutoff:
+        if w <= DEFAULT.pair_cutoff:
             continue
         weights.append(w)
-        states.append(pure_state(eta / np.sqrt(w), tols))
-    return _ensemble(weights, states, H_S, tols)
+        states.append(pure_state(eta / np.sqrt(w)))
+    return _ensemble(weights, states, H_S)
 
 
-def coherence_sectors(rho, H, tau: float, tols: Tolerances):
+def coherence_sectors(rho, H, tau: float):
     """Partition the levels of H (see level_labels) into sectors linked by
     coherence of rho.
 
@@ -231,18 +227,18 @@ def coherence_sectors(rho, H, tau: float, tols: Tolerances):
     off it.
     """
     rho = state_matrix(rho)
-    w, V = obs_eig(H, tols)
-    lab = level_labels(w, tols.gap_cutoff)
+    w, V = obs_eig(H)
+    lab = level_labels(w)
     energy = np.bincount(lab, weights=w) / np.bincount(lab)
     L = energy.size
     # largest coherence between each pair of levels
     C = np.zeros((L, L))
     np.maximum.at(C, (lab[:, None], lab[None, :]),
                   np.abs(V.conj().T @ rho @ V))
-    coherent = C > tols.rank_cutoff
+    coherent = C > DEFAULT.rank_cutoff
     lo, hi = np.nonzero(np.triu(coherent, 1))
     try:
-        ks = snap_levels(energy[hi] - energy[lo], 0.0, tau, tols)
+        ks = snap_levels(energy[hi] - energy[lo], 0.0, tau)
     except IncommensurateSpectrumError as exc:
         raise PeriodMismatchError("a coherence gap is not a multiple of "
                                   f"2*pi/tau: {exc}") from exc
@@ -259,8 +255,7 @@ def coherence_sectors(rho, H, tau: float, tols: Tolerances):
     return projectors, math.gcd(*ks.tolist())
 
 
-def period_respecting_ensemble(rho, H, tau: float,
-                               tols: Tolerances = DEFAULT) -> PureEnsemble:
+def period_respecting_ensemble(rho, H, tau: float) -> PureEnsemble:
     """Variance-optimal ensemble whose members are each tau-periodic.
 
     Requires rho itself to have full period tau (coherence-gap integers
@@ -270,19 +265,19 @@ def period_respecting_ensemble(rho, H, tau: float,
     averages to rho, and convex-roof minimality forces the average
     variance to stay at qfi/4 exactly.
     """
-    projectors, gcd = coherence_sectors(rho, H, tau, tols)
+    projectors, gcd = coherence_sectors(rho, H, tau)
     if gcd > 1:
         raise PeriodMismatchError(
             f"state period is tau/{gcd}, not tau"
         )
-    base = optimal_ensemble(rho, H, tols)
+    base = optimal_ensemble(rho, H)
     weights, states = [], []
     for w, st in zip(base.weights, base.states):
         for P in projectors:
             comp = P @ st.vector
             wc = float(np.vdot(comp, comp).real) * w
-            if wc <= tols.pair_cutoff:
+            if wc <= DEFAULT.pair_cutoff:
                 continue
             weights.append(wc)
-            states.append(pure_state(comp / np.linalg.norm(comp), tols))
-    return _ensemble(weights, states, H, tols)
+            states.append(pure_state(comp / np.linalg.norm(comp)))
+    return _ensemble(weights, states, H)

@@ -64,6 +64,15 @@ def test_code_names_skip_strings_and_comments():
     assert names.count("f") == 1
 
 
+def test_no_exported_function_takes_a_tolerance_table():
+    # every cutoff is read from config.DEFAULT; none is set per call
+    takes_tols = [name for name, obj in vars(coherence_forge).items()
+                  if inspect.isfunction(obj)
+                  and "tols" in inspect.signature(obj).parameters]
+    assert takes_tols == []
+    assert not hasattr(coherence_forge, "Tolerances")
+
+
 def test_every_exported_function_is_referenced():
     names = [name for p in SRC.glob("*.py") if p.name != "__init__.py"
              for name in _code_names(p.read_text())]

@@ -153,8 +153,8 @@ def _sampled_is_ti(ch, H_in, H_out, tau, tols=DEFAULT):
     """
     w_in, V_in = np.linalg.eigh(H_in)
     w_out, V_out = np.linalg.eigh(H_out)
-    n_in = snap_levels(w_in, w_in[0], tau, tols)
-    n_out = snap_levels(w_out, w_out[0], tau, tols)
+    n_in = snap_levels(w_in, w_in[0], tau)
+    n_out = snap_levels(w_out, w_out[0], tau)
     S = sum(np.kron(K, K.conj()) for K in ch.kraus)
     span = max(int(n_in.max() - n_in.min()),
                int(n_out.max() - n_out.min()))
@@ -267,12 +267,12 @@ def test_output_gap_gcd_divisible_by_input_gcd():
     psi = np.zeros(5)
     psi[0] = psi[2] = psi[4] = 1.0 / math.sqrt(3)   # gaps {2, 4}, gcd 2
     rho = np.outer(psi, psi)
-    _, g_in = coherence_sectors(rho, H, TAU, DEFAULT)
+    _, g_in = coherence_sectors(rho, H, TAU)
     assert g_in == 2
     for seed in range(10):
         tw = twirl(random_channel(5, 5, 3, seed), H, H, TAU)
         out = apply(tw, rho)
-        _, g_out = coherence_sectors(out, H, TAU, DEFAULT)
+        _, g_out = coherence_sectors(out, H, TAU)
         assert g_out % 2 == 0
 
 
@@ -403,8 +403,8 @@ def test_suite_validates_before_drawing(monkeypatch, capsys):
 def test_nan_measure_fails_the_suite(monkeypatch, capsys):
     # a NaN compares false both ways; it must count as a violation and
     # not be passed over as neither worst nor violating
-    def poisoned(p, A, tols):
-        v = _qfi(p, A, tols)
+    def poisoned(p, A):
+        v = _qfi(p, A)
         if not hits:
             v[0] = math.nan
         hits.append(1)

@@ -1,8 +1,10 @@
+import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +153,30 @@ def test_dist_convolves_once(fixtures, monkeypatch, capsys):
                      "--ham", fixtures["h4"], "--copies", "4"]) == 0
     capsys.readouterr()
     assert calls == [4]
+
+def test_dist_tau_defers_to_a_levels_file(fixtures, tmp_path, capsys):
+    # the file's own tau wins over --tau, as in convert
+    ham = tmp_path / "h_tau3.json"
+    ham.write_text(json.dumps({"levels_in_2pi_over_tau": [0, 1], "tau": 3}))
+    outs = []
+    for extra in ([], ["--tau", repr(TAU)]):
+        assert cli.main(["dist", "--state", fixtures["cbit"],
+                         "--ham", str(ham), *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert abs(json.loads(outs[0].splitlines()[-1])["period"] - 3) < 1e-12
+
+
+def test_dist_tau_sets_the_grid_of_a_dense_file(fixtures, capsys):
+    # levels 0 and 1: one grid step at tau = 2*pi, two at tau = 4*pi
+    rows = []
+    for tau in (TAU, 2 * TAU):
+        assert cli.main(["dist", "--state", fixtures["cbit"],
+                         "--ham", fixtures["hz_dense"],
+                         "--tau", repr(tau)]) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1:-1])
+    assert rows == [["0,0.5", "1,0.5"], ["0,0.5", "1,0.0", "2,0.5"]]
+
 
 def test_dist_gcd_not_one(fixtures, tmp_path):
     psi02 = np.zeros(3)
@@ -363,6 +389,22 @@ def test_qubit_bound_refuses_empty_table(capsys, lam, n):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_qubit_bound_streams_its_rows():
+    # rows are printed as they are computed, so memory does not grow
+    # with --n
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, \
+                contextlib.redirect_stdout(sink):
+            rc = cli.main(["qubit-bound", "--lambda", "0.6",
+                           "--n", "200000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 4 * 2**20
 
 
 def test_proptest_deterministic_and_seeded():

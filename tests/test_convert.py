@@ -54,7 +54,7 @@ def _rational_period(psi, H, tols=DEFAULT):
     """Reference: the rational rule, which snaps each gap to a rational
     with the absolute slack level_rel * max(1, |gap|) and takes 2*pi over
     the rationals' gcd."""
-    energies, _ = occupied_levels(psi, H, tols)
+    energies, _ = occupied_levels(psi, H)
     gaps = (energies[1:] - energies[0]).tolist()
     if not gaps:
         return 0.0
@@ -218,8 +218,8 @@ def test_best_shift_matches_exhaustive(monkeypatch):
     # the m-copy pairs of acceptance criterion 8, as iid_sweep builds them
     seen = []
 
-    def checked(p, q, tols):
-        got = best_shift(p, q, tols)
+    def checked(p, q):
+        got = best_shift(p, q)
         assert got == _exhaustive_shift(p, q)
         seen.append(got)
         return got

@@ -26,7 +26,6 @@ from coherence_forge.errors import (
     ValidationError,
 )
 from coherence_forge.linalg import dephase, observable, random_density
-from coherence_forge.config import DEFAULT
 from coherence_forge.distill import _min_trace_sdp
 
 TAU = 2 * math.pi
@@ -143,12 +142,12 @@ def test_omega_state_ambiguous_difference_spectrum():
 
 def test_sdp_uniform_and_entangled():
     Om = np.eye(4) / 4
-    res = _min_trace_sdp(single_sector(Om, 2, 2), DEFAULT)
+    res = _min_trace_sdp(single_sector(Om, 2, 2))
     assert abs(res.optimum - 0.5) < 1e-6
     assert res.primal_dual_gap < 1e-7
     phi = np.zeros(4)
     phi[0] = phi[3] = 1 / math.sqrt(2)
-    res = _min_trace_sdp(single_sector(np.outer(phi, phi), 2, 2), DEFAULT)
+    res = _min_trace_sdp(single_sector(np.outer(phi, phi), 2, 2))
     assert abs(res.optimum - 2.0) < 1e-6
 
 
@@ -170,7 +169,7 @@ def test_sdp_block_diagonal_oracle():
     for k in range(d_A):
         expect += float(np.max(np.linalg.eigvalsh(
             Om[k * d_B:(k + 1) * d_B, k * d_B:(k + 1) * d_B])))
-    res = _min_trace_sdp(single_sector(Om, d_A, d_B), DEFAULT)
+    res = _min_trace_sdp(single_sector(Om, d_A, d_B))
     assert abs(res.optimum - expect) < 1e-6
 
 
@@ -181,7 +180,7 @@ def test_sdp_certificates():
         G = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         Om = G @ G.conj().T
         Om = Om / np.trace(Om).real
-        res = _min_trace_sdp(single_sector(Om, d_A, d_B), DEFAULT)
+        res = _min_trace_sdp(single_sector(Om, d_A, d_B))
         assert res.primal_dual_gap < 1e-7
         # primal feasibility of tau
         slack = np.kron(res.tau, np.eye(d_B)) - Om

@@ -22,6 +22,7 @@ from coherence_forge.linalg import (
     fidelity,
     level_labels,
     noninteracting_hamiltonian,
+    observable,
     partial_trace,
     psd_sqrt,
     pure_state,
@@ -136,6 +137,11 @@ def test_eig_hermitian_accepts_stacks():
             eig_hermitian(bad)
 
 
+def test_observable_passes_an_observable_through():
+    H = observable(random_observable(3, np.random.default_rng(6)))
+    assert observable(H) is H
+
+
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(4)
     rho = random_density(4, rng)
@@ -195,7 +201,7 @@ def test_level_labels_match_former_grouping():
         steps = rng.choice([0.0, 1e-12, 1e-6, 0.3, 1.0], size=d,
                            p=[0.3, 0.2, 0.1, 0.2, 0.2])
         w = np.cumsum(steps) + rng.normal()
-        lab = level_labels(w, DEFAULT.gap_cutoff)
+        lab = level_labels(w)
         groups = _group_levels_reference(w, DEFAULT.gap_cutoff)
         assert [np.flatnonzero(lab == k).tolist()
                 for k in range(lab.max() + 1)] == groups
@@ -203,9 +209,9 @@ def test_level_labels_match_former_grouping():
 
 def test_level_labels_link_a_chain_of_small_steps():
     # each step is below gap_cutoff, the span is not: still one level
-    lab = level_labels([0.0, 0.6e-8, 1.2e-8, 1.0], 1e-8)
+    lab = level_labels([0.0, 0.6e-8, 1.2e-8, 1.0])
     assert lab.tolist() == [0, 0, 0, 1]
-    assert level_labels([], 1e-8).size == 0
+    assert level_labels([]).size == 0
 
 
 def test_density_matrix_validation():
@@ -244,7 +250,7 @@ def test_json_schema_errors():
 
 @pytest.mark.parametrize("call", [
     lambda: dephase(np.eye(2) / 2, H_1D),
-    lambda: coherence_sectors(np.eye(2) / 2, H_1D, 2 * math.pi, DEFAULT),
+    lambda: coherence_sectors(np.eye(2) / 2, H_1D, 2 * math.pi),
     lambda: omega_state(np.eye(2) / 2, H_1D, PLUS, H_QUBIT),
     lambda: omega_state(np.eye(2) / 2, H_QUBIT, PLUS, H_1D),
     lambda: intrinsic_period(PLUS, H_1D),

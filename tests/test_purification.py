@@ -272,9 +272,9 @@ def test_coherence_sectors_match_union_find_reference():
                 ref, ref_gcd = _coherence_sectors_reference(rho, H, t, DEFAULT)
             except PeriodMismatchError:
                 with pytest.raises(PeriodMismatchError):
-                    coherence_sectors(rho, H, t, DEFAULT)
+                    coherence_sectors(rho, H, t)
                 continue
-            got, got_gcd = coherence_sectors(rho, H, t, DEFAULT)
+            got, got_gcd = coherence_sectors(rho, H, t)
             assert got_gcd == ref_gcd
             gcds.add(got_gcd)
             assert len(got) == len(ref)
