@@ -26,9 +26,7 @@ from .errors import (
     SearchExhaustedError,
     SolverStallError,
     ValidationError,
-    ZeroNuError,
     ZeroTargetVarianceError,
-    ZeroVarianceError,
 )
 from .linalg import (
     DensityMatrix,
@@ -50,7 +48,6 @@ from .linalg import (
     tensor,
 )
 from .measures import (
-    MeasureValue,
     energy_variance,
     purity_of_coherence,
     qfi,
@@ -75,7 +72,6 @@ from .clockdist import (
     PeriodicClockState,
     TranslatedPoisson,
     barbour_bound,
-    barbour_terms,
     convolve_n,
     extract_distribution,
     integer_distribution,

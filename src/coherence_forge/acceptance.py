@@ -147,17 +147,17 @@ def criterion_4() -> CriterionResult:
         F = measures.qfi(rho, H)
         P = measures.purity_of_coherence(rho, H)
         W = measures.skew_information(rho, H)
-        if not P.infinite and P.value < F - 1e-10:
+        if P < F - 1e-10:
             bad_pf += 1
         if not (F / 8 - 1e-10 <= W <= F / 4 + 1e-10):
             bad_w += 1
         if F > 0:
             w_lo = min(w_lo, W / F)
             w_hi = max(w_hi, W / F)
-        if d == 2 and not P.infinite:
+        if d == 2 and P < math.inf:
             purity = float(np.trace(rho @ rho).real)
             rhs = F / (2.0 * (1.0 - purity))
-            if abs(P.value - rhs) > 1e-10 * max(1.0, abs(P.value)):
+            if abs(P - rhs) > 1e-10 * max(1.0, abs(P)):
                 bad_qubit += 1
     ok = bad_pf == 0 and bad_w == 0 and bad_qubit == 0
     detail = (f"P<F fails {bad_pf}, W-envelope fails {bad_w} "
@@ -190,7 +190,7 @@ def criterion_5() -> CriterionResult:
             rho = np.eye(d) / d + eps * A
             F = measures.qfi(rho, H)
             P = measures.purity_of_coherence(rho, H)
-            devs.append(abs(P.value / F - 1.0))
+            devs.append(abs(P / F - 1.0))
         ratios = (devs[1] / devs[0], devs[2] / devs[1])
         r_lo = min(r_lo, *ratios)
         r_hi = max(r_hi, *ratios)
@@ -328,7 +328,7 @@ def criterion_10() -> CriterionResult:
         if not distill.is_bound_resource(rho, H):
             ok = False
         floors = [distill.distillation_copy_floor(
-            rho, H, plus, H2, eps=e).value for e in (0.04, 0.02, 0.01)]
+            rho, H, plus, H2, eps=e) for e in (0.04, 0.02, 0.01)]
         ratios = (floors[1] / floors[0], floors[2] / floors[1])
         r_lo = min(r_lo, *ratios)
         r_hi = max(r_hi, *ratios)

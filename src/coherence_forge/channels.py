@@ -24,17 +24,7 @@ from .clockdist import snap_levels
 from .convert import coherence_cost
 from .errors import DimMismatchError, ValidationError
 from .linalg import HermitianObservable, eig_hermitian, obs_eig, state_matrix
-from .measures import (
-    _check_alpha,
-    _purity,
-    _qfi,
-    _renyi,
-    _skew,
-    purity_of_coherence,
-    qfi,
-    renyi_purity_monotone,
-    skew_information,
-)
+from .measures import _check_alpha, _purity, _qfi, _renyi, _skew
 
 
 @dataclass(frozen=True)
@@ -195,6 +185,9 @@ class MonotonicityReport:
 # peak memory does not grow with the trial count.
 _BLOCK = 256
 
+# A trial whose measure grows by more than this counts as a violation.
+VIOLATION = 1e-8
+
 
 def _dag(X) -> np.ndarray:
     return X.conj().swapaxes(-1, -2)
@@ -254,35 +247,27 @@ def _suite_measure(measure_id: str, alpha: float, tau: float):
     observable, as floats with inf for an infinite value.
 
     F, P, W and renyi run one eigensolve and one kernel per stack of
-    equal dimension.  A state without full support goes to the public
-    function instead, whose support check decides whether P or renyi is
-    finite, so no kernel sees a zero eigenvalue.  cost is coherence_cost
-    per state.  The id and alpha are checked here, before any trial is
-    drawn.
+    equal dimension, the kernels the public functions call: P and renyi
+    sum over each state's support pairs and give inf where the support
+    does not commute with the observable.  cost is coherence_cost per
+    state.  The id and alpha are checked here, before any trial is drawn.
     """
     if measure_id == "cost":
         return lambda states, hams: [coherence_cost(r, h, tau)
                                      for r, h in zip(states, hams)]
     if measure_id == "renyi":
         _check_alpha(alpha)
-    pairs = {"F": (_qfi, qfi),
-             "P": (_purity, purity_of_coherence),
-             "W": (_skew, skew_information),
-             "renyi": (partial(_renyi, alpha=alpha),
-                       partial(renyi_purity_monotone, alpha=alpha))}
-    if measure_id not in pairs:
+    kernels = {"F": lambda p, A, V, H: _qfi(p, A),
+               "P": _purity,
+               "W": lambda p, A, V, H: _skew(p, A),
+               "renyi": partial(_renyi, alpha=alpha)}
+    if measure_id not in kernels:
         raise ValidationError(f"unknown measure id {measure_id!r}")
-    kernel, single = pairs[measure_id]
+    kernel = kernels[measure_id]
 
     def stacked(rho, H):
         p, V = eig_hermitian(rho)
-        A = _dag(V) @ H @ V
-        full = np.all(p > DEFAULT.rank_cutoff, axis=-1)
-        vals = np.empty(len(p))
-        vals[full] = kernel(p[full], A[full])
-        for i in np.flatnonzero(~full):
-            vals[i] = float(single(rho[i], H[i]))
-        return (vals,)
+        return (kernel(p, _dag(V) @ H @ V, V, H),)
 
     return lambda states, hams: [
         float(v) for (v,) in _by_dim(stacked, states,
@@ -341,7 +326,7 @@ def monotonicity_suite(measure_id: str, trials: int = 100, seed: int = 0,
             if gap > worst:
                 worst = gap
                 worst_trial = t
-            if gap > 1e-8:
+            if gap > VIOLATION:
                 violations += 1
     return MonotonicityReport(measure_id=measure_id, trials=trials,
                               seed=seed, max_violation=worst,

@@ -21,8 +21,6 @@ from .errors import (
     IncommensurateSpectrumError,
     SearchExhaustedError,
     ValidationError,
-    ZeroNuError,
-    ZeroVarianceError,
 )
 from .linalg import (
     PureState,
@@ -116,17 +114,6 @@ class TranslatedPoisson:
     shift: int
     gamma: float
     dist: IntegerDistribution
-
-
-@dataclass(frozen=True)
-class BarbourTerms:
-    """Per-copy ingredients of the translated-Poisson approximation bound."""
-
-    a: float      # per-copy standard deviation
-    b: float      # smoothness term nu
-    c: float      # phi / variance
-    phi: float
-    nu: float
 
 
 def snap_levels(energies, ref: float, tau: float) -> np.ndarray:
@@ -301,39 +288,31 @@ def translated_poisson(mu: float, sigma2: float) -> TranslatedPoisson:
                              dist=dist)
 
 
-def barbour_terms(p: IntegerDistribution) -> BarbourTerms:
-    """Per-copy quantities feeding barbour_bound.
+def barbour_bound(p: IntegerDistribution, m: int) -> float:
+    """Total-variation bound between p^{*m} and TP(m mu, m var):
+    c / sqrt(m nu - 1/2) + 2 / (m sqrt(var)), with c = phi / var,
 
-    phi = E[X(X-1)] + (|mu - var|/var) E[(X-1)(X-2)] + E|X(X-1)(X-2)|/var;
-    nu = min(1/2, 1 - tv(p, p shifted by 1)).
+        phi = E[X(X-1)] + (|mu - var|/var) E[(X-1)(X-2)] + E|X(X-1)(X-2)|/var,
+        nu = min(1/2, 1 - tv(p, p shifted by 1)).
+
+    math.inf (the bound is vacuous) when the variance is zero or
+    m nu <= 1/2, which covers a p disjoint from its unit shift (nu = 0).
     """
-    mu = p.mean()
+    if m < 1:
+        raise ValidationError(f"m must be >= 1, got {m}")
     var = p.variance()
     if var < DEFAULT.prob:
-        raise ZeroVarianceError("per-copy variance is zero")
+        return math.inf
+    nu = min(0.5, 1.0 - tv_distance(p, shift(p, 1)))
+    if m * nu - 0.5 <= 0.0:
+        return math.inf
+    mu = p.mean()
     n = p.offset + np.arange(len(p.probs))
     e_ff = float(np.sum(p.probs * n * (n - 1)))
     e_gg = float(np.sum(p.probs * (n - 1) * (n - 2)))
     e_abs = float(np.sum(p.probs * np.abs(n * (n - 1) * (n - 2))))
     phi = e_ff + abs(mu - var) / var * e_gg + e_abs / var
-    nu = min(0.5, 1.0 - tv_distance(p, shift(p, 1)))
-    if nu <= 0.0:
-        raise ZeroNuError(
-            "distribution is disjoint from its unit shift; "
-            "raise copies via overlap_copy_count first"
-        )
-    return BarbourTerms(a=math.sqrt(var), b=nu, c=phi / var, phi=phi, nu=nu)
-
-
-def barbour_bound(p: IntegerDistribution, m: int) -> float:
-    """Total-variation bound between p^{*m} and TP(m mu, m var):
-    c / sqrt(m b - 1/2) + 2 / (m a).  Infinite when m b <= 1/2."""
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    t = barbour_terms(p)
-    if m * t.b - 0.5 <= 0.0:
-        return math.inf
-    return t.c / math.sqrt(m * t.b - 0.5) + 2.0 / (m * t.a)
+    return phi / var / math.sqrt(m * nu - 0.5) + 2.0 / (m * math.sqrt(var))
 
 
 def tp_distance(p: IntegerDistribution, m: int,

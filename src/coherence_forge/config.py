@@ -1,11 +1,21 @@
 """Centralized numerical tolerances.
 
-Every cutoff used anywhere in the package is a field of DEFAULT, which
-every function reads directly, so tests and the CLI agree on what "zero"
-means.  All values are absolute unless the name says otherwise, save
-herm and recon: eig_hermitian scales both by max(1, max|M_ij|), so an
-operator in any units is judged alike.  The other values assume
-desk-scale inputs (matrix entries O(1), dimensions in the tens).
+The cutoffs that judge inputs and decide what counts as "zero" are
+fields of DEFAULT, which every function reads directly, so tests and the
+CLI agree on them.  All values are absolute unless the name says
+otherwise, save herm and recon: eig_hermitian scales both by
+max(1, max|M_ij|), so an operator in any units is judged alike.  The
+other values assume desk-scale inputs (matrix entries O(1), dimensions
+in the tens).
+
+A few algorithm constants stay in the module whose algorithm they tune:
+convert.TIE_WIDTH (1e-15, two total variations that best_shift counts
+as tied), channels.VIOLATION (1e-8, the growth the monotonicity suite
+counts as a violation), the Newton decrement of 1e-13 x max(1, tr tau)
+at which the distill SDP ends a barrier stage, and the size budgets
+clockdist.MAX_CONV_WINDOW, clockdist.MAX_OVERLAP_COPIES,
+cli.MAX_OMEGA_SIDE and cli.MAX_SDP_PARAMS.  The acceptance criteria
+carry their own pass thresholds.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ class Tolerances:
     fd_step: float = 1e-3
 
     # Channel checks
-    cptp: float = 1e-10          # |sum K^dag K - I| entry
+    cptp: float = 1e-10          # |sum K^dag K - I| entry (B B^dag of a basis)
     ti_residual: float = 1e-10   # covariance residual for "is covariant"
 
     # Semidefinite solver

@@ -34,6 +34,9 @@ from .linalg import observable
 from .measures import energy_variance, qfi
 from .purification import coherence_sectors
 
+# best_shift counts two total variations within this of each other as a tie
+TIE_WIDTH = 1e-15
+
 
 @dataclass(frozen=True)
 class ConversionPlan:
@@ -131,11 +134,11 @@ def best_shift(p: IntegerDistribution, q: IntegerDistribution):
     with F the cumulative mass and M the total mass (neither need be 1).
     Shifts are visited in ascending LB; the search stops at the first k
     whose LB, less a margin for cumsum rounding, exceeds the best tv so
-    far by more than the 1e-15 tie width.  Every shift not visited has a
-    tv above that, so it could neither beat nor tie the minimum.  The
-    visited shifts then go through the tie rule in ascending k: a smaller
-    tv by more than 1e-15 wins, and ties go to the smaller |k|, then to
-    the negative one.
+    far by more than TIE_WIDTH.  Every shift not visited has a tv above
+    that, so it could neither beat nor tie the minimum.  The visited
+    shifts then go through the tie rule in ascending k: a smaller tv by
+    more than TIE_WIDTH wins, and ties go to the smaller |k|, then to the
+    negative one.
     """
     k_lo = p.support_min - q.support_max
     lb, margin = _shift_bounds(p, q)
@@ -144,10 +147,10 @@ def best_shift(p: IntegerDistribution, q: IntegerDistribution):
     visited = [(k_lo + i_min, best_e)]
     # only the shifts whose bound is within reach of that first tv are
     # sorted, and the full-length bound array is freed before the search
-    near = np.flatnonzero(lb - margin <= best_e + 1e-15)
+    near = np.flatnonzero(lb - margin <= best_e + TIE_WIDTH)
     lb = lb[near]
     for j in np.argsort(lb, kind="stable"):
-        if lb[j] - margin > best_e + 1e-15:
+        if lb[j] - margin > best_e + TIE_WIDTH:
             break
         if near[j] != i_min:
             k = k_lo + int(near[j])
@@ -157,8 +160,8 @@ def best_shift(p: IntegerDistribution, q: IntegerDistribution):
     best_k = None
     best_e = math.inf
     for k, e in sorted(visited):
-        better = e < best_e - 1e-15
-        tie = abs(e - best_e) <= 1e-15
+        better = e < best_e - TIE_WIDTH
+        tie = abs(e - best_e) <= TIE_WIDTH
         if better or (tie and (abs(k) < abs(best_k)
                                or (abs(k) == abs(best_k) and k < best_k))):
             best_k, best_e = k, e

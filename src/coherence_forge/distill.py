@@ -37,7 +37,6 @@ from .linalg import (
     state_matrix,
 )
 from .measures import (
-    MeasureValue,
     energy_variance,
     purity_of_coherence,
     qfi,
@@ -55,27 +54,27 @@ def is_bound_resource(rho, H) -> bool:
 
 
 def distillation_copy_floor(rho, H, psi_target, H_t, eps: float,
-                            prob: float = 1.0) -> MeasureValue:
+                            prob: float = 1.0) -> float:
     """Minimum copies of rho needed for an eps-accurate target at success
     probability prob: prob * V(target) * (2/eps - 3) / P(rho).
 
     The target variance ceiling for eps-approximations turns the purity
     budget into a copy count.  Infinite when the source has no purity of
-    coherence at all; zero when nothing is demanded (incoherent target or
-    a source with unbounded purity)."""
+    coherence at all (math.inf); zero when nothing is demanded (incoherent
+    target or a source with unbounded purity)."""
     if not 0.0 < eps < 2.0 / 3.0:
         raise EpsOutOfRangeError(f"eps must lie in (0, 2/3), got {eps}")
     if not 0.0 < prob <= 1.0:
         raise ValidationError(f"prob must lie in (0, 1], got {prob}")
     v_t = energy_variance(psi_target, H_t)
     if v_t <= DEFAULT.num:
-        return MeasureValue.finite(0.0)
+        return 0.0
     P = purity_of_coherence(rho, H)
-    if P.infinite:
-        return MeasureValue.finite(0.0)
-    if P.value <= DEFAULT.num:
-        return MeasureValue.inf()
-    return MeasureValue.finite(prob * v_t * (2.0 / eps - 3.0) / P.value)
+    if P == math.inf:
+        return 0.0
+    if P <= DEFAULT.num:
+        return math.inf
+    return prob * v_t * (2.0 / eps - 3.0) / P
 
 
 @dataclass(frozen=True)

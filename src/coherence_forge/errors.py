@@ -52,15 +52,6 @@ class SearchExhaustedError(CoherenceForgeError):
     """A bounded search ended without finding what it was asked for."""
 
 
-class ZeroVarianceError(CoherenceForgeError):
-    """Distribution has no spread where spread is required."""
-
-
-class ZeroNuError(CoherenceForgeError):
-    """Unit-shift overlap of the single-copy distribution is zero, so the
-    smoothness term of the approximation bound is vacuous."""
-
-
 class ZeroTargetVarianceError(CoherenceForgeError):
     """Target state carries no energy spread, so no finite rate exists."""
 

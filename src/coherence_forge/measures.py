@@ -8,14 +8,13 @@ All quantities measure how far rho is from commuting with H:
 
 with H_jk the matrix elements of H in the eigenbasis of rho.  F and W are
 always finite; P (and the Renyi family that interpolates to it) blows up
-whenever rho carries coherence between its support and its kernel, which
-is flagged rather than returned as a float sentinel.
+whenever rho carries coherence between its support and its kernel, and
+is then returned as math.inf.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,29 +35,6 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class MeasureValue:
-    """A nonnegative measure that may be infinite.
-
-    The flag is explicit so downstream branching never has to sniff float
-    sentinels; value is math.inf exactly when infinite is True.
-    """
-
-    value: float
-    infinite: bool = False
-
-    @classmethod
-    def finite(cls, v: float) -> "MeasureValue":
-        return cls(value=float(v), infinite=False)
-
-    @classmethod
-    def inf(cls) -> "MeasureValue":
-        return cls(value=math.inf, infinite=True)
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def _check_alpha(alpha: float) -> None:
     if not (1.0 < alpha <= 2.0):
         raise AlphaOutOfRangeError(f"alpha must be in (1, 2], got {alpha}")
@@ -75,32 +51,39 @@ def _operands(rho, H):
 
 
 def _spectral(rho, H):
-    """Eigenvalues p of rho (ascending), its eigenbasis V, and
-    A = V^dag H V, H in rho's eigenbasis."""
+    """(p, A, V, H): eigenvalues p of rho (ascending), A = V^dag H V (H in
+    rho's eigenbasis V), V, and H as a plain matrix."""
     _, H = _operands(rho, H)
     p, V = eig_of(rho)
-    return p, V, V.conj().T @ H @ V
+    return p, V.conj().T @ H @ V, V, H
 
 
-def _support_commutes(p, V, H) -> bool:
-    """Max-abs entry of [Pi, H] below commute, with Pi the projector
-    onto the eigenvectors V of rho whose eigenvalue p clears rank_cutoff.
+def _support_commutes(p, V, H):
+    """Whether the max-abs entry of [Pi, H] is below commute, with Pi the
+    projector onto the eigenvectors V whose eigenvalue p clears
+    rank_cutoff: a bool per stack row.
 
-    The norm is taken in the computational basis, as H is given."""
-    sup = p > DEFAULT.rank_cutoff
-    if np.all(sup):
-        return True
-    H = obs_matrix(H)
-    Vs = V[:, sup]
-    proj = Vs @ Vs.conj().T
-    comm = proj @ H - H @ proj
-    return bool(np.max(np.abs(comm)) < DEFAULT.commute)
+    The norm is taken in the computational basis, as H is given.  Only
+    rows without full support form Pi, since a full one is the identity.
+    """
+    n = p.shape[-1]
+    sup = (p > DEFAULT.rank_cutoff).reshape(-1, n)
+    ok = sup.all(axis=1)
+    part = np.flatnonzero(~ok)
+    if part.size:
+        Vs = V.reshape(-1, n, n)[part] * sup[part, None, :]
+        proj = Vs @ Vs.conj().swapaxes(-1, -2)
+        Hs = H.reshape(-1, n, n)[part]
+        comm = proj @ Hs - Hs @ proj
+        ok[part] = np.max(np.abs(comm), axis=(1, 2)) < DEFAULT.commute
+    return ok.reshape(p.shape[:-1])
 
 
 # Kernels: each measure from the spectrum p of rho and A = V^dag H V,
 # broadcast over any leading stack axes.  The public functions call them
 # on one matrix and the monotonicity suite on stacks, so both give the
-# same bits.  _purity and _renyi take support eigenvalues only.
+# same bits.  _purity and _renyi sum over support pairs only and also
+# take V and H, to return inf where the support leaks.
 
 
 def _pair_sum(coeff, A):
@@ -134,19 +117,31 @@ def _skew(p, A):
         p[..., :, None] - root[..., :, None] * root[..., None, :], A))
 
 
-def _purity(p, A):
-    """sum_jk (p_k^2 - p_j^2)/p_j |A_kj|^2 over a support spectrum p."""
+def _support_sum(coeff, p, A, V, H):
+    """_pair_sum of coeff(q) over the support pairs of each spectrum p,
+    floored at 0, with q = p but 1 on the kernel so that no coefficient
+    divides by zero; inf on rows whose support does not commute with H."""
+    sup = p > DEFAULT.rank_cutoff
+    c = coeff(np.where(sup, p, 1.0))
+    pairs = sup[..., :, None] & sup[..., None, :]
+    val = _floor0(_pair_sum(np.where(pairs, c, 0.0), A))
+    return np.where(_support_commutes(p, V, H), val, math.inf)
+
+
+def _purity(p, A, V, H):
+    """sum_jk (p_k^2 - p_j^2)/p_j |A_kj|^2 over the support pairs."""
     # ratio[k, j] = (p_k^2 - p_j^2) / p_j
-    ratio = (p[..., :, None] ** 2 - p[..., None, :] ** 2) / p[..., None, :]
-    return _floor0(_pair_sum(ratio, A))
+    return _support_sum(
+        lambda q: (q[..., :, None] ** 2 - q[..., None, :] ** 2)
+        / q[..., None, :], p, A, V, H)
 
 
-def _renyi(p, A, alpha: float):
-    """sum_jk (p_j^alpha p_k^(1-alpha) - p_j) |A_jk|^2 over a support
-    spectrum p."""
-    coeff = (p[..., :, None] ** alpha * p[..., None, :] ** (1.0 - alpha)
-             - p[..., :, None])
-    return _floor0(_pair_sum(coeff, A))
+def _renyi(p, A, V, H, alpha: float):
+    """sum_jk (p_j^alpha p_k^(1-alpha) - p_j) |A_jk|^2 over the support
+    pairs."""
+    return _support_sum(
+        lambda q: (q[..., :, None] ** alpha * q[..., None, :] ** (1.0 - alpha)
+                   - q[..., :, None]), p, A, V, H)
 
 
 def qfi(rho, H) -> float:
@@ -155,7 +150,7 @@ def qfi(rho, H) -> float:
     Pairs with p_j + p_k below pair_cutoff contribute nothing (both
     populations are numerically zero) and are skipped to avoid 0/0.
     """
-    p, _, A = _spectral(rho, H)
+    p, A, _, _ = _spectral(rho, H)
     return float(_qfi(p, A))
 
 
@@ -176,23 +171,20 @@ def support_commutes(rho, H) -> bool:
     This is exactly the finiteness condition for purity of coherence:
     coherence must not leak between the support and the kernel.
     """
-    p, V, _ = _spectral(rho, H)
-    return _support_commutes(p, V, H)
+    p, _, V, H = _spectral(rho, H)
+    return bool(_support_commutes(p, V, H))
 
 
-def purity_of_coherence(rho, H) -> MeasureValue:
+def purity_of_coherence(rho, H) -> float:
     """P = tr(H rho^2 H rho^+) - tr(rho H^2), with rho^+ the support
-    pseudo-inverse.  Infinite unless the support projector commutes with H.
+    pseudo-inverse.  math.inf unless the support projector commutes
+    with H.
 
     Computed as the eigenbasis sum over support pairs
     sum_{jk} (p_k^2 - p_j^2)/p_j |H_kj|^2, which is algebraically the same
     but never forms the pseudo-inverse explicitly.
     """
-    p, V, A = _spectral(rho, H)
-    if not _support_commutes(p, V, H):
-        return MeasureValue.inf()
-    sup = p > DEFAULT.rank_cutoff
-    return MeasureValue.finite(_purity(p[sup], A[np.ix_(sup, sup)]))
+    return float(_purity(*_spectral(rho, H)))
 
 
 def skew_information(rho, H) -> float:
@@ -200,22 +192,19 @@ def skew_information(rho, H) -> float:
 
     Evaluated in the eigenbasis: sum_{jk} (p_j - sqrt(p_j p_k)) |H_jk|^2.
     """
-    p, _, A = _spectral(rho, H)
+    p, A, _, _ = _spectral(rho, H)
     return float(_skew(p, A))
 
 
-def renyi_purity_monotone(rho, H, alpha: float) -> MeasureValue:
+def renyi_purity_monotone(rho, H, alpha: float) -> float:
     """tr(rho^alpha H rho^{1-alpha} H) - tr(rho H^2) for alpha in (1, 2].
 
     alpha = 2 reproduces purity_of_coherence; the same support condition
-    governs finiteness (the p_k^{1-alpha} factor diverges on the kernel).
+    governs finiteness (the p_k^{1-alpha} factor diverges on the kernel),
+    and the value is math.inf when it fails.
     """
     _check_alpha(alpha)
-    p, V, A = _spectral(rho, H)
-    if not _support_commutes(p, V, H):
-        return MeasureValue.inf()
-    sup = p > DEFAULT.rank_cutoff
-    return MeasureValue.finite(_renyi(p[sup], A[np.ix_(sup, sup)], alpha))
+    return float(_renyi(*_spectral(rho, H), alpha))
 
 
 def qfi_via_fidelity(rho, H) -> float:

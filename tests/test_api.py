@@ -3,7 +3,8 @@
 A function whose name appears as a code token in no module but at its
 own def (and in the __init__ export) serves only its own tests; a name
 inside a string, a docstring or a comment does not count.  Such a
-function stays in the package only for a reason listed in KEPT.
+function stays in the package only for a reason listed in KEPT.  Every
+error class but the common base is raised somewhere in the package.
 """
 
 import inspect
@@ -12,6 +13,7 @@ import pathlib
 import tokenize
 
 import coherence_forge
+from coherence_forge import errors
 
 SRC = pathlib.Path(coherence_forge.__file__).parent
 
@@ -83,3 +85,35 @@ def test_every_exported_function_is_referenced():
     assert sorted(unreferenced - KEPT.keys()) == []
     # a kept name that gains a reference no longer needs its exception
     assert sorted(KEPT.keys() - unreferenced) == []
+
+
+def _raised_names(source):
+    """Names in the exception of each raise statement of source: the
+    NAME tokens after raise, up to a parenthesis, from or the line end."""
+    names, raising = [], False
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.string == "raise":
+            raising = True
+        elif tok.string in ("(", "from") or tok.type == tokenize.NEWLINE:
+            raising = False
+        elif raising and tok.type == tokenize.NAME:
+            names.append(tok.string)
+    return names
+
+
+def test_raised_names_read_raise_statements_only():
+    src = ('try:\n'
+           '    raise errors.A("B")\n'
+           'except C as exc:\n'
+           '    raise D from exc\n')
+    assert _raised_names(src) == ["errors", "A", "D"]
+
+
+def test_every_error_class_is_raised():
+    raised = {name for p in SRC.glob("*.py")
+              for name in _raised_names(p.read_text())}
+    classes = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and issubclass(obj, Exception)
+               and obj.__module__ == errors.__name__}
+    assert "CoherenceForgeError" in classes
+    assert sorted(classes - raised - {"CoherenceForgeError"}) == []

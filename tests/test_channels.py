@@ -28,9 +28,8 @@ from coherence_forge.errors import (
     IncommensurateSpectrumError,
     ValidationError,
 )
-from coherence_forge.linalg import density_matrix, eig_hermitian, random_density
+from coherence_forge.linalg import density_matrix, observable, random_density
 from coherence_forge.measures import (
-    MeasureValue,
     _qfi,
     purity_of_coherence,
     qfi,
@@ -309,14 +308,14 @@ def _reference_hamiltonian(d, rng):
 
 def _reference_measure(measure_id, rho, H, tau, alpha):
     if measure_id == "F":
-        return MeasureValue.finite(qfi(rho, H))
+        return qfi(rho, H)
     if measure_id == "P":
         return purity_of_coherence(rho, H)
     if measure_id == "W":
-        return MeasureValue.finite(skew_information(rho, H))
+        return skew_information(rho, H)
     if measure_id == "renyi":
         return renyi_purity_monotone(rho, H, alpha)
-    return MeasureValue.finite(coherence_cost(rho, H, tau))
+    return coherence_cost(rho, H, tau)
 
 
 def _reference_suite(measure_id, trials, seed, alpha=1.5):
@@ -340,12 +339,10 @@ def _reference_suite(measure_id, trials, seed, alpha=1.5):
         deficient += density_matrix(sigma).support_rank < d_out
         v_in = _reference_measure(measure_id, rho, H_in, tau, alpha)
         v_out = _reference_measure(measure_id, sigma, H_out, tau, alpha)
-        if v_in.infinite:
-            gap = 0.0 if v_out.infinite else -math.inf
-        elif v_out.infinite:
-            gap = math.inf
+        if v_in == v_out == math.inf:
+            gap = 0.0
         else:
-            gap = v_out.value - v_in.value
+            gap = v_out - v_in
         if gap > worst:
             worst, worst_trial = gap, t
         if gap > 1e-8:
@@ -398,6 +395,49 @@ def test_suite_validates_before_drawing(monkeypatch, capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_stacked_support_measures_match_public_functions():
+    # full-rank, rank-deficient with a commuting support, and leaking
+    # states, stacked by dimension: P and renyi give each row the value
+    # of the public function, inf on the rows whose support leaks
+    rng = np.random.default_rng(31)
+    plus = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
+    flat = np.ones(3) / math.sqrt(3)
+    H3 = observable(np.diag([0.0, 1.0, 2.0]))
+    H2 = observable(np.diag([0.5, -0.5]))
+    states = [
+        random_density(3, rng),
+        0.6 * np.outer(plus, plus) + 0.2 * np.diag([1.0, 1.0, 0.0]),
+        0.5 * np.outer(flat, flat) + 0.5 * np.diag([1.0, 0.0, 0.0]),
+        random_density(2, rng),
+        np.outer(plus[:2], plus[:2]),
+        np.diag([0.0, 1.0]),
+    ]
+    hams = [H3, H3, H3, H2, H2, H2]
+    for measure_id, alpha, public in (
+            ("P", 1.5, purity_of_coherence),
+            ("renyi", 1.5, lambda r, h: renyi_purity_monotone(r, h, 1.5)),
+            ("renyi", 2.0, lambda r, h: renyi_purity_monotone(r, h, 2.0))):
+        got = channels._suite_measure(measure_id, alpha, TAU)(states, hams)
+        want = [public(r, h) for r, h in zip(states, hams)]
+        assert got == want
+        assert [v == math.inf for v in got] == [False, False, True,
+                                               False, True, False]
+        assert got[1] > 0.0
+
+
+def test_proptest_exits_on_the_suites_violation_count(monkeypatch, capsys):
+    # a gap of exactly VIOLATION is no violation, for the report and
+    # for the exit code alike
+    monkeypatch.setattr(channels, "_gap", lambda v_in, v_out: 1e-8)
+    rep = monotonicity_suite("F", trials=5, seed=0)
+    assert (rep.violations, rep.max_violation) == (0, 1e-8)
+    rc = cli.main(["proptest", "--measure", "F", "--trials", "5",
+                   "--seed", "0"])
+    out = json.loads(capsys.readouterr().out)
+    assert (out["violations"], out["max_violation"]) == (0, 1e-8)
+    assert rc == 0
 
 
 def test_nan_measure_fails_the_suite(monkeypatch, capsys):

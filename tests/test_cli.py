@@ -95,6 +95,25 @@ def test_measures_cost_field(fixtures, tmp_path, capsys, tau):
     assert json.loads(capsys.readouterr().out)["cost"] is None
 
 
+def test_levels_basis_must_be_unitary(fixtures, tmp_path, capsys):
+    # the basis is the one Kraus operator of its unitary channel, judged
+    # at cptp; a NaN entry fails the check rather than passing it
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    ham = tmp_path / "h.json"
+    for basis, rc in ((hadamard, 0), (1.001 * hadamard, 1),
+                      (np.array([[math.nan, 0.0], [0.0, 1.0]]), 1)):
+        ham.write_text(json.dumps({"levels_in_2pi_over_tau": [0, 1],
+                                   "basis": array_to_json(basis)}))
+        assert cli.main(["measures", "--state", fixtures["cbit"],
+                         "--ham", str(ham)]) == rc
+        out, err = capsys.readouterr()
+        if rc:
+            assert (out, err) == ("", "error: basis is not unitary\n")
+        else:
+            # H = B diag(0, 1) B^dag has |+> as an eigenstate: F = 0
+            assert json.loads(out)["F"] < 1e-12
+
+
 def test_proptest_cost_report_is_frozen():
     # the cost measure is coherence_cost, (tau/2pi)^2 F; this report was
     # frozen from the same formula written inline in the suite

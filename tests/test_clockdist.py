@@ -8,7 +8,6 @@ from coherence_forge.clockdist import (
     IntegerDistribution,
     _poisson_window,
     barbour_bound,
-    barbour_terms,
     convolve_n,
     extract_distribution,
     integer_distribution,
@@ -24,8 +23,6 @@ from coherence_forge.errors import (
     GcdNotOneError,
     IncommensurateSpectrumError,
     ValidationError,
-    ZeroNuError,
-    ZeroVarianceError,
 )
 
 TAU = 2 * math.pi
@@ -219,9 +216,10 @@ def test_barbour_bound_dominates_tp_distance():
             prev = d
 
 
-def test_barbour_nu_zero_raises():
-    # support {0, 2} is disjoint from its unit shift
-    with pytest.raises(ZeroNuError):
-        barbour_terms(integer_distribution(0, [0.5, 0.0, 0.5]))
-    with pytest.raises(ZeroVarianceError):
-        barbour_terms(integer_distribution(5, [1.0]))
+def test_barbour_bound_vacuous_is_inf():
+    # support {0, 2} is disjoint from its unit shift (nu = 0), and a point
+    # mass has no variance: the bound is vacuous at every copy count
+    for m in (1, 100):
+        assert barbour_bound(integer_distribution(0, [0.5, 0.0, 0.5]),
+                             m) == math.inf
+        assert barbour_bound(integer_distribution(5, [1.0]), m) == math.inf
