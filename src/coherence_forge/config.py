@@ -11,8 +11,11 @@ in the tens).
 A few algorithm constants stay in the module whose algorithm they tune:
 convert.TIE_WIDTH (1e-15, two total variations that best_shift counts
 as tied), channels.VIOLATION (1e-8, the growth the monotonicity suite
-counts as a violation), the Newton decrement of 1e-13 x max(1, tr tau)
-at which the distill SDP ends a barrier stage, and the size budgets
+counts as a violation), the distill SDP's barrier schedule
+(distill.BARRIER_FACTOR, 0.05 between barrier weights;
+distill.CENTRING_DECREMENT, the lambda^2 <= 1 that ends every stage but
+the last; and the Newton decrement of 1e-13 x max(1, tr tau) that ends
+the last), and the size budgets
 clockdist.MAX_CONV_WINDOW, clockdist.MAX_OVERLAP_COPIES,
 cli.MAX_OMEGA_SIDE and cli.MAX_SDP_PARAMS.  The acceptance criteria
 carry their own pass thresholds.

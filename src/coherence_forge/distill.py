@@ -43,6 +43,12 @@ from .measures import (
     support_commutes,
 )
 
+# ratio of successive barrier weights in the SDP's long-step schedule
+BARRIER_FACTOR = 0.05
+# a barrier stage before the last ends once the Newton decrement of the
+# normalised barrier function, lambda^2 = decrement / mu, is at most this
+CENTRING_DECREMENT = 1.0
+
 
 def is_bound_resource(rho, H) -> bool:
     """True when the state carries coherence that cannot be distilled.
@@ -230,8 +236,13 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     d; one symmetrization removes the rounding.
 
     Works on Omega scaled to unit largest eigenvalue; the barrier weight
-    is driven down to gap_tol/(4*N*scale), which pins the centered
-    duality gap mu*N under the requested tolerance after unscaling.  The
+    is driven down by BARRIER_FACTOR per stage to gap_tol/(4*N*scale),
+    which pins the centered duality gap mu*N under the requested
+    tolerance after unscaling.  Only that last stage's centring reaches
+    the certificate, so it alone runs to a full step with a decrement
+    below 1e-13 x max(1, tr tau); every earlier stage ends once the
+    decrement is at most CENTRING_DECREMENT * mu (Boyd & Vandenberghe,
+    Convex Optimization, 11.3).  The
     dual X = mu S^-1 is rescaled by the congruence T^-1/2 (x) I with
     T = Tr_B X, which makes Tr_B X = I and keeps X >= 0."""
     d_A, d_B = omega.dims
@@ -260,7 +271,7 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     mu = 1.0
     while mu > mu_final:
         mus.append(mu)
-        mu = max(0.15 * mu, mu_final)
+        mu = max(BARRIER_FACTOR * mu, mu_final)
     mus.append(mu_final)
 
     steps = 0
@@ -290,7 +301,10 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
                     f"no gap < {DEFAULT.sdp_gap} within "
                     f"{DEFAULT.sdp_max_newton} Newton steps"
                 )
-            if t == 1.0 and decrement < 1e-13 * max(
+            if mu > mu_final:
+                if decrement <= CENTRING_DECREMENT * mu:
+                    break
+            elif t == 1.0 and decrement < 1e-13 * max(
                     1.0, abs(float(np.trace(tau).real))):
                 break
 

@@ -27,11 +27,19 @@ from .errors import (
 )
 
 
+def require_finite(a: np.ndarray) -> np.ndarray:
+    """a itself; raises ValidationError if an entry is NaN or infinite,
+    which every later check (compared with >) would let through."""
+    if not np.isfinite(a).all():
+        raise ValidationError(f"non-finite entry in an array of shape {a.shape}")
+    return a
+
+
 def require_square(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimMismatchError(f"expected a square matrix, got shape {M.shape}")
-    return M
+    return require_finite(M)
 
 
 def eig_hermitian(M):
@@ -247,6 +255,7 @@ def pure_state(v) -> PureState:
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
         raise DimMismatchError(f"expected a vector, got shape {v.shape}")
+    require_finite(v)
     n = np.linalg.norm(v)
     if abs(n - 1.0) > DEFAULT.norm:
         raise ValidationError(f"norm is {n:.12f}, expected 1")
@@ -255,13 +264,14 @@ def pure_state(v) -> PureState:
 
 def state_matrix(x) -> np.ndarray:
     """Coerce DensityMatrix / PureState / vector / matrix to a density matrix
-    as a plain ndarray. No validation beyond shape."""
+    as a plain ndarray. No validation beyond shape and finite entries."""
     if isinstance(x, DensityMatrix):
         return x.matrix
     if isinstance(x, PureState):
         return x.density()
     a = np.asarray(x, dtype=complex)
     if a.ndim == 1:
+        a = require_finite(a)
         return np.outer(a, a.conj())
     return require_square(a)
 

@@ -22,13 +22,13 @@ TAU = 2 * math.pi
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, module="coherence_forge.cli"):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, os.environ.get("PYTHONPATH", "")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "coherence_forge.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True, text=True, env=env,
     )
 
@@ -426,6 +426,16 @@ def test_qubit_bound_streams_its_rows():
     assert peak < 4 * 2**20
 
 
+def test_package_runs_as_a_module(capsys):
+    # python -m coherence_forge works from a checkout, with no install
+    res = run_cli("qubit-bound", "--lambda", "0.6", "--n", "2",
+                  module="coherence_forge")
+    assert res.returncode == 0, res.stderr
+    assert cli.main(["qubit-bound", "--lambda", "0.6", "--n", "2"]) == 0
+    assert res.stdout == capsys.readouterr().out
+    assert [row.split(",")[0] for row in res.stdout.split()[1:]] == ["1", "2"]
+
+
 def test_proptest_deterministic_and_seeded():
     a = run_cli("proptest", "--measure", "F", "--trials", "40", "--seed", "7")
     b = run_cli("proptest", "--measure", "F", "--trials", "40", "--seed", "7")
@@ -477,6 +487,13 @@ HZ = {"re": [[0.5, 0.0], [0.0, -0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
     ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 10 ** 400]}, 1),
     ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 1], "tau": "abc"}, 1),
     ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 1], "tau": 1e400}, 1),
+    # a non-finite entry in a dense Hamiltonian, a density matrix or a
+    # pure state
+    ({"dim": 2, **HALF}, {"dim": 2, **HZ, "re": [[0.5, 0.0],
+                                                 [0.0, math.nan]]}, 1),
+    ({"dim": 2, **HALF, "re": [[math.nan, 0.0], [0.0, 0.5]]},
+     {"dim": 2, **HZ}, 1),
+    ({"dim": 2, **PLUS, "re": [math.nan, 1.0]}, {"dim": 2, **HZ}, 1),
 ])
 def test_loader_edges(tmp_path, capsys, state, ham, code):
     (tmp_path / "s.json").write_text(json.dumps(state))

@@ -9,6 +9,7 @@ import pytest
 
 import coherence_forge
 
+from coherence_forge.config import DEFAULT
 from coherence_forge.distill import (
     cirac_comparison,
     conditional_min_entropy,
@@ -280,20 +281,24 @@ def test_sector_solve_matches_full_space_solve():
     assert np.max(np.abs(a.tau @ H_A - H_A @ a.tau)) < 1e-9
 
 
-# (newton_steps, optimum) at commit e28f8b9, which solved the Newton
-# system in a real basis of the Hermitian blocks; solving it in tau's
-# complex block entries must take the same path
+# (newton_steps, old_steps, optimum).  The optima are those of commit
+# e28f8b9, whose Newton system was solved in a real basis of the
+# Hermitian blocks; they hold to 1e-12.  newton_steps pins the exact path
+# of the long-step barrier schedule, so that an unintended path change
+# shows; old_steps is the count of the schedule before it, which centred
+# every barrier stage to the final decrement, and the long-step path must
+# take at most half of it.
 PARENT_PATH = {
-    (1, 0.6): (93, 0.8000000062499851),
-    (1, 0.9): (92, 0.9500000062499989),
-    (2, 0.6): (95, 0.8000000124999995),
-    (2, 0.9): (95, 0.9500000125000001),
-    (3, 0.6): (92, 0.8683389908633298),
-    (3, 0.9): (96, 0.9789817693783244),
-    (4, 0.6): (94, 0.87575850592743),
-    (4, 0.9): (100, 0.9824722612870068),
-    "rotated sectors": (93, 0.8670921733107926),
-    "rotated full": (93, 0.8670921733107932),
+    (1, 0.6): (22, 93, 0.8000000062499851),
+    (1, 0.9): (22, 92, 0.9500000062499989),
+    (2, 0.6): (35, 95, 0.8000000124999995),
+    (2, 0.9): (33, 95, 0.9500000125000001),
+    (3, 0.6): (35, 92, 0.8683389908633298),
+    (3, 0.9): (37, 96, 0.9789817693783244),
+    (4, 0.6): (44, 94, 0.87575850592743),
+    (4, 0.9): (44, 100, 0.9824722612870068),
+    "rotated sectors": (38, 93, 0.8670921733107926),
+    "rotated full": (38, 93, 0.8670921733107932),
 }
 
 
@@ -306,7 +311,8 @@ def test_newton_path_matches_parent():
             rho, H = _qubit_copies(lam, n)
             cases[n, lam] = omega_state(rho, H, CBIT, H01)
     for key, omega in cases.items():
-        steps, optimum = PARENT_PATH[key]
+        steps, old_steps, optimum = PARENT_PATH[key]
+        assert 2 * steps <= old_steps, key
         res = conditional_min_entropy(omega)
         assert res.newton_steps == steps, key
         assert abs(res.optimum - optimum) < 1e-12, key
@@ -318,6 +324,17 @@ def test_four_copy_gap_has_margin(lam):
     rho, H = _qubit_copies(lam, 4)
     res = conditional_min_entropy(omega_state(rho, H, CBIT, H01))
     assert res.primal_dual_gap < 5e-8
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gap_is_the_centred_gap(n, lam):
+    # the loose intermediate stages leave the final stage centred: the
+    # certified gap is mu*N = sdp_gap/4, a 4x margin under the budget
+    rho, H = _qubit_copies(lam, n)
+    res = conditional_min_entropy(omega_state(rho, H, CBIT, H01))
+    centred = DEFAULT.sdp_gap / 4
+    assert abs(res.primal_dual_gap - centred) < 0.01 * centred
 
 
 def test_fstar_independent_of_blas_threads():

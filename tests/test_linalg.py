@@ -28,6 +28,7 @@ from coherence_forge.linalg import (
     pure_state,
     random_density,
     random_observable,
+    state_matrix,
     tensor,
 )
 from coherence_forge.purification import coherence_sectors
@@ -221,6 +222,14 @@ def test_density_matrix_validation():
         density_matrix(np.diag([1.5, -0.5]))
     with pytest.raises(NonHermitianError):
         density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            density_matrix(np.diag([bad, 0.5]))
+        with pytest.raises(ValidationError):
+            observable(np.diag([bad, 0.5]))
+        # a plain vector stands for its density matrix
+        with pytest.raises(ValidationError):
+            state_matrix(np.array([bad, 1.0]))
 
 
 def test_pure_state_requires_unit_norm():
@@ -230,6 +239,8 @@ def test_pure_state_requires_unit_norm():
         pure_state(np.array([3.0, 4.0]))
     with pytest.raises(ValidationError):
         pure_state(np.zeros(3))
+    with pytest.raises(ValidationError):
+        pure_state(np.array([math.nan, 1.0]))
 
 
 def test_json_round_trip():
