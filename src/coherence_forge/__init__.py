@@ -34,7 +34,6 @@ from .linalg import (
     PureState,
     array_from_json,
     array_to_json,
-    dephase,
     density_matrix,
     eig_hermitian,
     eig_of,
@@ -60,10 +59,8 @@ from .purification import (
     Purification,
     PureEnsemble,
     build_optimal_purification,
-    canonical_purification,
     coherence_sectors,
     kkt_residual,
-    optimal_aux_hamiltonian,
     optimal_ensemble,
     period_respecting_ensemble,
 )
@@ -96,11 +93,9 @@ from .channels import (
     MonotonicityReport,
     TIChannel,
     apply,
-    is_ti,
     kraus_channel,
     monotonicity_suite,
     random_channel,
-    superoperator,
     twirl,
 )
 from .distill import (
@@ -112,7 +107,6 @@ from .distill import (
     is_bound_resource,
     omega_state,
     qubit_infidelity_bound,
-    single_sector,
     verify_certificate,
 )
 

@@ -91,11 +91,12 @@ def criterion_2() -> CriterionResult:
         d = 2 + i % 4
         rho = random_density(d, rng)
         H = random_observable(d, rng)
-        ens = purification.optimal_ensemble(rho, H)
+        pur = purification.build_optimal_purification(rho, H)
+        ens = purification.optimal_ensemble(pur, H)
         F = measures.qfi(rho, H)
         rel = abs(4.0 * ens.average_variance - F) / max(F, 1e-12)
         worst_rel = max(worst_rel, rel)
-        phi = purification.canonical_purification(rho).vector
+        phi = pur.joint_state.vector
         for _ in range(100):
             G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             U = np.linalg.qr(G)[0]

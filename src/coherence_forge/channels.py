@@ -4,11 +4,10 @@ A channel E is covariant (TI) when E(e^{-iH_in t} X e^{iH_in t}) =
 e^{-iH_out t} E(X) e^{iH_out t} for all t.  For Hamiltonians whose spectra
 sit on an integer grid 2*pi*n/tau, write each Kraus operator in the energy
 eigenframes, K~_ab = <a|V_out^dag K V_in|b>, and give entry (a, b) the Bohr
-mode n_out[a] - n_in[b].  E is covariant exactly when its eigenframe
-superoperator sum_k K~_ab conj(K~_ce) vanishes wherever the modes of (a, b)
-and (c, e) differ (Marvian & Spekkens, PRA 90, 062110, 2014).  The twirl
-keeps the on-mode part by splitting each operator by mode; is_ti measures
-the off-mode part.  Both read the one mode mask of _eigenframe.
+mode n_out[a] - n_in[b].  E is covariant exactly when sum_k K~_ab
+conj(K~_ce) vanishes wherever the modes of (a, b) and (c, e) differ
+(Marvian & Spekkens, PRA 90, 062110, 2014).  The twirl keeps the
+on-mode part by splitting each operator by mode.
 """
 
 from __future__ import annotations
@@ -116,16 +115,16 @@ def apply(ch: KrausChannel, rho) -> np.ndarray:
     return np.sum(K @ rho @ K.conj().transpose(0, 2, 1), axis=0)
 
 
-def superoperator(ch: KrausChannel) -> np.ndarray:
-    """Matrix of the channel on vectorized operators: sum_k K (x) conj(K)."""
-    S = np.einsum("kab,kcd->acbd", ch.kraus, ch.kraus.conj())
-    return S.reshape(ch.d_out ** 2, ch.d_in ** 2)
+def twirl(ch: KrausChannel, H_in, H_out, tau: float) -> TIChannel:
+    """Time average of the channel over the period tau, computed exactly.
 
-
-def _eigenframe(ch: KrausChannel, H_in, H_out, tau: float):
-    """(K~, grid, V_in, V_out): every Kraus operator as V_out^dag K V_in,
-    and the Bohr mode grid[a, b] = n_out[a] - n_in[b] of each entry, with
-    levels snapped to the 2*pi/tau grid above each lowest eigenvalue."""
+    Each Kraus operator is split in the energy eigenframe by Bohr mode,
+    n_out[a] - n_in[b] for entry (a, b) of V_out^dag K V_in, with levels
+    snapped to the 2*pi/tau grid above each lowest eigenvalue; only the
+    fixed-mode components survive the average.  Components with max-abs
+    weight below pair_cutoff are dropped; the rest are kept
+    operator-major, modes ascending within each operator.
+    """
     w_in, V_in = obs_eig(H_in)
     w_out, V_out = obs_eig(H_out)
     n_in = snap_levels(w_in, w_in[0], tau)
@@ -133,18 +132,7 @@ def _eigenframe(ch: KrausChannel, H_in, H_out, tau: float):
     if len(n_in) != ch.d_in or len(n_out) != ch.d_out:
         raise DimMismatchError("Hamiltonian dims do not match the channel")
     Kt = V_out.conj().T @ ch.kraus @ V_in
-    return Kt, n_out[:, None] - n_in[None, :], V_in, V_out
-
-
-def twirl(ch: KrausChannel, H_in, H_out, tau: float) -> TIChannel:
-    """Time average of the channel over the period tau, computed exactly.
-
-    Each Kraus operator is split in the energy eigenframe by Bohr mode;
-    only the fixed-mode components survive the average.  Components with
-    max-abs weight below pair_cutoff are dropped; the rest are kept
-    operator-major, modes ascending within each operator.
-    """
-    Kt, grid, V_in, V_out = _eigenframe(ch, H_in, H_out, tau)
+    grid = n_out[:, None] - n_in[None, :]
     # ascending modes without np.unique, which imports numpy.ma
     lo = grid.min()
     modes = np.flatnonzero(np.bincount((grid - lo).ravel())) + lo
@@ -153,21 +141,6 @@ def twirl(ch: KrausChannel, H_in, H_out, tau: float) -> TIChannel:
     base = kraus_channel(V_out @ comps[keep] @ V_in.conj().T)
     return TIChannel(kraus=base.kraus,
                      mode_index=tuple(modes[np.nonzero(keep)[1]].tolist()))
-
-
-def is_ti(ch: KrausChannel, H_in, H_out, tau: float):
-    """Exact covariance check on the Bohr-mode mask.
-
-    The residual is the largest |sum_k K~_ab conj(K~_ce)| over eigenframe
-    entries whose modes differ, n_out[a] - n_in[b] != n_out[c] - n_in[e];
-    the channel is covariant exactly when every such entry vanishes.
-    Returns (flag, max residual).
-    """
-    Kt, grid, _, _ = _eigenframe(ch, H_in, H_out, tau)
-    S = np.einsum("kab,kce->abce", Kt, Kt.conj())
-    off = grid[:, :, None, None] != grid[None, None, :, :]
-    resid = float(np.max(np.abs(S[off]), initial=0.0))
-    return resid < DEFAULT.ti_residual, resid
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,7 @@ def cmd_purify(args) -> int:
                                                   pur.aux_hamiltonian),
     }
     if args.ensemble:
-        ens = purification.optimal_ensemble(st, H)
+        ens = purification.optimal_ensemble(pur, H)
         out["ensemble"] = [
             {"weight": float(w), "state": array_to_json(member.vector)}
             for w, member in zip(ens.weights, ens.states)
@@ -307,7 +307,7 @@ def cmd_proptest(args) -> int:
     rep = channels.monotonicity_suite(args.measure, trials=args.trials,
                                       seed=seed, alpha=args.alpha)
     _emit({
-        "suite": args.suite,
+        "suite": "monotonicity",
         "measure": args.measure,
         "alpha": rep.alpha,
         "trials": rep.trials,
@@ -376,9 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--n", type=int, default=20)
 
-    p = sub.add_parser("proptest", help="randomized property suites")
-    p.add_argument("--suite", choices=["monotonicity"],
-                   default="monotonicity")
+    p = sub.add_parser("proptest", help="randomized monotonicity suite")
     p.add_argument("--measure", choices=["F", "P", "W", "renyi", "cost"],
                    default="F")
     p.add_argument("--alpha", type=float, default=1.5)

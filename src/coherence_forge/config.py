@@ -6,7 +6,8 @@ CLI agree on them.  All values are absolute unless the name says
 otherwise, save herm and recon: eig_hermitian scales both by
 max(1, max|M_ij|), so an operator in any units is judged alike.  The
 other values assume desk-scale inputs (matrix entries O(1), dimensions
-in the tens).
+in the tens).  Every field is read by the package itself; a cutoff that
+only a test's reference implementation needs lives with that test.
 
 A few algorithm constants stay in the module whose algorithm they tune:
 convert.TIE_WIDTH (1e-15, two total variations that best_shift counts
@@ -54,9 +55,8 @@ class Tolerances:
     # Finite-difference QFI
     fd_step: float = 1e-3
 
-    # Channel checks
+    # Channel and basis unitarity check
     cptp: float = 1e-10          # |sum K^dag K - I| entry (B B^dag of a basis)
-    ti_residual: float = 1e-10   # covariance residual for "is covariant"
 
     # Semidefinite solver
     sdp_gap: float = 1e-7        # primal-dual gap target

@@ -1,8 +1,8 @@
 """Distillation diagnostics, min-entropy SDP, and qubit fidelity bounds.
 
 The single-shot optimal fidelity for preparing a pure target under
-covariant operations equals 2^{-Hmin(B|A)} of a dephased source-target
-state Omega, i.e. the optimum of
+covariant operations equals 2^{-Hmin(B|A)} of the source-target state
+Omega, pinched onto the difference eigenspaces, i.e. the optimum of
 
     minimize  Tr(tau)  subject to  tau (x) I_B >= Omega,  tau Hermitian.
 
@@ -21,7 +21,6 @@ import numpy as np
 from .config import DEFAULT
 from .errors import (
     CertificateError,
-    DimMismatchError,
     EpsOutOfRangeError,
     IncommensurateSpectrumError,
     SolverStallError,
@@ -85,31 +84,18 @@ def distillation_copy_floor(rho, H, psi_target, H_t, eps: float,
 
 @dataclass(frozen=True)
 class OmegaState:
-    """Source-target joint state dephased in the eigenbasis of
+    """Source-target joint state pinched onto the eigenspaces of
     H_A (x) I - I (x) H_B.
 
     sectors[i, j] labels the difference eigenspace that holds
     U_A[:, i] (x) U_B[:, j]; rotated into the U_A (x) U_B basis, matrix
-    is block-diagonal in these labels.  A joint state with no
-    Hamiltonians is one sector in the standard bases (single_sector)."""
+    is block-diagonal in these labels."""
 
     matrix: DensityMatrix
     dims: tuple
     sectors: np.ndarray = field(repr=False)
     U_A: np.ndarray = field(repr=False)
     U_B: np.ndarray = field(repr=False)
-
-
-def single_sector(Om, d_A: int, d_B: int) -> OmegaState:
-    """A joint state on A (x) B with no time-translation structure: one
-    sector, standard bases, so the SDP runs on the full space."""
-    rho = density_matrix(Om)
-    if rho.dim != d_A * d_B:
-        raise DimMismatchError(
-            f"dims ({d_A}, {d_B}) do not match a state of size {rho.dim}")
-    return OmegaState(matrix=rho, dims=(d_A, d_B),
-                      sectors=np.zeros((d_A, d_B), dtype=int),
-                      U_A=np.eye(d_A), U_B=np.eye(d_B))
 
 
 def _pure_vector(psi) -> np.ndarray:
@@ -376,7 +362,7 @@ def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
 
 
 def conditional_min_entropy(omega: OmegaState) -> SdpResult:
-    """2^{-Hmin(B|A)} of the dephased state, with a dual certificate that
+    """2^{-Hmin(B|A)} of the pinched state Omega, with a dual certificate that
     verify_certificate has re-checked."""
     return verify_certificate(_min_trace_sdp(omega), omega)
 

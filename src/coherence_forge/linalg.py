@@ -1,9 +1,9 @@
 """Hermitian linear algebra core shared by every other module.
 
-Wraps numpy's Hermitian eigensolver with explicit validation (Hermiticity,
-reconstruction residual) and provides the state / observable containers,
-tensor-product helpers, energy levels and dephasing, and the JSON wire
-format for matrices and vectors.
+Wraps numpy's Hermitian eigensolver with explicit validation (finite
+entries, Hermiticity, reconstruction residual) and provides the state /
+observable containers, tensor-product helpers, energy levels, seeded
+samplers, and the JSON wire format for matrices and vectors.
 
 Each container owns the eigendecomposition of its operand: spectrum
 ascending, eigenbasis columns aligned with it, both read-only.  eig_of
@@ -49,16 +49,18 @@ def eig_hermitian(M):
     Returns (w, V) with w ascending along its last axis and the columns
     of V the matching orthonormal eigenvectors; a stack gives stacks,
     each entry bit for bit what the single matrix gives.  Raises
-    NonHermitianError if a matrix is not Hermitian within herm, and
-    ValidationError if the reconstruction V diag(w) V^dag misses it by
-    more than recon (which would indicate a solver failure, not bad
-    input).  Both limits are scaled by each matrix's own
-    max(1, max|M_ij|), so operators in any units are judged alike.
+    ValidationError on a NaN or infinite entry, NonHermitianError if a
+    matrix is not Hermitian within herm, and ValidationError if the
+    reconstruction V diag(w) V^dag misses it by more than recon (which
+    would indicate a solver failure, not bad input).  Both limits are
+    scaled by each matrix's own max(1, max|M_ij|), so operators in any
+    units are judged alike.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimMismatchError(
             f"expected a square matrix or a stack of them, got shape {M.shape}")
+    require_finite(M)
     # one flat reduction per matrix, cheaper than reducing an axis pair;
     # a single matrix is a stack of one, so the checks below see arrays
     flat = (math.prod(M.shape[:-2]), M.shape[-1] ** 2)
@@ -142,21 +144,6 @@ def level_labels(w) -> np.ndarray:
     """
     w = np.asarray(w, dtype=float)
     return np.cumsum(np.diff(w, prepend=w[:1]) >= DEFAULT.gap_cutoff)
-
-
-def dephase(rho, H) -> np.ndarray:
-    """Project a state onto the eigenspaces of H (pinching).
-
-    Eigenvalues of H linked by steps below gap_cutoff count as one level
-    (see level_labels), so exact degeneracies survive intact.
-    """
-    rho = require_square(state_matrix(rho))
-    w, V = obs_eig(H)
-    if w.size != rho.shape[0]:
-        raise DimMismatchError("state and Hamiltonian dimensions differ")
-    lab = level_labels(w)
-    rt = V.conj().T @ rho @ V
-    return V @ (rt * (lab[:, None] == lab[None, :])) @ V.conj().T
 
 
 def fidelity(rho, sigma) -> float:
@@ -325,12 +312,6 @@ def random_density(d: int, rng) -> np.ndarray:
     G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     M = G @ G.conj().T
     return M / np.trace(M).real
-
-
-def random_pure(d: int, rng) -> np.ndarray:
-    rng = np.random.default_rng(rng)
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return v / np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------

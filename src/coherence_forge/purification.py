@@ -86,16 +86,6 @@ def aligned_eigensystem(rho, H):
     return p, V
 
 
-def canonical_purification(rho) -> PureState:
-    """|Phi> = sum_i sqrt(p_i) |phi_i> x |phi_i| on S x A.
-
-    Both marginals equal rho (the A marginal in the same matrix
-    representation, since the copy is unconjugated and the basis
-    orthonormal).
-    """
-    return pure_state(_amplitudes(*eig_of(rho)).reshape(-1))
-
-
 def _amplitudes(p, V) -> np.ndarray:
     """Amplitude matrix V diag(sqrt p) V^T of sum_i sqrt(p_i) |phi_i> x
     |phi_i> over the eigenpairs (p, V), nonpositive p_i left out."""
@@ -140,25 +130,6 @@ def _coordinate_aux(p, S) -> np.ndarray:
     return -2.0 * M * S
 
 
-def optimal_aux_hamiltonian(rho, H_S) -> np.ndarray:
-    """Auxiliary Hamiltonian minimizing the purification's total variance.
-
-    Returned in the computational basis of A (A carries the same basis
-    labels as S through the unconjugated purification, hence the
-    transpose of the coordinate formula).  Shifted by a multiple of the
-    identity so the purification's mean total energy is zero.
-    """
-    return _aux_hamiltonian(rho, H_S, *aligned_eigensystem(rho, H_S))
-
-
-def _aux_hamiltonian(rho, H_S, p, V) -> np.ndarray:
-    """optimal_aux_hamiltonian from the aligned eigensystem (p, V) of rho."""
-    H_S = obs_matrix(H_S)
-    coeff = _coordinate_aux(p, V.conj().T @ H_S @ V)
-    H_A = V @ coeff.T @ V.conj().T
-    return H_A - _mean_energy(rho, H_S, H_A) * np.eye(p.size)
-
-
 def kkt_residual(rho, H_S, H_A) -> float:
     """Stationarity residual of the variance-minimization problem.
 
@@ -185,27 +156,36 @@ def kkt_residual(rho, H_S, H_A) -> float:
 
 
 def build_optimal_purification(rho, H_S) -> Purification:
-    """Assemble the minimal-variance purification of rho under H_S."""
+    """Assemble the minimal-variance purification of rho under H_S.
+
+    The auxiliary Hamiltonian is given in the computational basis of A
+    (A carries the same basis labels as S through the unconjugated
+    purification, hence the transpose of the coordinate formula), shifted
+    by a multiple of the identity so the mean total energy is zero.
+    """
     p, V = aligned_eigensystem(rho, H_S)
-    H_A = _aux_hamiltonian(rho, H_S, p, V)
+    H_S = obs_matrix(H_S)
+    H_A = V @ _coordinate_aux(p, V.conj().T @ H_S @ V).T @ V.conj().T
+    H_A = H_A - _mean_energy(rho, H_S, H_A) * np.eye(p.size)
     phi = _amplitudes(p, V)
     return Purification(joint_state=pure_state(phi.reshape(-1)),
                         aux_hamiltonian=observable(H_A),
                         total_variance=_joint_variance(phi, H_S, H_A))
 
 
-def optimal_ensemble(rho, H_S) -> PureEnsemble:
-    """Pure ensemble of rho achieving average variance qfi/4.
+def optimal_ensemble(pur: Purification, H_S) -> PureEnsemble:
+    """Pure ensemble achieving average variance qfi/4, from the optimal
+    purification pur of a state under H_S.
 
-    Obtained by measuring the A side of the optimal purification in the
-    eigenbasis of the auxiliary Hamiltonian; outcome k has weight
-    ||<E_k|Phi>||^2 and leaves S in the corresponding conditional state.
+    Obtained by measuring the A side of pur in the cached eigenbasis of
+    its auxiliary Hamiltonian; outcome k has weight ||<E_k|Phi>||^2 and
+    leaves S in the corresponding conditional state.
     """
-    p, V = aligned_eigensystem(rho, H_S)
-    _, U = eig_hermitian(_aux_hamiltonian(rho, H_S, p, V))
-    phi = _amplitudes(p, V)
+    U = pur.aux_hamiltonian.eigenbasis
+    d = U.shape[0]
+    phi = pur.joint_state.vector.reshape(d, d)
     weights, states = [], []
-    for k in range(p.size):
+    for k in range(d):
         eta = phi @ U[:, k].conj()
         w = float(np.vdot(eta, eta).real)
         if w <= DEFAULT.pair_cutoff:
@@ -270,7 +250,7 @@ def period_respecting_ensemble(rho, H, tau: float) -> PureEnsemble:
         raise PeriodMismatchError(
             f"state period is tau/{gcd}, not tau"
         )
-    base = optimal_ensemble(rho, H)
+    base = optimal_ensemble(build_optimal_purification(rho, H), H)
     weights, states = [], []
     for w, st in zip(base.weights, base.states):
         for P in projectors:

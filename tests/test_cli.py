@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from coherence_forge import cli
+from coherence_forge.errors import ValidationError
 from coherence_forge.linalg import (
     array_to_json,
+    observable,
     random_density,
     random_observable,
-    random_pure,
 )
 
 TAU = 2 * math.pi
@@ -508,15 +509,17 @@ def test_loader_edges(tmp_path, capsys, state, ham, code):
 def test_eigensolve_budget(tmp_path, monkeypatch, capsys):
     # every operand is eigendecomposed once, at load (a pure state once
     # as its density matrix); the purification is built from d x d
-    # amplitude matrices, so no solve is ever larger than d
+    # amplitude matrices, so no solve is ever larger than d, and its
+    # ensemble measures A in the basis the one H_A solve gave
     rng = np.random.default_rng(60)
     d = 4
     (tmp_path / "rho.json").write_text(
         json.dumps(array_to_json(random_density(d, rng))))
     (tmp_path / "h.json").write_text(
         json.dumps(array_to_json(random_observable(d, rng))))
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     (tmp_path / "psi.json").write_text(
-        json.dumps(array_to_json(random_pure(d, rng))))
+        json.dumps(array_to_json(psi / np.linalg.norm(psi))))
     files = ["--state", str(tmp_path / "rho.json"),
              "--ham", str(tmp_path / "h.json")]
     sizes = []
@@ -531,9 +534,37 @@ def test_eigensolve_budget(tmp_path, monkeypatch, capsys):
     assert sizes == [d, d]
     sizes.clear()
     assert cli.main(["purify", *files, "--ensemble"]) == 0
-    assert len(sizes) <= 4 and max(sizes) == d
+    assert sizes == [d, d, d]   # the state, H and H_A
     sizes.clear()
     assert cli.main(["measures", "--state", str(tmp_path / "psi.json"),
                      "--ham", str(tmp_path / "h.json"), "--alpha", "1.5"]) == 0
     assert sizes == [d, d]
     capsys.readouterr()
+
+
+def test_distill_size_estimate_is_never_low(monkeypatch):
+    # the tau parameter count sum_E deg(E)^2 over the n-copy levels E is
+    # estimated as if the distinct levels were equally spaced; it must
+    # never fall below the exact count from the brute-force n-copy sums,
+    # and must equal it for equally spaced levels
+    monkeypatch.setattr(cli, "MAX_OMEGA_SIDE", 10**12)
+    rng = np.random.default_rng(62)
+    spaced = 0
+    for _ in range(300):
+        k = int(rng.integers(2, 5))
+        distinct = np.sort(rng.choice(7, size=k, replace=False))
+        levels = np.repeat(distinct, rng.integers(1, 4, size=k))
+        n = int(rng.integers(1, 5))
+        H = observable(np.diag(levels.astype(float)))
+        sums = np.zeros(1)
+        for _ in range(n):
+            sums = np.add.outer(sums, levels).ravel()
+        exact = int(np.sum(np.unique(sums, return_counts=True)[1] ** 2))
+        monkeypatch.setattr(cli, "MAX_SDP_PARAMS", exact - 1)
+        with pytest.raises(ValidationError, match="SDP parameters"):
+            cli._distill_size(H, 2, n)
+        if np.ptp(np.diff(distinct)) == 0:
+            spaced += 1
+            monkeypatch.setattr(cli, "MAX_SDP_PARAMS", exact)
+            cli._distill_size(H, 2, n)
+    assert 0 < spaced < 300

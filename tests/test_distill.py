@@ -11,13 +11,13 @@ import coherence_forge
 
 from coherence_forge.config import DEFAULT
 from coherence_forge.distill import (
+    OmegaState,
     cirac_comparison,
     conditional_min_entropy,
     distillation_copy_floor,
     is_bound_resource,
     omega_state,
     qubit_infidelity_bound,
-    single_sector,
     verify_certificate,
 )
 from coherence_forge.errors import (
@@ -26,12 +26,47 @@ from coherence_forge.errors import (
     IncommensurateSpectrumError,
     ValidationError,
 )
-from coherence_forge.linalg import dephase, observable, random_density
+from coherence_forge.linalg import (
+    density_matrix,
+    level_labels,
+    obs_eig,
+    observable,
+    random_density,
+)
 from coherence_forge.distill import _min_trace_sdp
 
 TAU = 2 * math.pi
 H_CBIT = np.diag([math.pi / TAU, -math.pi / TAU])
 CBIT = np.array([1.0, 1.0]) / math.sqrt(2)
+
+
+def dephase(rho, H):
+    """Project rho onto the eigenspaces of H (pinching), with eigenvalues
+    grouped into levels by level_labels."""
+    w, V = obs_eig(H)
+    lab = level_labels(w)
+    rt = V.conj().T @ rho @ V
+    return V @ (rt * (lab[:, None] == lab[None, :])) @ V.conj().T
+
+
+def single_sector(Om, d_A, d_B):
+    """A joint state on A (x) B with no time-translation structure: one
+    sector, standard bases, so the SDP runs on the full space."""
+    return OmegaState(matrix=density_matrix(Om), dims=(d_A, d_B),
+                      sectors=np.zeros((d_A, d_B), dtype=int),
+                      U_A=np.eye(d_A), U_B=np.eye(d_B))
+
+
+def test_dephase_projects_and_is_idempotent():
+    rng = np.random.default_rng(6)
+    rho = random_density(4, rng)
+    H = np.diag([0.0, 0.0, 1.0, 2.0])
+    deph = dephase(rho, H)
+    assert np.max(np.abs(dephase(deph, H) - deph)) < 1e-12
+    assert np.max(np.abs(deph @ H - H @ deph)) < 1e-12
+    # the degenerate 2x2 block survives
+    assert np.max(np.abs(deph[:2, :2] - rho[:2, :2])) < 1e-12
+    assert abs(deph[0, 2]) < 1e-14
 
 
 def qubit(lam):

@@ -8,7 +8,6 @@ from coherence_forge.linalg import (
     observable,
     random_density,
     random_observable,
-    random_pure,
 )
 from coherence_forge.errors import AlphaOutOfRangeError
 from coherence_forge.measures import (
@@ -24,6 +23,12 @@ from coherence_forge.measures import (
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 SZ_HALF = np.diag([0.5, -0.5])
 QUBIT = 0.6 * np.outer(PLUS, PLUS) + 0.4 * np.eye(2) / 2
+
+
+def random_pure(d, rng):
+    """Unit vector with complex Gaussian entries, real parts drawn first."""
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
 
 
 def test_qubit_reference_values():

@@ -11,27 +11,26 @@ from coherence_forge.linalg import (
     partial_trace,
     random_density,
     random_observable,
-    random_pure,
 )
 from coherence_forge.measures import energy_variance, qfi, skew_information
 from coherence_forge.purification import (
     aligned_eigensystem,
     build_optimal_purification,
-    canonical_purification,
     coherence_sectors,
     kkt_residual,
-    optimal_aux_hamiltonian,
     optimal_ensemble,
     period_respecting_ensemble,
 )
 
 
 def test_canonical_purification_reduces_to_rho():
+    # the optimal purification's joint state is the canonical one
     rng = np.random.default_rng(30)
     for _ in range(10):
         d = int(rng.integers(2, 6))
         rho = random_density(d, rng)
-        phi = canonical_purification(rho)
+        phi = build_optimal_purification(rho, random_observable(d, rng)
+                                         ).joint_state
         joint = np.outer(phi.vector, phi.vector.conj())
         red = partial_trace(joint, (d, d), "A")
         assert np.max(np.abs(red - rho)) < 1e-10
@@ -53,9 +52,22 @@ def test_optimal_purification_hits_quarter_qfi():
         F = qfi(rho, H)
         assert abs(pur.total_variance - F / 4) < 1e-8 * max(1.0, F)
         assert kkt_residual(rho, H, pur.aux_hamiltonian.matrix) < 1e-10
-        # the standalone optimum is the reference for the built one
-        H_A = optimal_aux_hamiltonian(rho, H)
+        H_A = _stationary_aux_hamiltonian(rho, H)
         assert np.max(np.abs(pur.aux_hamiltonian.matrix - H_A)) < 1e-12
+
+
+def _stationary_aux_hamiltonian(rho, H):
+    """Reference H_A: for full-rank rho = V diag(p) V^dag, X = A^T (with
+    A = V^dag H_A V) solves the stationarity equation
+    (X D + D X)/2 = -sqrt(D) S sqrt(D), as a d^2 x d^2 linear system."""
+    p, V = np.linalg.eigh(rho)
+    d = p.size
+    S = V.conj().T @ H @ V
+    D = np.diag(p)
+    lhs = 0.5 * (np.kron(D, np.eye(d)) + np.kron(np.eye(d), D))
+    rhs = -(np.sqrt(D) @ S @ np.sqrt(D))
+    X = np.linalg.solve(lhs, rhs.ravel()).reshape(d, d)
+    return V @ X.T @ V.conj().T
 
 
 def _degenerate_fixture():
@@ -123,7 +135,7 @@ def test_optimal_ensemble_reconstructs_and_is_optimal():
         d = int(rng.integers(2, 5))
         rho = random_density(d, rng)
         H = np.diag(rng.normal(size=d))
-        ens = optimal_ensemble(rho, H)
+        ens = optimal_ensemble(build_optimal_purification(rho, H), H)
         assert np.max(np.abs(ens.mixture() - rho)) < 1e-9
         assert abs(sum(ens.weights) - 1.0) < 1e-12
         F = qfi(rho, H)
@@ -139,7 +151,7 @@ def test_random_ensembles_cannot_undercut():
         rho = random_density(d, rng)
         H = np.diag(rng.normal(size=d))
         F = qfi(rho, H)
-        phi = canonical_purification(rho)
+        phi = build_optimal_purification(rho, H).joint_state
         phi_mat = phi.vector.reshape(d, d)
         for _ in range(20):
             G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
