@@ -39,7 +39,6 @@ from .linalg import (
     eig_of,
     fidelity,
     level_labels,
-    noninteracting_hamiltonian,
     obs_eig,
     observable,
     partial_trace,
@@ -91,7 +90,6 @@ from .convert import (
 from .channels import (
     KrausChannel,
     MonotonicityReport,
-    TIChannel,
     apply,
     kraus_channel,
     monotonicity_suite,
@@ -104,6 +102,7 @@ from .distill import (
     cirac_comparison,
     conditional_min_entropy,
     distillation_copy_floor,
+    iid_omega_state,
     is_bound_resource,
     omega_state,
     qubit_infidelity_bound,

@@ -18,12 +18,7 @@ import numpy as np
 from . import channels, clockdist, convert, distill, measures, purification
 from .config import DEFAULT
 from .errors import GcdNotOneError
-from .linalg import (
-    noninteracting_hamiltonian,
-    random_density,
-    random_observable,
-    tensor,
-)
+from .linalg import random_density, random_observable
 
 
 @dataclass(frozen=True)
@@ -284,14 +279,8 @@ def criterion_9() -> CriterionResult:
     for lam in (0.3, 0.6, 0.9):
         rho1 = lam * np.outer(plus, plus) + (1 - lam) * np.eye(2) / 2
         for n in (1, 2, 3):
-            rho = rho1
-            H = H2
-            for _ in range(n - 1):
-                rho = tensor(rho, rho1)
-            if n > 1:
-                H = noninteracting_hamiltonian([H2] * n)
-            om = distill.omega_state(rho, H, plus, H2)
-            res = distill.conditional_min_entropy(om)
+            res = distill.conditional_min_entropy(
+                distill.iid_omega_state(rho1, H2, plus, H2, n))
             worst_gap = max(worst_gap, res.primal_dual_gap)
             f_star = res.optimum
             lt = 2.0 * f_star - 1.0

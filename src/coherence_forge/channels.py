@@ -41,14 +41,6 @@ class KrausChannel:
         return self.kraus.shape[1]
 
 
-@dataclass(frozen=True)
-class TIChannel(KrausChannel):
-    """Kraus channel with one Bohr mode per operator (integer energy-gap
-    index), covariant for the Hamiltonians it was twirled against."""
-
-    mode_index: tuple = ()
-
-
 def kraus_channel(ops) -> KrausChannel:
     """Validated channel from d_out x d_in operators, given as a sequence
     or as one stacked (rank, d_out, d_in) array."""
@@ -115,7 +107,7 @@ def apply(ch: KrausChannel, rho) -> np.ndarray:
     return np.sum(K @ rho @ K.conj().transpose(0, 2, 1), axis=0)
 
 
-def twirl(ch: KrausChannel, H_in, H_out, tau: float) -> TIChannel:
+def twirl(ch: KrausChannel, H_in, H_out, tau: float) -> KrausChannel:
     """Time average of the channel over the period tau, computed exactly.
 
     Each Kraus operator is split in the energy eigenframe by Bohr mode,
@@ -138,9 +130,7 @@ def twirl(ch: KrausChannel, H_in, H_out, tau: float) -> TIChannel:
     modes = np.flatnonzero(np.bincount((grid - lo).ravel())) + lo
     comps = np.where(grid == modes[:, None, None], Kt[:, None], 0.0)
     keep = np.max(np.abs(comps), axis=(2, 3)) > DEFAULT.pair_cutoff
-    base = kraus_channel(V_out @ comps[keep] @ V_in.conj().T)
-    return TIChannel(kraus=base.kraus,
-                     mode_index=tuple(modes[np.nonzero(keep)[1]].tolist()))
+    return kraus_channel(V_out @ comps[keep] @ V_in.conj().T)
 
 
 @dataclass(frozen=True)

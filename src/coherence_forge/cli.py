@@ -32,23 +32,19 @@ from .linalg import (
     array_from_json,
     array_to_json,
     density_matrix,
-    level_labels,
-    noninteracting_hamiltonian,
     observable,
     pure_state,
-    tensor,
+    state_matrix,
 )
-
-# distill refuses n copies whose dense Omega side d**n * d_B, or whose
-# estimated count of tau parameters, exceeds these: a dense Omega of
-# side 1024 takes 16 MB per matrix, and 924 parameters (six qubit
-# copies) take about 0.1 s per Newton step at one BLAS thread
-MAX_OMEGA_SIDE = 1024
-MAX_SDP_PARAMS = 1000
 
 
 def default_seed() -> int:
-    return int(os.environ.get("COHERENCE_FORGE_SEED", "1234"))
+    raw = os.environ.get("COHERENCE_FORGE_SEED", "1234")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError("COHERENCE_FORGE_SEED must be an integer, "
+                              f"got {raw!r}") from None
 
 
 def load_state(path: str):
@@ -153,12 +149,14 @@ def cmd_measures(args) -> int:
 def cmd_purify(args) -> int:
     st = load_state(args.state)
     H, _, _ = load_hamiltonian(args.ham)
-    pur = purification.build_optimal_purification(st, H)
+    # one cached spectrum serves the builder, the QFI and the KKT check
+    rho = density_matrix(st.density()) if isinstance(st, PureState) else st
+    pur = purification.build_optimal_purification(rho, H)
     out = {
         "aux_hamiltonian": array_to_json(pur.aux_hamiltonian.matrix),
         "total_variance": pur.total_variance,
-        "qfi_over_4": measures.qfi(st, H) / 4.0,
-        "kkt_residual": purification.kkt_residual(st, H,
+        "qfi_over_4": measures.qfi(rho, H) / 4.0,
+        "kkt_residual": purification.kkt_residual(rho, H,
                                                   pur.aux_hamiltonian),
     }
     if args.ensemble:
@@ -224,33 +222,6 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _distill_size(H, d_B: int, n: int) -> None:
-    """Refuse n copies before any tensor power is built when the dense
-    Omega side or the tau parameter count would pass its budget.
-
-    The parameter count sum_E deg(E)^2 over the n-copy levels E is
-    counted as if the distinct single-copy levels were equally spaced:
-    exact for equally spaced levels, with each level's degeneracy in
-    full."""
-    if n < 1:
-        raise ValidationError(f"--copies must be at least 1, got {n}")
-    d = H.dim
-    # a one-level source is counted as two, since each copy is a loop
-    if n * math.log(max(d, 2)) + math.log(d_B) > math.log(MAX_OMEGA_SIDE):
-        raise ValidationError(
-            f"{n} copies make Omega {d}**{n} * {d_B} wide, above the "
-            f"budget of {MAX_OMEGA_SIDE}")
-    mult = np.bincount(level_labels(H.spectrum))
-    deg = [1]
-    for _ in range(n):
-        deg = np.convolve(deg, mult)
-    params = int(np.sum(np.square(deg)))
-    if params > MAX_SDP_PARAMS:
-        raise ValidationError(
-            f"{n} copies give about {params} SDP parameters, above the "
-            f"budget of {MAX_SDP_PARAMS}")
-
-
 def cmd_distill(args) -> int:
     st = load_state(args.infiles[0])
     H, _, dense = load_hamiltonian(args.infiles[1])
@@ -259,16 +230,9 @@ def cmd_distill(args) -> int:
     _dense_warning(dense or dense_t, "difference-spectrum dephasing")
     tvec = _pure_vec(tgt, "--target")
     n = args.copies
-    _distill_size(H, Ht.dim, n)
-    single = st.density() if isinstance(st, PureState) else st.matrix
-    rho = single
-    Hm = H   # the loaded observable lends omega_state its cached spectrum
-    if n > 1:
-        for _ in range(n - 1):
-            rho = tensor(rho, single)
-        Hm = noninteracting_hamiltonian([H.matrix] * n)
-    om = distill.omega_state(rho, Hm, tvec, Ht)
-    res = distill.conditional_min_entropy(om)
+    single = state_matrix(st)
+    res = distill.conditional_min_entropy(
+        distill.iid_omega_state(single, H, tvec, Ht, n))
     bound_exact = bound_asym = None
     if single.shape[0] == 2 and tvec.size == 2:
         lam = 2.0 * float(np.vdot(tvec, single @ tvec).real) - 1.0

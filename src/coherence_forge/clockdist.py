@@ -159,8 +159,8 @@ def extract_distribution(psi, H, tau: float) -> PeriodicClockState:
     reads H's spectrum through one cached eigensolve.  ValidationError
     when the levels span more than MAX_CONV_WINDOW integers.
     """
-    if tau <= 0:
-        raise ValidationError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:   # NaN fails too
+        raise ValidationError(f"tau must be positive and finite, got {tau}")
     energies, masses = occupied_levels(psi, H)
     ns = snap_levels(energies, energies[0], tau).tolist()
     if ns[-1] >= MAX_CONV_WINDOW:

@@ -18,7 +18,7 @@ distill.CENTRING_DECREMENT, the lambda^2 <= 1 that ends every stage but
 the last; and the Newton decrement of 1e-13 x max(1, tr tau) that ends
 the last), and the size budgets
 clockdist.MAX_CONV_WINDOW, clockdist.MAX_OVERLAP_COPIES,
-cli.MAX_OMEGA_SIDE and cli.MAX_SDP_PARAMS.  The acceptance criteria
+distill.MAX_OMEGA_SIDE and distill.MAX_SDP_PARAMS.  The acceptance criteria
 carry their own pass thresholds.
 """
 

@@ -28,12 +28,15 @@ from .errors import (
 )
 from .linalg import (
     DensityMatrix,
+    HermitianObservable,
     PureState,
     density_matrix,
     level_labels,
     obs_eig,
+    observable,
     partial_trace,
     state_matrix,
+    tensor,
 )
 from .measures import (
     energy_variance,
@@ -47,6 +50,12 @@ BARRIER_FACTOR = 0.05
 # a barrier stage before the last ends once the Newton decrement of the
 # normalised barrier function, lambda^2 = decrement / mu, is at most this
 CENTRING_DECREMENT = 1.0
+# iid_omega_state refuses n copies whose dense Omega side d**n * d_B, or
+# whose count of tau parameters, exceeds these: a dense Omega of side
+# 1024 takes 16 MB per matrix, and 924 parameters (six qubit copies)
+# take about 0.1 s per Newton step at one BLAS thread
+MAX_OMEGA_SIDE = 1024
+MAX_SDP_PARAMS = 1000
 
 
 def is_bound_resource(rho, H) -> bool:
@@ -144,6 +153,48 @@ def omega_state(sigma_A, H_A, psi_B, H_B) -> OmegaState:
     Om = W @ (M * mask) @ W.conj().T
     return OmegaState(matrix=density_matrix(Om), dims=(d_A, d_B),
                       sectors=labels.reshape(d_A, d_B), U_A=U_A, U_B=U_B)
+
+
+def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
+    """The omega_state of sigma^(x)copies under the non-interacting
+    Hamiltonian sum_i H_i, for the target psi_B under H_B.
+
+    The n-copy eigenpairs come from H's cached ones: summed eigenvalues
+    and Kronecker products of eigenvectors, sorted ascending by a stable
+    sort, so no n-copy matrix is decomposed.  Before any tensor power is
+    built, raises ValidationError when copies < 1, when sigma and H
+    differ in dimension, when the dense Omega side d**copies * d_B
+    passes MAX_OMEGA_SIDE, or when tau's parameter count, sum_E deg(E)^2
+    over the level_labels E of the summed spectrum, passes
+    MAX_SDP_PARAMS."""
+    if copies < 1:
+        raise ValidationError(f"copies must be at least 1, got {copies}")
+    H, H_B = observable(H), observable(H_B)
+    s = state_matrix(sigma)
+    d = H.dim
+    if s.shape[0] != d:
+        raise ValidationError("state and Hamiltonian dims differ on A")
+    # a one-level source is counted as two, since each copy is a loop
+    if (copies * math.log(max(d, 2)) + math.log(H_B.dim)
+            > math.log(MAX_OMEGA_SIDE)):
+        raise ValidationError(
+            f"{copies} copies make Omega {d}**{copies} * {H_B.dim} wide, "
+            f"above the budget of {MAX_OMEGA_SIDE}")
+    w = H.spectrum
+    for _ in range(copies - 1):
+        w = np.add.outer(w, H.spectrum).ravel()
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    params = int(np.sum(np.square(np.bincount(level_labels(w)))))
+    if params > MAX_SDP_PARAMS:
+        raise ValidationError(
+            f"{copies} copies give {params} SDP parameters, above the "
+            f"budget of {MAX_SDP_PARAMS}")
+    U = tensor(*[H.eigenbasis] * copies)[:, order]
+    w.flags.writeable = U.flags.writeable = False
+    Hn = HermitianObservable(matrix=(U * w) @ U.conj().T, spectrum=w,
+                             eigenbasis=U)
+    return omega_state(tensor(*[s] * copies), Hn, psi_B, H_B)
 
 
 @dataclass(frozen=True)

@@ -124,18 +124,6 @@ def partial_trace(M, dims, keep) -> np.ndarray:
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def noninteracting_hamiltonian(terms) -> np.ndarray:
-    """Sum_i I x ... x H_i x ... x I for local terms acting on a chain."""
-    terms = [require_square(h) for h in terms]
-    dims = [h.shape[0] for h in terms]
-    total = np.zeros((int(np.prod(dims)), int(np.prod(dims))), dtype=complex)
-    for i, h in enumerate(terms):
-        left = np.eye(int(np.prod(dims[:i])))
-        right = np.eye(int(np.prod(dims[i + 1:])))
-        total += tensor(left, h, right)
-    return total
-
-
 def level_labels(w) -> np.ndarray:
     """Level index 0, 1, ... of each value of an ascending array.
 

@@ -253,16 +253,14 @@ def test_twirl_matches_per_mode_split():
         w_out, V_out = np.linalg.eigh(H_out)
         grid = (snap_levels(w_out, w_out[0], TAU)[:, None]
                 - snap_levels(w_in, w_in[0], TAU)[None, :])
-        ops, modes = [], []
+        ops = []
         for K in ch.kraus:
             Kt = V_out.conj().T @ K @ V_in
             for mode in np.unique(grid):
                 comp = np.where(grid == mode, Kt, 0.0)
                 if np.max(np.abs(comp)) > DEFAULT.pair_cutoff:
                     ops.append(V_out @ comp @ V_in.conj().T)
-                    modes.append(int(mode))
         tw = twirl(ch, H_in, H_out, TAU)
-        assert tw.mode_index == tuple(modes)
         assert np.max(np.abs(tw.kraus - np.array(ops))) < 1e-13
 
 
@@ -271,13 +269,10 @@ def test_twirl_modes_annotated():
     H_out = np.diag([0.0, 1.0])
     ch = random_channel(2, 2, 2, 5)
     tw = twirl(ch, H_in, H_out, TAU)
-    assert len(tw.mode_index) == len(tw.kraus)
-    for m, K in zip(tw.mode_index, tw.kraus):
-        # mode m operators only connect levels with n_out - n_in = m
-        for a in range(2):
-            for b in range(2):
-                if a - b != m:
-                    assert abs(K[a, b]) < 1e-14
+    grid = np.subtract.outer(np.arange(2), np.arange(2))
+    for K in tw.kraus:
+        # each operator only connects levels with one n_out - n_in
+        assert len(set(grid[np.abs(K) >= 1e-14].tolist())) == 1
 
 
 def test_ti_channels_cannot_create_coherence():

@@ -10,10 +10,8 @@ import numpy as np
 import pytest
 
 from coherence_forge import cli
-from coherence_forge.errors import ValidationError
 from coherence_forge.linalg import (
     array_to_json,
-    observable,
     random_density,
     random_observable,
 )
@@ -198,6 +196,16 @@ def test_dist_tau_sets_the_grid_of_a_dense_file(fixtures, capsys):
     assert rows == [["0,0.5", "1,0.5"], ["0,0.5", "1,0.0", "2,0.5"]]
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_dist_refuses_a_non_finite_tau(fixtures, capsys, tau):
+    assert cli.main(["dist", "--state", fixtures["cbit"],
+                     "--ham", fixtures["hz_dense"], "--tau", tau]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        f"error: tau must be positive and finite, got {tau}"]
+
+
 def test_dist_gcd_not_one(fixtures, tmp_path):
     psi02 = np.zeros(3)
     psi02[0] = psi02[2] = 1.0 / math.sqrt(2)
@@ -371,6 +379,7 @@ def test_distill_single_and_double_copy(fixtures):
     ("7", [0, 1]),    # C(14, 7) = 3432 tau parameters
     ("5", [0, 0]),    # one level: a single 32 x 32 tau block, 1024
     ("0", [0, 1]),
+    ("3", [0, 1, 2]), # a qubit state under a qutrit Hamiltonian
 ])
 def test_distill_refuses_oversized_requests(fixtures, monkeypatch, capsys,
                                             copies, levels):
@@ -380,8 +389,7 @@ def test_distill_refuses_oversized_requests(fixtures, monkeypatch, capsys,
 
     ham = fixtures["dir"] / "ham.json"
     ham.write_text(json.dumps({"levels_in_2pi_over_tau": levels}))
-    monkeypatch.setattr(cli, "tensor", no_tensor)
-    monkeypatch.setattr(cli, "noninteracting_hamiltonian", no_tensor)
+    monkeypatch.setattr(cli.distill, "tensor", no_tensor)
     rc = cli.main(["distill", "--in", fixtures["rho"], str(ham),
                    "--target", fixtures["cbit"], fixtures["h2"],
                    "--copies", copies])
@@ -449,6 +457,12 @@ def test_proptest_deterministic_and_seeded():
     flag = run_cli("proptest", "--measure", "F", "--trials", "40",
                    "--seed", "3", env_extra={"COHERENCE_FORGE_SEED": "99"})
     assert json.loads(flag.stdout)["seed"] == 3
+    # a seed that is not an integer is an input error, not a traceback
+    bad = run_cli("proptest", "--measure", "F", "--trials", "40",
+                  env_extra={"COHERENCE_FORGE_SEED": "abc"})
+    assert bad.returncode == 1
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("error: COHERENCE_FORGE_SEED")
 
 
 def test_error_exit_codes(fixtures):
@@ -542,29 +556,39 @@ def test_eigensolve_budget(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_distill_size_estimate_is_never_low(monkeypatch):
-    # the tau parameter count sum_E deg(E)^2 over the n-copy levels E is
-    # estimated as if the distinct levels were equally spaced; it must
-    # never fall below the exact count from the brute-force n-copy sums,
-    # and must equal it for equally spaced levels
-    monkeypatch.setattr(cli, "MAX_OMEGA_SIDE", 10**12)
-    rng = np.random.default_rng(62)
-    spaced = 0
-    for _ in range(300):
-        k = int(rng.integers(2, 5))
-        distinct = np.sort(rng.choice(7, size=k, replace=False))
-        levels = np.repeat(distinct, rng.integers(1, 4, size=k))
-        n = int(rng.integers(1, 5))
-        H = observable(np.diag(levels.astype(float)))
-        sums = np.zeros(1)
-        for _ in range(n):
-            sums = np.add.outer(sums, levels).ravel()
-        exact = int(np.sum(np.unique(sums, return_counts=True)[1] ** 2))
-        monkeypatch.setattr(cli, "MAX_SDP_PARAMS", exact - 1)
-        with pytest.raises(ValidationError, match="SDP parameters"):
-            cli._distill_size(H, 2, n)
-        if np.ptp(np.diff(distinct)) == 0:
-            spaced += 1
-            monkeypatch.setattr(cli, "MAX_SDP_PARAMS", exact)
-            cli._distill_size(H, 2, n)
-    assert 0 < spaced < 300
+def _eigh_log(monkeypatch):
+    """The 2-D matrices np.linalg.eigh is called on, in call order."""
+    mats = []
+    eigh = np.linalg.eigh
+
+    def logged(M, *args, **kwargs):
+        if M.ndim == 2:
+            mats.append(np.array(M))
+        return eigh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", logged)
+    return mats
+
+
+def test_purify_decomposes_a_pure_state_once(fixtures, monkeypatch, capsys):
+    # the pure state becomes one DensityMatrix that the builder, the QFI
+    # and the KKT check share
+    mats = _eigh_log(monkeypatch)
+    assert cli.main(["purify", "--state", fixtures["cbit"],
+                     "--ham", fixtures["hz_dense"], "--ensemble"]) == 0
+    capsys.readouterr()
+    assert len(mats) == 3   # the state, H and H_A
+
+
+def test_distill_never_solves_the_copies_hamiltonian(fixtures, monkeypatch,
+                                                     capsys):
+    # the 3-copy eigenpairs are sums and Kronecker products of one copy's
+    mats = _eigh_log(monkeypatch)
+    assert cli.main(["distill", "--in", fixtures["rho"], fixtures["h2"],
+                     "--target", fixtures["cbit"], fixtures["h2"],
+                     "--copies", "3"]) == 0
+    capsys.readouterr()
+    # rho, H and H_t at load, Omega, and Tr_B of the dual certificate
+    assert [M.shape[0] for M in mats] == [2, 2, 2, 16, 8]
+    H3 = np.diag(np.add.outer(np.add.outer([0, 1], [0, 1]), [0, 1]).ravel())
+    assert not any(M.shape == H3.shape and np.allclose(M, H3) for M in mats)

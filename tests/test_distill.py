@@ -15,6 +15,7 @@ from coherence_forge.distill import (
     cirac_comparison,
     conditional_min_entropy,
     distillation_copy_floor,
+    iid_omega_state,
     is_bound_resource,
     omega_state,
     qubit_infidelity_bound,
@@ -277,13 +278,18 @@ def test_cirac_gap_is_exactly_two_over_one_plus_lam():
 H01 = np.diag([0.0, 1.0])
 
 
+def _dense_copies(rho1, H1, n):
+    """n copies of rho1 with their summed Hamiltonian, built densely."""
+    rho, H = rho1, H1
+    for _ in range(n - 1):
+        rho = np.kron(rho, rho1)
+        H = np.kron(H, np.eye(len(H1))) + np.kron(np.eye(H.shape[0]), H1)
+    return rho, H
+
+
 def _qubit_copies(lam, n):
     """n copies of qubit(lam) with their summed Hamiltonian H01."""
-    rho, H = qubit(lam), H01
-    for _ in range(n - 1):
-        rho = np.kron(rho, qubit(lam))
-        H = np.kron(H, np.eye(2)) + np.kron(np.eye(H.shape[0]), H01)
-    return rho, H
+    return _dense_copies(qubit(lam), H01, n)
 
 
 def _rotated_instance():
@@ -351,6 +357,79 @@ def test_newton_path_matches_parent():
         res = conditional_min_entropy(omega)
         assert res.newton_steps == steps, key
         assert abs(res.optimum - optimum) < 1e-12, key
+
+
+def test_iid_omega_state_matches_the_dense_build():
+    # one copy's eigenpairs give the Omega that the dense n-copy
+    # Hamiltonian gives, and the solve then takes the same Newton path
+    for n in range(1, 5):
+        for lam in (0.6, 0.9):
+            dense = omega_state(*_qubit_copies(lam, n), CBIT, H01)
+            om = iid_omega_state(qubit(lam), H01, CBIT, H01, n)
+            assert np.array_equal(om.sectors, dense.sectors)
+            assert np.max(np.abs(om.matrix.matrix
+                                 - dense.matrix.matrix)) < 1e-12
+            steps, _, optimum = PARENT_PATH[n, lam]
+            res = conditional_min_entropy(om)
+            assert res.newton_steps == steps, (n, lam)
+            assert abs(res.optimum - optimum) < 1e-12, (n, lam)
+    # a rotated, degenerate qutrit: eigenvectors within a degenerate
+    # level differ from eigh's, the pinched Omega does not
+    rng = np.random.default_rng(65)
+    U = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    H1 = U @ np.diag([0.0, 1.0, 1.0]) @ U.conj().T
+    sigma = random_density(3, rng)
+    dense = omega_state(*_dense_copies(sigma, H1, 3), CBIT, H01)
+    om = iid_omega_state(sigma, H1, CBIT, H01, 3)
+    assert np.array_equal(om.sectors, dense.sectors)
+    assert np.max(np.abs(om.matrix.matrix - dense.matrix.matrix)) < 1e-12
+
+
+def test_iid_param_count_is_exact(monkeypatch):
+    # tau's parameter count sum_E deg(E)^2 over the n-copy levels E equals
+    # the brute-force count from every n-copy sum, spaced levels or not;
+    # a request within budget goes on to build its tensor powers
+    class Built(Exception):
+        pass
+
+    def built(*args):
+        raise Built
+
+    monkeypatch.setattr(coherence_forge.distill, "MAX_OMEGA_SIDE", 10**12)
+    monkeypatch.setattr(coherence_forge.distill, "tensor", built)
+    rng = np.random.default_rng(62)
+    unspaced = 0
+    for _ in range(300):
+        k = int(rng.integers(2, 5))
+        distinct = np.sort(rng.choice(7, size=k, replace=False))
+        levels = np.repeat(distinct, rng.integers(1, 4, size=k))
+        n = int(rng.integers(1, 5))
+        H = observable(np.diag(levels.astype(float)))
+        sigma = np.eye(H.dim) / H.dim
+        sums = np.zeros(1)
+        for _ in range(n):
+            sums = np.add.outer(sums, levels).ravel()
+        exact = int(np.sum(np.unique(sums, return_counts=True)[1] ** 2))
+        monkeypatch.setattr(coherence_forge.distill, "MAX_SDP_PARAMS",
+                            exact - 1)
+        with pytest.raises(ValidationError,
+                           match=f"give {exact} SDP parameters"):
+            iid_omega_state(sigma, H, CBIT, H01, n)
+        monkeypatch.setattr(coherence_forge.distill, "MAX_SDP_PARAMS", exact)
+        with pytest.raises(Built):
+            iid_omega_state(sigma, H, CBIT, H01, n)
+        unspaced += int(np.ptp(np.diff(distinct)) > 0)
+    assert unspaced > 0
+
+
+def test_iid_budget_admits_four_copies_of_unevenly_spaced_levels():
+    # levels {0, 1, 3} at 4 copies: 743 tau parameters, the count the
+    # solver's blocks give, within MAX_SDP_PARAMS; no solve is run
+    om = iid_omega_state(random_density(3, 66), np.diag([0.0, 1.0, 3.0]),
+                         CBIT, H01, 4)
+    blocks = np.unique(om.sectors[:, 0], return_counts=True)[1]
+    assert om.dims == (81, 2)
+    assert int(np.sum(blocks ** 2)) == 743
 
 
 @pytest.mark.parametrize("lam", [0.6, 0.75, 0.9])

@@ -20,7 +20,6 @@ from coherence_forge.linalg import (
     eig_hermitian,
     fidelity,
     level_labels,
-    noninteracting_hamiltonian,
     observable,
     partial_trace,
     psd_sqrt,
@@ -170,12 +169,6 @@ def test_partial_trace_of_product():
     for keep in (0, "C"):
         with pytest.raises(ValidationError):
             partial_trace(ab, (2, 3), keep)
-
-
-def test_noninteracting_hamiltonian_two_qubits():
-    h = np.diag([0.0, 1.0])
-    H = noninteracting_hamiltonian([h, h])
-    assert np.allclose(np.diag(H).real, [0.0, 1.0, 1.0, 2.0])
 
 
 def _group_levels_reference(w, gap_cutoff):
