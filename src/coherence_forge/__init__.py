@@ -104,7 +104,6 @@ from .distill import (
     distillation_copy_floor,
     iid_omega_state,
     is_bound_resource,
-    omega_state,
     qubit_infidelity_bound,
     verify_certificate,
 )

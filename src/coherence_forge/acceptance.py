@@ -31,7 +31,7 @@ class CriterionResult:
 
 
 def _finish(index, name, t0, ok, detail, budget=None) -> CriterionResult:
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     if budget is not None and dt >= budget:
         ok = False
         detail += f"; runtime {dt:.1f}s over budget {budget}s"
@@ -41,7 +41,7 @@ def _finish(index, name, t0, ok, detail, budget=None) -> CriterionResult:
 
 def criterion_1() -> CriterionResult:
     """Optimal purification: 4*V_tot = F and stationarity residual."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_rel = 0.0
     worst_kkt = 0.0
     for i in range(200):
@@ -77,7 +77,7 @@ def _ensemble_variance(phi, H, U, pair_cutoff):
 
 def criterion_2() -> CriterionResult:
     """Optimal ensemble reaches F/4 and no alternative undercuts it."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_rel = 0.0
     worst_undercut = -math.inf
     pc = DEFAULT.pair_cutoff
@@ -106,7 +106,7 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     """Five measures non-increasing under 1000 twirled channels each."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = -math.inf
     parts = []
     jobs = [("F", None), ("P", None), ("W", None),
@@ -130,7 +130,7 @@ def criterion_4() -> CriterionResult:
     which lies in [1/8, 1/4] because (sqrt a + sqrt b)^2 is between a+b
     and 2(a+b).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad_pf = 0
     bad_w = 0
     bad_qubit = 0
@@ -170,7 +170,7 @@ def criterion_5() -> CriterionResult:
     is O(eps^2) and halving eps divides it by about 4.  The window
     [0.2, 0.3] rejects both a linear law (1/2) and a cubic one (1/8).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     eps_list = (1e-2, 5e-3, 2.5e-3)
     r_lo, r_hi = math.inf, -math.inf
     bad = 0
@@ -202,7 +202,7 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     """Fidelity-curvature QFI agrees with the closed form."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for i in range(100):
         rng = np.random.default_rng([606, i])
@@ -219,7 +219,7 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     """Translated-Poisson convergence under Barbour's bound."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     fixtures = {
         "bernoulli": clockdist.integer_distribution(0, [0.5, 0.5]),
         "levels-023": clockdist.integer_distribution(
@@ -247,7 +247,7 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """Conversion rate threshold trend at 0.9x and 1.1x the limit."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cbit = np.array([1.0, 1.0]) / math.sqrt(2.0)
     H_cbit = np.diag([0.0, 1.0])
     u023 = np.sqrt(np.array([1, 1, 1]) / 3.0)
@@ -270,7 +270,7 @@ def criterion_8() -> CriterionResult:
 def criterion_9() -> CriterionResult:
     """Min-entropy SDP sandwiched by the qubit converse and
     discard-achievability; analytic plug-ins re-verified."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     H2 = np.diag([0.0, 1.0])
     ok = True
@@ -303,7 +303,7 @@ def criterion_9() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     """Bound-resource verdicts and 1/eps copy-floor scaling."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     H2 = np.diag([0.0, 1.0])
     ok = True
@@ -330,7 +330,7 @@ def criterion_10() -> CriterionResult:
 
 def criterion_11() -> CriterionResult:
     """Period and minimal overlap-copy fixtures."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     tau = 2.0 * math.pi
     ok = True
     notes = []
@@ -357,7 +357,7 @@ def criterion_11() -> CriterionResult:
 
 def criterion_12() -> CriterionResult:
     """Achievable-to-lower-bound infidelity ratio is 2/(1+lambda)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for lam in (0.3, 0.6, 0.9):
         for n in (1, 10, 100):

@@ -72,16 +72,20 @@ def load_hamiltonian(path: str, tau: float | None = None):
     if isinstance(obj, dict) and "levels_in_2pi_over_tau" in obj:
         levels = obj["levels_in_2pi_over_tau"]
         # 2**53 bounds the integers a float holds exactly; it also turns
-        # away inf and nan before int() sees them
+        # away inf and nan before int() sees them.  A JSON true or false
+        # is a bool, which Python counts as an int, so it is refused by name
         if not isinstance(levels, list) or not all(
-                isinstance(n, (int, float)) and abs(n) <= 2**53 and n == int(n)
-                for n in levels):
+                isinstance(n, (int, float)) and not isinstance(n, bool)
+                and abs(n) <= 2**53 and n == int(n) for n in levels):
             raise SchemaError("levels_in_2pi_over_tau must be integers "
                               "of magnitude at most 2**53")
+        t = obj.get("tau", tau if tau is not None else 2.0 * math.pi)
+        # float() would also take true and "6.28"; neither is a number
+        if isinstance(t, bool) or not isinstance(t, (int, float)):
+            raise SchemaError(f"tau must be a number, got {t!r}")
         try:
-            t = float(obj.get("tau",
-                              tau if tau is not None else 2.0 * math.pi))
-        except (TypeError, ValueError, OverflowError) as exc:
+            t = float(t)
+        except OverflowError as exc:
             raise SchemaError(f"tau must be a number: {exc}") from exc
         if not 0 < t < math.inf:
             raise ValidationError("tau must be positive and finite")

@@ -18,8 +18,10 @@ distill.CENTRING_DECREMENT, the lambda^2 <= 1 that ends every stage but
 the last; and the Newton decrement of 1e-13 x max(1, tr tau) that ends
 the last), and the size budgets
 clockdist.MAX_CONV_WINDOW, clockdist.MAX_OVERLAP_COPIES,
-distill.MAX_OMEGA_SIDE and distill.MAX_SDP_PARAMS.  The acceptance criteria
-carry their own pass thresholds.
+distill.MAX_OMEGA_SIDE and distill.MAX_SDP_PARAMS.  linalg.MAX_ENTRY
+(1e150) is the largest entry magnitude eig_hermitian accepts, since the
+measures and the purification square the energies.  The acceptance
+criteria carry their own pass thresholds.
 """
 
 from __future__ import annotations

@@ -28,11 +28,9 @@ from .errors import (
 )
 from .linalg import (
     DensityMatrix,
-    HermitianObservable,
     PureState,
     density_matrix,
     level_labels,
-    obs_eig,
     observable,
     partial_trace,
     state_matrix,
@@ -94,17 +92,15 @@ def distillation_copy_floor(rho, H, psi_target, H_t, eps: float,
 @dataclass(frozen=True)
 class OmegaState:
     """Source-target joint state pinched onto the eigenspaces of
-    H_A (x) I - I (x) H_B.
+    H_A (x) I - I (x) H_B, in the basis U_A (x) U_B of the two
+    Hamiltonians' eigenvectors (each ascending in energy).
 
-    sectors[i, j] labels the difference eigenspace that holds
-    U_A[:, i] (x) U_B[:, j]; rotated into the U_A (x) U_B basis, matrix
-    is block-diagonal in these labels."""
+    sectors[i, j] labels the difference eigenspace that holds basis
+    vector (i, j); matrix is block-diagonal in these labels."""
 
     matrix: DensityMatrix
     dims: tuple
     sectors: np.ndarray = field(repr=False)
-    U_A: np.ndarray = field(repr=False)
-    U_B: np.ndarray = field(repr=False)
 
 
 def _pure_vector(psi) -> np.ndarray:
@@ -117,56 +113,27 @@ def _pure_vector(psi) -> np.ndarray:
     return v / nrm
 
 
-def omega_state(sigma_A, H_A, psi_B, H_B) -> OmegaState:
-    """Dephase sigma_A (x) |conj(psi_B)><conj(psi_B)| over the eigenspaces
-    of the difference Hamiltonian H_A (x) I - I (x) H_B.
-
-    The conjugate of psi_B is taken in the H_B eigenbasis.  Eigenvalue
-    differences form levels by level_labels at gap_cutoff; a step between
-    sorted differences that is at least gap_cutoff yet below
-    sqrt(gap_cutoff) makes the levels ill-defined and raises
-    IncommensurateSpectrum."""
-    sA = state_matrix(sigma_A)
-    a, U_A = obs_eig(H_A)
-    b, U_B = obs_eig(H_B)
-    d_A, d_B = len(a), len(b)
-    if sA.shape[0] != d_A:
-        raise ValidationError("state and Hamiltonian dims differ on A")
-    psi = _pure_vector(psi_B)
-    if psi.size != d_B:
-        raise ValidationError("target and Hamiltonian dims differ on B")
-    psi_bar = (U_B.conj().T @ psi).conj()
-    M = np.kron(U_A.conj().T @ sA @ U_A, np.outer(psi_bar, psi_bar.conj()))
-    delta = (a[:, None] - b[None, :]).ravel()
-    order = np.argsort(delta)
-    steps = np.diff(delta[order])
-    vague = ((steps >= DEFAULT.gap_cutoff)
-             & (steps < math.sqrt(DEFAULT.gap_cutoff)))
-    if np.any(vague):
-        raise IncommensurateSpectrumError(
-            f"difference-spectrum gap {steps[np.argmax(vague)]:.3e} too "
-            "small to separate eigenspaces reliably")
-    labels = np.empty(delta.size, dtype=int)
-    labels[order] = level_labels(delta[order])
-    mask = labels[:, None] == labels[None, :]
-    W = np.kron(U_A, U_B)
-    Om = W @ (M * mask) @ W.conj().T
-    return OmegaState(matrix=density_matrix(Om), dims=(d_A, d_B),
-                      sectors=labels.reshape(d_A, d_B), U_A=U_A, U_B=U_B)
-
-
 def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
-    """The omega_state of sigma^(x)copies under the non-interacting
-    Hamiltonian sum_i H_i, for the target psi_B under H_B.
+    """Dephase sigma^(x)copies (x) |conj(psi_B)><conj(psi_B)| over the
+    eigenspaces of H_n (x) I - I (x) H_B, with H_n = sum_i H_i the
+    non-interacting Hamiltonian of the copies; copies = 1 gives the
+    state of any single source under any H.
 
-    The n-copy eigenpairs come from H's cached ones: summed eigenvalues
-    and Kronecker products of eigenvectors, sorted ascending by a stable
-    sort, so no n-copy matrix is decomposed.  Before any tensor power is
-    built, raises ValidationError when copies < 1, when sigma and H
-    differ in dimension, when the dense Omega side d**copies * d_B
-    passes MAX_OMEGA_SIDE, or when tau's parameter count, sum_E deg(E)^2
-    over the level_labels E of the summed spectrum, passes
-    MAX_SDP_PARAMS."""
+    The conjugate of psi_B is taken in the H_B eigenbasis.  The levels
+    of H_n are H's cached eigenvalues summed and sorted ascending by a
+    stable sort; sigma^(x)copies in their eigenbasis is the Kronecker
+    power of sigma in H's eigenbasis, its rows and columns permuted by
+    that sort, so no n-copy matrix is decomposed and no n-copy
+    eigenbasis or Hamiltonian is formed.
+
+    Before any tensor power is built, raises ValidationError when
+    copies < 1, when sigma and H differ in dimension, when the dense
+    Omega side d**copies * d_B passes MAX_OMEGA_SIDE, or when tau's
+    parameter count, sum_E deg(E)^2 over the level_labels E of the
+    summed spectrum, passes MAX_SDP_PARAMS.  Eigenvalue differences
+    form levels by level_labels at gap_cutoff; a step between sorted
+    differences that is at least gap_cutoff yet below sqrt(gap_cutoff)
+    makes the levels ill-defined and raises IncommensurateSpectrum."""
     if copies < 1:
         raise ValidationError(f"copies must be at least 1, got {copies}")
     H, H_B = observable(H), observable(H_B)
@@ -180,28 +147,47 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
         raise ValidationError(
             f"{copies} copies make Omega {d}**{copies} * {H_B.dim} wide, "
             f"above the budget of {MAX_OMEGA_SIDE}")
-    w = H.spectrum
+    a = H.spectrum
     for _ in range(copies - 1):
-        w = np.add.outer(w, H.spectrum).ravel()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    params = int(np.sum(np.square(np.bincount(level_labels(w)))))
+        a = np.add.outer(a, H.spectrum).ravel()
+    perm = np.argsort(a, kind="stable")
+    a = a[perm]
+    params = int(np.sum(np.square(np.bincount(level_labels(a)))))
     if params > MAX_SDP_PARAMS:
         raise ValidationError(
             f"{copies} copies give {params} SDP parameters, above the "
             f"budget of {MAX_SDP_PARAMS}")
-    U = tensor(*[H.eigenbasis] * copies)[:, order]
-    w.flags.writeable = U.flags.writeable = False
-    Hn = HermitianObservable(matrix=(U * w) @ U.conj().T, spectrum=w,
-                             eigenbasis=U)
-    return omega_state(tensor(*[s] * copies), Hn, psi_B, H_B)
+    psi = _pure_vector(psi_B)
+    if psi.size != H_B.dim:
+        raise ValidationError("target and Hamiltonian dims differ on B")
+    b, U_B = H_B.spectrum, H_B.eigenbasis
+    psi_bar = (U_B.conj().T @ psi).conj()
+    V = H.eigenbasis
+    sn = tensor(*[V.conj().T @ s @ V] * copies)[perm][:, perm]
+    M = np.kron(sn, np.outer(psi_bar, psi_bar.conj()))
+    delta = (a[:, None] - b[None, :]).ravel()
+    order = np.argsort(delta)
+    steps = np.diff(delta[order])
+    vague = ((steps >= DEFAULT.gap_cutoff)
+             & (steps < math.sqrt(DEFAULT.gap_cutoff)))
+    if np.any(vague):
+        raise IncommensurateSpectrumError(
+            f"difference-spectrum gap {steps[np.argmax(vague)]:.3e} too "
+            "small to separate eigenspaces reliably")
+    labels = np.empty(delta.size, dtype=int)
+    labels[order] = level_labels(delta[order])
+    mask = labels[:, None] == labels[None, :]
+    return OmegaState(matrix=density_matrix(M * mask),
+                      dims=(len(a), len(b)),
+                      sectors=labels.reshape(len(a), len(b)))
 
 
 @dataclass(frozen=True)
 class SdpResult:
-    """Optimum Tr(tau) with its primal tau and dual X in the caller's
-    basis.  newton_steps and barrier_stages count the solver's work;
-    min_slack is the least eigenvalue of tau (x) I - Omega it ended on."""
+    """Optimum Tr(tau) with its primal tau and dual X in the eigenbasis
+    the OmegaState is held in: tau in the U_A basis, X in U_A (x) U_B.
+    newton_steps and barrier_stages count the solver's work; min_slack
+    is the least eigenvalue of tau (x) I - Omega it ended on."""
 
     optimum: float
     tau: np.ndarray
@@ -262,8 +248,8 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     Omega and the barrier are invariant under the time translations of
     H_A (x) I - I (x) H_B, so the optimal tau is block-diagonal over A's
     levels and the LMI splits into difference-energy sectors (Gatermann
-    & Parrilo, 2004).  The solve runs on those blocks in the
-    U_A (x) U_B basis and rotates tau and X back at the end.
+    & Parrilo, 2004).  Omega comes in the U_A (x) U_B basis, where those
+    blocks and sectors are index sets, and tau and X are returned in it.
 
     The unknowns are tau's complex block entries (sum of squared block
     sizes of them).  Each Newton step solves mu K d = -G on those
@@ -285,10 +271,9 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     d_A, d_B = omega.dims
     N = d_A * d_B
     scale = float(omega.matrix.spectrum[-1])
-    W = np.kron(omega.U_A, omega.U_B)
-    Os = W.conj().T @ omega.matrix.matrix @ W / scale
+    Os = omega.matrix.matrix / scale
     # A's levels i and k share a tau block when (i, j) and (k, j) share a
-    # sector.  omega_state's grouping makes that hold for every j or for
+    # sector.  iid_omega_state's grouping makes that hold for every j or for
     # none: a_i - a_k is the same in each column, and its groups lie at
     # least sqrt(gap_cutoff) apart or it raises.  So column 0 gives the
     # blocks, and each sector is closed under them.
@@ -316,7 +301,7 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
         for _ in range(60):
             w, V = sectors.slack(tau)
             S_inv = sectors.inverse(w, V, N)
-            g = np.eye(d_A) - mu * partial_trace(S_inv, (d_A, d_B), "A")
+            g = np.eye(d_A) - mu * partial_trace(S_inv, (d_A, d_B))
             R = S_inv.reshape(d_A, d_B, d_A, d_B)
             P1 = R.transpose(1, 3, 0, 2).reshape(d_B * d_B, d_A * d_A)
             P2 = R.transpose(3, 1, 2, 0).reshape(d_B * d_B, d_A * d_A)
@@ -347,10 +332,10 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
 
     w, V = sectors.slack(tau)
     X = mus[-1] * sectors.inverse(w, V, N)
-    wT, VT = np.linalg.eigh(partial_trace(X, (d_A, d_B), "A"))
+    wT, VT = np.linalg.eigh(partial_trace(X, (d_A, d_B)))
     C = np.kron((VT / np.sqrt(wT)) @ VT.conj().T, np.eye(d_B))
     X = C @ X @ C
-    lam = float(np.linalg.eigvalsh(partial_trace(X, (d_A, d_B), "A")).max())
+    lam = float(np.linalg.eigvalsh(partial_trace(X, (d_A, d_B))).max())
     if lam > 1.0:
         X = X / lam
     primal = float(np.trace(tau).real)
@@ -362,10 +347,8 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     S = sectors.lift(tau) - sectors.omega
     min_slack = min(float(np.linalg.eigvalsh(S[b, :n, :n])[0])
                     for b, n in enumerate(sectors.sizes))
-    U_A = omega.U_A
-    return SdpResult(optimum=scale * primal,
-                     tau=scale * (U_A @ tau @ U_A.conj().T),
-                     dual_certificate=W @ X @ W.conj().T,
+    return SdpResult(optimum=scale * primal, tau=scale * tau,
+                     dual_certificate=X,
                      primal_dual_gap=gap, newton_steps=steps,
                      barrier_stages=len(mus), min_slack=scale * min_slack)
 
@@ -377,7 +360,9 @@ def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
     eigenvalue; X >= 0 (within sdp_feas) with lambda_max(Tr_B X) <=
     1 + sdp_feas; the gap Tr tau - Tr(Omega X), recomputed, is below
     sdp_gap; and the reported optimum and gap match Tr tau and that gap
-    within sdp_feas.
+    within sdp_feas.  Each check is unchanged by a product rotation
+    U_A (x) U_B, so checking in the eigenbasis that Omega, tau and X
+    share certifies the problem in any basis.
 
     Returns result; raises CertificateError on the first check that
     fails."""
@@ -395,7 +380,7 @@ def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
     if x_min < -DEFAULT.sdp_feas:
         raise CertificateError(f"dual X has eigenvalue {x_min:.3e}")
     marginal = float(np.linalg.eigvalsh(
-        partial_trace(X, (d_A, d_B), "A"))[-1])
+        partial_trace(X, (d_A, d_B)))[-1])
     if marginal > 1.0 + DEFAULT.sdp_feas:
         raise CertificateError(
             f"lambda_max(Tr_B X) = {marginal:.12f} exceeds 1")

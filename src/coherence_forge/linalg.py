@@ -27,6 +27,12 @@ from .errors import (
 )
 
 
+# the largest entry magnitude eig_hermitian accepts: the measures and the
+# purification square and multiply energies, and entries near 1e153
+# already overflow at d = 32, while 1e150 stays finite there
+MAX_ENTRY = 1e150
+
+
 def require_finite(a: np.ndarray) -> np.ndarray:
     """a itself; raises ValidationError if an entry is NaN or infinite,
     which every later check (compared with >) would let through."""
@@ -49,23 +55,26 @@ def eig_hermitian(M):
     Returns (w, V) with w ascending along its last axis and the columns
     of V the matching orthonormal eigenvectors; a stack gives stacks,
     each entry bit for bit what the single matrix gives.  Raises
-    ValidationError on a NaN or infinite entry, NonHermitianError if a
-    matrix is not Hermitian within herm, and ValidationError if the
-    reconstruction V diag(w) V^dag misses it by more than recon (which
-    would indicate a solver failure, not bad input).  Both limits are
-    scaled by each matrix's own max(1, max|M_ij|), so operators in any
-    units are judged alike.
+    ValidationError on a NaN or infinite entry or one above MAX_ENTRY in
+    magnitude, NonHermitianError if a matrix is not Hermitian within
+    herm, and ValidationError if the reconstruction V diag(w) V^dag
+    misses it by more than recon (which would indicate a solver failure,
+    not bad input).  Both limits are scaled by each matrix's own
+    max(1, max|M_ij|), so operators in any units are judged alike.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise DimMismatchError(
             f"expected a square matrix or a stack of them, got shape {M.shape}")
-    require_finite(M)
     # one flat reduction per matrix, cheaper than reducing an axis pair;
     # a single matrix is a stack of one, so the checks below see arrays
     flat = (math.prod(M.shape[:-2]), M.shape[-1] ** 2)
-    Mh = M.conj().swapaxes(-1, -2)
     scale = np.abs(M).reshape(flat).max(axis=-1, initial=1.0)
+    # the max is NaN or inf exactly when an entry is, and NaN fails <=
+    if not scale.max() <= MAX_ENTRY:
+        raise ValidationError("matrix entry not finite or above "
+                              f"MAX_ENTRY = {MAX_ENTRY:g} in magnitude")
+    Mh = M.conj().swapaxes(-1, -2)
     dev = np.abs(M - Mh).reshape(flat).max(axis=-1, initial=0.0)
     bad = dev > DEFAULT.herm * scale
     if np.count_nonzero(bad):
@@ -105,23 +114,15 @@ def tensor(*ops) -> np.ndarray:
     return out
 
 
-def partial_trace(M, dims, keep) -> np.ndarray:
-    """Trace out one tensor factor of a bipartite operator.
-
-    dims = (dA, dB); keep = "A" keeps the first factor, "B" the second.
-    """
+def partial_trace(M, dims) -> np.ndarray:
+    """Tr_B of an operator on A (x) B with dims = (dA, dB)."""
     M = require_square(M)
     dA, dB = int(dims[0]), int(dims[1])
     if dA * dB != M.shape[0]:
         raise DimMismatchError(
             f"dims {dims} inconsistent with matrix of size {M.shape[0]}"
         )
-    T = M.reshape(dA, dB, dA, dB)
-    if keep == "A":
-        return np.einsum("ijkj->ik", T)
-    if keep == "B":
-        return np.einsum("ijil->jl", T)
-    raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
+    return np.einsum("ijkj->ik", M.reshape(dA, dB, dA, dB))
 
 
 def level_labels(w) -> np.ndarray:

@@ -374,6 +374,40 @@ def test_distill_single_and_double_copy(fixtures):
         assert 0.0 < out["min_slack"] < 1e-6
 
 
+@pytest.mark.parametrize("levels, source", [
+    ([0, 1], 0.3), ([0, 1], 0.6), ([0, 1], 0.9), ([0, 1, 1], None),
+])
+def test_distill_is_independent_of_the_source_basis(fixtures, capsys,
+                                                      levels, source):
+    # a random unitary B applied to the source state and to its
+    # Hamiltonian (the levels form's "basis") leaves F* unchanged
+    rng = np.random.default_rng(67)
+    d = len(levels)
+    B = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    if source is None:
+        rho = random_density(d, rng)
+    else:
+        plus = np.ones(2) / math.sqrt(2)
+        rho = source * np.outer(plus, plus) + (1 - source) * np.eye(2) / 2
+    tmp = fixtures["dir"]
+    files = {}
+    for name, state, ham in (
+            ("plain", rho, {"levels_in_2pi_over_tau": levels}),
+            ("rotated", B @ rho @ B.conj().T,
+             {"levels_in_2pi_over_tau": levels, "basis": array_to_json(B)})):
+        (tmp / f"{name}_s.json").write_text(json.dumps(array_to_json(state)))
+        (tmp / f"{name}_h.json").write_text(json.dumps(ham))
+        files[name] = [str(tmp / f"{name}_s.json"), str(tmp / f"{name}_h.json")]
+    for n in ("1", "2", "3"):
+        fids = []
+        for name in ("plain", "rotated"):
+            assert cli.main(["distill", "--in", *files[name], "--target",
+                             fixtures["cbit"], fixtures["h2"],
+                             "--copies", n]) == 0
+            fids.append(json.loads(capsys.readouterr().out)["fidelity"])
+        assert abs(fids[0] - fids[1]) < 1e-12, (n, fids)
+
+
 @pytest.mark.parametrize("copies,levels", [
     ("40", [0, 1]),   # Omega 2**40 * 2 wide
     ("7", [0, 1]),    # C(14, 7) = 3432 tau parameters
@@ -509,6 +543,12 @@ HZ = {"re": [[0.5, 0.0], [0.0, -0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
     ({"dim": 2, **HALF, "re": [[math.nan, 0.0], [0.0, 0.5]]},
      {"dim": 2, **HZ}, 1),
     ({"dim": 2, **PLUS, "re": [math.nan, 1.0]}, {"dim": 2, **HZ}, 1),
+    # JSON booleans and strings are not numbers, though Python counts
+    # bool as int and float() reads "3.0"
+    ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [True, False]}, 1),
+    ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 1], "tau": True}, 1),
+    ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 1], "tau": "3.0"}, 1),
+    ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 1], "tau": 10 ** 400}, 1),
 ])
 def test_loader_edges(tmp_path, capsys, state, ham, code):
     (tmp_path / "s.json").write_text(json.dumps(state))
@@ -518,6 +558,24 @@ def test_loader_edges(tmp_path, capsys, state, ham, code):
     err = capsys.readouterr().err
     assert rc == code
     assert ("error:" in err) == (code == 1)
+
+
+@pytest.mark.parametrize("cmd, ham", [
+    ("measures", {"dim": 2, **HZ, "re": [[0.0, 0.0], [0.0, 1e200]]}),
+    ("measures", {"levels_in_2pi_over_tau": [0, 1], "tau": 1e-300}),
+    ("purify", {"dim": 2, **HZ, "re": [[0.0, 0.0], [0.0, 1e160]]}),
+])
+def test_overflowing_hamiltonians_are_refused(tmp_path, cmd, ham):
+    # energies whose squares overflow would print NaN or Infinity, which
+    # is not JSON; the eigensolver refuses entries above MAX_ENTRY first
+    (tmp_path / "s.json").write_text(json.dumps({"dim": 2, **HALF}))
+    (tmp_path / "h.json").write_text(json.dumps(ham))
+    res = run_cli(cmd, "--state", str(tmp_path / "s.json"),
+                  "--ham", str(tmp_path / "h.json"))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
+    assert res.stderr.count("\n") == 1
 
 
 def test_eigensolve_budget(tmp_path, monkeypatch, capsys):

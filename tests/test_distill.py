@@ -17,7 +17,6 @@ from coherence_forge.distill import (
     distillation_copy_floor,
     iid_omega_state,
     is_bound_resource,
-    omega_state,
     qubit_infidelity_bound,
     verify_certificate,
 )
@@ -52,10 +51,9 @@ def dephase(rho, H):
 
 def single_sector(Om, d_A, d_B):
     """A joint state on A (x) B with no time-translation structure: one
-    sector, standard bases, so the SDP runs on the full space."""
+    sector, so the SDP runs on the full space."""
     return OmegaState(matrix=density_matrix(Om), dims=(d_A, d_B),
-                      sectors=np.zeros((d_A, d_B), dtype=int),
-                      U_A=np.eye(d_A), U_B=np.eye(d_B))
+                      sectors=np.zeros((d_A, d_B), dtype=int))
 
 
 def test_dephase_projects_and_is_idempotent():
@@ -126,7 +124,7 @@ def test_omega_state_oracle_by_difference_hamiltonian():
         H_B = np.diag(np.sort(rng.integers(0, 3, size=d_B)).astype(float))
         psi = rng.normal(size=d_B) + 1j * rng.normal(size=d_B)
         psi = psi / np.linalg.norm(psi)
-        om = omega_state(sigma, H_A, psi, H_B)
+        om = iid_omega_state(sigma, H_A, psi, H_B, 1)
         bar = psi.conj()
         M0 = np.kron(sigma, np.outer(bar, bar.conj()))
         Delta = np.kron(H_A, np.eye(d_B)) - np.kron(np.eye(d_A), H_B)
@@ -140,7 +138,7 @@ def test_omega_state_eigenstate_target_factorizes():
     H_A = np.diag([0.0, 1.0, 2.0])
     H_B = np.diag([0.0, 1.0])
     psi = np.array([0.0, 1.0])
-    om = omega_state(sigma, H_A, psi, H_B)
+    om = iid_omega_state(sigma, H_A, psi, H_B, 1)
     want = np.kron(dephase(sigma, H_A), np.outer(psi, psi))
     assert np.max(np.abs(om.matrix.matrix - want)) < 1e-12
 
@@ -154,7 +152,7 @@ def test_omega_state_reads_cached_hamiltonian_spectra(monkeypatch):
     H_A = U @ np.diag([0.0, 1.0, 2.0]) @ U.conj().T
     H_B = np.diag([0.0, 1.0])
     sigma = random_density(3, rng)
-    plain = omega_state(sigma, H_A, CBIT, H_B)
+    plain = iid_omega_state(sigma, H_A, CBIT, H_B, 1)
     obs_A, obs_B = observable(H_A), observable(H_B)
     sizes = []
     eigh = np.linalg.eigh
@@ -164,7 +162,7 @@ def test_omega_state_reads_cached_hamiltonian_spectra(monkeypatch):
         return eigh(M, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    cached = omega_state(sigma, obs_A, CBIT, obs_B)
+    cached = iid_omega_state(sigma, obs_A, CBIT, obs_B, 1)
     assert sizes == [6]
     assert np.array_equal(cached.matrix.matrix, plain.matrix.matrix)
 
@@ -174,7 +172,7 @@ def test_omega_state_ambiguous_difference_spectrum():
     H_A = np.diag([0.0, 1e-6])
     H_B = np.diag([0.0])
     with pytest.raises(IncommensurateSpectrumError):
-        omega_state(sigma, H_A, np.array([1.0]), H_B)
+        iid_omega_state(sigma, H_A, np.array([1.0]), H_B, 1)
 
 
 def test_sdp_uniform_and_entangled():
@@ -239,7 +237,7 @@ def test_sdp_certificates():
 def test_min_entropy_fidelity_qubit():
     # one copy: best fidelity (1 + lam)/2
     for lam in (0.3, 0.6, 0.9):
-        om = omega_state(qubit(lam), H_CBIT, CBIT, H_CBIT)
+        om = iid_omega_state(qubit(lam), H_CBIT, CBIT, H_CBIT, 1)
         f = conditional_min_entropy(om).optimum
         assert abs(f - (1 + lam) / 2) < 1e-6
 
@@ -252,7 +250,7 @@ def test_min_entropy_fidelity_three_copies():
     H3 = (np.kron(np.kron(H1, np.eye(2)), np.eye(2))
           + np.kron(np.kron(np.eye(2), H1), np.eye(2))
           + np.kron(np.kron(np.eye(2), np.eye(2)), H1))
-    om = omega_state(rho3, H3, CBIT, np.diag([0.0, 1.0]))
+    om = iid_omega_state(rho3, H3, CBIT, np.diag([0.0, 1.0]), 1)
     f = conditional_min_entropy(om).optimum
     assert abs(f - 0.868339) < 1e-5
 
@@ -306,7 +304,7 @@ def _rotated_instance():
     H_B = rotated([0.0, 1.0, 3.0])
     sigma = random_density(6, rng)
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-    return omega_state(sigma, H_A, psi, H_B), H_A
+    return iid_omega_state(sigma, H_A, psi, H_B, 1), H_A
 
 
 def test_sector_solve_matches_full_space_solve():
@@ -318,8 +316,9 @@ def test_sector_solve_matches_full_space_solve():
     a = conditional_min_entropy(om)
     b = conditional_min_entropy(full)
     assert abs(a.optimum - b.optimum) < 1e-7
-    # tau is block-diagonal over H_A's eigenspaces, in the caller's basis
-    assert np.max(np.abs(a.tau @ H_A - H_A @ a.tau)) < 1e-9
+    # tau is block-diagonal over H_A's levels, in H_A's eigenbasis
+    Ha = np.diag(np.linalg.eigvalsh(H_A))
+    assert np.max(np.abs(a.tau @ Ha - Ha @ a.tau)) < 1e-9
 
 
 # (newton_steps, old_steps, optimum).  The optima are those of commit
@@ -350,7 +349,7 @@ def test_newton_path_matches_parent():
     for n in range(1, 5):
         for lam in (0.6, 0.9):
             rho, H = _qubit_copies(lam, n)
-            cases[n, lam] = omega_state(rho, H, CBIT, H01)
+            cases[n, lam] = iid_omega_state(rho, H, CBIT, H01, 1)
     for key, omega in cases.items():
         steps, old_steps, optimum = PARENT_PATH[key]
         assert 2 * steps <= old_steps, key
@@ -359,16 +358,41 @@ def test_newton_path_matches_parent():
         assert abs(res.optimum - optimum) < 1e-12, key
 
 
+def _in_caller_basis(om, U_A, U_B):
+    """Omega rotated from the U_A (x) U_B basis it is held in."""
+    W = np.kron(U_A, U_B)
+    return W @ om.matrix.matrix @ W.conj().T
+
+
+def _iid_eigenbasis(H1, n):
+    """The n-copy eigenbasis iid_omega_state sorts its levels into: the
+    Kronecker power of H1's, columns in stable ascending order of the
+    summed levels."""
+    w1, V1 = obs_eig(H1)
+    w, V = w1, V1
+    for _ in range(n - 1):
+        w, V = np.add.outer(w, w1).ravel(), np.kron(V, V1)
+    return V[:, np.argsort(w, kind="stable")]
+
+
 def test_iid_omega_state_matches_the_dense_build():
     # one copy's eigenpairs give the Omega that the dense n-copy
     # Hamiltonian gives, and the solve then takes the same Newton path
+    U_B = obs_eig(H01)[1]
+
+    def check(sigma, H1, n):
+        rho, H = _dense_copies(sigma, H1, n)
+        dense = iid_omega_state(rho, H, CBIT, H01, 1)
+        om = iid_omega_state(sigma, H1, CBIT, H01, n)
+        assert np.array_equal(om.sectors, dense.sectors)
+        diff = (_in_caller_basis(om, _iid_eigenbasis(H1, n), U_B)
+                - _in_caller_basis(dense, obs_eig(H)[1], U_B))
+        assert np.max(np.abs(diff)) < 1e-12
+        return om
+
     for n in range(1, 5):
         for lam in (0.6, 0.9):
-            dense = omega_state(*_qubit_copies(lam, n), CBIT, H01)
-            om = iid_omega_state(qubit(lam), H01, CBIT, H01, n)
-            assert np.array_equal(om.sectors, dense.sectors)
-            assert np.max(np.abs(om.matrix.matrix
-                                 - dense.matrix.matrix)) < 1e-12
+            om = check(qubit(lam), H01, n)
             steps, _, optimum = PARENT_PATH[n, lam]
             res = conditional_min_entropy(om)
             assert res.newton_steps == steps, (n, lam)
@@ -377,12 +401,7 @@ def test_iid_omega_state_matches_the_dense_build():
     # level differ from eigh's, the pinched Omega does not
     rng = np.random.default_rng(65)
     U = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-    H1 = U @ np.diag([0.0, 1.0, 1.0]) @ U.conj().T
-    sigma = random_density(3, rng)
-    dense = omega_state(*_dense_copies(sigma, H1, 3), CBIT, H01)
-    om = iid_omega_state(sigma, H1, CBIT, H01, 3)
-    assert np.array_equal(om.sectors, dense.sectors)
-    assert np.max(np.abs(om.matrix.matrix - dense.matrix.matrix)) < 1e-12
+    check(random_density(3, rng), U @ np.diag([0.0, 1.0, 1.0]) @ U.conj().T, 3)
 
 
 def test_iid_param_count_is_exact(monkeypatch):
@@ -436,7 +455,7 @@ def test_iid_budget_admits_four_copies_of_unevenly_spaced_levels():
 def test_four_copy_gap_has_margin(lam):
     # the congruence-rescaled dual certifies the centered gap mu*N
     rho, H = _qubit_copies(lam, 4)
-    res = conditional_min_entropy(omega_state(rho, H, CBIT, H01))
+    res = conditional_min_entropy(iid_omega_state(rho, H, CBIT, H01, 1))
     assert res.primal_dual_gap < 5e-8
 
 
@@ -446,7 +465,7 @@ def test_gap_is_the_centred_gap(n, lam):
     # the loose intermediate stages leave the final stage centred: the
     # certified gap is mu*N = sdp_gap/4, a 4x margin under the budget
     rho, H = _qubit_copies(lam, n)
-    res = conditional_min_entropy(omega_state(rho, H, CBIT, H01))
+    res = conditional_min_entropy(iid_omega_state(rho, H, CBIT, H01, 1))
     centred = DEFAULT.sdp_gap / 4
     assert abs(res.primal_dual_gap - centred) < 0.01 * centred
 
@@ -457,7 +476,7 @@ def test_fstar_independent_of_blas_threads():
     code = (
         "import math, numpy as np\n"
         "from coherence_forge.distill import conditional_min_entropy, "
-        "omega_state\n"
+        "iid_omega_state\n"
         "plus = np.array([1.0, 1.0]) / math.sqrt(2)\n"
         "h = np.diag([0.0, 1.0])\n"
         "for lam in (0.6, 0.75, 0.9):\n"
@@ -466,7 +485,7 @@ def test_fstar_independent_of_blas_threads():
         "    for _ in range(3):\n"
         "        rho = np.kron(rho, q)\n"
         "        H = np.kron(H, np.eye(2)) + np.kron(np.eye(len(H)), h)\n"
-        "    om = omega_state(rho, H, plus, h)\n"
+        "    om = iid_omega_state(rho, H, plus, h, 1)\n"
         "    print(repr(conditional_min_entropy(om).optimum))\n"
     )
     outs = []
@@ -484,7 +503,7 @@ def test_fstar_independent_of_blas_threads():
 
 def test_sdp_result_reports_solver_work():
     rho, H = _qubit_copies(0.6, 2)
-    om = omega_state(rho, H, CBIT, H01)
+    om = iid_omega_state(rho, H, CBIT, H01, 1)
     res = conditional_min_entropy(om)
     assert res.newton_steps > res.barrier_stages > 0
     slack = np.kron(res.tau, np.eye(2)) - om.matrix.matrix
@@ -494,7 +513,7 @@ def test_sdp_result_reports_solver_work():
 
 def test_verify_certificate_rejects_tampering():
     rho, H = _qubit_copies(0.6, 2)
-    om = omega_state(rho, H, CBIT, H01)
+    om = iid_omega_state(rho, H, CBIT, H01, 1)
     res = conditional_min_entropy(om)
     assert verify_certificate(res, om) is res
     tau, X = res.tau, res.dual_certificate

@@ -32,7 +32,7 @@ def test_canonical_purification_reduces_to_rho():
         phi = build_optimal_purification(rho, random_observable(d, rng)
                                          ).joint_state
         joint = np.outer(phi.vector, phi.vector.conj())
-        red = partial_trace(joint, (d, d), "A")
+        red = partial_trace(joint, (d, d))
         assert np.max(np.abs(red - rho)) < 1e-10
         # reference: the sum over eigenpairs, one Kronecker term each
         # (same eigensolver, so the eigenvector phases agree)
