@@ -53,8 +53,7 @@ def criterion_1() -> CriterionResult:
         F = measures.qfi(rho, H)
         rel = abs(4.0 * pur.total_variance - F) / max(F, 1e-12)
         worst_rel = max(worst_rel, rel)
-        worst_kkt = max(worst_kkt, purification.kkt_residual(
-            rho, H, pur.aux_hamiltonian))
+        worst_kkt = max(worst_kkt, purification.kkt_residual(pur, H))
     ok = worst_rel <= 1e-8 and worst_kkt < 1e-10
     detail = f"max rel |4V-F| {worst_rel:.2e}, max KKT {worst_kkt:.2e}"
     return _finish(1, "optimal purification variance", t0, ok, detail, 10.0)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import DEFAULT
 from .clockdist import snap_levels
-from .convert import coherence_cost
 from .errors import DimMismatchError, ValidationError
 from .linalg import HermitianObservable, eig_hermitian, obs_eig, state_matrix
 from .measures import _check_alpha, _purity, _qfi, _renyi, _skew
@@ -205,22 +204,23 @@ def _densities(G):
     return (R / np.trace(R, axis1=-2, axis2=-1).real[..., None, None],)
 
 
-def _suite_measure(measure_id: str, alpha: float, tau: float):
+def _suite_measure(measure_id: str, alpha: float):
     """values(states, hams): the measure of each state under its
     observable, as floats with inf for an infinite value.
 
     F, P, W and renyi run one eigensolve and one kernel per stack of
     equal dimension, the kernels the public functions call: P and renyi
     sum over each state's support pairs and give inf where the support
-    does not commute with the observable.  cost is coherence_cost per
-    state.  The id and alpha are checked here, before any trial is drawn.
+    does not commute with the observable.  The id and alpha are checked
+    here, before any trial is drawn.
     """
-    if measure_id == "cost":
-        return lambda states, hams: [coherence_cost(r, h, tau)
-                                     for r, h in zip(states, hams)]
     if measure_id == "renyi":
         _check_alpha(alpha)
     kernels = {"F": lambda p, A, V, H: _qfi(p, A),
+               # coherence_cost is (tau/2pi)^2 F once the state is
+               # tau-periodic; at tau = 2pi with integer levels every
+               # state is, and the scale is 1, so cost is F
+               "cost": lambda p, A, V, H: _qfi(p, A),
                "P": _purity,
                "W": lambda p, A, V, H: _skew(p, A),
                "renyi": partial(_renyi, alpha=alpha)}
@@ -277,7 +277,7 @@ def monotonicity_suite(measure_id: str, trials: int = 100, seed: int = 0,
     measure counts as a violation of size inf.
     """
     tau = 2.0 * math.pi
-    measure = _suite_measure(measure_id, alpha, tau)
+    measure = _suite_measure(measure_id, alpha)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     worst = -math.inf

@@ -34,7 +34,6 @@ from .linalg import (
     density_matrix,
     observable,
     pure_state,
-    state_matrix,
 )
 
 
@@ -133,7 +132,7 @@ def cmd_measures(args) -> int:
     H, tau, dense = load_hamiltonian(args.ham)
     pure = isinstance(st, PureState)
     # one cached spectrum serves every measure; the vector keeps the variance
-    rho = density_matrix(st.density()) if pure else st
+    rho = density_matrix(st)
     out = {
         "F": measures.qfi(rho, H),
         "P": _mv(measures.purity_of_coherence(rho, H)),
@@ -153,15 +152,14 @@ def cmd_measures(args) -> int:
 def cmd_purify(args) -> int:
     st = load_state(args.state)
     H, _, _ = load_hamiltonian(args.ham)
-    # one cached spectrum serves the builder, the QFI and the KKT check
-    rho = density_matrix(st.density()) if isinstance(st, PureState) else st
+    # one cached spectrum serves the builder and the QFI
+    rho = density_matrix(st)
     pur = purification.build_optimal_purification(rho, H)
     out = {
         "aux_hamiltonian": array_to_json(pur.aux_hamiltonian.matrix),
         "total_variance": pur.total_variance,
         "qfi_over_4": measures.qfi(rho, H) / 4.0,
-        "kkt_residual": purification.kkt_residual(rho, H,
-                                                  pur.aux_hamiltonian),
+        "kkt_residual": purification.kkt_residual(pur, H),
     }
     if args.ensemble:
         ens = purification.optimal_ensemble(pur, H)
@@ -209,15 +207,17 @@ def cmd_convert(args) -> int:
     _dense_warning(dense1 or dense2, "conversion planning")
     v1 = _pure_vec(s1, "--in")
     v2 = _pure_vec(s2, "--out")
+    try:
+        copies = [int(tok) for tok in args.copies.split(",") if tok]
+    except ValueError:
+        copies = None
+    if not copies:
+        raise ValidationError("--copies must be comma-separated integers, "
+                              f"got {args.copies!r}")
     rate = args.rate
     if rate is None:
         rate = convert.max_rate(v1, H1, v2, H2)
         print(f"note: using max rate {rate!r}", file=sys.stderr)
-    try:
-        copies = [int(tok) for tok in args.copies.split(",") if tok]
-    except ValueError:
-        raise ValidationError("--copies must be comma-separated integers, "
-                              f"got {args.copies!r}") from None
     plans = convert.iid_sweep(v1, H1, v2, H2, rate, copies)
     print("m,k,tv_error,fidelity_floor")
     for plan in plans:
@@ -234,12 +234,12 @@ def cmd_distill(args) -> int:
     _dense_warning(dense or dense_t, "difference-spectrum dephasing")
     tvec = _pure_vec(tgt, "--target")
     n = args.copies
-    single = state_matrix(st)
+    rho = density_matrix(st)
     res = distill.conditional_min_entropy(
-        distill.iid_omega_state(single, H, tvec, Ht, n))
+        distill.iid_omega_state(rho, H, tgt, Ht, n))
     bound_exact = bound_asym = None
-    if single.shape[0] == 2 and tvec.size == 2:
-        lam = 2.0 * float(np.vdot(tvec, single @ tvec).real) - 1.0
+    if rho.dim == 2 and tvec.size == 2:
+        lam = 2.0 * float(np.vdot(tvec, rho.matrix @ tvec).real) - 1.0
         if 0.0 < lam <= 1.0:
             bound_exact, bound_asym = distill.qubit_infidelity_bound(lam, n)
     _emit({

@@ -22,12 +22,7 @@ from .errors import (
     SearchExhaustedError,
     ValidationError,
 )
-from .linalg import (
-    PureState,
-    level_labels,
-    obs_eig,
-    pure_state,
-)
+from .linalg import level_labels, obs_eig, pure_state
 
 # np.convolve is direct, O(W^2) in the window W: the last squaring at
 # W = 2**17 takes about 1.5 s on one Xeon core, at 2**18 about 7 s.  2**17
@@ -138,8 +133,7 @@ def occupied_levels(psi, H):
     Levels follow level_labels at gap_cutoff; a level is occupied when
     psi puts more than prob of its weight on it.  Energies ascend.
     """
-    if not isinstance(psi, PureState):
-        psi = pure_state(psi)
+    psi = pure_state(psi)
     w, V = obs_eig(H)
     if w.size != psi.dim:
         raise ValidationError("state and Hamiltonian dimensions differ")

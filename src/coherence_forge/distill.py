@@ -27,13 +27,11 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    DensityMatrix,
-    PureState,
     density_matrix,
     level_labels,
     observable,
     partial_trace,
-    state_matrix,
+    pure_state,
     tensor,
 )
 from .measures import (
@@ -96,25 +94,16 @@ class OmegaState:
     Hamiltonians' eigenvectors (each ascending in energy).
 
     sectors[i, j] labels the difference eigenspace that holds basis
-    vector (i, j); matrix is block-diagonal in these labels."""
+    vector (i, j); matrix is block-diagonal in these labels.  It is a
+    state because the source and target it is built from are."""
 
-    matrix: DensityMatrix
+    matrix: np.ndarray
     dims: tuple
     sectors: np.ndarray = field(repr=False)
 
 
-def _pure_vector(psi) -> np.ndarray:
-    if isinstance(psi, PureState):
-        return psi.vector
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    nrm = float(np.linalg.norm(v))
-    if nrm <= 0:
-        raise ValidationError("zero vector is not a state")
-    return v / nrm
-
-
 def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
-    """Dephase sigma^(x)copies (x) |conj(psi_B)><conj(psi_B)| over the
+    """Pinch sigma^(x)copies (x) |conj(psi_B)><conj(psi_B)| onto the
     eigenspaces of H_n (x) I - I (x) H_B, with H_n = sum_i H_i the
     non-interacting Hamiltonian of the copies; copies = 1 gives the
     state of any single source under any H.
@@ -126,7 +115,9 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     that sort, so no n-copy matrix is decomposed and no n-copy
     eigenbasis or Hamiltonian is formed.
 
-    Before any tensor power is built, raises ValidationError when
+    Before any tensor power is built, sigma is checked as a d x d
+    density_matrix and psi_B as a pure_state (each at its own size; Omega
+    itself is never decomposed), and ValidationError is raised when
     copies < 1, when sigma and H differ in dimension, when the dense
     Omega side d**copies * d_B passes MAX_OMEGA_SIDE, or when tau's
     parameter count, sum_E deg(E)^2 over the level_labels E of the
@@ -137,9 +128,9 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     if copies < 1:
         raise ValidationError(f"copies must be at least 1, got {copies}")
     H, H_B = observable(H), observable(H_B)
-    s = state_matrix(sigma)
+    sigma, psi = density_matrix(sigma), pure_state(psi_B)
     d = H.dim
-    if s.shape[0] != d:
+    if sigma.dim != d:
         raise ValidationError("state and Hamiltonian dims differ on A")
     # a one-level source is counted as two, since each copy is a loop
     if (copies * math.log(max(d, 2)) + math.log(H_B.dim)
@@ -157,13 +148,12 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
         raise ValidationError(
             f"{copies} copies give {params} SDP parameters, above the "
             f"budget of {MAX_SDP_PARAMS}")
-    psi = _pure_vector(psi_B)
-    if psi.size != H_B.dim:
+    if psi.dim != H_B.dim:
         raise ValidationError("target and Hamiltonian dims differ on B")
     b, U_B = H_B.spectrum, H_B.eigenbasis
-    psi_bar = (U_B.conj().T @ psi).conj()
+    psi_bar = (U_B.conj().T @ psi.vector).conj()
     V = H.eigenbasis
-    sn = tensor(*[V.conj().T @ s @ V] * copies)[perm][:, perm]
+    sn = tensor(*[V.conj().T @ sigma.matrix @ V] * copies)[perm][:, perm]
     M = np.kron(sn, np.outer(psi_bar, psi_bar.conj()))
     delta = (a[:, None] - b[None, :]).ravel()
     order = np.argsort(delta)
@@ -177,7 +167,7 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     labels = np.empty(delta.size, dtype=int)
     labels[order] = level_labels(delta[order])
     mask = labels[:, None] == labels[None, :]
-    return OmegaState(matrix=density_matrix(M * mask),
+    return OmegaState(matrix=M * mask,
                       dims=(len(a), len(b)),
                       sectors=labels.reshape(len(a), len(b)))
 
@@ -206,7 +196,7 @@ class _Sectors:
     indices fill the places where valid[b] holds; a pad entry is an
     identity row of the slack and zero elsewhere."""
 
-    def __init__(self, lmi, d_B, Os):
+    def __init__(self, lmi, d_B, Om):
         sizes = np.bincount(lmi)
         self.sizes = sizes
         n = sizes.max()
@@ -218,7 +208,7 @@ class _Sectors:
         self.same_j = self.pair & (j[:, :, None] == j[:, None, :])
         self.a_row, self.a_col = a[:, :, None], a[:, None, :]
         rows, cols = E[:, :, None], E[:, None, :]
-        self.omega = (np.where(self.pair, Os[rows, cols], 0.0)
+        self.omega = (np.where(self.pair, Om[rows, cols], 0.0)
                       - (~self.valid)[:, :, None] * np.eye(n))
         self.rows = np.broadcast_to(rows, self.pair.shape)[self.pair]
         self.cols = np.broadcast_to(cols, self.pair.shape)[self.pair]
@@ -228,7 +218,7 @@ class _Sectors:
         return t[self.a_row, self.a_col] * self.same_j
 
     def slack(self, t: np.ndarray):
-        """Eigenpairs of the sector blocks of t (x) I - Os."""
+        """Eigenpairs of the sector blocks of t (x) I - omega."""
         w, V = np.linalg.eigh(self.lift(t) - self.omega)
         if w.min() <= 0.0:
             raise SolverStallError("barrier iterate left the cone")
@@ -258,7 +248,8 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     self-adjoint and positive definite, so a Hermitian G gives a Hermitian
     d; one symmetrization removes the rounding.
 
-    Works on Omega scaled to unit largest eigenvalue; the barrier weight
+    Works on Omega scaled to unit largest eigenvalue, read from the
+    sector blocks' spectra; the barrier weight
     is driven down by BARRIER_FACTOR per stage to gap_tol/(4*N*scale),
     which pins the centered duality gap mu*N under the requested
     tolerance after unscaling.  Only that last stage's centring reaches
@@ -270,15 +261,17 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     T = Tr_B X, which makes Tr_B X = I and keeps X >= 0."""
     d_A, d_B = omega.dims
     N = d_A * d_B
-    scale = float(omega.matrix.spectrum[-1])
-    Os = omega.matrix.matrix / scale
     # A's levels i and k share a tau block when (i, j) and (k, j) share a
     # sector.  iid_omega_state's grouping makes that hold for every j or for
     # none: a_i - a_k is the same in each column, and its groups lie at
     # least sqrt(gap_cutoff) apart or it raises.  So column 0 gives the
     # blocks, and each sector is closed under them.
     labels = np.asarray(omega.sectors)
-    sectors = _Sectors(labels.ravel(), d_B, Os)
+    sectors = _Sectors(labels.ravel(), d_B, omega.matrix)
+    # Omega's spectrum is its sector blocks'; each pad adds an eigenvalue -1
+    scale = float(np.linalg.eigvalsh(sectors.omega).max())
+    sectors.omega[sectors.pair] /= scale
+    Os = omega.matrix / scale
     block = labels[:, 0]
     ui, uk = np.nonzero(block[:, None] == block[None, :])
     # K[q, q'] = (Tr_B S^-1 (E_q' (x) I) S^-1)[q] for units q = (i, k),
@@ -367,7 +360,7 @@ def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
     Returns result; raises CertificateError on the first check that
     fails."""
     d_A, d_B = omega.dims
-    Om = omega.matrix.matrix
+    Om = omega.matrix
     tau, X = result.tau, result.dual_certificate
     for name, M in (("tau", tau), ("dual X", X)):
         skew = float(np.max(np.abs(M - M.conj().T)))

@@ -216,7 +216,12 @@ def observable(M) -> HermitianObservable:
 
 
 def density_matrix(M) -> DensityMatrix:
-    M = require_square(M)
+    """M checked to be a state (trace 1, no eigenvalue below -psd), with
+    its eigendecomposition cached.  A DensityMatrix is returned as it is;
+    anything else is coerced like state_matrix first."""
+    if isinstance(M, DensityMatrix):
+        return M
+    M = state_matrix(M)
     w, V = eig_hermitian(M)
     w.flags.writeable = V.flags.writeable = False
     if abs(np.sum(w) - 1.0) > DEFAULT.trace:
@@ -228,6 +233,9 @@ def density_matrix(M) -> DensityMatrix:
 
 
 def pure_state(v) -> PureState:
+    """v checked to be a unit vector; a PureState is returned as it is."""
+    if isinstance(v, PureState):
+        return v
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
         raise DimMismatchError(f"expected a vector, got shape {v.shape}")

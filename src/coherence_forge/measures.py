@@ -25,7 +25,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    DensityMatrix,
     density_matrix,
     eig_of,
     fidelity,
@@ -211,14 +210,14 @@ def qfi_via_fidelity(rho, H) -> float:
     """QFI from the curvature of t -> fidelity(rho, e^{-iHt} rho e^{iHt}).
 
     Central second difference -4 (Fid(h) - 2 Fid(0) + Fid(-h)) / h^2 with
-    one Richardson extrapolation step (h and h/2), h = fd_step.  A plain
-    rho becomes a DensityMatrix once here, so every fidelity takes
-    sqrt(rho) from one cached eigendecomposition.
+    one Richardson extrapolation step (h and h/2), h = fd_step.  rho
+    becomes a DensityMatrix once here (density_matrix returns one as it
+    is), so every fidelity takes sqrt(rho) from one cached
+    eigendecomposition.
     """
     h = DEFAULT.fd_step
+    rho = density_matrix(rho)
     rho_m, _ = _operands(rho, H)
-    if not isinstance(rho, DensityMatrix):
-        rho = density_matrix(rho_m)
     w, V = obs_eig(H)
 
     def rotated(t):

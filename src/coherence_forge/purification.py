@@ -130,29 +130,24 @@ def _coordinate_aux(p, S) -> np.ndarray:
     return -2.0 * M * S
 
 
-def kkt_residual(rho, H_S, H_A) -> float:
-    """Stationarity residual of the variance-minimization problem.
+def kkt_residual(pur: Purification, H_S) -> float:
+    """Stationarity residual of the variance minimisation at pur.
 
-    In rho-eigenbasis coordinates with D = diag(p) and S = V^dag H_S V,
-    the optimal auxiliary Hamiltonian satisfies
-
-        (A^T D + D A^T)/2 + sqrt(D) S sqrt(D) = 0,
-
-    where A = V^dag H_A V and the transpose reflects the A-side index
-    flip of the purification.  Returns the max-abs violation (mean-energy
-    shifts drop out, so the identity component of H_A is projected away
-    on the support first).
+    With act = H_S Phi + Phi H_A^T, the variance <act|act> - <Phi|act>^2
+    of the amplitude matrix Phi is stationary in the Hermitian H_A
+    exactly when the Hermitian part of act^dag Phi - <Phi|act> Phi^dag Phi
+    vanishes.  Returns its max-abs entry.  It chooses no basis and runs
+    no eigensolve, and the <Phi|act> term makes it blind to a multiple
+    of the identity added to H_A, which shifts only the mean energy.
     """
-    p, V = aligned_eigensystem(rho, H_S)
-    S = V.conj().T @ obs_matrix(H_S) @ V
-    A = V.conj().T @ obs_matrix(H_A) @ V
-    # re-gauge to the zero-mean-energy convention the identity assumes
-    A = A - _mean_energy(rho, H_S, H_A) * np.eye(p.size)
-    D = np.diag(np.clip(p, 0.0, None))
-    sq = np.sqrt(D)
-    At = A.T
-    resid = 0.5 * (At @ D + D @ At) + sq @ S @ sq
-    return float(np.max(np.abs(resid)))
+    H_S, H_A = obs_matrix(H_S), pur.aux_hamiltonian.matrix
+    if H_S.shape != H_A.shape:
+        raise DimMismatchError("state and Hamiltonian dimensions differ")
+    d = H_A.shape[0]
+    phi = pur.joint_state.vector.reshape(d, d)
+    act = H_S @ phi + phi @ H_A.T
+    G = act.conj().T @ phi - np.vdot(phi, act).real * (phi.conj().T @ phi)
+    return float(np.max(np.abs(0.5 * (G + G.conj().T))))
 
 
 def build_optimal_purification(rho, H_S) -> Purification:

@@ -446,7 +446,7 @@ def test_stacked_support_measures_match_public_functions():
             ("P", 1.5, purity_of_coherence),
             ("renyi", 1.5, lambda r, h: renyi_purity_monotone(r, h, 1.5)),
             ("renyi", 2.0, lambda r, h: renyi_purity_monotone(r, h, 2.0))):
-        got = channels._suite_measure(measure_id, alpha, TAU)(states, hams)
+        got = channels._suite_measure(measure_id, alpha)(states, hams)
         want = [public(r, h) for r, h in zip(states, hams)]
         assert got == want
         assert [v == math.inf for v in got] == [False, False, True,

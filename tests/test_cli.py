@@ -266,6 +266,7 @@ def test_convert_below_rate_improves_with_copies(fixtures):
     ("--rate", "nan"), ("--rate", "inf"),
     ("--rate", "1e-300"),   # snaps to 0 at the rate's max denominator
     ("--copies", "abc"), ("--copies", "16,x"),
+    ("--copies", ""), ("--copies", ","),   # no copy count at all
 ])
 def test_convert_refuses_bad_rate_and_copies(fixtures, capsys, flag, value):
     argv = ["convert", "--in", fixtures["u023"], fixtures["h4"],
@@ -611,6 +612,12 @@ def test_eigensolve_budget(tmp_path, monkeypatch, capsys):
     assert cli.main(["measures", "--state", str(tmp_path / "psi.json"),
                      "--ham", str(tmp_path / "h.json"), "--alpha", "1.5"]) == 0
     assert sizes == [d, d]
+    sizes.clear()
+    # a pure state's null block is aligned once, by the builder; the KKT
+    # check reads the purification it built
+    assert cli.main(["purify", "--state", str(tmp_path / "psi.json"),
+                     "--ham", str(tmp_path / "h.json"), "--ensemble"]) == 0
+    assert sizes == [d, d, d - 1, d]
     capsys.readouterr()
 
 
@@ -646,7 +653,8 @@ def test_distill_never_solves_the_copies_hamiltonian(fixtures, monkeypatch,
                      "--target", fixtures["cbit"], fixtures["h2"],
                      "--copies", "3"]) == 0
     capsys.readouterr()
-    # rho, H and H_t at load, Omega, and Tr_B of the dual certificate
-    assert [M.shape[0] for M in mats] == [2, 2, 2, 16, 8]
+    # rho, H and H_t at load, and Tr_B of the dual certificate; Omega
+    # is never decomposed
+    assert [M.shape[0] for M in mats] == [2, 2, 2, 8]
     H3 = np.diag(np.add.outer(np.add.outer([0, 1], [0, 1]), [0, 1]).ravel())
     assert not any(M.shape == H3.shape and np.allclose(M, H3) for M in mats)

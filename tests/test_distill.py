@@ -27,7 +27,6 @@ from coherence_forge.errors import (
     ValidationError,
 )
 from coherence_forge.linalg import (
-    density_matrix,
     level_labels,
     obs_eig,
     observable,
@@ -52,7 +51,7 @@ def dephase(rho, H):
 def single_sector(Om, d_A, d_B):
     """A joint state on A (x) B with no time-translation structure: one
     sector, so the SDP runs on the full space."""
-    return OmegaState(matrix=density_matrix(Om), dims=(d_A, d_B),
+    return OmegaState(matrix=np.asarray(Om, dtype=complex), dims=(d_A, d_B),
                       sectors=np.zeros((d_A, d_B), dtype=int))
 
 
@@ -128,7 +127,7 @@ def test_omega_state_oracle_by_difference_hamiltonian():
         bar = psi.conj()
         M0 = np.kron(sigma, np.outer(bar, bar.conj()))
         Delta = np.kron(H_A, np.eye(d_B)) - np.kron(np.eye(d_A), H_B)
-        assert np.max(np.abs(om.matrix.matrix - dephase(M0, Delta))) < 1e-10
+        assert np.max(np.abs(om.matrix - dephase(M0, Delta))) < 1e-10
         assert om.dims == (d_A, d_B)
 
 
@@ -140,13 +139,13 @@ def test_omega_state_eigenstate_target_factorizes():
     psi = np.array([0.0, 1.0])
     om = iid_omega_state(sigma, H_A, psi, H_B, 1)
     want = np.kron(dephase(sigma, H_A), np.outer(psi, psi))
-    assert np.max(np.abs(om.matrix.matrix - want)) < 1e-12
+    assert np.max(np.abs(om.matrix - want)) < 1e-12
 
 
 def test_omega_state_reads_cached_hamiltonian_spectra(monkeypatch):
     # observables lend their cached eigenpairs, which are the ones a
-    # plain matrix would give: the same Omega, and only Omega's own
-    # validation solve
+    # plain matrix would give: the same Omega, and only the source's own
+    # validation solve, at its own size
     rng = np.random.default_rng(62)
     U = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
     H_A = U @ np.diag([0.0, 1.0, 2.0]) @ U.conj().T
@@ -163,8 +162,43 @@ def test_omega_state_reads_cached_hamiltonian_spectra(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     cached = iid_omega_state(sigma, obs_A, CBIT, obs_B, 1)
-    assert sizes == [6]
-    assert np.array_equal(cached.matrix.matrix, plain.matrix.matrix)
+    assert sizes == [3]
+    assert np.array_equal(cached.matrix, plain.matrix)
+
+
+@pytest.mark.parametrize("sigma, psi, match", [
+    (np.diag([1.2, -0.2]), CBIT, "negative eigenvalue"),
+    (np.diag([0.6, 0.6]), CBIT, "trace"),
+    (qubit(0.6), 2 * CBIT, "norm"),   # refused, not normalised
+])
+def test_omega_state_refuses_bad_inputs_before_tensor_powers(
+        monkeypatch, sigma, psi, match):
+    # sigma is checked as a 2 x 2 state and psi_B as a unit vector, each
+    # at its own size, before any n-copy matrix exists
+    def no_tensor(*args, **kwargs):
+        raise AssertionError("tensor power built")
+
+    monkeypatch.setattr(coherence_forge.distill, "tensor", no_tensor)
+    with pytest.raises(ValidationError, match=match):
+        iid_omega_state(sigma, H_CBIT, psi, H_CBIT, 3)
+
+
+def test_omega_state_at_the_side_budget_solves_no_wide_matrix(monkeypatch):
+    # a 32-level source and a 32-level target make Omega 1024 wide; only
+    # sigma, H and H_B are decomposed, each 32 x 32
+    d = 32
+    H = np.diag(np.arange(d, dtype=float))
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(M, *args, _solve=getattr(np.linalg, name), **kwargs):
+            sizes.append(M.shape[-1])
+            return _solve(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    om = iid_omega_state(random_density(d, 67), H, np.ones(d) / math.sqrt(d),
+                         H, 1)
+    assert om.dims == (d, d)
+    assert sizes == [d, d, d]
 
 
 def test_omega_state_ambiguous_difference_spectrum():
@@ -304,6 +338,7 @@ def _rotated_instance():
     H_B = rotated([0.0, 1.0, 3.0])
     sigma = random_density(6, rng)
     psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    psi = psi / np.linalg.norm(psi)
     return iid_omega_state(sigma, H_A, psi, H_B, 1), H_A
 
 
@@ -312,7 +347,7 @@ def test_sector_solve_matches_full_space_solve():
     # Omega agree
     om, H_A = _rotated_instance()
     assert len(np.unique(om.sectors)) > 1
-    full = single_sector(om.matrix.matrix, 6, 3)
+    full = single_sector(om.matrix, 6, 3)
     a = conditional_min_entropy(om)
     b = conditional_min_entropy(full)
     assert abs(a.optimum - b.optimum) < 1e-7
@@ -345,7 +380,7 @@ PARENT_PATH = {
 def test_newton_path_matches_parent():
     om, _ = _rotated_instance()
     cases = {"rotated sectors": om,
-             "rotated full": single_sector(om.matrix.matrix, 6, 3)}
+             "rotated full": single_sector(om.matrix, 6, 3)}
     for n in range(1, 5):
         for lam in (0.6, 0.9):
             rho, H = _qubit_copies(lam, n)
@@ -361,7 +396,7 @@ def test_newton_path_matches_parent():
 def _in_caller_basis(om, U_A, U_B):
     """Omega rotated from the U_A (x) U_B basis it is held in."""
     W = np.kron(U_A, U_B)
-    return W @ om.matrix.matrix @ W.conj().T
+    return W @ om.matrix @ W.conj().T
 
 
 def _iid_eigenbasis(H1, n):
@@ -506,7 +541,7 @@ def test_sdp_result_reports_solver_work():
     om = iid_omega_state(rho, H, CBIT, H01, 1)
     res = conditional_min_entropy(om)
     assert res.newton_steps > res.barrier_stages > 0
-    slack = np.kron(res.tau, np.eye(2)) - om.matrix.matrix
+    slack = np.kron(res.tau, np.eye(2)) - om.matrix
     assert abs(res.min_slack - np.linalg.eigvalsh(slack)[0]) < 1e-12
     assert res.min_slack > 0.0
 

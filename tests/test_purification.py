@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coherence_forge.config import DEFAULT
-from coherence_forge.errors import PeriodMismatchError
+from coherence_forge.errors import DimMismatchError, PeriodMismatchError
 from coherence_forge.linalg import (
     density_matrix,
     eig_hermitian,
+    observable,
     partial_trace,
     random_density,
     random_observable,
@@ -51,7 +53,7 @@ def test_optimal_purification_hits_quarter_qfi():
         pur = build_optimal_purification(rho, H)
         F = qfi(rho, H)
         assert abs(pur.total_variance - F / 4) < 1e-8 * max(1.0, F)
-        assert kkt_residual(rho, H, pur.aux_hamiltonian.matrix) < 1e-10
+        assert kkt_residual(pur, H) < 1e-10
         H_A = _stationary_aux_hamiltonian(rho, H)
         assert np.max(np.abs(pur.aux_hamiltonian.matrix - H_A)) < 1e-12
 
@@ -87,7 +89,7 @@ def test_optimal_purification_degenerate_spectrum():
     pur = build_optimal_purification(rho, H)
     F = qfi(rho, H)
     assert abs(pur.total_variance - F / 4) < 1e-8 * max(1.0, F)
-    assert kkt_residual(rho, H, pur.aux_hamiltonian.matrix) < 1e-10
+    assert kkt_residual(pur, H) < 1e-10
     # the container's cached eigenbasis gives the same result and is
     # neither rotated in place nor writable
     dm = density_matrix(rho)
@@ -96,10 +98,31 @@ def test_optimal_purification_degenerate_spectrum():
     assert abs(pur_dm.total_variance - pur.total_variance) < 1e-12
     assert np.max(np.abs(pur_dm.aux_hamiltonian.matrix
                          - pur.aux_hamiltonian.matrix)) < 1e-12
-    assert kkt_residual(dm, H, pur_dm.aux_hamiltonian) < 1e-10
+    assert kkt_residual(pur_dm, H) < 1e-10
     assert np.array_equal(dm.eigenbasis, basis)
     with pytest.raises(ValueError):
         dm.eigenbasis[0, 0] = 0.0
+
+
+def test_kkt_residual_detects_a_moved_aux_hamiltonian():
+    # the residual is small only at the optimum: moving H_A by a seeded
+    # Hermitian 1e-3 matrix, with the joint state kept, lifts it far
+    # above the 1e-10 the built purification meets, for a mixed, a
+    # degenerate and a pure state alike
+    rng = np.random.default_rng(40)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi = psi / np.linalg.norm(psi)
+    cases = [(random_density(4, rng), random_observable(4, rng)),
+             _degenerate_fixture(),
+             (np.outer(psi, psi.conj()), random_observable(4, rng))]
+    for rho, H in cases:
+        pur = build_optimal_purification(rho, H)
+        assert kkt_residual(pur, H) < 1e-10
+        moved = observable(pur.aux_hamiltonian.matrix
+                           + 1e-3 * random_observable(4, rng))
+        assert kkt_residual(replace(pur, aux_hamiltonian=moved), H) >= 1e-5
+    with pytest.raises(DimMismatchError):
+        kkt_residual(pur, np.eye(3))
 
 
 def _kron_variance(vec, H_S, H_A):
