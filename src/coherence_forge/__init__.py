@@ -36,10 +36,8 @@ from .linalg import (
     array_to_json,
     density_matrix,
     eig_hermitian,
-    eig_of,
     fidelity,
     level_labels,
-    obs_eig,
     observable,
     partial_trace,
     pure_state,

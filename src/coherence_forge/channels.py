@@ -21,7 +21,12 @@ import numpy as np
 from .config import DEFAULT
 from .clockdist import snap_levels
 from .errors import DimMismatchError, ValidationError
-from .linalg import HermitianObservable, eig_hermitian, obs_eig, state_matrix
+from .linalg import (
+    HermitianObservable,
+    eig_hermitian,
+    observable,
+    state_matrix,
+)
 from .measures import _check_alpha, _purity, _qfi, _renyi, _skew
 
 
@@ -116,10 +121,10 @@ def twirl(ch: KrausChannel, H_in, H_out, tau: float) -> KrausChannel:
     weight below pair_cutoff are dropped; the rest are kept
     operator-major, modes ascending within each operator.
     """
-    w_in, V_in = obs_eig(H_in)
-    w_out, V_out = obs_eig(H_out)
-    n_in = snap_levels(w_in, w_in[0], tau)
-    n_out = snap_levels(w_out, w_out[0], tau)
+    H_in, H_out = observable(H_in), observable(H_out)
+    V_in, V_out = H_in.eigenbasis, H_out.eigenbasis
+    n_in = snap_levels(H_in.spectrum, H_in.spectrum[0], tau)
+    n_out = snap_levels(H_out.spectrum, H_out.spectrum[0], tau)
     if len(n_in) != ch.d_in or len(n_out) != ch.d_out:
         raise DimMismatchError("Hamiltonian dims do not match the channel")
     Kt = V_out.conj().T @ ch.kraus @ V_in

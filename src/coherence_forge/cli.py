@@ -32,6 +32,7 @@ from .linalg import (
     array_from_json,
     array_to_json,
     density_matrix,
+    level_labels,
     observable,
     pure_state,
 )
@@ -226,6 +227,29 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _family_visibility(rho, H, tvec, Ht) -> float | None:
+    """lam = 2<t|rho|t> - 1 when source and target form the qubit family
+    that qubit_infidelity_bound is proved for, else None.
+
+    That is: H and Ht are nondegenerate qubit Hamiltonians whose gaps
+    agree within level_rel of H's; rho and t each put 1/2 on both levels
+    (within num); and lam is 2|rho_01| in H's eigenbasis (within num), so
+    the target carries the source's phase."""
+    if rho.dim != 2 or tvec.size != 2:
+        return None
+    gap, gap_t = (np.diff(h.spectrum)[0] for h in (H, Ht))
+    r = H.eigenbasis.conj().T @ rho.matrix @ H.eigenbasis
+    t = Ht.eigenbasis.conj().T @ tvec
+    lam = 2.0 * float(np.vdot(tvec, rho.matrix @ tvec).real) - 1.0
+    family = (all(level_labels(h.spectrum)[-1] == 1 for h in (H, Ht))
+              and abs(gap - gap_t) <= DEFAULT.level_rel * gap
+              and abs(r[0, 0].real - 0.5) <= DEFAULT.num
+              and abs(abs(t[0]) ** 2 - 0.5) <= DEFAULT.num
+              and abs(lam - 2.0 * abs(r[0, 1])) <= DEFAULT.num
+              and 0.0 < lam <= 1.0)
+    return lam if family else None
+
+
 def cmd_distill(args) -> int:
     st = load_state(args.infiles[0])
     H, _, dense = load_hamiltonian(args.infiles[1])
@@ -238,10 +262,9 @@ def cmd_distill(args) -> int:
     res = distill.conditional_min_entropy(
         distill.iid_omega_state(rho, H, tgt, Ht, n))
     bound_exact = bound_asym = None
-    if rho.dim == 2 and tvec.size == 2:
-        lam = 2.0 * float(np.vdot(tvec, rho.matrix @ tvec).real) - 1.0
-        if 0.0 < lam <= 1.0:
-            bound_exact, bound_asym = distill.qubit_infidelity_bound(lam, n)
+    lam = _family_visibility(rho, H, tvec, Ht)
+    if lam is not None:
+        bound_exact, bound_asym = distill.qubit_infidelity_bound(lam, n)
     _emit({
         "fidelity": res.optimum,
         "hmin": -math.log2(res.optimum),
@@ -256,12 +279,9 @@ def cmd_distill(args) -> int:
 
 
 def cmd_qubit_bound(args) -> int:
-    if args.n < 1:
-        raise ValidationError(f"--n must be at least 1, got {args.n}")
-    # the n = 1 row checks --lambda, so a bad one leaves stdout empty;
-    # after it each row is printed as it is computed
-    distill.qubit_infidelity_bound(args.lam, 1)
-    distill.cirac_comparison(args.lam, 1)
+    # checks --lambda and --n, so bad ones leave stdout empty; after it
+    # each row is printed as it is computed
+    distill.qubit_infidelity_bound(args.lam, args.n)
     print("n,exact,asymptotic,cirac")
     for n in range(1, args.n + 1):
         exact, asym = distill.qubit_infidelity_bound(args.lam, n)

@@ -22,7 +22,7 @@ from .errors import (
     SearchExhaustedError,
     ValidationError,
 )
-from .linalg import level_labels, obs_eig, pure_state
+from .linalg import level_labels, observable, pure_state
 
 # np.convolve is direct, O(W^2) in the window W: the last squaring at
 # W = 2**17 takes about 1.5 s on one Xeon core, at 2**18 about 7 s.  2**17
@@ -133,8 +133,8 @@ def occupied_levels(psi, H):
     Levels follow level_labels at gap_cutoff; a level is occupied when
     psi puts more than prob of its weight on it.  Energies ascend.
     """
-    psi = pure_state(psi)
-    w, V = obs_eig(H)
+    psi, H = pure_state(psi), observable(H)
+    w, V = H.spectrum, H.eigenbasis
     if w.size != psi.dim:
         raise ValidationError("state and Hamiltonian dimensions differ")
     lab = level_labels(w)

@@ -65,13 +65,18 @@ def is_bound_resource(rho, H) -> bool:
 
 def distillation_copy_floor(rho, H, psi_target, H_t, eps: float,
                             prob: float = 1.0) -> float:
-    """Minimum copies of rho needed for an eps-accurate target at success
-    probability prob: prob * V(target) * (2/eps - 3) / P(rho).
+    """Minimum copies of rho needed for an output within trace norm eps
+    of the target, ||out - psi||_1 <= eps, at success probability prob:
+    prob * V(target) * (2/eps - 3) / P(rho).
 
     The target variance ceiling for eps-approximations turns the purity
-    budget into a copy count.  Infinite when the source has no purity of
-    coherence at all (math.inf); zero when nothing is demanded (incoherent
-    target or a source with unbounded purity)."""
+    budget into a copy count.  eps is a trace norm, not an infidelity:
+    one copy of lam |+><+| + (1 - lam) I/2 is within eps = 1 - lam of
+    |+> (1 - F = (1 - lam)/2), and the floor there is
+    1 - ((1 - lam)/(2 lam))^2, at most one copy.  Infinite when the
+    source has no purity of coherence at all (math.inf); zero when
+    nothing is demanded (incoherent target or a source with unbounded
+    purity)."""
     if not 0.0 < eps < 2.0 / 3.0:
         raise EpsOutOfRangeError(f"eps must lie in (0, 2/3), got {eps}")
     if not 0.0 < prob <= 1.0:
@@ -396,6 +401,14 @@ def conditional_min_entropy(omega: OmegaState) -> SdpResult:
     return verify_certificate(_min_trace_sdp(omega), omega)
 
 
+def _check_qubit_family(lam: float, n: int) -> None:
+    """ValidationError unless lam lies in (0, 1] and n >= 1."""
+    if not 0.0 < lam <= 1.0:
+        raise ValidationError(f"lambda must lie in (0, 1], got {lam}")
+    if n < 1:
+        raise ValidationError(f"n must be a positive integer, got {n}")
+
+
 def qubit_infidelity_bound(lam: float, n: int):
     """(exact_bound, asymptotic) lower bounds on the output infidelity
     when distilling one coherent qubit from n copies at visibility lam.
@@ -403,10 +416,7 @@ def qubit_infidelity_bound(lam: float, n: int):
     exact_bound comes from the purity-of-coherence converse applied to
     the n-copy qubit family; asymptotic is its large-n expansion
     (1 - lam^2)/(4 lam^2 n)."""
-    if not 0.0 < lam <= 1.0:
-        raise ValidationError(f"lambda must lie in (0, 1], got {lam}")
-    if n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n}")
+    _check_qubit_family(lam, n)
     lt2 = n * lam * lam / (1.0 + (n - 1) * lam * lam)
     exact = 0.5 * (1.0 - math.sqrt(lt2))
     asym = (1.0 - lam * lam) / (4.0 * lam * lam * n)
@@ -417,8 +427,5 @@ def cirac_comparison(lam: float, n: int) -> float:
     """Published asymptotic infidelity (1-lam)/(2 lam^2 n) of the best
     known qubit purification channel; exceeds the asymptotic lower bound
     by exactly 2/(1+lam)."""
-    if not 0.0 < lam <= 1.0:
-        raise ValidationError(f"lambda must lie in (0, 1], got {lam}")
-    if n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n}")
+    _check_qubit_family(lam, n)
     return (1.0 - lam) / (2.0 * lam * lam * n)

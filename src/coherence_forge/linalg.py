@@ -5,10 +5,13 @@ entries, Hermiticity, reconstruction residual) and provides the state /
 observable containers, tensor-product helpers, energy levels, seeded
 samplers, and the JSON wire format for matrices and vectors.
 
-Each container owns the eigendecomposition of its operand: spectrum
-ascending, eigenbasis columns aligned with it, both read-only.  eig_of
-hands that cached pair to every layer, so a validated operand is
-eigendecomposed exactly once.
+The containers are the only source of eigenpairs.  A
+HermitianObservable owns the eigendecomposition of its operand: spectrum
+ascending, eigenbasis columns aligned with it, both read-only.  A
+DensityMatrix is a HermitianObservable checked to be a state.  Every
+layer coerces a state once with density_matrix, or a Hamiltonian with
+observable, and reads .spectrum and .eigenbasis, so a validated operand
+is eigendecomposed exactly once.
 """
 
 from __future__ import annotations
@@ -92,16 +95,13 @@ def eig_hermitian(M):
 
 
 def psd_sqrt(M):
-    """Square root of a positive semidefinite Hermitian matrix.
-
-    A DensityMatrix or HermitianObservable lends its cached
-    eigendecomposition (see eig_of).  Eigenvalues in [-psd, 0) are treated
-    as zero.
+    """Square root of the density matrix M, read from the cached
+    eigendecomposition of density_matrix(M).  Eigenvalues in [-psd, 0)
+    are treated as zero.
     """
-    w, V = eig_of(M)
-    if w.size and w[0] < -DEFAULT.psd:
-        raise ValidationError(f"matrix has a negative eigenvalue {w[0]:.3e}")
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+    rho = density_matrix(M)
+    V = rho.eigenbasis
+    return (V * np.sqrt(np.clip(rho.spectrum, 0.0, None))) @ V.conj().T
 
 
 def tensor(*ops) -> np.ndarray:
@@ -138,8 +138,10 @@ def level_labels(w) -> np.ndarray:
 def fidelity(rho, sigma) -> float:
     """Root fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
 
-    For a pure rho this reduces to sqrt(<psi|sigma|psi>).  A DensityMatrix
-    rho lends its cached eigendecomposition to sqrt(rho).
+    For a pure rho this reduces to sqrt(<psi|sigma|psi>).  rho goes
+    through density_matrix, so a matrix that is not a state raises
+    ValidationError and a DensityMatrix lends its cached
+    eigendecomposition to sqrt(rho); sigma is taken as given.
     """
     sq = psd_sqrt(rho)
     sigma = state_matrix(sigma)
@@ -172,22 +174,10 @@ class HermitianObservable:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Validated density matrix.
-
-    spectrum is ascending (largest population last); eigenbasis columns
-    align with it.  Both arrays are read-only.  support_rank counts
-    eigenvalues above rank_cutoff.
-    """
-
-    matrix: np.ndarray
-    spectrum: np.ndarray = field(repr=False)
-    eigenbasis: np.ndarray = field(repr=False)
-    support_rank: int
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+class DensityMatrix(HermitianObservable):
+    """HermitianObservable checked to be a state: trace 1 and no
+    eigenvalue below -psd, so spectrum holds its populations, largest
+    last."""
 
 
 @dataclass(frozen=True)
@@ -221,15 +211,14 @@ def density_matrix(M) -> DensityMatrix:
     anything else is coerced like state_matrix first."""
     if isinstance(M, DensityMatrix):
         return M
-    M = state_matrix(M)
-    w, V = eig_hermitian(M)
-    w.flags.writeable = V.flags.writeable = False
+    ob = observable(state_matrix(M))
+    w = ob.spectrum
     if abs(np.sum(w) - 1.0) > DEFAULT.trace:
         raise ValidationError(f"trace is {np.sum(w):.12f}, expected 1")
     if w[0] < -DEFAULT.psd:
         raise ValidationError(f"negative eigenvalue {w[0]:.3e}")
-    rank = int(np.count_nonzero(w > DEFAULT.rank_cutoff))
-    return DensityMatrix(matrix=M, spectrum=w, eigenbasis=V, support_rank=rank)
+    return DensityMatrix(matrix=ob.matrix, spectrum=w,
+                         eigenbasis=ob.eigenbasis)
 
 
 def pure_state(v) -> PureState:
@@ -265,31 +254,6 @@ def obs_matrix(x) -> np.ndarray:
     if isinstance(x, HermitianObservable):
         return x.matrix
     return require_square(x)
-
-
-def eig_of(x):
-    """(w ascending, V) of a state or observable.
-
-    A DensityMatrix or HermitianObservable hands back its cached,
-    read-only pair; anything else is coerced like state_matrix (a vector
-    or PureState stands for its density matrix) and decomposed by one
-    eig_hermitian call.
-    """
-    if isinstance(x, (DensityMatrix, HermitianObservable)):
-        return x.spectrum, x.eigenbasis
-    return eig_hermitian(state_matrix(x))
-
-
-def obs_eig(H):
-    """(w ascending, V) of a Hamiltonian.
-
-    A HermitianObservable hands back its cached pair; anything else goes
-    through obs_matrix first, so a vector raises DimMismatchError instead
-    of standing for |h><h| as it would in eig_of.
-    """
-    if isinstance(H, HermitianObservable):
-        return H.spectrum, H.eigenbasis
-    return eig_hermitian(obs_matrix(H))
 
 
 # ---------------------------------------------------------------------------

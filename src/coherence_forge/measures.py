@@ -26,10 +26,9 @@ from .errors import (
 )
 from .linalg import (
     density_matrix,
-    eig_of,
     fidelity,
-    obs_eig,
     obs_matrix,
+    observable,
     state_matrix,
 )
 
@@ -51,10 +50,13 @@ def _operands(rho, H):
 
 def _spectral(rho, H):
     """(p, A, V, H): eigenvalues p of rho (ascending), A = V^dag H V (H in
-    rho's eigenbasis V), V, and H as a plain matrix."""
+    rho's eigenbasis V), V, and H as a plain matrix.  rho goes through
+    density_matrix, so a matrix that is not a state raises
+    ValidationError."""
+    rho = density_matrix(rho)
     _, H = _operands(rho, H)
-    p, V = eig_of(rho)
-    return p, V.conj().T @ H @ V, V, H
+    V = rho.eigenbasis
+    return rho.spectrum, V.conj().T @ H @ V, V, H
 
 
 def _support_commutes(p, V, H):
@@ -211,14 +213,14 @@ def qfi_via_fidelity(rho, H) -> float:
 
     Central second difference -4 (Fid(h) - 2 Fid(0) + Fid(-h)) / h^2 with
     one Richardson extrapolation step (h and h/2), h = fd_step.  rho
-    becomes a DensityMatrix once here (density_matrix returns one as it
-    is), so every fidelity takes sqrt(rho) from one cached
-    eigendecomposition.
+    becomes a DensityMatrix and H an observable once here (each returns
+    its own container as it is), so every fidelity takes sqrt(rho) from
+    one cached eigendecomposition and every rotation from H's.
     """
     h = DEFAULT.fd_step
-    rho = density_matrix(rho)
+    rho, H = density_matrix(rho), observable(H)
     rho_m, _ = _operands(rho, H)
-    w, V = obs_eig(H)
+    w, V = H.spectrum, H.eigenbasis
 
     def rotated(t):
         U = (V * np.exp(-1j * w * t)) @ V.conj().T

@@ -36,10 +36,9 @@ from .errors import (
 from .linalg import (
     HermitianObservable,
     PureState,
+    density_matrix,
     eig_hermitian,
-    eig_of,
     level_labels,
-    obs_eig,
     obs_matrix,
     observable,
     pure_state,
@@ -71,12 +70,13 @@ class PureEnsemble:
 def aligned_eigensystem(rho, H):
     """Eigendecomposition of rho with H diagonalized inside each degenerate
     eigenspace of rho.  Returns (p ascending, V); V is a fresh array, so a
-    cached eigenbasis is never rotated in place."""
-    H = obs_matrix(H)
-    p, V = eig_of(rho)
-    if p.size != H.shape[0]:
+    cached eigenbasis is never rotated in place.  rho goes through
+    density_matrix, so a matrix that is not a state raises
+    ValidationError."""
+    H, rho = obs_matrix(H), density_matrix(rho)
+    if rho.dim != H.shape[0]:
         raise DimMismatchError("state and Hamiltonian dimensions differ")
-    V = V.copy()
+    p, V = rho.spectrum, rho.eigenbasis.copy()
     lab = level_labels(p)
     for k in np.flatnonzero(np.bincount(lab) > 1):
         g = np.flatnonzero(lab == k)
@@ -201,8 +201,8 @@ def coherence_sectors(rho, H, tau: float):
     snap_levels on the 2*pi/tau grid; PeriodMismatchError when one is
     off it.
     """
-    rho = state_matrix(rho)
-    w, V = obs_eig(H)
+    rho, H = state_matrix(rho), observable(H)
+    w, V = H.spectrum, H.eigenbasis
     lab = level_labels(w)
     energy = np.bincount(lab, weights=w) / np.bincount(lab)
     L = energy.size

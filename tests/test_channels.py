@@ -28,7 +28,6 @@ from coherence_forge.errors import (
 )
 from coherence_forge.linalg import (
     density_matrix,
-    obs_eig,
     observable,
     random_density,
 )
@@ -109,8 +108,9 @@ def is_ti(ch, H_in, H_out, tau):
     != n_out[c] - n_in[e]; the channel is covariant exactly when every
     such entry vanishes.  Returns (flag, max residual).
     """
-    w_in, V_in = obs_eig(H_in)
-    w_out, V_out = obs_eig(H_out)
+    H_in, H_out = observable(H_in), observable(H_out)
+    w_in, V_in = H_in.spectrum, H_in.eigenbasis
+    w_out, V_out = H_out.spectrum, H_out.eigenbasis
     grid = (snap_levels(w_out, w_out[0], tau)[:, None]
             - snap_levels(w_in, w_in[0], tau)[None, :])
     Kt = V_out.conj().T @ ch.kraus @ V_in
@@ -363,7 +363,8 @@ def _reference_suite(measure_id, trials, seed, alpha=1.5):
         rank = int(rng.integers(rank_min, d_in * d_out + 1))
         ch = random_channel(d_in, d_out, rank, rng)
         sigma = apply(twirl(ch, H_in, H_out, tau), rho)
-        deficient += density_matrix(sigma).support_rank < d_out
+        deficient += np.count_nonzero(density_matrix(sigma).spectrum
+                                      > DEFAULT.rank_cutoff) < d_out
         v_in = _reference_measure(measure_id, rho, H_in, tau, alpha)
         v_out = _reference_measure(measure_id, sigma, H_out, tau, alpha)
         if v_in == v_out == math.inf:

@@ -409,6 +409,50 @@ def test_distill_is_independent_of_the_source_basis(fixtures, capsys,
         assert abs(fids[0] - fids[1]) < 1e-12, (n, fids)
 
 
+def _qubit_family(lam):
+    plus = np.ones(2) / math.sqrt(2)
+    return lam * np.outer(plus, plus) + (1 - lam) * np.eye(2) / 2
+
+
+def _distill_json(capsys, tmp, rho, levels, copies, target):
+    (tmp / "src_s.json").write_text(json.dumps(array_to_json(rho)))
+    (tmp / "src_h.json").write_text(
+        json.dumps({"levels_in_2pi_over_tau": levels}))
+    ham = str(tmp / "src_h.json")
+    assert cli.main(["distill", "--in", str(tmp / "src_s.json"), ham,
+                     "--target", target, ham, "--copies", str(copies)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("rho, levels, copies", [
+    (np.array([[0.9, 0.3], [0.3, 0.1]]), [0, 1], 2),
+    ((np.eye(2) + 0.6 * np.array([[0, 1 - 1j], [1 + 1j, 0]]) / math.sqrt(2))
+     / 2, [0, 1], 1),
+    (_qubit_family(0.6), [0, 0], 1),
+], ids=["populations", "phase", "degenerate"])
+def test_distill_prints_no_bound_off_the_qubit_family(fixtures, capsys, rho,
+                                                      levels, copies):
+    # with lam = 2<+|rho|+> - 1 the bound would exceed 1 - F* on each
+    out = _distill_json(capsys, fixtures["dir"], rho, levels, copies,
+                        fixtures["cbit"])
+    assert out["bound_exact"] is None and out["bound_asymptotic"] is None
+    plus = np.ones(2) / math.sqrt(2)
+    lam = 2 * float((plus @ rho @ plus).real) - 1
+    old = cli.distill.qubit_infidelity_bound(lam, copies)[0]
+    assert old > 1 - out["fidelity"] + out["gap"]
+
+
+def test_distill_bounds_hold_on_the_qubit_family(fixtures, capsys):
+    for lam in (0.3, 0.6, 0.9):
+        for n in range(1, 5):
+            out = _distill_json(capsys, fixtures["dir"], _qubit_family(lam),
+                                [0, 1], n, fixtures["cbit"])
+            exact, asym = cli.distill.qubit_infidelity_bound(lam, n)
+            assert abs(out["bound_exact"] - exact) < 1e-12
+            assert abs(out["bound_asymptotic"] - asym) < 1e-12
+            assert out["bound_exact"] <= 1 - out["fidelity"] + out["gap"]
+
+
 @pytest.mark.parametrize("copies,levels", [
     ("40", [0, 1]),   # Omega 2**40 * 2 wide
     ("7", [0, 1]),    # C(14, 7) = 3432 tau parameters

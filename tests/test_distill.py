@@ -28,7 +28,6 @@ from coherence_forge.errors import (
 )
 from coherence_forge.linalg import (
     level_labels,
-    obs_eig,
     observable,
     random_density,
 )
@@ -42,8 +41,8 @@ CBIT = np.array([1.0, 1.0]) / math.sqrt(2)
 def dephase(rho, H):
     """Project rho onto the eigenspaces of H (pinching), with eigenvalues
     grouped into levels by level_labels."""
-    w, V = obs_eig(H)
-    lab = level_labels(w)
+    H = observable(H)
+    V, lab = H.eigenbasis, level_labels(H.spectrum)
     rt = V.conj().T @ rho @ V
     return V @ (rt * (lab[:, None] == lab[None, :])) @ V.conj().T
 
@@ -87,6 +86,24 @@ def test_copy_floor_frozen_value():
     half = distillation_copy_floor(qubit(0.6), H_CBIT, CBIT, H_CBIT, 0.01,
                                    prob=0.5)
     assert abs(half - floor / 2) < 1e-10
+
+
+@pytest.mark.parametrize("lam", [0.4, 0.6, 0.9])
+def test_copy_floor_reads_eps_as_a_trace_norm(lam):
+    # one copy passed through the identity channel is within trace norm
+    # 1 - lam of the target, so the floor at that eps is at most one
+    # copy: 1 - ((1 - lam)/(2 lam))**2.  Its infidelity (1 - lam)/2 taken
+    # as eps would demand 28/9 copies at lam = 0.6, more than that one.
+    eps = float(np.sum(np.abs(np.linalg.eigvalsh(
+        qubit(lam) - np.outer(CBIT, CBIT)))))
+    assert abs(eps - (1 - lam)) < 1e-12
+    floor = distillation_copy_floor(qubit(lam), H_CBIT, CBIT, H_CBIT, eps)
+    assert abs(floor - (1 - ((1 - lam) / (2 * lam)) ** 2)) < 1e-12
+    assert floor <= 1.0
+    if lam == 0.6:
+        as_infidelity = distillation_copy_floor(qubit(lam), H_CBIT, CBIT,
+                                                H_CBIT, (1 - lam) / 2)
+        assert abs(as_infidelity - 28 / 9) < 1e-12
 
 
 def test_copy_floor_edge_cases():
@@ -403,7 +420,8 @@ def _iid_eigenbasis(H1, n):
     """The n-copy eigenbasis iid_omega_state sorts its levels into: the
     Kronecker power of H1's, columns in stable ascending order of the
     summed levels."""
-    w1, V1 = obs_eig(H1)
+    H1 = observable(H1)
+    w1, V1 = H1.spectrum, H1.eigenbasis
     w, V = w1, V1
     for _ in range(n - 1):
         w, V = np.add.outer(w, w1).ravel(), np.kron(V, V1)
@@ -413,7 +431,7 @@ def _iid_eigenbasis(H1, n):
 def test_iid_omega_state_matches_the_dense_build():
     # one copy's eigenpairs give the Omega that the dense n-copy
     # Hamiltonian gives, and the solve then takes the same Newton path
-    U_B = obs_eig(H01)[1]
+    U_B = observable(H01).eigenbasis
 
     def check(sigma, H1, n):
         rho, H = _dense_copies(sigma, H1, n)
@@ -421,7 +439,7 @@ def test_iid_omega_state_matches_the_dense_build():
         om = iid_omega_state(sigma, H1, CBIT, H01, n)
         assert np.array_equal(om.sectors, dense.sectors)
         diff = (_in_caller_basis(om, _iid_eigenbasis(H1, n), U_B)
-                - _in_caller_basis(dense, obs_eig(H)[1], U_B))
+                - _in_caller_basis(dense, observable(H).eigenbasis, U_B))
         assert np.max(np.abs(diff)) < 1e-12
         return om
 

@@ -256,6 +256,6 @@ def test_json_schema_errors():
 ], ids=["coherence_sectors", "omega_state_A", "omega_state_B",
         "intrinsic_period", "integer_levels", "integer_levels_out"])
 def test_one_dimensional_hamiltonian_is_refused(call):
-    # a vector is a state to eig_of, but never a Hamiltonian
+    # a vector is a state to density_matrix, but never a Hamiltonian
     with pytest.raises(DimMismatchError):
         call()

@@ -5,11 +5,12 @@ import pytest
 
 from coherence_forge.linalg import (
     density_matrix,
+    fidelity,
     observable,
     random_density,
     random_observable,
 )
-from coherence_forge.errors import AlphaOutOfRangeError
+from coherence_forge.errors import AlphaOutOfRangeError, ValidationError
 from coherence_forge.measures import (
     energy_variance,
     purity_of_coherence,
@@ -19,6 +20,7 @@ from coherence_forge.measures import (
     skew_information,
     support_commutes,
 )
+from coherence_forge.purification import build_optimal_purification
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 SZ_HALF = np.diag([0.5, -0.5])
@@ -35,6 +37,22 @@ def test_qubit_reference_values():
     assert abs(qfi(QUBIT, SZ_HALF) - 0.36) < 1e-12
     assert abs(purity_of_coherence(QUBIT, SZ_HALF) - 0.5625) < 1e-12
     assert abs(skew_information(QUBIT, SZ_HALF) - 0.05) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[1.0, 0.5], [0.5, 1.0]]),   # trace 2
+    np.array([[0.5, 0.8], [0.8, 0.5]]),   # trace 1, eigenvalue -0.3
+], ids=["trace_2", "negative_eigenvalue"])
+@pytest.mark.parametrize("call", [
+    lambda rho: qfi(rho, SZ_HALF),
+    lambda rho: purity_of_coherence(rho, SZ_HALF),
+    lambda rho: fidelity(rho, np.eye(2) / 2),
+    lambda rho: build_optimal_purification(rho, SZ_HALF),
+], ids=["qfi", "purity", "fidelity", "purification"])
+def test_a_matrix_that_is_not_a_state_is_refused(call, bad):
+    # each coerces its state through density_matrix
+    with pytest.raises(ValidationError):
+        call(bad)
 
 
 def test_qfi_pure_is_four_times_variance():
