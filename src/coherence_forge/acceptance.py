@@ -18,7 +18,7 @@ import numpy as np
 from . import channels, clockdist, convert, distill, measures, purification
 from .config import DEFAULT
 from .errors import GcdNotOneError
-from .linalg import random_density, random_observable
+from .linalg import density_matrix, observable, random_density, random_observable
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ def criterion_1() -> CriterionResult:
     for i in range(200):
         rng = np.random.default_rng([101, i])
         d = 2 + i % 5
-        rho = random_density(d, rng)
-        H = random_observable(d, rng)
+        rho = density_matrix(random_density(d, rng))
+        H = observable(random_observable(d, rng))
         pur = purification.build_optimal_purification(rho, H)
         F = measures.qfi(rho, H)
         rel = abs(4.0 * pur.total_variance - F) / max(F, 1e-12)
@@ -83,8 +83,8 @@ def criterion_2() -> CriterionResult:
     for i in range(30):
         rng = np.random.default_rng([202, i])
         d = 2 + i % 4
-        rho = random_density(d, rng)
-        H = random_observable(d, rng)
+        rho = density_matrix(random_density(d, rng))
+        H = observable(random_observable(d, rng))
         pur = purification.build_optimal_purification(rho, H)
         ens = purification.optimal_ensemble(pur, H)
         F = measures.qfi(rho, H)
@@ -94,7 +94,7 @@ def criterion_2() -> CriterionResult:
         for _ in range(100):
             G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             U = np.linalg.qr(G)[0]
-            alt = _ensemble_variance(phi, np.asarray(H, complex), U, pc)
+            alt = _ensemble_variance(phi, H.matrix, U, pc)
             worst_undercut = max(worst_undercut,
                                  ens.average_variance - alt)
     ok = worst_rel <= 1e-8 and worst_undercut <= 1e-9
@@ -137,8 +137,8 @@ def criterion_4() -> CriterionResult:
     for i in range(1000):
         rng = np.random.default_rng([404, i])
         d = 2 + i % 4
-        rho = random_density(d, rng)
-        H = random_observable(d, rng)
+        rho = density_matrix(random_density(d, rng))
+        H = observable(random_observable(d, rng))
         F = measures.qfi(rho, H)
         P = measures.purity_of_coherence(rho, H)
         W = measures.skew_information(rho, H)
@@ -150,7 +150,7 @@ def criterion_4() -> CriterionResult:
             w_lo = min(w_lo, W / F)
             w_hi = max(w_hi, W / F)
         if d == 2 and P < math.inf:
-            purity = float(np.trace(rho @ rho).real)
+            purity = float(np.trace(rho.matrix @ rho.matrix).real)
             rhs = F / (2.0 * (1.0 - purity))
             if abs(P - rhs) > 1e-10 * max(1.0, abs(P)):
                 bad_qubit += 1
@@ -179,10 +179,10 @@ def criterion_5() -> CriterionResult:
         A = random_observable(d, rng)
         A = A - np.trace(A) / d * np.eye(d)
         A = A / np.sum(np.abs(np.linalg.eigvalsh(A)))
-        H = random_observable(d, rng)
+        H = observable(random_observable(d, rng))
         devs = []
         for eps in eps_list:
-            rho = np.eye(d) / d + eps * A
+            rho = density_matrix(np.eye(d) / d + eps * A)
             F = measures.qfi(rho, H)
             P = measures.purity_of_coherence(rho, H)
             devs.append(abs(P / F - 1.0))
@@ -206,8 +206,8 @@ def criterion_6() -> CriterionResult:
     for i in range(100):
         rng = np.random.default_rng([606, i])
         d = 2 + i % 4
-        rho = random_density(d, rng)
-        H = random_observable(d, rng)
+        rho = density_matrix(random_density(d, rng))
+        H = observable(random_observable(d, rng))
         F = measures.qfi(rho, H)
         Ffd = measures.qfi_via_fidelity(rho, H)
         worst = max(worst, abs(Ffd - F) / max(1.0, F))
@@ -304,14 +304,14 @@ def criterion_10() -> CriterionResult:
     """Bound-resource verdicts and 1/eps copy-floor scaling."""
     t0 = time.perf_counter()
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    H2 = np.diag([0.0, 1.0])
+    H2 = observable(np.diag([0.0, 1.0]))
     ok = True
     r_lo, r_hi = math.inf, -math.inf
     for i in range(50):
         rng = np.random.default_rng([1010, i])
         d = 2 + i % 3
-        rho = random_density(d, rng)
-        H = random_observable(d, rng)
+        rho = density_matrix(random_density(d, rng))
+        H = observable(random_observable(d, rng))
         if measures.qfi(rho, H) <= 1e-6:
             continue
         if not distill.is_bound_resource(rho, H):

@@ -22,10 +22,11 @@ from .config import DEFAULT
 from .clockdist import snap_levels
 from .errors import DimMismatchError, ValidationError
 from .linalg import (
+    DensityMatrix,
     HermitianObservable,
+    density_matrix,
     eig_hermitian,
     observable,
-    state_matrix,
 )
 from .measures import _check_alpha, _purity, _qfi, _renyi, _skew
 
@@ -101,14 +102,15 @@ def random_channel(d_in: int, d_out: int, rank: int, seed) -> KrausChannel:
 
 
 def apply(ch: KrausChannel, rho) -> np.ndarray:
-    """Channel output sum_k K rho K^dag as a plain density matrix."""
-    rho = state_matrix(rho)
-    if rho.shape[0] != ch.d_in:
+    """Channel output sum_k K rho K^dag as a plain density matrix; rho
+    goes through density_matrix."""
+    rho = density_matrix(rho)
+    if rho.dim != ch.d_in:
         raise DimMismatchError(
-            f"state dim {rho.shape[0]} != channel input dim {ch.d_in}"
+            f"state dim {rho.dim} != channel input dim {ch.d_in}"
         )
     K = ch.kraus
-    return np.sum(K @ rho @ K.conj().transpose(0, 2, 1), axis=0)
+    return np.sum(K @ rho.matrix @ K.conj().transpose(0, 2, 1), axis=0)
 
 
 def twirl(ch: KrausChannel, H_in, H_out, tau: float) -> KrausChannel:
@@ -194,30 +196,40 @@ def _draw(seed: int, t: int):
 
 
 def _hamiltonians(levels, G):
-    """H = Q diag(levels) Q^dag for the phase-fixed Q of each G, with its
-    eigenpairs (read-only, as an observable holds them)."""
+    """H = Q diag(levels) Q^dag for the phase-fixed Q of each G."""
     Q = _phase_fixed_qr(G)
-    H = (Q * levels.astype(float)[..., None, :]) @ _dag(Q)
-    w, V = eig_hermitian(H)
-    w.flags.writeable = V.flags.writeable = False
-    return H, w, V
+    return (Q * levels.astype(float)[..., None, :]) @ _dag(Q)
 
 
 def _densities(G):
     """G G^dag / tr for each G."""
     R = G @ _dag(G)
-    return (R / np.trace(R, axis1=-2, axis2=-1).real[..., None, None],)
+    return R / np.trace(R, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _containers(cls, build, *cols):
+    """cls(matrix, spectrum, eigenbasis) per item: the matrices build
+    makes of cols stacked by dimension (_by_dim), with the read-only
+    eigenpairs of one stacked solve."""
+    def solved(*stacks):
+        M = build(*stacks)
+        w, V = eig_hermitian(M)
+        w.flags.writeable = V.flags.writeable = False
+        return M, w, V
+
+    return [cls(matrix=M, spectrum=w, eigenbasis=V)
+            for M, w, V in _by_dim(solved, *cols)]
 
 
 def _suite_measure(measure_id: str, alpha: float):
-    """values(states, hams): the measure of each state under its
+    """values(states, hams): the measure of each DensityMatrix under its
     observable, as floats with inf for an infinite value.
 
-    F, P, W and renyi run one eigensolve and one kernel per stack of
-    equal dimension, the kernels the public functions call: P and renyi
-    sum over each state's support pairs and give inf where the support
-    does not commute with the observable.  The id and alpha are checked
-    here, before any trial is drawn.
+    F, P, W and renyi read each state's cached eigenpairs and run one
+    kernel per stack of equal dimension, the kernels the public functions
+    call: P and renyi sum over each state's support pairs and give inf
+    where the support does not commute with the observable.  The id and
+    alpha are checked here, before any trial is drawn.
     """
     if measure_id == "renyi":
         _check_alpha(alpha)
@@ -233,13 +245,13 @@ def _suite_measure(measure_id: str, alpha: float):
         raise ValidationError(f"unknown measure id {measure_id!r}")
     kernel = kernels[measure_id]
 
-    def stacked(rho, H):
-        p, V = eig_hermitian(rho)
+    def stacked(p, V, H):
         return (kernel(p, _dag(V) @ H @ V, V, H),)
 
     return lambda states, hams: [
-        float(v) for (v,) in _by_dim(stacked, states,
-                                     [h.matrix for h in hams])]
+        float(v) for (v,) in _by_dim(
+            stacked, [s.spectrum for s in states],
+            [s.eigenbasis for s in states], [h.matrix for h in hams])]
 
 
 def _gap(v_in: float, v_out: float) -> float:
@@ -254,17 +266,17 @@ def _gap(v_in: float, v_out: float) -> float:
 
 def _block_gaps(measure, seed: int, ts, tau: float):
     """Gaps of the trials ts: drawn one at a time, then stacked by
-    dimension for the Hamiltonians, states and measures; only each
-    trial's twirl and apply run alone, on the stacked eigenpairs."""
+    dimension into the containers of the Hamiltonians, the states and
+    the outputs; only each trial's twirl and apply run alone."""
     draws = [_draw(seed, t) for t in ts]
     levels, Gs = zip(*(h for hams, _, _ in draws for h in hams))
-    obs = [HermitianObservable(matrix=H, spectrum=w, eigenbasis=V)
-           for H, w, V in _by_dim(_hamiltonians, levels, Gs)]
+    obs = _containers(HermitianObservable, _hamiltonians, levels, Gs)
     obs_in, obs_out = obs[0::2], obs[1::2]
-    rhos = [r for (r,) in _by_dim(_densities, [G for _, G, _ in draws])]
-    sigmas = [apply(twirl(ch, h_in, h_out, tau), rho)
-              for (_, _, ch), rho, h_in, h_out
-              in zip(draws, rhos, obs_in, obs_out)]
+    rhos = _containers(DensityMatrix, _densities, [G for _, G, _ in draws])
+    sigmas = _containers(DensityMatrix, lambda S: S,
+                         [apply(twirl(ch, h_in, h_out, tau), rho)
+                          for (_, _, ch), rho, h_in, h_out
+                          in zip(draws, rhos, obs_in, obs_out)])
     return map(_gap, measure(rhos, obs_in), measure(sigmas, obs_out))
 
 

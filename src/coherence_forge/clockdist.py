@@ -22,7 +22,7 @@ from .errors import (
     SearchExhaustedError,
     ValidationError,
 )
-from .linalg import level_labels, observable, pure_state
+from .linalg import level_labels, observable, pure_state, require_same_dim
 
 # np.convolve is direct, O(W^2) in the window W: the last squaring at
 # W = 2**17 takes about 1.5 s on one Xeon core, at 2**18 about 7 s.  2**17
@@ -135,8 +135,7 @@ def occupied_levels(psi, H):
     """
     psi, H = pure_state(psi), observable(H)
     w, V = H.spectrum, H.eigenbasis
-    if w.size != psi.dim:
-        raise ValidationError("state and Hamiltonian dimensions differ")
+    require_same_dim(psi.dim, w.size)
     lab = level_labels(w)
     mass = np.bincount(lab, weights=np.abs(V.conj().T @ psi.vector) ** 2)
     energy = np.bincount(lab, weights=w) / np.bincount(lab)

@@ -30,7 +30,7 @@ from .clockdist import (
     shift,
     tv_distance,
 )
-from .linalg import observable
+from .linalg import density_matrix, observable
 from .measures import energy_variance, qfi
 from .purification import coherence_sectors
 
@@ -94,6 +94,7 @@ def _common_period(psi1, H1, psi2, H2) -> float:
 def max_rate(psi1, H1, psi2, H2) -> float:
     """Asymptotically achievable copies of psi2 per copy of psi1:
     the variance ratio V1/V2.  Both states must share a period."""
+    H1, H2 = observable(H1), observable(H2)
     v2 = energy_variance(psi2, H2)
     if v2 <= DEFAULT.num:
         raise ZeroTargetVarianceError("target state has no energy spread")
@@ -209,6 +210,7 @@ def coherence_cost(rho, H, tau: float) -> float:
     rho must be tau-periodic (every coherence gap an integer multiple of
     2*pi/tau); incoherent states pass trivially with cost 0.
     """
+    rho, H = density_matrix(rho), observable(H)
     coherence_sectors(rho, H, tau)   # raises PeriodMismatch if not
     scale = tau / (2.0 * math.pi)
     return scale * scale * qfi(rho, H)

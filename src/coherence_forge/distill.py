@@ -32,6 +32,7 @@ from .linalg import (
     observable,
     partial_trace,
     pure_state,
+    require_same_dim,
     tensor,
 )
 from .measures import (
@@ -60,6 +61,7 @@ def is_bound_resource(rho, H) -> bool:
     That is the case exactly when the support projector commutes with H
     (finite purity of coherence, hence zero distillation rate) while the
     QFI is still positive (some coherence is present)."""
+    rho, H = density_matrix(rho), observable(H)
     return support_commutes(rho, H) and qfi(rho, H) > DEFAULT.num
 
 
@@ -76,11 +78,12 @@ def distillation_copy_floor(rho, H, psi_target, H_t, eps: float,
     1 - ((1 - lam)/(2 lam))^2, at most one copy.  Infinite when the
     source has no purity of coherence at all (math.inf); zero when
     nothing is demanded (incoherent target or a source with unbounded
-    purity)."""
+    purity).  Every operand is validated before any early return."""
     if not 0.0 < eps < 2.0 / 3.0:
         raise EpsOutOfRangeError(f"eps must lie in (0, 2/3), got {eps}")
     if not 0.0 < prob <= 1.0:
         raise ValidationError(f"prob must lie in (0, 1], got {prob}")
+    rho, H, H_t = density_matrix(rho), observable(H), observable(H_t)
     v_t = energy_variance(psi_target, H_t)
     if v_t <= DEFAULT.num:
         return 0.0
@@ -135,8 +138,7 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     H, H_B = observable(H), observable(H_B)
     sigma, psi = density_matrix(sigma), pure_state(psi_B)
     d = H.dim
-    if sigma.dim != d:
-        raise ValidationError("state and Hamiltonian dims differ on A")
+    require_same_dim(sigma.dim, d)
     # a one-level source is counted as two, since each copy is a loop
     if (copies * math.log(max(d, 2)) + math.log(H_B.dim)
             > math.log(MAX_OMEGA_SIDE)):
@@ -153,8 +155,7 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
         raise ValidationError(
             f"{copies} copies give {params} SDP parameters, above the "
             f"budget of {MAX_SDP_PARAMS}")
-    if psi.dim != H_B.dim:
-        raise ValidationError("target and Hamiltonian dims differ on B")
+    require_same_dim(psi.dim, H_B.dim)
     b, U_B = H_B.spectrum, H_B.eigenbasis
     psi_bar = (U_B.conj().T @ psi.vector).conj()
     V = H.eigenbasis

@@ -8,10 +8,13 @@ samplers, and the JSON wire format for matrices and vectors.
 The containers are the only source of eigenpairs.  A
 HermitianObservable owns the eigendecomposition of its operand: spectrum
 ascending, eigenbasis columns aligned with it, both read-only.  A
-DensityMatrix is a HermitianObservable checked to be a state.  Every
-layer coerces a state once with density_matrix, or a Hamiltonian with
-observable, and reads .spectrum and .eigenbasis, so a validated operand
-is eigendecomposed exactly once.
+DensityMatrix is a HermitianObservable checked to be a state.  They are
+also the only coercions: every layer coerces a state once with
+density_matrix (a vector or a PureState stands for its projector), a
+pure state with pure_state, or a Hamiltonian with observable, and reads
+.matrix, .spectrum and .eigenbasis, so an operand that is not a state or
+not Hermitian is refused, and a validated one is eigendecomposed exactly
+once.
 """
 
 from __future__ import annotations
@@ -49,6 +52,13 @@ def require_square(M: np.ndarray) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimMismatchError(f"expected a square matrix, got shape {M.shape}")
     return require_finite(M)
+
+
+def require_same_dim(state_dim: int, ham_dim: int) -> None:
+    """DimMismatchError unless a state and a Hamiltonian share a dimension."""
+    if state_dim != ham_dim:
+        raise DimMismatchError(
+            f"state dim {state_dim} != Hamiltonian dim {ham_dim}")
 
 
 def eig_hermitian(M):
@@ -138,13 +148,13 @@ def level_labels(w) -> np.ndarray:
 def fidelity(rho, sigma) -> float:
     """Root fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
 
-    For a pure rho this reduces to sqrt(<psi|sigma|psi>).  rho goes
+    For a pure rho this reduces to sqrt(<psi|sigma|psi>).  Both go
     through density_matrix, so a matrix that is not a state raises
-    ValidationError and a DensityMatrix lends its cached
-    eigendecomposition to sqrt(rho); sigma is taken as given.
+    ValidationError, and a DensityMatrix lends its cached
+    eigendecomposition to sqrt(rho) and costs no eigensolve as sigma.
     """
     sq = psd_sqrt(rho)
-    sigma = state_matrix(sigma)
+    sigma = density_matrix(sigma).matrix
     if sq.shape != sigma.shape:
         raise DimMismatchError("states have different dimensions")
     inner = sq @ sigma @ sq
@@ -207,11 +217,14 @@ def observable(M) -> HermitianObservable:
 
 def density_matrix(M) -> DensityMatrix:
     """M checked to be a state (trace 1, no eigenvalue below -psd), with
-    its eigendecomposition cached.  A DensityMatrix is returned as it is;
-    anything else is coerced like state_matrix first."""
+    its eigendecomposition cached.  A DensityMatrix is returned as it is,
+    and a vector or a PureState v stands for |v><v|."""
     if isinstance(M, DensityMatrix):
         return M
-    ob = observable(state_matrix(M))
+    M = M.vector if isinstance(M, PureState) else np.asarray(M, complex)
+    if M.ndim == 1:
+        M = np.outer(require_finite(M), M.conj())
+    ob = observable(M)
     w = ob.spectrum
     if abs(np.sum(w) - 1.0) > DEFAULT.trace:
         raise ValidationError(f"trace is {np.sum(w):.12f}, expected 1")
@@ -233,27 +246,6 @@ def pure_state(v) -> PureState:
     if abs(n - 1.0) > DEFAULT.norm:
         raise ValidationError(f"norm is {n:.12f}, expected 1")
     return PureState(vector=v / n)
-
-
-def state_matrix(x) -> np.ndarray:
-    """Coerce DensityMatrix / PureState / vector / matrix to a density matrix
-    as a plain ndarray. No validation beyond shape and finite entries."""
-    if isinstance(x, DensityMatrix):
-        return x.matrix
-    if isinstance(x, PureState):
-        return x.density()
-    a = np.asarray(x, dtype=complex)
-    if a.ndim == 1:
-        a = require_finite(a)
-        return np.outer(a, a.conj())
-    return require_square(a)
-
-
-def obs_matrix(x) -> np.ndarray:
-    """Coerce HermitianObservable / matrix to a plain ndarray."""
-    if isinstance(x, HermitianObservable):
-        return x.matrix
-    return require_square(x)
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,15 @@ import math
 import numpy as np
 
 from .config import DEFAULT
-from .errors import (
-    AlphaOutOfRangeError,
-    DimMismatchError,
-    ValidationError,
-)
+from .errors import AlphaOutOfRangeError, ValidationError
 from .linalg import (
+    DensityMatrix,
+    PureState,
     density_matrix,
     fidelity,
-    obs_matrix,
     observable,
-    state_matrix,
+    pure_state,
+    require_same_dim,
 )
 
 
@@ -38,23 +36,13 @@ def _check_alpha(alpha: float) -> None:
         raise AlphaOutOfRangeError(f"alpha must be in (1, 2], got {alpha}")
 
 
-def _operands(rho, H):
-    """rho and H as plain matrices, after checking that their dims agree."""
-    rho, H = state_matrix(rho), obs_matrix(H)
-    if rho.shape != H.shape:
-        raise DimMismatchError(
-            f"state dim {rho.shape[0]} != Hamiltonian dim {H.shape[0]}"
-        )
-    return rho, H
-
-
 def _spectral(rho, H):
     """(p, A, V, H): eigenvalues p of rho (ascending), A = V^dag H V (H in
     rho's eigenbasis V), V, and H as a plain matrix.  rho goes through
-    density_matrix, so a matrix that is not a state raises
-    ValidationError."""
-    rho = density_matrix(rho)
-    _, H = _operands(rho, H)
+    density_matrix and H through observable, so a matrix that is not a
+    state raises ValidationError and a non-Hermitian H NonHermitianError."""
+    rho, H = density_matrix(rho), observable(H).matrix
+    require_same_dim(rho.dim, H.shape[0])
     V = rho.eigenbasis
     return rho.spectrum, V.conj().T @ H @ V, V, H
 
@@ -156,8 +144,15 @@ def qfi(rho, H) -> float:
 
 
 def energy_variance(state, H) -> float:
-    """<H^2> - <H>^2 in the given state (pure or mixed), clamped at 0."""
-    rho, H = _operands(state, H)
+    """<H^2> - <H>^2 in the given state, clamped at 0.  A vector or a
+    PureState goes through pure_state (no eigensolve), a matrix through
+    density_matrix."""
+    H = observable(H).matrix
+    if isinstance(state, PureState) or np.ndim(state) == 1:
+        rho = pure_state(state).density()
+    else:
+        rho = density_matrix(state).matrix
+    require_same_dim(rho.shape[0], H.shape[0])
     mean = np.trace(rho @ H).real
     second = np.trace(rho @ H @ H).real
     var = second - mean * mean
@@ -215,16 +210,19 @@ def qfi_via_fidelity(rho, H) -> float:
     one Richardson extrapolation step (h and h/2), h = fd_step.  rho
     becomes a DensityMatrix and H an observable once here (each returns
     its own container as it is), so every fidelity takes sqrt(rho) from
-    one cached eigendecomposition and every rotation from H's.
+    one cached eigendecomposition and every rotation from H's; each
+    rotated state is a DensityMatrix with eigenbasis U V, at no eigensolve.
     """
     h = DEFAULT.fd_step
     rho, H = density_matrix(rho), observable(H)
-    rho_m, _ = _operands(rho, H)
+    require_same_dim(rho.dim, H.dim)
     w, V = H.spectrum, H.eigenbasis
 
     def rotated(t):
         U = (V * np.exp(-1j * w * t)) @ V.conj().T
-        return U @ rho_m @ U.conj().T
+        return DensityMatrix(matrix=U @ rho.matrix @ U.conj().T,
+                             spectrum=rho.spectrum,
+                             eigenbasis=U @ rho.eigenbasis)
 
     f0 = fidelity(rho, rho)
 

@@ -28,7 +28,6 @@ import numpy as np
 from .config import DEFAULT
 from .clockdist import snap_levels
 from .errors import (
-    DimMismatchError,
     IncommensurateSpectrumError,
     PeriodMismatchError,
     ValidationError,
@@ -39,10 +38,9 @@ from .linalg import (
     density_matrix,
     eig_hermitian,
     level_labels,
-    obs_matrix,
     observable,
     pure_state,
-    state_matrix,
+    require_same_dim,
 )
 from .measures import energy_variance
 
@@ -68,14 +66,10 @@ class PureEnsemble:
 
 
 def aligned_eigensystem(rho, H):
-    """Eigendecomposition of rho with H diagonalized inside each degenerate
-    eigenspace of rho.  Returns (p ascending, V); V is a fresh array, so a
-    cached eigenbasis is never rotated in place.  rho goes through
-    density_matrix, so a matrix that is not a state raises
-    ValidationError."""
-    H, rho = obs_matrix(H), density_matrix(rho)
-    if rho.dim != H.shape[0]:
-        raise DimMismatchError("state and Hamiltonian dimensions differ")
+    """Eigendecomposition of the DensityMatrix rho with the matrix H
+    diagonalized inside each degenerate eigenspace of rho.  Returns
+    (p ascending, V); V is a fresh array, so a cached eigenbasis is never
+    rotated in place."""
     p, V = rho.spectrum, rho.eigenbasis.copy()
     lab = level_labels(p)
     for k in np.flatnonzero(np.bincount(lab) > 1):
@@ -94,25 +88,18 @@ def _amplitudes(p, V) -> np.ndarray:
 
 def _joint_variance(phi, H_S, H_A) -> float:
     """<act|act> - <phi|act>^2, the variance of H_S x I + I x H_A in vec phi,
-    with act = H_S phi + phi H_A^T."""
-    act = obs_matrix(H_S) @ phi + phi @ obs_matrix(H_A).T
+    with act = H_S phi + phi H_A^T, for plain matrices H_S and H_A."""
+    act = H_S @ phi + phi @ H_A.T
     var = np.vdot(act, act).real - np.vdot(phi, act).real ** 2
     if var < -DEFAULT.num:
         raise ValidationError(f"variance {var:.3e} below -tolerance")
     return float(max(var, 0.0))
 
 
-def _mean_energy(rho, H_S, H_A) -> float:
-    """tr(rho H_S) + tr(rho H_A): the purification's mean total energy."""
-    rho = state_matrix(rho)
-    return (np.trace(rho @ obs_matrix(H_S)).real
-            + np.trace(rho @ obs_matrix(H_A)).real)
-
-
 def _ensemble(weights, states, H) -> PureEnsemble:
     """Renormalise the weights and average the members' variances under H."""
     weights = np.asarray(weights) / np.sum(weights)
-    avg = float(sum(w * energy_variance(st.vector, H)
+    avg = float(sum(w * energy_variance(st, H)
                     for w, st in zip(weights, states)))
     return PureEnsemble(weights=weights, states=states, average_variance=avg)
 
@@ -140,9 +127,8 @@ def kkt_residual(pur: Purification, H_S) -> float:
     no eigensolve, and the <Phi|act> term makes it blind to a multiple
     of the identity added to H_A, which shifts only the mean energy.
     """
-    H_S, H_A = obs_matrix(H_S), pur.aux_hamiltonian.matrix
-    if H_S.shape != H_A.shape:
-        raise DimMismatchError("state and Hamiltonian dimensions differ")
+    H_S, H_A = observable(H_S).matrix, pur.aux_hamiltonian.matrix
+    require_same_dim(H_A.shape[0], H_S.shape[0])
     d = H_A.shape[0]
     phi = pur.joint_state.vector.reshape(d, d)
     act = H_S @ phi + phi @ H_A.T
@@ -156,12 +142,15 @@ def build_optimal_purification(rho, H_S) -> Purification:
     The auxiliary Hamiltonian is given in the computational basis of A
     (A carries the same basis labels as S through the unconjugated
     purification, hence the transpose of the coordinate formula), shifted
-    by a multiple of the identity so the mean total energy is zero.
+    by a multiple of the identity so the mean total energy is zero.  rho
+    and H_S are coerced once, before H_A is built.
     """
+    rho, H_S = density_matrix(rho), observable(H_S).matrix
+    require_same_dim(rho.dim, H_S.shape[0])
     p, V = aligned_eigensystem(rho, H_S)
-    H_S = obs_matrix(H_S)
     H_A = V @ _coordinate_aux(p, V.conj().T @ H_S @ V).T @ V.conj().T
-    H_A = H_A - _mean_energy(rho, H_S, H_A) * np.eye(p.size)
+    H_A = H_A - (np.trace(rho.matrix @ H_S).real
+                 + np.trace(rho.matrix @ H_A).real) * np.eye(p.size)
     phi = _amplitudes(p, V)
     return Purification(joint_state=pure_state(phi.reshape(-1)),
                         aux_hamiltonian=observable(H_A),
@@ -176,6 +165,7 @@ def optimal_ensemble(pur: Purification, H_S) -> PureEnsemble:
     its auxiliary Hamiltonian; outcome k has weight ||<E_k|Phi>||^2 and
     leaves S in the corresponding conditional state.
     """
+    H_S = observable(H_S)
     U = pur.aux_hamiltonian.eigenbasis
     d = U.shape[0]
     phi = pur.joint_state.vector.reshape(d, d)
@@ -199,9 +189,10 @@ def coherence_sectors(rho, H, tau: float):
     above rank_cutoff; a sector is a class of the transitive closure of
     that relation.  The mean-energy gaps of coherent pairs go through
     snap_levels on the 2*pi/tau grid; PeriodMismatchError when one is
-    off it.
+    off it.  rho goes through density_matrix and H through observable.
     """
-    rho, H = state_matrix(rho), observable(H)
+    rho, H = density_matrix(rho), observable(H)
+    require_same_dim(rho.dim, H.dim)
     w, V = H.spectrum, H.eigenbasis
     lab = level_labels(w)
     energy = np.bincount(lab, weights=w) / np.bincount(lab)
@@ -209,7 +200,7 @@ def coherence_sectors(rho, H, tau: float):
     # largest coherence between each pair of levels
     C = np.zeros((L, L))
     np.maximum.at(C, (lab[:, None], lab[None, :]),
-                  np.abs(V.conj().T @ rho @ V))
+                  np.abs(V.conj().T @ rho.matrix @ V))
     coherent = C > DEFAULT.rank_cutoff
     lo, hi = np.nonzero(np.triu(coherent, 1))
     try:
@@ -240,6 +231,7 @@ def period_respecting_ensemble(rho, H, tau: float) -> PureEnsemble:
     averages to rho, and convex-roof minimality forces the average
     variance to stay at qfi/4 exactly.
     """
+    rho, H = density_matrix(rho), observable(H)
     projectors, gcd = coherence_sectors(rho, H, tau)
     if gcd > 1:
         raise PeriodMismatchError(

@@ -408,6 +408,27 @@ def test_suite_blocks_match_per_trial_reference():
     assert deficient > 0
 
 
+@pytest.mark.parametrize("measure_id", ["F", "P"])
+def test_suite_eigensolve_budget(measure_id, monkeypatch, capsys):
+    # per block and dimension, one stacked solve each for the
+    # Hamiltonians, the states and the outputs; apply and the measures
+    # read those eigenpairs, so no single matrix is decomposed
+    stacks = []
+    eigh = np.linalg.eigh
+
+    def counted(M, *args, **kwargs):
+        stacks.append(M.shape[:-2])
+        return eigh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert cli.main(["proptest", "--measure", measure_id, "--trials", "300",
+                     "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert len(stacks) == 18
+    assert all(len(s) == 1 for s in stacks)
+    assert sum(s[0] for s in stacks) == 1200
+
+
 def test_suite_validates_before_drawing(monkeypatch, capsys):
     def no_draws(*args, **kwargs):
         raise AssertionError("a trial was drawn")
@@ -447,7 +468,8 @@ def test_stacked_support_measures_match_public_functions():
             ("P", 1.5, purity_of_coherence),
             ("renyi", 1.5, lambda r, h: renyi_purity_monotone(r, h, 1.5)),
             ("renyi", 2.0, lambda r, h: renyi_purity_monotone(r, h, 2.0))):
-        got = channels._suite_measure(measure_id, alpha)(states, hams)
+        got = channels._suite_measure(measure_id, alpha)(
+            [density_matrix(r) for r in states], hams)
         want = [public(r, h) for r, h in zip(states, hams)]
         assert got == want
         assert [v == math.inf for v in got] == [False, False, True,

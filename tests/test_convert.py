@@ -125,6 +125,10 @@ def test_plain_hamiltonians_are_eigendecomposed_once(monkeypatch):
     # one solve per Hamiltonian serves both its period and its distribution
     iid_sweep(U023, H4, CBIT, H_CBIT, 5.0, (4,))
     assert calls == [4, 2]
+    calls.clear()
+    # and both variances and both periods in max_rate
+    max_rate(U023, H4, CBIT, H_CBIT)
+    assert calls == [4, 2]
 
 
 def test_max_rate_reference_values():

@@ -30,6 +30,7 @@ from coherence_forge.linalg import (
     level_labels,
     observable,
     random_density,
+    random_observable,
 )
 from coherence_forge.distill import _min_trace_sdp
 
@@ -77,6 +78,22 @@ def test_is_bound_resource():
     assert not is_bound_resource(np.diag([0.7, 0.3]), H_CBIT)
     # pure coherent: support leaks, purity diverges, rate is positive
     assert not is_bound_resource(np.outer(CBIT, CBIT), H_CBIT)
+
+
+def test_is_bound_resource_decomposes_plain_operands_once(monkeypatch):
+    # rho and H are coerced once, for both the support test and the QFI
+    rng = np.random.default_rng(68)
+    rho, H = random_density(3, rng), random_observable(3, rng)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(M, *args, **kwargs):
+        sizes.append(M.shape[0])
+        return eigh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert is_bound_resource(rho, H)
+    assert sizes == [3, 3]
 
 
 def test_copy_floor_frozen_value():

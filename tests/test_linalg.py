@@ -26,7 +26,6 @@ from coherence_forge.linalg import (
     pure_state,
     random_density,
     random_observable,
-    state_matrix,
     tensor,
 )
 from coherence_forge.purification import coherence_sectors
@@ -216,7 +215,7 @@ def test_density_matrix_validation():
             observable(np.diag([bad, 0.5]))
         # a plain vector stands for its density matrix
         with pytest.raises(ValidationError):
-            state_matrix(np.array([bad, 1.0]))
+            density_matrix(np.array([bad, 1.0]))
 
 
 def test_pure_state_requires_unit_norm():

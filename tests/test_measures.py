@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from coherence_forge import purification
+from coherence_forge.channels import apply, random_channel
 from coherence_forge.linalg import (
     density_matrix,
     fidelity,
@@ -10,7 +12,11 @@ from coherence_forge.linalg import (
     random_density,
     random_observable,
 )
-from coherence_forge.errors import AlphaOutOfRangeError, ValidationError
+from coherence_forge.errors import (
+    AlphaOutOfRangeError,
+    NonHermitianError,
+    ValidationError,
+)
 from coherence_forge.measures import (
     energy_variance,
     purity_of_coherence,
@@ -20,7 +26,11 @@ from coherence_forge.measures import (
     skew_information,
     support_commutes,
 )
-from coherence_forge.purification import build_optimal_purification
+from coherence_forge.purification import (
+    build_optimal_purification,
+    coherence_sectors,
+    kkt_residual,
+)
 
 PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 SZ_HALF = np.diag([0.5, -0.5])
@@ -48,11 +58,38 @@ def test_qubit_reference_values():
     lambda rho: purity_of_coherence(rho, SZ_HALF),
     lambda rho: fidelity(rho, np.eye(2) / 2),
     lambda rho: build_optimal_purification(rho, SZ_HALF),
-], ids=["qfi", "purity", "fidelity", "purification"])
+    lambda rho: energy_variance(rho, SZ_HALF),
+    lambda rho: apply(random_channel(2, 2, 2, 0), rho),
+    lambda rho: fidelity(np.eye(2) / 2, rho),
+    lambda rho: coherence_sectors(rho, SZ_HALF, 2 * math.pi),
+], ids=["qfi", "purity", "fidelity", "purification", "energy_variance",
+        "apply", "fidelity_sigma", "coherence_sectors"])
 def test_a_matrix_that_is_not_a_state_is_refused(call, bad):
     # each coerces its state through density_matrix
     with pytest.raises(ValidationError):
         call(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda H, pur: qfi(QUBIT, H),
+    lambda H, pur: purity_of_coherence(QUBIT, H),
+    lambda H, pur: skew_information(QUBIT, H),
+    lambda H, pur: energy_variance(PLUS, H),
+    lambda H, pur: kkt_residual(pur, H),
+    lambda H, pur: build_optimal_purification(QUBIT, H),
+], ids=["qfi", "purity", "skew", "energy_variance", "kkt_residual",
+        "purification"])
+def test_a_non_hermitian_hamiltonian_is_refused(call, monkeypatch):
+    # each coerces H through observable; the purification refuses H_S
+    # itself, before any H_A is built from it
+    pur = build_optimal_purification(QUBIT, SZ_HALF)
+
+    def no_aux(*args):
+        raise AssertionError("H_A built from a non-Hermitian H_S")
+
+    monkeypatch.setattr(purification, "_coordinate_aux", no_aux)
+    with pytest.raises(NonHermitianError):
+        call(np.array([[0.0, 1.0], [0.0, 0.0]]), pur)
 
 
 def test_qfi_pure_is_four_times_variance():

@@ -144,7 +144,7 @@ def test_joint_variance_matches_kronecker_reference():
         assert abs(pur.total_variance - ref) < 1e-12 * max(1.0, F)
         # the transpose choice H_A = -S^T, with |Phi> as a sum of
         # Kronecker terms, has total variance twice the skew information
-        p, V = aligned_eigensystem(rho, H)
+        p, V = aligned_eigensystem(density_matrix(rho), H)
         S = V.conj().T @ H @ V
         vec = sum(np.sqrt(p[i]) * np.kron(V[:, i], V[:, i])
                   for i in range(p.size) if p[i] > 0)
