@@ -114,6 +114,13 @@ def _dense_warning(dense: bool, what: str) -> None:
               file=sys.stderr)
 
 
+def _check_tau(tau: float | None) -> None:
+    """Refuse a --tau that is not positive and finite, whether or not the
+    files leave it anything to set."""
+    if tau is not None and not 0 < tau < math.inf:   # NaN fails too
+        raise ValidationError(f"tau must be positive and finite, got {tau}")
+
+
 def _pure_vec(state, what: str) -> np.ndarray:
     if isinstance(state, PureState):
         return state.vector
@@ -173,6 +180,7 @@ def cmd_purify(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    _check_tau(args.tau)
     st = load_state(args.state)
     H, tau, dense = load_hamiltonian(args.ham, args.tau)
     _dense_warning(dense, "clock distribution extraction")
@@ -193,14 +201,15 @@ def cmd_dist(args) -> int:
     }
     # the summary is built first, so an error never leaves half a table
     print("n,p")
-    for n, pr in zip(range(p_m.offset, p_m.offset + len(p_m.probs)),
-                     p_m.probs):
-        print(f"{n},{float(pr)!r}")
+    sys.stdout.writelines(f"{n},{p!r}\n"
+                          for n, p in enumerate(p_m.probs.tolist(),
+                                                p_m.offset))
     _emit(summary)
     return 0
 
 
 def cmd_convert(args) -> int:
+    _check_tau(args.tau)
     s1 = load_state(args.infiles[0])
     H1, _, dense1 = load_hamiltonian(args.infiles[1], args.tau)
     s2 = load_state(args.outfiles[0])

@@ -16,7 +16,9 @@ counts as a violation), the distill SDP's barrier schedule
 (distill.BARRIER_FACTOR, 0.05 between barrier weights;
 distill.CENTRING_DECREMENT, the lambda^2 <= 1 that ends every stage but
 the last; and the Newton decrement of 1e-13 x max(1, tr tau) that ends
-the last), and the size budgets
+the last), clockdist.TINY (2**-511, the square root of the smallest
+normal float: convolve_n zeroes masses below it, so no product is
+subnormal), and the size budgets
 clockdist.MAX_CONV_WINDOW, clockdist.MAX_OVERLAP_COPIES,
 distill.MAX_OMEGA_SIDE and distill.MAX_SDP_PARAMS.  linalg.MAX_ENTRY
 (1e150) is the largest entry magnitude eig_hermitian accepts, since the

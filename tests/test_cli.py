@@ -196,14 +196,49 @@ def test_dist_tau_sets_the_grid_of_a_dense_file(fixtures, capsys):
     assert rows == [["0,0.5", "1,0.5"], ["0,0.5", "1,0.0", "2,0.5"]]
 
 
-@pytest.mark.parametrize("tau", ["nan", "inf"])
-def test_dist_refuses_a_non_finite_tau(fixtures, capsys, tau):
-    assert cli.main(["dist", "--state", fixtures["cbit"],
-                     "--ham", fixtures["hz_dense"], "--tau", tau]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
-        f"error: tau must be positive and finite, got {tau}"]
+@pytest.mark.parametrize("tau", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command,ham", [
+    ("dist", "hz_dense"),
+    # h2 names its own tau, and convert builds no grid for a dense file
+    # from --tau, so in these three --tau goes unread
+    ("dist", "h2"), ("convert", "h2"), ("convert", "hz_dense")])
+def test_a_bad_tau_is_refused_before_any_file_is_read(fixtures, capsys,
+                                                      command, ham, tau):
+    ham = fixtures[ham]
+    if command == "dist":
+        argv = ["dist", "--state", fixtures["cbit"], "--ham", ham]
+    else:
+        argv = ["convert", "--in", fixtures["cbit"], ham,
+                "--out", fixtures["cbit"], ham, "--copies", "4"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # refused before any file is read: a missing state file goes unseen
+    missing = str(fixtures["dir"] / "missing.json")
+    for files in (argv, [missing if a == fixtures["cbit"] else a
+                         for a in argv]):
+        assert cli.main([*files, "--tau", tau]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+            f"error: tau must be positive and finite, got {float(tau)}"]
+
+
+def test_dist_rows_are_the_reprs_of_the_convolution(fixtures, capsys):
+    # u023 at 600 copies reaches masses near 1e-286 in its tails
+    m = 600
+    assert cli.main(["dist", "--state", fixtures["u023"],
+                     "--ham", fixtures["h4"], "--copies", str(m)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    clock = cli.clockdist.extract_distribution(
+        np.array([1.0, 0.0, 1.0, 1.0]) / math.sqrt(3), np.diag([0., 1, 2, 3]),
+        TAU)
+    p_m = cli.clockdist.convolve_n(clock.distribution, m)
+    assert lines[0] == "n,p"
+    assert lines[1:-1] == [f"{n},{p!r}" for n, p in
+                           zip(range(p_m.offset, p_m.offset + len(p_m.probs)),
+                               p_m.probs.tolist())]
+    assert set(json.loads(lines[-1])) == {"period", "L", "tv_to_tp",
+                                          "barbour_bound"}
 
 
 def test_dist_gcd_not_one(fixtures, tmp_path):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from coherence_forge import convert
 from coherence_forge.clockdist import (
     MAX_CONV_WINDOW,
+    TINY,
     IntegerDistribution,
     _poisson_window,
     barbour_bound,
@@ -135,6 +137,86 @@ def test_convolution_moments():
     assert c5.offset == 5
 
 
+CBIT = integer_distribution(0, [0.5, 0.5])
+U023 = integer_distribution(0, [1 / 3, 0, 1 / 3, 1 / 3])
+
+
+def _unflushed_convolve_n(probs, m):
+    """convolve_n's repeated squaring with no flush of small masses."""
+    result, base = None, probs
+    while m:
+        if m & 1:
+            result = base if result is None else np.convolve(result, base)
+        m >>= 1
+        if m:
+            base = np.convolve(base, base)
+    return result
+
+
+def test_tiny_is_the_square_root_of_the_smallest_normal():
+    assert TINY == 2.0 ** -511
+    assert TINY * TINY == np.finfo(float).tiny
+
+
+def test_convolution_operands_hold_no_mass_below_tiny(monkeypatch):
+    operands = []
+    convolve = np.convolve
+
+    def recorded(a, b):
+        operands.extend((a, b))
+        return convolve(a, b)
+
+    monkeypatch.setattr(np, "convolve", recorded)
+    for p in (CBIT, U023):
+        convolve_n(p, 4096)
+    # without the flush both powers carry masses far below TINY
+    assert len(operands) == 2 * 2 * 12
+    for a in operands:
+        assert not np.any((a > 0.0) & (a < TINY))
+
+
+@pytest.mark.parametrize("p", [CBIT, U023], ids=["cbit", "u023"])
+@pytest.mark.parametrize("m", [1024, 4096, 7009])
+def test_flushed_convolution_matches_the_unflushed_one(p, m):
+    ref = _unflushed_convolve_n(p.probs, m)
+    c = convolve_n(p, m)
+    assert c.offset == 0 and len(c.probs) == len(ref)
+    # bit for bit wherever a mass is far above the flushed ones
+    big = ref >= 1e-130
+    assert np.array_equal(c.probs[big], ref[big])
+    # and within convolve_n's stated L1 bound overall
+    assert np.sum(np.abs(c.probs - ref)) <= (4 * math.log2(m) * len(ref)
+                                             * TINY)
+
+
+# iid_sweep tv errors of acceptance criterion 8's pairs (-> cbit at 0.9 and
+# 1.1 times the max rate), as computed with unflushed convolutions
+CRITERION_8_TV = {
+    ("cbit", 0.9): (0.03385093767154768, 0.02538689286416172,
+                    0.026038870287469762),
+    ("cbit", 1.1): (0.023385596096447046, 0.025490507433314477,
+                    0.02307871923207942),
+    ("u023", 0.9): (0.02578321480076748, 0.025676868984780304,
+                    0.025507420161638858),
+    ("u023", 1.1): (0.023609796971450683, 0.023175942933332198,
+                    0.023086657284673164),
+}
+
+
+@pytest.mark.parametrize("pair,factor", list(CRITERION_8_TV),
+                         ids=[f"{p}-{f}" for p, f in CRITERION_8_TV])
+def test_criterion_8_tv_errors_are_frozen(pair, factor):
+    cbit = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    H_cbit = np.diag([0.0, 1.0])
+    psi, H = {"cbit": (cbit, H_cbit),
+              "u023": (np.sqrt(np.array([1, 1, 1]) / 3.0),
+                       np.diag([0.0, 2.0, 3.0]))}[pair]
+    rate = factor * convert.max_rate(psi, H, cbit, H_cbit)
+    plans = convert.iid_sweep(psi, H, cbit, H_cbit, rate, (256, 1024, 4096))
+    assert tuple(plan.tv_error for plan in plans) == CRITERION_8_TV[
+        (pair, factor)]
+
+
 def test_tv_distance_alignment():
     p = integer_distribution(0, [0.5, 0.5])
     q = integer_distribution(1, [0.5, 0.5])
@@ -196,6 +278,18 @@ def test_poisson_window_matches_recursion():
         ref_lo, ref = _poisson_window_reference(float(lam), DEFAULT.tail_eps)
         assert (k_lo, len(pmf)) == (ref_lo, len(ref))
         assert np.max(np.abs(pmf - ref) / ref) < 1e-11
+
+
+def test_poisson_window_matches_per_k_lgamma():
+    # the window's log-factorials, one math.lgamma per k, bit for bit
+    for lam in np.geomspace(1e-3, 5e4, 200).tolist():
+        k_lo, pmf = _poisson_window(lam)
+        half = int(20.0 * math.sqrt(lam) + 30.0)
+        ks = np.arange(max(0, int(lam) - half), int(lam) + half + 1)
+        ref = np.exp(ks * math.log(lam) - lam
+                     - np.array([math.lgamma(k + 1) for k in ks]))
+        lo = k_lo - int(ks[0])
+        assert np.array_equal(pmf, ref[lo: lo + len(pmf)])
 
 
 def test_barbour_bound_frozen_value():
