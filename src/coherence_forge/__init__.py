@@ -64,7 +64,6 @@ from .purification import (
 from .clockdist import (
     IntegerDistribution,
     PeriodicClockState,
-    TranslatedPoisson,
     barbour_bound,
     convolve_n,
     extract_distribution,

@@ -233,20 +233,20 @@ def _suite_measure(measure_id: str, alpha: float):
     """
     if measure_id == "renyi":
         _check_alpha(alpha)
-    kernels = {"F": lambda p, A, V, H: _qfi(p, A),
+    kernels = {"F": _qfi,
                # coherence_cost is (tau/2pi)^2 F once the state is
                # tau-periodic; at tau = 2pi with integer levels every
                # state is, and the scale is 1, so cost is F
-               "cost": lambda p, A, V, H: _qfi(p, A),
+               "cost": _qfi,
                "P": _purity,
-               "W": lambda p, A, V, H: _skew(p, A),
+               "W": _skew,
                "renyi": partial(_renyi, alpha=alpha)}
     if measure_id not in kernels:
         raise ValidationError(f"unknown measure id {measure_id!r}")
     kernel = kernels[measure_id]
 
     def stacked(p, V, H):
-        return (kernel(p, _dag(V) @ H @ V, V, H),)
+        return (kernel(p, _dag(V) @ H @ V),)
 
     return lambda states, hams: [
         float(v) for (v,) in _by_dim(

@@ -47,12 +47,22 @@ def default_seed() -> int:
                               f"got {raw!r}") from None
 
 
+def _read_json(path: str):
+    """The JSON value in the UTF-8 file at path.  A file that is not
+    UTF-8, not JSON or nested too deeply for the parser raises
+    SchemaError; one that cannot be opened, OSError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers json.JSONDecodeError and UnicodeDecodeError
+        raise SchemaError(f"{path}: {exc}") from None
+
+
 def load_state(path: str):
     """Read a JSON state: a 1-D array is a pure state, 2-D a density
     matrix."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    arr = array_from_json(obj)
+    arr = array_from_json(_read_json(path))
     if arr.ndim == 1:
         return pure_state(arr)
     return density_matrix(arr)
@@ -67,8 +77,7 @@ def load_hamiltonian(path: str, tau: float | None = None):
     (observable, tau, dense_fallback); dense inputs leave grid snapping
     to the downstream operation.
     """
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _read_json(path)
     if isinstance(obj, dict) and "levels_in_2pi_over_tau" in obj:
         levels = obj["levels_in_2pi_over_tau"]
         # 2**53 bounds the integers a float holds exactly; it also turns
@@ -395,7 +404,7 @@ def main(argv=None) -> int:
     except (SolverStallError, CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CoherenceForgeError, OSError, json.JSONDecodeError) as exc:
+    except (CoherenceForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -100,21 +100,6 @@ class PeriodicClockState:
     period: float
 
 
-@dataclass(frozen=True)
-class TranslatedPoisson:
-    """Integer-shifted Poisson matching a target mean and variance.
-
-    Z = shift + Poisson(sigma2 + gamma) has mean mu exactly and variance
-    in [sigma2, sigma2 + 1); dist holds the tail-truncated window.
-    """
-
-    mu: float
-    sigma2: float
-    shift: int
-    gamma: float
-    dist: IntegerDistribution
-
-
 def snap_levels(energies, ref: float, tau: float) -> np.ndarray:
     """Integer levels n with energies = ref + (2*pi/tau) * n.
 
@@ -287,19 +272,18 @@ def _poisson_window(lam: float):
     return int(ks[lo]), pmf[lo: hi + 1]
 
 
-def translated_poisson(mu: float, sigma2: float) -> TranslatedPoisson:
+def translated_poisson(mu: float, sigma2: float) -> IntegerDistribution:
     """TP(mu, sigma2): Z = s + Poisson(sigma2 + gamma) with s = floor(mu -
     sigma2) and gamma the leftover fraction, so the mean is exactly mu and
-    the variance lands in [sigma2, sigma2 + 1)."""
+    the variance lands in [sigma2, sigma2 + 1); returned as its
+    tail-truncated window."""
     if sigma2 < 0:
         raise ValidationError(f"sigma2 must be >= 0, got {sigma2}")
     s = math.floor(mu - sigma2)
     gamma = mu - sigma2 - s
     lam = sigma2 + gamma
     k_lo, pmf = _poisson_window(lam)
-    dist = IntegerDistribution(offset=s + k_lo, probs=pmf)
-    return TranslatedPoisson(mu=mu, sigma2=sigma2, shift=s, gamma=gamma,
-                             dist=dist)
+    return IntegerDistribution(offset=s + k_lo, probs=pmf)
 
 
 def barbour_bound(p: IntegerDistribution, m: int) -> float:
@@ -333,5 +317,5 @@ def tp_distance(p: IntegerDistribution, m: int,
                 conv: IntegerDistribution) -> float:
     """tv(conv, TP(m mu, m var)) for conv = convolve_n(p, m), which the
     caller already holds: the quantity barbour_bound dominates."""
-    tp = translated_poisson(m * p.mean(), m * p.variance())
-    return tv_distance(conv, tp.dist)
+    return tv_distance(conv,
+                       translated_poisson(m * p.mean(), m * p.variance()))

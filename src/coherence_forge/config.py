@@ -44,9 +44,7 @@ class Tolerances:
     rank_cutoff: float = 1e-10   # eigenvalue counts toward the support
     pair_cutoff: float = 1e-14   # p_j + p_k below this: pair skipped
     gap_cutoff: float = 1e-8     # steps below this link values into a level
-
-    # Commutator norm below which operators count as commuting
-    commute: float = 1e-9
+    commute: float = 1e-9        # ||[Pi, H]||_F, Pi the support projector
 
     # Probability distributions
     prob: float = 1e-12          # weight renormalization / negativity slack

@@ -106,7 +106,6 @@ class OmegaState:
     state because the source and target it is built from are."""
 
     matrix: np.ndarray
-    dims: tuple
     sectors: np.ndarray = field(repr=False)
 
 
@@ -174,7 +173,6 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     labels[order] = level_labels(delta[order])
     mask = labels[:, None] == labels[None, :]
     return OmegaState(matrix=M * mask,
-                      dims=(len(a), len(b)),
                       sectors=labels.reshape(len(a), len(b)))
 
 
@@ -265,7 +263,7 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     Convex Optimization, 11.3).  The
     dual X = mu S^-1 is rescaled by the congruence T^-1/2 (x) I with
     T = Tr_B X, which makes Tr_B X = I and keeps X >= 0."""
-    d_A, d_B = omega.dims
+    d_A, d_B = omega.sectors.shape
     N = d_A * d_B
     # A's levels i and k share a tau block when (i, j) and (k, j) share a
     # sector.  iid_omega_state's grouping makes that hold for every j or for
@@ -365,7 +363,7 @@ def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
 
     Returns result; raises CertificateError on the first check that
     fails."""
-    d_A, d_B = omega.dims
+    d_A, d_B = omega.sectors.shape
     Om = omega.matrix
     tau, X = result.tau, result.dual_certificate
     for name, M in (("tau", tau), ("dual X", X)):

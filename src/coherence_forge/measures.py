@@ -37,42 +37,21 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _spectral(rho, H):
-    """(p, A, V, H): eigenvalues p of rho (ascending), A = V^dag H V (H in
-    rho's eigenbasis V), V, and H as a plain matrix.  rho goes through
-    density_matrix and H through observable, so a matrix that is not a
-    state raises ValidationError and a non-Hermitian H NonHermitianError."""
+    """(p, A): eigenvalues p of rho (ascending) and A = V^dag H V, H in
+    rho's eigenbasis V.  rho goes through density_matrix and H through
+    observable, so a matrix that is not a state raises ValidationError
+    and a non-Hermitian H NonHermitianError."""
     rho, H = density_matrix(rho), observable(H).matrix
     require_same_dim(rho.dim, H.shape[0])
     V = rho.eigenbasis
-    return rho.spectrum, V.conj().T @ H @ V, V, H
-
-
-def _support_commutes(p, V, H):
-    """Whether the max-abs entry of [Pi, H] is below commute, with Pi the
-    projector onto the eigenvectors V whose eigenvalue p clears
-    rank_cutoff: a bool per stack row.
-
-    The norm is taken in the computational basis, as H is given.  Only
-    rows without full support form Pi, since a full one is the identity.
-    """
-    n = p.shape[-1]
-    sup = (p > DEFAULT.rank_cutoff).reshape(-1, n)
-    ok = sup.all(axis=1)
-    part = np.flatnonzero(~ok)
-    if part.size:
-        Vs = V.reshape(-1, n, n)[part] * sup[part, None, :]
-        proj = Vs @ Vs.conj().swapaxes(-1, -2)
-        Hs = H.reshape(-1, n, n)[part]
-        comm = proj @ Hs - Hs @ proj
-        ok[part] = np.max(np.abs(comm), axis=(1, 2)) < DEFAULT.commute
-    return ok.reshape(p.shape[:-1])
+    return rho.spectrum, V.conj().T @ H @ V
 
 
 # Kernels: each measure from the spectrum p of rho and A = V^dag H V,
 # broadcast over any leading stack axes.  The public functions call them
 # on one matrix and the monotonicity suite on stacks, so both give the
-# same bits.  _purity and _renyi sum over support pairs only and also
-# take V and H, to return inf where the support leaks.
+# same bits.  _purity and _renyi sum over support pairs only and return
+# inf where the support leaks.
 
 
 def _pair_sum(coeff, A):
@@ -80,6 +59,22 @@ def _pair_sum(coeff, A):
     terms = coeff * np.abs(A) ** 2
     n = A.shape[-1]
     return terms.reshape(terms.shape[:-2] + (n * n,)).sum(axis=-1)
+
+
+def _support_commutes(p, A):
+    """Whether ||[Pi, H]||_F is below commute, with Pi the projector onto
+    the eigenvectors whose eigenvalue p clears rank_cutoff: a bool per
+    stack row.
+
+    In rho's eigenbasis [Pi, H] holds A's support x kernel entries and
+    their mirror images, so its squared norm is twice their |A_jk|^2 sum.
+    The Frobenius norm is unitarily invariant, so the verdict does not
+    depend on the basis H is given in, nor on the eigenbasis chosen
+    within a degenerate support or kernel.
+    """
+    sup = p > DEFAULT.rank_cutoff
+    return 2.0 * _pair_sum(sup[..., :, None] & ~sup[..., None, :],
+                           A) < DEFAULT.commute ** 2
 
 
 def _floor0(v):
@@ -106,7 +101,7 @@ def _skew(p, A):
         p[..., :, None] - root[..., :, None] * root[..., None, :], A))
 
 
-def _support_sum(coeff, p, A, V, H):
+def _support_sum(coeff, p, A):
     """_pair_sum of coeff(q) over the support pairs of each spectrum p,
     floored at 0, with q = p but 1 on the kernel so that no coefficient
     divides by zero; inf on rows whose support does not commute with H."""
@@ -114,23 +109,23 @@ def _support_sum(coeff, p, A, V, H):
     c = coeff(np.where(sup, p, 1.0))
     pairs = sup[..., :, None] & sup[..., None, :]
     val = _floor0(_pair_sum(np.where(pairs, c, 0.0), A))
-    return np.where(_support_commutes(p, V, H), val, math.inf)
+    return np.where(_support_commutes(p, A), val, math.inf)
 
 
-def _purity(p, A, V, H):
+def _purity(p, A):
     """sum_jk (p_k^2 - p_j^2)/p_j |A_kj|^2 over the support pairs."""
     # ratio[k, j] = (p_k^2 - p_j^2) / p_j
     return _support_sum(
         lambda q: (q[..., :, None] ** 2 - q[..., None, :] ** 2)
-        / q[..., None, :], p, A, V, H)
+        / q[..., None, :], p, A)
 
 
-def _renyi(p, A, V, H, alpha: float):
+def _renyi(p, A, alpha: float):
     """sum_jk (p_j^alpha p_k^(1-alpha) - p_j) |A_jk|^2 over the support
     pairs."""
     return _support_sum(
         lambda q: (q[..., :, None] ** alpha * q[..., None, :] ** (1.0 - alpha)
-                   - q[..., :, None]), p, A, V, H)
+                   - q[..., :, None]), p, A)
 
 
 def qfi(rho, H) -> float:
@@ -139,8 +134,7 @@ def qfi(rho, H) -> float:
     Pairs with p_j + p_k below pair_cutoff contribute nothing (both
     populations are numerically zero) and are skipped to avoid 0/0.
     """
-    p, A, _, _ = _spectral(rho, H)
-    return float(_qfi(p, A))
+    return float(_qfi(*_spectral(rho, H)))
 
 
 def energy_variance(state, H) -> float:
@@ -162,13 +156,13 @@ def energy_variance(state, H) -> float:
 
 
 def support_commutes(rho, H) -> bool:
-    """Whether the support projector of rho commutes with H.
+    """Whether the support projector Pi of rho commutes with H, that is
+    whether ||[Pi, H]||_F is below commute.
 
     This is exactly the finiteness condition for purity of coherence:
     coherence must not leak between the support and the kernel.
     """
-    p, _, V, H = _spectral(rho, H)
-    return bool(_support_commutes(p, V, H))
+    return bool(_support_commutes(*_spectral(rho, H)))
 
 
 def purity_of_coherence(rho, H) -> float:
@@ -188,8 +182,7 @@ def skew_information(rho, H) -> float:
 
     Evaluated in the eigenbasis: sum_{jk} (p_j - sqrt(p_j p_k)) |H_jk|^2.
     """
-    p, A, _, _ = _spectral(rho, H)
-    return float(_skew(p, A))
+    return float(_skew(*_spectral(rho, H)))
 
 
 def renyi_purity_monotone(rho, H, alpha: float) -> float:

@@ -1,5 +1,5 @@
 """Every public function and class of the package is referenced by the
-package's code.
+package's code, and every tolerance is read by it and documented.
 
 A public module-level name that appears as a code token in no module but
 at its own def or class line (and in the __init__ export) serves only
@@ -7,9 +7,12 @@ its own tests; a name inside a string, a docstring or a comment does not
 count.  The CLI's cmd_* handlers count as referenced, since main
 dispatches them by name.  Any other such name stays in the package only
 for a reason listed in KEPT.  Every error class but the common base is
-raised somewhere in the package.
+raised somewhere in the package.  Every field of config.Tolerances is
+read as DEFAULT.<field> in the package's code and named in the README's
+Tolerances table.
 """
 
+import dataclasses
 import importlib
 import inspect
 import io
@@ -17,9 +20,10 @@ import pathlib
 import tokenize
 
 import coherence_forge
-from coherence_forge import errors
+from coherence_forge import config, errors
 
 SRC = pathlib.Path(coherence_forge.__file__).parent
+README = SRC.parent.parent / "README.md"
 
 KEPT = {
     "period_respecting_ensemble":
@@ -129,3 +133,37 @@ def test_every_error_class_is_raised():
                and obj.__module__ == errors.__name__}
     assert "CoherenceForgeError" in classes
     assert sorted(classes - raised - {"CoherenceForgeError"}) == []
+
+
+def _default_reads(source):
+    """Field names read as DEFAULT.<field> in the code of source."""
+    toks = [tok.string for tok in
+            tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type in (tokenize.NAME, tokenize.OP)]
+    return {b for a, dot, b in zip(toks, toks[1:], toks[2:])
+            if a == "DEFAULT" and dot == "."}
+
+
+def test_default_reads_skip_strings_and_comments():
+    src = ('x = DEFAULT.herm  # DEFAULT.psd\n'
+           'y = "DEFAULT.norm"\n')
+    assert _default_reads(src) == {"herm"}
+
+
+def _readme_tolerances():
+    """Names in backticks in the first cell of each row of the README's
+    Tolerances table."""
+    section = README.read_text().split("## Tolerances\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return {name for line in section.splitlines()
+            if line.startswith("| `")
+            for name in line.split("|")[1].replace("`", " ").replace(
+                ",", " ").split()}
+
+
+def test_every_tolerance_is_read_and_documented():
+    fields = {f.name for f in dataclasses.fields(config.Tolerances)}
+    reads = set().union(*(_default_reads(p.read_text())
+                          for p in SRC.glob("*.py")))
+    assert sorted(fields - reads) == []
+    assert _readme_tolerances() == fields

@@ -629,15 +629,25 @@ HZ = {"re": [[0.5, 0.0], [0.0, -0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
     ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 1], "tau": True}, 1),
     ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 1], "tau": "3.0"}, 1),
     ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 1], "tau": 10 ** 400}, 1),
+    # files given as bytes: one that is not UTF-8, one nested deeper than
+    # the JSON parser recurses, and one with an integer longer than
+    # Python converts from a string
+    pytest.param(b"\xff\xfe\x00", {"dim": 2, **HZ}, 1, id="not-utf8"),
+    pytest.param({"dim": 2, **HALF}, b"[" * 200000, 1, id="too-deep"),
+    pytest.param({"dim": 2, **HALF}, b"[" + b"1" * 5000 + b"]", 1,
+                 id="long-int"),
 ])
 def test_loader_edges(tmp_path, capsys, state, ham, code):
-    (tmp_path / "s.json").write_text(json.dumps(state))
-    (tmp_path / "h.json").write_text(json.dumps(ham))
+    for name, obj in (("s.json", state), ("h.json", ham)):
+        (tmp_path / name).write_bytes(
+            obj if isinstance(obj, bytes) else json.dumps(obj).encode())
     rc = cli.main(["measures", "--state", str(tmp_path / "s.json"),
                    "--ham", str(tmp_path / "h.json")])
     err = capsys.readouterr().err
     assert rc == code
     assert ("error:" in err) == (code == 1)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cmd, ham", [

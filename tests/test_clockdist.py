@@ -241,11 +241,11 @@ def test_overlap_copy_count_cases():
 def test_translated_poisson_moments():
     for mu, s2 in ((4.0, 1.0), (10.3, 2.7), (0.9, 0.4), (300.0, 250.0)):
         tp = translated_poisson(mu, s2)
-        assert abs(tp.dist.mean() - mu) < 1e-9
-        assert s2 - 1e-9 <= tp.dist.variance() < s2 + 1.0
-        assert abs(sum(tp.dist.probs) - 1.0) < 1e-9
+        assert abs(tp.mean() - mu) < 1e-9
+        assert s2 - 1e-9 <= tp.variance() < s2 + 1.0
+        assert abs(sum(tp.probs) - 1.0) < 1e-9
     tp = translated_poisson(4.0, 1.0)
-    assert tp.shift == 3 and abs(tp.gamma) < 1e-12
+    assert tp.offset == 3 and abs(tp.variance() - 1.0) < 1e-12
 
 
 def _poisson_window_reference(lam, tail_eps):

@@ -51,7 +51,7 @@ def dephase(rho, H):
 def single_sector(Om, d_A, d_B):
     """A joint state on A (x) B with no time-translation structure: one
     sector, so the SDP runs on the full space."""
-    return OmegaState(matrix=np.asarray(Om, dtype=complex), dims=(d_A, d_B),
+    return OmegaState(matrix=np.asarray(Om, dtype=complex),
                       sectors=np.zeros((d_A, d_B), dtype=int))
 
 
@@ -162,7 +162,7 @@ def test_omega_state_oracle_by_difference_hamiltonian():
         M0 = np.kron(sigma, np.outer(bar, bar.conj()))
         Delta = np.kron(H_A, np.eye(d_B)) - np.kron(np.eye(d_A), H_B)
         assert np.max(np.abs(om.matrix - dephase(M0, Delta))) < 1e-10
-        assert om.dims == (d_A, d_B)
+        assert om.sectors.shape == (d_A, d_B)
 
 
 def test_omega_state_eigenstate_target_factorizes():
@@ -231,7 +231,7 @@ def test_omega_state_at_the_side_budget_solves_no_wide_matrix(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     om = iid_omega_state(random_density(d, 67), H, np.ones(d) / math.sqrt(d),
                          H, 1)
-    assert om.dims == (d, d)
+    assert om.sectors.shape == (d, d)
     assert sizes == [d, d, d]
 
 
@@ -517,7 +517,7 @@ def test_iid_budget_admits_four_copies_of_unevenly_spaced_levels():
     om = iid_omega_state(random_density(3, 66), np.diag([0.0, 1.0, 3.0]),
                          CBIT, H01, 4)
     blocks = np.unique(om.sectors[:, 0], return_counts=True)[1]
-    assert om.dims == (81, 2)
+    assert om.sectors.shape == (81, 2)
     assert int(np.sum(blocks ** 2)) == 743
 
 

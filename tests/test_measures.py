@@ -182,6 +182,24 @@ def test_purity_infinite_on_support_leak():
     assert purity_of_coherence(e0, SZ_HALF) < 1e-14
 
 
+@pytest.mark.parametrize("coupling, commutes", [(1.2e-9, False),
+                                                 (0.5e-9, True)])
+def test_support_verdict_is_the_same_in_every_frame(coupling, commutes):
+    # rho = diag(1/2, 1/2, 0) with a support-kernel coupling H_02 = H_20:
+    # ||[Pi, H]||_F = sqrt(2) x coupling, 1.7e-9 or 0.71e-9 against the
+    # commute cutoff of 1e-9, whatever joint unitary U rotates the pair
+    rho = np.diag([0.5, 0.5, 0.0])
+    H = np.diag([0.0, 1.0, 2.0])
+    H[0, 2] = H[2, 0] = coupling
+    rng = np.random.default_rng(24)
+    for _ in range(5):
+        G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        U = np.linalg.qr(G)[0]
+        rho_u, H_u = U @ rho @ U.conj().T, U @ H @ U.conj().T
+        assert support_commutes(rho_u, H_u) == commutes
+        assert math.isfinite(purity_of_coherence(rho_u, H_u)) == commutes
+
+
 def test_renyi_alpha_two_matches_purity():
     rng = np.random.default_rng(16)
     for _ in range(20):
