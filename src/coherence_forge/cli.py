@@ -24,6 +24,7 @@ from .errors import (
     CoherenceForgeError,
     GcdNotOneError,
     SchemaError,
+    SearchExhaustedError,
     SolverStallError,
     ValidationError,
 )
@@ -200,6 +201,8 @@ def cmd_dist(args) -> int:
         L = clockdist.overlap_copy_count(clock.distribution)
     except GcdNotOneError:
         L = "GcdNotOne"
+    except SearchExhaustedError:
+        L = "SearchExhausted"
     summary = {
         "period": clock.period,
         "L": L,

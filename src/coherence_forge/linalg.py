@@ -292,6 +292,11 @@ def array_from_json(obj) -> np.ndarray:
             raise SchemaError(f"missing key {key!r}")
     try:
         dim = obj["dim"]
+        # int() would also take true, "2" and 2.5; none is a side length
+        if not all(isinstance(n, (int, float)) and not isinstance(n, bool)
+                   and n == int(n)
+                   for n in (dim if isinstance(dim, list) else [dim])):
+            raise SchemaError(f"dim must hold integers, got {dim!r}")
         dim = [int(n) for n in dim] if isinstance(dim, list) else int(dim)
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)

@@ -42,7 +42,6 @@ from .linalg import (
     pure_state,
     require_same_dim,
 )
-from .measures import energy_variance
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,8 @@ class PureEnsemble:
     average_variance: float
 
     def mixture(self) -> np.ndarray:
-        out = np.zeros((self.states[0].dim, self.states[0].dim), dtype=complex)
-        for w, st in zip(self.weights, self.states):
-            out += w * st.density()
-        return out
+        M = np.column_stack([st.vector for st in self.states])
+        return (M * self.weights) @ M.conj().T
 
 
 def aligned_eigensystem(rho, H):
@@ -96,12 +93,38 @@ def _joint_variance(phi, H_S, H_A) -> float:
     return float(max(var, 0.0))
 
 
-def _ensemble(weights, states, H) -> PureEnsemble:
-    """Renormalise the weights and average the members' variances under H."""
-    weights = np.asarray(weights) / np.sum(weights)
-    avg = float(sum(w * energy_variance(st, H)
-                    for w, st in zip(weights, states)))
-    return PureEnsemble(weights=weights, states=states, average_variance=avg)
+def _measure(eta, H):
+    """Read a pure ensemble off the unnormalised members eta, the columns
+    of a d x k array, under the plain matrix H.
+
+    Member k has weight ||eta_k||^2; those at or below pair_cutoff are
+    dropped.  Returns the kept weights renormalised, the kept members as
+    unit columns M, and the weighted average of their variances
+    ||H psi||^2 - <psi|H|psi>^2, each clamped at 0.
+    """
+    w = np.einsum("ik,ik->k", eta.conj(), eta).real
+    keep = w > DEFAULT.pair_cutoff
+    w = w[keep]
+    M = eta[:, keep] / np.sqrt(w)
+    HM = H @ M
+    mean = np.einsum("ik,ik->k", M.conj(), HM).real
+    var = np.einsum("ik,ik->k", HM.conj(), HM).real - mean ** 2
+    w = w / w.sum()
+    return w, M, float(np.sum(w * np.maximum(var, 0.0)))
+
+
+def _ensemble(eta, H) -> PureEnsemble:
+    """The ensemble of _measure(eta, H), its members as PureStates."""
+    w, M, avg = _measure(eta, H)
+    return PureEnsemble(weights=w, states=[pure_state(v) for v in M.T],
+                        average_variance=avg)
+
+
+def _outcomes(pur: Purification) -> np.ndarray:
+    """Phi U^* for the eigenbasis U of pur's auxiliary Hamiltonian: column
+    k is the unnormalised state S is left in by outcome k of measuring A."""
+    U = pur.aux_hamiltonian.eigenbasis
+    return pur.joint_state.vector.reshape(U.shape[0], -1) @ U.conj()
 
 
 def _coordinate_aux(p, S) -> np.ndarray:
@@ -166,18 +189,8 @@ def optimal_ensemble(pur: Purification, H_S) -> PureEnsemble:
     leaves S in the corresponding conditional state.
     """
     H_S = observable(H_S)
-    U = pur.aux_hamiltonian.eigenbasis
-    d = U.shape[0]
-    phi = pur.joint_state.vector.reshape(d, d)
-    weights, states = [], []
-    for k in range(d):
-        eta = phi @ U[:, k].conj()
-        w = float(np.vdot(eta, eta).real)
-        if w <= DEFAULT.pair_cutoff:
-            continue
-        weights.append(w)
-        states.append(pure_state(eta / np.sqrt(w)))
-    return _ensemble(weights, states, H_S)
+    require_same_dim(pur.aux_hamiltonian.dim, H_S.dim)
+    return _ensemble(_outcomes(pur), H_S.matrix)
 
 
 def coherence_sectors(rho, H, tau: float):
@@ -237,14 +250,7 @@ def period_respecting_ensemble(rho, H, tau: float) -> PureEnsemble:
         raise PeriodMismatchError(
             f"state period is tau/{gcd}, not tau"
         )
-    base = optimal_ensemble(build_optimal_purification(rho, H), H)
-    weights, states = [], []
-    for w, st in zip(base.weights, base.states):
-        for P in projectors:
-            comp = P @ st.vector
-            wc = float(np.vdot(comp, comp).real) * w
-            if wc <= DEFAULT.pair_cutoff:
-                continue
-            weights.append(wc)
-            states.append(pure_state(comp / np.linalg.norm(comp)))
-    return _ensemble(weights, states, H)
+    eta = _outcomes(build_optimal_purification(rho, H))
+    # column k * len(projectors) + j is the part of member k in sector j
+    split = np.stack([P @ eta for P in projectors], axis=-1)
+    return _ensemble(split.reshape(rho.dim, -1), H.matrix)

@@ -1,6 +1,9 @@
 """Every public function and class of the package is referenced by the
 package's code, and every tolerance is read by it and documented.
 
+Every name a package module imports (other than in __init__, and other
+than a __future__ feature) is used in that module's code.
+
 A public module-level name that appears as a code token in no module but
 at its own def or class line (and in the __init__ export) serves only
 its own tests; a name inside a string, a docstring or a comment does not
@@ -12,6 +15,7 @@ read as DEFAULT.<field> in the package's code and named in the README's
 Tolerances table.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -27,7 +31,7 @@ README = SRC.parent.parent / "README.md"
 
 KEPT = {
     "period_respecting_ensemble":
-        "the finite-copy coherence cost (ROADMAP item 3) is to sample its "
+        "the finite-copy coherence cost (ROADMAP item 5) is to sample its "
         "members",
 }
 
@@ -65,6 +69,43 @@ def test_code_names_skip_strings_and_comments():
     assert names.count("g") == 0
     assert names.count("f") == 1
     assert names.count("C") == 1
+
+
+def _imported_names(source):
+    """Names bound by the import statements of source, less __future__
+    features, and source with those statements blanked out."""
+    lines = source.splitlines(keepends=True)
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines[node.lineno - 1:node.end_lineno] = (
+                ["\n"] * (node.end_lineno - node.lineno + 1))
+            if getattr(node, "module", None) != "__future__":
+                names += [(a.asname or a.name).split(".")[0]
+                          for a in node.names]
+    return names, "".join(lines)
+
+
+def test_imported_names_blank_the_imports():
+    src = ('from __future__ import annotations\n'
+           'import numpy as np\n'
+           'from .a import (b,\n'
+           '                c)\n'
+           'x = np.zeros(b)\n')
+    names, rest = _imported_names(src)
+    assert names == ["np", "b", "c"]
+    assert [n for n in names if n not in _code_names(rest)] == ["c"]
+
+
+def test_every_import_is_used():
+    unused = []
+    for p in SRC.glob("*.py"):
+        if p.name == "__init__.py":
+            continue
+        names, rest = _imported_names(p.read_text())
+        used = set(_code_names(rest))
+        unused += [f"{p.stem}: {n}" for n in names if n not in used]
+    assert unused == []
 
 
 def test_no_exported_function_takes_a_tolerance_table():

@@ -257,6 +257,24 @@ def test_dist_gcd_not_one(fixtures, tmp_path):
     assert abs(summary["period"] - TAU / 2) < 1e-9
 
 
+@pytest.mark.parametrize("top, L", [(127, 64), (129, "SearchExhausted")])
+def test_dist_search_exhausted(tmp_path, capsys, top, L):
+    # levels {0, 2, top}: writing 1 as a signed sum of 2 and top takes
+    # (top + 1) / 2 terms, one more than MAX_OVERLAP_COPIES for top = 129
+    psi = np.zeros(top + 1)
+    psi[[0, 2, top]] = 1.0 / math.sqrt(3)
+    state = tmp_path / "psi.json"
+    state.write_text(json.dumps(array_to_json(psi)))
+    ham = tmp_path / "h.json"
+    ham.write_text(json.dumps({"levels_in_2pi_over_tau": list(range(top + 1)),
+                               "tau": TAU}))
+    assert cli.main(["dist", "--state", str(state), "--ham", str(ham)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "n,p"
+    assert len(lines) > 2
+    assert json.loads(lines[-1])["L"] == L
+
+
 def test_dist_energy_eigenstate(fixtures, tmp_path, capsys):
     # a point mass: no period, no overlap with its shift, zero variance
     state = tmp_path / "ground.json"
@@ -629,6 +647,13 @@ HZ = {"re": [[0.5, 0.0], [0.0, -0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
     ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 1], "tau": True}, 1),
     ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 1], "tau": "3.0"}, 1),
     ({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 1], "tau": 10 ** 400}, 1),
+    # nor is a "dim" of 2.5, true or "2", though int() takes all three;
+    # an integral number such as 2.0 is a side length
+    ({"dim": 2.5, **PLUS}, {"dim": 2, **HZ}, 1),
+    ({"dim": True, "re": [1.0], "im": [0.0]}, {"dim": 1, "re": [[0.0]],
+                                               "im": [[0.0]]}, 1),
+    ({"dim": "2", **PLUS}, {"dim": 2, **HZ}, 1),
+    ({"dim": 2.0, **PLUS}, {"dim": [2.0, 2], **HZ}, 0),
     # files given as bytes: one that is not UTF-8, one nested deeper than
     # the JSON parser recurses, and one with an integer longer than
     # Python converts from a string

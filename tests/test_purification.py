@@ -189,6 +189,81 @@ def test_random_ensembles_cannot_undercut():
             assert avg >= F / 4 - 1e-9
 
 
+def _reference_ensemble(weights, states, H):
+    """Renormalised weights, the members and the average of
+    energy_variance over them, one member at a time."""
+    weights = np.asarray(weights) / np.sum(weights)
+    avg = float(sum(w * energy_variance(st, H)
+                    for w, st in zip(weights, states)))
+    return weights, states, avg
+
+
+def _optimal_ensemble_reference(pur, H):
+    """The former optimal_ensemble: one outcome of measuring A in the
+    eigenbasis of H_A at a time, kept above pair_cutoff."""
+    U = pur.aux_hamiltonian.eigenbasis
+    d = U.shape[0]
+    phi = pur.joint_state.vector.reshape(d, d)
+    weights, states = [], []
+    for k in range(d):
+        eta = phi @ U[:, k].conj()
+        w = float(np.vdot(eta, eta).real)
+        if w <= DEFAULT.pair_cutoff:
+            continue
+        weights.append(w)
+        states.append(eta / np.sqrt(w))
+    return _reference_ensemble(weights, states, H)
+
+
+def _period_respecting_reference(rho, H, tau):
+    """The former period_respecting_ensemble: each member of the optimal
+    ensemble split over the coherence sectors, one part at a time."""
+    projectors, _ = coherence_sectors(rho, H, tau)
+    base_w, base_states, _ = _optimal_ensemble_reference(
+        build_optimal_purification(rho, H), H)
+    weights, states = [], []
+    for w, st in zip(base_w, base_states):
+        for P in projectors:
+            comp = P @ st
+            wc = float(np.vdot(comp, comp).real) * w
+            if wc <= DEFAULT.pair_cutoff:
+                continue
+            weights.append(wc)
+            states.append(comp / np.linalg.norm(comp))
+    return _reference_ensemble(weights, states, H)
+
+
+def _assert_matches_reference(ens, ref, F):
+    weights, states, avg = ref
+    assert len(ens.states) == len(states)
+    assert np.max(np.abs(ens.weights - weights)) < 1e-14
+    for st, vec in zip(ens.states, states):
+        assert np.max(np.abs(st.vector - vec)) < 1e-14
+    assert abs(ens.average_variance - avg) < 1e-12 * max(1.0, F)
+
+
+def test_optimal_ensemble_matches_per_member_reference():
+    rng = np.random.default_rng(45)
+    cases = [(random_density(d, rng), random_observable(d, rng))
+             for d in range(2, 33)]
+    psi = rng.normal(size=5) + 1j * rng.normal(size=5)
+    psi = psi / np.linalg.norm(psi)
+    G = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    low_rank = G @ G.conj().T
+    cases += [_degenerate_fixture(),
+              (np.outer(psi, psi.conj()), random_observable(5, rng)),
+              (low_rank / np.trace(low_rank).real, random_observable(6, rng))]
+    kept = []
+    for rho, H in cases:
+        pur = build_optimal_purification(rho, H)
+        ens = optimal_ensemble(pur, H)
+        ref = _optimal_ensemble_reference(pur, H)
+        _assert_matches_reference(ens, ref, qfi(rho, H))
+        kept.append(len(ens.states))
+    # the pure and the rank-2 state leave outcomes below pair_cutoff out
+    assert kept[-2:] == [1, 2]
+
+
 def _member_is_periodic(vec, H, tau):
     w, V = np.linalg.eigh(H)
     U = (V * np.exp(-1j * w * tau)) @ V.conj().T
@@ -207,6 +282,8 @@ def test_period_respecting_ensemble_members_are_periodic():
         F = qfi(rho, H)
         assert abs(ens.average_variance - F / 4) < 1e-8 * max(1.0, F)
         assert np.max(np.abs(ens.mixture() - rho)) < 1e-9
+        _assert_matches_reference(
+            ens, _period_respecting_reference(rho, H, tau), F)
         for st in ens.states:
             assert _member_is_periodic(st.vector, H, tau)
 
@@ -233,6 +310,8 @@ def test_period_respecting_splits_cross_sector_members():
     assert np.max(np.abs(ens.mixture() - rho)) < 1e-9
     F = qfi(rho, H)
     assert abs(ens.average_variance - F / 4) < 1e-8 * max(1.0, F)
+    _assert_matches_reference(
+        ens, _period_respecting_reference(rho, H, 2 * math.pi), F)
     for st in ens.states:
         assert _member_is_periodic(st.vector, H, 2 * math.pi)
 
