@@ -61,12 +61,27 @@ def kraus_channel(ops) -> KrausChannel:
         raise DimMismatchError(
             f"Kraus operators must be matrices, got shape {K.shape[1:]}"
         )
-    total = np.einsum("kab,kac->bc", K.conj(), K)
-    resid = np.max(np.abs(total - np.eye(K.shape[2])))
-    if not resid <= DEFAULT.cptp:   # NaN fails too
-        raise ValidationError(f"sum K^dag K misses identity by {resid:.3e}")
+    _require_cptp([K])
     K.setflags(write=False)
     return KrausChannel(kraus=K)
+
+
+def _require_cptp(kraus) -> None:
+    """ValidationError unless sum_k K^dag K = I within cptp for every
+    (rank, d_out, d_in) Kraus array in kraus.  The Grams M^dag M of their
+    (rank * d_out) x d_in isometries M are held to I in one stack,
+    zero-padded per d_in, which stays small however many operators a
+    twirl leaves."""
+    d_in = np.array([K.shape[2] for K in kraus])
+    gram = np.zeros((len(kraus), d_in.max(), d_in.max()), dtype=complex)
+    for g, K, d in zip(gram, kraus, d_in):
+        M = K.reshape(-1, d)
+        g[:d, :d] = M.conj().T @ M
+    eye = np.eye(gram.shape[2]) * (np.arange(gram.shape[2])
+                                   < d_in[:, None, None])
+    resid = np.max(np.abs(gram - eye))
+    if not resid <= DEFAULT.cptp:   # NaN fails too
+        raise ValidationError(f"sum K^dag K misses identity by {resid:.3e}")
 
 
 def _phase_fixed_qr(G) -> np.ndarray:
@@ -76,13 +91,28 @@ def _phase_fixed_qr(G) -> np.ndarray:
     Q, R = np.linalg.qr(G)
     diag = np.diagonal(R, axis1=-2, axis2=-1)
     mag = np.abs(diag)
-    phase = np.where(mag > 0, diag / np.where(mag > 0, mag, 1.0), 1.0)
+    phase = np.divide(diag, mag, out=np.ones_like(diag), where=mag > 0)
     return Q * phase.conj()[..., None, :]
 
 
 def _gaussian(rng, m: int, n: int) -> np.ndarray:
     """m x n complex Gaussian, real part drawn first."""
-    return rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    z = np.empty((m, n), dtype=complex)
+    z.real = rng.normal(size=(m, n))
+    z.imag = rng.normal(size=(m, n))
+    return z
+
+
+def _random_kraus(d_in: int, d_out: int, rank: int, rng) -> np.ndarray:
+    """Unvalidated Kraus array of random_channel, drawn from rng."""
+    if rank < 1 or rank > d_in * d_out:
+        raise ValidationError(f"rank must be in [1, {d_in * d_out}]")
+    if rank * d_out < d_in:
+        raise ValidationError(
+            f"rank {rank} too small: need rank*d_out >= d_in"
+        )
+    G = _gaussian(rng, rank * d_out, d_in)
+    return _phase_fixed_qr(G).reshape(rank, d_out, d_in)
 
 
 def random_channel(d_in: int, d_out: int, rank: int, seed) -> KrausChannel:
@@ -91,26 +121,37 @@ def random_channel(d_in: int, d_out: int, rank: int, seed) -> KrausChannel:
     rank Kraus operators of shape d_out x d_in require rank * d_out >= d_in
     for trace preservation.
     """
-    if rank < 1 or rank > d_in * d_out:
-        raise ValidationError(f"rank must be in [1, {d_in * d_out}]")
-    if rank * d_out < d_in:
-        raise ValidationError(
-            f"rank {rank} too small: need rank*d_out >= d_in"
+    return kraus_channel(
+        _random_kraus(d_in, d_out, rank, np.random.default_rng(seed)))
+
+
+def _apply(K, rho) -> np.ndarray:
+    """sum_k K rho K^dag for the Kraus array K and the plain matrix rho."""
+    if rho.shape[0] != K.shape[2]:
+        raise DimMismatchError(
+            f"state dim {rho.shape[0]} != channel input dim {K.shape[2]}"
         )
-    G = _gaussian(np.random.default_rng(seed), rank * d_out, d_in)
-    return kraus_channel(_phase_fixed_qr(G).reshape(rank, d_out, d_in))
+    return np.sum(K @ rho @ K.conj().transpose(0, 2, 1), axis=0)
 
 
 def apply(ch: KrausChannel, rho) -> np.ndarray:
     """Channel output sum_k K rho K^dag as a plain density matrix; rho
     goes through density_matrix."""
-    rho = density_matrix(rho)
-    if rho.dim != ch.d_in:
-        raise DimMismatchError(
-            f"state dim {rho.dim} != channel input dim {ch.d_in}"
-        )
-    K = ch.kraus
-    return np.sum(K @ rho.matrix @ K.conj().transpose(0, 2, 1), axis=0)
+    return _apply(ch.kraus, density_matrix(rho).matrix)
+
+
+def _twirl(K, V_in, n_in, V_out, n_out) -> np.ndarray:
+    """Unvalidated Kraus array of the twirl of K, for the eigenbases V and
+    the snapped integer levels n of H_in and H_out."""
+    if len(n_in) != K.shape[2] or len(n_out) != K.shape[1]:
+        raise DimMismatchError("Hamiltonian dims do not match the channel")
+    Kt = V_out.conj().T @ K @ V_in
+    grid = n_out[:, None] - n_in[None, :]
+    # ascending modes without np.unique, which imports numpy.ma
+    modes = np.array(sorted(set(grid.ravel().tolist())))
+    comps = np.where(grid == modes[:, None, None], Kt[:, None], 0.0)
+    keep = np.max(np.abs(comps), axis=(2, 3)) > DEFAULT.pair_cutoff
+    return V_out @ comps[keep] @ V_in.conj().T
 
 
 def twirl(ch: KrausChannel, H_in, H_out, tau: float) -> KrausChannel:
@@ -124,19 +165,10 @@ def twirl(ch: KrausChannel, H_in, H_out, tau: float) -> KrausChannel:
     operator-major, modes ascending within each operator.
     """
     H_in, H_out = observable(H_in), observable(H_out)
-    V_in, V_out = H_in.eigenbasis, H_out.eigenbasis
     n_in = snap_levels(H_in.spectrum, H_in.spectrum[0], tau)
     n_out = snap_levels(H_out.spectrum, H_out.spectrum[0], tau)
-    if len(n_in) != ch.d_in or len(n_out) != ch.d_out:
-        raise DimMismatchError("Hamiltonian dims do not match the channel")
-    Kt = V_out.conj().T @ ch.kraus @ V_in
-    grid = n_out[:, None] - n_in[None, :]
-    # ascending modes without np.unique, which imports numpy.ma
-    lo = grid.min()
-    modes = np.flatnonzero(np.bincount((grid - lo).ravel())) + lo
-    comps = np.where(grid == modes[:, None, None], Kt[:, None], 0.0)
-    keep = np.max(np.abs(comps), axis=(2, 3)) > DEFAULT.pair_cutoff
-    return kraus_channel(V_out @ comps[keep] @ V_in.conj().T)
+    return kraus_channel(_twirl(ch.kraus, H_in.eigenbasis, n_in,
+                                H_out.eigenbasis, n_out))
 
 
 @dataclass(frozen=True)
@@ -175,24 +207,10 @@ def _by_dim(fn, *cols) -> list:
         groups.setdefault(a.shape[-1], []).append(i)
     out = [None] * len(cols[0])
     for rows in groups.values():
-        res = fn(*(np.stack([c[i] for i in rows]) for c in cols))
-        for j, i in enumerate(rows):
-            out[i] = tuple(r[j] for r in res)
+        res = fn(*(np.array([c[i] for i in rows]) for c in cols))
+        for i, item in zip(rows, zip(*res)):
+            out[i] = item
     return out
-
-
-def _draw(seed: int, t: int):
-    """Trial t's inputs from its own stream (seed, t), in a fixed order:
-    dims, then (levels, G) of H_in and of H_out, the state's G, the rank,
-    and last the channel."""
-    rng = np.random.default_rng([seed, t])
-    d_in = int(rng.integers(2, 5))
-    d_out = int(rng.integers(2, 5))
-    hams = [(rng.integers(0, 4, size=d), _gaussian(rng, d, d))
-            for d in (d_in, d_out)]
-    G = _gaussian(rng, d_in, d_in)
-    rank = int(rng.integers(-(-d_in // d_out), d_in * d_out + 1))
-    return hams, G, random_channel(d_in, d_out, rank, rng)
 
 
 def _hamiltonians(levels, G):
@@ -265,18 +283,31 @@ def _gap(v_in: float, v_out: float) -> float:
 
 
 def _block_gaps(measure, seed: int, ts, tau: float):
-    """Gaps of the trials ts: drawn one at a time, then stacked by
-    dimension into the containers of the Hamiltonians, the states and
-    the outputs; only each trial's twirl and apply run alone."""
-    draws = [_draw(seed, t) for t in ts]
-    levels, Gs = zip(*(h for hams, _, _ in draws for h in hams))
-    obs = _containers(HermitianObservable, _hamiltonians, levels, Gs)
+    """Gaps of the trials ts.  Each trial draws from its own stream
+    (seed, t) in a fixed order: dims, then (levels, G) of H_in and of
+    H_out, the state's G, the rank, and last the channel."""
+    hams, Gs, kraus = [], [], []
+    for t in ts:
+        rng = np.random.default_rng([seed, t])
+        d_in = int(rng.integers(2, 5))
+        d_out = int(rng.integers(2, 5))
+        hams += [(rng.integers(0, 4, size=d), _gaussian(rng, d, d))
+                 for d in (d_in, d_out)]
+        Gs.append(_gaussian(rng, d_in, d_in))
+        rank = int(rng.integers(-(-d_in // d_out), d_in * d_out + 1))
+        kraus.append(_random_kraus(d_in, d_out, rank, rng))
+    _require_cptp(kraus)
+    obs = _containers(HermitianObservable, _hamiltonians, *zip(*hams))
+    levels = [n for (n,) in _by_dim(
+        lambda w: (snap_levels(w, w[:, :1], tau),), [h.spectrum for h in obs])]
     obs_in, obs_out = obs[0::2], obs[1::2]
-    rhos = _containers(DensityMatrix, _densities, [G for _, G, _ in draws])
+    kraus = [_twirl(K, h_in.eigenbasis, n_in, h_out.eigenbasis, n_out)
+             for K, h_in, n_in, h_out, n_out
+             in zip(kraus, obs_in, levels[0::2], obs_out, levels[1::2])]
+    _require_cptp(kraus)
+    rhos = _containers(DensityMatrix, _densities, Gs)
     sigmas = _containers(DensityMatrix, lambda S: S,
-                         [apply(twirl(ch, h_in, h_out, tau), rho)
-                          for (_, _, ch), rho, h_in, h_out
-                          in zip(draws, rhos, obs_in, obs_out)])
+                         [_apply(K, r.matrix) for K, r in zip(kraus, rhos)])
     return map(_gap, measure(rhos, obs_in), measure(sigmas, obs_out))
 
 
@@ -289,7 +320,12 @@ def monotonicity_suite(measure_id: str, trials: int = 100, seed: int = 0,
     reproducible independently of each other; dims run 2-4 and the input
     state is full rank, keeping all measures finite.  tau is fixed at
     2*pi so integer levels are energies directly.  Trials run in blocks
-    of _BLOCK, with their linear algebra stacked by dimension; the
+    of _BLOCK, with their linear algebra stacked by dimension.  A block
+    checks its random channels and its twirled ones CPTP in one stacked
+    call each and snaps its Hamiltonians' levels in one call per
+    dimension, so only each trial's draws, QR, twirl and apply
+    arithmetic run alone, in the cores that random_channel, twirl and
+    apply call.  Every check of those public calls is made, and the
     report is bit for bit what a loop over single trials gives.  A NaN
     measure counts as a violation of size inf.
     """

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, channels, clockdist, convert, distill, measures, purification
+from . import channels, clockdist, convert, distill, measures, purification
 from .config import DEFAULT
 from .errors import (
     CertificateError,
@@ -329,6 +329,9 @@ def cmd_proptest(args) -> int:
 
 
 def cmd_accept(args) -> int:
+    # imported here, so that no other subcommand pays for compiling it
+    from . import acceptance
+
     results = acceptance.run_all()
     for r in results:
         print(acceptance.format_result(r))

@@ -100,18 +100,20 @@ class PeriodicClockState:
     period: float
 
 
-def snap_levels(energies, ref: float, tau: float) -> np.ndarray:
+def snap_levels(energies, ref, tau: float) -> np.ndarray:
     """Integer levels n with energies = ref + (2*pi/tau) * n.
 
     Each energy must land within level_rel grid units of its integer,
-    else IncommensurateSpectrumError.
+    else IncommensurateSpectrumError.  The op is element-wise: energies
+    may be a stack of spectra and ref an array that broadcasts against
+    it, and each entry gets the bits it gets alone.
     """
     x = (np.asarray(energies, dtype=float) - ref) / (2.0 * math.pi / tau)
     n = np.rint(x)
     off = np.abs(x - n) > DEFAULT.level_rel
     if np.any(off):
         raise IncommensurateSpectrumError(
-            f"level offset {x[np.argmax(off)]:.12g} grid units from integer"
+            f"level offset {x[off][0]:.12g} grid units from integer"
         )
     return n.astype(int)
 

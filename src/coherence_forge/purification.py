@@ -97,13 +97,15 @@ def _measure(eta, H):
     """Read a pure ensemble off the unnormalised members eta, the columns
     of a d x k array, under the plain matrix H.
 
-    Member k has weight ||eta_k||^2; those at or below pair_cutoff are
-    dropped.  Returns the kept weights renormalised, the kept members as
-    unit columns M, and the weighted average of their variances
+    Member k has weight ||eta_k||^2; those at or below rank_cutoff, the
+    support rule, are dropped, since on a rank-deficient state the
+    outcomes in its kernel carry roundoff weight up to about 1e-11.
+    Returns the kept weights renormalised, the kept members as unit
+    columns M, and the weighted average of their variances
     ||H psi||^2 - <psi|H|psi>^2, each clamped at 0.
     """
     w = np.einsum("ik,ik->k", eta.conj(), eta).real
-    keep = w > DEFAULT.pair_cutoff
+    keep = w > DEFAULT.rank_cutoff
     w = w[keep]
     M = eta[:, keep] / np.sqrt(w)
     HM = H @ M

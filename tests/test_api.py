@@ -29,10 +29,16 @@ from coherence_forge import config, errors
 SRC = pathlib.Path(coherence_forge.__file__).parent
 README = SRC.parent.parent / "README.md"
 
+CHANNEL_API = ("the public channel API: the per-trial reference of the "
+               "monotonicity suite calls it, while the suite runs its "
+               "private core")
 KEPT = {
     "period_respecting_ensemble":
         "the finite-copy coherence cost (ROADMAP item 5) is to sample its "
         "members",
+    "random_channel": CHANNEL_API,
+    "twirl": CHANNEL_API,
+    "apply": CHANNEL_API,
 }
 
 

@@ -429,6 +429,32 @@ def test_suite_eigensolve_budget(measure_id, monkeypatch, capsys):
     assert sum(s[0] for s in stacks) == 1200
 
 
+@pytest.mark.parametrize("core", ["_random_kraus", "_twirl"])
+def test_suite_refuses_a_channel_that_is_not_cptp(core, monkeypatch):
+    # trial 3's random or twirled channel misses sum K^dag K = I by 1e-6;
+    # the block's stacked check of the random channels, made before any
+    # twirl, or of the twirled ones, made after all of them, refuses it
+    calls = {"_random_kraus": 0, "_twirl": 0}
+
+    def counted(name):
+        real = getattr(channels, name)
+
+        def wrapped(*args):
+            K = real(*args)
+            calls[name] += 1
+            if name == core and calls[name] == 4:
+                K = K * math.sqrt(1.0 + 1e-6)
+            return K
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(channels, name, counted(name))
+    with pytest.raises(ValidationError, match="misses identity by 1.000e-06"):
+        monotonicity_suite("F", trials=10, seed=0)
+    assert calls == {"_random_kraus": 10,
+                     "_twirl": 0 if core == "_random_kraus" else 10}
+
+
 def test_suite_validates_before_drawing(monkeypatch, capsys):
     def no_draws(*args, **kwargs):
         raise AssertionError("a trial was drawn")

@@ -124,6 +124,32 @@ def test_proptest_cost_report_is_frozen():
         '"trials": 200, "seed": 7, "max_violation": 1.2206661476690594e-30, '
         '"worst_trial": 142, "violations": 0}\n')
 
+
+@pytest.mark.parametrize("measure, alpha, report", [
+    ("F", [], '"alpha": null, "trials": 60, "seed": 7, '
+              '"max_violation": 2.466982515816891e-31, "worst_trial": 30'),
+    ("P", [], '"alpha": null, "trials": 60, "seed": 7, '
+              '"max_violation": 1.325356646656392e-31, "worst_trial": 30'),
+    ("W", [], '"alpha": null, "trials": 60, "seed": 7, '
+              '"max_violation": 1.6024952699529948e-32, "worst_trial": 36'),
+    ("renyi", ["--alpha", "1.5"],
+     '"alpha": 1.5, "trials": 60, "seed": 7, '
+     '"max_violation": 3.031322894340544e-32, "worst_trial": 36'),
+    ("renyi", ["--alpha", "2.0"],
+     '"alpha": 2.0, "trials": 60, "seed": 7, '
+     '"max_violation": 5.551115123125806e-17, "worst_trial": 30'),
+])
+def test_proptest_reports_are_frozen(measure, alpha, report):
+    # frozen from the suite that drew, validated, twirled and applied
+    # each trial's channel through the public channel calls one by one;
+    # the stacked checks must not move a bit of any report
+    res = run_cli("proptest", "--measure", measure, *alpha, "--trials",
+                  "60", "--seed", "7")
+    assert res.returncode == 0
+    assert res.stdout == ('{"suite": "monotonicity", "measure": '
+                          f'"{measure}", {report}, "violations": 0}}\n')
+
+
 def test_purify_round_trip(fixtures):
     from coherence_forge.linalg import array_from_json
 
@@ -772,3 +798,17 @@ def test_distill_never_solves_the_copies_hamiltonian(fixtures, monkeypatch,
     assert [M.shape[0] for M in mats] == [2, 2, 2, 8]
     H3 = np.diag(np.add.outer(np.add.outer([0, 1], [0, 1]), [0, 1]).ravel())
     assert not any(M.shape == H3.shape and np.allclose(M, H3) for M in mats)
+
+
+def test_cli_import_leaves_acceptance_unloaded():
+    # every worker that runs a subcommand compiles what it imports;
+    # only accept needs the acceptance module
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, coherence_forge.cli\n"
+         "print('coherence_forge.acceptance' in sys.modules)"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC, os.environ.get("PYTHONPATH", "")])))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"

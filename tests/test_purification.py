@@ -200,7 +200,7 @@ def _reference_ensemble(weights, states, H):
 
 def _optimal_ensemble_reference(pur, H):
     """The former optimal_ensemble: one outcome of measuring A in the
-    eigenbasis of H_A at a time, kept above pair_cutoff."""
+    eigenbasis of H_A at a time, kept above rank_cutoff."""
     U = pur.aux_hamiltonian.eigenbasis
     d = U.shape[0]
     phi = pur.joint_state.vector.reshape(d, d)
@@ -208,7 +208,7 @@ def _optimal_ensemble_reference(pur, H):
     for k in range(d):
         eta = phi @ U[:, k].conj()
         w = float(np.vdot(eta, eta).real)
-        if w <= DEFAULT.pair_cutoff:
+        if w <= DEFAULT.rank_cutoff:
             continue
         weights.append(w)
         states.append(eta / np.sqrt(w))
@@ -226,7 +226,7 @@ def _period_respecting_reference(rho, H, tau):
         for P in projectors:
             comp = P @ st
             wc = float(np.vdot(comp, comp).real) * w
-            if wc <= DEFAULT.pair_cutoff:
+            if wc <= DEFAULT.rank_cutoff:
                 continue
             weights.append(wc)
             states.append(comp / np.linalg.norm(comp))
@@ -260,8 +260,24 @@ def test_optimal_ensemble_matches_per_member_reference():
         ref = _optimal_ensemble_reference(pur, H)
         _assert_matches_reference(ens, ref, qfi(rho, H))
         kept.append(len(ens.states))
-    # the pure and the rank-2 state leave outcomes below pair_cutoff out
+    # the pure and the rank-2 state leave outcomes below rank_cutoff out
     assert kept[-2:] == [1, 2]
+
+
+def test_rank_two_states_give_two_members():
+    # measuring A in H_A's kernel eigenvectors leaves roundoff weight up
+    # to 2.6e-11 on these cases, five of which a cut at pair_cutoff kept
+    # as a third member of noise
+    rng = np.random.default_rng(1)
+    for d in (8, 16, 32, 64):
+        for _ in range(5):
+            G = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+            rho = G @ G.conj().T
+            rho /= np.trace(rho).real
+            H = random_observable(d, rng)
+            ens = optimal_ensemble(build_optimal_purification(rho, H), H)
+            assert len(ens.states) == 2, d
+            assert np.max(np.abs(ens.mixture() - rho)) < DEFAULT.num
 
 
 def _member_is_periodic(vec, H, tau):
