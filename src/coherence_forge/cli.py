@@ -254,8 +254,9 @@ def _family_visibility(rho, H, tvec, Ht) -> float | None:
 
     That is: H and Ht are nondegenerate qubit Hamiltonians whose gaps
     agree within level_rel of H's; rho and t each put 1/2 on both levels
-    (within num); and lam is 2|rho_01| in H's eigenbasis (within num), so
-    the target carries the source's phase."""
+    (within num); lam is 2|rho_01| in H's eigenbasis (within num), so
+    the target carries the source's phase; and lam is above num, so a
+    visibility that is only roundoff (sigma = I/2) gives no bound."""
     if rho.dim != 2 or tvec.size != 2:
         return None
     gap, gap_t = (np.diff(h.spectrum)[0] for h in (H, Ht))
@@ -267,7 +268,7 @@ def _family_visibility(rho, H, tvec, Ht) -> float | None:
               and abs(r[0, 0].real - 0.5) <= DEFAULT.num
               and abs(abs(t[0]) ** 2 - 0.5) <= DEFAULT.num
               and abs(lam - 2.0 * abs(r[0, 1])) <= DEFAULT.num
-              and 0.0 < lam <= 1.0)
+              and DEFAULT.num < lam <= 1.0)
     return lam if family else None
 
 

@@ -20,7 +20,8 @@ the last), clockdist.TINY (2**-511, the square root of the smallest
 normal float: convolve_n zeroes masses below it, so no product is
 subnormal), and the size budgets
 clockdist.MAX_CONV_WINDOW, clockdist.MAX_OVERLAP_COPIES,
-distill.MAX_OMEGA_SIDE and distill.MAX_SDP_PARAMS.  linalg.MAX_ENTRY
+distill.MAX_OMEGA_SIDE, distill.MAX_SDP_PARAMS and
+distill.MAX_NEWTON_TERMS.  linalg.MAX_ENTRY
 (1e150) is the largest entry magnitude eig_hermitian accepts, since the
 measures and the purification square the energies.  The acceptance
 criteria carry their own pass thresholds.

@@ -50,9 +50,15 @@ CENTRING_DECREMENT = 1.0
 # iid_omega_state refuses n copies whose dense Omega side d**n * d_B, or
 # whose count of tau parameters, exceeds these: a dense Omega of side
 # 1024 takes 16 MB per matrix, and 924 parameters (six qubit copies)
-# take about 0.1 s per Newton step at one BLAS thread
+# take about 0.11 s per Newton step at one BLAS thread, 0.08 s of it the
+# complex solve
 MAX_OMEGA_SIDE = 1024
 MAX_SDP_PARAMS = 1000
+# _min_trace_sdp refuses an Omega whose Newton system has more live terms
+# than this (see _Sectors), since it keeps three int32 indices a term.  Six
+# qubit copies with a 16-level target have 12,831,672; degenerate levels
+# can give up to P^2 d_B^2 for P tau entries
+MAX_NEWTON_TERMS = 2 ** 24
 
 
 def is_bound_resource(rho, H) -> bool:
@@ -194,13 +200,23 @@ class SdpResult:
 
 class _Sectors:
     """The LMI sectors of tau (x) I - Omega, padded to one size so that a
-    Newton step treats all of them in one batched call.
+    Newton step treats all of them in one batched call, with the index
+    maps that gather each Newton system from them.
 
     Row b of each padded array belongs to sector b, whose product
     indices fill the places where valid[b] holds; a pad entry is an
-    identity row of the slack and zero elsewhere."""
+    identity row of the slack and zero elsewhere.  tau is held as the
+    vector x of its P block entries, unit q being tau[ui[q], uk[q]].
 
-    def __init__(self, lmi, d_B, Om):
+    A's levels i and k share a tau block when (i, j) and (k, j) share a
+    sector.  iid_omega_state's grouping makes that hold for every j or for
+    none: a_i - a_k is the same in each column, and its groups lie at
+    least sqrt(gap_cutoff) apart or it raises.  So column 0 of the labels
+    gives the blocks, and each sector is closed under them."""
+
+    def __init__(self, labels, Om):
+        d_A, d_B = labels.shape
+        lmi = labels.ravel()
         sizes = np.bincount(lmi)
         self.sizes = sizes
         n = sizes.max()
@@ -209,24 +225,95 @@ class _Sectors:
         E[self.valid] = np.argsort(lmi, kind="stable")
         a, j = np.divmod(E, d_B)
         self.pair = self.valid[:, :, None] & self.valid[:, None, :]
-        self.same_j = self.pair & (j[:, :, None] == j[:, None, :])
-        self.a_row, self.a_col = a[:, :, None], a[:, None, :]
         rows, cols = E[:, :, None], E[:, None, :]
         self.omega = (np.where(self.pair, Om[rows, cols], 0.0)
                       - (~self.valid)[:, :, None] * np.eye(n))
         self.rows = np.broadcast_to(rows, self.pair.shape)[self.pair]
         self.cols = np.broadcast_to(cols, self.pair.shape)[self.pair]
+        block = labels[:, 0]
+        ui, uk = np.nonzero(block[:, None] == block[None, :])
+        P = ui.size
+        unit = np.full((d_A, d_A), P)
+        unit[ui, uk] = np.arange(P)
+        # lift_map indexes x with a zero appended at place P
+        same_j = self.pair & (j[:, :, None] == j[:, None, :])
+        self.lift_map = np.where(same_j, unit[a[:, :, None], a[:, None, :]],
+                                 P)
+        self.ui, self.uk = ui, uk
+        diagonal = ui == uk
+        self.eye = diagonal.astype(float)
+        self.diagonal = np.flatnonzero(diagonal)
+        self.transpose = unit[uk, ui]
+        # S^-1[r, c] sits at flat place base[r] + place[c] of the padded
+        # inverse stack when r and c share a sector; the stack's buffer
+        # ends in one zero, the place of every pair across sectors
+        place = np.empty(lmi.size, dtype=int)
+        place[E[self.valid]] = np.nonzero(self.valid)[1]
+        base = (lmi * n + place) * n
+        zero = sizes.size * n * n
+        # newton_system writes the inverse stack into inv, before its zero
+        self.inv = np.zeros(zero + 1, dtype=complex)
+        self.stack = self.inv[:-1].reshape(sizes.size, n, n)
+        self.pad = np.zeros(1)
+        itype = (np.int32 if max(zero, P * P) <= np.iinfo(np.int32).max
+                 else np.int64)
+        # the product indices (i, j) and (k, j) of unit q = (i, k) at
+        # column j, flat over the pairs (q, j)
+        r = (ui[:, None] * d_B + np.arange(d_B)).ravel()
+        c = (uk[:, None] * d_B + np.arange(d_B)).ravel()
+        self.trace_slots = np.where(lmi[r] == lmi[c], base[r] + place[c],
+                                    zero).astype(itype).reshape(P, d_B)
+        # K[q, q'] for units q = (i, k), q' = (l, m) is
+        # sum_{j, j'} S^-1[(i,j),(l,j')] S^-1[(m,j'),(k,j)]; a term lives
+        # when both factors lie inside a sector, that is when the pairs
+        # (q, j) and (q', j') have one code for the sectors of (i, j) and
+        # (k, j).  Each piece takes the pairs (q, j) whose masks over
+        # (q', j') hold about 2**20 entries, and keeps its live terms, each
+        # as its cell q P + q' and both factors' places, in (q, j, q', j')
+        # order: np.add.at then sums each cell in (j, j') order.
+        codes = lmi[r] * sizes.size + lmi[c]
+        unit_of = np.repeat(np.arange(P), d_B)
+        step = max(1, 2 ** 20 // codes.size)
+        self.pieces = []
+        live = 0
+        for lo in range(0, codes.size, step):
+            at, to = np.divmod(np.flatnonzero(
+                codes[lo:lo + step, None] == codes), codes.size)
+            live += at.size
+            if live > MAX_NEWTON_TERMS:
+                raise ValidationError(
+                    f"the Newton system has over {MAX_NEWTON_TERMS} live "
+                    "terms, above the budget")
+            at += lo
+            self.pieces.append((
+                (unit_of[at] * P + unit_of[to]).astype(itype),
+                (base[r[at]] + place[r[to]]).astype(itype),
+                (base[c[to]] + place[c[at]]).astype(itype)))
 
-    def lift(self, t: np.ndarray) -> np.ndarray:
-        """Each sector's block of t (x) I_B, zero on the pads."""
-        return t[self.a_row, self.a_col] * self.same_j
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """Each sector's block of tau (x) I_B, zero on the pads."""
+        return np.concatenate((x, self.pad)).take(self.lift_map)
 
-    def slack(self, t: np.ndarray):
-        """Eigenpairs of the sector blocks of t (x) I - omega."""
-        w, V = np.linalg.eigh(self.lift(t) - self.omega)
+    def slack(self, x: np.ndarray):
+        """Eigenpairs of the sector blocks of tau (x) I - omega."""
+        w, V = np.linalg.eigh(self.lift(x) - self.omega)
         if w.min() <= 0.0:
             raise SolverStallError("barrier iterate left the cone")
         return w, V
+
+    def newton_system(self, w, V, mu: float):
+        """(Vr, Vr^dag, g, K) at the slack eigenpairs w, V: Vr = V w^-1/2
+        per sector, and the gradient g = I - mu Tr_B S^-1 and the Hessian K
+        on tau's units, gathered from the inverse stack Vr Vr^dag."""
+        Vr = V / np.sqrt(w)[:, None, :]
+        VrH = Vr.conj().swapaxes(1, 2)
+        np.matmul(Vr, VrH, out=self.stack)
+        g = self.eye - mu * self.inv.take(self.trace_slots).sum(axis=1)
+        P = self.eye.size
+        K = np.zeros(P * P, dtype=complex)
+        for cells, first, second in self.pieces:
+            np.add.at(K, cells, self.inv.take(first) * self.inv.take(second))
+        return Vr, VrH, g, K.reshape(P, P)
 
     def inverse(self, w, V, N: int) -> np.ndarray:
         """S^-1 on the full space: block-diagonal, zero across sectors."""
@@ -250,7 +337,11 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     entries, with G = I - mu Tr_B S^-1 the gradient and K the
     Hilbert-Schmidt matrix of d -> Tr_B(S^-1 (d (x) I) S^-1).  That map is
     self-adjoint and positive definite, so a Hermitian G gives a Hermitian
-    d; one symmetrization removes the rounding.
+    d; one symmetrization removes the rounding.  S^-1 links only entries
+    that share a sector, so G and K are gathered from the sector blocks
+    of S^-1, K from its live terms only (Fujisawa, Kojima & Nakata,
+    Math. Program. 79, 1997); no full-space matrix is formed before the
+    final dual.
 
     Works on Omega scaled to unit largest eigenvalue, read from the
     sector blocks' spectra; the barrier weight
@@ -262,29 +353,19 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     decrement is at most CENTRING_DECREMENT * mu (Boyd & Vandenberghe,
     Convex Optimization, 11.3).  The
     dual X = mu S^-1 is rescaled by the congruence T^-1/2 (x) I with
-    T = Tr_B X, which makes Tr_B X = I and keeps X >= 0."""
+    T = Tr_B X, which makes Tr_B X = I and keeps X >= 0.
+
+    Raises ValidationError before any Newton step when K has more than
+    MAX_NEWTON_TERMS live terms."""
     d_A, d_B = omega.sectors.shape
     N = d_A * d_B
-    # A's levels i and k share a tau block when (i, j) and (k, j) share a
-    # sector.  iid_omega_state's grouping makes that hold for every j or for
-    # none: a_i - a_k is the same in each column, and its groups lie at
-    # least sqrt(gap_cutoff) apart or it raises.  So column 0 gives the
-    # blocks, and each sector is closed under them.
-    labels = np.asarray(omega.sectors)
-    sectors = _Sectors(labels.ravel(), d_B, omega.matrix)
+    sectors = _Sectors(np.asarray(omega.sectors), omega.matrix)
     # Omega's spectrum is its sector blocks'; each pad adds an eigenvalue -1
     scale = float(np.linalg.eigvalsh(sectors.omega).max())
     sectors.omega[sectors.pair] /= scale
     Os = omega.matrix / scale
-    block = labels[:, 0]
-    ui, uk = np.nonzero(block[:, None] == block[None, :])
-    # K[q, q'] = (Tr_B S^-1 (E_q' (x) I) S^-1)[q] for units q = (i, k),
-    # q' = (l, m) is sum_{j, j'} S^-1[(i,j),(l,j')] S^-1[(m,j'),(k,j)]:
-    # one gather per (j, j') from the reshaped block-diagonal inverse
-    il = ui[:, None] * d_A + ui[None, :]
-    km = uk[:, None] * d_A + uk[None, :]
 
-    tau = 1.1 * np.eye(d_A, dtype=complex)
+    x = 1.1 * sectors.eye.astype(complex)
     mu_final = DEFAULT.sdp_gap / (4.0 * N * scale)
     mus = []
     mu = 1.0
@@ -296,24 +377,16 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     steps = 0
     for mu in mus:
         for _ in range(60):
-            w, V = sectors.slack(tau)
-            S_inv = sectors.inverse(w, V, N)
-            g = np.eye(d_A) - mu * partial_trace(S_inv, (d_A, d_B))
-            R = S_inv.reshape(d_A, d_B, d_A, d_B)
-            P1 = R.transpose(1, 3, 0, 2).reshape(d_B * d_B, d_A * d_A)
-            P2 = R.transpose(3, 1, 2, 0).reshape(d_B * d_B, d_A * d_A)
-            K = sum(P1[jj][il] * P2[jj][km] for jj in range(d_B * d_B))
-            d_tau = np.zeros((d_A, d_A), dtype=complex)
-            d_tau[ui, uk] = np.linalg.solve(mu * K, -g[ui, uk])
-            d_tau = 0.5 * (d_tau + d_tau.conj().T)
-            decrement = -float(np.vdot(g, d_tau).real)
-            # S^-1/2 dS S^-1/2 per sector, in each slack's eigenbasis
-            r = 1.0 / np.sqrt(w)
-            T = V.conj().swapaxes(1, 2) @ sectors.lift(d_tau) @ V
+            w, V = sectors.slack(x)
+            Vr, VrH, g, K = sectors.newton_system(w, V, mu)
+            dx = np.linalg.solve(mu * K, -g)
+            dx = 0.5 * (dx + dx.take(sectors.transpose).conj())
+            decrement = -float(np.vdot(g, dx).real)
+            # S^-1/2 dS S^-1/2 per sector
             t_min = float(np.linalg.eigvalsh(
-                T * r[:, :, None] * r[:, None, :]).min())
+                VrH @ sectors.lift(dx) @ Vr).min())
             t = 1.0 if t_min >= 0.0 else min(1.0, 0.98 / (-t_min))
-            tau = tau + t * d_tau
+            x = x + t * dx
             steps += 1
             if steps > DEFAULT.sdp_max_newton:
                 raise SolverStallError(
@@ -324,10 +397,10 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
                 if decrement <= CENTRING_DECREMENT * mu:
                     break
             elif t == 1.0 and decrement < 1e-13 * max(
-                    1.0, abs(float(np.trace(tau).real))):
+                    1.0, abs(float(np.sum(x[sectors.diagonal]).real))):
                 break
 
-    w, V = sectors.slack(tau)
+    w, V = sectors.slack(x)
     X = mus[-1] * sectors.inverse(w, V, N)
     wT, VT = np.linalg.eigh(partial_trace(X, (d_A, d_B)))
     C = np.kron((VT / np.sqrt(wT)) @ VT.conj().T, np.eye(d_B))
@@ -335,13 +408,15 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     lam = float(np.linalg.eigvalsh(partial_trace(X, (d_A, d_B))).max())
     if lam > 1.0:
         X = X / lam
+    tau = np.zeros((d_A, d_A), dtype=complex)
+    tau[sectors.ui, sectors.uk] = x
     primal = float(np.trace(tau).real)
     dual = float(np.sum(Os * X.T).real)
     gap = scale * (primal - dual)
     if gap >= DEFAULT.sdp_gap:
         raise SolverStallError(f"certified gap {gap:.3e} over budget")
     # the pads' unit eigenvalues are not slack: take each sector's own
-    S = sectors.lift(tau) - sectors.omega
+    S = sectors.lift(x) - sectors.omega
     min_slack = min(float(np.linalg.eigvalsh(S[b, :n, :n])[0])
                     for b, n in enumerate(sectors.sizes))
     return SdpResult(optimum=scale * primal, tau=scale * tau,

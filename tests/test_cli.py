@@ -521,6 +521,16 @@ def test_distill_prints_no_bound_off_the_qubit_family(fixtures, capsys, rho,
     assert old > 1 - out["fidelity"] + out["gap"]
 
 
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_distill_prints_no_bound_at_a_roundoff_visibility(fixtures, capsys,
+                                                          copies):
+    # sigma = I/2 gives lam = 2<+|sigma|+> - 1 = 0 up to roundoff, where
+    # the asymptotic bound (1 - lam^2)/(4 lam^2 n) would print ~1e30
+    out = _distill_json(capsys, fixtures["dir"], np.eye(2) / 2, [0, 1],
+                        copies, fixtures["cbit"])
+    assert out["bound_exact"] is None and out["bound_asymptotic"] is None
+
+
 def test_distill_bounds_hold_on_the_qubit_family(fixtures, capsys):
     for lam in (0.3, 0.6, 0.9):
         for n in range(1, 5):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,10 +30,11 @@ from coherence_forge.errors import (
 from coherence_forge.linalg import (
     level_labels,
     observable,
+    partial_trace,
     random_density,
     random_observable,
 )
-from coherence_forge.distill import _min_trace_sdp
+from coherence_forge.distill import _Sectors, _min_trace_sdp
 
 TAU = 2 * math.pi
 H_CBIT = np.diag([math.pi / TAU, -math.pi / TAU])
@@ -425,6 +427,145 @@ def test_newton_path_matches_parent():
         res = conditional_min_entropy(omega)
         assert res.newton_steps == steps, key
         assert abs(res.optimum - optimum) < 1e-12, key
+
+
+def _dense_newton_system(sectors, x, mu, d_A, d_B):
+    """Test-only reference for the Newton system on tau's units: g and K
+    from the dense full-space S^-1, by Tr_B and one gather per (j, j') of
+    K[q, q'] = sum_{j, j'} S^-1[(i,j),(l,j')] S^-1[(m,j'),(k,j)] for
+    q = (i, k), q' = (l, m)."""
+    ui, uk = sectors.ui, sectors.uk
+    S_inv = sectors.inverse(*sectors.slack(x), d_A * d_B)
+    g = np.eye(d_A) - mu * partial_trace(S_inv, (d_A, d_B))
+    R = S_inv.reshape(d_A, d_B, d_A, d_B)
+    P1 = R.transpose(1, 3, 0, 2).reshape(d_B * d_B, d_A * d_A)
+    P2 = R.transpose(3, 1, 2, 0).reshape(d_B * d_B, d_A * d_A)
+    il = ui[:, None] * d_A + ui[None, :]
+    km = uk[:, None] * d_A + uk[None, :]
+    K = sum(P1[jj][il] * P2[jj][km] for jj in range(d_B * d_B))
+    return g[ui, uk], K
+
+
+def _oracle_cases():
+    """Every PARENT_PATH instance, five qubit copies, and a qutrit source
+    with a 3-level target."""
+    om, _ = _rotated_instance()
+    cases = {"rotated sectors": om,
+             "rotated full": single_sector(om.matrix, 6, 3)}
+    for n in range(1, 5):
+        for lam in (0.6, 0.9):
+            rho, H = _qubit_copies(lam, n)
+            cases[n, lam] = iid_omega_state(rho, H, CBIT, H01, 1)
+    cases["five qubit copies"] = iid_omega_state(qubit(0.6), H01, CBIT,
+                                                 H01, 5)
+    rng = np.random.default_rng(69)
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    H3 = np.diag([0.0, 1.0, 2.0])
+    cases["qutrit"] = iid_omega_state(random_density(3, rng), H3,
+                                      psi / np.linalg.norm(psi), H3, 2)
+    return cases
+
+
+def test_gathered_newton_system_matches_the_dense_assembly():
+    # at seeded interior iterates tau = 1.5 I + (block part of a Hermitian
+    # H with ||H|| <= 0.4), tau (x) I - Omega >= 0.1 since ||Omega|| <= 1
+    rng = np.random.default_rng(70)
+    for key, omega in _oracle_cases().items():
+        d_A, d_B = omega.sectors.shape
+        sectors = _Sectors(omega.sectors, omega.matrix)
+        for _ in range(3):
+            G = rng.normal(size=(d_A, d_A)) + 1j * rng.normal(size=(d_A, d_A))
+            H = G + G.conj().T
+            H *= rng.uniform(0.0, 0.4) / np.linalg.norm(H, 2)
+            x = 1.5 * sectors.eye + H[sectors.ui, sectors.uk]
+            mu = 10.0 ** rng.uniform(-9.0, 0.0)
+            _, _, g, K = sectors.newton_system(*sectors.slack(x), mu)
+            g_ref, K_ref = _dense_newton_system(sectors, x, mu, d_A, d_B)
+            assert (np.max(np.abs(g - g_ref))
+                    <= 1e-12 * np.max(np.abs(g_ref))), key
+            assert (np.max(np.abs(K - K_ref))
+                    <= 1e-12 * np.max(np.abs(K_ref))), key
+
+
+@pytest.mark.parametrize("d_B", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_newton_maps_keep_exactly_the_live_terms(n, d_B):
+    # a term (q, q', j, j') of K lives when S^-1[(i,j),(l,j')] and
+    # S^-1[(m,j'),(k,j)] both lie inside a sector; count them one by one
+    om = iid_omega_state(qubit(0.6), H01, np.ones(d_B) / math.sqrt(d_B),
+                         np.diag(np.arange(d_B, dtype=float)), n)
+    sectors = _Sectors(om.sectors, om.matrix)
+    lab = om.sectors
+    units = list(zip(sectors.ui, sectors.uk))
+    live = 0
+    for i, k in units:
+        for l, m in units:
+            for j in range(d_B):
+                for jp in range(d_B):
+                    live += (lab[i, j] == lab[l, jp]
+                             and lab[m, jp] == lab[k, j])
+    assert sum(cells.size for cells, _, _ in sectors.pieces) == live
+
+
+def test_newton_maps_at_the_budget_edge_build_in_bounded_memory():
+    # six qubit copies with a 16-level target pass both budgets, with 924
+    # tau units: a dense (q, q', j, j') grid has 924**2 * 16**2 =
+    # 218,566,656 entries, 12,831,672 of them live.  Building the maps
+    # peaks below one int32 array of the dense grid.
+    om = iid_omega_state(qubit(0.6), H01, np.ones(16) / 4,
+                         np.diag(np.arange(16, dtype=float)), 6)
+    tracemalloc.start()
+    try:
+        sectors = _Sectors(om.sectors, om.matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sectors.eye.size == 924
+    assert sum(cells.size for cells, _, _ in sectors.pieces) == 12_831_672
+    assert peak < 4 * 924 ** 2 * 16 ** 2
+
+
+def test_newton_term_budget_refuses_a_larger_system(monkeypatch):
+    # a one-level target links every (j, j'), so the live terms approach
+    # P^2 d_B^2: here all 16 (j, j') for each pair of units in one block,
+    # whose sizes are 1, 2 and 1.  Past MAX_NEWTON_TERMS the solve is
+    # refused.
+    om = iid_omega_state(qubit(0.6), H01, np.ones(4) / 2, np.zeros((4, 4)),
+                         2)
+    sectors = _Sectors(om.sectors, om.matrix)
+    live = sum(cells.size for cells, _, _ in sectors.pieces)
+    assert live == 4 ** 2 * (1 + 2 ** 4 + 1)
+    monkeypatch.setattr(coherence_forge.distill, "MAX_NEWTON_TERMS",
+                        live - 1)
+    with pytest.raises(ValidationError, match="live terms"):
+        conditional_min_entropy(om)
+    monkeypatch.setattr(coherence_forge.distill, "MAX_NEWTON_TERMS", live)
+    assert conditional_min_entropy(om).primal_dual_gap < DEFAULT.sdp_gap
+
+
+def test_newton_steps_build_no_full_space_matrix(monkeypatch):
+    # each step gathers from the sector blocks; only the final dual
+    # rescale forms S^-1 on the full space (once) and takes Tr_B of it
+    # (twice), and verify_certificate takes Tr_B X once more
+    calls = {"inverse": 0, "partial_trace": 0}
+    inverse = _Sectors.inverse
+    trace_B = coherence_forge.distill.partial_trace
+
+    def counted_inverse(self, *args):
+        calls["inverse"] += 1
+        return inverse(self, *args)
+
+    def counted_trace_B(*args):
+        calls["partial_trace"] += 1
+        return trace_B(*args)
+
+    monkeypatch.setattr(_Sectors, "inverse", counted_inverse)
+    monkeypatch.setattr(coherence_forge.distill, "partial_trace",
+                        counted_trace_B)
+    res = conditional_min_entropy(
+        iid_omega_state(qubit(0.6), H01, CBIT, H01, 3))
+    assert res.newton_steps > 3
+    assert calls == {"inverse": 1, "partial_trace": 3}
 
 
 def _in_caller_basis(om, U_A, U_B):
