@@ -21,13 +21,7 @@ import numpy as np
 from .config import DEFAULT
 from .clockdist import snap_levels
 from .errors import DimMismatchError, ValidationError
-from .linalg import (
-    DensityMatrix,
-    HermitianObservable,
-    density_matrix,
-    eig_hermitian,
-    observable,
-)
+from .linalg import density_matrix, eig_hermitian, observable
 from .measures import _check_alpha, _purity, _qfi, _renyi, _skew
 
 
@@ -225,29 +219,11 @@ def _densities(G):
     return R / np.trace(R, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _containers(cls, build, *cols):
-    """cls(matrix, spectrum, eigenbasis) per item: the matrices build
-    makes of cols stacked by dimension (_by_dim), with the read-only
-    eigenpairs of one stacked solve."""
-    def solved(*stacks):
-        M = build(*stacks)
-        w, V = eig_hermitian(M)
-        w.flags.writeable = V.flags.writeable = False
-        return M, w, V
-
-    return [cls(matrix=M, spectrum=w, eigenbasis=V)
-            for M, w, V in _by_dim(solved, *cols)]
-
-
 def _suite_measure(measure_id: str, alpha: float):
-    """values(states, hams): the measure of each DensityMatrix under its
-    observable, as floats with inf for an infinite value.
-
-    F, P, W and renyi read each state's cached eigenpairs and run one
-    kernel per stack of equal dimension, the kernels the public functions
-    call: P and renyi sum over each state's support pairs and give inf
-    where the support does not commute with the observable.  The id and
-    alpha are checked here, before any trial is drawn.
+    """The stacked kernel (p, A) of the measure id, the one the public
+    function calls: P and renyi sum over each state's support pairs and
+    give inf where the support does not commute with the observable.
+    The id and alpha are checked here, before any trial is drawn.
     """
     if measure_id == "renyi":
         _check_alpha(alpha)
@@ -261,15 +237,14 @@ def _suite_measure(measure_id: str, alpha: float):
                "renyi": partial(_renyi, alpha=alpha)}
     if measure_id not in kernels:
         raise ValidationError(f"unknown measure id {measure_id!r}")
-    kernel = kernels[measure_id]
+    return kernels[measure_id]
 
-    def stacked(p, V, H):
-        return (kernel(p, _dag(V) @ H @ V),)
 
-    return lambda states, hams: [
-        float(v) for (v,) in _by_dim(
-            stacked, [s.spectrum for s in states],
-            [s.eigenbasis for s in states], [h.matrix for h in hams])]
+def _measured(kernel, H, R):
+    """(R, kernel values) for a stack of states R under the stacked
+    observables H, read off one stacked eigensolve of R."""
+    p, V = eig_hermitian(R)
+    return R, kernel(p, _dag(V) @ H @ V)
 
 
 def _gap(v_in: float, v_out: float) -> float:
@@ -282,10 +257,13 @@ def _gap(v_in: float, v_out: float) -> float:
     return v_out - v_in
 
 
-def _block_gaps(measure, seed: int, ts, tau: float):
+def _block_gaps(kernel, seed: int, ts, tau: float):
     """Gaps of the trials ts.  Each trial draws from its own stream
     (seed, t) in a fixed order: dims, then (levels, G) of H_in and of
-    H_out, the state's G, the rank, and last the channel."""
+    H_out, the state's G, the rank, and last the channel.  Each stack of
+    equal dimension is built, solved and snapped or measured in one
+    _by_dim pass: the Hamiltonians, the input states with their H_in,
+    and the outputs with their H_out."""
     hams, Gs, kraus = [], [], []
     for t in ts:
         rng = np.random.default_rng([seed, t])
@@ -297,18 +275,22 @@ def _block_gaps(measure, seed: int, ts, tau: float):
         rank = int(rng.integers(-(-d_in // d_out), d_in * d_out + 1))
         kraus.append(_random_kraus(d_in, d_out, rank, rng))
     _require_cptp(kraus)
-    obs = _containers(HermitianObservable, _hamiltonians, *zip(*hams))
-    levels = [n for (n,) in _by_dim(
-        lambda w: (snap_levels(w, w[:, :1], tau),), [h.spectrum for h in obs])]
-    obs_in, obs_out = obs[0::2], obs[1::2]
-    kraus = [_twirl(K, h_in.eigenbasis, n_in, h_out.eigenbasis, n_out)
-             for K, h_in, n_in, h_out, n_out
-             in zip(kraus, obs_in, levels[0::2], obs_out, levels[1::2])]
+
+    def solved(levels, G):
+        H = _hamiltonians(levels, G)
+        w, V = eig_hermitian(H)
+        return H, V, snap_levels(w, w[:, :1], tau)
+
+    H, V, n = zip(*_by_dim(solved, *zip(*hams)))
+    kraus = [_twirl(*args) for args
+             in zip(kraus, V[0::2], n[0::2], V[1::2], n[1::2])]
     _require_cptp(kraus)
-    rhos = _containers(DensityMatrix, _densities, Gs)
-    sigmas = _containers(DensityMatrix, lambda S: S,
-                         [_apply(K, r.matrix) for K, r in zip(kraus, rhos)])
-    return map(_gap, measure(rhos, obs_in), measure(sigmas, obs_out))
+    measured = partial(_measured, kernel)
+    rhos, v_in = zip(*_by_dim(lambda Hs, G: measured(Hs, _densities(G)),
+                              H[0::2], Gs))
+    _, v_out = zip(*_by_dim(measured, H[1::2],
+                            [_apply(K, r) for K, r in zip(kraus, rhos)]))
+    return (_gap(float(a), float(b)) for a, b in zip(v_in, v_out))
 
 
 def monotonicity_suite(measure_id: str, trials: int = 100, seed: int = 0,
@@ -320,17 +302,17 @@ def monotonicity_suite(measure_id: str, trials: int = 100, seed: int = 0,
     reproducible independently of each other; dims run 2-4 and the input
     state is full rank, keeping all measures finite.  tau is fixed at
     2*pi so integer levels are energies directly.  Trials run in blocks
-    of _BLOCK, with their linear algebra stacked by dimension.  A block
+    of _BLOCK, with their linear algebra stacked by dimension: each
+    stack is built, solved and snapped or measured in one pass.  A block
     checks its random channels and its twirled ones CPTP in one stacked
-    call each and snaps its Hamiltonians' levels in one call per
-    dimension, so only each trial's draws, QR, twirl and apply
+    call each, so only each trial's draws, QR, twirl and apply
     arithmetic run alone, in the cores that random_channel, twirl and
     apply call.  Every check of those public calls is made, and the
     report is bit for bit what a loop over single trials gives.  A NaN
     measure counts as a violation of size inf.
     """
     tau = 2.0 * math.pi
-    measure = _suite_measure(measure_id, alpha)
+    kernel = _suite_measure(measure_id, alpha)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     worst = -math.inf
@@ -338,7 +320,7 @@ def monotonicity_suite(measure_id: str, trials: int = 100, seed: int = 0,
     violations = 0
     for start in range(0, trials, _BLOCK):
         ts = range(start, min(start + _BLOCK, trials))
-        for t, gap in zip(ts, _block_gaps(measure, seed, ts, tau)):
+        for t, gap in zip(ts, _block_gaps(kernel, seed, ts, tau)):
             if gap > worst:
                 worst = gap
                 worst_trial = t

@@ -97,8 +97,7 @@ def load_hamiltonian(path: str, tau: float | None = None):
             t = float(t)
         except OverflowError as exc:
             raise SchemaError(f"tau must be a number: {exc}") from exc
-        if not 0 < t < math.inf:
-            raise ValidationError("tau must be positive and finite")
+        clockdist.check_tau(t)
         unit = 2.0 * math.pi / t
         H = np.diag([unit * int(n) for n in levels]).astype(complex)
         if "basis" in obj:
@@ -117,18 +116,10 @@ def load_hamiltonian(path: str, tau: float | None = None):
     return observable(arr), (tau if tau is not None else 2.0 * math.pi), True
 
 
-def _dense_warning(dense: bool, what: str) -> None:
+def _dense_warning(dense: bool, what: str, grid: str) -> None:
     if dense:
         print(f"note: dense Hamiltonian for {what}; eigenvalues are "
-              "snapped to the 2*pi/tau grid (level_rel tolerance)",
-              file=sys.stderr)
-
-
-def _check_tau(tau: float | None) -> None:
-    """Refuse a --tau that is not positive and finite, whether or not the
-    files leave it anything to set."""
-    if tau is not None and not 0 < tau < math.inf:   # NaN fails too
-        raise ValidationError(f"tau must be positive and finite, got {tau}")
+              f"snapped to {grid} (level_rel tolerance)", file=sys.stderr)
 
 
 def _pure_vec(state, what: str) -> np.ndarray:
@@ -190,10 +181,14 @@ def cmd_purify(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    _check_tau(args.tau)
+    # --tau is checked before any file is read, whether or not the files
+    # leave it anything to set
+    if args.tau is not None:
+        clockdist.check_tau(args.tau)
     st = load_state(args.state)
     H, tau, dense = load_hamiltonian(args.ham, args.tau)
-    _dense_warning(dense, "clock distribution extraction")
+    _dense_warning(dense, "clock distribution extraction",
+                   "the 2*pi/tau grid")
     vec = _pure_vec(st, "--state")
     clock = clockdist.extract_distribution(vec, H, tau)
     p_m = clockdist.convolve_n(clock.distribution, args.copies)
@@ -221,12 +216,14 @@ def cmd_dist(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    _check_tau(args.tau)
+    if args.tau is not None:
+        clockdist.check_tau(args.tau)
     s1 = load_state(args.infiles[0])
     H1, _, dense1 = load_hamiltonian(args.infiles[1], args.tau)
     s2 = load_state(args.outfiles[0])
     H2, _, dense2 = load_hamiltonian(args.outfiles[1], args.tau)
-    _dense_warning(dense1 or dense2, "conversion planning")
+    _dense_warning(dense1 or dense2, "conversion planning",
+                   "the grid of the pair's common period")
     v1 = _pure_vec(s1, "--in")
     v2 = _pure_vec(s2, "--out")
     try:
@@ -274,10 +271,11 @@ def _family_visibility(rho, H, tvec, Ht) -> float | None:
 
 def cmd_distill(args) -> int:
     st = load_state(args.infiles[0])
-    H, _, dense = load_hamiltonian(args.infiles[1])
+    # levels are grouped at gap_cutoff and never snapped, so a dense
+    # file needs no note
+    H, _, _ = load_hamiltonian(args.infiles[1])
     tgt = load_state(args.target[0])
-    Ht, _, dense_t = load_hamiltonian(args.target[1])
-    _dense_warning(dense or dense_t, "difference-spectrum dephasing")
+    Ht, _, _ = load_hamiltonian(args.target[1])
     tvec = _pure_vec(tgt, "--target")
     n = args.copies
     rho = density_matrix(st)

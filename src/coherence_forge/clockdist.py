@@ -100,14 +100,23 @@ class PeriodicClockState:
     period: float
 
 
+def check_tau(tau: float) -> None:
+    """ValidationError unless the reference period tau is positive and
+    finite."""
+    if not 0 < tau < math.inf:   # NaN fails too
+        raise ValidationError(f"tau must be positive and finite, got {tau}")
+
+
 def snap_levels(energies, ref, tau: float) -> np.ndarray:
     """Integer levels n with energies = ref + (2*pi/tau) * n.
 
+    tau goes through check_tau, which every library tau reaches here.
     Each energy must land within level_rel grid units of its integer,
     else IncommensurateSpectrumError.  The op is element-wise: energies
     may be a stack of spectra and ref an array that broadcasts against
     it, and each entry gets the bits it gets alone.
     """
+    check_tau(tau)
     x = (np.asarray(energies, dtype=float) - ref) / (2.0 * math.pi / tau)
     n = np.rint(x)
     off = np.abs(x - n) > DEFAULT.level_rel
@@ -143,8 +152,6 @@ def extract_distribution(psi, H, tau: float) -> PeriodicClockState:
     reads H's spectrum through one cached eigensolve.  ValidationError
     when the levels span more than MAX_CONV_WINDOW integers.
     """
-    if not 0 < tau < math.inf:   # NaN fails too
-        raise ValidationError(f"tau must be positive and finite, got {tau}")
     energies, masses = occupied_levels(psi, H)
     ns = snap_levels(energies, energies[0], tau).tolist()
     if ns[-1] >= MAX_CONV_WINDOW:

@@ -30,7 +30,7 @@ from .clockdist import (
     shift,
     tv_distance,
 )
-from .linalg import density_matrix, observable
+from .linalg import HermitianObservable, density_matrix, observable
 from .measures import energy_variance, qfi
 from .purification import coherence_sectors
 
@@ -212,5 +212,10 @@ def coherence_cost(rho, H, tau: float) -> float:
     """
     rho, H = density_matrix(rho), observable(H)
     coherence_sectors(rho, H, tau)   # raises PeriodMismatch if not
-    scale = tau / (2.0 * math.pi)
-    return scale * scale * qfi(rho, H)
+    # F under the grid-unit Hamiltonian s H, whose eigenpairs are H's
+    # scaled by s > 0; s^2 F would overflow to inf and F underflow to 0
+    # at a large tau
+    s = tau / (2.0 * math.pi)
+    return qfi(rho, HermitianObservable(matrix=s * H.matrix,
+                                        spectrum=s * H.spectrum,
+                                        eigenbasis=H.eigenbasis))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from coherence_forge.errors import (
     ValidationError,
 )
 from coherence_forge.linalg import (
+    DensityMatrix,
+    HermitianObservable,
     density_matrix,
     observable,
     random_density,
@@ -494,13 +497,40 @@ def test_stacked_support_measures_match_public_functions():
             ("P", 1.5, purity_of_coherence),
             ("renyi", 1.5, lambda r, h: renyi_purity_monotone(r, h, 1.5)),
             ("renyi", 2.0, lambda r, h: renyi_purity_monotone(r, h, 2.0))):
-        got = channels._suite_measure(measure_id, alpha)(
-            [density_matrix(r) for r in states], hams)
+        measured = partial(channels._measured,
+                           channels._suite_measure(measure_id, alpha))
+        got = [float(v) for _, v in channels._by_dim(
+            measured, [h.matrix for h in hams], states)]
         want = [public(r, h) for r, h in zip(states, hams)]
         assert got == want
         assert [v == math.inf for v in got] == [False, False, True,
                                                False, True, False]
         assert got[1] > 0.0
+
+
+def test_suite_builds_no_container_and_one_pass_per_stack(monkeypatch):
+    # a block builds, solves and measures each stack in one _by_dim pass
+    # (Hamiltonians, input states, outputs) and wraps no eigenpairs in
+    # containers; 300 trials are one full block and a partial one
+    built, passes = [], []
+    for cls in (HermitianObservable, DensityMatrix):
+        def init(self, *args, _real=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+    by_dim = channels._by_dim
+
+    def counted(*args):
+        passes.append(1)
+        return by_dim(*args)
+
+    monkeypatch.setattr(channels, "_by_dim", counted)
+    monotonicity_suite("P", trials=300, seed=1)
+    assert built == []
+    assert len(passes) == 3 * 2
+    # the patched constructors do count
+    density_matrix(np.eye(2) / 2)
+    assert set(built) == {"HermitianObservable", "DensityMatrix"}
 
 
 def test_proptest_exits_on_the_suites_violation_count(monkeypatch, capsys):

@@ -249,6 +249,39 @@ def test_a_bad_tau_is_refused_before_any_file_is_read(fixtures, capsys,
             f"error: tau must be positive and finite, got {float(tau)}"]
 
 
+@pytest.mark.parametrize("tau", ["0", "-1", "NaN", "Infinity"])
+def test_a_bad_file_tau_is_refused_with_the_one_message(fixtures, capsys,
+                                                        tau):
+    ham = fixtures["dir"] / "bad_tau.json"
+    ham.write_text(f'{{"levels_in_2pi_over_tau": [0, 1], "tau": {tau}}}')
+    assert cli.main(["measures", "--state", fixtures["rho"],
+                     "--ham", str(ham)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: tau must be positive and finite, got "
+                   f"{float(tau)}\n")
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("tau", [TAU, 3.0, 1e6, 1e150, 1e300])
+def test_measures_prints_a_finite_cost_at_any_tau(fixtures, capsys, tau):
+    # (tau/2pi)^2 F once printed "cost": NaN at tau = 1e300, which is not
+    # JSON, with exit code 0
+    rho = fixtures["dir"] / "rho_half.json"
+    rho.write_text(json.dumps(array_to_json(np.array([[0.5, 0.3],
+                                                      [0.3, 0.5]]))))
+    ham = fixtures["dir"] / "h_tau.json"
+    ham.write_text(json.dumps({"levels_in_2pi_over_tau": [0, 1],
+                               "tau": tau}))
+    assert cli.main(["measures", "--state", str(rho),
+                     "--ham", str(ham)]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert abs(out["cost"] - 0.36) < 1e-12
+
+
 def test_dist_rows_are_the_reprs_of_the_convolution(fixtures, capsys):
     # u023 at 600 copies reaches masses near 1e-286 in its tails
     m = 600
@@ -652,6 +685,20 @@ def test_dense_hamiltonian_warns(fixtures):
                   "--ham", fixtures["hz_dense"])
     assert res.returncode == 0
     assert "snapped" in res.stderr
+
+
+def test_dense_notes_name_the_grid_each_command_snaps_to(fixtures, capsys):
+    # dist snaps to the 2*pi/tau grid, convert to the grid of the pair's
+    # common period, and distill groups levels without snapping them
+    dense, cbit = fixtures["hz_dense"], fixtures["cbit"]
+    assert cli.main(["dist", "--state", cbit, "--ham", dense]) == 0
+    assert "the 2*pi/tau grid" in capsys.readouterr().err
+    assert cli.main(["convert", "--in", cbit, dense, "--out", cbit, dense,
+                     "--rate", "1", "--copies", "4"]) == 0
+    assert "the grid of the pair's common period" in capsys.readouterr().err
+    assert cli.main(["distill", "--in", fixtures["rho"], dense,
+                     "--target", cbit, dense]) == 0
+    assert capsys.readouterr().err == ""
 
 
 PLUS = {"re": [2 ** -0.5, 2 ** -0.5], "im": [0.0, 0.0]}

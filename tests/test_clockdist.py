@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coherence_forge import convert
+from coherence_forge.channels import random_channel, twirl
 from coherence_forge.clockdist import (
     MAX_CONV_WINDOW,
     TINY,
@@ -25,6 +26,10 @@ from coherence_forge.errors import (
     GcdNotOneError,
     IncommensurateSpectrumError,
     ValidationError,
+)
+from coherence_forge.purification import (
+    coherence_sectors,
+    period_respecting_ensemble,
 )
 
 TAU = 2 * math.pi
@@ -90,6 +95,24 @@ def test_snap_levels_matches_per_level_rounding():
         energies[3] += 1e-6 * unit
         with pytest.raises(IncommensurateSpectrumError):
             snap_levels(energies, ref, tau)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
+def test_every_library_tau_is_checked(tau):
+    # snap_levels checks tau, and every library function that takes one
+    # reaches it; a nan or inf tau once gave a huge gcd or INT64_MIN
+    # levels, 0 a ZeroDivisionError, and a negative tau was accepted
+    rho = np.array([[0.5, 0.3], [0.3, 0.5]])
+    H = np.diag([0.0, 1.0])
+    calls = [lambda: snap_levels(np.array([0.0, 1.0]), 0.0, tau),
+             lambda: coherence_sectors(rho, H, tau),
+             lambda: convert.coherence_cost(rho, H, tau),
+             lambda: period_respecting_ensemble(rho, H, tau),
+             lambda: twirl(random_channel(2, 2, 2, 0), H, H, tau)]
+    for call in calls:
+        with pytest.raises(ValidationError,
+                           match=f"tau must be positive and finite, got {tau}"):
+            call()
 
 
 def test_integer_distribution_validation():

@@ -282,3 +282,12 @@ def test_coherence_cost():
     # a gap of 1.5 grid units is not tau-periodic
     with pytest.raises(PeriodMismatchError):
         coherence_cost(rho_cbit, np.diag([0.0, 1.0]), 3 * math.pi)
+
+
+@pytest.mark.parametrize("tau", [TAU, 3.0, 1e6, 1e150, 1e300])
+def test_coherence_cost_is_the_grid_unit_qfi_at_any_tau(tau):
+    # the levels {0, 1} of period tau cost F of diag(0, 1); (tau/2pi)^2
+    # once overflowed to inf while F underflowed to 0, giving NaN
+    rho = np.array([[0.5, 0.3], [0.3, 0.5]])
+    H = np.diag([0.0, 2.0 * math.pi / tau])
+    assert abs(coherence_cost(rho, H, tau) - 0.36) < 1e-12
