@@ -3,8 +3,8 @@
 The cutoffs that judge inputs and decide what counts as "zero" are
 fields of DEFAULT, which every function reads directly, so tests and the
 CLI agree on them.  All values are absolute unless the name says
-otherwise, save herm and recon: eig_hermitian scales both by
-max(1, max|M_ij|), so an operator in any units is judged alike.  The
+otherwise, save herm and recon: eig_hermitian scales both by the
+matrix's own max|M_ij|, so an operator in any units is judged alike.  The
 other values assume desk-scale inputs (matrix entries O(1), dimensions
 in the tens).  Every field is read by the package itself; a cutoff that
 only a test's reference implementation needs lives with that test.
@@ -35,11 +35,11 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     # Hermiticity / state validation
-    herm: float = 1e-10          # max |M - M^dag| entry, x max(1, max|M|)
+    herm: float = 1e-10          # max |M - M^dag| entry, x max|M|
     trace: float = 1e-10         # |tr(rho) - 1|
     psd: float = 1e-10           # eigenvalues >= -psd
     norm: float = 1e-10          # | ||v|| - 1 | for pure states
-    recon: float = 1e-10         # reconstruction residual, x max(1, max|M|)
+    recon: float = 1e-10         # reconstruction residual, x max|M|
 
     # Spectral cutoffs
     rank_cutoff: float = 1e-10   # eigenvalue counts toward the support

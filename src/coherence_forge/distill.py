@@ -187,7 +187,8 @@ class SdpResult:
     """Optimum Tr(tau) with its primal tau and dual X in the eigenbasis
     the OmegaState is held in: tau in the U_A basis, X in U_A (x) U_B.
     newton_steps and barrier_stages count the solver's work; min_slack
-    is the least eigenvalue of tau (x) I - Omega it ended on."""
+    is the least eigenvalue of tau (x) I - Omega it ended on, read off
+    the sector eigensolve that also gives X."""
 
     optimum: float
     tau: np.ndarray
@@ -218,7 +219,6 @@ class _Sectors:
         d_A, d_B = labels.shape
         lmi = labels.ravel()
         sizes = np.bincount(lmi)
-        self.sizes = sizes
         n = sizes.max()
         self.valid = np.arange(n)[None, :] < sizes[:, None]
         E = np.zeros(self.valid.shape, dtype=int)
@@ -239,21 +239,21 @@ class _Sectors:
         same_j = self.pair & (j[:, :, None] == j[:, None, :])
         self.lift_map = np.where(same_j, unit[a[:, :, None], a[:, None, :]],
                                  P)
-        self.ui, self.uk = ui, uk
+        self.d_A, self.ui, self.uk = d_A, ui, uk
         diagonal = ui == uk
         self.eye = diagonal.astype(float)
         self.diagonal = np.flatnonzero(diagonal)
         self.transpose = unit[uk, ui]
-        # S^-1[r, c] sits at flat place base[r] + place[c] of the padded
-        # inverse stack when r and c share a sector; the stack's buffer
-        # ends in one zero, the place of every pair across sectors
+        # entry [r, c] of a sector-diagonal matrix in the padded stack sits
+        # at base[r] + place[c] of flat, the stack's buffer, when r and c
+        # share a sector; flat ends in one zero, the place of every pair
+        # across sectors
         place = np.empty(lmi.size, dtype=int)
         place[E[self.valid]] = np.nonzero(self.valid)[1]
         base = (lmi * n + place) * n
         zero = sizes.size * n * n
-        # newton_system writes the inverse stack into inv, before its zero
-        self.inv = np.zeros(zero + 1, dtype=complex)
-        self.stack = self.inv[:-1].reshape(sizes.size, n, n)
+        self.flat = np.zeros(zero + 1, dtype=complex)
+        self.stack = self.flat[:-1].reshape(sizes.size, n, n)
         self.pad = np.zeros(1)
         itype = (np.int32 if max(zero, P * P) <= np.iinfo(np.int32).max
                  else np.int64)
@@ -294,6 +294,12 @@ class _Sectors:
         """Each sector's block of tau (x) I_B, zero on the pads."""
         return np.concatenate((x, self.pad)).take(self.lift_map)
 
+    def on_A(self, t: np.ndarray) -> np.ndarray:
+        """The d_A x d_A matrix with t on tau's units, zero elsewhere."""
+        M = np.zeros((self.d_A, self.d_A), dtype=complex)
+        M[self.ui, self.uk] = t
+        return M
+
     def slack(self, x: np.ndarray):
         """Eigenpairs of the sector blocks of tau (x) I - omega."""
         w, V = np.linalg.eigh(self.lift(x) - self.omega)
@@ -301,26 +307,20 @@ class _Sectors:
             raise SolverStallError("barrier iterate left the cone")
         return w, V
 
-    def newton_system(self, w, V, mu: float):
-        """(Vr, Vr^dag, g, K) at the slack eigenpairs w, V: Vr = V w^-1/2
-        per sector, and the gradient g = I - mu Tr_B S^-1 and the Hessian K
-        on tau's units, gathered from the inverse stack Vr Vr^dag."""
-        Vr = V / np.sqrt(w)[:, None, :]
-        VrH = Vr.conj().swapaxes(1, 2)
-        np.matmul(Vr, VrH, out=self.stack)
-        g = self.eye - mu * self.inv.take(self.trace_slots).sum(axis=1)
+    def gram(self, Y: np.ndarray) -> np.ndarray:
+        """Tr_B on tau's units of Y Y^dag, which it leaves in the stack."""
+        np.matmul(Y, Y.conj().swapaxes(1, 2), out=self.stack)
+        return self.flat.take(self.trace_slots).sum(axis=1)
+
+    def hessian(self) -> np.ndarray:
+        """K on tau's units from the live terms of the stack; run it
+        after gram(V w^-1/2) at the slack eigenpairs w, V, which leaves
+        S^-1 there."""
         P = self.eye.size
         K = np.zeros(P * P, dtype=complex)
         for cells, first, second in self.pieces:
-            np.add.at(K, cells, self.inv.take(first) * self.inv.take(second))
-        return Vr, VrH, g, K.reshape(P, P)
-
-    def inverse(self, w, V, N: int) -> np.ndarray:
-        """S^-1 on the full space: block-diagonal, zero across sectors."""
-        inv = (V / w[:, None, :]) @ V.conj().swapaxes(1, 2)
-        out = np.zeros((N, N), dtype=complex)
-        out[self.rows, self.cols] = inv[self.pair]
-        return out
+            np.add.at(K, cells, self.flat.take(first) * self.flat.take(second))
+        return K.reshape(P, P)
 
 
 def _min_trace_sdp(omega: OmegaState) -> SdpResult:
@@ -340,8 +340,8 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     d; one symmetrization removes the rounding.  S^-1 links only entries
     that share a sector, so G and K are gathered from the sector blocks
     of S^-1, K from its live terms only (Fujisawa, Kojima & Nakata,
-    Math. Program. 79, 1997); no full-space matrix is formed before the
-    final dual.
+    Math. Program. 79, 1997); no full-space matrix is formed, and X is
+    scattered into the full space once.
 
     Works on Omega scaled to unit largest eigenvalue, read from the
     sector blocks' spectra; the barrier weight
@@ -352,8 +352,9 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     below 1e-13 x max(1, tr tau); every earlier stage ends once the
     decrement is at most CENTRING_DECREMENT * mu (Boyd & Vandenberghe,
     Convex Optimization, 11.3).  The
-    dual X = mu S^-1 is rescaled by the congruence T^-1/2 (x) I with
-    T = Tr_B X, which makes Tr_B X = I and keeps X >= 0.
+    dual X = mu S^-1 is rescaled by the congruence C = T^-1/2 (x) I with
+    T = Tr_B X, which makes Tr_B X = I and keeps X >= 0; with
+    X = Y Y^dag per sector, C X C is the gram of C Y.
 
     Raises ValidationError before any Newton step when K has more than
     MAX_NEWTON_TERMS live terms."""
@@ -363,7 +364,6 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     # Omega's spectrum is its sector blocks'; each pad adds an eigenvalue -1
     scale = float(np.linalg.eigvalsh(sectors.omega).max())
     sectors.omega[sectors.pair] /= scale
-    Os = omega.matrix / scale
 
     x = 1.1 * sectors.eye.astype(complex)
     mu_final = DEFAULT.sdp_gap / (4.0 * N * scale)
@@ -378,13 +378,14 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     for mu in mus:
         for _ in range(60):
             w, V = sectors.slack(x)
-            Vr, VrH, g, K = sectors.newton_system(w, V, mu)
-            dx = np.linalg.solve(mu * K, -g)
+            Vr = V / np.sqrt(w)[:, None, :]
+            g = sectors.eye - mu * sectors.gram(Vr)
+            dx = np.linalg.solve(mu * sectors.hessian(), -g)
             dx = 0.5 * (dx + dx.take(sectors.transpose).conj())
             decrement = -float(np.vdot(g, dx).real)
             # S^-1/2 dS S^-1/2 per sector
             t_min = float(np.linalg.eigvalsh(
-                VrH @ sectors.lift(dx) @ Vr).min())
+                Vr.conj().swapaxes(1, 2) @ sectors.lift(dx) @ Vr).min())
             t = 1.0 if t_min >= 0.0 else min(1.0, 0.98 / (-t_min))
             x = x + t * dx
             steps += 1
@@ -401,67 +402,68 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
                 break
 
     w, V = sectors.slack(x)
-    X = mus[-1] * sectors.inverse(w, V, N)
-    wT, VT = np.linalg.eigh(partial_trace(X, (d_A, d_B)))
-    C = np.kron((VT / np.sqrt(wT)) @ VT.conj().T, np.eye(d_B))
-    X = C @ X @ C
-    lam = float(np.linalg.eigvalsh(partial_trace(X, (d_A, d_B))).max())
-    if lam > 1.0:
-        X = X / lam
-    tau = np.zeros((d_A, d_A), dtype=complex)
-    tau[sectors.ui, sectors.uk] = x
+    Y = math.sqrt(mus[-1]) * V / np.sqrt(w)[:, None, :]
+    wT, VT = np.linalg.eigh(sectors.on_A(sectors.gram(Y)))
+    c = ((VT / np.sqrt(wT)) @ VT.conj().T)[sectors.ui, sectors.uk]
+    marginal = sectors.on_A(sectors.gram(sectors.lift(c) @ Y))
+    Xs = sectors.stack / max(float(np.linalg.eigvalsh(marginal)[-1]), 1.0)
+    X = np.zeros((N, N), dtype=complex)
+    X[sectors.rows, sectors.cols] = Xs[sectors.pair]
+    tau = sectors.on_A(x)
     primal = float(np.trace(tau).real)
-    dual = float(np.sum(Os * X.T).real)
+    dual = float(np.sum(sectors.omega * Xs.swapaxes(1, 2)).real)
     gap = scale * (primal - dual)
     if gap >= DEFAULT.sdp_gap:
         raise SolverStallError(f"certified gap {gap:.3e} over budget")
-    # the pads' unit eigenvalues are not slack: take each sector's own
-    S = sectors.lift(x) - sectors.omega
-    min_slack = min(float(np.linalg.eigvalsh(S[b, :n, :n])[0])
-                    for b, n in enumerate(sectors.sizes))
+    # a pad's eigenvector is its own unit row: no weight on the valid rows
+    live = np.sum(np.abs(V) ** 2, axis=1, where=sectors.valid[:, :, None])
     return SdpResult(optimum=scale * primal, tau=scale * tau,
-                     dual_certificate=X,
-                     primal_dual_gap=gap, newton_steps=steps,
-                     barrier_stages=len(mus), min_slack=scale * min_slack)
+                     dual_certificate=X, primal_dual_gap=gap,
+                     newton_steps=steps, barrier_stages=len(mus),
+                     min_slack=scale * float(w[live > 0.5].min()))
 
 
 def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
     """Re-check an SDP result on the dense full-space matrices, apart from
-    the solver: tau and X are Hermitian within sdp_feas (the eigenvalue
-    tests read one triangle only); tau (x) I - Omega has no negative
-    eigenvalue; X >= 0 (within sdp_feas) with lambda_max(Tr_B X) <=
-    1 + sdp_feas; the gap Tr tau - Tr(Omega X), recomputed, is below
-    sdp_gap; and the reported optimum and gap match Tr tau and that gap
-    within sdp_feas.  Each check is unchanged by a product rotation
-    U_A (x) U_B, so checking in the eigenbasis that Omega, tau and X
-    share certifies the problem in any basis.
+    the solver: tau and X are finite d_A x d_A and N x N matrices,
+    Hermitian within sdp_feas (the eigenvalue tests read one triangle
+    only); tau (x) I - Omega has no negative eigenvalue; X >= 0 (within
+    sdp_feas) with lambda_max(Tr_B X) <= 1 + sdp_feas; the gap
+    Tr tau - Tr(Omega X), recomputed, is below sdp_gap; and the reported
+    optimum and gap match Tr tau and that gap within sdp_feas.  Every
+    comparison fails on NaN.  Each check is unchanged by a product
+    rotation U_A (x) U_B, so checking in the eigenbasis that Omega, tau
+    and X share certifies the problem in any basis.
 
     Returns result; raises CertificateError on the first check that
     fails."""
     d_A, d_B = omega.sectors.shape
     Om = omega.matrix
-    tau, X = result.tau, result.dual_certificate
-    for name, M in (("tau", tau), ("dual X", X)):
+    tau = np.asarray(result.tau)
+    X = np.asarray(result.dual_certificate)
+    for name, M, n in (("tau", tau, d_A), ("dual X", X, d_A * d_B)):
+        if M.shape != (n, n) or not np.isfinite(M).all():
+            raise CertificateError(f"{name} is not a finite {n} x {n} matrix")
         skew = float(np.max(np.abs(M - M.conj().T)))
-        if skew > DEFAULT.sdp_feas:
+        if not skew <= DEFAULT.sdp_feas:
             raise CertificateError(f"{name} is not Hermitian: {skew:.3e}")
     s_min = float(np.linalg.eigvalsh(np.kron(tau, np.eye(d_B)) - Om)[0])
-    if s_min < 0.0:
+    if not s_min >= 0.0:
         raise CertificateError(f"tau (x) I - Omega has eigenvalue {s_min:.3e}")
     x_min = float(np.linalg.eigvalsh(X)[0])
-    if x_min < -DEFAULT.sdp_feas:
+    if not x_min >= -DEFAULT.sdp_feas:
         raise CertificateError(f"dual X has eigenvalue {x_min:.3e}")
     marginal = float(np.linalg.eigvalsh(
         partial_trace(X, (d_A, d_B)))[-1])
-    if marginal > 1.0 + DEFAULT.sdp_feas:
+    if not marginal <= 1.0 + DEFAULT.sdp_feas:
         raise CertificateError(
             f"lambda_max(Tr_B X) = {marginal:.12f} exceeds 1")
     primal = float(np.trace(tau).real)
     gap = primal - float(np.sum(Om * X.T).real)
     if not gap < DEFAULT.sdp_gap:
         raise CertificateError(f"recomputed gap {gap:.3e} over budget")
-    if (abs(result.optimum - primal) > DEFAULT.sdp_feas
-            or abs(result.primal_dual_gap - gap) > DEFAULT.sdp_feas):
+    if not (abs(result.optimum - primal) <= DEFAULT.sdp_feas
+            and abs(result.primal_dual_gap - gap) <= DEFAULT.sdp_feas):
         raise CertificateError(
             f"reported optimum {result.optimum!r} and gap "
             f"{result.primal_dual_gap:.3e} differ from Tr tau = {primal!r} "

@@ -73,7 +73,7 @@ def eig_hermitian(M):
     herm, and ValidationError if the reconstruction V diag(w) V^dag
     misses it by more than recon (which would indicate a solver failure,
     not bad input).  Both limits are scaled by each matrix's own
-    max(1, max|M_ij|), so operators in any units are judged alike.
+    max|M_ij|, so operators in any units are judged alike.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
@@ -82,9 +82,9 @@ def eig_hermitian(M):
     # one flat reduction per matrix, cheaper than reducing an axis pair;
     # a single matrix is a stack of one, so the checks below see arrays
     flat = (math.prod(M.shape[:-2]), M.shape[-1] ** 2)
-    scale = np.abs(M).reshape(flat).max(axis=-1, initial=1.0)
+    scale = np.abs(M).reshape(flat).max(axis=-1, initial=0.0)
     # the max is NaN or inf exactly when an entry is, and NaN fails <=
-    if not scale.max() <= MAX_ENTRY:
+    if not scale.max(initial=0.0) <= MAX_ENTRY:
         raise ValidationError("matrix entry not finite or above "
                               f"MAX_ENTRY = {MAX_ENTRY:g} in magnitude")
     Mh = M.conj().swapaxes(-1, -2)

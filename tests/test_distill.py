@@ -429,13 +429,16 @@ def test_newton_path_matches_parent():
         assert abs(res.optimum - optimum) < 1e-12, key
 
 
-def _dense_newton_system(sectors, x, mu, d_A, d_B):
+def _dense_newton_system(omega, ui, uk, x, mu):
     """Test-only reference for the Newton system on tau's units: g and K
-    from the dense full-space S^-1, by Tr_B and one gather per (j, j') of
+    from the dense full-space S^-1 = (tau (x) I - Omega)^-1, by Tr_B and
+    one gather per (j, j') of
     K[q, q'] = sum_{j, j'} S^-1[(i,j),(l,j')] S^-1[(m,j'),(k,j)] for
     q = (i, k), q' = (l, m)."""
-    ui, uk = sectors.ui, sectors.uk
-    S_inv = sectors.inverse(*sectors.slack(x), d_A * d_B)
+    d_A, d_B = omega.sectors.shape
+    tau = np.zeros((d_A, d_A), dtype=complex)
+    tau[ui, uk] = x
+    S_inv = np.linalg.inv(np.kron(tau, np.eye(d_B)) - omega.matrix)
     g = np.eye(d_A) - mu * partial_trace(S_inv, (d_A, d_B))
     R = S_inv.reshape(d_A, d_B, d_A, d_B)
     P1 = R.transpose(1, 3, 0, 2).reshape(d_B * d_B, d_A * d_A)
@@ -479,8 +482,11 @@ def test_gathered_newton_system_matches_the_dense_assembly():
             H *= rng.uniform(0.0, 0.4) / np.linalg.norm(H, 2)
             x = 1.5 * sectors.eye + H[sectors.ui, sectors.uk]
             mu = 10.0 ** rng.uniform(-9.0, 0.0)
-            _, _, g, K = sectors.newton_system(*sectors.slack(x), mu)
-            g_ref, K_ref = _dense_newton_system(sectors, x, mu, d_A, d_B)
+            w, V = sectors.slack(x)
+            g = sectors.eye - mu * sectors.gram(V / np.sqrt(w)[:, None, :])
+            K = sectors.hessian()
+            g_ref, K_ref = _dense_newton_system(omega, sectors.ui,
+                                                sectors.uk, x, mu)
             assert (np.max(np.abs(g - g_ref))
                     <= 1e-12 * np.max(np.abs(g_ref))), key
             assert (np.max(np.abs(K - K_ref))
@@ -544,28 +550,90 @@ def test_newton_term_budget_refuses_a_larger_system(monkeypatch):
 
 
 def test_newton_steps_build_no_full_space_matrix(monkeypatch):
-    # each step gathers from the sector blocks; only the final dual
-    # rescale forms S^-1 on the full space (once) and takes Tr_B of it
-    # (twice), and verify_certificate takes Tr_B X once more
-    calls = {"inverse": 0, "partial_trace": 0}
-    inverse = _Sectors.inverse
-    trace_B = coherence_forge.distill.partial_trace
-
-    def counted_inverse(self, *args):
-        calls["inverse"] += 1
-        return inverse(self, *args)
+    # the Newton steps and the final dual are gathered from the sector
+    # blocks, and X is scattered once: the solver takes no Tr_B and no
+    # Kronecker product, and a whole conditional_min_entropy takes one of
+    # each, both in verify_certificate
+    om = iid_omega_state(qubit(0.6), H01, CBIT, H01, 3)
+    calls = {"partial_trace": 0, "kron": 0}
+    trace_B, kron = coherence_forge.distill.partial_trace, np.kron
 
     def counted_trace_B(*args):
         calls["partial_trace"] += 1
         return trace_B(*args)
 
-    monkeypatch.setattr(_Sectors, "inverse", counted_inverse)
+    def counted_kron(*args):
+        calls["kron"] += 1
+        return kron(*args)
+
     monkeypatch.setattr(coherence_forge.distill, "partial_trace",
                         counted_trace_B)
-    res = conditional_min_entropy(
-        iid_omega_state(qubit(0.6), H01, CBIT, H01, 3))
-    assert res.newton_steps > 3
-    assert calls == {"inverse": 1, "partial_trace": 3}
+    monkeypatch.setattr(np, "kron", counted_kron)
+    assert _min_trace_sdp(om).newton_steps > 3
+    assert calls == {"partial_trace": 0, "kron": 0}
+    conditional_min_entropy(om)
+    assert calls == {"partial_trace": 1, "kron": 1}
+
+
+def _dense_dual(S_inv, d_A, d_B):
+    """Test-only reference for the final dual from a full-space mu S^-1:
+    the congruence by T^-1/2 (x) I with T = Tr_B X, then the rescale to
+    lambda_max(Tr_B X) <= 1."""
+    wT, VT = np.linalg.eigh(partial_trace(S_inv, (d_A, d_B)))
+    C = np.kron((VT / np.sqrt(wT)) @ VT.conj().T, np.eye(d_B))
+    X = C @ S_inv @ C
+    lam = float(np.linalg.eigvalsh(partial_trace(X, (d_A, d_B)))[-1])
+    return X / max(lam, 1.0)
+
+
+def test_final_dual_matches_the_dense_rescale(monkeypatch):
+    # X = mu S^-1 at the last iterate is conditioned like S, about 1e9 at
+    # the optimum: rebuilt from the returned tau alone it agrees to about
+    # 1e-8 only.  So the exact reference scatters S^-1 from the solver's
+    # last slack eigenpairs of the sector blocks into the full space and
+    # takes the dense congruence and rescale from there.
+    last = {}
+    slack = _Sectors.slack
+
+    def recorded(self, x):
+        last["w"], last["V"] = slack(self, x)
+        return last["w"], last["V"]
+
+    monkeypatch.setattr(_Sectors, "slack", recorded)
+    cases = _oracle_cases()
+    # in units of 1e-9 the least slack in the solver's units passes the
+    # unit eigenvalue of each pad, which min_slack must skip
+    om = cases[3, 0.6]
+    cases["small units"] = OmegaState(1e-9 * om.matrix, om.sectors)
+    for key, omega in cases.items():
+        d_A, d_B = omega.sectors.shape
+        N = d_A * d_B
+        res = conditional_min_entropy(omega)
+        # sector b holds the product indices labelled b, ascending, then pads
+        lab = omega.sectors.ravel()
+        S = np.kron(res.tau, np.eye(d_B)) - omega.matrix
+        S_inv = np.zeros((N, N), dtype=complex)
+        slacks = []
+        for b, (w, V) in enumerate(zip(last["w"], last["V"])):
+            idx = np.ix_(lab == b, lab == b)
+            n = np.count_nonzero(lab == b)
+            S_inv[idx] = ((V / w) @ V.conj().T)[:n, :n]
+            slacks.append(np.linalg.eigvalsh(S[idx])[0])
+        scale = float(np.linalg.eigvalsh(omega.matrix)[-1])
+        mu = DEFAULT.sdp_gap / (4 * N * scale)
+        X = res.dual_certificate
+        X_ref = _dense_dual(mu * S_inv, d_A, d_B)
+        assert np.max(np.abs(X - X_ref)) <= 1e-12 * np.max(np.abs(X_ref)), key
+        gap = float(np.trace(res.tau).real
+                    - np.sum(omega.matrix * X_ref.T).real)
+        assert abs(res.primal_dual_gap - gap) < 1e-14, key
+        assert abs(res.min_slack - min(slacks)) < 1e-15, key
+        assert np.all(X[lab[:, None] != lab[None, :]] == 0.0), key
+        # the reference from tau alone, at the accuracy S's conditioning
+        # allows
+        X_tau = _dense_dual(DEFAULT.sdp_gap / (4 * N) * np.linalg.inv(S),
+                            d_A, d_B)
+        assert np.max(np.abs(X - X_tau)) <= 1e-6 * np.max(np.abs(X_tau)), key
 
 
 def _in_caller_basis(om, U_A, U_B):
@@ -742,6 +810,14 @@ def test_verify_certificate_rejects_tampering():
                  optimum=float(np.trace(tau).real) + 4e-6), "recomputed gap"),
         (replace(res, primal_dual_gap=0.0), "reported"),
         (replace(res, optimum=res.optimum - 1e-6), "reported"),
+        # non-finite or misshapen results fail closed
+        (replace(res, optimum=math.nan), "reported"),
+        (replace(res, primal_dual_gap=math.nan), "reported"),
+        (replace(res, tau=np.where(eye_A == 1, np.nan, tau)), "tau is not"),
+        (replace(res, dual_certificate=np.where(eye == 1, np.inf, X)),
+         "dual X is not"),
+        (replace(res, tau=tau[:-1, :-1]), "tau is not"),
+        (replace(res, dual_certificate=X[:, :-1]), "dual X is not"),
     ]
     for bad, match in tampered:
         with pytest.raises(CertificateError, match=match):

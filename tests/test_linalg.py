@@ -117,6 +117,30 @@ def test_eig_hermitian_checks_scale_with_the_operator(scale):
             eig_hermitian(H + 1e-6 * scale * K)
 
 
+def test_eig_hermitian_verdict_does_not_depend_on_the_unit():
+    # both limits scale with the matrix's own max|M|, with no floor of 1:
+    # an operator in units of 1e-11 whose skew is as large as its entries
+    # is refused, and at every power-of-two unit, where the checks'
+    # arithmetic is exact, each verdict is the one at unit scale
+    with pytest.raises(NonHermitianError):
+        observable(1e-11 * np.array([[1.0, 1.0], [0.0, 2.0]]))
+    rng = np.random.default_rng(71)
+    H = random_observable(6, rng)
+    K = random_observable(6, rng)
+    skewed = H + 0.01j * np.max(np.abs(H)) * K / np.max(np.abs(K))
+    eig_hermitian(H)
+    with pytest.raises(NonHermitianError):
+        eig_hermitian(skewed)
+    for k in range(-40, 41):
+        eig_hermitian(2.0 ** k * H)
+        with pytest.raises(NonHermitianError):
+            eig_hermitian(2.0 ** k * skewed)
+    # the zero and empty matrices have nothing to misjudge
+    assert eig_hermitian(np.zeros((2, 2)))[0].tolist() == [0.0, 0.0]
+    assert eig_hermitian(np.zeros((0, 0)))[0].shape == (0,)
+    assert eig_hermitian(np.zeros((0, 3, 3)))[0].shape == (0, 3)
+
+
 def test_eig_hermitian_accepts_stacks():
     rng = np.random.default_rng(7)
     for shape in ((5, 2), (4, 3), (2, 3, 4)):
