@@ -94,14 +94,17 @@ from .channels import (
     twirl,
 )
 from .distill import (
+    BlockSum,
     OmegaState,
     SdpResult,
     cirac_comparison,
     conditional_min_entropy,
     distillation_copy_floor,
     iid_omega_state,
+    iid_qubit_fidelity,
     is_bound_resource,
     qubit_infidelity_bound,
+    schur_blocks,
     verify_certificate,
 )
 

@@ -279,21 +279,36 @@ def cmd_distill(args) -> int:
     tvec = _pure_vec(tgt, "--target")
     n = args.copies
     rho = density_matrix(st)
-    res = distill.conditional_min_entropy(
-        distill.iid_omega_state(rho, H, tgt, Ht, n))
+    # a qubit under two distinct levels splits into Schur-Weyl blocks
+    if rho.dim == H.dim == 2 and level_labels(H.spectrum)[-1] == 1:
+        res = distill.iid_qubit_fidelity(rho, H, tgt, Ht, n)
+        upper, gap = res.fidelity, res.gap
+        kind, blocks, dropped = res.certificate, res.blocks, res.blocks_dropped
+    else:
+        res = distill.conditional_min_entropy(
+            distill.iid_omega_state(rho, H, tgt, Ht, n))
+        upper, gap = res.optimum, res.primal_dual_gap
+        kind, blocks, dropped = "dense", 1, 0
+    # F* <= 1 for every state, so a primal above 1 is rounding or the
+    # solver's excess; the gap is measured from the value printed
+    fidelity = min(1.0, upper)
+    gap = max(0.0, gap - (upper - fidelity))
     bound_exact = bound_asym = None
     lam = _family_visibility(rho, H, tvec, Ht)
     if lam is not None:
         bound_exact, bound_asym = distill.qubit_infidelity_bound(lam, n)
     _emit({
-        "fidelity": res.optimum,
-        "hmin": -math.log2(res.optimum),
-        "gap": res.primal_dual_gap,
+        "fidelity": fidelity,
+        "hmin": max(0.0, -math.log2(fidelity)),
+        "gap": gap,
         "bound_exact": bound_exact,
         "bound_asymptotic": bound_asym,
         "newton_steps": res.newton_steps,
         "barrier_stages": res.barrier_stages,
         "min_slack": res.min_slack,
+        "certificate": kind,
+        "blocks": blocks,
+        "blocks_dropped": dropped,
     })
     return 0
 

@@ -9,6 +9,14 @@ Omega, pinched onto the difference eigenspaces, i.e. the optimum of
 The solver below is a log-barrier Newton method on that program with an
 explicit dual certificate, so every reported optimum carries its own
 weak-duality proof (gap below sdp_gap).
+
+Copies of a qubit under a non-degenerate Hamiltonian take an exact path
+instead: by Schur-Weyl duality the n-copy problem splits into one block
+per spin j (schur_blocks), and iid_qubit_fidelity sums the blocks' optima.
+A block whose sectors form a chain (a target with equal weights on two
+levels at the source's gap) is solved in closed form with a dual built
+along the chain (_chain); any other block goes to the barrier solver.
+verify_certificate re-checks every block result either way.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    DensityMatrix,
+    HermitianObservable,
     density_matrix,
     level_labels,
     observable,
@@ -51,7 +61,8 @@ CENTRING_DECREMENT = 1.0
 # whose count of tau parameters, exceeds these: a dense Omega of side
 # 1024 takes 16 MB per matrix, and 924 parameters (six qubit copies)
 # take about 0.11 s per Newton step at one BLAS thread, 0.08 s of it the
-# complex solve
+# complex solve.  iid_qubit_fidelity bounds each spin block's side by the
+# same MAX_OMEGA_SIDE, and the cubes of all its sides by its cube
 MAX_OMEGA_SIDE = 1024
 MAX_SDP_PARAMS = 1000
 # _min_trace_sdp refuses an Omega whose Newton system has more live terms
@@ -475,6 +486,263 @@ def conditional_min_entropy(omega: OmegaState) -> SdpResult:
     """2^{-Hmin(B|A)} of the pinched state Omega, with a dual certificate that
     verify_certificate has re-checked."""
     return verify_certificate(_min_trace_sdp(omega), omega)
+
+
+def schur_blocks(sigma, H, copies: int) -> list:
+    """The Schur-Weyl blocks of sigma^(x)copies for a qubit sigma under a
+    non-degenerate qubit H: (log p_j, rho_j, H_j) for each spin
+    j = copies/2, copies/2 - 1, ... whose weight p_j is positive.
+
+    sigma^(x)n is the direct sum over j of p_j rho_j (x) I_{S_j}/dim S_j,
+    and H_n of H_j (x) I_{S_j}, so Omega and its SDP split into one
+    problem per spin with F*(n) = sum_j p_j F*(rho_j) (Keyl & Werner, PRA
+    64, 052311, 2001; Gatermann & Parrilo, J. Pure Appl. Algebra 192,
+    2004).  With sigma = (I + r n.sigma)/2 in H's eigenbasis and
+    a, b = (1 +- r)/2, the block state is diagonal in the eigenbasis of
+    n.J (a tridiagonal matrix in the J_z basis) with weight
+    a^(n/2+mu) b^(n/2-mu) on the eigenvalue mu, and
+    dim S_j = C(n, k)(n - 2k + 1)/(n - k + 1) with k = n/2 - j; both are
+    summed in logs.  rho_j is held in the basis m = j, j - 1, ..., -j,
+    where H_j = n E_0 + g (n/2 - m) ascends; it comes with its
+    eigendecomposition and H_j with its own, so neither is solved again.
+    sigma = I/2 (r = 0) keeps the J_z basis, and a pure sigma has the one
+    block j = n/2.
+
+    Raises ValidationError when copies < 1, when sigma is not a qubit
+    state or H not a non-degenerate qubit Hamiltonian, or when the largest
+    block's side copies + 1 passes MAX_OMEGA_SIDE, before any block is
+    built."""
+    if copies < 1:
+        raise ValidationError(f"copies must be at least 1, got {copies}")
+    H, sigma = observable(H), density_matrix(sigma)
+    require_same_dim(sigma.dim, H.dim)
+    if H.dim != 2 or level_labels(H.spectrum)[-1] != 1:
+        raise ValidationError("Schur-Weyl blocks need a qubit under a "
+                              "non-degenerate Hamiltonian")
+    if copies + 1 > MAX_OMEGA_SIDE:
+        raise ValidationError(
+            f"{copies} copies make a spin block {copies + 1} wide, above "
+            f"the budget of {MAX_OMEGA_SIDE}")
+    n = copies
+    V = H.eigenbasis
+    s = V.conj().T @ sigma.matrix @ V
+    # the Bloch vector in H's eigenbasis, |0> the lower level
+    rz, s01 = float((s[0, 0] - s[1, 1]).real), complex(s[0, 1])
+    r = min(1.0, math.hypot(rz, 2.0 * abs(s01)))
+    log_a = math.log((1.0 + r) / 2.0)
+    log_b = math.log((1.0 - r) / 2.0) if r < 1.0 else -math.inf
+    E0, g = float(H.spectrum[0]), float(H.spectrum[1] - H.spectrum[0])
+    blocks = []
+    for k in range(n // 2 + 1):
+        P = n - 2 * k + 1
+        i = np.arange(P)
+        e_b = (n - k - i).astype(float)
+        # a^(k + i) b^(n - k - i) on mu = i - j, with 0 log 0 = 0
+        log_w = (k + i) * log_a + np.multiply(e_b, log_b, out=np.zeros(P),
+                                              where=e_b > 0)
+        log_sum = float(np.logaddexp.reduce(log_w))
+        if log_sum == -math.inf:
+            continue
+        log_dim = (math.lgamma(n + 1) - math.lgamma(k + 1)
+                   - math.lgamma(n - k + 1) + math.log(P)
+                   - math.log(n - k + 1))
+        w = np.exp(log_w - log_sum)
+        if r > 0.0:
+            # r n.J in the basis m = j - i: r_z m on the diagonal, and
+            # sigma_01 <m+1|J_+|m> above it
+            off = (s01 / r) * np.sqrt((i[1:] * (P - i[1:])).astype(float))
+            nJ = (np.diag((rz / r) * ((P - 1) / 2.0 - i)).astype(complex)
+                  + np.diag(off, 1) + np.diag(off.conj(), -1))
+            U = np.linalg.eigh(nJ)[1]
+        else:
+            U = np.eye(P, dtype=complex)
+        rho = (U * w) @ U.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        levels = n * E0 + g * (k + i)
+        blocks.append((
+            log_dim + log_sum,
+            DensityMatrix(matrix=rho, spectrum=w, eigenbasis=U),
+            HermitianObservable(matrix=np.diag(levels).astype(complex),
+                                spectrum=levels,
+                                eigenbasis=np.eye(P, dtype=complex))))
+    return blocks
+
+
+def _chain(omega: OmegaState) -> SdpResult | None:
+    """The optimum of an Omega whose A levels m meet B's first two levels
+    in sectors that are singletons or links {(m, 0), (m + 1, 1)}, each
+    link's diagonal entries the largest of their rows (within num); None
+    for any other Omega.
+
+    tau is then diagonal, t_m = o_m + u_m with o_m the largest diagonal
+    entry of row m, and the LMI reads u >= 0 and u_m u_{m+1} >= c_m^2,
+    c_m = |Omega on link m|.  On each run of links with c > 0 every
+    constraint is taken active: u_0 = x, u_{m+1} = c_m^2/u_m, so
+    sum u = A x + B/x, least at x = sqrt(B/A); all of it in logs.  The
+    dual is built forward along the run: p_0 = 1, r_m = p_m u_m/u_{m+1},
+    p_{m+1} = 1 - r_m, each clipped to [0, 1], then all of X rescaled so
+    that no entry of Tr_B X passes 1.  Link m carries
+    X_m = [[p_m, q_m], [q_m^*, r_m]] with |q_m| = sqrt(p_m r_m) and
+    Omega's phase; a row off every run carries a 1 at its largest entry.
+    Every t_m is lifted by the least eta that leaves each sector of
+    tau (x) I - Omega positive semidefinite after rounding, plus the
+    N eps |tau| that a dense eigensolve may round away, so the slack is
+    positive; the certificate is the caller's to check."""
+    d_A, d_B = omega.sectors.shape
+    N = d_A * d_B
+    Om = omega.matrix
+    lab = omega.sectors.ravel()
+    sizes = np.bincount(lab)
+    if sizes.max() > 2:
+        return None
+    order = np.argsort(lab, kind="stable")
+    ends = np.cumsum(sizes)[sizes == 2]
+    first, second = order[ends - 2], order[ends - 1]
+    D = Om.diagonal().real.reshape(d_A, d_B)
+    o = D.max(axis=1)
+    m = first // d_B
+    if first.size and not (
+            np.all(first % d_B == 0) and np.all(second == first + d_B + 1)
+            and np.all(D[m, 0] >= o[m] * (1.0 - DEFAULT.num))
+            and np.all(D[m + 1, 1] >= o[m + 1] * (1.0 - DEFAULT.num))):
+        return None
+    link = np.zeros(d_A - 1, dtype=complex)
+    link[m] = Om[first, second]
+    c = np.abs(link)
+    live = c > 0.0
+    log_c2 = np.full(d_A - 1, -math.inf)
+    log_c2[live] = 2.0 * np.log(c[live])
+    log_u = np.full(d_A, -math.inf)
+    p, r = np.zeros(d_A - 1), np.zeros(d_A - 1)
+    # the runs of live links: rows s..e hold links s..e-1
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], live, [0]))))
+    for s, e in zip(edges[::2], edges[1::2]):
+        sign = 1.0 - 2.0 * (np.arange(e - s + 1) % 2)
+        # log u_{s+i} = L_i + (-1)^i log x, L_{i+1} = log c^2 - L_i
+        L = np.concatenate(([0.0], -sign[1:] * np.cumsum(
+            sign[:-1] * log_c2[s:e])))
+        log_x = 0.5 * (float(np.logaddexp.reduce(L[1::2]))
+                       - float(np.logaddexp.reduce(L[0::2])))
+        log_u[s:e + 1] = L + sign * log_x
+        p_k = 1.0
+        for k in range(s, e):
+            p[k] = p_k
+            r[k] = min(1.0, max(0.0, p_k * math.exp(log_u[k] - log_u[k + 1])))
+            p_k = min(1.0, max(0.0, 1.0 - r[k]))
+    in_run = np.zeros(d_A, dtype=bool)
+    in_run[:-1] |= live
+    in_run[1:] |= live
+    single = np.ones(N, dtype=bool)
+    single[first] = single[second] = False
+    single = single.reshape(d_A, d_B)
+
+    def least_slack(t):
+        # singletons, then the links' 2 x 2 blocks in closed form
+        a, b = t[m] - D[m, 0], t[m + 1] - D[m + 1, 1]
+        pair = 0.5 * (a + b) - np.hypot(0.5 * (a - b), c[m])
+        return float(min((t[:, None] - D)[single].min(initial=math.inf),
+                         pair.min(initial=math.inf)))
+
+    t = o + np.exp(log_u)
+    eta = N * np.finfo(float).eps * float(t.max()) - min(least_slack(t), 0.0)
+    t = t + eta
+    X = np.zeros((N, N), dtype=complex)
+    lone = np.flatnonzero(~in_run)
+    at = lone * d_B + D[lone].argmax(axis=1)
+    X[at, at] = 1.0
+    k = np.flatnonzero(live)
+    i, j = k * d_B, (k + 1) * d_B + 1
+    X[i, i], X[j, j] = p[k], r[k]
+    X[i, j] = np.sqrt(p[k] * r[k]) * link[k] / c[k]
+    X[j, i] = X[i, j].conj()
+    X /= max(1.0, float(partial_trace(X, (d_A, d_B)).real.diagonal().max()))
+    primal = float(t.sum())
+    gap = primal - float(np.sum(Om * X.T).real)
+    return SdpResult(optimum=primal, tau=np.diag(t).astype(complex),
+                     dual_certificate=X, primal_dual_gap=gap,
+                     newton_steps=0, barrier_stages=0,
+                     min_slack=least_slack(t))
+
+
+@dataclass(frozen=True)
+class BlockSum:
+    """F*(n) of qubit copies summed over their Schur-Weyl blocks.
+
+    fidelity is sum_j p_j Tr tau_j over the blocks solved, plus the mass
+    of the blocks dropped (p_j < 1e-17, each at most 1), so it bounds F*
+    from above, and fidelity - gap bounds it from below: gap is
+    sum_j p_j gap_j plus that mass.  newton_steps is summed over the
+    blocks and barrier_stages is the largest; min_slack is the least
+    eigenvalue of the direct sum of p_j (tau_j (x) I - Omega_j).
+    certificate is "schur-chain" when every block solved was certified in
+    closed form, "schur" when some block needed the barrier SDP."""
+
+    fidelity: float
+    gap: float
+    newton_steps: int
+    barrier_stages: int
+    min_slack: float
+    certificate: str
+    blocks: int
+    blocks_dropped: int
+
+
+def iid_qubit_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
+    """F*(copies) of a qubit sigma under a non-degenerate qubit H into any
+    target psi_B under H_B, one Schur-Weyl block at a time (schur_blocks).
+
+    Each block's Omega_j = iid_omega_state(rho_j, H_j, psi_B, H_B, 1) is
+    solved by _chain where it applies and by _min_trace_sdp where it does
+    not or where the chain's certificate fails; every result has passed
+    verify_certificate.
+
+    The copy budget is checked before any block is built, the largest
+    block first: each side (2j + 1) d_B must be at most MAX_OMEGA_SIDE,
+    and sum_j ((2j + 1) d_B)^3, the work of the dense checks, at most
+    MAX_OMEGA_SIDE^3, one dense check at the largest side the dense path
+    admits.  ValidationError otherwise, and wherever schur_blocks raises
+    it (copies < 1, or a source that is not a qubit under two levels)."""
+    H_B = observable(H_B)
+    d_B = H_B.dim
+    if (copies + 1) * d_B > MAX_OMEGA_SIDE:
+        raise ValidationError(
+            f"{copies} copies make a spin block {copies + 1} * {d_B} wide, "
+            f"above the budget of {MAX_OMEGA_SIDE}")
+    work = sum(((copies - 2 * k + 1) * d_B) ** 3
+               for k in range(copies // 2 + 1))
+    if work > MAX_OMEGA_SIDE ** 3:
+        raise ValidationError(
+            f"{copies} copies make spin blocks whose cubed sides sum to "
+            f"{work}, above the budget of {MAX_OMEGA_SIDE}**3")
+    fidelity = gap = dropped = 0.0
+    steps = stages = solved = 0
+    slack = math.inf
+    kind = "schur-chain"
+    for log_p, rho, H_j in schur_blocks(sigma, H, copies):
+        p = math.exp(log_p)
+        if p < 1e-17:
+            dropped += p
+            continue
+        omega = iid_omega_state(rho, H_j, psi_B, H_B, 1)
+        res = _chain(omega)
+        if res is not None:
+            try:
+                res = verify_certificate(res, omega)
+            except CertificateError:
+                res = None
+        if res is None:
+            res = conditional_min_entropy(omega)
+            kind = "schur"
+        fidelity += p * res.optimum
+        gap += p * res.primal_dual_gap
+        steps += res.newton_steps
+        stages = max(stages, res.barrier_stages)
+        slack = min(slack, p * res.min_slack)
+        solved += 1
+    return BlockSum(fidelity=fidelity + dropped, gap=gap + dropped,
+                    newton_steps=steps, barrier_stages=stages,
+                    min_slack=slack, certificate=kind, blocks=solved,
+                    blocks_dropped=copies // 2 + 1 - solved)
 
 
 def _check_qubit_family(lam: float, n: int) -> None:

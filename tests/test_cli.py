@@ -483,8 +483,62 @@ def test_distill_single_and_double_copy(fixtures):
         assert out["gap"] < 1e-7
         assert out["bound_exact"] is not None
         assert out["bound_asymptotic"] is not None
-        assert out["newton_steps"] > out["barrier_stages"] > 0
-        assert 0.0 < out["min_slack"] < 1e-6
+        # a qubit source is certified block by block, here in closed form
+        assert out["certificate"] == "schur-chain"
+        assert out["newton_steps"] == 0
+        assert out["blocks"] == 1 + (copies == "2")
+        assert out["blocks_dropped"] == 0
+
+
+@pytest.mark.parametrize("copies", ["1", "3"])
+def test_distill_reports_the_barrier_solver_work(fixtures, capsys, copies):
+    # a target with unequal weights on its two levels is no closed-form
+    # chain, so every spin block goes through the barrier SDP
+    psi = np.array([math.sqrt(0.7), math.sqrt(0.3)])
+    target = fixtures["dir"] / "unbalanced.json"
+    target.write_text(json.dumps(array_to_json(psi)))
+    assert cli.main(["distill", "--in", fixtures["rho"], fixtures["h2"],
+                     "--target", str(target), fixtures["h2"],
+                     "--copies", copies]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["certificate"] == "schur"
+    assert out["blocks"] == 1 + (copies == "3")
+    assert out["newton_steps"] > out["barrier_stages"] > 0
+    assert 0.0 < out["min_slack"] < 1e-6
+    assert out["gap"] < 1e-7
+    H = np.diag([0.0, 1.0])
+    dense = cli.distill.conditional_min_entropy(cli.distill.iid_omega_state(
+        cli.load_state(fixtures["rho"]), H, psi, H, int(copies)))
+    assert abs(out["fidelity"] - dense.optimum) < 1e-7
+
+
+@pytest.mark.parametrize("state, levels, copies", [
+    (np.array([1.0, 1.0]) / math.sqrt(2), [0, 1], 1),
+    (np.array([1.0, 1.0]) / math.sqrt(2), [0, 1], 3),
+    (np.array([0.6, 0.8j]), [0, 1], 2),
+    (np.array([1.0, 1.0, 0.0]) / math.sqrt(2), [0, 1, 2], 1),
+    (np.array([1.0, 1.0, 1.0]) / math.sqrt(3), [0, 1, 2], 2),
+], ids=["plus-1", "plus-3", "phase-2", "qutrit-1", "qutrit-2"])
+def test_distill_never_prints_a_fidelity_above_one(fixtures, capsys, state,
+                                                   levels, copies):
+    # F* <= 1 for every source; the barrier solver's primal excess once
+    # printed 1.00000000625 for |+> itself
+    tmp = fixtures["dir"]
+    (tmp / "pure_s.json").write_text(json.dumps(array_to_json(state)))
+    (tmp / "pure_h.json").write_text(
+        json.dumps({"levels_in_2pi_over_tau": levels}))
+    assert cli.main(["distill", "--in", str(tmp / "pure_s.json"),
+                     str(tmp / "pure_h.json"), "--target", fixtures["cbit"],
+                     fixtures["h2"], "--copies", str(copies)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["certificate"] == ("dense" if len(levels) == 3
+                                  else "schur-chain")
+    assert out["fidelity"] <= 1.0 and out["hmin"] >= 0.0
+    assert 0.0 <= out["gap"] < 1e-7
+    assert abs(out["hmin"] + math.log2(out["fidelity"])) < 1e-12
+    # |+> on the target's two levels is the target itself
+    if np.allclose(np.abs(state[:2]) ** 2, 0.5):
+        assert out["fidelity"] > 1.0 - 1e-7
 
 
 @pytest.mark.parametrize("levels, source", [
@@ -575,27 +629,68 @@ def test_distill_bounds_hold_on_the_qubit_family(fixtures, capsys):
             assert out["bound_exact"] <= 1 - out["fidelity"] + out["gap"]
 
 
-@pytest.mark.parametrize("copies,levels", [
-    ("40", [0, 1]),   # Omega 2**40 * 2 wide
-    ("7", [0, 1]),    # C(14, 7) = 3432 tau parameters
-    ("5", [0, 0]),    # one level: a single 32 x 32 tau block, 1024
-    ("0", [0, 1]),
-    ("3", [0, 1, 2]), # a qubit state under a qutrit Hamiltonian
+def test_distill_certifies_a_hundred_copies_in_closed_form(fixtures, capsys):
+    # n (1 - F*) at lam = 0.6 approaches the converse's (1 - lam^2)/(4 lam^2)
+    out = _distill_json(capsys, fixtures["dir"], _qubit_family(0.6), [0, 1],
+                        100, fixtures["cbit"])
+    assert out["certificate"] == "schur-chain"
+    assert out["blocks"] + out["blocks_dropped"] == 51
+    assert out["gap"] < 1e-12
+    assert abs(100 * (1 - out["fidelity"]) - 0.4507) < 1e-3
+    assert out["bound_exact"] <= 1 - out["fidelity"] + out["gap"]
+
+
+@pytest.mark.parametrize("copies, levels, source", [
+    # a qutrit source takes the dense path, whose budgets these are
+    pytest.param("40", [0, 1, 2], "qutrit", id="40-levels0"),  # 3**40 * 2
+    pytest.param("7", [0, 1, 2], "qutrit", id="7-levels1"),    # 3**7 * 2
+    pytest.param("5", [0, 1, 2], "qutrit", id="5-qutrit"),     # 8953 params
+    # one level: a single 32 x 32 tau block, 1024 parameters
+    pytest.param("5", [0, 0], "rho", id="5-levels2"),
+    pytest.param("0", [0, 1], "rho", id="0-levels3"),
+    # a qubit state under a qutrit Hamiltonian
+    pytest.param("3", [0, 1, 2], "rho", id="3-levels4"),
 ])
 def test_distill_refuses_oversized_requests(fixtures, monkeypatch, capsys,
-                                            copies, levels):
+                                            copies, levels, source):
     # the refusal comes before any tensor power is built
     def no_tensor(*args, **kwargs):
         raise AssertionError("tensor power built")
 
     ham = fixtures["dir"] / "ham.json"
     ham.write_text(json.dumps({"levels_in_2pi_over_tau": levels}))
+    qutrit = fixtures["dir"] / "qutrit.json"
+    qutrit.write_text(json.dumps(array_to_json(
+        random_density(3, np.random.default_rng(73)))))
     monkeypatch.setattr(cli.distill, "tensor", no_tensor)
-    rc = cli.main(["distill", "--in", fixtures["rho"], str(ham),
+    rc = cli.main(["distill", "--in",
+                   str(qutrit) if source == "qutrit" else fixtures[source],
+                   str(ham), "--target", fixtures["cbit"], fixtures["h2"],
+                   "--copies", copies])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("copies", ["200", "1000000000"])
+def test_distill_copy_budget_is_checked_before_any_block(fixtures,
+                                                         monkeypatch, capsys,
+                                                         copies):
+    # 201 * 2 = 402 is a side the budget admits, but the cubed sides of
+    # 200 copies sum past 1024**3; 10**9 copies fail on the largest block
+    # alone, before the sum is taken
+    mats = _eigh_log(monkeypatch)
+
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("spin blocks built")
+
+    monkeypatch.setattr(cli.distill, "schur_blocks", no_blocks)
+    rc = cli.main(["distill", "--in", fixtures["rho"], fixtures["h2"],
                    "--target", fixtures["cbit"], fixtures["h2"],
                    "--copies", copies])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+    # rho, H and H_t at load; no n.J of any spin block
+    assert [M.shape[0] for M in mats] == [2, 2, 2]
 
 
 def test_qubit_bound_table(fixtures):
@@ -850,9 +945,10 @@ def test_distill_never_solves_the_copies_hamiltonian(fixtures, monkeypatch,
                      "--target", fixtures["cbit"], fixtures["h2"],
                      "--copies", "3"]) == 0
     capsys.readouterr()
-    # rho, H and H_t at load, and Tr_B of the dual certificate; Omega
-    # is never decomposed
-    assert [M.shape[0] for M in mats] == [2, 2, 2, 8]
+    # rho, H and H_t at load, then n.J on the spin-3/2 and spin-1/2
+    # blocks; the blocks' chains need no eigensolve, and Omega is never
+    # decomposed
+    assert [M.shape[0] for M in mats] == [2, 2, 2, 4, 2]
     H3 = np.diag(np.add.outer(np.add.outer([0, 1], [0, 1]), [0, 1]).ravel())
     assert not any(M.shape == H3.shape and np.allclose(M, H3) for M in mats)
 

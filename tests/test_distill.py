@@ -12,13 +12,16 @@ import coherence_forge
 
 from coherence_forge.config import DEFAULT
 from coherence_forge.distill import (
+    MAX_OMEGA_SIDE,
     OmegaState,
     cirac_comparison,
     conditional_min_entropy,
     distillation_copy_floor,
     iid_omega_state,
+    iid_qubit_fidelity,
     is_bound_resource,
     qubit_infidelity_bound,
+    schur_blocks,
     verify_certificate,
 )
 from coherence_forge.errors import (
@@ -34,7 +37,7 @@ from coherence_forge.linalg import (
     random_density,
     random_observable,
 )
-from coherence_forge.distill import _Sectors, _min_trace_sdp
+from coherence_forge.distill import _chain, _Sectors, _min_trace_sdp
 
 TAU = 2 * math.pi
 H_CBIT = np.diag([math.pi / TAU, -math.pi / TAU])
@@ -822,3 +825,135 @@ def test_verify_certificate_rejects_tampering():
     for bad, match in tampered:
         with pytest.raises(CertificateError, match=match):
             verify_certificate(bad, om)
+
+
+def _schur_cases():
+    """(name, sigma, H, psi_B, H_B, certificate) for the Schur-path
+    comparisons with the dense solve."""
+    rng = np.random.default_rng(81)
+    G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    off_axis = G @ G.conj().T / np.trace(G @ G.conj().T).real
+    unbalanced = np.array([math.sqrt(0.7), math.sqrt(0.3)])
+    cases = [(f"lam={lam}", qubit(lam), H01, CBIT, H01, "schur-chain")
+             for lam in (0.1, 0.3, 0.6, 0.9)]
+    cases += [
+        ("off axis", off_axis, H01, CBIT, H01, "schur-chain"),
+        ("gap 1.7", off_axis, np.diag([0.3, 2.0]), CBIT,
+         np.diag([0.0, 1.7]), "schur-chain"),
+        ("unbalanced", qubit(0.6), H01, unbalanced, H01, "schur"),
+        ("twice the gap", qubit(0.6), H01, CBIT, np.diag([0.0, 2.0]),
+         "schur"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_schur_blocks_match_the_dense_solve(n):
+    for name, sigma, H, psi, H_B, kind in _schur_cases():
+        res = iid_qubit_fidelity(sigma, H, psi, H_B, n)
+        dense = conditional_min_entropy(iid_omega_state(sigma, H, psi, H_B, n))
+        assert abs(res.fidelity - dense.optimum) < DEFAULT.sdp_gap, name
+        assert 0.0 <= res.gap < DEFAULT.sdp_gap, name
+        assert res.blocks + res.blocks_dropped == n // 2 + 1
+        # a target at twice the gap leaves one copy's sectors singletons
+        assert res.certificate == (
+            "schur-chain" if name == "twice the gap" and n == 1 else kind), name
+        if res.certificate == "schur-chain":
+            assert res.newton_steps == res.barrier_stages == 0
+            # the closed form sits below the barrier solver's primal
+            assert res.fidelity <= dense.optimum + 1e-15, name
+        else:
+            assert res.newton_steps > res.barrier_stages > 0
+
+
+def test_schur_blocks_resolve_the_spectrum_of_the_copies():
+    # p_j rho_j (x) I/dim S_j over all j has the spectrum of sigma^(x)n
+    n = 5
+    rng = np.random.default_rng(82)
+    sigma = random_density(2, rng)
+    H = random_observable(2, rng)
+    dense = np.linalg.eigvalsh(_dense_copies(sigma, H, n)[0])
+    parts = []
+    for log_p, rho, H_j in schur_blocks(sigma, H, n):
+        P = rho.dim
+        j2 = P - 1
+        k = (n - j2) // 2
+        dim_s = math.comb(n, k) * (n - 2 * k + 1) // (n - k + 1)
+        parts += [math.exp(log_p) * w / dim_s
+                  for w in np.linalg.eigvalsh(rho.matrix)] * dim_s
+        assert np.allclose(rho.spectrum, np.linalg.eigvalsh(rho.matrix),
+                           atol=1e-14)
+        assert np.allclose(np.diff(H_j.spectrum),
+                           np.diff(np.linalg.eigvalsh(H))[0], atol=1e-12)
+    assert np.allclose(np.sort(parts), dense, atol=1e-14)
+
+
+def test_schur_weights_sum_to_one_at_150_copies():
+    blocks = schur_blocks(qubit(0.6), H01, 150)
+    assert len(blocks) == 76
+    assert abs(sum(math.exp(log_p) for log_p, _, _ in blocks) - 1) < 1e-12
+    for _, rho, _ in blocks:
+        assert abs(np.trace(rho.matrix).real - 1) < 1e-12
+
+
+def test_schur_edge_sources_are_exact():
+    # a pure source has one live block and F* = 1; sigma = I/2 gives 1/2;
+    # neither takes a log of zero or divides by r = 0 (a RuntimeWarning is
+    # an error in this suite)
+    pure = np.array([[0.5, 0.5], [0.5, 0.5]])
+    for n in (1, 4, 7):
+        assert len(schur_blocks(pure, H01, n)) == 1
+        res = iid_qubit_fidelity(pure, H01, CBIT, H01, n)
+        assert (res.blocks, res.blocks_dropped) == (1, n // 2)
+        assert res.certificate == "schur-chain"
+        assert abs(res.fidelity - 1.0) < 1e-14
+        half = iid_qubit_fidelity(np.eye(2) / 2, H01, CBIT, H01, n)
+        assert half.blocks == n // 2 + 1
+        assert abs(half.fidelity - 0.5) < 1e-14
+        for r in (res, half):
+            assert all(math.isfinite(v) for v in (
+                r.fidelity, r.gap, r.min_slack))
+            assert r.min_slack > 0.0
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.6, 0.9])
+def test_schur_fidelity_respects_the_converse_and_grows(lam):
+    prev = None
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 10, 20, 50, 100):
+        res = iid_qubit_fidelity(qubit(lam), H01, CBIT, H01, n)
+        assert res.certificate == "schur-chain"
+        assert qubit_infidelity_bound(lam, n)[0] <= 1 - res.fidelity + res.gap
+        if prev is not None:
+            assert res.fidelity >= prev.fidelity - prev.gap, n
+        prev = res
+
+
+def test_schur_copy_budget_is_checked_before_any_block(monkeypatch):
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("spin blocks built")
+
+    monkeypatch.setattr(coherence_forge.distill, "schur_blocks", no_blocks)
+    # 201 * 2 is a side the budget admits, but not 200 copies' cubed sides
+    for n in (200, 10 ** 9):
+        with pytest.raises(ValidationError):
+            iid_qubit_fidelity(qubit(0.6), H01, CBIT, H01, n)
+    # a qutrit target makes each side 3 (2j + 1): 179 copies pass the
+    # cubed sides for a qubit target, not for this one
+    with pytest.raises(ValidationError, match="cubed"):
+        iid_qubit_fidelity(qubit(0.6), H01, np.ones(3) / math.sqrt(3),
+                           np.diag([0.0, 1.0, 2.0]), 179)
+    for n in (0, MAX_OMEGA_SIDE):
+        with pytest.raises(ValidationError):
+            schur_blocks(qubit(0.6), H01, n)
+
+
+def test_chain_certificate_is_checked_by_verify_certificate():
+    rho, H_j = schur_blocks(qubit(0.6), H01, 6)[1][1:]
+    om = iid_omega_state(rho, H_j, CBIT, H01, 1)
+    res = _chain(om)
+    assert verify_certificate(res, om) is res
+    assert res.primal_dual_gap < 1e-14
+    with pytest.raises(CertificateError, match="Omega has eigenvalue"):
+        verify_certificate(replace(res, tau=0.999 * res.tau), om)
+    # Omega of sectors other than singletons and links is not a chain
+    assert _chain(_rotated_instance()[0]) is None
