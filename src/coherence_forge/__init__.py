@@ -100,8 +100,8 @@ from .distill import (
     cirac_comparison,
     conditional_min_entropy,
     distillation_copy_floor,
+    iid_fidelity,
     iid_omega_state,
-    iid_qubit_fidelity,
     is_bound_resource,
     qubit_infidelity_bound,
     schur_blocks,

@@ -253,7 +253,9 @@ def _family_visibility(rho, H, tvec, Ht) -> float | None:
     agree within level_rel of H's; rho and t each put 1/2 on both levels
     (within num); lam is 2|rho_01| in H's eigenbasis (within num), so
     the target carries the source's phase; and lam is above num, so a
-    visibility that is only roundoff (sigma = I/2) gives no bound."""
+    visibility that is only roundoff (sigma = I/2) gives no bound.  lam
+    may pass 1 by num and is then clipped to 1: a pure source reads
+    1 + 4e-16."""
     if rho.dim != 2 or tvec.size != 2:
         return None
     gap, gap_t = (np.diff(h.spectrum)[0] for h in (H, Ht))
@@ -265,8 +267,8 @@ def _family_visibility(rho, H, tvec, Ht) -> float | None:
               and abs(r[0, 0].real - 0.5) <= DEFAULT.num
               and abs(abs(t[0]) ** 2 - 0.5) <= DEFAULT.num
               and abs(lam - 2.0 * abs(r[0, 1])) <= DEFAULT.num
-              and DEFAULT.num < lam <= 1.0)
-    return lam if family else None
+              and DEFAULT.num < lam <= 1.0 + DEFAULT.num)
+    return min(lam, 1.0) if family else None
 
 
 def cmd_distill(args) -> int:
@@ -279,36 +281,23 @@ def cmd_distill(args) -> int:
     tvec = _pure_vec(tgt, "--target")
     n = args.copies
     rho = density_matrix(st)
-    # a qubit under two distinct levels splits into Schur-Weyl blocks
-    if rho.dim == H.dim == 2 and level_labels(H.spectrum)[-1] == 1:
-        res = distill.iid_qubit_fidelity(rho, H, tgt, Ht, n)
-        upper, gap = res.fidelity, res.gap
-        kind, blocks, dropped = res.certificate, res.blocks, res.blocks_dropped
-    else:
-        res = distill.conditional_min_entropy(
-            distill.iid_omega_state(rho, H, tgt, Ht, n))
-        upper, gap = res.optimum, res.primal_dual_gap
-        kind, blocks, dropped = "dense", 1, 0
-    # F* <= 1 for every state, so a primal above 1 is rounding or the
-    # solver's excess; the gap is measured from the value printed
-    fidelity = min(1.0, upper)
-    gap = max(0.0, gap - (upper - fidelity))
+    res = distill.iid_fidelity(rho, H, tgt, Ht, n)
     bound_exact = bound_asym = None
     lam = _family_visibility(rho, H, tvec, Ht)
     if lam is not None:
         bound_exact, bound_asym = distill.qubit_infidelity_bound(lam, n)
     _emit({
-        "fidelity": fidelity,
-        "hmin": max(0.0, -math.log2(fidelity)),
-        "gap": gap,
+        "fidelity": res.fidelity,
+        "hmin": max(0.0, -math.log2(res.fidelity)),
+        "gap": res.gap,
         "bound_exact": bound_exact,
         "bound_asymptotic": bound_asym,
         "newton_steps": res.newton_steps,
         "barrier_stages": res.barrier_stages,
         "min_slack": res.min_slack,
-        "certificate": kind,
-        "blocks": blocks,
-        "blocks_dropped": dropped,
+        "certificate": res.certificate,
+        "blocks": res.blocks,
+        "blocks_dropped": res.blocks_dropped,
     })
     return 0
 

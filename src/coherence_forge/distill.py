@@ -10,9 +10,10 @@ The solver below is a log-barrier Newton method on that program with an
 explicit dual certificate, so every reported optimum carries its own
 weak-duality proof (gap below sdp_gap).
 
-Copies of a qubit under a non-degenerate Hamiltonian take an exact path
-instead: by Schur-Weyl duality the n-copy problem splits into one block
-per spin j (schur_blocks), and iid_qubit_fidelity sums the blocks' optima.
+iid_fidelity is the one entry point for n copies of any source.  It
+solves a list of blocks: copies of a qubit under a non-degenerate
+Hamiltonian split by Schur-Weyl duality into one block per spin j
+(schur_blocks), and any other source is one block, its n-copy Omega.
 A block whose sectors form a chain (a target with equal weights on two
 levels at the source's gap) is solved in closed form with a dual built
 along the chain (_chain); any other block goes to the barrier solver.
@@ -61,8 +62,8 @@ CENTRING_DECREMENT = 1.0
 # whose count of tau parameters, exceeds these: a dense Omega of side
 # 1024 takes 16 MB per matrix, and 924 parameters (six qubit copies)
 # take about 0.11 s per Newton step at one BLAS thread, 0.08 s of it the
-# complex solve.  iid_qubit_fidelity bounds each spin block's side by the
-# same MAX_OMEGA_SIDE, and the cubes of all its sides by its cube
+# complex solve.  iid_fidelity bounds each spin block's side by the same
+# MAX_OMEGA_SIDE, and the cubes of all its sides by its cube
 MAX_OMEGA_SIDE = 1024
 MAX_SDP_PARAMS = 1000
 # _min_trace_sdp refuses an Omega whose Newton system has more live terms
@@ -488,6 +489,12 @@ def conditional_min_entropy(omega: OmegaState) -> SdpResult:
     return verify_certificate(_min_trace_sdp(omega), omega)
 
 
+def _splits(sigma: DensityMatrix, H: HermitianObservable) -> bool:
+    """True when copies of sigma under H split into Schur-Weyl blocks:
+    a qubit under a non-degenerate qubit Hamiltonian."""
+    return sigma.dim == H.dim == 2 and level_labels(H.spectrum)[-1] == 1
+
+
 def schur_blocks(sigma, H, copies: int) -> list:
     """The Schur-Weyl blocks of sigma^(x)copies for a qubit sigma under a
     non-degenerate qubit H: (log p_j, rho_j, H_j) for each spin
@@ -516,7 +523,7 @@ def schur_blocks(sigma, H, copies: int) -> list:
         raise ValidationError(f"copies must be at least 1, got {copies}")
     H, sigma = observable(H), density_matrix(sigma)
     require_same_dim(sigma.dim, H.dim)
-    if H.dim != 2 or level_labels(H.spectrum)[-1] != 1:
+    if not _splits(sigma, H):
         raise ValidationError("Schur-Weyl blocks need a qubit under a "
                               "non-degenerate Hamiltonian")
     if copies + 1 > MAX_OMEGA_SIDE:
@@ -666,16 +673,19 @@ def _chain(omega: OmegaState) -> SdpResult | None:
 
 @dataclass(frozen=True)
 class BlockSum:
-    """F*(n) of qubit copies summed over their Schur-Weyl blocks.
+    """F*(n) summed over the blocks iid_fidelity solves.
 
-    fidelity is sum_j p_j Tr tau_j over the blocks solved, plus the mass
-    of the blocks dropped (p_j < 1e-17, each at most 1), so it bounds F*
-    from above, and fidelity - gap bounds it from below: gap is
-    sum_j p_j gap_j plus that mass.  newton_steps is summed over the
-    blocks and barrier_stages is the largest; min_slack is the least
-    eigenvalue of the direct sum of p_j (tau_j (x) I - Omega_j).
-    certificate is "schur-chain" when every block solved was certified in
-    closed form, "schur" when some block needed the barrier SDP."""
+    With upper = sum_j p_j Tr tau_j over the blocks solved, plus the mass
+    of the blocks dropped (p_j < 1e-17, each at most 1), fidelity is
+    min(1, upper), so it bounds F* <= 1 from above, and fidelity - gap
+    bounds it from below: gap is sum_j p_j gap_j plus that mass, less
+    what the clip took off upper, and never negative.  newton_steps is
+    summed over the blocks and barrier_stages is the largest; min_slack
+    is the least eigenvalue of the direct sum of p_j (tau_j (x) I -
+    Omega_j).  certificate is "dense" for one n-copy Omega, whichever
+    solver certified it; for Schur-Weyl blocks it is "schur-chain" when
+    every block solved was certified in closed form, "schur" when some
+    block needed the barrier SDP."""
 
     fidelity: float
     gap: float
@@ -687,43 +697,51 @@ class BlockSum:
     blocks_dropped: int
 
 
-def iid_qubit_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
-    """F*(copies) of a qubit sigma under a non-degenerate qubit H into any
-    target psi_B under H_B, one Schur-Weyl block at a time (schur_blocks).
+def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
+    """F*(copies) of any source sigma under H into any target psi_B under
+    H_B, summed over a list of blocks (log p, rho, H_k, k): the Schur-Weyl
+    blocks of a qubit under a non-degenerate qubit H (schur_blocks), each
+    one copy, or else the one block (0, sigma, H, copies).
 
-    Each block's Omega_j = iid_omega_state(rho_j, H_j, psi_B, H_B, 1) is
+    Each block's Omega = iid_omega_state(rho, H_k, psi_B, H_B, k) is
     solved by _chain where it applies and by _min_trace_sdp where it does
     not or where the chain's certificate fails; every result has passed
     verify_certificate.
 
-    The copy budget is checked before any block is built, the largest
-    block first: each side (2j + 1) d_B must be at most MAX_OMEGA_SIDE,
-    and sum_j ((2j + 1) d_B)^3, the work of the dense checks, at most
-    MAX_OMEGA_SIDE^3, one dense check at the largest side the dense path
-    admits.  ValidationError otherwise, and wherever schur_blocks raises
-    it (copies < 1, or a source that is not a qubit under two levels)."""
-    H_B = observable(H_B)
-    d_B = H_B.dim
-    if (copies + 1) * d_B > MAX_OMEGA_SIDE:
-        raise ValidationError(
-            f"{copies} copies make a spin block {copies + 1} * {d_B} wide, "
-            f"above the budget of {MAX_OMEGA_SIDE}")
-    work = sum(((copies - 2 * k + 1) * d_B) ** 3
-               for k in range(copies // 2 + 1))
-    if work > MAX_OMEGA_SIDE ** 3:
-        raise ValidationError(
-            f"{copies} copies make spin blocks whose cubed sides sum to "
-            f"{work}, above the budget of {MAX_OMEGA_SIDE}**3")
-    fidelity = gap = dropped = 0.0
+    Schur-Weyl blocks have a copy budget, checked before any block is
+    built, the largest block first: each side (2j + 1) d_B must be at
+    most MAX_OMEGA_SIDE, and sum_j ((2j + 1) d_B)^3, the work of the dense
+    checks, at most MAX_OMEGA_SIDE^3, one dense check at the largest side
+    one n-copy Omega admits.  ValidationError otherwise, and wherever
+    schur_blocks or iid_omega_state raises it."""
+    sigma, H, H_B = density_matrix(sigma), observable(H), observable(H_B)
+    split = _splits(sigma, H)
+    if split:
+        d_B = H_B.dim
+        if (copies + 1) * d_B > MAX_OMEGA_SIDE:
+            raise ValidationError(
+                f"{copies} copies make a spin block {copies + 1} * {d_B} "
+                f"wide, above the budget of {MAX_OMEGA_SIDE}")
+        work = sum(((copies - 2 * k + 1) * d_B) ** 3
+                   for k in range(copies // 2 + 1))
+        if work > MAX_OMEGA_SIDE ** 3:
+            raise ValidationError(
+                f"{copies} copies make spin blocks whose cubed sides sum to "
+                f"{work}, above the budget of {MAX_OMEGA_SIDE}**3")
+        blocks = [(log_p, rho, H_j, 1)
+                  for log_p, rho, H_j in schur_blocks(sigma, H, copies)]
+        count, kind = copies // 2 + 1, "schur-chain"
+    else:
+        blocks, count, kind = [(0.0, sigma, H, copies)], 1, "dense"
+    upper = gap = dropped = 0.0
     steps = stages = solved = 0
     slack = math.inf
-    kind = "schur-chain"
-    for log_p, rho, H_j in schur_blocks(sigma, H, copies):
+    for log_p, rho, H_k, k in blocks:
         p = math.exp(log_p)
         if p < 1e-17:
             dropped += p
             continue
-        omega = iid_omega_state(rho, H_j, psi_B, H_B, 1)
+        omega = iid_omega_state(rho, H_k, psi_B, H_B, k)
         res = _chain(omega)
         if res is not None:
             try:
@@ -732,17 +750,19 @@ def iid_qubit_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
                 res = None
         if res is None:
             res = conditional_min_entropy(omega)
-            kind = "schur"
-        fidelity += p * res.optimum
+            kind = "schur" if split else kind
+        upper += p * res.optimum
         gap += p * res.primal_dual_gap
         steps += res.newton_steps
         stages = max(stages, res.barrier_stages)
         slack = min(slack, p * res.min_slack)
         solved += 1
-    return BlockSum(fidelity=fidelity + dropped, gap=gap + dropped,
-                    newton_steps=steps, barrier_stages=stages,
-                    min_slack=slack, certificate=kind, blocks=solved,
-                    blocks_dropped=copies // 2 + 1 - solved)
+    upper += dropped
+    return BlockSum(
+        fidelity=min(1.0, upper),
+        gap=max(0.0, gap + dropped - max(0.0, upper - 1.0)),
+        newton_steps=steps, barrier_stages=stages, min_slack=slack,
+        certificate=kind, blocks=solved, blocks_dropped=count - solved)
 
 
 def _check_qubit_family(lam: float, n: int) -> None:

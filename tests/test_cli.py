@@ -629,6 +629,63 @@ def test_distill_bounds_hold_on_the_qubit_family(fixtures, capsys):
             assert out["bound_exact"] <= 1 - out["fidelity"] + out["gap"]
 
 
+@pytest.mark.parametrize("copies", [1, 3])
+def test_distill_bounds_a_pure_source_of_the_qubit_family(fixtures, capsys,
+                                                          copies):
+    # lam = 2<+|rho|+> - 1 reads 1 + 4e-16 on this vector; it is taken
+    # as lam = 1, where both bounds are 0
+    pure = np.full(2, 0.7071067811865476)
+    out = _distill_json(capsys, fixtures["dir"], pure, [0, 1], copies,
+                        fixtures["cbit"])
+    assert out["bound_exact"] == 0.0 and out["bound_asymptotic"] == 0.0
+    assert out["bound_exact"] <= 1 - out["fidelity"] + out["gap"]
+
+
+def test_distill_solves_through_iid_fidelity_alone(fixtures, monkeypatch,
+                                                   capsys):
+    # one library call per request; the Schur-Weyl split and the barrier
+    # solver run only inside it
+    real = cli.distill.iid_fidelity
+    copies, inside, seen = [], [], []
+
+    def traced(*args):
+        copies.append(args[-1])
+        inside.append(True)
+        try:
+            return real(*args)
+        finally:
+            inside.pop()
+
+    def inner(name):
+        fn = getattr(cli.distill, name)
+
+        def wrapped(*args, **kwargs):
+            assert inside, f"{name} called outside iid_fidelity"
+            seen.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("schur_blocks", "conditional_min_entropy"):
+        monkeypatch.setattr(cli.distill, name, inner(name))
+    monkeypatch.setattr(cli.distill, "iid_fidelity", traced)
+    tmp = fixtures["dir"]
+    (tmp / "qutrit_s.json").write_text(json.dumps(array_to_json(
+        random_density(3, np.random.default_rng(74)))))
+    (tmp / "qutrit_h.json").write_text(
+        json.dumps({"levels_in_2pi_over_tau": [0, 1, 1]}))
+    for source in ([fixtures["rho"], fixtures["h2"], "2"],
+                   [str(tmp / "qutrit_s.json"), str(tmp / "qutrit_h.json"),
+                    "1"]):
+        assert cli.main(["distill", "--in", *source[:2], "--target",
+                         fixtures["cbit"], fixtures["h2"],
+                         "--copies", source[2]]) == 0
+    kinds = [json.loads(line)["certificate"]
+             for line in capsys.readouterr().out.splitlines()]
+    assert kinds == ["schur-chain", "dense"]
+    assert copies == [2, 1]
+    assert seen == ["schur_blocks", "conditional_min_entropy"]
+
+
 def test_distill_certifies_a_hundred_copies_in_closed_form(fixtures, capsys):
     # n (1 - F*) at lam = 0.6 approaches the converse's (1 - lam^2)/(4 lam^2)
     out = _distill_json(capsys, fixtures["dir"], _qubit_family(0.6), [0, 1],

@@ -17,8 +17,8 @@ from coherence_forge.distill import (
     cirac_comparison,
     conditional_min_entropy,
     distillation_copy_floor,
+    iid_fidelity,
     iid_omega_state,
-    iid_qubit_fidelity,
     is_bound_resource,
     qubit_infidelity_bound,
     schur_blocks,
@@ -850,7 +850,7 @@ def _schur_cases():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_schur_blocks_match_the_dense_solve(n):
     for name, sigma, H, psi, H_B, kind in _schur_cases():
-        res = iid_qubit_fidelity(sigma, H, psi, H_B, n)
+        res = iid_fidelity(sigma, H, psi, H_B, n)
         dense = conditional_min_entropy(iid_omega_state(sigma, H, psi, H_B, n))
         assert abs(res.fidelity - dense.optimum) < DEFAULT.sdp_gap, name
         assert 0.0 <= res.gap < DEFAULT.sdp_gap, name
@@ -903,11 +903,11 @@ def test_schur_edge_sources_are_exact():
     pure = np.array([[0.5, 0.5], [0.5, 0.5]])
     for n in (1, 4, 7):
         assert len(schur_blocks(pure, H01, n)) == 1
-        res = iid_qubit_fidelity(pure, H01, CBIT, H01, n)
+        res = iid_fidelity(pure, H01, CBIT, H01, n)
         assert (res.blocks, res.blocks_dropped) == (1, n // 2)
         assert res.certificate == "schur-chain"
         assert abs(res.fidelity - 1.0) < 1e-14
-        half = iid_qubit_fidelity(np.eye(2) / 2, H01, CBIT, H01, n)
+        half = iid_fidelity(np.eye(2) / 2, H01, CBIT, H01, n)
         assert half.blocks == n // 2 + 1
         assert abs(half.fidelity - 0.5) < 1e-14
         for r in (res, half):
@@ -920,7 +920,7 @@ def test_schur_edge_sources_are_exact():
 def test_schur_fidelity_respects_the_converse_and_grows(lam):
     prev = None
     for n in (1, 2, 3, 4, 5, 6, 7, 8, 10, 20, 50, 100):
-        res = iid_qubit_fidelity(qubit(lam), H01, CBIT, H01, n)
+        res = iid_fidelity(qubit(lam), H01, CBIT, H01, n)
         assert res.certificate == "schur-chain"
         assert qubit_infidelity_bound(lam, n)[0] <= 1 - res.fidelity + res.gap
         if prev is not None:
@@ -936,12 +936,12 @@ def test_schur_copy_budget_is_checked_before_any_block(monkeypatch):
     # 201 * 2 is a side the budget admits, but not 200 copies' cubed sides
     for n in (200, 10 ** 9):
         with pytest.raises(ValidationError):
-            iid_qubit_fidelity(qubit(0.6), H01, CBIT, H01, n)
+            iid_fidelity(qubit(0.6), H01, CBIT, H01, n)
     # a qutrit target makes each side 3 (2j + 1): 179 copies pass the
     # cubed sides for a qubit target, not for this one
     with pytest.raises(ValidationError, match="cubed"):
-        iid_qubit_fidelity(qubit(0.6), H01, np.ones(3) / math.sqrt(3),
-                           np.diag([0.0, 1.0, 2.0]), 179)
+        iid_fidelity(qubit(0.6), H01, np.ones(3) / math.sqrt(3),
+                     np.diag([0.0, 1.0, 2.0]), 179)
     for n in (0, MAX_OMEGA_SIDE):
         with pytest.raises(ValidationError):
             schur_blocks(qubit(0.6), H01, n)
@@ -957,3 +957,56 @@ def test_chain_certificate_is_checked_by_verify_certificate():
         verify_certificate(replace(res, tau=0.999 * res.tau), om)
     # Omega of sectors other than singletons and links is not a chain
     assert _chain(_rotated_instance()[0]) is None
+
+
+def test_iid_fidelity_never_returns_a_fidelity_above_one():
+    # F* <= 1 for every source; unclipped, a pure qubit summed to
+    # 1 + 7e-16 at n = 1 and 1 + 3.3e-15 at n = 3, and the pure qutrit's
+    # dense Omega to 1 + 2e-15 (closed form) and 1 + 1.9e-8 (barrier)
+    pure = np.full(2, math.sqrt(0.5))
+    qutrit = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
+    cases = [(np.outer(pure, pure), H01, n, "schur-chain") for n in (1, 3)]
+    cases += [(np.outer(qutrit, qutrit), np.diag([0.0, 1.0, 2.0]), n,
+               "dense") for n in (1, 2)]
+    for sigma, H, n, kind in cases:
+        res = iid_fidelity(sigma, H, CBIT, H01, n)
+        assert res.certificate == kind
+        assert 1.0 - 1e-7 < res.fidelity <= 1.0, (kind, n)
+        assert 0.0 <= res.gap < DEFAULT.sdp_gap, (kind, n)
+
+
+@pytest.mark.parametrize("levels, seed", [
+    ([0, 1, 2], 91), ([0, 1, 3], 92), ([0, 1, 2, 3], 95),
+])
+def test_dense_chain_is_solved_in_closed_form(levels, seed):
+    # one copy of a qudit under these levels meets |+> on two levels in
+    # singletons and links {(m, 0), (m + 1, 1)}: a chain, as on a spin block
+    sigma = random_density(len(levels), seed)
+    H = np.diag(np.array(levels, dtype=float))
+    res = iid_fidelity(sigma, H, CBIT, H01, 1)
+    assert res.certificate == "dense"
+    assert (res.blocks, res.blocks_dropped) == (1, 0)
+    assert res.newton_steps == res.barrier_stages == 0
+    assert res.gap < 1e-12
+    dense = conditional_min_entropy(iid_omega_state(sigma, H, CBIT, H01, 1))
+    assert abs(res.fidelity - dense.optimum) < DEFAULT.sdp_gap
+    assert res.fidelity <= dense.optimum + 1e-15
+
+
+@pytest.mark.parametrize("levels, seed", [
+    # degenerate levels put three product states in one sector
+    ([0, 1, 1], 94),
+    # a chain of three links whose closed-form dual is clipped
+    # (r_0 = u_0/u_1 > 1): its gap, 0.063, fails verify_certificate
+    ([0, 1, 2, 3], 93),
+])
+def test_dense_omega_off_the_closed_form_takes_the_barrier_solver(levels,
+                                                                  seed):
+    sigma = random_density(len(levels), seed)
+    H = np.diag(np.array(levels, dtype=float))
+    res = iid_fidelity(sigma, H, CBIT, H01, 1)
+    assert res.certificate == "dense"
+    assert res.newton_steps > res.barrier_stages > 0
+    assert 0.0 <= res.gap < DEFAULT.sdp_gap
+    dense = conditional_min_entropy(iid_omega_state(sigma, H, CBIT, H01, 1))
+    assert res.fidelity == dense.optimum
