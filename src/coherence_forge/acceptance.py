@@ -2,9 +2,10 @@
 pass/fail verdicts, shared by the CLI `accept` subcommand and the test
 suite.
 
-Each criterion draws its own seeded randomness, checks the stated
-tolerances, and enforces its own wall-clock budget, so a verdict is
-reproducible in isolation.
+CRITERIA holds one (name, budget, check) row per criterion, in order.
+Each check draws its own seeded randomness and checks the stated
+tolerances, so a verdict is reproducible in isolation; run_all times
+every check and fails one that reaches its wall-clock budget.
 """
 
 from __future__ import annotations
@@ -29,25 +30,25 @@ class CriterionResult:
     seconds: float
 
 
-def _finish(index, name, t0, ok, detail, budget=None) -> CriterionResult:
-    dt = time.perf_counter() - t0
-    if budget is not None and dt >= budget:
-        ok = False
-        detail += f"; runtime {dt:.1f}s over budget {budget}s"
-    return CriterionResult(index=index, name=name, passed=ok,
-                           detail=detail, seconds=dt)
+_PLUS = np.array([1.0, 1.0]) / math.sqrt(2.0)
+_H01 = np.diag([0.0, 1.0])
 
 
-def criterion_1() -> CriterionResult:
+def _draws(seed, count, dims):
+    """(rng, d, rho, H) for i < count: d = 2 + i % dims, and rho then H
+    drawn from the stream [seed, i], which the caller may draw on."""
+    for i in range(count):
+        rng = np.random.default_rng([seed, i])
+        d = 2 + i % dims
+        rho = density_matrix(random_density(d, rng))
+        yield rng, d, rho, observable(random_observable(d, rng))
+
+
+def _purification_variance():
     """Optimal purification: 4*V_tot = F and stationarity residual."""
-    t0 = time.perf_counter()
     worst_rel = 0.0
     worst_kkt = 0.0
-    for i in range(200):
-        rng = np.random.default_rng([101, i])
-        d = 2 + i % 5
-        rho = density_matrix(random_density(d, rng))
-        H = observable(random_observable(d, rng))
+    for _, _, rho, H in _draws(101, 200, 5):
         pur = purification.build_optimal_purification(rho, H)
         F = measures.qfi(rho, H)
         rel = abs(4.0 * pur.total_variance - F) / max(F, 1e-12)
@@ -55,19 +56,14 @@ def criterion_1() -> CriterionResult:
         worst_kkt = max(worst_kkt, purification.kkt_residual(pur, H))
     ok = worst_rel <= 1e-8 and worst_kkt < 1e-10
     detail = f"max rel |4V-F| {worst_rel:.2e}, max KKT {worst_kkt:.2e}"
-    return _finish(1, "optimal purification variance", t0, ok, detail, 10.0)
+    return ok, detail
 
 
-def criterion_2() -> CriterionResult:
+def _ensemble_optimality():
     """Optimal ensemble reaches F/4 and no alternative undercuts it."""
-    t0 = time.perf_counter()
     worst_rel = 0.0
     worst_undercut = -math.inf
-    for i in range(30):
-        rng = np.random.default_rng([202, i])
-        d = 2 + i % 4
-        rho = density_matrix(random_density(d, rng))
-        H = observable(random_observable(d, rng))
+    for rng, d, rho, H in _draws(202, 30, 4):
         pur = purification.build_optimal_purification(rho, H)
         ens = purification.optimal_ensemble(pur, H)
         F = measures.qfi(rho, H)
@@ -83,12 +79,11 @@ def criterion_2() -> CriterionResult:
     ok = worst_rel <= 1e-8 and worst_undercut <= 1e-9
     detail = (f"max rel |4*avg-F| {worst_rel:.2e}, "
               f"worst undercut {worst_undercut:.2e}")
-    return _finish(2, "convex-roof ensemble optimality", t0, ok, detail, 20.0)
+    return ok, detail
 
 
-def criterion_3() -> CriterionResult:
+def _monotonicity():
     """Five measures non-increasing under 1000 twirled channels each."""
-    t0 = time.perf_counter()
     worst = -math.inf
     parts = []
     jobs = [("F", None), ("P", None), ("W", None),
@@ -101,27 +96,21 @@ def criterion_3() -> CriterionResult:
         label = mid if alpha is None else f"{mid}({alpha})"
         parts.append(f"{label}:{rep.max_violation:.1e}")
     ok = worst < 1e-8
-    return _finish(3, "measure monotonicity", t0, ok,
-                   "max violations " + ", ".join(parts), 60.0)
+    return ok, "max violations " + ", ".join(parts)
 
 
-def criterion_4() -> CriterionResult:
+def _inequality_chain():
     """P >= F, the envelope F/8 <= W <= F/4, and the qubit P/F identity.
 
     Per eigenbasis pair of rho, W/F = (p_j+p_k) / (4 (sqrt p_j + sqrt p_k)^2),
     which lies in [1/8, 1/4] because (sqrt a + sqrt b)^2 is between a+b
     and 2(a+b).
     """
-    t0 = time.perf_counter()
     bad_pf = 0
     bad_w = 0
     bad_qubit = 0
     w_lo, w_hi = math.inf, -math.inf
-    for i in range(1000):
-        rng = np.random.default_rng([404, i])
-        d = 2 + i % 4
-        rho = density_matrix(random_density(d, rng))
-        H = observable(random_observable(d, rng))
+    for _, d, rho, H in _draws(404, 1000, 4):
         F = measures.qfi(rho, H)
         P = measures.purity_of_coherence(rho, H)
         W = measures.skew_information(rho, H)
@@ -141,10 +130,10 @@ def criterion_4() -> CriterionResult:
     detail = (f"P<F fails {bad_pf}, W-envelope fails {bad_w} "
               f"(observed W/F in [{w_lo:.4f}, {w_hi:.4f}]), "
               f"qubit identity fails {bad_qubit}")
-    return _finish(4, "inequality chain P>=F, F/8<=W<=F/4", t0, ok, detail)
+    return ok, detail
 
 
-def criterion_5() -> CriterionResult:
+def _near_mixed_scaling():
     """Near-mixed limit: |P/F - 1| shrinking quadratically in eps.
 
     Per eigenbasis pair, P/F = (p_j+p_k)^2 / (4 p_j p_k)
@@ -152,7 +141,6 @@ def criterion_5() -> CriterionResult:
     is O(eps^2) and halving eps divides it by about 4.  The window
     [0.2, 0.3] rejects both a linear law (1/2) and a cubic one (1/8).
     """
-    t0 = time.perf_counter()
     eps_list = (1e-2, 5e-3, 2.5e-3)
     r_lo, r_hi = math.inf, -math.inf
     bad = 0
@@ -179,29 +167,22 @@ def criterion_5() -> CriterionResult:
     ok = bad == 0
     detail = (f"quadratic-law window [0.2, 0.3] misses {bad}/20 directions; "
               f"observed ratios in [{r_lo:.4f}, {r_hi:.4f}]")
-    return _finish(5, "near-mixed |P/F-1| scaling", t0, ok, detail)
+    return ok, detail
 
 
-def criterion_6() -> CriterionResult:
+def _fidelity_curvature():
     """Fidelity-curvature QFI agrees with the closed form."""
-    t0 = time.perf_counter()
     worst = 0.0
-    for i in range(100):
-        rng = np.random.default_rng([606, i])
-        d = 2 + i % 4
-        rho = density_matrix(random_density(d, rng))
-        H = observable(random_observable(d, rng))
+    for _, _, rho, H in _draws(606, 100, 4):
         F = measures.qfi(rho, H)
         Ffd = measures.qfi_via_fidelity(rho, H)
         worst = max(worst, abs(Ffd - F) / max(1.0, F))
     ok = worst <= 1e-5
-    return _finish(6, "QFI via fidelity curvature", t0, ok,
-                   f"max scaled error {worst:.2e}")
+    return ok, f"max scaled error {worst:.2e}"
 
 
-def criterion_7() -> CriterionResult:
+def _translated_poisson():
     """Translated-Poisson convergence under Barbour's bound."""
-    t0 = time.perf_counter()
     fixtures = {
         "bernoulli": clockdist.integer_distribution(0, [0.5, 0.5]),
         "levels-023": clockdist.integer_distribution(
@@ -223,46 +204,39 @@ def criterion_7() -> CriterionResult:
             ok = False
         notes.append(f"{name} tv={tvs[0]:.4f}/{tvs[1]:.4f}/{tvs[2]:.4f} "
                      f"ratios={ratios[0]:.3f},{ratios[1]:.3f}")
-    return _finish(7, "translated-Poisson convergence", t0, ok,
-                   "; ".join(notes), 10.0)
+    return ok, "; ".join(notes)
 
 
-def criterion_8() -> CriterionResult:
+def _rate_threshold():
     """Conversion rate threshold trend at 0.9x and 1.1x the limit."""
-    t0 = time.perf_counter()
-    cbit = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    H_cbit = np.diag([0.0, 1.0])
     u023 = np.sqrt(np.array([1, 1, 1]) / 3.0)
     H_023 = np.diag([0.0, 2.0, 3.0])
     ok = True
     notes = []
-    for name, psi, H in (("cbit", cbit, H_cbit), ("u023", u023, H_023)):
-        R = convert.max_rate(psi, H, cbit, H_cbit)
-        lo = convert.iid_sweep(psi, H, cbit, H_cbit, 0.9 * R, (256,))[0]
-        hi = convert.iid_sweep(psi, H, cbit, H_cbit, 1.1 * R, (256,))[0]
+    for name, psi, H in (("cbit", _PLUS, _H01), ("u023", u023, H_023)):
+        R = convert.max_rate(psi, H, _PLUS, _H01)
+        lo = convert.iid_sweep(psi, H, _PLUS, _H01, 0.9 * R, (256,))[0]
+        hi = convert.iid_sweep(psi, H, _PLUS, _H01, 1.1 * R, (256,))[0]
         if not lo.tv_error < 0.05:
             ok = False
         if not hi.tv_error >= 0.1:
             ok = False
         notes.append(f"{name}->cbit 0.9R tv={lo.tv_error:.4f}, "
                      f"1.1R tv={hi.tv_error:.4f}")
-    return _finish(8, "rate threshold trend", t0, ok, "; ".join(notes), 30.0)
+    return ok, "; ".join(notes)
 
 
-def criterion_9() -> CriterionResult:
+def _sdp_sandwich():
     """Min-entropy SDP sandwiched by the qubit converse and
     discard-achievability; analytic plug-ins re-verified."""
-    t0 = time.perf_counter()
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    H2 = np.diag([0.0, 1.0])
     ok = True
     worst_gap = 0.0
     notes = []
     for lam in (0.3, 0.6, 0.9):
-        rho1 = lam * np.outer(plus, plus) + (1 - lam) * np.eye(2) / 2
+        rho1 = lam * np.outer(_PLUS, _PLUS) + (1 - lam) * np.eye(2) / 2
         for n in (1, 2, 3):
             res = distill.conditional_min_entropy(
-                distill.iid_omega_state(rho1, H2, plus, H2, n))
+                distill.iid_omega_state(rho1, _H01, _PLUS, _H01, n))
             worst_gap = max(worst_gap, res.primal_dual_gap)
             f_star = res.optimum
             lt = 2.0 * f_star - 1.0
@@ -279,40 +253,31 @@ def criterion_9() -> CriterionResult:
         ok = False
     notes.append(f"max gap {worst_gap:.1e}; "
                  f"plug-ins {exact:.6f}/{asym:.6f}")
-    return _finish(9, "min-entropy SDP sandwich", t0, ok,
-                   "; ".join(notes), 60.0)
+    return ok, "; ".join(notes)
 
 
-def criterion_10() -> CriterionResult:
+def _bound_resource():
     """Bound-resource verdicts and 1/eps copy-floor scaling."""
-    t0 = time.perf_counter()
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    H2 = observable(np.diag([0.0, 1.0]))
     ok = True
     r_lo, r_hi = math.inf, -math.inf
-    for i in range(50):
-        rng = np.random.default_rng([1010, i])
-        d = 2 + i % 3
-        rho = density_matrix(random_density(d, rng))
-        H = observable(random_observable(d, rng))
+    for _, _, rho, H in _draws(1010, 50, 3):
         if measures.qfi(rho, H) <= 1e-6:
             continue
         if not distill.is_bound_resource(rho, H):
             ok = False
         floors = [distill.distillation_copy_floor(
-            rho, H, plus, H2, eps=e) for e in (0.04, 0.02, 0.01)]
+            rho, H, _PLUS, _H01, eps=e) for e in (0.04, 0.02, 0.01)]
         ratios = (floors[1] / floors[0], floors[2] / floors[1])
         r_lo = min(r_lo, *ratios)
         r_hi = max(r_hi, *ratios)
         if not all(1.9 <= r <= 2.1 for r in ratios):
             ok = False
     detail = f"floor ratios in [{r_lo:.4f}, {r_hi:.4f}]"
-    return _finish(10, "bound-resource diagnostic", t0, ok, detail)
+    return ok, detail
 
 
-def criterion_11() -> CriterionResult:
+def _period_fixtures():
     """Period and minimal overlap-copy fixtures."""
-    t0 = time.perf_counter()
     tau = 2.0 * math.pi
     ok = True
     notes = []
@@ -334,12 +299,11 @@ def criterion_11() -> CriterionResult:
     if st023.period != tau or L != 2:
         ok = False
     notes.append(f"levels {{0,2,3}}: period tau, L={L}")
-    return _finish(11, "period and Bezout fixtures", t0, ok, "; ".join(notes))
+    return ok, "; ".join(notes)
 
 
-def criterion_12() -> CriterionResult:
+def _achievability_gap():
     """Achievable-to-lower-bound infidelity ratio is 2/(1+lambda)."""
-    t0 = time.perf_counter()
     worst = 0.0
     for lam in (0.3, 0.6, 0.9):
         for n in (1, 10, 100):
@@ -347,17 +311,41 @@ def criterion_12() -> CriterionResult:
             ach = distill.cirac_comparison(lam, n)
             worst = max(worst, abs(ach / asym - 2.0 / (1.0 + lam)))
     ok = worst <= 1e-12
-    return _finish(12, "achievability-gap arithmetic", t0, ok,
-                   f"max ratio deviation {worst:.2e}")
+    return ok, f"max ratio deviation {worst:.2e}"
 
 
-ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4,
-                criterion_5, criterion_6, criterion_7, criterion_8,
-                criterion_9, criterion_10, criterion_11, criterion_12)
+# (printed name, wall-clock budget in seconds or None, check), in
+# criterion order; each check returns (ok, detail)
+CRITERIA = (
+    ("optimal purification variance", 10.0, _purification_variance),
+    ("convex-roof ensemble optimality", 20.0, _ensemble_optimality),
+    ("measure monotonicity", 60.0, _monotonicity),
+    ("inequality chain P>=F, F/8<=W<=F/4", None, _inequality_chain),
+    ("near-mixed |P/F-1| scaling", None, _near_mixed_scaling),
+    ("QFI via fidelity curvature", None, _fidelity_curvature),
+    ("translated-Poisson convergence", 10.0, _translated_poisson),
+    ("rate threshold trend", 30.0, _rate_threshold),
+    ("min-entropy SDP sandwich", 60.0, _sdp_sandwich),
+    ("bound-resource diagnostic", None, _bound_resource),
+    ("period and Bezout fixtures", None, _period_fixtures),
+    ("achievability-gap arithmetic", None, _achievability_gap),
+)
 
 
-def run_all():
-    return [fn() for fn in ALL_CRITERIA]
+def run_all() -> list[CriterionResult]:
+    """Every criterion of CRITERIA, timed; one that runs for its budget
+    or longer fails, and its detail says by how much."""
+    results = []
+    for index, (name, budget, check) in enumerate(CRITERIA, start=1):
+        t0 = time.perf_counter()
+        ok, detail = check()
+        dt = time.perf_counter() - t0
+        if budget is not None and dt >= budget:
+            ok = False
+            detail += f"; runtime {dt:.1f}s over budget {budget}s"
+        results.append(CriterionResult(index=index, name=name, passed=ok,
+                                       detail=detail, seconds=dt))
+    return results
 
 
 def format_result(r: CriterionResult) -> str:

@@ -644,11 +644,14 @@ def _chain(omega: OmegaState) -> SdpResult | None:
     single = single.reshape(d_A, d_B)
 
     def least_slack(t):
-        # singletons, then the links' 2 x 2 blocks in closed form
-        a, b = t[m] - D[m, 0], t[m + 1] - D[m + 1, 1]
-        pair = 0.5 * (a + b) - np.hypot(0.5 * (a - b), c[m])
-        return float(min((t[:, None] - D)[single].min(initial=math.inf),
-                         pair.min(initial=math.inf)))
+        # singletons, then the links' 2 x 2 blocks in closed form; a B of
+        # one level has no column 1 and no links
+        least = (t[:, None] - D)[single].min(initial=math.inf)
+        if m.size:
+            a, b = t[m] - D[m, 0], t[m + 1] - D[m + 1, 1]
+            pair = 0.5 * (a + b) - np.hypot(0.5 * (a - b), c[m])
+            least = min(least, pair.min())
+        return float(least)
 
     t = o + np.exp(log_u)
     eta = N * np.finfo(float).eps * float(t.max()) - min(least_slack(t), 0.0)

@@ -641,6 +641,21 @@ def test_distill_bounds_a_pure_source_of_the_qubit_family(fixtures, capsys,
     assert out["bound_exact"] <= 1 - out["fidelity"] + out["gap"]
 
 
+@pytest.mark.parametrize("copies", [1, 3])
+def test_distill_reaches_a_one_level_target(fixtures, capsys, copies):
+    # discarding the source reaches a target of one level exactly
+    tmp = fixtures["dir"]
+    (tmp / "one_s.json").write_text(json.dumps(
+        {"dim": [1], "re": [1.0], "im": [0.0]}))
+    (tmp / "one_h.json").write_text(
+        json.dumps({"levels_in_2pi_over_tau": [0]}))
+    assert cli.main(["distill", "--in", fixtures["rho"], fixtures["h2"],
+                     "--target", str(tmp / "one_s.json"),
+                     str(tmp / "one_h.json"), "--copies", str(copies)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["fidelity"] == 1.0 and out["hmin"] == 0.0
+
+
 def test_distill_solves_through_iid_fidelity_alone(fixtures, monkeypatch,
                                                    capsys):
     # one library call per request; the Schur-Weyl split and the barrier

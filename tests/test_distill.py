@@ -975,6 +975,20 @@ def test_iid_fidelity_never_returns_a_fidelity_above_one():
         assert 0.0 <= res.gap < DEFAULT.sdp_gap, (kind, n)
 
 
+@pytest.mark.parametrize("sigma, H, n", [
+    (qubit(0.6), H01, 1),
+    (qubit(0.6), H01, 3),
+    (random_density(3, 1), np.diag([0.0, 1.0, 3.0]), 1),
+], ids=["qubit-1", "qubit-3", "qutrit-1"])
+def test_one_level_target_has_fidelity_one(sigma, H, n):
+    # a target of one level is reached by discarding: tau = Omega, the
+    # dephased source, is feasible and Tr tau >= Tr Omega = 1.  Omega has
+    # no column for a second target level, and so no links
+    res = iid_fidelity(sigma, H, [1.0], [[0.0]], n)
+    assert res.fidelity == 1.0
+    assert 0.0 <= res.gap < 1e-15
+
+
 @pytest.mark.parametrize("levels, seed", [
     ([0, 1, 2], 91), ([0, 1, 3], 92), ([0, 1, 2, 3], 95),
 ])
