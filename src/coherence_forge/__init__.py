@@ -104,7 +104,6 @@ from .distill import (
     iid_omega_state,
     is_bound_resource,
     qubit_infidelity_bound,
-    schur_blocks,
     verify_certificate,
 )
 

@@ -10,10 +10,11 @@ The solver below is a log-barrier Newton method on that program with an
 explicit dual certificate, so every reported optimum carries its own
 weak-duality proof (gap below sdp_gap).
 
-iid_fidelity is the one entry point for n copies of any source.  It
+iid_fidelity is the one entry point for n copies of any source, and the
+one gate that checks each request before any block is built.  It
 solves a list of blocks: copies of a qubit under a non-degenerate
 Hamiltonian split by Schur-Weyl duality into one block per spin j
-(schur_blocks), and any other source is one block, its n-copy Omega.
+(_schur_blocks), and any other source is one block, its n-copy Omega.
 A block whose sectors form a chain (a target with equal weights on two
 levels at the source's gap) is solved in closed form with a dual built
 along the chain (_chain); any other block goes to the barrier solver.
@@ -62,8 +63,8 @@ CENTRING_DECREMENT = 1.0
 # whose count of tau parameters, exceeds these: a dense Omega of side
 # 1024 takes 16 MB per matrix, and 924 parameters (six qubit copies)
 # take about 0.11 s per Newton step at one BLAS thread, 0.08 s of it the
-# complex solve.  iid_fidelity bounds each spin block's side by the same
-# MAX_OMEGA_SIDE, and the cubes of all its sides by its cube
+# complex solve.  iid_fidelity bounds the cubes of all spin blocks'
+# sides by the cube of MAX_OMEGA_SIDE, and so each side by it
 MAX_OMEGA_SIDE = 1024
 MAX_SDP_PARAMS = 1000
 # _min_trace_sdp refuses an Omega whose Newton system has more live terms
@@ -495,7 +496,7 @@ def _splits(sigma: DensityMatrix, H: HermitianObservable) -> bool:
     return sigma.dim == H.dim == 2 and level_labels(H.spectrum)[-1] == 1
 
 
-def schur_blocks(sigma, H, copies: int) -> list:
+def _schur_blocks(sigma, H, copies: int) -> list:
     """The Schur-Weyl blocks of sigma^(x)copies for a qubit sigma under a
     non-degenerate qubit H: (log p_j, rho_j, H_j) for each spin
     j = copies/2, copies/2 - 1, ... whose weight p_j is positive.
@@ -515,21 +516,9 @@ def schur_blocks(sigma, H, copies: int) -> list:
     sigma = I/2 (r = 0) keeps the J_z basis, and a pure sigma has the one
     block j = n/2.
 
-    Raises ValidationError when copies < 1, when sigma is not a qubit
-    state or H not a non-degenerate qubit Hamiltonian, or when the largest
-    block's side copies + 1 passes MAX_OMEGA_SIDE, before any block is
-    built."""
-    if copies < 1:
-        raise ValidationError(f"copies must be at least 1, got {copies}")
+    Trusts iid_fidelity's checks of copies, the split and the budget;
+    sigma and H may still be arrays."""
     H, sigma = observable(H), density_matrix(sigma)
-    require_same_dim(sigma.dim, H.dim)
-    if not _splits(sigma, H):
-        raise ValidationError("Schur-Weyl blocks need a qubit under a "
-                              "non-degenerate Hamiltonian")
-    if copies + 1 > MAX_OMEGA_SIDE:
-        raise ValidationError(
-            f"{copies} copies make a spin block {copies + 1} wide, above "
-            f"the budget of {MAX_OMEGA_SIDE}")
     n = copies
     V = H.eigenbasis
     s = V.conj().T @ sigma.matrix @ V
@@ -594,7 +583,8 @@ def _chain(omega: OmegaState) -> SdpResult | None:
     Every t_m is lifted by the least eta that leaves each sector of
     tau (x) I - Omega positive semidefinite after rounding, plus the
     N eps |tau| that a dense eigensolve may round away, so the slack is
-    positive; the certificate is the caller's to check."""
+    positive.  None, too, when the gap, by verify_certificate's formula,
+    is not below sdp_gap; any other certificate is the caller's to check."""
     d_A, d_B = omega.sectors.shape
     N = d_A * d_B
     Om = omega.matrix
@@ -668,6 +658,8 @@ def _chain(omega: OmegaState) -> SdpResult | None:
     X /= max(1.0, float(partial_trace(X, (d_A, d_B)).real.diagonal().max()))
     primal = float(t.sum())
     gap = primal - float(np.sum(Om * X.T).real)
+    if not gap < DEFAULT.sdp_gap:
+        return None
     return SdpResult(optimum=primal, tau=np.diag(t).astype(complex),
                      dual_certificate=X, primal_dual_gap=gap,
                      newton_steps=0, barrier_stages=0,
@@ -703,36 +695,38 @@ class BlockSum:
 def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     """F*(copies) of any source sigma under H into any target psi_B under
     H_B, summed over a list of blocks (log p, rho, H_k, k): the Schur-Weyl
-    blocks of a qubit under a non-degenerate qubit H (schur_blocks), each
-    one copy, or else the one block (0, sigma, H, copies).
+    blocks of a qubit under a non-degenerate qubit H (_schur_blocks),
+    each one copy, or else the one block (0, sigma, H, copies).
 
     Each block's Omega = iid_omega_state(rho, H_k, psi_B, H_B, k) is
     solved by _chain where it applies and by _min_trace_sdp where it does
     not or where the chain's certificate fails; every result has passed
     verify_certificate.
 
-    Schur-Weyl blocks have a copy budget, checked before any block is
-    built, the largest block first: each side (2j + 1) d_B must be at
-    most MAX_OMEGA_SIDE, and sum_j ((2j + 1) d_B)^3, the work of the dense
-    checks, at most MAX_OMEGA_SIDE^3, one dense check at the largest side
-    one n-copy Omega admits.  ValidationError otherwise, and wherever
-    schur_blocks or iid_omega_state raises it."""
+    Every check comes before any block is built: copies >= 1, then
+    sigma, H and H_B, then psi_B as a pure_state of H_B's dimension, then
+    the split.  Schur-Weyl blocks have one copy budget: sum_j
+    ((2j + 1) d_B)^3, the work of the dense checks, taken the largest
+    block first, is at most MAX_OMEGA_SIDE^3, one dense check at the
+    largest side one n-copy Omega admits; it bounds each side too.
+    ValidationError or DimMismatchError otherwise, and wherever
+    iid_omega_state raises."""
+    if copies < 1:
+        raise ValidationError(f"copies must be at least 1, got {copies}")
     sigma, H, H_B = density_matrix(sigma), observable(H), observable(H_B)
+    psi_B = pure_state(psi_B)
+    require_same_dim(psi_B.dim, H_B.dim)
     split = _splits(sigma, H)
     if split:
-        d_B = H_B.dim
-        if (copies + 1) * d_B > MAX_OMEGA_SIDE:
-            raise ValidationError(
-                f"{copies} copies make a spin block {copies + 1} * {d_B} "
-                f"wide, above the budget of {MAX_OMEGA_SIDE}")
-        work = sum(((copies - 2 * k + 1) * d_B) ** 3
-                   for k in range(copies // 2 + 1))
-        if work > MAX_OMEGA_SIDE ** 3:
-            raise ValidationError(
-                f"{copies} copies make spin blocks whose cubed sides sum to "
-                f"{work}, above the budget of {MAX_OMEGA_SIDE}**3")
+        work = 0
+        for side in range(copies + 1, 0, -2):
+            work += (side * H_B.dim) ** 3
+            if work > MAX_OMEGA_SIDE ** 3:
+                raise ValidationError(
+                    f"{copies} copies make spin blocks whose cubed sides "
+                    f"sum past the budget of {MAX_OMEGA_SIDE}**3")
         blocks = [(log_p, rho, H_j, 1)
-                  for log_p, rho, H_j in schur_blocks(sigma, H, copies)]
+                  for log_p, rho, H_j in _schur_blocks(sigma, H, copies)]
         count, kind = copies // 2 + 1, "schur-chain"
     else:
         blocks, count, kind = [(0.0, sigma, H, copies)], 1, "dense"

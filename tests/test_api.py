@@ -12,7 +12,8 @@ dispatches them by name.  Any other such name stays in the package only
 for a reason listed in KEPT.  Every error class but the common base is
 raised somewhere in the package.  Every field of config.Tolerances is
 read as DEFAULT.<field> in the package's code and named in the README's
-Tolerances table.
+Tolerances table.  Every package name the README quotes in backticks, as
+module.name or as a call name(...) holding an underscore, is defined.
 """
 
 import ast
@@ -21,6 +22,7 @@ import importlib
 import inspect
 import io
 import pathlib
+import re
 import tokenize
 
 import coherence_forge
@@ -214,3 +216,59 @@ def test_every_tolerance_is_read_and_documented():
                           for p in SRC.glob("*.py")))
     assert sorted(fields - reads) == []
     assert _readme_tolerances() == fields
+
+
+def _readme_references(text):
+    """(module, name) pairs quoted in backticks in text, outside fenced
+    blocks: each module.name whose module is the package or one of its
+    modules, and each name( whose name holds an underscore, with module
+    None (any package module)."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    modules = {p.stem for p in SRC.glob("*.py")}
+    refs = []
+    for span in re.findall(r"`([^`]+)`", text):
+        dotted = re.match(r"([A-Za-z_]\w*(?:\.\w+)+)(?:\(|$)", span)
+        call = re.match(r"(\w*_\w*)\(", span)
+        if dotted:
+            head, rest = dotted.group(1).split(".", 1)
+            if head in modules:
+                refs.append((f"coherence_forge.{head}", rest))
+            elif head == "coherence_forge":
+                refs.append((head, rest))
+        elif call:
+            refs.append((None, call.group(1)))
+    return refs
+
+
+def test_readme_references_read_backticked_names():
+    text = ("`distill.iid_fidelity` and `np.add.at` and `pyproject.toml`,\n"
+            "```sh\n`linalg.gone`\n```\n"
+            "`coherence_forge.config.DEFAULT`, `kkt_residual(pur, H_S)`,\n"
+            "`F(ρ, H)` and `distill._splits(σ, H)`")
+    assert _readme_references(text) == [
+        ("coherence_forge.distill", "iid_fidelity"),
+        ("coherence_forge", "config.DEFAULT"), (None, "kkt_residual"),
+        ("coherence_forge.distill", "_splits")]
+
+
+def _defines(module, dotted):
+    obj = module
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_names_exist():
+    modules = [importlib.import_module(f"coherence_forge.{p.stem}")
+               for p in SRC.glob("*.py") if not p.stem.startswith("_")]
+    missing = []
+    for where, name in _readme_references(README.read_text()):
+        if where is None:
+            found = any(name in vars(m) for m in modules)
+        else:
+            found = _defines(importlib.import_module(where), name)
+        if not found:
+            missing.append(name if where is None else f"{where}.{name}")
+    assert missing == []

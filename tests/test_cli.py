@@ -680,7 +680,7 @@ def test_distill_solves_through_iid_fidelity_alone(fixtures, monkeypatch,
             return fn(*args, **kwargs)
         return wrapped
 
-    for name in ("schur_blocks", "conditional_min_entropy"):
+    for name in ("_schur_blocks", "conditional_min_entropy"):
         monkeypatch.setattr(cli.distill, name, inner(name))
     monkeypatch.setattr(cli.distill, "iid_fidelity", traced)
     tmp = fixtures["dir"]
@@ -698,7 +698,7 @@ def test_distill_solves_through_iid_fidelity_alone(fixtures, monkeypatch,
              for line in capsys.readouterr().out.splitlines()]
     assert kinds == ["schur-chain", "dense"]
     assert copies == [2, 1]
-    assert seen == ["schur_blocks", "conditional_min_entropy"]
+    assert seen == ["_schur_blocks", "conditional_min_entropy"]
 
 
 def test_distill_certifies_a_hundred_copies_in_closed_form(fixtures, capsys):
@@ -755,13 +755,28 @@ def test_distill_copy_budget_is_checked_before_any_block(fixtures,
     def no_blocks(*args, **kwargs):
         raise AssertionError("spin blocks built")
 
-    monkeypatch.setattr(cli.distill, "schur_blocks", no_blocks)
+    monkeypatch.setattr(cli.distill, "_schur_blocks", no_blocks)
     rc = cli.main(["distill", "--in", fixtures["rho"], fixtures["h2"],
                    "--target", fixtures["cbit"], fixtures["h2"],
                    "--copies", copies])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     # rho, H and H_t at load; no n.J of any spin block
+    assert [M.shape[0] for M in mats] == [2, 2, 2]
+
+
+def test_distill_refuses_a_bad_target_before_any_block(fixtures,
+                                                       monkeypatch, capsys):
+    # 179 copies pass the budget for a qubit target, but this target has
+    # three levels under a qubit H_t: refused before any spin block's n.J
+    mats = _eigh_log(monkeypatch)
+    qutrit = fixtures["dir"] / "qutrit_t.json"
+    qutrit.write_text(json.dumps(array_to_json(np.ones(3) / math.sqrt(3))))
+    rc = cli.main(["distill", "--in", fixtures["rho"], fixtures["h2"],
+                   "--target", str(qutrit), fixtures["h2"],
+                   "--copies", "179"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert [M.shape[0] for M in mats] == [2, 2, 2]
 
 

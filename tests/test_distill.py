@@ -21,11 +21,11 @@ from coherence_forge.distill import (
     iid_omega_state,
     is_bound_resource,
     qubit_infidelity_bound,
-    schur_blocks,
     verify_certificate,
 )
 from coherence_forge.errors import (
     CertificateError,
+    DimMismatchError,
     EpsOutOfRangeError,
     IncommensurateSpectrumError,
     ValidationError,
@@ -37,7 +37,12 @@ from coherence_forge.linalg import (
     random_density,
     random_observable,
 )
-from coherence_forge.distill import _chain, _Sectors, _min_trace_sdp
+from coherence_forge.distill import (
+    _chain,
+    _min_trace_sdp,
+    _schur_blocks,
+    _Sectors,
+)
 
 TAU = 2 * math.pi
 H_CBIT = np.diag([math.pi / TAU, -math.pi / TAU])
@@ -874,7 +879,7 @@ def test_schur_blocks_resolve_the_spectrum_of_the_copies():
     H = random_observable(2, rng)
     dense = np.linalg.eigvalsh(_dense_copies(sigma, H, n)[0])
     parts = []
-    for log_p, rho, H_j in schur_blocks(sigma, H, n):
+    for log_p, rho, H_j in _schur_blocks(sigma, H, n):
         P = rho.dim
         j2 = P - 1
         k = (n - j2) // 2
@@ -889,7 +894,7 @@ def test_schur_blocks_resolve_the_spectrum_of_the_copies():
 
 
 def test_schur_weights_sum_to_one_at_150_copies():
-    blocks = schur_blocks(qubit(0.6), H01, 150)
+    blocks = _schur_blocks(qubit(0.6), H01, 150)
     assert len(blocks) == 76
     assert abs(sum(math.exp(log_p) for log_p, _, _ in blocks) - 1) < 1e-12
     for _, rho, _ in blocks:
@@ -902,7 +907,7 @@ def test_schur_edge_sources_are_exact():
     # an error in this suite)
     pure = np.array([[0.5, 0.5], [0.5, 0.5]])
     for n in (1, 4, 7):
-        assert len(schur_blocks(pure, H01, n)) == 1
+        assert len(_schur_blocks(pure, H01, n)) == 1
         res = iid_fidelity(pure, H01, CBIT, H01, n)
         assert (res.blocks, res.blocks_dropped) == (1, n // 2)
         assert res.certificate == "schur-chain"
@@ -932,7 +937,7 @@ def test_schur_copy_budget_is_checked_before_any_block(monkeypatch):
     def no_blocks(*args, **kwargs):
         raise AssertionError("spin blocks built")
 
-    monkeypatch.setattr(coherence_forge.distill, "schur_blocks", no_blocks)
+    monkeypatch.setattr(coherence_forge.distill, "_schur_blocks", no_blocks)
     # 201 * 2 is a side the budget admits, but not 200 copies' cubed sides
     for n in (200, 10 ** 9):
         with pytest.raises(ValidationError):
@@ -944,11 +949,40 @@ def test_schur_copy_budget_is_checked_before_any_block(monkeypatch):
                      np.diag([0.0, 1.0, 2.0]), 179)
     for n in (0, MAX_OMEGA_SIDE):
         with pytest.raises(ValidationError):
-            schur_blocks(qubit(0.6), H01, n)
+            iid_fidelity(qubit(0.6), H01, CBIT, H01, n)
+
+
+def test_schur_copy_budget_boundary(monkeypatch):
+    # for a qubit target the cubed sides of 179 copies sum to 1,073,217,600,
+    # within 1024**3; those of 180 copies to 1,097,133,128, past it
+    calls = []
+
+    def record(sigma, H, copies):
+        calls.append(copies)
+        return []
+
+    monkeypatch.setattr(coherence_forge.distill, "_schur_blocks", record)
+    iid_fidelity(qubit(0.6), H01, CBIT, H01, 179)
+    assert calls == [179]
+    for n in (180, 10 ** 9):
+        with pytest.raises(ValidationError, match="cubed"):
+            iid_fidelity(qubit(0.6), H01, CBIT, H01, n)
+    assert calls == [179]
+
+
+def test_bad_target_is_refused_before_any_spin_block(monkeypatch):
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("spin blocks built")
+
+    monkeypatch.setattr(coherence_forge.distill, "_schur_blocks", no_blocks)
+    with pytest.raises(DimMismatchError):
+        iid_fidelity(qubit(0.6), H01, np.ones(3) / math.sqrt(3), H01, 179)
+    with pytest.raises(ValidationError, match="norm"):
+        iid_fidelity(qubit(0.6), H01, np.ones(2), H01, 179)
 
 
 def test_chain_certificate_is_checked_by_verify_certificate():
-    rho, H_j = schur_blocks(qubit(0.6), H01, 6)[1][1:]
+    rho, H_j = _schur_blocks(qubit(0.6), H01, 6)[1][1:]
     om = iid_omega_state(rho, H_j, CBIT, H01, 1)
     res = _chain(om)
     assert verify_certificate(res, om) is res
@@ -1011,7 +1045,7 @@ def test_dense_chain_is_solved_in_closed_form(levels, seed):
     # degenerate levels put three product states in one sector
     ([0, 1, 1], 94),
     # a chain of three links whose closed-form dual is clipped
-    # (r_0 = u_0/u_1 > 1): its gap, 0.063, fails verify_certificate
+    # (r_0 = u_0/u_1 > 1): its gap, 0.063, is past sdp_gap
     ([0, 1, 2, 3], 93),
 ])
 def test_dense_omega_off_the_closed_form_takes_the_barrier_solver(levels,
@@ -1024,3 +1058,28 @@ def test_dense_omega_off_the_closed_form_takes_the_barrier_solver(levels,
     assert 0.0 <= res.gap < DEFAULT.sdp_gap
     dense = conditional_min_entropy(iid_omega_state(sigma, H, CBIT, H01, 1))
     assert res.fidelity == dense.optimum
+
+
+@pytest.mark.parametrize("seed", [91, 93, 94])
+def test_non_optimal_chain_skips_the_dense_recheck(monkeypatch, seed):
+    # these chains' closed-form gaps, 0.31, 0.063 and 0.083, are past
+    # sdp_gap, so _chain declines them and only the barrier result is
+    # re-checked
+    sigma = random_density(4, seed)
+    H = np.diag([0.0, 1.0, 2.0, 3.0])
+    om = iid_omega_state(sigma, H, CBIT, H01, 1)
+    assert _chain(om) is None
+    dense = conditional_min_entropy(om)
+    checks = []
+    real = coherence_forge.distill.verify_certificate
+
+    def counted(result, omega):
+        checks.append(result)
+        return real(result, omega)
+
+    monkeypatch.setattr(coherence_forge.distill, "verify_certificate",
+                        counted)
+    res = iid_fidelity(sigma, H, CBIT, H01, 1)
+    assert len(checks) == 1
+    assert res.fidelity == dense.optimum
+    assert res.newton_steps == dense.newton_steps > 0
