@@ -69,7 +69,7 @@ def _ensemble_optimality():
         F = measures.qfi(rho, H)
         rel = abs(4.0 * ens.average_variance - F) / max(F, 1e-12)
         worst_rel = max(worst_rel, rel)
-        phi = pur.joint_state.vector.reshape(d, d)
+        phi = pur.amplitudes
         for _ in range(100):
             G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             U = np.linalg.qr(G)[0]

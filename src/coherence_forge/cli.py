@@ -173,8 +173,8 @@ def cmd_purify(args) -> int:
     if args.ensemble:
         ens = purification.optimal_ensemble(pur, H)
         out["ensemble"] = [
-            {"weight": float(w), "state": array_to_json(member.vector)}
-            for w, member in zip(ens.weights, ens.states)
+            {"weight": float(w), "state": array_to_json(member)}
+            for w, member in zip(ens.weights, ens.members.T)
         ]
     _emit(out)
     return 0

@@ -13,9 +13,11 @@ degenerate eigenspaces rotated so that H_S is diagonal inside each block
 the purification is |Phi> = sum_i sqrt(p_i) |phi_i> x |phi_i> with the
 *unconjugated* copy, so A-side operators built from coordinate formulas
 must be transposed in this basis before rotating back.  |Phi> is held as
-its d x d amplitude matrix Phi = V diag(sqrt p) V^T, indexed [s, a], and
-(H_S x I + I x H_A) vec Phi = vec(H_S Phi + Phi H_A^T) keeps every
-joint-state quantity at d x d.
+its d x d amplitude matrix Phi = V diag(sqrt p) V^T, indexed [s, a]
+(Purification.amplitudes), and (H_S x I + I x H_A) vec Phi =
+vec(H_S Phi + Phi H_A^T) keeps every joint-state quantity at d x d.  A
+pure ensemble holds its unit members as the columns of one d x k array
+(PureEnsemble.members); neither array is validated again once built.
 """
 
 from __future__ import annotations
@@ -34,19 +36,17 @@ from .errors import (
 )
 from .linalg import (
     HermitianObservable,
-    PureState,
     density_matrix,
     eig_hermitian,
     level_labels,
     observable,
-    pure_state,
     require_same_dim,
 )
 
 
 @dataclass(frozen=True)
 class Purification:
-    joint_state: PureState
+    amplitudes: np.ndarray
     aux_hamiltonian: HermitianObservable
     total_variance: float
 
@@ -54,12 +54,11 @@ class Purification:
 @dataclass(frozen=True)
 class PureEnsemble:
     weights: np.ndarray
-    states: list
+    members: np.ndarray
     average_variance: float
 
     def mixture(self) -> np.ndarray:
-        M = np.column_stack([st.vector for st in self.states])
-        return (M * self.weights) @ M.conj().T
+        return (self.members * self.weights) @ self.members.conj().T
 
 
 def aligned_eigensystem(rho, H):
@@ -115,18 +114,11 @@ def _measure(eta, H):
     return w, M, float(np.sum(w * np.maximum(var, 0.0)))
 
 
-def _ensemble(eta, H) -> PureEnsemble:
-    """The ensemble of _measure(eta, H), its members as PureStates."""
-    w, M, avg = _measure(eta, H)
-    return PureEnsemble(weights=w, states=[pure_state(v) for v in M.T],
-                        average_variance=avg)
-
-
 def _outcomes(pur: Purification) -> np.ndarray:
     """Phi U^* for the eigenbasis U of pur's auxiliary Hamiltonian: column
     k is the unnormalised state S is left in by outcome k of measuring A."""
     U = pur.aux_hamiltonian.eigenbasis
-    return pur.joint_state.vector.reshape(U.shape[0], -1) @ U.conj()
+    return pur.amplitudes @ U.conj()
 
 
 def _coordinate_aux(p, S) -> np.ndarray:
@@ -154,8 +146,7 @@ def kkt_residual(pur: Purification, H_S) -> float:
     """
     H_S, H_A = observable(H_S).matrix, pur.aux_hamiltonian.matrix
     require_same_dim(H_A.shape[0], H_S.shape[0])
-    d = H_A.shape[0]
-    phi = pur.joint_state.vector.reshape(d, d)
+    phi = pur.amplitudes
     act = H_S @ phi + phi @ H_A.T
     G = act.conj().T @ phi - np.vdot(phi, act).real * (phi.conj().T @ phi)
     return float(np.max(np.abs(0.5 * (G + G.conj().T))))
@@ -177,7 +168,7 @@ def build_optimal_purification(rho, H_S) -> Purification:
     H_A = H_A - (np.trace(rho.matrix @ H_S).real
                  + np.trace(rho.matrix @ H_A).real) * np.eye(p.size)
     phi = _amplitudes(p, V)
-    return Purification(joint_state=pure_state(phi.reshape(-1)),
+    return Purification(amplitudes=phi,
                         aux_hamiltonian=observable(H_A),
                         total_variance=_joint_variance(phi, H_S, H_A))
 
@@ -192,7 +183,7 @@ def optimal_ensemble(pur: Purification, H_S) -> PureEnsemble:
     """
     H_S = observable(H_S)
     require_same_dim(pur.aux_hamiltonian.dim, H_S.dim)
-    return _ensemble(_outcomes(pur), H_S.matrix)
+    return PureEnsemble(*_measure(_outcomes(pur), H_S.matrix))
 
 
 def coherence_sectors(rho, H, tau: float):
@@ -255,4 +246,4 @@ def period_respecting_ensemble(rho, H, tau: float) -> PureEnsemble:
     eta = _outcomes(build_optimal_purification(rho, H))
     # column k * len(projectors) + j is the part of member k in sector j
     split = np.stack([P @ eta for P in projectors], axis=-1)
-    return _ensemble(split.reshape(rho.dim, -1), H.matrix)
+    return PureEnsemble(*_measure(split.reshape(rho.dim, -1), H.matrix))

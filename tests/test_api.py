@@ -13,7 +13,9 @@ for a reason listed in KEPT.  Every error class but the common base is
 raised somewhere in the package.  Every field of config.Tolerances is
 read as DEFAULT.<field> in the package's code and named in the README's
 Tolerances table.  Every package name the README quotes in backticks, as
-module.name or as a call name(...) holding an underscore, is defined.
+module.name or as a call name(...) holding an underscore, is defined,
+and the README's Library quick start runs and gives the numbers its
+comments show.
 """
 
 import ast
@@ -272,3 +274,32 @@ def test_readme_names_exist():
         if not found:
             missing.append(name if where is None else f"{where}.{name}")
     assert missing == []
+
+
+def _quick_start():
+    """The fenced python block under the README's Library quick start."""
+    section = README.read_text().split("## Library quick start\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+
+
+def test_readme_quick_start_runs_and_prints_its_numbers():
+    # each expression with a trailing "# <number>" comment evaluates to
+    # that number at the digits written there
+    source = _quick_start()
+    numbers = {}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        found = re.match(r"#\s*(-?\d+\.(\d+))\b", tok.string)
+        if tok.type == tokenize.COMMENT and found:
+            numbers[tok.start[0]] = found.groups()
+    scope, checked = {}, []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr) and node.end_lineno in numbers:
+            text, digits = numbers[node.end_lineno]
+            value = eval(compile(ast.Expression(node.value), "README",
+                                 "eval"), scope)
+            checked.append(text)
+            assert abs(value - float(text)) <= 0.5 * 10.0 ** -len(digits), (
+                ast.unparse(node), value, text)
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), scope)
+    assert checked == ["0.36", "0.5625", "0.09", "0.8", "0.99549"]

@@ -1040,6 +1040,25 @@ def test_distill_never_solves_the_copies_hamiltonian(fixtures, monkeypatch,
     assert not any(M.shape == H3.shape and np.allclose(M, H3) for M in mats)
 
 
+@pytest.mark.parametrize("second_ok, code", [(True, 0), (False, 2)])
+def test_accept_prints_one_line_per_criterion(monkeypatch, capsys,
+                                              second_ok, code):
+    # two fake rows stand in for the twelve criteria, so none of them runs
+    from coherence_forge import acceptance
+
+    rows = (("first fake", None, lambda: (True, "fine")),
+            ("second fake", 5.0, lambda: (second_ok, "detail two")))
+    monkeypatch.setattr(acceptance, "CRITERIA", rows)
+    assert cli.main(["accept"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    tag = "PASS" if second_ok else "FAIL"
+    assert len(lines) == 2
+    assert lines[0].startswith("PASS [ 1] first fake (")
+    assert lines[0].endswith("s): fine")
+    assert lines[1].startswith(f"{tag} [ 2] second fake (")
+    assert lines[1].endswith("s): detail two")
+
+
 def test_cli_import_leaves_acceptance_unloaded():
     # every worker that runs a subcommand compiles what it imports;
     # only accept needs the acceptance module

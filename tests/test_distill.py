@@ -993,6 +993,25 @@ def test_chain_certificate_is_checked_by_verify_certificate():
     assert _chain(_rotated_instance()[0]) is None
 
 
+def test_refused_chain_certificate_falls_back_to_the_barrier(monkeypatch):
+    # a chain whose tau is 0.1% short fails verify_certificate, and every
+    # block is then solved by the barrier SDP instead
+    chained = iid_fidelity(qubit(0.6), H01, CBIT, H01, 6)
+    assert chained.certificate == "schur-chain"
+    chain = coherence_forge.distill._chain
+
+    def short(omega):
+        res = chain(omega)
+        return replace(res, tau=0.999 * res.tau)
+
+    monkeypatch.setattr(coherence_forge.distill, "_chain", short)
+    res = iid_fidelity(qubit(0.6), H01, CBIT, H01, 6)
+    assert res.certificate == "schur"
+    assert res.newton_steps > 0
+    assert res.blocks == 4
+    assert abs(res.fidelity - chained.fidelity) <= DEFAULT.sdp_gap
+
+
 def test_iid_fidelity_never_returns_a_fidelity_above_one():
     # F* <= 1 for every source; unclipped, a pure qubit summed to
     # 1 + 7e-16 at n = 1 and 1 + 3.3e-15 at n = 3, and the pure qutrit's

@@ -1,12 +1,15 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from coherence_forge import cli
 from coherence_forge.config import DEFAULT
 from coherence_forge.errors import DimMismatchError, PeriodMismatchError
 from coherence_forge.linalg import (
+    array_to_json,
     density_matrix,
     eig_hermitian,
     observable,
@@ -32,8 +35,8 @@ def test_canonical_purification_reduces_to_rho():
         d = int(rng.integers(2, 6))
         rho = random_density(d, rng)
         phi = build_optimal_purification(rho, random_observable(d, rng)
-                                         ).joint_state
-        joint = np.outer(phi.vector, phi.vector.conj())
+                                         ).amplitudes.reshape(-1)
+        joint = np.outer(phi, phi.conj())
         red = partial_trace(joint, (d, d))
         assert np.max(np.abs(red - rho)) < 1e-10
         # reference: the sum over eigenpairs, one Kronecker term each
@@ -41,7 +44,7 @@ def test_canonical_purification_reduces_to_rho():
         p, V = eig_hermitian(rho)
         ref = sum(np.sqrt(p[i]) * np.kron(V[:, i], V[:, i])
                   for i in range(d) if p[i] > 0)
-        assert np.max(np.abs(phi.vector - ref)) < 1e-12
+        assert np.max(np.abs(phi - ref)) < 1e-12
 
 
 def test_optimal_purification_hits_quarter_qfi():
@@ -80,6 +83,33 @@ def _degenerate_fixture():
     rho = V @ np.diag([0.4, 0.3, 0.15, 0.15]) @ V.conj().T
     rho = (rho + rho.conj().T) / 2
     return rho, np.diag(rng.normal(size=4))
+
+
+def test_clipped_negative_eigenvalues_purify(tmp_path, capsys):
+    # four eigenvalues at -9e-11, each within psd, and four equal ones
+    # summing to 1: clipping the negative ones leaves ||Phi|| = 1 + 1.8e-10,
+    # and since Phi is not validated again as a unit vector, a state that
+    # density_matrix accepts also purifies
+    rng = np.random.default_rng(41)
+    G = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    Q = np.linalg.qr(G)[0]
+    p = np.array([-9e-11] * 4 + [(1 + 4 * 9e-11) / 4] * 4)
+    rho, H = (Q * p) @ Q.conj().T, np.diag(np.arange(8.0))
+    assert np.min(density_matrix(rho).spectrum) < 0.0
+    pur = build_optimal_purification(rho, H)
+    F = qfi(rho, H)
+    assert abs(4 * pur.total_variance - F) < 1e-8 * F
+    assert kkt_residual(pur, H) < 1e-10
+    ens = optimal_ensemble(pur, H)
+    assert np.max(np.abs(ens.mixture() - rho)) < 1e-9
+    files = []
+    for name, M in (("rho.json", rho), ("h.json", H)):
+        (tmp_path / name).write_text(json.dumps(array_to_json(M)))
+        files.append(str(tmp_path / name))
+    assert cli.main(["purify", "--state", files[0], "--ham", files[1],
+                     "--ensemble"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["ensemble"]) == ens.members.shape[1]
 
 
 def test_optimal_purification_degenerate_spectrum():
@@ -139,7 +169,7 @@ def test_joint_variance_matches_kronecker_reference():
     for rho, H in cases + [_degenerate_fixture()]:
         F = qfi(rho, H)
         pur = build_optimal_purification(rho, H)
-        ref = _kron_variance(pur.joint_state.vector, H,
+        ref = _kron_variance(pur.amplitudes.reshape(-1), H,
                              pur.aux_hamiltonian.matrix)
         assert abs(pur.total_variance - ref) < 1e-12 * max(1.0, F)
         # the transpose choice H_A = -S^T, with |Phi> as a sum of
@@ -174,8 +204,7 @@ def test_random_ensembles_cannot_undercut():
         rho = random_density(d, rng)
         H = np.diag(rng.normal(size=d))
         F = qfi(rho, H)
-        phi = build_optimal_purification(rho, H).joint_state
-        phi_mat = phi.vector.reshape(d, d)
+        phi_mat = build_optimal_purification(rho, H).amplitudes
         for _ in range(20):
             G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             U = np.linalg.qr(G)[0]
@@ -202,11 +231,9 @@ def _optimal_ensemble_reference(pur, H):
     """The former optimal_ensemble: one outcome of measuring A in the
     eigenbasis of H_A at a time, kept above rank_cutoff."""
     U = pur.aux_hamiltonian.eigenbasis
-    d = U.shape[0]
-    phi = pur.joint_state.vector.reshape(d, d)
     weights, states = [], []
-    for k in range(d):
-        eta = phi @ U[:, k].conj()
+    for k in range(U.shape[0]):
+        eta = pur.amplitudes @ U[:, k].conj()
         w = float(np.vdot(eta, eta).real)
         if w <= DEFAULT.rank_cutoff:
             continue
@@ -235,10 +262,10 @@ def _period_respecting_reference(rho, H, tau):
 
 def _assert_matches_reference(ens, ref, F):
     weights, states, avg = ref
-    assert len(ens.states) == len(states)
+    assert ens.members.shape[1] == len(states)
     assert np.max(np.abs(ens.weights - weights)) < 1e-14
-    for st, vec in zip(ens.states, states):
-        assert np.max(np.abs(st.vector - vec)) < 1e-14
+    for member, vec in zip(ens.members.T, states):
+        assert np.max(np.abs(member - vec)) < 1e-14
     assert abs(ens.average_variance - avg) < 1e-12 * max(1.0, F)
 
 
@@ -259,7 +286,7 @@ def test_optimal_ensemble_matches_per_member_reference():
         ens = optimal_ensemble(pur, H)
         ref = _optimal_ensemble_reference(pur, H)
         _assert_matches_reference(ens, ref, qfi(rho, H))
-        kept.append(len(ens.states))
+        kept.append(ens.members.shape[1])
     # the pure and the rank-2 state leave outcomes below rank_cutoff out
     assert kept[-2:] == [1, 2]
 
@@ -276,7 +303,7 @@ def test_rank_two_states_give_two_members():
             rho /= np.trace(rho).real
             H = random_observable(d, rng)
             ens = optimal_ensemble(build_optimal_purification(rho, H), H)
-            assert len(ens.states) == 2, d
+            assert ens.members.shape[1] == 2, d
             assert np.max(np.abs(ens.mixture() - rho)) < DEFAULT.num
 
 
@@ -300,8 +327,8 @@ def test_period_respecting_ensemble_members_are_periodic():
         assert np.max(np.abs(ens.mixture() - rho)) < 1e-9
         _assert_matches_reference(
             ens, _period_respecting_reference(rho, H, tau), F)
-        for st in ens.states:
-            assert _member_is_periodic(st.vector, H, tau)
+        for member in ens.members.T:
+            assert _member_is_periodic(member, H, tau)
 
 
 def test_period_respecting_rejects_shorter_period():
@@ -328,8 +355,8 @@ def test_period_respecting_splits_cross_sector_members():
     assert abs(ens.average_variance - F / 4) < 1e-8 * max(1.0, F)
     _assert_matches_reference(
         ens, _period_respecting_reference(rho, H, 2 * math.pi), F)
-    for st in ens.states:
-        assert _member_is_periodic(st.vector, H, 2 * math.pi)
+    for member in ens.members.T:
+        assert _member_is_periodic(member, H, 2 * math.pi)
 
 
 def _coherence_sectors_reference(rho, H, tau, tols):
