@@ -9,6 +9,7 @@ environment variable (1234 if unset); --seed wins over the environment.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -29,11 +30,11 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    MAX_ENTRY,
     PureState,
     array_from_json,
     array_to_json,
     density_matrix,
-    level_labels,
     observable,
     pure_state,
 )
@@ -99,7 +100,12 @@ def load_hamiltonian(path: str, tau: float | None = None):
             raise SchemaError(f"tau must be a number: {exc}") from exc
         clockdist.check_tau(t)
         unit = 2.0 * math.pi / t
-        H = np.diag([unit * int(n) for n in levels]).astype(complex)
+        energies = [unit * int(n) for n in levels]
+        # checked before the basis product, where inf * 0 would warn
+        if not all(abs(e) <= MAX_ENTRY for e in energies):
+            raise ValidationError(f"tau = {t!r} puts an energy 2*pi*n/tau "
+                                  f"above MAX_ENTRY = {MAX_ENTRY:g}")
+        H = np.diag(energies).astype(complex)
         if "basis" in obj:
             B = array_from_json(obj["basis"])
             if B.ndim != 2 or B.shape[0] != len(levels):
@@ -245,32 +251,6 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _family_visibility(rho, H, tvec, Ht) -> float | None:
-    """lam = 2<t|rho|t> - 1 when source and target form the qubit family
-    that qubit_infidelity_bound is proved for, else None.
-
-    That is: H and Ht are nondegenerate qubit Hamiltonians whose gaps
-    agree within level_rel of H's; rho and t each put 1/2 on both levels
-    (within num); lam is 2|rho_01| in H's eigenbasis (within num), so
-    the target carries the source's phase; and lam is above num, so a
-    visibility that is only roundoff (sigma = I/2) gives no bound.  lam
-    may pass 1 by num and is then clipped to 1: a pure source reads
-    1 + 4e-16."""
-    if rho.dim != 2 or tvec.size != 2:
-        return None
-    gap, gap_t = (np.diff(h.spectrum)[0] for h in (H, Ht))
-    r = H.eigenbasis.conj().T @ rho.matrix @ H.eigenbasis
-    t = Ht.eigenbasis.conj().T @ tvec
-    lam = 2.0 * float(np.vdot(tvec, rho.matrix @ tvec).real) - 1.0
-    family = (all(level_labels(h.spectrum)[-1] == 1 for h in (H, Ht))
-              and abs(gap - gap_t) <= DEFAULT.level_rel * gap
-              and abs(r[0, 0].real - 0.5) <= DEFAULT.num
-              and abs(abs(t[0]) ** 2 - 0.5) <= DEFAULT.num
-              and abs(lam - 2.0 * abs(r[0, 1])) <= DEFAULT.num
-              and DEFAULT.num < lam <= 1.0 + DEFAULT.num)
-    return min(lam, 1.0) if family else None
-
-
 def cmd_distill(args) -> int:
     st = load_state(args.infiles[0])
     # levels are grouped at gap_cutoff and never snapped, so a dense
@@ -278,27 +258,11 @@ def cmd_distill(args) -> int:
     H, _, _ = load_hamiltonian(args.infiles[1])
     tgt = load_state(args.target[0])
     Ht, _, _ = load_hamiltonian(args.target[1])
-    tvec = _pure_vec(tgt, "--target")
-    n = args.copies
-    rho = density_matrix(st)
-    res = distill.iid_fidelity(rho, H, tgt, Ht, n)
-    bound_exact = bound_asym = None
-    lam = _family_visibility(rho, H, tvec, Ht)
-    if lam is not None:
-        bound_exact, bound_asym = distill.qubit_infidelity_bound(lam, n)
-    _emit({
-        "fidelity": res.fidelity,
-        "hmin": max(0.0, -math.log2(res.fidelity)),
-        "gap": res.gap,
-        "bound_exact": bound_exact,
-        "bound_asymptotic": bound_asym,
-        "newton_steps": res.newton_steps,
-        "barrier_stages": res.barrier_stages,
-        "min_slack": res.min_slack,
-        "certificate": res.certificate,
-        "blocks": res.blocks,
-        "blocks_dropped": res.blocks_dropped,
-    })
+    _pure_vec(tgt, "--target")  # so a mixed target's error names --target
+    out = dataclasses.asdict(distill.iid_fidelity(st, H, tgt, Ht,
+                                                  args.copies))
+    fid = out.pop("fidelity")
+    _emit({"fidelity": fid, "hmin": max(0.0, -math.log2(fid)), **out})
     return 0
 
 

@@ -39,6 +39,7 @@ from .errors import (
 from .linalg import (
     DensityMatrix,
     HermitianObservable,
+    PureState,
     density_matrix,
     level_labels,
     observable,
@@ -490,16 +491,41 @@ def conditional_min_entropy(omega: OmegaState) -> SdpResult:
     return verify_certificate(_min_trace_sdp(omega), omega)
 
 
-def _splits(sigma: DensityMatrix, H: HermitianObservable) -> bool:
-    """True when copies of sigma under H split into Schur-Weyl blocks:
-    a qubit under a non-degenerate qubit Hamiltonian."""
-    return sigma.dim == H.dim == 2 and level_labels(H.spectrum)[-1] == 1
+def _qubit_frame(sigma: DensityMatrix, H: HermitianObservable):
+    """sigma in H's eigenbasis, the lower level first, when copies of
+    sigma under H split into Schur-Weyl blocks: a qubit under a qubit
+    Hamiltonian with two distinct levels.  None for any other source."""
+    if not (sigma.dim == H.dim == 2 and level_labels(H.spectrum)[-1] == 1):
+        return None
+    V = H.eigenbasis
+    return V.conj().T @ sigma.matrix @ V
 
 
-def _schur_blocks(sigma, H, copies: int) -> list:
-    """The Schur-Weyl blocks of sigma^(x)copies for a qubit sigma under a
-    non-degenerate qubit H: (log p_j, rho_j, H_j) for each spin
-    j = copies/2, copies/2 - 1, ... whose weight p_j is positive.
+def _visibility(s: np.ndarray | None, H: HermitianObservable,
+                psi_B: PureState, H_B: HermitianObservable) -> float | None:
+    """lam = 2|s_01| where the request is the qubit family that
+    qubit_infidelity_bound is proved for, else None (s is _qubit_frame's):
+    H_B has two distinct levels at H's gap (within level_rel), s_00 and
+    |t_0|^2 are 1/2 within num (t is psi_B in H_B's eigenbasis), and lam
+    passes num, so sigma = I/2 gives no bound.  No phase is read: one in
+    either eigenbasis is a time translation, which leaves F* unchanged.
+    A lam past 1 (a pure source reads 1 + 4e-16) is clipped to 1."""
+    if s is None or H_B.dim != 2 or level_labels(H_B.spectrum)[-1] != 1:
+        return None
+    gap, gap_B = (float(h.spectrum[1] - h.spectrum[0]) for h in (H, H_B))
+    t0 = np.vdot(H_B.eigenbasis[:, 0], psi_B.vector)
+    lam = 2.0 * abs(complex(s[0, 1]))
+    family = (abs(gap - gap_B) <= DEFAULT.level_rel * gap
+              and abs(s[0, 0].real - 0.5) <= DEFAULT.num
+              and abs(abs(t0) ** 2 - 0.5) <= DEFAULT.num
+              and lam > DEFAULT.num)
+    return min(lam, 1.0) if family else None
+
+
+def _schur_blocks(s, H, copies: int) -> list:
+    """The Schur-Weyl blocks (log p_j, rho_j, H_j) of sigma^(x)copies, one
+    for each spin j = copies/2, copies/2 - 1, ... whose weight p_j is
+    positive, from s = _qubit_frame(sigma, H) and the non-degenerate H.
 
     sigma^(x)n is the direct sum over j of p_j rho_j (x) I_{S_j}/dim S_j,
     and H_n of H_j (x) I_{S_j}, so Omega and its SDP split into one
@@ -517,11 +543,9 @@ def _schur_blocks(sigma, H, copies: int) -> list:
     block j = n/2.
 
     Trusts iid_fidelity's checks of copies, the split and the budget;
-    sigma and H may still be arrays."""
-    H, sigma = observable(H), density_matrix(sigma)
+    H may still be an array."""
+    H = observable(H)
     n = copies
-    V = H.eigenbasis
-    s = V.conj().T @ sigma.matrix @ V
     # the Bloch vector in H's eigenbasis, |0> the lower level
     rz, s01 = float((s[0, 0] - s[1, 1]).real), complex(s[0, 1])
     r = min(1.0, math.hypot(rz, 2.0 * abs(s01)))
@@ -674,16 +698,20 @@ class BlockSum:
     of the blocks dropped (p_j < 1e-17, each at most 1), fidelity is
     min(1, upper), so it bounds F* <= 1 from above, and fidelity - gap
     bounds it from below: gap is sum_j p_j gap_j plus that mass, less
-    what the clip took off upper, and never negative.  newton_steps is
-    summed over the blocks and barrier_stages is the largest; min_slack
-    is the least eigenvalue of the direct sum of p_j (tau_j (x) I -
-    Omega_j).  certificate is "dense" for one n-copy Omega, whichever
-    solver certified it; for Schur-Weyl blocks it is "schur-chain" when
-    every block solved was certified in closed form, "schur" when some
-    block needed the barrier SDP."""
+    what the clip took off upper, and never negative.  bound_exact and
+    bound_asymptotic are qubit_infidelity_bound(lam, n), lower bounds on
+    1 - F*, where the request is the qubit family (_visibility), and None
+    elsewhere.  newton_steps is summed over the blocks and barrier_stages
+    is the largest; min_slack is the least eigenvalue of the direct sum
+    of p_j (tau_j (x) I - Omega_j).  certificate is "dense" for one
+    n-copy Omega, whichever solver certified it; for Schur-Weyl blocks it
+    is "schur-chain" when every block solved was certified in closed
+    form, "schur" when some block needed the barrier SDP."""
 
     fidelity: float
     gap: float
+    bound_exact: float | None
+    bound_asymptotic: float | None
     newton_steps: int
     barrier_stages: int
     min_slack: float
@@ -697,6 +725,8 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     H_B, summed over a list of blocks (log p, rho, H_k, k): the Schur-Weyl
     blocks of a qubit under a non-degenerate qubit H (_schur_blocks),
     each one copy, or else the one block (0, sigma, H, copies).
+    _qubit_frame decides the split, and its one frame also feeds
+    _schur_blocks and the bounds' qubit-family rule (_visibility).
 
     Each block's Omega = iid_omega_state(rho, H_k, psi_B, H_B, k) is
     solved by _chain where it applies and by _min_trace_sdp where it does
@@ -716,7 +746,8 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     sigma, H, H_B = density_matrix(sigma), observable(H), observable(H_B)
     psi_B = pure_state(psi_B)
     require_same_dim(psi_B.dim, H_B.dim)
-    split = _splits(sigma, H)
+    s = _qubit_frame(sigma, H)
+    split = s is not None
     if split:
         work = 0
         for side in range(copies + 1, 0, -2):
@@ -726,7 +757,7 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
                     f"{copies} copies make spin blocks whose cubed sides "
                     f"sum past the budget of {MAX_OMEGA_SIDE}**3")
         blocks = [(log_p, rho, H_j, 1)
-                  for log_p, rho, H_j in _schur_blocks(sigma, H, copies)]
+                  for log_p, rho, H_j in _schur_blocks(s, H, copies)]
         count, kind = copies // 2 + 1, "schur-chain"
     else:
         blocks, count, kind = [(0.0, sigma, H, copies)], 1, "dense"
@@ -755,9 +786,13 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
         slack = min(slack, p * res.min_slack)
         solved += 1
     upper += dropped
+    lam = _visibility(s, H, psi_B, H_B)
+    exact, asym = ((None, None) if lam is None
+                   else qubit_infidelity_bound(lam, copies))
     return BlockSum(
         fidelity=min(1.0, upper),
         gap=max(0.0, gap + dropped - max(0.0, upper - 1.0)),
+        bound_exact=exact, bound_asymptotic=asym,
         newton_steps=steps, barrier_stages=stages, min_slack=slack,
         certificate=kind, blocks=solved, blocks_dropped=count - solved)
 

@@ -38,7 +38,7 @@ CHANNEL_API = ("the public channel API: the per-trial reference of the "
                "private core")
 KEPT = {
     "period_respecting_ensemble":
-        "the finite-copy coherence cost (ROADMAP item 5) is to sample its "
+        "the finite-copy coherence cost (ROADMAP item 8) is to sample its "
         "members",
     "random_channel": CHANNEL_API,
     "twirl": CHANNEL_API,

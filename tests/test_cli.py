@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -592,10 +593,8 @@ def _distill_json(capsys, tmp, rho, levels, copies, target):
 
 @pytest.mark.parametrize("rho, levels, copies", [
     (np.array([[0.9, 0.3], [0.3, 0.1]]), [0, 1], 2),
-    ((np.eye(2) + 0.6 * np.array([[0, 1 - 1j], [1 + 1j, 0]]) / math.sqrt(2))
-     / 2, [0, 1], 1),
     (_qubit_family(0.6), [0, 0], 1),
-], ids=["populations", "phase", "degenerate"])
+], ids=["populations", "degenerate"])
 def test_distill_prints_no_bound_off_the_qubit_family(fixtures, capsys, rho,
                                                       levels, copies):
     # with lam = 2<+|rho|+> - 1 the bound would exceed 1 - F* on each
@@ -606,6 +605,36 @@ def test_distill_prints_no_bound_off_the_qubit_family(fixtures, capsys, rho,
     lam = 2 * float((plus @ rho @ plus).real) - 1
     old = cli.distill.qubit_infidelity_bound(lam, copies)[0]
     assert old > 1 - out["fidelity"] + out["gap"]
+
+
+def test_distill_bounds_a_phased_source_by_its_coherence(fixtures, capsys):
+    # the phase of rho_01 is a time translation, which leaves F* and
+    # lam = 2|rho_01| = 0.6 as they are; at n = 1 the exact bound is
+    # 1 - F* = 0.2 itself
+    rho = (np.eye(2) + 0.6 * np.array([[0, 1 - 1j], [1 + 1j, 0]])
+           / math.sqrt(2)) / 2
+    out = _distill_json(capsys, fixtures["dir"], rho, [0, 1], 1,
+                        fixtures["cbit"])
+    exact, asym = cli.distill.qubit_infidelity_bound(0.6, 1)
+    assert abs(out["bound_exact"] - exact) < 1e-12
+    assert abs(out["bound_asymptotic"] - asym) < 1e-12
+    assert out["bound_exact"] <= 1 - out["fidelity"] + out["gap"] + 1e-15
+    # lam = 2<+|rho|+> - 1 would read the phase as lost visibility, and
+    # its bound would exceed 1 - F*
+    plus = np.ones(2) / math.sqrt(2)
+    lam = 2 * float((plus @ rho @ plus).real) - 1
+    old = cli.distill.qubit_infidelity_bound(lam, 1)[0]
+    assert old > 1 - out["fidelity"] + out["gap"]
+
+
+@pytest.mark.parametrize("levels", [[0, 1], [0, 0]])
+def test_distill_prints_blocksum_as_it_is(fixtures, capsys, levels):
+    # fidelity, then hmin, then the other fields of BlockSum in order, on
+    # the Schur path and on the dense one
+    out = _distill_json(capsys, fixtures["dir"], _qubit_family(0.6), levels,
+                        2, fixtures["cbit"])
+    names = [f.name for f in dataclasses.fields(cli.distill.BlockSum)]
+    assert list(out) == ["fidelity", "hmin", *names[1:]]
 
 
 @pytest.mark.parametrize("copies", [1, 2, 3])
@@ -658,8 +687,8 @@ def test_distill_reaches_a_one_level_target(fixtures, capsys, copies):
 
 def test_distill_solves_through_iid_fidelity_alone(fixtures, monkeypatch,
                                                    capsys):
-    # one library call per request; the Schur-Weyl split and the barrier
-    # solver run only inside it
+    # one library call per request; the Schur-Weyl split, the barrier
+    # solver and the qubit family's bounds run only inside it
     real = cli.distill.iid_fidelity
     copies, inside, seen = [], [], []
 
@@ -680,7 +709,8 @@ def test_distill_solves_through_iid_fidelity_alone(fixtures, monkeypatch,
             return fn(*args, **kwargs)
         return wrapped
 
-    for name in ("_schur_blocks", "conditional_min_entropy"):
+    for name in ("_schur_blocks", "conditional_min_entropy",
+                 "qubit_infidelity_bound"):
         monkeypatch.setattr(cli.distill, name, inner(name))
     monkeypatch.setattr(cli.distill, "iid_fidelity", traced)
     tmp = fixtures["dir"]
@@ -698,7 +728,8 @@ def test_distill_solves_through_iid_fidelity_alone(fixtures, monkeypatch,
              for line in capsys.readouterr().out.splitlines()]
     assert kinds == ["schur-chain", "dense"]
     assert copies == [2, 1]
-    assert seen == ["_schur_blocks", "conditional_min_entropy"]
+    assert seen == ["_schur_blocks", "qubit_infidelity_bound",
+                    "conditional_min_entropy"]
 
 
 def test_distill_certifies_a_hundred_copies_in_closed_form(fixtures, capsys):
@@ -956,6 +987,23 @@ def test_overflowing_hamiltonians_are_refused(tmp_path, cmd, ham):
     assert res.stdout == ""
     assert res.stderr.startswith("error: ")
     assert res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("levels, tau", [([0, 1], 1e-310),
+                                         ([0, 2 ** 53], 1e-300)])
+def test_levels_whose_energies_overflow_are_refused(tmp_path, capsys, levels,
+                                                    tau):
+    # 2 pi n / tau is inf, or NaN at n = 0, and the basis product warned
+    # "invalid value encountered in matmul" (a traceback in this suite)
+    # before the eigensolver refused the matrix
+    (tmp_path / "s.json").write_text(json.dumps({"dim": 2, **HALF}))
+    (tmp_path / "h.json").write_text(json.dumps({
+        "levels_in_2pi_over_tau": levels, "tau": tau,
+        "basis": array_to_json(np.eye(2))}))
+    assert cli.main(["measures", "--state", str(tmp_path / "s.json"),
+                     "--ham", str(tmp_path / "h.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tau = ") and err.count("\n") == 1
 
 
 def test_eigensolve_budget(tmp_path, monkeypatch, capsys):

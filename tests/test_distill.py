@@ -933,6 +933,54 @@ def test_schur_fidelity_respects_the_converse_and_grows(lam):
         prev = res
 
 
+def _family_cases():
+    """(name, sigma, H, psi_B, H_B, n) in the qubit family, where
+    iid_fidelity reports the converse: a phase on sigma or a basis on
+    either side is a covariant unitary, and the family keeps it."""
+    rng = np.random.default_rng(83)
+    B = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    phased = np.array([1.0, np.exp(1j * math.pi / 4)]) / math.sqrt(2)
+    cases = [(f"lam={lam} n={n}", qubit(lam), H01, CBIT, H01, n)
+             for lam in (0.3, 0.6, 0.9) for n in (1, 2, 5)]
+    cases += [
+        ("phase", 0.6 * np.outer(phased, phased.conj()) + 0.2 * np.eye(2),
+         H01, CBIT, H01, 2),
+        ("source basis", B @ qubit(0.6) @ B.conj().T, B @ H01 @ B.conj().T,
+         CBIT, H01, 2),
+        ("target basis", qubit(0.6), H01, B @ CBIT, B @ H01 @ B.conj().T, 2),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("case", _family_cases(), ids=lambda c: c[0])
+def test_iid_fidelity_bounds_the_qubit_family(case):
+    _, sigma, H, psi, H_B, n = case
+    res = iid_fidelity(sigma, H, psi, H_B, n)
+    V = np.linalg.eigh(H)[1]
+    exact, asym = qubit_infidelity_bound(
+        2 * abs((V.conj().T @ sigma @ V)[0, 1]), n)
+    assert abs(res.bound_exact - exact) < 1e-12
+    assert abs(res.bound_asymptotic - asym) < 1e-12
+    # at n = 1 the exact bound is 1 - F* itself, so the slack is rounding
+    assert res.bound_exact <= 1 - res.fidelity + res.gap + 1e-15
+
+
+@pytest.mark.parametrize("sigma, psi, H_B", [
+    (qubit(0.6), CBIT, np.diag([0.0, 2.0])),
+    (qubit(0.6), np.array([math.sqrt(0.7), math.sqrt(0.3)]), H01),
+    (qubit(0.6), np.ones(3) / math.sqrt(3), np.diag([0.0, 1.0, 2.0])),
+    (qubit(0.6), CBIT, np.zeros((2, 2))),
+    (np.array([[0.9, 0.3], [0.3, 0.1]]), CBIT, H01),
+    (np.eye(2) / 2, CBIT, H01),
+], ids=["twice the gap", "unbalanced", "three levels", "degenerate H_B",
+        "populations", "half"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_iid_fidelity_reports_no_bound_off_the_qubit_family(sigma, psi, H_B,
+                                                            n):
+    res = iid_fidelity(sigma, H01, psi, H_B, n)
+    assert res.bound_exact is None and res.bound_asymptotic is None
+
+
 def test_schur_copy_budget_is_checked_before_any_block(monkeypatch):
     def no_blocks(*args, **kwargs):
         raise AssertionError("spin blocks built")
