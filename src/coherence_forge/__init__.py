@@ -97,6 +97,7 @@ from .distill import (
     BlockSum,
     OmegaState,
     SdpResult,
+    SectorMatrix,
     cirac_comparison,
     conditional_min_entropy,
     distillation_copy_floor,

@@ -14,10 +14,12 @@ iid_fidelity is the one entry point for n copies of any source, and the
 one gate that checks each request before any block is built.  It
 solves a list of blocks: copies of a qubit under a non-degenerate
 Hamiltonian split by Schur-Weyl duality into one block per spin j
-(_schur_blocks), and any other source is one block, its n-copy Omega.
-A block whose sectors form a chain (a target with equal weights on two
-levels at the source's gap) is solved in closed form with a dual built
-along the chain (_chain); any other block goes to the barrier solver.
+(_schur_blocks, which gives each block as the two bands of its state),
+and any other source is one block, its n-copy Omega.  A block whose
+sectors form a chain (a target with equal weights on two levels at the
+source's gap) is solved in closed form from its bands, with a dual
+built along the chain (_chain), and re-checked sector by sector; any
+other block goes to the barrier solver on its dense Omega.
 verify_certificate re-checks every block result either way.
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +67,9 @@ CENTRING_DECREMENT = 1.0
 # whose count of tau parameters, exceeds these: a dense Omega of side
 # 1024 takes 16 MB per matrix, and 924 parameters (six qubit copies)
 # take about 0.11 s per Newton step at one BLAS thread, 0.08 s of it the
-# complex solve.  iid_fidelity bounds the cubes of all spin blocks'
-# sides by the cube of MAX_OMEGA_SIDE, and so each side by it
+# complex solve.  iid_fidelity bounds the summed sides of all spin blocks
+# by the square of MAX_OMEGA_SIDE, and refuses a block that needs its
+# dense Omega (one the chain declines) whose side passes MAX_OMEGA_SIDE
 MAX_OMEGA_SIDE = 1024
 MAX_SDP_PARAMS = 1000
 # _min_trace_sdp refuses an Omega whose Newton system has more live terms
@@ -116,17 +120,57 @@ def distillation_copy_floor(rho, H, psi_target, H_t, eps: float,
 
 
 @dataclass(frozen=True)
+class SectorMatrix:
+    """An N x N matrix on A (x) B, N = d_A d_B, held as its entries:
+    values[q] at (rows[q], cols[q]), where (a, b) has the product index
+    a d_B + b, and zero elsewhere.  A spin block holds its Omega and a
+    chain's dual X this way, in O(N) memory."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
 class OmegaState:
     """Source-target joint state pinched onto the eigenspaces of
     H_A (x) I - I (x) H_B, in the basis U_A (x) U_B of the two
     Hamiltonians' eigenvectors (each ascending in energy).
 
     sectors[i, j] labels the difference eigenspace that holds basis
-    vector (i, j); matrix is block-diagonal in these labels.  It is a
-    state because the source and target it is built from are."""
+    vector (i, j); matrix is block-diagonal in these labels, as a dense
+    N x N array or as a SectorMatrix of its entries inside the sectors.
+    It is a state because the source and target it is built from are."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray | SectorMatrix
     sectors: np.ndarray = field(repr=False)
+
+
+def _sectors(blocks: list, b: np.ndarray) -> np.ndarray:
+    """The sector labels of the product levels (i, j) of each block's A
+    levels a (ascending, the blocks in order) and B levels b, as a
+    sum(len(a)) x len(b) array: within a block, the level_labels of the
+    sorted differences a_i - b_j at gap_cutoff, numbered on from the
+    previous block's, so that no sector spans two blocks.  A step between
+    sorted differences of one block that is at least gap_cutoff yet
+    below sqrt(gap_cutoff) makes the sectors ill-defined and raises
+    IncommensurateSpectrumError."""
+    a = np.concatenate(blocks)
+    delta = (a[:, None] - b[None, :]).ravel()
+    block = np.repeat(np.arange(len(blocks)), [len(x) * len(b) for x in blocks])
+    order = np.lexsort((delta, block))
+    steps = np.diff(delta[order])
+    new_block = np.diff(block[order]) != 0
+    vague = ((steps >= DEFAULT.gap_cutoff)
+             & (steps < math.sqrt(DEFAULT.gap_cutoff)) & ~new_block)
+    if np.any(vague):
+        raise IncommensurateSpectrumError(
+            f"difference-spectrum gap {steps[np.argmax(vague)]:.3e} too "
+            "small to separate eigenspaces reliably")
+    labels = np.empty(delta.size, dtype=int)
+    labels[order] = np.concatenate((
+        [0], np.cumsum((steps >= DEFAULT.gap_cutoff) | new_block)))
+    return labels.reshape(len(a), len(b))
 
 
 def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
@@ -180,26 +224,18 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     V = H.eigenbasis
     sn = tensor(*[V.conj().T @ sigma.matrix @ V] * copies)[perm][:, perm]
     M = np.kron(sn, np.outer(psi_bar, psi_bar.conj()))
-    delta = (a[:, None] - b[None, :]).ravel()
-    order = np.argsort(delta)
-    steps = np.diff(delta[order])
-    vague = ((steps >= DEFAULT.gap_cutoff)
-             & (steps < math.sqrt(DEFAULT.gap_cutoff)))
-    if np.any(vague):
-        raise IncommensurateSpectrumError(
-            f"difference-spectrum gap {steps[np.argmax(vague)]:.3e} too "
-            "small to separate eigenspaces reliably")
-    labels = np.empty(delta.size, dtype=int)
-    labels[order] = level_labels(delta[order])
-    mask = labels[:, None] == labels[None, :]
-    return OmegaState(matrix=M * mask,
-                      sectors=labels.reshape(len(a), len(b)))
+    labels = _sectors([a], b)
+    lab = labels.ravel()
+    return OmegaState(matrix=M * (lab[:, None] == lab[None, :]),
+                      sectors=labels)
 
 
 @dataclass(frozen=True)
 class SdpResult:
     """Optimum Tr(tau) with its primal tau and dual X in the eigenbasis
-    the OmegaState is held in: tau in the U_A basis, X in U_A (x) U_B.
+    the OmegaState is held in: tau in the U_A basis, X in U_A (x) U_B,
+    dense matrices from the barrier solver; a chain's (_chain) tau is
+    diagonal and held as that diagonal, its X as a SectorMatrix.
     newton_steps and barrier_stages count the solver's work; min_slack
     is the least eigenvalue of tau (x) I - Omega it ended on, read off
     the sector eigensolve that also gives X."""
@@ -438,19 +474,23 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
 
 
 def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
-    """Re-check an SDP result on the dense full-space matrices, apart from
-    the solver: tau and X are finite d_A x d_A and N x N matrices,
-    Hermitian within sdp_feas (the eigenvalue tests read one triangle
-    only); tau (x) I - Omega has no negative eigenvalue; X >= 0 (within
-    sdp_feas) with lambda_max(Tr_B X) <= 1 + sdp_feas; the gap
-    Tr tau - Tr(Omega X), recomputed, is below sdp_gap; and the reported
-    optimum and gap match Tr tau and that gap within sdp_feas.  Every
-    comparison fails on NaN.  Each check is unchanged by a product
-    rotation U_A (x) U_B, so checking in the eigenbasis that Omega, tau
-    and X share certifies the problem in any basis.
+    """Re-check an SDP result apart from the solver.  A chain's result
+    (X a SectorMatrix) is checked sector by sector (_verify_sectors);
+    any other on the dense full-space matrices: tau and X are finite
+    d_A x d_A and N x N matrices, Hermitian within sdp_feas (the
+    eigenvalue tests read one triangle only); tau (x) I - Omega has no
+    negative eigenvalue; X >= 0 (within sdp_feas) with
+    lambda_max(Tr_B X) <= 1 + sdp_feas; the gap Tr tau - Tr(Omega X),
+    recomputed, is below sdp_gap; and the reported optimum and gap match
+    Tr tau and that gap within sdp_feas.  Every comparison fails on NaN.
+    Each check is unchanged by a product rotation U_A (x) U_B, so
+    checking in the eigenbasis that Omega, tau and X share certifies the
+    problem in any basis.
 
     Returns result; raises CertificateError on the first check that
     fails."""
+    if isinstance(result.dual_certificate, SectorMatrix):
+        return _verify_sectors(result, omega)
     d_A, d_B = omega.sectors.shape
     Om = omega.matrix
     tau = np.asarray(result.tau)
@@ -473,7 +513,12 @@ def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
         raise CertificateError(
             f"lambda_max(Tr_B X) = {marginal:.12f} exceeds 1")
     primal = float(np.trace(tau).real)
-    gap = primal - float(np.sum(Om * X.T).real)
+    return _check_gap(result, primal, primal - float(np.sum(Om * X.T).real))
+
+
+def _check_gap(result: SdpResult, primal: float, gap: float) -> SdpResult:
+    """verify_certificate's last checks, on Tr tau and the recomputed
+    gap."""
     if not gap < DEFAULT.sdp_gap:
         raise CertificateError(f"recomputed gap {gap:.3e} over budget")
     if not (abs(result.optimum - primal) <= DEFAULT.sdp_feas
@@ -483,6 +528,102 @@ def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
             f"{result.primal_dual_gap:.3e} differ from Tr tau = {primal!r} "
             f"and gap {gap:.3e}")
     return result
+
+
+def _least_eigenvalue(stack: np.ndarray) -> float:
+    """The least eigenvalue over a stack of Hermitian blocks, each read
+    from its upper triangle: in closed form for blocks of side 1 or 2,
+    by eigvalsh for larger ones."""
+    if stack.shape[1] > 2:
+        return float(np.linalg.eigvalsh(stack, UPLO="U").min())
+    a = stack[:, 0, 0].real
+    if stack.shape[1] == 1:
+        return float(a.min())
+    d = stack[:, 1, 1].real
+    return float((0.5 * (a + d)
+                  - np.hypot(0.5 * (a - d), np.abs(stack[:, 0, 1]))).min())
+
+
+def _verify_sectors(result: SdpResult, omega: OmegaState) -> SdpResult:
+    """verify_certificate for a result whose tau is held as its diagonal
+    and X as a SectorMatrix, in O(N) for sectors of bounded size; it
+    shares no code with _chain.
+
+    The sector of each product index is read from omega.sectors.  tau is
+    a finite real d_A vector (imaginary parts within sdp_feas); Omega (a
+    SectorMatrix, or a dense array that must be exactly zero off the
+    sector mask) and X are finite entries in range, none of them off the
+    mask.  Each sector's blocks of tau (x) I - Omega and of X are then
+    gathered (repeated entries add): X is Hermitian within sdp_feas, and
+    the least eigenvalues, in closed form for sectors of one or two
+    product states and by eigvalsh for larger ones, are >= 0 for the
+    slack and >= -sdp_feas for X.  Gershgorin's bound on
+    lambda_max(Tr_B X), exact when Tr_B X is diagonal as a chain's is,
+    is at most 1 + sdp_feas; the gap and the reported numbers are then
+    checked as on the dense path."""
+    lab = np.asarray(omega.sectors).ravel()
+    d_A, d_B = omega.sectors.shape
+    N = d_A * d_B
+    tau = np.asarray(result.tau)
+    if tau.shape != (d_A,) or not np.isfinite(tau).all():
+        raise CertificateError(f"tau is not a finite diagonal of {d_A} entries")
+    skew = float(np.abs(tau.imag).max())
+    if not skew <= DEFAULT.sdp_feas:
+        raise CertificateError(f"tau is not Hermitian: {skew:.3e}")
+    Om, X = omega.matrix, result.dual_certificate
+    if not isinstance(Om, SectorMatrix):
+        inside = lab[:, None] == lab[None, :]
+        if Om[~inside].any():
+            raise CertificateError("Omega has an entry off the sector mask")
+        Om = SectorMatrix(*np.nonzero(inside), Om[inside])
+    for name, M in (("Omega", Om), ("dual X", X)):
+        at = np.concatenate((M.rows, M.cols))
+        if not (len(M.rows) == len(M.cols) == len(M.values)
+                and np.isfinite(M.values).all()
+                and (not at.size or 0 <= at.min() <= at.max() < N)):
+            raise CertificateError(
+                f"{name} is not finite entries of an {N} x {N} matrix")
+        sector = lab[at]
+        if not (sector[:at.size // 2] == sector[at.size // 2:]).all():
+            raise CertificateError(f"{name} has an entry off the sector mask")
+    sizes = np.bincount(lab)
+    width = int(sizes.max())
+    # place of each product index inside its sector
+    place = np.empty(N, dtype=int)
+    place[np.argsort(lab, kind="stable")] = (
+        np.arange(N) - np.repeat(np.cumsum(sizes) - sizes, sizes))
+
+    def gathered(M):
+        S = np.zeros((sizes.size, width, width), dtype=complex)
+        np.add.at(S, (lab[M.rows], place[M.rows], place[M.cols]), M.values)
+        return S
+
+    Os, Xs = gathered(Om), gathered(X)
+    skew = float(np.abs(Xs - Xs.conj().swapaxes(1, 2)).max())
+    if not skew <= DEFAULT.sdp_feas:
+        raise CertificateError(f"dual X is not Hermitian: {skew:.3e}")
+    # a pad row of the slack is a unit row, so it adds an eigenvalue 1
+    S = np.zeros_like(Os)
+    S[:, range(width), range(width)] = 1.0
+    S[lab, place, place] = tau.real.repeat(d_B)
+    S -= Os
+    s_min = _least_eigenvalue(S)
+    if not s_min >= 0.0:
+        raise CertificateError(f"tau (x) I - Omega has eigenvalue {s_min:.3e}")
+    x_min = _least_eigenvalue(Xs)
+    if not x_min >= -DEFAULT.sdp_feas:
+        raise CertificateError(f"dual X has eigenvalue {x_min:.3e}")
+    (a, b), (a2, b2) = np.divmod(X.rows, d_B), np.divmod(X.cols, d_B)
+    values = np.asarray(X.values)
+    marginal = float(np.bincount(a, np.where(
+        b == b2, np.where(a == a2, values.real, np.abs(values)), 0.0),
+        minlength=d_A).max())
+    if not marginal <= 1.0 + DEFAULT.sdp_feas:
+        raise CertificateError(
+            f"Gershgorin bound of Tr_B X = {marginal:.12f} exceeds 1")
+    primal = float(tau.real.sum())
+    return _check_gap(result, primal, primal - float(
+        np.vdot(Os.swapaxes(1, 2).conj(), Xs).real))
 
 
 def conditional_min_entropy(omega: OmegaState) -> SdpResult:
@@ -523,171 +664,304 @@ def _visibility(s: np.ndarray | None, H: HermitianObservable,
 
 
 def _schur_blocks(s, H, copies: int) -> list:
-    """The Schur-Weyl blocks (log p_j, rho_j, H_j) of sigma^(x)copies, one
-    for each spin j = copies/2, copies/2 - 1, ... whose weight p_j is
+    """The Schur-Weyl blocks of sigma^(x)copies, one (log p_j, spin) for
+    each spin j = copies/2, copies/2 - 1, ... whose weight p_j is
     positive, from s = _qubit_frame(sigma, H) and the non-degenerate H.
+    spin = (levels, log_diagonal, log_super): H_j's levels, ascending,
+    and the logs of the diagonal and first superdiagonal of rho_j (-inf
+    where an entry underflows).
 
     sigma^(x)n is the direct sum over j of p_j rho_j (x) I_{S_j}/dim S_j,
     and H_n of H_j (x) I_{S_j}, so Omega and its SDP split into one
     problem per spin with F*(n) = sum_j p_j F*(rho_j) (Keyl & Werner, PRA
     64, 052311, 2001; Gatermann & Parrilo, J. Pure Appl. Algebra 192,
-    2004).  With sigma = (I + r n.sigma)/2 in H's eigenbasis and
-    a, b = (1 +- r)/2, the block state is diagonal in the eigenbasis of
-    n.J (a tridiagonal matrix in the J_z basis) with weight
-    a^(n/2+mu) b^(n/2-mu) on the eigenvalue mu, and
-    dim S_j = C(n, k)(n - 2k + 1)/(n - k + 1) with k = n/2 - j; both are
-    summed in logs.  rho_j is held in the basis m = j, j - 1, ..., -j,
-    where H_j = n E_0 + g (n/2 - m) ascends; it comes with its
-    eigendecomposition and H_j with its own, so neither is solved again.
-    sigma = I/2 (r = 0) keeps the J_z basis, and a pure sigma has the one
-    block j = n/2.
+    2004).  With s_01's phase taken off (a diagonal unitary that commutes
+    with H, a time translation, which leaves F* unchanged), rho_j is
+    Sym^N(s) over its trace, N = 2j, in the basis i = 0..N of the number
+    of copies in the upper level, where H_j = n E_0 + g (k + i) ascends
+    (k = n/2 - j).  The two bands are sums of non-negative terms:
+    <i|Sym^N s|i> = F(N - i, i) and <i|Sym^N s|i+1> =
+    sqrt((N - i)/(i + 1)) K(N - 1 - i, i), where on the grid of a copies
+    in the lower level and b in the upper
+
+        F(a, b) = alpha F(a - 1, b) + D(a, b),
+        D(a, b) = beta D(a, b - 1) + gamma^2 F(a - 1, b - 1),
+        K(a, b) = beta K(a, b - 1) + gamma F(a, b),
+
+    from F(0, 0) = D(0, 0) = 1, with alpha, beta = s_00, s_11 and
+    gamma = |s_01|.  Every coefficient is non-negative, so one sweep of
+    the anti-diagonals a + b = 0..n gives every block's bands to
+    rounding in O(n^2) work, O(P) per block of side P = N + 1.  s is
+    divided by its larger eigenvalue first, so each anti-diagonal sums
+    to between 1 and N + 1 and only entries far below the largest
+    underflow.  p_j = dim S_j det(s)^k Tr Sym^N(s) with
+    dim S_j = C(n, k)(n - 2k + 1)/(n - k + 1), in logs (math.lgamma); a
+    pure sigma has the one block j = n/2.
 
     Trusts iid_fidelity's checks of copies, the split and the budget;
     H may still be an array."""
     H = observable(H)
     n = copies
-    # the Bloch vector in H's eigenbasis, |0> the lower level
-    rz, s01 = float((s[0, 0] - s[1, 1]).real), complex(s[0, 1])
-    r = min(1.0, math.hypot(rz, 2.0 * abs(s01)))
-    log_a = math.log((1.0 + r) / 2.0)
-    log_b = math.log((1.0 - r) / 2.0) if r < 1.0 else -math.inf
+    # the Bloch vector in H's eigenbasis, |0> the lower level, clipped to
+    # the ball; s over its larger eigenvalue (1 + r)/2
+    rz, rx = float((s[0, 0] - s[1, 1]).real), 2.0 * abs(complex(s[0, 1]))
+    r = math.hypot(rz, rx)
+    if r > 1.0:
+        rz, rx, r = rz / r, rx / r, 1.0
+    alpha, beta, gamma = (1.0 + rz) / (1.0 + r), (1.0 - rz) / (1.0 + r), \
+        rx / (1.0 + r)
+    log_top = math.log((1.0 + r) / 2.0)
+    log_det = log_top + math.log((1.0 - r) / 2.0) if r < 1.0 else -math.inf
     E0, g = float(H.spectrum[0]), float(H.spectrum[1] - H.spectrum[0])
+    # anti-diagonal N at places 1..N + 1 (a = 0..N); place 0 and the
+    # places past N + 1 hold zeros
+    F, F1, F2, D, D1, K, K1 = np.zeros((7, n + 2))
+    F1[1] = D1[1] = 1.0
+    K1[1] = gamma
+    root = np.sqrt(np.arange(n + 1.0))
+    ks, diagonals, supers = [], [], []
+    for N in range(n + 1):
+        if N:
+            D[1:N + 2] = beta * D1[1:N + 2] + gamma * gamma * F2[:N + 1]
+            F[1:N + 2] = alpha * F1[:N + 1] + D[1:N + 2]
+            K[1:N + 2] = beta * K1[1:N + 2] + gamma * F[1:N + 2]
+            F, F1, F2 = F2, F, F1
+            D, D1 = D1, D
+            K, K1 = K1, K
+        # F1, D1 and K1 now hold anti-diagonal N, and K holds N - 1; the
+        # spins of weight zero (k > 0 for a pure sigma) are left out
+        k = (n - N) // 2
+        if not (n - N) % 2 and (k == 0 or log_det > -math.inf):
+            ks.append(k)
+            diagonals.append(F1[N + 1:0:-1].copy())
+            supers.append(K[N:0:-1] * root[N:0:-1] / root[1:N + 1])
+    # every block at once, the largest spin first
+    ks.reverse()
+    sides = [n + 1 - 2 * k for k in ks]
+    starts = np.cumsum([0] + sides[:-1])
+    diagonal = np.concatenate(diagonals[::-1])
+    log_totals = np.log(np.add.reduceat(diagonal, starts))
+    with np.errstate(divide="ignore"):
+        log_diagonal = np.log(diagonal) - log_totals.repeat(sides)
+        log_super = (np.log(np.concatenate(supers[::-1]))
+                     - log_totals.repeat([P - 1 for P in sides]))
+    levels = n * E0 + g * (np.repeat(ks, sides) + np.arange(diagonal.size)
+                           - starts.repeat(sides))
     blocks = []
-    for k in range(n // 2 + 1):
-        P = n - 2 * k + 1
-        i = np.arange(P)
-        e_b = (n - k - i).astype(float)
-        # a^(k + i) b^(n - k - i) on mu = i - j, with 0 log 0 = 0
-        log_w = (k + i) * log_a + np.multiply(e_b, log_b, out=np.zeros(P),
-                                              where=e_b > 0)
-        log_sum = float(np.logaddexp.reduce(log_w))
-        if log_sum == -math.inf:
-            continue
+    at = 0
+    for k, P, log_total in zip(ks, sides, log_totals.tolist()):
         log_dim = (math.lgamma(n + 1) - math.lgamma(k + 1)
                    - math.lgamma(n - k + 1) + math.log(P)
                    - math.log(n - k + 1))
-        w = np.exp(log_w - log_sum)
-        if r > 0.0:
-            # r n.J in the basis m = j - i: r_z m on the diagonal, and
-            # sigma_01 <m+1|J_+|m> above it
-            off = (s01 / r) * np.sqrt((i[1:] * (P - i[1:])).astype(float))
-            nJ = (np.diag((rz / r) * ((P - 1) / 2.0 - i)).astype(complex)
-                  + np.diag(off, 1) + np.diag(off.conj(), -1))
-            U = np.linalg.eigh(nJ)[1]
-        else:
-            U = np.eye(P, dtype=complex)
-        rho = (U * w) @ U.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
-        levels = n * E0 + g * (k + i)
-        blocks.append((
-            log_dim + log_sum,
-            DensityMatrix(matrix=rho, spectrum=w, eigenbasis=U),
-            HermitianObservable(matrix=np.diag(levels).astype(complex),
-                                spectrum=levels,
-                                eigenbasis=np.eye(P, dtype=complex))))
+        blocks.append((log_dim + (k * log_det if k else 0.0)
+                       + (P - 1) * log_top + log_total,
+                       (levels[at:at + P], log_diagonal[at:at + P],
+                        log_super[at - len(blocks):at - len(blocks) + P - 1])))
+        at += P
     return blocks
 
 
-def _chain(omega: OmegaState) -> SdpResult | None:
-    """The optimum of an Omega whose A levels m meet B's first two levels
-    in sectors that are singletons or links {(m, 0), (m + 1, 1)}, each
-    link's diagonal entries the largest of their rows (within num); None
-    for any other Omega.
+def _spin_state(s, P: int) -> DensityMatrix:
+    """rho_j of side P = 2j + 1 as a dense DensityMatrix, in _schur_blocks'
+    basis, for a block the chain declines.  With s = (I + r n.sigma)/2 and
+    a, b = (1 +- r)/2, rho_j is diagonal in the eigenbasis of n.J (one
+    eigh of a tridiagonal matrix in the J_z basis) with weight
+    a^(j+mu) b^(j-mu) on its eigenvalue mu, summed in logs; s = I/2
+    (r = 0) keeps the J_z basis.  It comes with its eigendecomposition,
+    so it is not solved again."""
+    rz, s01 = float((s[0, 0] - s[1, 1]).real), complex(s[0, 1])
+    r = min(1.0, math.hypot(rz, 2.0 * abs(s01)))
+    i = np.arange(P)
+    e_b = (P - 1 - i).astype(float)
+    # a^i b^(P - 1 - i) on mu = i - j, with 0 log 0 = 0
+    log_w = i * math.log((1.0 + r) / 2.0) + np.multiply(
+        e_b, math.log((1.0 - r) / 2.0) if r < 1.0 else -math.inf,
+        out=np.zeros(P), where=e_b > 0)
+    w = np.exp(log_w - np.logaddexp.reduce(log_w))
+    if r > 0.0:
+        # r n.J in the basis m = j - i: r_z m on the diagonal, and
+        # sigma_01 <m+1|J_+|m> above it
+        off = (s01 / r) * np.sqrt((i[1:] * (P - i[1:])).astype(float))
+        nJ = (np.diag((rz / r) * ((P - 1) / 2.0 - i)).astype(complex)
+              + np.diag(off, 1) + np.diag(off.conj(), -1))
+        U = np.linalg.eigh(nJ)[1]
+    else:
+        U = np.eye(P, dtype=complex)
+    rho = (U * w) @ U.conj().T
+    return DensityMatrix(matrix=0.5 * (rho + rho.conj().T), spectrum=w,
+                         eigenbasis=U)
+
+
+class _Bands(NamedTuple):
+    """An Omega on A (x) B whose sectors may form a chain, by its bands:
+    its sector labels (d_A x d_B), the logs of its diagonal (d_A x d_B),
+    the logs of |Omega| between (m, 0) and (m + 1, 1) for m < d_A - 1
+    (-inf where it is zero or the two lie in different sectors), and
+    Omega's phase there (1 where the source's phases are taken off)."""
+
+    sectors: np.ndarray
+    log_diagonal: np.ndarray
+    log_links: np.ndarray
+    phases: np.ndarray | complex
+
+
+def _bands_of(omega: OmegaState) -> _Bands:
+    """The _Bands of a dense Omega, read off its matrix."""
+    d_A, d_B = omega.sectors.shape
+    Om = omega.matrix
+    m = np.arange(d_A - 1 if d_B > 1 else 0)
+    link = np.zeros(d_A - 1, dtype=complex)
+    link[m] = Om[m * d_B, (m + 1) * d_B + 1]
+    c = np.abs(link)
+    with np.errstate(divide="ignore"):
+        log_D = np.log(np.maximum(Om.diagonal().real, 0.0))
+        log_c = np.log(c)
+    return _Bands(omega.sectors, log_D.reshape(d_A, d_B), log_c,
+                 np.where(c > 0.0, link / np.where(c > 0.0, c, 1.0), 1.0))
+
+
+def _band_omega(bands: _Bands) -> OmegaState:
+    """The OmegaState of _Bands as a SectorMatrix: the diagonal and, on each
+    link whose two product states share a sector, Omega and its
+    conjugate."""
+    labels = bands.sectors
+    d_A, d_B = labels.shape
+    m = (bands.log_links > -math.inf).nonzero()[0]
+    if d_B > 1:
+        m = m[labels[m, 0] == labels[m + 1, 1]]
+    i = m * d_B
+    j = i + (d_B + 1)
+    link = np.exp(bands.log_links[m]) * (
+        bands.phases[m] if np.ndim(bands.phases) else bands.phases)
+    q = np.arange(d_A * d_B)
+    return OmegaState(
+        matrix=SectorMatrix(np.concatenate((q, i, j)), np.concatenate((q, j, i)),
+                            np.concatenate((np.exp(bands.log_diagonal.ravel()),
+                                            link, np.conj(link)))),
+        sectors=labels)
+
+
+def _chain(bands: _Bands) -> SdpResult | None:
+    """The optimum of an Omega, given by its _Bands, whose A levels m meet
+    B's first two levels in sectors that are singletons or links
+    {(m, 0), (m + 1, 1)}, each link's diagonal entries the largest of
+    their rows (within num); None for any other Omega.  tau comes back
+    as its diagonal and X as a SectorMatrix.
 
     tau is then diagonal, t_m = o_m + u_m with o_m the largest diagonal
     entry of row m, and the LMI reads u >= 0 and u_m u_{m+1} >= c_m^2,
     c_m = |Omega on link m|.  On each run of links with c > 0 every
     constraint is taken active: u_0 = x, u_{m+1} = c_m^2/u_m, so
-    sum u = A x + B/x, least at x = sqrt(B/A); all of it in logs.  The
-    dual is built forward along the run: p_0 = 1, r_m = p_m u_m/u_{m+1},
-    p_{m+1} = 1 - r_m, each clipped to [0, 1], then all of X rescaled so
-    that no entry of Tr_B X passes 1.  Link m carries
-    X_m = [[p_m, q_m], [q_m^*, r_m]] with |q_m| = sqrt(p_m r_m) and
-    Omega's phase; a row off every run carries a 1 at its largest entry.
-    Every t_m is lifted by the least eta that leaves each sector of
-    tau (x) I - Omega positive semidefinite after rounding, plus the
-    N eps |tau| that a dense eigensolve may round away, so the slack is
-    positive.  None, too, when the gap, by verify_certificate's formula,
-    is not below sdp_gap; any other certificate is the caller's to check."""
-    d_A, d_B = omega.sectors.shape
-    N = d_A * d_B
-    Om = omega.matrix
-    lab = omega.sectors.ravel()
-    sizes = np.bincount(lab)
+    sum u = A x + B/x, least at x = sqrt(B/A); all of it in logs, from
+    the bands' logs.  The dual is built forward along the run: p_0 = 1,
+    r_m = p_m u_m/u_{m+1}, p_{m+1} = 1 - r_m, each clipped to [0, 1] (r_m
+    from its log, so a ratio past the double range cannot overflow), then
+    all of X rescaled so that no entry of Tr_B X passes 1.  Link m
+    carries X_m = [[p_m, q_m], [q_m^*, r_m]] with |q_m| = sqrt(p_m r_m)
+    and Omega's phase; a row off every run carries a 1 at its largest
+    entry.  Every t_m is lifted by 16 eps of the largest t of its row and
+    the rows next to it, what the re-check's closed form of a 2 x 2
+    sector may round away, and then all of tau by the least amount that
+    leaves each sector of tau (x) I - Omega positive semidefinite after
+    rounding, so the slack is positive.  The lift is local, so a direct
+    sum of chains gives the sum of their optima.  None, too, when the
+    gap Tr tau - Tr(Omega X) is not below sdp_gap; any other certificate
+    is the caller's to check."""
+    labels = bands.sectors
+    d_A, d_B = labels.shape
+    sizes = np.bincount(labels.ravel())
     if sizes.max() > 2:
         return None
-    order = np.argsort(lab, kind="stable")
-    ends = np.cumsum(sizes)[sizes == 2]
-    first, second = order[ends - 2], order[ends - 1]
-    D = Om.diagonal().real.reshape(d_A, d_B)
-    o = D.max(axis=1)
-    m = first // d_B
-    if first.size and not (
-            np.all(first % d_B == 0) and np.all(second == first + d_B + 1)
-            and np.all(D[m, 0] >= o[m] * (1.0 - DEFAULT.num))
-            and np.all(D[m + 1, 1] >= o[m + 1] * (1.0 - DEFAULT.num))):
+    log_D = bands.log_diagonal.ravel()
+    log_o = bands.log_diagonal.max(axis=1)
+    # link m: (m, 0) and (m + 1, 1), at flat places first and second,
+    # share a sector; every sector of two product states must be one
+    linked = (labels[:-1, 0] == labels[1:, 1] if d_B > 1
+              else np.zeros(d_A - 1, dtype=bool))
+    m = linked.nonzero()[0]
+    first = m * d_B
+    second = first + (d_B + 1)
+    tol = math.log1p(-DEFAULT.num)
+    if (sizes == 2).sum() != m.size or not (
+            (log_D[first] >= log_o[m] + tol).all()
+            and (log_D[second] >= log_o[m + 1] + tol).all()):
         return None
-    link = np.zeros(d_A - 1, dtype=complex)
-    link[m] = Om[first, second]
-    c = np.abs(link)
-    live = c > 0.0
-    log_c2 = np.full(d_A - 1, -math.inf)
-    log_c2[live] = 2.0 * np.log(c[live])
+    log_c = np.where(linked, bands.log_links, -math.inf)
+    live = log_c > -math.inf
+    # link m's weights: p[m] on row m and r[m + 1] on row m + 1
     log_u = np.full(d_A, -math.inf)
-    p, r = np.zeros(d_A - 1), np.zeros(d_A - 1)
+    p, r = np.zeros(d_A), np.zeros(d_A)
     # the runs of live links: rows s..e hold links s..e-1
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], live, [0]))))
+    edge = np.concatenate(([False], live, [False]))
+    edges = (edge[1:] != edge[:-1]).nonzero()[0].tolist()
     for s, e in zip(edges[::2], edges[1::2]):
-        sign = 1.0 - 2.0 * (np.arange(e - s + 1) % 2)
+        sign = np.where(np.arange(e - s + 1) % 2, -1.0, 1.0)
         # log u_{s+i} = L_i + (-1)^i log x, L_{i+1} = log c^2 - L_i
-        L = np.concatenate(([0.0], -sign[1:] * np.cumsum(
-            sign[:-1] * log_c2[s:e])))
-        log_x = 0.5 * (float(np.logaddexp.reduce(L[1::2]))
-                       - float(np.logaddexp.reduce(L[0::2])))
-        log_u[s:e + 1] = L + sign * log_x
-        p_k = 1.0
-        for k in range(s, e):
-            p[k] = p_k
-            r[k] = min(1.0, max(0.0, p_k * math.exp(log_u[k] - log_u[k + 1])))
-            p_k = min(1.0, max(0.0, 1.0 - r[k]))
+        L = np.concatenate(([0.0], (-2.0 * sign[1:]) * (
+            sign[:-1] * log_c[s:e]).cumsum()))
+        log_x = 0.5 * (np.logaddexp.reduce(L[1::2])
+                       - np.logaddexp.reduce(L[0::2]))
+        lu = L + sign * log_x
+        log_u[s:e + 1] = lu
+        lu = lu.tolist()
+        p_k, ps, rs = 1.0, [], []
+        for k in range(e - s):
+            r_k = (math.exp(min(0.0, math.log(p_k) + lu[k] - lu[k + 1]))
+                   if p_k > 0.0 else 0.0)
+            ps.append(p_k)
+            rs.append(r_k)
+            p_k = min(1.0, max(0.0, 1.0 - r_k))
+        p[s:e] = ps
+        r[s + 1:e + 1] = rs
+    D = np.exp(log_D)
+    c = np.exp(log_c[m])
+    t = np.exp(log_o) + np.exp(log_u)
+    # 16 eps of the largest t a row shares a sector with: the rounding of
+    # a 2 x 2 closed form is a few eps of its block's norm
+    near = t.copy()
+    np.maximum(near[1:], t[:-1], out=near[1:])
+    np.maximum(near[:-1], t[1:], out=near[:-1])
+    eps = float(np.finfo(float).eps)
+    t += 16.0 * eps * near
+    single = np.ones(D.size, dtype=bool)
+    single[first] = False
+    single[second] = False
+    # the least eigenvalue of tau (x) I - Omega: singletons, then the
+    # links' 2 x 2 blocks in closed form; while it is negative, tau is
+    # raised by twice the shortfall, and by at least eps t_m so that
+    # every t_m moves
+    for _ in range(8):
+        slack = t.repeat(d_B) - D
+        a, b = slack[first], slack[second]
+        low = min(float(slack[single].min(initial=math.inf)),
+                  float((0.5 * (a + b) - np.hypot(0.5 * (a - b), c)).min(
+                      initial=math.inf)))
+        if low >= 0.0:
+            break
+        t += np.maximum(-2.0 * low, eps * t)
+    k = live.nonzero()[0]
+    i = k * d_B
+    j = i + (d_B + 1)
     in_run = np.zeros(d_A, dtype=bool)
-    in_run[:-1] |= live
-    in_run[1:] |= live
-    single = np.ones(N, dtype=bool)
-    single[first] = single[second] = False
-    single = single.reshape(d_A, d_B)
-
-    def least_slack(t):
-        # singletons, then the links' 2 x 2 blocks in closed form; a B of
-        # one level has no column 1 and no links
-        least = (t[:, None] - D)[single].min(initial=math.inf)
-        if m.size:
-            a, b = t[m] - D[m, 0], t[m + 1] - D[m + 1, 1]
-            pair = 0.5 * (a + b) - np.hypot(0.5 * (a - b), c[m])
-            least = min(least, pair.min())
-        return float(least)
-
-    t = o + np.exp(log_u)
-    eta = N * np.finfo(float).eps * float(t.max()) - min(least_slack(t), 0.0)
-    t = t + eta
-    X = np.zeros((N, N), dtype=complex)
-    lone = np.flatnonzero(~in_run)
-    at = lone * d_B + D[lone].argmax(axis=1)
-    X[at, at] = 1.0
-    k = np.flatnonzero(live)
-    i, j = k * d_B, (k + 1) * d_B + 1
-    X[i, i], X[j, j] = p[k], r[k]
-    X[i, j] = np.sqrt(p[k] * r[k]) * link[k] / c[k]
-    X[j, i] = X[i, j].conj()
-    X /= max(1.0, float(partial_trace(X, (d_A, d_B)).real.diagonal().max()))
+    in_run[k] = in_run[k + 1] = True
+    lone = (~in_run).nonzero()[0]
+    at = lone * d_B + bands.log_diagonal[lone].argmax(axis=1)
+    pk, rk = p[k], r[k + 1]
+    q = np.sqrt(pk * rk)
+    scale = 1.0 / max(1.0, float((p + r + ~in_run).max()))
+    link = q * (bands.phases[k] if np.ndim(bands.phases) else bands.phases)
+    X = SectorMatrix(np.concatenate((at, i, j, i, j)),
+                     np.concatenate((at, i, j, j, i)),
+                     scale * np.concatenate((np.ones(at.size), pk, rk, link,
+                                             np.conj(link))))
     primal = float(t.sum())
-    gap = primal - float(np.sum(Om * X.T).real)
+    gap = primal - scale * float(D[at].sum() + (
+        pk * D[i] + rk * D[j] + 2.0 * q * np.exp(log_c[k])).sum())
     if not gap < DEFAULT.sdp_gap:
         return None
-    return SdpResult(optimum=primal, tau=np.diag(t).astype(complex),
-                     dual_certificate=X, primal_dual_gap=gap,
-                     newton_steps=0, barrier_stages=0,
-                     min_slack=least_slack(t))
+    return SdpResult(optimum=primal, tau=t, dual_certificate=X,
+                     primal_dual_gap=gap, newton_steps=0, barrier_stages=0,
+                     min_slack=low)
 
 
 @dataclass(frozen=True)
@@ -698,7 +972,13 @@ class BlockSum:
     of the blocks dropped (p_j < 1e-17, each at most 1), fidelity is
     min(1, upper), so it bounds F* <= 1 from above, and fidelity - gap
     bounds it from below: gap is sum_j p_j gap_j plus that mass, less
-    what the clip took off upper, and never negative.  bound_exact and
+    what the clip took off upper, and never negative.  For Schur-Weyl
+    blocks the weights p_j and the bands are rounded, so their Omega_j
+    need not carry psi_B's norm in all: the deficit (psi_B's norm, less
+    sum_j p_j Tr Omega_j over the blocks solved and p_j |psi_B|^2 over
+    those dropped) is added to upper where it is positive and to gap in
+    size, and so is the rounding of the sum over blocks, (blocks + 2)
+    eps/2 upper, once to upper and twice to gap.  bound_exact and
     bound_asymptotic are qubit_infidelity_bound(lam, n), lower bounds on
     1 - F*, where the request is the qubit family (_visibility), and None
     elsewhere.  newton_steps is summed over the blocks and barrier_stages
@@ -720,80 +1000,130 @@ class BlockSum:
     blocks_dropped: int
 
 
+def _certified(res: SdpResult | None, omega: OmegaState) -> SdpResult | None:
+    """res when it is not None and verify_certificate passes it on omega,
+    else None."""
+    if res is None:
+        return None
+    try:
+        return verify_certificate(res, omega)
+    except CertificateError:
+        return None
+
+
 def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     """F*(copies) of any source sigma under H into any target psi_B under
-    H_B, summed over a list of blocks (log p, rho, H_k, k): the Schur-Weyl
-    blocks of a qubit under a non-degenerate qubit H (_schur_blocks),
-    each one copy, or else the one block (0, sigma, H, copies).
-    _qubit_frame decides the split, and its one frame also feeds
-    _schur_blocks and the bounds' qubit-family rule (_visibility).
+    H_B, summed over blocks: the Schur-Weyl blocks of a qubit under a
+    non-degenerate qubit H (_schur_blocks), or else the one n-copy
+    Omega = iid_omega_state(sigma, H, psi_B, H_B, copies).  _qubit_frame
+    decides the split, and its one frame also feeds _schur_blocks and the
+    bounds' qubit-family rule (_visibility).
 
-    Each block's Omega = iid_omega_state(rho, H_k, psi_B, H_B, k) is
-    solved by _chain where it applies and by _min_trace_sdp where it does
-    not or where the chain's certificate fails; every result has passed
-    verify_certificate.
+    A spin block's Omega_j is held as the _Bands of its two bands and of
+    psi_B's weights in H_B's eigenbasis (in the frame where Omega's links
+    are real: psi_B's phases, like the source's, are a time translation),
+    under the sector labels of _sectors.  The direct sum of p_j Omega_j
+    over the blocks with p_j >= 1e-17 goes to _chain at once, and
+    verify_certificate re-checks it sector by sector.  If either refuses
+    it, each block goes to _chain alone, and a block that is still
+    refused goes to conditional_min_entropy on its dense Omega, built
+    from _spin_state.  The dense Omega goes to _chain as the _Bands read
+    off its matrix, and else to conditional_min_entropy.
 
     Every check comes before any block is built: copies >= 1, then
     sigma, H and H_B, then psi_B as a pure_state of H_B's dimension, then
-    the split.  Schur-Weyl blocks have one copy budget: sum_j
-    ((2j + 1) d_B)^3, the work of the dense checks, taken the largest
-    block first, is at most MAX_OMEGA_SIDE^3, one dense check at the
-    largest side one n-copy Omega admits; it bounds each side too.
-    ValidationError or DimMismatchError otherwise, and wherever
-    iid_omega_state raises."""
+    the split.  Schur-Weyl blocks have one copy budget, the work of the
+    band path: the sides (2j + 1) d_B of all spin blocks sum to at most
+    MAX_OMEGA_SIDE^2 (n <= 1446 for a qubit target).  A spin block that
+    needs its dense Omega is refused when its side passes MAX_OMEGA_SIDE,
+    before rho_j is formed.  ValidationError or DimMismatchError
+    otherwise, and wherever iid_omega_state raises."""
     if copies < 1:
         raise ValidationError(f"copies must be at least 1, got {copies}")
     sigma, H, H_B = density_matrix(sigma), observable(H), observable(H_B)
     psi_B = pure_state(psi_B)
     require_same_dim(psi_B.dim, H_B.dim)
+    d_B = H_B.dim
     s = _qubit_frame(sigma, H)
-    split = s is not None
-    if split:
-        work = 0
-        for side in range(copies + 1, 0, -2):
-            work += (side * H_B.dim) ** 3
-            if work > MAX_OMEGA_SIDE ** 3:
-                raise ValidationError(
-                    f"{copies} copies make spin blocks whose cubed sides "
-                    f"sum past the budget of {MAX_OMEGA_SIDE}**3")
-        blocks = [(log_p, rho, H_j, 1)
-                  for log_p, rho, H_j in _schur_blocks(s, H, copies)]
-        count, kind = copies // 2 + 1, "schur-chain"
+    results = []
+    dropped = 0.0
+    if s is None:
+        omega = iid_omega_state(sigma, H, psi_B, H_B, copies)
+        res = (_certified(_chain(_bands_of(omega)), omega)
+               or conditional_min_entropy(omega))
+        results.append((1.0, res))
+        count, kind = 1, "dense"
     else:
-        blocks, count, kind = [(0.0, sigma, H, copies)], 1, "dense"
-    upper = gap = dropped = 0.0
-    steps = stages = solved = 0
-    slack = math.inf
-    for log_p, rho, H_k, k in blocks:
-        p = math.exp(log_p)
-        if p < 1e-17:
-            dropped += p
-            continue
-        omega = iid_omega_state(rho, H_k, psi_B, H_B, k)
-        res = _chain(omega)
+        half = copies // 2
+        if (half + 1) * (copies + 1 - half) * d_B > MAX_OMEGA_SIDE ** 2:
+            raise ValidationError(
+                f"{copies} copies make spin blocks whose sides sum past "
+                f"the budget of {MAX_OMEGA_SIDE}**2")
+        weight = np.abs(H_B.eigenbasis.conj().T @ psi_B.vector) ** 2
+        with np.errstate(divide="ignore"):
+            log_t = np.log(weight)
+        log_link = 0.5 * (log_t[0] + log_t[1]) if d_B > 1 else -math.inf
+        live = []
+        for log_p, spin in _schur_blocks(s, H, copies):
+            if log_p < math.log(1e-17):
+                dropped += math.exp(log_p)
+            else:
+                live.append((log_p, *spin))
+        count, kind = half + 1, "schur-chain"
+        labels = _sectors([b[1] for b in live], H_B.spectrum)
+        sides = [b[1].size for b in live]
+        log_p = np.repeat([b[0] for b in live], sides)
+        # the direct sum of p_j Omega_j, with no link from one block to
+        # the next
+        whole = _Bands(
+            labels, (np.concatenate([b[2] for b in live]) + log_p)[:, None]
+            + log_t, np.concatenate([x for b in live for x in (
+                [-math.inf], b[3])])[1:] + log_p[:-1] + log_link, 1.0)
+        mass = float(np.exp(whole.log_diagonal).sum())
+        res = _certified(_chain(whole), _band_omega(whole))
         if res is not None:
-            try:
-                res = verify_certificate(res, omega)
-            except CertificateError:
-                res = None
-        if res is None:
-            res = conditional_min_entropy(omega)
-            kind = "schur" if split else kind
-        upper += p * res.optimum
-        gap += p * res.primal_dual_gap
-        steps += res.newton_steps
-        stages = max(stages, res.barrier_stages)
-        slack = min(slack, p * res.min_slack)
-        solved += 1
-    upper += dropped
+            results.append((1.0, res))
+        starts = np.cumsum(sides) - sides
+        for (log_p, levels, log_rho, log_super), at in zip(
+                live if res is None else (), starts.tolist()):
+            bands = _Bands(labels[at:at + levels.size],
+                          log_rho[:, None] + log_t, log_super + log_link, 1.0)
+            one = _certified(_chain(bands), _band_omega(bands))
+            if one is None:
+                P = levels.size
+                if P * d_B > MAX_OMEGA_SIDE:
+                    raise ValidationError(
+                        f"a spin block of side {P} is no closed-form chain, "
+                        f"and its dense Omega, {P} * {d_B} wide, passes "
+                        f"the budget of {MAX_OMEGA_SIDE}")
+                one = conditional_min_entropy(iid_omega_state(
+                    _spin_state(s, P), HermitianObservable(
+                        matrix=np.diag(levels).astype(complex),
+                        spectrum=levels, eigenbasis=np.eye(P, dtype=complex)),
+                    psi_B, H_B, 1))
+                kind = "schur"
+            results.append((math.exp(log_p), one))
+    upper = sum(p * r.optimum for p, r in results) + dropped
+    gap = sum(p * r.primal_dual_gap for p, r in results) + dropped
+    solved = len(live) if s is not None else 1
+    if s is not None:
+        # the blocks' Omega should carry psi_B's norm in all; what the
+        # rounded weights and bands miss or add, and the rounding of the
+        # sum over blocks, widen the interval on both sides
+        deficit = float(weight.sum()) * (1.0 - dropped) - mass
+        rounding = (solved + 2) * 0.5 * float(np.finfo(float).eps) * upper
+        upper += max(deficit, 0.0) + rounding
+        gap += abs(deficit) + 2.0 * rounding
     lam = _visibility(s, H, psi_B, H_B)
     exact, asym = ((None, None) if lam is None
                    else qubit_infidelity_bound(lam, copies))
     return BlockSum(
         fidelity=min(1.0, upper),
-        gap=max(0.0, gap + dropped - max(0.0, upper - 1.0)),
+        gap=max(0.0, gap - max(0.0, upper - 1.0)),
         bound_exact=exact, bound_asymptotic=asym,
-        newton_steps=steps, barrier_stages=stages, min_slack=slack,
+        newton_steps=sum(r.newton_steps for _, r in results),
+        barrier_stages=max(r.barrier_stages for _, r in results),
+        min_slack=min(p * r.min_slack for p, r in results),
         certificate=kind, blocks=solved, blocks_dropped=count - solved)
 
 

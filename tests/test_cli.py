@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -732,6 +733,70 @@ def test_distill_solves_through_iid_fidelity_alone(fixtures, monkeypatch,
                     "conditional_min_entropy"]
 
 
+def test_distill_on_the_chain_path_solves_only_its_operands(fixtures,
+                                                           monkeypatch,
+                                                           capsys):
+    # every spin block of 30 copies takes the chain: its bands come from
+    # recurrences and its re-check is in closed form, so the only
+    # eigensolves are of the operands at load
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(M, *args, _real=real, **kwargs):
+            sizes.append(np.shape(M)[-1])
+            return _real(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    out = _distill_json(capsys, fixtures["dir"], _qubit_family(0.6), [0, 1],
+                        30, fixtures["cbit"])
+    assert out["certificate"] == "schur-chain"
+    assert out["blocks"] == 16
+    assert len(sizes) <= 4 and set(sizes) == {2}
+
+
+@pytest.mark.parametrize("lam", [0.9, 0.99, 1.0])
+def test_distill_at_the_largest_budget_keeps_its_tails_finite(fixtures,
+                                                             capsys, lam):
+    # 1446 copies, the most the budget admits for a qubit target: the
+    # tails of the blocks' bands fall below the double range (thousands
+    # of entries near 1e-323, and 128 exact zeros for the pure source);
+    # the chain takes them as logs, a zero as -inf, and nothing overflows
+    out = _distill_json(capsys, fixtures["dir"], _qubit_family(lam), [0, 1],
+                        1446, fixtures["cbit"])
+    assert out["certificate"] == "schur-chain"
+    assert all(math.isfinite(out[key]) for key in (
+        "fidelity", "hmin", "gap", "min_slack", "bound_exact"))
+    assert 0.0 <= out["gap"] < 1e-7
+    assert out["bound_exact"] <= 1.0 - out["fidelity"] + out["gap"]
+
+
+def test_distill_certifies_a_thousand_copies_in_a_pinned_time(fixtures,
+                                                              capsys):
+    # about 0.6 s at one BLAS thread on a 2-CPU Xeon; 1000 (1 - F*) sits
+    # 6.0e-4 above the converse's (1 - lam^2)/(4 lam^2) = 0.4444
+    start = time.perf_counter()
+    out = _distill_json(capsys, fixtures["dir"], _qubit_family(0.6), [0, 1],
+                        1000, fixtures["cbit"])
+    assert time.perf_counter() - start < 10.0
+    assert out["certificate"] == "schur-chain"
+    assert out["gap"] < 1e-10
+    assert abs(1000 * (1 - out["fidelity"]) - 0.445040) < 1e-6
+
+
+def test_distill_refuses_a_wide_block_the_chain_declines(fixtures, capsys):
+    # an unbalanced target is no closed-form chain; at 1000 copies the
+    # first live spin block would need a dense Omega wider than 1024
+    target = fixtures["dir"] / "unbalanced.json"
+    target.write_text(json.dumps(array_to_json(
+        np.array([math.sqrt(0.7), math.sqrt(0.3)]))))
+    assert cli.main(["distill", "--in", fixtures["rho"], fixtures["h2"],
+                     "--target", str(target), fixtures["h2"],
+                     "--copies", "1000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no closed-form chain" in err
+
+
 def test_distill_certifies_a_hundred_copies_in_closed_form(fixtures, capsys):
     # n (1 - F*) at lam = 0.6 approaches the converse's (1 - lam^2)/(4 lam^2)
     out = _distill_json(capsys, fixtures["dir"], _qubit_family(0.6), [0, 1],
@@ -774,13 +839,12 @@ def test_distill_refuses_oversized_requests(fixtures, monkeypatch, capsys,
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("copies", ["200", "1000000000"])
+@pytest.mark.parametrize("copies", ["1447", "1000000000"])
 def test_distill_copy_budget_is_checked_before_any_block(fixtures,
                                                          monkeypatch, capsys,
                                                          copies):
-    # 201 * 2 = 402 is a side the budget admits, but the cubed sides of
-    # 200 copies sum past 1024**3; 10**9 copies fail on the largest block
-    # alone, before the sum is taken
+    # the sides (2j + 1) * 2 of 1447 copies' spin blocks sum past 1024**2,
+    # and those of 10**9 copies far past it
     mats = _eigh_log(monkeypatch)
 
     def no_blocks(*args, **kwargs):
@@ -1080,10 +1144,9 @@ def test_distill_never_solves_the_copies_hamiltonian(fixtures, monkeypatch,
                      "--target", fixtures["cbit"], fixtures["h2"],
                      "--copies", "3"]) == 0
     capsys.readouterr()
-    # rho, H and H_t at load, then n.J on the spin-3/2 and spin-1/2
-    # blocks; the blocks' chains need no eigensolve, and Omega is never
-    # decomposed
-    assert [M.shape[0] for M in mats] == [2, 2, 2, 4, 2]
+    # rho, H and H_t at load; the spin blocks' bands and chains need no
+    # eigensolve, and Omega is never decomposed
+    assert [M.shape[0] for M in mats] == [2, 2, 2]
     H3 = np.diag(np.add.outer(np.add.outer([0, 1], [0, 1]), [0, 1]).ravel())
     assert not any(M.shape == H3.shape and np.allclose(M, H3) for M in mats)
 

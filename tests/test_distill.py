@@ -12,8 +12,8 @@ import coherence_forge
 
 from coherence_forge.config import DEFAULT
 from coherence_forge.distill import (
-    MAX_OMEGA_SIDE,
     OmegaState,
+    SectorMatrix,
     cirac_comparison,
     conditional_min_entropy,
     distillation_copy_floor,
@@ -31,17 +31,25 @@ from coherence_forge.errors import (
     ValidationError,
 )
 from coherence_forge.linalg import (
+    density_matrix,
     level_labels,
     observable,
     partial_trace,
+    pure_state,
     random_density,
     random_observable,
 )
 from coherence_forge.distill import (
+    _band_omega,
+    _Bands,
+    _bands_of,
     _chain,
     _min_trace_sdp,
+    _qubit_frame,
     _schur_blocks,
+    _sectors,
     _Sectors,
+    _spin_state,
 )
 
 TAU = 2 * math.pi
@@ -872,33 +880,39 @@ def test_schur_blocks_match_the_dense_solve(n):
 
 
 def test_schur_blocks_resolve_the_spectrum_of_the_copies():
-    # p_j rho_j (x) I/dim S_j over all j has the spectrum of sigma^(x)n
+    # p_j rho_j (x) I/dim S_j over all j has the spectrum of sigma^(x)n,
+    # and each block's bands are those of its dense rho_j
     n = 5
     rng = np.random.default_rng(82)
     sigma = random_density(2, rng)
     H = random_observable(2, rng)
     dense = np.linalg.eigvalsh(_dense_copies(sigma, H, n)[0])
     parts = []
-    for log_p, rho, H_j in _schur_blocks(sigma, H, n):
-        P = rho.dim
+    for log_p, (levels, log_rho, log_super) in _schur_blocks(sigma, H, n):
+        P = levels.size
         j2 = P - 1
         k = (n - j2) // 2
         dim_s = math.comb(n, k) * (n - 2 * k + 1) // (n - k + 1)
+        rho = _spin_state(sigma, P)
         parts += [math.exp(log_p) * w / dim_s
                   for w in np.linalg.eigvalsh(rho.matrix)] * dim_s
         assert np.allclose(rho.spectrum, np.linalg.eigvalsh(rho.matrix),
                            atol=1e-14)
-        assert np.allclose(np.diff(H_j.spectrum),
+        assert np.allclose(np.diff(levels),
                            np.diff(np.linalg.eigvalsh(H))[0], atol=1e-12)
+        assert np.allclose(np.exp(log_rho), rho.matrix.diagonal().real,
+                           atol=1e-15)
+        assert np.allclose(np.exp(log_super),
+                           np.abs(np.diagonal(rho.matrix, 1)), atol=1e-15)
     assert np.allclose(np.sort(parts), dense, atol=1e-14)
 
 
 def test_schur_weights_sum_to_one_at_150_copies():
     blocks = _schur_blocks(qubit(0.6), H01, 150)
     assert len(blocks) == 76
-    assert abs(sum(math.exp(log_p) for log_p, _, _ in blocks) - 1) < 1e-12
-    for _, rho, _ in blocks:
-        assert abs(np.trace(rho.matrix).real - 1) < 1e-12
+    assert abs(sum(math.exp(log_p) for log_p, _ in blocks) - 1) < 1e-12
+    for _, (_, log_rho, _) in blocks:
+        assert abs(np.exp(log_rho).sum() - 1) < 1e-12
 
 
 def test_schur_edge_sources_are_exact():
@@ -981,41 +995,128 @@ def test_iid_fidelity_reports_no_bound_off_the_qubit_family(sigma, psi, H_B,
     assert res.bound_exact is None and res.bound_asymptotic is None
 
 
+def _band_and_dense(sigma, H, psi, H_B, n):
+    """sum_j p_j F*_j over the spin blocks with p_j >= 1e-17, once with
+    each block solved by _chain from its bands as iid_fidelity holds them,
+    once from its dense Omega (_spin_state, iid_omega_state)."""
+    H, H_B, psi = observable(H), observable(H_B), pure_state(psi)
+    s = _qubit_frame(density_matrix(sigma), H)
+    log_t = np.log(np.abs(H_B.eigenbasis.conj().T @ psi.vector) ** 2)
+    band = dense = 0.0
+    for log_p, (levels, log_rho, log_super) in _schur_blocks(s, H, n):
+        if log_p < math.log(1e-17):
+            continue
+        bands = _Bands(_sectors([levels], H_B.spectrum),
+                       log_rho[:, None] + log_t, log_super + log_t.mean(),
+                       1.0)
+        omega = iid_omega_state(_spin_state(s, levels.size), np.diag(levels),
+                                psi, H_B, 1)
+        band += math.exp(log_p) * _chain(bands).optimum
+        dense += math.exp(log_p) * _chain(_bands_of(omega)).optimum
+    return band, dense
+
+
+def _band_cases():
+    """(name, sigma, H, psi_B, H_B) on the qubit chain path."""
+    rng = np.random.default_rng(81)
+    G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    off_axis = G @ G.conj().T / np.trace(G @ G.conj().T).real
+    B = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    phased = np.array([1.0, np.exp(1j * math.pi / 4)]) / math.sqrt(2)
+    cases = [(f"lam={lam}", qubit(lam), H01, CBIT, H01)
+             for lam in (0.1, 0.3, 0.6, 0.9, 0.99)]
+    return cases + [
+        ("phased source",
+         0.6 * np.outer(phased, phased.conj()) + 0.2 * np.eye(2), H01, CBIT,
+         H01),
+        ("phased target", qubit(0.6), H01, phased, H01),
+        ("off-axis source", off_axis, H01, CBIT, H01),
+        ("off-axis target", qubit(0.6), H01, B @ CBIT, B @ H01 @ B.conj().T),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30, 100, 179])
+def test_band_path_matches_the_dense_path(n):
+    # the bands give each block's F* as its dense Omega does, and
+    # iid_fidelity's certified interval holds their weighted sum
+    for name, sigma, H, psi, H_B in _band_cases():
+        band, dense = _band_and_dense(sigma, H, psi, H_B, n)
+        assert abs(band - dense) < 1e-14, name
+        res = iid_fidelity(sigma, H, psi, H_B, n)
+        assert res.certificate == "schur-chain", name
+        assert res.fidelity - res.gap <= band <= res.fidelity, name
+
+
+@pytest.mark.parametrize("n", [10, 50, 100, 179, 1000])
+def test_certified_interval_holds_f_star_at_the_edges(n):
+    # sigma = I/2 makes every Omega_j diagonal, so F* = max_b |<b|psi>|^2,
+    # 1/2 to the rounding of |+>; at lam = 1e-12 F* lies between one
+    # copy's (1 + lam)/2 and the converse.  Summed weights that miss 1
+    # once put the interval above or below these
+    half = max(np.abs(CBIT) ** 2)
+    res = iid_fidelity(np.eye(2) / 2, H01, CBIT, H01, n)
+    assert res.fidelity - res.gap <= half <= res.fidelity
+    lam = 1e-12
+    res = iid_fidelity(qubit(lam), H01, CBIT, H01, n)
+    eps = np.finfo(float).eps
+    assert res.fidelity >= (1.0 + lam) / 2.0 * (1.0 - 2.0 * eps)
+    assert (res.fidelity - res.gap
+            <= (1.0 - qubit_infidelity_bound(lam, n)[0]) * (1.0 + 2.0 * eps))
+
+
+def test_converse_against_the_certified_optimum():
+    # the exact converse bounds 1 - F* from below, and n (1 - F*) falls
+    # towards C = (1 - lam^2)/(4 lam^2) as n grows: each step is shown by
+    # the certified interval, n1 (1 - upper) > n2 (1 - lower)
+    for lam in (0.3, 0.6, 0.9):
+        prev = None
+        for n in (100, 200, 500, 1000):
+            res = iid_fidelity(qubit(lam), H01, CBIT, H01, n)
+            assert res.certificate == "schur-chain"
+            assert res.bound_exact <= 1.0 - res.fidelity + res.gap
+            C = (1.0 - lam * lam) / (4.0 * lam * lam)
+            if prev is not None:
+                assert (prev[0] * (1.0 - prev[1].fidelity) - C
+                        > n * (1.0 - res.fidelity + res.gap) - C), (lam, n)
+            prev = (n, res)
+
+
 def test_schur_copy_budget_is_checked_before_any_block(monkeypatch):
     def no_blocks(*args, **kwargs):
         raise AssertionError("spin blocks built")
 
     monkeypatch.setattr(coherence_forge.distill, "_schur_blocks", no_blocks)
-    # 201 * 2 is a side the budget admits, but not 200 copies' cubed sides
-    for n in (200, 10 ** 9):
-        with pytest.raises(ValidationError):
+    # the sides (2j + 1) * 2 of 1447 copies' spin blocks sum past 1024**2
+    for n in (1447, 10 ** 9):
+        with pytest.raises(ValidationError, match="sides sum"):
             iid_fidelity(qubit(0.6), H01, CBIT, H01, n)
-    # a qutrit target makes each side 3 (2j + 1): 179 copies pass the
-    # cubed sides for a qubit target, not for this one
-    with pytest.raises(ValidationError, match="cubed"):
+    # a qutrit target makes each side 3 (2j + 1): 1446 copies pass the
+    # summed sides for a qubit target, not for this one
+    with pytest.raises(ValidationError, match="sides sum"):
         iid_fidelity(qubit(0.6), H01, np.ones(3) / math.sqrt(3),
-                     np.diag([0.0, 1.0, 2.0]), 179)
-    for n in (0, MAX_OMEGA_SIDE):
+                     np.diag([0.0, 1.0, 2.0]), 1446)
+    for n in (0, 1447):
         with pytest.raises(ValidationError):
             iid_fidelity(qubit(0.6), H01, CBIT, H01, n)
 
 
 def test_schur_copy_budget_boundary(monkeypatch):
-    # for a qubit target the cubed sides of 179 copies sum to 1,073,217,600,
-    # within 1024**3; those of 180 copies to 1,097,133,128, past it
+    # for a qubit target the sides of 1446 copies' spin blocks sum to
+    # 1,048,352, within 1024**2; those of 1447 copies to 1,049,800, past it
     calls = []
+    blocks = _schur_blocks
 
     def record(sigma, H, copies):
         calls.append(copies)
-        return []
+        return blocks(sigma, H, 1)
 
     monkeypatch.setattr(coherence_forge.distill, "_schur_blocks", record)
-    iid_fidelity(qubit(0.6), H01, CBIT, H01, 179)
-    assert calls == [179]
-    for n in (180, 10 ** 9):
-        with pytest.raises(ValidationError, match="cubed"):
+    iid_fidelity(qubit(0.6), H01, CBIT, H01, 1446)
+    assert calls == [1446]
+    for n in (1447, 10 ** 9):
+        with pytest.raises(ValidationError, match="sides sum"):
             iid_fidelity(qubit(0.6), H01, CBIT, H01, n)
-    assert calls == [179]
+    assert calls == [1446]
 
 
 def test_bad_target_is_refused_before_any_spin_block(monkeypatch):
@@ -1029,16 +1130,32 @@ def test_bad_target_is_refused_before_any_spin_block(monkeypatch):
         iid_fidelity(qubit(0.6), H01, np.ones(2), H01, 179)
 
 
+def _spin_omegas(sigma, n, block):
+    """(dense Omega, _Bands) of one spin block of n copies of sigma under
+    H01 into |+> under H01: the dense one from _spin_state, the bands as
+    iid_fidelity holds them."""
+    levels, log_rho, log_super = _schur_blocks(sigma, H01, n)[block][1]
+    log_t = np.log(np.abs(CBIT) ** 2)
+    omega = iid_omega_state(_spin_state(sigma, levels.size),
+                            np.diag(levels), CBIT, H01, 1)
+    return omega, _Bands(_sectors([levels], np.array([0.0, 1.0])),
+                         log_rho[:, None] + log_t, log_super + log_t[0], 1.0)
+
+
 def test_chain_certificate_is_checked_by_verify_certificate():
-    rho, H_j = _schur_blocks(qubit(0.6), H01, 6)[1][1:]
-    om = iid_omega_state(rho, H_j, CBIT, H01, 1)
-    res = _chain(om)
+    # the spin-2 block of six copies, from its dense Omega and its bands
+    om, bands = _spin_omegas(qubit(0.6), 6, 1)
+    banded = _band_omega(bands)
+    res, res_b = _chain(_bands_of(om)), _chain(bands)
     assert verify_certificate(res, om) is res
+    assert verify_certificate(res_b, banded) is res_b
     assert res.primal_dual_gap < 1e-14
-    with pytest.raises(CertificateError, match="Omega has eigenvalue"):
-        verify_certificate(replace(res, tau=0.999 * res.tau), om)
+    assert abs(res.optimum - res_b.optimum) < 1e-14
+    for r, o in ((res, om), (res_b, banded)):
+        with pytest.raises(CertificateError, match="Omega has eigenvalue"):
+            verify_certificate(replace(r, tau=0.999 * r.tau), o)
     # Omega of sectors other than singletons and links is not a chain
-    assert _chain(_rotated_instance()[0]) is None
+    assert _chain(_bands_of(_rotated_instance()[0])) is None
 
 
 def test_refused_chain_certificate_falls_back_to_the_barrier(monkeypatch):
@@ -1135,7 +1252,7 @@ def test_non_optimal_chain_skips_the_dense_recheck(monkeypatch, seed):
     sigma = random_density(4, seed)
     H = np.diag([0.0, 1.0, 2.0, 3.0])
     om = iid_omega_state(sigma, H, CBIT, H01, 1)
-    assert _chain(om) is None
+    assert _chain(_bands_of(om)) is None
     dense = conditional_min_entropy(om)
     checks = []
     real = coherence_forge.distill.verify_certificate
