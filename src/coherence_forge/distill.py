@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -545,22 +544,17 @@ def _least_eigenvalue(stack: np.ndarray) -> float:
 
 
 def _verify_sectors(result: SdpResult, omega: OmegaState) -> SdpResult:
-    """verify_certificate for a result whose tau is held as its diagonal
-    and X as a SectorMatrix, in O(N) for sectors of bounded size; it
-    shares no code with _chain.
-
-    The sector of each product index is read from omega.sectors.  tau is
-    a finite real d_A vector (imaginary parts within sdp_feas); Omega (a
-    SectorMatrix, or a dense array that must be exactly zero off the
-    sector mask) and X are finite entries in range, none of them off the
-    mask.  Each sector's blocks of tau (x) I - Omega and of X are then
-    gathered (repeated entries add): X is Hermitian within sdp_feas, and
-    the least eigenvalues, in closed form for sectors of one or two
-    product states and by eigvalsh for larger ones, are >= 0 for the
-    slack and >= -sdp_feas for X.  Gershgorin's bound on
-    lambda_max(Tr_B X), exact when Tr_B X is diagonal as a chain's is,
-    is at most 1 + sdp_feas; the gap and the reported numbers are then
-    checked as on the dense path."""
+    """verify_certificate for a chain's result (tau its diagonal, X a
+    SectorMatrix), sector by sector from omega.sectors and sharing no
+    code with _chain.  tau is finite and real within sdp_feas; Omega (a
+    SectorMatrix, or a dense array exactly zero off the sector mask) and
+    X are finite entries in range, none off the mask.  Gathered by sector
+    (repeated entries add), X is Hermitian within sdp_feas, and the least
+    eigenvalues, in closed form for sectors of one or two product states
+    and by eigvalsh for larger ones, are >= 0 for tau (x) I - Omega and
+    >= -sdp_feas for X; Gershgorin's bound on lambda_max(Tr_B X), exact
+    for a chain's diagonal Tr_B X, is <= 1 + sdp_feas; then the gap and
+    the reported numbers are checked as on the dense path."""
     lab = np.asarray(omega.sectors).ravel()
     d_A, d_B = omega.sectors.shape
     N = d_A * d_B
@@ -665,38 +659,28 @@ def _visibility(s: np.ndarray | None, H: HermitianObservable,
 
 def _schur_blocks(s, H, copies: int) -> list:
     """The Schur-Weyl blocks of sigma^(x)copies, one (log p_j, spin) for
-    each spin j = copies/2, copies/2 - 1, ... whose weight p_j is
-    positive, from s = _qubit_frame(sigma, H) and the non-degenerate H.
-    spin = (levels, log_diagonal, log_super): H_j's levels, ascending,
-    and the logs of the diagonal and first superdiagonal of rho_j (-inf
-    where an entry underflows).
+    each spin j = copies/2, copies/2 - 1, ... of positive weight, from
+    s = _qubit_frame(sigma, H) and the non-degenerate H.  spin = (levels,
+    log_diagonal, log_super): H_j's levels, ascending, and the logs of
+    rho_j's diagonal and first superdiagonal (-inf where one underflows).
 
-    sigma^(x)n is the direct sum over j of p_j rho_j (x) I_{S_j}/dim S_j,
-    and H_n of H_j (x) I_{S_j}, so Omega and its SDP split into one
-    problem per spin with F*(n) = sum_j p_j F*(rho_j) (Keyl & Werner, PRA
-    64, 052311, 2001; Gatermann & Parrilo, J. Pure Appl. Algebra 192,
-    2004).  With s_01's phase taken off (a diagonal unitary that commutes
-    with H, a time translation, which leaves F* unchanged), rho_j is
-    Sym^N(s) over its trace, N = 2j, in the basis i = 0..N of the number
-    of copies in the upper level, where H_j = n E_0 + g (k + i) ascends
-    (k = n/2 - j).  The two bands are sums of non-negative terms:
+    sigma^(x)n is the direct sum of p_j rho_j (x) I_{S_j}/dim S_j, and
+    H_n of H_j (x) I_{S_j}, so F*(n) = sum_j p_j F*(rho_j) (Keyl & Werner,
+    PRA 64, 052311, 2001; Gatermann & Parrilo, 2004).  With s_01's phase
+    taken off (a time translation), rho_j is Sym^N(s) over its trace,
+    N = 2j, in the basis i = 0..N of the copies in the upper level, where
+    H_j = n E_0 + g (k + i), k = n/2 - j.  Its bands are
     <i|Sym^N s|i> = F(N - i, i) and <i|Sym^N s|i+1> =
-    sqrt((N - i)/(i + 1)) K(N - 1 - i, i), where on the grid of a copies
-    in the lower level and b in the upper
-
-        F(a, b) = alpha F(a - 1, b) + D(a, b),
-        D(a, b) = beta D(a, b - 1) + gamma^2 F(a - 1, b - 1),
-        K(a, b) = beta K(a, b - 1) + gamma F(a, b),
-
-    from F(0, 0) = D(0, 0) = 1, with alpha, beta = s_00, s_11 and
-    gamma = |s_01|.  Every coefficient is non-negative, so one sweep of
-    the anti-diagonals a + b = 0..n gives every block's bands to
-    rounding in O(n^2) work, O(P) per block of side P = N + 1.  s is
-    divided by its larger eigenvalue first, so each anti-diagonal sums
-    to between 1 and N + 1 and only entries far below the largest
-    underflow.  p_j = dim S_j det(s)^k Tr Sym^N(s) with
-    dim S_j = C(n, k)(n - 2k + 1)/(n - k + 1), in logs (math.lgamma); a
-    pure sigma has the one block j = n/2.
+    sqrt((N - i)/(i + 1)) K(N - 1 - i, i) on the grid of (a, b) copies in
+    the lower and upper level, where F(a, b) = alpha F(a - 1, b) + D(a, b),
+    D(a, b) = beta D(a, b - 1) + gamma^2 F(a - 1, b - 1) and
+    K(a, b) = beta K(a, b - 1) + gamma F(a, b), F(0, 0) = D(0, 0) = 1,
+    with alpha, beta, gamma = s_00, s_11, |s_01| over s's larger
+    eigenvalue.  The coefficients are non-negative, so one sweep of the
+    anti-diagonals (each summing to 1..N + 1) gives every block to
+    rounding, O(P) work per block of side P = N + 1.
+    p_j = dim S_j det(s)^k Tr Sym^N(s), with
+    dim S_j = C(n, k)(n - 2k + 1)/(n - k + 1), in logs.
 
     Trusts iid_fidelity's checks of copies, the split and the budget;
     H may still be an array."""
@@ -762,13 +746,12 @@ def _schur_blocks(s, H, copies: int) -> list:
 
 
 def _spin_state(s, P: int) -> DensityMatrix:
-    """rho_j of side P = 2j + 1 as a dense DensityMatrix, in _schur_blocks'
-    basis, for a block the chain declines.  With s = (I + r n.sigma)/2 and
-    a, b = (1 +- r)/2, rho_j is diagonal in the eigenbasis of n.J (one
-    eigh of a tridiagonal matrix in the J_z basis) with weight
-    a^(j+mu) b^(j-mu) on its eigenvalue mu, summed in logs; s = I/2
-    (r = 0) keeps the J_z basis.  It comes with its eigendecomposition,
-    so it is not solved again."""
+    """rho_j of side P = 2j + 1 as a dense DensityMatrix in _schur_blocks'
+    basis, for a block the chain declines: with s = (I + r n.sigma)/2, it
+    is diagonal in the eigenbasis of n.J (one eigh of a tridiagonal
+    matrix; s = I/2 keeps the J_z basis) with weight a^(j+mu) b^(j-mu),
+    a, b = (1 +- r)/2, on its eigenvalue mu, and comes with that
+    eigendecomposition."""
     rz, s01 = float((s[0, 0] - s[1, 1]).real), complex(s[0, 1])
     r = min(1.0, math.hypot(rz, 2.0 * abs(s01)))
     i = np.arange(P)
@@ -792,21 +775,8 @@ def _spin_state(s, P: int) -> DensityMatrix:
                          eigenbasis=U)
 
 
-class _Bands(NamedTuple):
-    """An Omega on A (x) B whose sectors may form a chain, by its bands:
-    its sector labels (d_A x d_B), the logs of its diagonal (d_A x d_B),
-    the logs of |Omega| between (m, 0) and (m + 1, 1) for m < d_A - 1
-    (-inf where it is zero or the two lie in different sectors), and
-    Omega's phase there (1 where the source's phases are taken off)."""
-
-    sectors: np.ndarray
-    log_diagonal: np.ndarray
-    log_links: np.ndarray
-    phases: np.ndarray | complex
-
-
-def _bands_of(omega: OmegaState) -> _Bands:
-    """The _Bands of a dense Omega, read off its matrix."""
+def _bands_of(omega: OmegaState) -> tuple:
+    """The bands (see _chain) of a dense Omega, read off its matrix."""
     d_A, d_B = omega.sectors.shape
     Om = omega.matrix
     m = np.arange(d_A - 1 if d_B > 1 else 0)
@@ -816,64 +786,60 @@ def _bands_of(omega: OmegaState) -> _Bands:
     with np.errstate(divide="ignore"):
         log_D = np.log(np.maximum(Om.diagonal().real, 0.0))
         log_c = np.log(c)
-    return _Bands(omega.sectors, log_D.reshape(d_A, d_B), log_c,
-                 np.where(c > 0.0, link / np.where(c > 0.0, c, 1.0), 1.0))
+    return (omega.sectors, log_D.reshape(d_A, d_B), log_c,
+            np.where(c > 0.0, link / np.where(c > 0.0, c, 1.0), 1.0))
 
 
-def _band_omega(bands: _Bands) -> OmegaState:
-    """The OmegaState of _Bands as a SectorMatrix: the diagonal and, on each
-    link whose two product states share a sector, Omega and its
-    conjugate."""
-    labels = bands.sectors
+def _band_omega(bands: tuple) -> OmegaState:
+    """The OmegaState of bands (see _chain) as a SectorMatrix: the
+    diagonal, and Omega and its conjugate on each link whose two product
+    states share a sector."""
+    labels, log_diagonal, log_links, phases = bands
     d_A, d_B = labels.shape
-    m = (bands.log_links > -math.inf).nonzero()[0]
+    m = (log_links > -math.inf).nonzero()[0]
     if d_B > 1:
         m = m[labels[m, 0] == labels[m + 1, 1]]
     i = m * d_B
     j = i + (d_B + 1)
-    link = np.exp(bands.log_links[m]) * (
-        bands.phases[m] if np.ndim(bands.phases) else bands.phases)
+    link = np.exp(log_links[m]) * (phases[m] if np.ndim(phases) else phases)
     q = np.arange(d_A * d_B)
     return OmegaState(
         matrix=SectorMatrix(np.concatenate((q, i, j)), np.concatenate((q, j, i)),
-                            np.concatenate((np.exp(bands.log_diagonal.ravel()),
-                                            link, np.conj(link)))),
+                            np.concatenate((np.exp(log_diagonal.ravel()), link,
+                                            np.conj(link)))),
         sectors=labels)
 
 
-def _chain(bands: _Bands) -> SdpResult | None:
-    """The optimum of an Omega, given by its _Bands, whose A levels m meet
-    B's first two levels in sectors that are singletons or links
-    {(m, 0), (m + 1, 1)}, each link's diagonal entries the largest of
-    their rows (within num); None for any other Omega.  tau comes back
-    as its diagonal and X as a SectorMatrix.
+def _chain(bands: tuple) -> SdpResult | None:
+    """The optimum of an Omega given by its bands, (sector labels,
+    log |diagonal|, log |Omega| on the links (m, 0)-(m + 1, 1) with -inf
+    where it is zero or off the sectors, Omega's phase there), when its
+    A levels m meet B's first two levels in sectors that are singletons
+    or links, each link's diagonal entries the largest of their rows
+    (within num); None for any other Omega.  tau comes back as its
+    diagonal and X as a SectorMatrix.
 
     tau is then diagonal, t_m = o_m + u_m with o_m the largest diagonal
-    entry of row m, and the LMI reads u >= 0 and u_m u_{m+1} >= c_m^2,
-    c_m = |Omega on link m|.  On each run of links with c > 0 every
-    constraint is taken active: u_0 = x, u_{m+1} = c_m^2/u_m, so
-    sum u = A x + B/x, least at x = sqrt(B/A); all of it in logs, from
-    the bands' logs.  The dual is built forward along the run: p_0 = 1,
-    r_m = p_m u_m/u_{m+1}, p_{m+1} = 1 - r_m, each clipped to [0, 1] (r_m
-    from its log, so a ratio past the double range cannot overflow), then
-    all of X rescaled so that no entry of Tr_B X passes 1.  Link m
-    carries X_m = [[p_m, q_m], [q_m^*, r_m]] with |q_m| = sqrt(p_m r_m)
-    and Omega's phase; a row off every run carries a 1 at its largest
-    entry.  Every t_m is lifted by 16 eps of the largest t of its row and
-    the rows next to it, what the re-check's closed form of a 2 x 2
-    sector may round away, and then all of tau by the least amount that
-    leaves each sector of tau (x) I - Omega positive semidefinite after
-    rounding, so the slack is positive.  The lift is local, so a direct
-    sum of chains gives the sum of their optima.  None, too, when the
-    gap Tr tau - Tr(Omega X) is not below sdp_gap; any other certificate
-    is the caller's to check."""
-    labels = bands.sectors
+    entry of row m, and the LMI reads u >= 0 and u_m u_{m+1} >= c_m^2.
+    On each run of links with c > 0 every constraint is taken active:
+    u_0 = x, u_{m+1} = c_m^2/u_m, so sum u = A x + B/x, least at
+    x = sqrt(B/A), all in logs.  The dual is built forward along the run:
+    p_0 = 1, r_m = p_m u_m/u_{m+1} (from its log), p_{m+1} = 1 - r_m,
+    each clipped to [0, 1], then X rescaled so that Tr_B X <= I; link m
+    carries [[p_m, q_m], [q_m^*, r_m]] with |q_m| = sqrt(p_m r_m) and
+    Omega's phase, and a row off every run a 1 at its largest entry.
+    Each t_m is lifted by 16 eps of the largest t next to it, what a
+    2 x 2 closed form may round away, then tau until every sector's
+    closed form is >= 0; the lift is local, so a direct sum of chains
+    gives the sum of their optima.  None, too, when the gap
+    Tr tau - Tr(Omega X) is not below sdp_gap."""
+    labels, log_diagonal, log_links, phases = bands
     d_A, d_B = labels.shape
     sizes = np.bincount(labels.ravel())
     if sizes.max() > 2:
         return None
-    log_D = bands.log_diagonal.ravel()
-    log_o = bands.log_diagonal.max(axis=1)
+    log_D = log_diagonal.ravel()
+    log_o = log_diagonal.max(axis=1)
     # link m: (m, 0) and (m + 1, 1), at flat places first and second,
     # share a sector; every sector of two product states must be one
     linked = (labels[:-1, 0] == labels[1:, 1] if d_B > 1
@@ -886,7 +852,7 @@ def _chain(bands: _Bands) -> SdpResult | None:
             (log_D[first] >= log_o[m] + tol).all()
             and (log_D[second] >= log_o[m + 1] + tol).all()):
         return None
-    log_c = np.where(linked, bands.log_links, -math.inf)
+    log_c = np.where(linked, log_links, -math.inf)
     live = log_c > -math.inf
     # link m's weights: p[m] on row m and r[m + 1] on row m + 1
     log_u = np.full(d_A, -math.inf)
@@ -945,11 +911,11 @@ def _chain(bands: _Bands) -> SdpResult | None:
     in_run = np.zeros(d_A, dtype=bool)
     in_run[k] = in_run[k + 1] = True
     lone = (~in_run).nonzero()[0]
-    at = lone * d_B + bands.log_diagonal[lone].argmax(axis=1)
+    at = lone * d_B + log_diagonal[lone].argmax(axis=1)
     pk, rk = p[k], r[k + 1]
     q = np.sqrt(pk * rk)
     scale = 1.0 / max(1.0, float((p + r + ~in_run).max()))
-    link = q * (bands.phases[k] if np.ndim(bands.phases) else bands.phases)
+    link = q * (phases[k] if np.ndim(phases) else phases)
     X = SectorMatrix(np.concatenate((at, i, j, i, j)),
                      np.concatenate((at, i, j, j, i)),
                      scale * np.concatenate((np.ones(at.size), pk, rk, link,
@@ -973,12 +939,10 @@ class BlockSum:
     min(1, upper), so it bounds F* <= 1 from above, and fidelity - gap
     bounds it from below: gap is sum_j p_j gap_j plus that mass, less
     what the clip took off upper, and never negative.  For Schur-Weyl
-    blocks the weights p_j and the bands are rounded, so their Omega_j
-    need not carry psi_B's norm in all: the deficit (psi_B's norm, less
-    sum_j p_j Tr Omega_j over the blocks solved and p_j |psi_B|^2 over
-    those dropped) is added to upper where it is positive and to gap in
-    size, and so is the rounding of the sum over blocks, (blocks + 2)
-    eps/2 upper, once to upper and twice to gap.  bound_exact and
+    blocks the deficit of the rounded weights and bands, |psi_B|^2 less
+    sum_j p_j Tr Omega_j (|psi_B|^2 for a dropped block), is added to
+    upper where positive and to gap in size, and the rounding of the sum,
+    (blocks + 2) eps/2 upper, once to upper and twice to gap.  bound_exact and
     bound_asymptotic are qubit_infidelity_bound(lam, n), lower bounds on
     1 - F*, where the request is the qubit family (_visibility), and None
     elsewhere.  newton_steps is summed over the blocks and barrier_stages
@@ -1019,25 +983,23 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     decides the split, and its one frame also feeds _schur_blocks and the
     bounds' qubit-family rule (_visibility).
 
-    A spin block's Omega_j is held as the _Bands of its two bands and of
-    psi_B's weights in H_B's eigenbasis (in the frame where Omega's links
-    are real: psi_B's phases, like the source's, are a time translation),
-    under the sector labels of _sectors.  The direct sum of p_j Omega_j
-    over the blocks with p_j >= 1e-17 goes to _chain at once, and
-    verify_certificate re-checks it sector by sector.  If either refuses
-    it, each block goes to _chain alone, and a block that is still
-    refused goes to conditional_min_entropy on its dense Omega, built
-    from _spin_state.  The dense Omega goes to _chain as the _Bands read
-    off its matrix, and else to conditional_min_entropy.
+    A spin block's Omega_j goes to _chain as its bands, with psi_B's
+    weights in H_B's eigenbasis (its phases, like the source's, are a
+    time translation) and the labels of _sectors; all blocks with
+    p_j >= 1e-17 at once, as the direct sum of p_j Omega_j.  If that
+    chain or its sector-wise verify_certificate fails, each block goes to
+    _chain alone, and then to conditional_min_entropy on its dense Omega
+    (rho_j from _spin_state).  The dense Omega goes to _chain as the
+    bands read off its matrix, and else to conditional_min_entropy.
 
     Every check comes before any block is built: copies >= 1, then
     sigma, H and H_B, then psi_B as a pure_state of H_B's dimension, then
     the split.  Schur-Weyl blocks have one copy budget, the work of the
-    band path: the sides (2j + 1) d_B of all spin blocks sum to at most
-    MAX_OMEGA_SIDE^2 (n <= 1446 for a qubit target).  A spin block that
-    needs its dense Omega is refused when its side passes MAX_OMEGA_SIDE,
-    before rho_j is formed.  ValidationError or DimMismatchError
-    otherwise, and wherever iid_omega_state raises."""
+    band path: their sides (2j + 1) d_B sum to at most MAX_OMEGA_SIDE^2
+    (n <= 1446 for a qubit target).  A spin block that needs its dense
+    Omega is refused when its side passes MAX_OMEGA_SIDE, before rho_j
+    is formed.  ValidationError or DimMismatchError otherwise, and
+    wherever iid_omega_state raises."""
     if copies < 1:
         raise ValidationError(f"copies must be at least 1, got {copies}")
     sigma, H, H_B = density_matrix(sigma), observable(H), observable(H_B)
@@ -1075,19 +1037,19 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
         log_p = np.repeat([b[0] for b in live], sides)
         # the direct sum of p_j Omega_j, with no link from one block to
         # the next
-        whole = _Bands(
+        whole = (
             labels, (np.concatenate([b[2] for b in live]) + log_p)[:, None]
             + log_t, np.concatenate([x for b in live for x in (
                 [-math.inf], b[3])])[1:] + log_p[:-1] + log_link, 1.0)
-        mass = float(np.exp(whole.log_diagonal).sum())
+        mass = float(np.exp(whole[1]).sum())
         res = _certified(_chain(whole), _band_omega(whole))
         if res is not None:
             results.append((1.0, res))
         starts = np.cumsum(sides) - sides
         for (log_p, levels, log_rho, log_super), at in zip(
                 live if res is None else (), starts.tolist()):
-            bands = _Bands(labels[at:at + levels.size],
-                          log_rho[:, None] + log_t, log_super + log_link, 1.0)
+            bands = (labels[at:at + levels.size], log_rho[:, None] + log_t,
+                     log_super + log_link, 1.0)
             one = _certified(_chain(bands), _band_omega(bands))
             if one is None:
                 P = levels.size

@@ -13,6 +13,7 @@ import coherence_forge
 from coherence_forge.config import DEFAULT
 from coherence_forge.distill import (
     OmegaState,
+    SdpResult,
     SectorMatrix,
     cirac_comparison,
     conditional_min_entropy,
@@ -41,7 +42,6 @@ from coherence_forge.linalg import (
 )
 from coherence_forge.distill import (
     _band_omega,
-    _Bands,
     _bands_of,
     _chain,
     _min_trace_sdp,
@@ -840,6 +840,73 @@ def test_verify_certificate_rejects_tampering():
             verify_certificate(bad, om)
 
 
+def test_sector_check_rejects_tampering():
+    # the re-check of a chain's result reads entries only, sector by sector
+    dense, bands = _spin_omegas(qubit(0.6), 6, 0)
+    om = _band_omega(bands)
+    res = _chain(bands)
+    assert verify_certificate(res, om) is res
+    tau, X = res.tau, res.dual_certificate
+    link = np.flatnonzero(X.rows != X.cols)[0]
+    diag = np.flatnonzero(X.rows == X.cols)[0]
+
+    def entries(rows=X.rows, cols=X.cols, values=X.values):
+        return replace(res, dual_certificate=SectorMatrix(rows, cols, values))
+
+    def bumped(at, by):
+        values = X.values.astype(complex)
+        values[at] += by
+        return values
+
+    tampered = [
+        (replace(res, tau=0.999 * tau), "Omega has eigenvalue"),
+        # product states (0, 0) and (1, 0) lie in different sectors
+        (entries(np.append(X.rows, 0), np.append(X.cols, 2),
+                 np.append(X.values, 0.0)), "off the sector mask"),
+        (entries(values=bumped(link, 0.3j)), "dual X is not Hermitian"),
+        (entries(values=bumped(diag, -X.values[diag] - 1e-6)), "dual X has"),
+        (entries(values=1.001 * X.values), "Tr_B X"),
+        (replace(res, tau=tau + 1e-6, optimum=float(tau.sum()) + 7e-6),
+         "recomputed gap"),
+        (replace(res, primal_dual_gap=1e-8), "reported"),
+        (replace(res, optimum=math.nan), "reported"),
+        (replace(res, tau=np.where(tau == tau.max(), np.nan, tau)),
+         "tau is not"),
+        (replace(res, tau=tau[:-1]), "tau is not"),
+        (replace(res, tau=tau + 1e-6j), "tau is not Hermitian"),
+        (entries(values=bumped(diag, np.inf)), "dual X is not finite"),
+        (entries(np.append(X.rows, om.sectors.size),
+                 np.append(X.cols, 0), np.append(X.values, 0.0)),
+         "dual X is not finite"),
+    ]
+    for bad, match in tampered:
+        with pytest.raises(CertificateError, match=match):
+            verify_certificate(bad, om)
+    # a dense Omega must be zero off the sector mask
+    assert verify_certificate(res, dense) is res
+    off = dense.matrix.copy()
+    off[0, 2] = off[2, 0] = 1e-3
+    with pytest.raises(CertificateError, match="Omega has an entry off"):
+        verify_certificate(res, replace(dense, matrix=off))
+
+
+def test_sector_check_solves_larger_sectors():
+    # one sector of three product states: tau = Omega's diagonal and
+    # X = I certify F* = 1 with gap 0; the 3 x 3 blocks go to eigvalsh
+    om = OmegaState(
+        matrix=SectorMatrix(np.arange(3), np.arange(3),
+                            np.array([0.2, 0.3, 0.5])),
+        sectors=np.zeros((3, 1), dtype=int))
+    res = SdpResult(optimum=1.0, tau=np.array([0.2, 0.3, 0.5]),
+                    dual_certificate=SectorMatrix(np.arange(3), np.arange(3),
+                                                  np.ones(3)),
+                    primal_dual_gap=0.0, newton_steps=0, barrier_stages=0,
+                    min_slack=0.0)
+    assert verify_certificate(res, om) is res
+    with pytest.raises(CertificateError, match="Omega has eigenvalue"):
+        verify_certificate(replace(res, tau=0.999 * res.tau), om)
+
+
 def _schur_cases():
     """(name, sigma, H, psi_B, H_B, certificate) for the Schur-path
     comparisons with the dense solve."""
@@ -1006,9 +1073,8 @@ def _band_and_dense(sigma, H, psi, H_B, n):
     for log_p, (levels, log_rho, log_super) in _schur_blocks(s, H, n):
         if log_p < math.log(1e-17):
             continue
-        bands = _Bands(_sectors([levels], H_B.spectrum),
-                       log_rho[:, None] + log_t, log_super + log_t.mean(),
-                       1.0)
+        bands = (_sectors([levels], H_B.spectrum), log_rho[:, None] + log_t,
+                 log_super + log_t.mean(), 1.0)
         omega = iid_omega_state(_spin_state(s, levels.size), np.diag(levels),
                                 psi, H_B, 1)
         band += math.exp(log_p) * _chain(bands).optimum
@@ -1131,15 +1197,15 @@ def test_bad_target_is_refused_before_any_spin_block(monkeypatch):
 
 
 def _spin_omegas(sigma, n, block):
-    """(dense Omega, _Bands) of one spin block of n copies of sigma under
+    """(dense Omega, bands) of one spin block of n copies of sigma under
     H01 into |+> under H01: the dense one from _spin_state, the bands as
     iid_fidelity holds them."""
     levels, log_rho, log_super = _schur_blocks(sigma, H01, n)[block][1]
     log_t = np.log(np.abs(CBIT) ** 2)
     omega = iid_omega_state(_spin_state(sigma, levels.size),
                             np.diag(levels), CBIT, H01, 1)
-    return omega, _Bands(_sectors([levels], np.array([0.0, 1.0])),
-                         log_rho[:, None] + log_t, log_super + log_t[0], 1.0)
+    return omega, (_sectors([levels], np.array([0.0, 1.0])),
+                   log_rho[:, None] + log_t, log_super + log_t[0], 1.0)
 
 
 def test_chain_certificate_is_checked_by_verify_certificate():
