@@ -25,6 +25,7 @@ verify_certificate re-checks every block result either way.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -156,7 +157,8 @@ def _sectors(blocks: list, b: np.ndarray) -> np.ndarray:
     IncommensurateSpectrumError."""
     a = np.concatenate(blocks)
     delta = (a[:, None] - b[None, :]).ravel()
-    block = np.repeat(np.arange(len(blocks)), [len(x) * len(b) for x in blocks])
+    block = np.repeat(np.arange(len(blocks)),
+                      [len(x) * len(b) for x in blocks])
     order = np.lexsort((delta, block))
     steps = np.diff(delta[order])
     new_block = np.diff(block[order]) != 0
@@ -560,7 +562,8 @@ def _verify_sectors(result: SdpResult, omega: OmegaState) -> SdpResult:
     N = d_A * d_B
     tau = np.asarray(result.tau)
     if tau.shape != (d_A,) or not np.isfinite(tau).all():
-        raise CertificateError(f"tau is not a finite diagonal of {d_A} entries")
+        raise CertificateError(
+            f"tau is not a finite diagonal of {d_A} entries")
     skew = float(np.abs(tau.imag).max())
     if not skew <= DEFAULT.sdp_feas:
         raise CertificateError(f"tau is not Hermitian: {skew:.3e}")
@@ -588,9 +591,11 @@ def _verify_sectors(result: SdpResult, omega: OmegaState) -> SdpResult:
         np.arange(N) - np.repeat(np.cumsum(sizes) - sizes, sizes))
 
     def gathered(M):
-        S = np.zeros((sizes.size, width, width), dtype=complex)
-        np.add.at(S, (lab[M.rows], place[M.rows], place[M.cols]), M.values)
-        return S
+        at = (lab[M.rows] * width + place[M.rows]) * width + place[M.cols]
+        size = sizes.size * width * width
+        values = np.asarray(M.values)
+        return (np.bincount(at, values.real, size) + 1j * np.bincount(
+            at, values.imag, size)).reshape(sizes.size, width, width)
 
     Os, Xs = gathered(Om), gathered(X)
     skew = float(np.abs(Xs - Xs.conj().swapaxes(1, 2)).max())
@@ -804,9 +809,10 @@ def _band_omega(bands: tuple) -> OmegaState:
     link = np.exp(log_links[m]) * (phases[m] if np.ndim(phases) else phases)
     q = np.arange(d_A * d_B)
     return OmegaState(
-        matrix=SectorMatrix(np.concatenate((q, i, j)), np.concatenate((q, j, i)),
-                            np.concatenate((np.exp(log_diagonal.ravel()), link,
-                                            np.conj(link)))),
+        matrix=SectorMatrix(
+            np.concatenate((q, i, j)), np.concatenate((q, j, i)),
+            np.concatenate((np.exp(log_diagonal.ravel()), link,
+                            np.conj(link)))),
         sectors=labels)
 
 
@@ -869,16 +875,13 @@ def _chain(bands: tuple) -> SdpResult | None:
                        - np.logaddexp.reduce(L[0::2]))
         lu = L + sign * log_x
         log_u[s:e + 1] = lu
-        lu = lu.tolist()
-        p_k, ps, rs = 1.0, [], []
-        for k in range(e - s):
-            r_k = (math.exp(min(0.0, math.log(p_k) + lu[k] - lu[k + 1]))
-                   if p_k > 0.0 else 0.0)
-            ps.append(p_k)
-            rs.append(r_k)
-            p_k = min(1.0, max(0.0, 1.0 - r_k))
-        p[s:e] = ps
-        r[s + 1:e + 1] = rs
+        # r_m = min(1, p_m u_m/u_{m+1}) and p_{m+1} = 1 - r_m stay in
+        # [0, 1]; a ratio past e^709 gives r_m = 1 for any normal p_m
+        ps = np.array(list(itertools.accumulate(
+            np.exp(np.minimum(lu[:-1] - lu[1:], 709.0)).tolist(),
+            lambda p_m, ratio: 1.0 - min(1.0, p_m * ratio), initial=1.0)))
+        p[s:e] = ps[:-1]
+        r[s + 1:e + 1] = 1.0 - ps[1:]
     D = np.exp(log_D)
     c = np.exp(log_c[m])
     t = np.exp(log_o) + np.exp(log_u)
@@ -1045,9 +1048,9 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
         res = _certified(_chain(whole), _band_omega(whole))
         if res is not None:
             results.append((1.0, res))
-        starts = np.cumsum(sides) - sides
         for (log_p, levels, log_rho, log_super), at in zip(
-                live if res is None else (), starts.tolist()):
+                live if res is None else (),
+                itertools.accumulate(sides, initial=0)):
             bands = (labels[at:at + levels.size], log_rho[:, None] + log_t,
                      log_super + log_link, 1.0)
             one = _certified(_chain(bands), _band_omega(bands))
