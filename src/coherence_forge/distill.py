@@ -564,9 +564,11 @@ def _verify_sectors(result: SdpResult, omega: OmegaState) -> SdpResult:
     if tau.shape != (d_A,) or not np.isfinite(tau).all():
         raise CertificateError(
             f"tau is not a finite diagonal of {d_A} entries")
-    skew = float(np.abs(tau.imag).max())
-    if not skew <= DEFAULT.sdp_feas:
-        raise CertificateError(f"tau is not Hermitian: {skew:.3e}")
+    if np.iscomplexobj(tau):
+        skew = float(np.abs(tau.imag).max())
+        if not skew <= DEFAULT.sdp_feas:
+            raise CertificateError(f"tau is not Hermitian: {skew:.3e}")
+        tau = tau.real
     Om, X = omega.matrix, result.dual_certificate
     if not isinstance(Om, SectorMatrix):
         inside = lab[:, None] == lab[None, :]
@@ -604,7 +606,7 @@ def _verify_sectors(result: SdpResult, omega: OmegaState) -> SdpResult:
     # a pad row of the slack is a unit row, so it adds an eigenvalue 1
     S = np.zeros_like(Os)
     S[:, range(width), range(width)] = 1.0
-    S[lab, place, place] = tau.real.repeat(d_B)
+    S[lab, place, place] = tau.repeat(d_B)
     S -= Os
     s_min = _least_eigenvalue(S)
     if not s_min >= 0.0:
@@ -620,7 +622,7 @@ def _verify_sectors(result: SdpResult, omega: OmegaState) -> SdpResult:
     if not marginal <= 1.0 + DEFAULT.sdp_feas:
         raise CertificateError(
             f"Gershgorin bound of Tr_B X = {marginal:.12f} exceeds 1")
-    primal = float(tau.real.sum())
+    primal = float(tau.sum())
     return _check_gap(result, primal, primal - float(
         np.vdot(Os.swapaxes(1, 2).conj(), Xs).real))
 
@@ -737,16 +739,17 @@ def _schur_blocks(s, H, copies: int) -> list:
     levels = n * E0 + g * (np.repeat(ks, sides) + np.arange(diagonal.size)
                            - starts.repeat(sides))
     blocks = []
-    at = 0
-    for k, P, log_total in zip(ks, sides, log_totals.tolist()):
+    # block b's bands start at at = sum of the earlier sides, its
+    # superdiagonal at at - b (one entry fewer a block)
+    for b, (k, P, at, log_total) in enumerate(zip(
+            ks, sides, starts.tolist(), log_totals.tolist())):
         log_dim = (math.lgamma(n + 1) - math.lgamma(k + 1)
                    - math.lgamma(n - k + 1) + math.log(P)
                    - math.log(n - k + 1))
         blocks.append((log_dim + (k * log_det if k else 0.0)
                        + (P - 1) * log_top + log_total,
                        (levels[at:at + P], log_diagonal[at:at + P],
-                        log_super[at - len(blocks):at - len(blocks) + P - 1])))
-        at += P
+                        log_super[at - b:at - b + P - 1])))
     return blocks
 
 

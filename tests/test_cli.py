@@ -773,7 +773,7 @@ def test_distill_at_the_largest_budget_keeps_its_tails_finite(fixtures,
 
 def test_distill_certifies_a_thousand_copies_in_a_pinned_time(fixtures,
                                                               capsys):
-    # about 0.6 s at one BLAS thread on a 2-CPU Xeon; 1000 (1 - F*) sits
+    # about 0.4 s at one BLAS thread on a 2-CPU Xeon; 1000 (1 - F*) sits
     # 6.0e-4 above the converse's (1 - lam^2)/(4 lam^2) = 0.4444
     start = time.perf_counter()
     out = _distill_json(capsys, fixtures["dir"], _qubit_family(0.6), [0, 1],
