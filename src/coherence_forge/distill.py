@@ -596,8 +596,10 @@ def _verify_sectors(result: SdpResult, omega: OmegaState) -> SdpResult:
         at = (lab[M.rows] * width + place[M.rows]) * width + place[M.cols]
         size = sizes.size * width * width
         values = np.asarray(M.values)
-        return (np.bincount(at, values.real, size) + 1j * np.bincount(
-            at, values.imag, size)).reshape(sizes.size, width, width)
+        S = np.bincount(at, values.real, size)
+        if np.iscomplexobj(values):
+            S = S + 1j * np.bincount(at, values.imag, size)
+        return S.reshape(sizes.size, width, width)
 
     Os, Xs = gathered(Om), gathered(X)
     skew = float(np.abs(Xs - Xs.conj().swapaxes(1, 2)).max())
