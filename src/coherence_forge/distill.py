@@ -160,8 +160,9 @@ def _sectors(blocks: list, b: np.ndarray) -> np.ndarray:
     block = np.repeat(np.arange(len(blocks)),
                       [len(x) * len(b) for x in blocks])
     order = np.lexsort((delta, block))
-    steps = np.diff(delta[order])
-    new_block = np.diff(block[order]) != 0
+    delta, block = delta[order], block[order]
+    steps = delta[1:] - delta[:-1]
+    new_block = block[1:] != block[:-1]
     vague = ((steps >= DEFAULT.gap_cutoff)
              & (steps < math.sqrt(DEFAULT.gap_cutoff)) & ~new_block)
     if np.any(vague):
@@ -170,7 +171,7 @@ def _sectors(blocks: list, b: np.ndarray) -> np.ndarray:
             "small to separate eigenspaces reliably")
     labels = np.empty(delta.size, dtype=int)
     labels[order] = np.concatenate((
-        [0], np.cumsum((steps >= DEFAULT.gap_cutoff) | new_block)))
+        [0], ((steps >= DEFAULT.gap_cutoff) | new_block).cumsum()))
     return labels.reshape(len(a), len(b))
 
 
@@ -859,7 +860,7 @@ def _chain(bands: tuple) -> SdpResult | None:
     first = m * d_B
     second = first + (d_B + 1)
     tol = math.log1p(-DEFAULT.num)
-    if (sizes == 2).sum() != m.size or not (
+    if np.count_nonzero(sizes == 2) != m.size or not (
             (log_D[first] >= log_o[m] + tol).all()
             and (log_D[second] >= log_o[m + 1] + tol).all()):
         return None
