@@ -872,8 +872,10 @@ def _chain(bands: tuple) -> SdpResult | None:
     # the runs of live links: rows s..e hold links s..e-1
     edge = np.concatenate(([False], live, [False]))
     edges = (edge[1:] != edge[:-1]).nonzero()[0].tolist()
+    alt = np.ones(d_A)
+    alt[1::2] = -1.0
     for s, e in zip(edges[::2], edges[1::2]):
-        sign = np.where(np.arange(e - s + 1) % 2, -1.0, 1.0)
+        sign = alt[:e - s + 1]
         # log u_{s+i} = L_i + (-1)^i log x, L_{i+1} = log c^2 - L_i
         L = np.concatenate(([0.0], (-2.0 * sign[1:]) * (
             sign[:-1] * log_c[s:e]).cumsum()))
@@ -898,17 +900,15 @@ def _chain(bands: tuple) -> SdpResult | None:
     np.maximum(near[:-1], t[1:], out=near[:-1])
     eps = float(np.finfo(float).eps)
     t += 16.0 * eps * near
-    single = np.ones(D.size, dtype=bool)
-    single[first] = False
-    single[second] = False
-    # the least eigenvalue of tau (x) I - Omega: singletons, then the
-    # links' 2 x 2 blocks in closed form; while it is negative, tau is
-    # raised by twice the shortfall, and by at least eps t_m so that
+    # the least eigenvalue of tau (x) I - Omega: the diagonal's least
+    # entry (a link's entries bound its least eigenvalue from above), and
+    # the links' 2 x 2 blocks in closed form; while it is negative, tau
+    # is raised by twice the shortfall, and by at least eps t_m so that
     # every t_m moves
     for _ in range(8):
         slack = t.repeat(d_B) - D
         a, b = slack[first], slack[second]
-        low = min(float(slack[single].min(initial=math.inf)),
+        low = min(float(slack.min()),
                   float((0.5 * (a + b) - np.hypot(0.5 * (a - b), c)).min(
                       initial=math.inf)))
         if low >= 0.0:
