@@ -1043,13 +1043,13 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
         count, kind = half + 1, "schur-chain"
         labels = _sectors([b[1] for b in live], H_B.spectrum)
         sides = [b[1].size for b in live]
-        log_p = np.repeat([b[0] for b in live], sides)
+        row_log_p = np.repeat([b[0] for b in live], sides)
         # the direct sum of p_j Omega_j, with no link from one block to
         # the next
         whole = (
-            labels, (np.concatenate([b[2] for b in live]) + log_p)[:, None]
+            labels, (np.concatenate([b[2] for b in live]) + row_log_p)[:, None]
             + log_t, np.concatenate([x for b in live for x in (
-                [-math.inf], b[3])])[1:] + log_p[:-1] + log_link, 1.0)
+                [-math.inf], b[3])])[1:] + row_log_p[:-1] + log_link, 1.0)
         mass = float(np.exp(whole[1]).sum())
         res = _certified(_chain(whole), _band_omega(whole))
         if res is not None:
