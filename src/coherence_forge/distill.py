@@ -19,8 +19,9 @@ and any other source is one block, its n-copy Omega.  A block whose
 sectors form a chain (a target with equal weights on two levels at the
 source's gap) is solved in closed form from its bands, with a dual
 built along the chain (_chain), and re-checked sector by sector; any
-other block goes to the barrier solver on its dense Omega.
-verify_certificate re-checks every block result either way.
+other block goes to its dense Omega (_dense_block: the chain on the
+bands read off it, else the barrier solver).  verify_certificate
+re-checks every block result either way.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ CENTRING_DECREMENT = 1.0
 # 1024 takes 16 MB per matrix, and 924 parameters (six qubit copies)
 # take about 0.11 s per Newton step at one BLAS thread, 0.08 s of it the
 # complex solve.  iid_fidelity bounds the summed sides of all spin blocks
-# by the square of MAX_OMEGA_SIDE, and refuses a block that needs its
-# dense Omega (one the chain declines) whose side passes MAX_OMEGA_SIDE
+# by the square of MAX_OMEGA_SIDE, and the cubed sides of the blocks that
+# need their dense Omega (those the chain declines) by its cube
 MAX_OMEGA_SIDE = 1024
 MAX_SDP_PARAMS = 1000
 # _min_trace_sdp refuses an Omega whose Newton system has more live terms
@@ -947,11 +948,15 @@ class BlockSum:
     of the blocks dropped (p_j < 1e-17, each at most 1), fidelity is
     min(1, upper), so it bounds F* <= 1 from above, and fidelity - gap
     bounds it from below: gap is sum_j p_j gap_j plus that mass, less
-    what the clip took off upper, and never negative.  For Schur-Weyl
-    blocks the deficit of the rounded weights and bands, |psi_B|^2 less
-    sum_j p_j Tr Omega_j (|psi_B|^2 for a dropped block), is added to
-    upper where positive and to gap in size, and the rounding of the sum,
-    (blocks + 2) eps/2 upper, once to upper and twice to gap.  bound_exact and
+    what the clip took off upper, and never negative.  Those bounds are
+    certified for the Omega_j as computed.  For Schur-Weyl blocks a
+    rounding correction widens them on both sides (added once to upper
+    and twice to gap): |psi_B|^2 |1 - sum_j p_j| over all blocks, plus
+    sum_j |p_j Tr Omega_j - p_j |psi_B|^2| over the blocks solved (each
+    Omega_j from its bands), plus
+    (blocks + 2) eps/2 upper for the sum.  It is an estimate, not a
+    proven bound: rounding errors of opposite sign within one Omega_j, or
+    among the p_j, cancel in these traces.  bound_exact and
     bound_asymptotic are qubit_infidelity_bound(lam, n), lower bounds on
     1 - F*, where the request is the qubit family (_visibility), and None
     elsewhere.  newton_steps is summed over the blocks and barrier_stages
@@ -984,6 +989,13 @@ def _certified(res: SdpResult | None, omega: OmegaState) -> SdpResult | None:
         return None
 
 
+def _dense_block(omega: OmegaState) -> SdpResult:
+    """A dense Omega solved by _chain on its bands where that certifies,
+    else by conditional_min_entropy."""
+    return (_certified(_chain(_bands_of(omega)), omega)
+            or conditional_min_entropy(omega))
+
+
 def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     """F*(copies) of any source sigma under H into any target psi_B under
     H_B, summed over blocks: the Schur-Weyl blocks of a qubit under a
@@ -992,22 +1004,22 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     decides the split, and its one frame also feeds _schur_blocks and the
     bounds' qubit-family rule (_visibility).
 
-    A spin block's Omega_j goes to _chain as its bands, with psi_B's
-    weights in H_B's eigenbasis (its phases, like the source's, are a
-    time translation) and the labels of _sectors; all blocks with
-    p_j >= 1e-17 at once, as the direct sum of p_j Omega_j.  If that
-    chain or its sector-wise verify_certificate fails, each block goes to
-    _chain alone, and then to conditional_min_entropy on its dense Omega
-    (rho_j from _spin_state).  The dense Omega goes to _chain as the
-    bands read off its matrix, and else to conditional_min_entropy.
+    The spin blocks with p_j >= 1e-17 go to _chain at once, as the bands
+    of the direct sum of p_j Omega_j, with psi_B's weights in H_B's
+    eigenbasis (its phases, like the source's, are a time translation)
+    and the labels of _sectors.  If that chain or its sector-wise
+    verify_certificate fails, each block goes to _dense_block on its
+    dense Omega_j (rho_j from _spin_state), as the one n-copy Omega of
+    any other source does.
 
     Every check comes before any block is built: copies >= 1, then
     sigma, H and H_B, then psi_B as a pure_state of H_B's dimension, then
     the split.  Schur-Weyl blocks have one copy budget, the work of the
     band path: their sides (2j + 1) d_B sum to at most MAX_OMEGA_SIDE^2
-    (n <= 1446 for a qubit target).  A spin block that needs its dense
-    Omega is refused when its side passes MAX_OMEGA_SIDE, before rho_j
-    is formed.  ValidationError or DimMismatchError otherwise, and
+    (n <= 1446 for a qubit target).  Blocks the chain declines are
+    refused before any rho_j is formed when the cubed sides of their
+    dense Omega_j, the work of the dense solves, sum past
+    MAX_OMEGA_SIDE^3.  ValidationError or DimMismatchError otherwise, and
     wherever iid_omega_state raises."""
     if copies < 1:
         raise ValidationError(f"copies must be at least 1, got {copies}")
@@ -1016,14 +1028,11 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     require_same_dim(psi_B.dim, H_B.dim)
     d_B = H_B.dim
     s = _qubit_frame(sigma, H)
-    results = []
-    dropped = 0.0
     if s is None:
-        omega = iid_omega_state(sigma, H, psi_B, H_B, copies)
-        res = (_certified(_chain(_bands_of(omega)), omega)
-               or conditional_min_entropy(omega))
-        results.append((1.0, res))
-        count, kind = 1, "dense"
+        results = [(1.0, _dense_block(
+            iid_omega_state(sigma, H, psi_B, H_B, copies)))]
+        count = solved = 1
+        upper = gap = 0.0
     else:
         half = copies // 2
         if (half + 1) * (copies + 1 - half) * d_B > MAX_OMEGA_SIDE ** 2:
@@ -1034,68 +1043,65 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
         with np.errstate(divide="ignore"):
             log_t = np.log(weight)
         log_link = 0.5 * (log_t[0] + log_t[1]) if d_B > 1 else -math.inf
-        live = []
-        for log_p, spin in _schur_blocks(s, H, copies):
-            if log_p < math.log(1e-17):
-                dropped += math.exp(log_p)
-            else:
-                live.append((log_p, *spin))
-        count, kind = half + 1, "schur-chain"
-        labels = _sectors([b[1] for b in live], H_B.spectrum)
+        blocks = _schur_blocks(s, H, copies)
+        p = np.exp([log_p for log_p, _ in blocks])
+        keep = p >= 1e-17
+        live = [(log_p, *spin) for (log_p, spin), k in zip(blocks, keep) if k]
+        count, solved = half + 1, len(live)
         sides = [b[1].size for b in live]
         row_log_p = np.repeat([b[0] for b in live], sides)
         # the direct sum of p_j Omega_j, with no link from one block to
         # the next
         whole = (
-            labels, (np.concatenate([b[2] for b in live]) + row_log_p)[:, None]
+            _sectors([b[1] for b in live], H_B.spectrum),
+            (np.concatenate([b[2] for b in live]) + row_log_p)[:, None]
             + log_t, np.concatenate([x for b in live for x in (
                 [-math.inf], b[3])])[1:] + row_log_p[:-1] + log_link, 1.0)
-        mass = float(np.exp(whole[1]).sum())
         res = _certified(_chain(whole), _band_omega(whole))
         if res is not None:
-            results.append((1.0, res))
-        for (log_p, levels, log_rho, log_super), at in zip(
-                live if res is None else (),
-                itertools.accumulate(sides, initial=0)):
-            bands = (labels[at:at + levels.size], log_rho[:, None] + log_t,
-                     log_super + log_link, 1.0)
-            one = _certified(_chain(bands), _band_omega(bands))
-            if one is None:
-                P = levels.size
-                if P * d_B > MAX_OMEGA_SIDE:
-                    raise ValidationError(
-                        f"a spin block of side {P} is no closed-form chain, "
-                        f"and its dense Omega, {P} * {d_B} wide, passes "
-                        f"the budget of {MAX_OMEGA_SIDE}")
-                one = conditional_min_entropy(iid_omega_state(
-                    _spin_state(s, P), HermitianObservable(
-                        matrix=np.diag(levels).astype(complex),
-                        spectrum=levels, eigenbasis=np.eye(P, dtype=complex)),
-                    psi_B, H_B, 1))
-                kind = "schur"
-            results.append((math.exp(log_p), one))
-    upper = sum(p * r.optimum for p, r in results) + dropped
-    gap = sum(p * r.primal_dual_gap for p, r in results) + dropped
-    solved = len(live) if s is not None else 1
+            results = [(1.0, res)]
+        elif sum((P * d_B) ** 3 for P in sides) > MAX_OMEGA_SIDE ** 3:
+            raise ValidationError(
+                f"{copies} copies make spin blocks that are no closed-form "
+                "chain, and the cubed sides of their dense Omega sum past "
+                f"the budget of {MAX_OMEGA_SIDE}**3")
+        else:
+            results = [(math.exp(log_p), _dense_block(iid_omega_state(
+                _spin_state(s, levels.size), HermitianObservable(
+                    matrix=np.diag(levels).astype(complex), spectrum=levels,
+                    eigenbasis=np.eye(levels.size, dtype=complex)),
+                psi_B, H_B, 1))) for log_p, levels, *_ in live]
+        # a dropped block adds at most its weight; what the rounded
+        # weights miss of 1 and each block's rounded bands miss of psi_B's
+        # norm widen the interval by their size on both sides
+        w = float(weight.sum())
+        dropped = float(p[~keep].sum())
+        mass = np.add.reduceat(np.exp(whole[1]).sum(axis=1),
+                               np.cumsum([0] + sides[:-1]))
+        error = (w * abs(1.0 - float(p.sum()))
+                 + float(np.abs(mass - w * p[keep]).sum()))
+        upper, gap = dropped + error, dropped + 2.0 * error
+    upper += sum(p_j * r.optimum for p_j, r in results)
+    gap += sum(p_j * r.primal_dual_gap for p_j, r in results)
     if s is not None:
-        # the blocks' Omega should carry psi_B's norm in all; what the
-        # rounded weights and bands miss or add, and the rounding of the
-        # sum over blocks, widen the interval on both sides
-        deficit = float(weight.sum()) * (1.0 - dropped) - mass
+        # the rounding of the sum over blocks
         rounding = (solved + 2) * 0.5 * float(np.finfo(float).eps) * upper
-        upper += max(deficit, 0.0) + rounding
-        gap += abs(deficit) + 2.0 * rounding
+        upper += rounding
+        gap += 2.0 * rounding
     lam = _visibility(s, H, psi_B, H_B)
     exact, asym = ((None, None) if lam is None
                    else qubit_infidelity_bound(lam, copies))
+    stages = max(r.barrier_stages for _, r in results)
     return BlockSum(
         fidelity=min(1.0, upper),
         gap=max(0.0, gap - max(0.0, upper - 1.0)),
         bound_exact=exact, bound_asymptotic=asym,
         newton_steps=sum(r.newton_steps for _, r in results),
-        barrier_stages=max(r.barrier_stages for _, r in results),
-        min_slack=min(p * r.min_slack for p, r in results),
-        certificate=kind, blocks=solved, blocks_dropped=count - solved)
+        barrier_stages=stages,
+        min_slack=min(p_j * r.min_slack for p_j, r in results),
+        certificate=("dense" if s is None
+                     else "schur" if stages else "schur-chain"),
+        blocks=solved, blocks_dropped=count - solved)
 
 
 def _check_qubit_family(lam: float, n: int) -> None:

@@ -784,15 +784,24 @@ def test_distill_certifies_a_thousand_copies_in_a_pinned_time(fixtures,
     assert abs(1000 * (1 - out["fidelity"]) - 0.445040) < 1e-6
 
 
-def test_distill_refuses_a_wide_block_the_chain_declines(fixtures, capsys):
-    # an unbalanced target is no closed-form chain; at 1000 copies the
-    # first live spin block would need a dense Omega wider than 1024
+@pytest.mark.parametrize("copies", ["200", "1000"])
+def test_distill_refuses_wide_blocks_the_chain_declines(fixtures, monkeypatch,
+                                                        capsys, copies):
+    # an unbalanced target is no closed-form chain; at 200 copies every
+    # spin block is at most 402 wide, but the cubed sides of the live
+    # blocks' dense Omega sum past 1024**3, and at 1000 copies the first
+    # live block alone is wider than 1024: refused before any dense block
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense spin block built")
+
+    for name in ("_spin_state", "conditional_min_entropy"):
+        monkeypatch.setattr(cli.distill, name, no_dense)
     target = fixtures["dir"] / "unbalanced.json"
     target.write_text(json.dumps(array_to_json(
         np.array([math.sqrt(0.7), math.sqrt(0.3)]))))
     assert cli.main(["distill", "--in", fixtures["rho"], fixtures["h2"],
                      "--target", str(target), fixtures["h2"],
-                     "--copies", "1000"]) == 1
+                     "--copies", copies]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no closed-form chain" in err
 
