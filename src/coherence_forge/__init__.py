@@ -39,7 +39,6 @@ from .linalg import (
     fidelity,
     level_labels,
     observable,
-    partial_trace,
     pure_state,
     tensor,
 )

@@ -18,16 +18,18 @@ Hamiltonian split by Schur-Weyl duality into one block per spin j
 and any other source is one block, its n-copy Omega.  A block whose
 sectors form a chain (a target with equal weights on two levels at the
 source's gap) is solved in closed form from its bands, with a dual
-built along the chain (_chain), and re-checked sector by sector; any
-other block goes to its dense Omega (_dense_block: the chain on the
-bands read off it, else the barrier solver).  verify_certificate
-re-checks every block result either way.
+built along the chain (_chain); any other block goes to its dense Omega
+(_dense_block: the chain on the bands read off it, else the barrier
+solver).  verify_certificate re-checks every block result, the chain's
+and the barrier's alike, sector by sector on the entries of tau, Omega
+and X.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +49,6 @@ from .linalg import (
     density_matrix,
     level_labels,
     observable,
-    partial_trace,
     pure_state,
     require_same_dim,
     tensor,
@@ -176,6 +177,14 @@ def _sectors(blocks: list, b: np.ndarray) -> np.ndarray:
     return labels.reshape(len(a), len(b))
 
 
+def _check_copies(copies) -> None:
+    """ValidationError unless copies is an integer (not a bool) >= 1."""
+    if isinstance(copies, bool) or not isinstance(copies, numbers.Integral):
+        raise ValidationError(f"copies must be an integer, got {copies!r}")
+    if copies < 1:
+        raise ValidationError(f"copies must be at least 1, got {copies}")
+
+
 def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     """Pinch sigma^(x)copies (x) |conj(psi_B)><conj(psi_B)| onto the
     eigenspaces of H_n (x) I - I (x) H_B, with H_n = sum_i H_i the
@@ -192,15 +201,15 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     Before any tensor power is built, sigma is checked as a d x d
     density_matrix and psi_B as a pure_state (each at its own size; Omega
     itself is never decomposed), and ValidationError is raised when
-    copies < 1, when sigma and H differ in dimension, when the dense
-    Omega side d**copies * d_B passes MAX_OMEGA_SIDE, or when tau's
-    parameter count, sum_E deg(E)^2 over the level_labels E of the
-    summed spectrum, passes MAX_SDP_PARAMS.  Eigenvalue differences
-    form levels by level_labels at gap_cutoff; a step between sorted
-    differences that is at least gap_cutoff yet below sqrt(gap_cutoff)
-    makes the levels ill-defined and raises IncommensurateSpectrum."""
-    if copies < 1:
-        raise ValidationError(f"copies must be at least 1, got {copies}")
+    copies is not an integer >= 1 (a bool is refused), when sigma and H
+    differ in dimension, when the dense Omega side d**copies * d_B
+    passes MAX_OMEGA_SIDE, or when tau's parameter count, sum_E deg(E)^2
+    over the level_labels E of the summed spectrum, passes
+    MAX_SDP_PARAMS.  Eigenvalue differences form levels by level_labels
+    at gap_cutoff; a step between sorted differences that is at least
+    gap_cutoff yet below sqrt(gap_cutoff) makes the levels ill-defined
+    and raises IncommensurateSpectrum."""
+    _check_copies(copies)
     H, H_B = observable(H), observable(H_B)
     sigma, psi = density_matrix(sigma), pure_state(psi_B)
     d = H.dim
@@ -476,63 +485,6 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
                      min_slack=scale * float(w[live > 0.5].min()))
 
 
-def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
-    """Re-check an SDP result apart from the solver.  A chain's result
-    (X a SectorMatrix) is checked sector by sector (_verify_sectors);
-    any other on the dense full-space matrices: tau and X are finite
-    d_A x d_A and N x N matrices, Hermitian within sdp_feas (the
-    eigenvalue tests read one triangle only); tau (x) I - Omega has no
-    negative eigenvalue; X >= 0 (within sdp_feas) with
-    lambda_max(Tr_B X) <= 1 + sdp_feas; the gap Tr tau - Tr(Omega X),
-    recomputed, is below sdp_gap; and the reported optimum and gap match
-    Tr tau and that gap within sdp_feas.  Every comparison fails on NaN.
-    Each check is unchanged by a product rotation U_A (x) U_B, so
-    checking in the eigenbasis that Omega, tau and X share certifies the
-    problem in any basis.
-
-    Returns result; raises CertificateError on the first check that
-    fails."""
-    if isinstance(result.dual_certificate, SectorMatrix):
-        return _verify_sectors(result, omega)
-    d_A, d_B = omega.sectors.shape
-    Om = omega.matrix
-    tau = np.asarray(result.tau)
-    X = np.asarray(result.dual_certificate)
-    for name, M, n in (("tau", tau, d_A), ("dual X", X, d_A * d_B)):
-        if M.shape != (n, n) or not np.isfinite(M).all():
-            raise CertificateError(f"{name} is not a finite {n} x {n} matrix")
-        skew = float(np.max(np.abs(M - M.conj().T)))
-        if not skew <= DEFAULT.sdp_feas:
-            raise CertificateError(f"{name} is not Hermitian: {skew:.3e}")
-    s_min = float(np.linalg.eigvalsh(np.kron(tau, np.eye(d_B)) - Om)[0])
-    if not s_min >= 0.0:
-        raise CertificateError(f"tau (x) I - Omega has eigenvalue {s_min:.3e}")
-    x_min = float(np.linalg.eigvalsh(X)[0])
-    if not x_min >= -DEFAULT.sdp_feas:
-        raise CertificateError(f"dual X has eigenvalue {x_min:.3e}")
-    marginal = float(np.linalg.eigvalsh(
-        partial_trace(X, (d_A, d_B)))[-1])
-    if not marginal <= 1.0 + DEFAULT.sdp_feas:
-        raise CertificateError(
-            f"lambda_max(Tr_B X) = {marginal:.12f} exceeds 1")
-    primal = float(np.trace(tau).real)
-    return _check_gap(result, primal, primal - float(np.sum(Om * X.T).real))
-
-
-def _check_gap(result: SdpResult, primal: float, gap: float) -> SdpResult:
-    """verify_certificate's last checks, on Tr tau and the recomputed
-    gap."""
-    if not gap < DEFAULT.sdp_gap:
-        raise CertificateError(f"recomputed gap {gap:.3e} over budget")
-    if not (abs(result.optimum - primal) <= DEFAULT.sdp_feas
-            and abs(result.primal_dual_gap - gap) <= DEFAULT.sdp_feas):
-        raise CertificateError(
-            f"reported optimum {result.optimum!r} and gap "
-            f"{result.primal_dual_gap:.3e} differ from Tr tau = {primal!r} "
-            f"and gap {gap:.3e}")
-    return result
-
-
 def _least_eigenvalue(stack: np.ndarray) -> float:
     """The least eigenvalue over a stack of Hermitian blocks, each read
     from its upper triangle: in closed form for blocks of side 1 or 2,
@@ -547,88 +499,134 @@ def _least_eigenvalue(stack: np.ndarray) -> float:
                   - np.hypot(0.5 * (a - d), np.abs(stack[:, 0, 1]))).min())
 
 
-def _verify_sectors(result: SdpResult, omega: OmegaState) -> SdpResult:
-    """verify_certificate for a chain's result (tau its diagonal, X a
-    SectorMatrix), sector by sector from omega.sectors and sharing no
-    code with _chain.  tau is finite and real within sdp_feas; Omega (a
-    SectorMatrix, or a dense array exactly zero off the sector mask) and
-    X are finite entries in range, none off the mask.  Gathered by sector
-    (repeated entries add), X is Hermitian within sdp_feas, and the least
-    eigenvalues, in closed form for sectors of one or two product states
-    and by eigvalsh for larger ones, are >= 0 for tau (x) I - Omega and
-    >= -sdp_feas for X; Gershgorin's bound on lambda_max(Tr_B X), exact
-    for a chain's diagonal Tr_B X, is <= 1 + sdp_feas; then the gap and
-    the reported numbers are checked as on the dense path."""
+def _entries(name: str, M, n: int) -> tuple:
+    """(rows, cols, values) of an n x n operand of verify_certificate: a
+    SectorMatrix's entries, finite and in range, else the nonzero entries
+    of a finite n x n array (a vector of n entries is the diagonal) that
+    is Hermitian within sdp_feas."""
+    if isinstance(M, SectorMatrix):
+        rows, cols, values = M.rows, M.cols, np.asarray(M.values)
+        at = np.concatenate((rows, cols))
+        if not (len(rows) == len(cols) == len(values)
+                and np.isfinite(values).all()
+                and (not at.size or 0 <= at.min() <= at.max() < n)):
+            raise CertificateError(
+                f"{name} is not finite entries of an {n} x {n} matrix")
+        return rows, cols, values
+    M = np.asarray(M)
+    if M.ndim == 1:
+        if M.shape != (n,) or not np.isfinite(M).all():
+            raise CertificateError(
+                f"{name} is not a finite diagonal of {n} entries")
+        skew = float(np.abs(M.imag).max())
+        at = (np.arange(n),)
+    else:
+        if M.shape != (n, n) or not np.isfinite(M).all():
+            raise CertificateError(f"{name} is not a finite {n} x {n} matrix")
+        skew = float(np.abs(M - M.conj().T).max())
+        at = np.nonzero(M)
+    if not skew <= DEFAULT.sdp_feas:
+        raise CertificateError(f"{name} is not Hermitian: {skew:.3e}")
+    return at[0], at[-1], M[at]
+
+
+def _summed(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """values summed per index at, as an array of size entries."""
+    S = np.bincount(at, values.real, size)
+    if np.iscomplexobj(values):
+        S = S + 1j * np.bincount(at, values.imag, size)
+    return S
+
+
+def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
+    """Re-check an SDP result apart from the solver, the barrier's (dense
+    tau and X) and a chain's (tau its diagonal, X a SectorMatrix) alike,
+    sector by sector from omega.sectors and sharing no code with either
+    solver.  A dense operand is first a finite matrix of its shape (tau
+    may be a diagonal), Hermitian within sdp_feas, and then its nonzero
+    entries are read; a SectorMatrix's entries are finite and in range.
+    The entries of tau (x) I, Omega and X lie inside the sector mask.
+    Gathered by sector (repeated entries add), X is Hermitian within
+    sdp_feas, and the least eigenvalues, in closed form for sectors of
+    one or two product states and by eigvalsh for larger ones, are >= 0
+    for tau (x) I - Omega and >= -sdp_feas for X.  Gershgorin's bound on
+    lambda_max(Tr_B X), from X's entries summed per cell of Tr_B X and
+    exact for a chain's diagonal Tr_B X, is <= 1 + sdp_feas; the gap
+    Tr tau - Tr(Omega X), recomputed, is below sdp_gap; and the reported
+    optimum and gap match Tr tau and that gap within sdp_feas.  Every
+    comparison fails on NaN.  Each check is unchanged by a product
+    rotation U_A (x) U_B, so checking in the eigenbasis that Omega, tau
+    and X share certifies the problem in any basis.
+
+    Returns result; raises CertificateError on the first check that
+    fails."""
     lab = np.asarray(omega.sectors).ravel()
     d_A, d_B = omega.sectors.shape
-    N = d_A * d_B
-    tau = np.asarray(result.tau)
-    if tau.shape != (d_A,) or not np.isfinite(tau).all():
-        raise CertificateError(
-            f"tau is not a finite diagonal of {d_A} entries")
-    if np.iscomplexobj(tau):
-        skew = float(np.abs(tau.imag).max())
-        if not skew <= DEFAULT.sdp_feas:
-            raise CertificateError(f"tau is not Hermitian: {skew:.3e}")
-        tau = tau.real
-    Om, X = omega.matrix, result.dual_certificate
-    if not isinstance(Om, SectorMatrix):
-        inside = lab[:, None] == lab[None, :]
-        if Om[~inside].any():
-            raise CertificateError("Omega has an entry off the sector mask")
-        Om = SectorMatrix(*np.nonzero(inside), Om[inside])
-    for name, M in (("Omega", Om), ("dual X", X)):
-        at = np.concatenate((M.rows, M.cols))
-        if not (len(M.rows) == len(M.cols) == len(M.values)
-                and np.isfinite(M.values).all()
-                and (not at.size or 0 <= at.min() <= at.max() < N)):
-            raise CertificateError(
-                f"{name} is not finite entries of an {N} x {N} matrix")
-        sector = lab[at]
-        if not (sector[:at.size // 2] == sector[at.size // 2:]).all():
-            raise CertificateError(f"{name} has an entry off the sector mask")
+    N = lab.size
+    ta, tc, tv = _entries("tau", result.tau, d_A)
+    Om = _entries("Omega", omega.matrix, N)
+    X = _entries("dual X", result.dual_certificate, N)
     sizes = np.bincount(lab)
     width = int(sizes.max())
-    # place of each product index inside its sector
+    shape = (sizes.size, width, width)
+    # entry [r, c] of a stack sits at base[r] + place[c] of its buffer when
+    # r and c share a sector, place[c] being c's place inside it
     place = np.empty(N, dtype=int)
     place[np.argsort(lab, kind="stable")] = (
         np.arange(N) - np.repeat(np.cumsum(sizes) - sizes, sizes))
-
-    def gathered(M):
-        at = (lab[M.rows] * width + place[M.rows]) * width + place[M.cols]
-        size = sizes.size * width * width
-        values = np.asarray(M.values)
-        S = np.bincount(at, values.real, size)
-        if np.iscomplexobj(values):
-            S = S + 1j * np.bincount(at, values.imag, size)
-        return S.reshape(sizes.size, width, width)
-
-    Os, Xs = gathered(Om), gathered(X)
+    base = (lab * width + place) * width
+    # tau[a, c] sits at ((a, b), (c, b)) of tau (x) I for every b
+    b = np.arange(d_B)
+    T = (np.add.outer(ta * d_B, b).ravel(), np.add.outer(tc * d_B, b).ravel(),
+         tv.repeat(d_B))
+    # each operand's entries, summed into its padded sector stack
+    stacks = []
+    for name, (rows, cols, values) in (("tau (x) I", T), ("Omega", Om),
+                                       ("dual X", X)):
+        if not (lab[rows] == lab[cols]).all():
+            raise CertificateError(f"{name} has an entry off the sector mask")
+        stacks.append(_summed(base[rows] + place[cols], values,
+                              math.prod(shape)).reshape(shape))
+    Ts, Os, Xs = stacks
     skew = float(np.abs(Xs - Xs.conj().swapaxes(1, 2)).max())
     if not skew <= DEFAULT.sdp_feas:
         raise CertificateError(f"dual X is not Hermitian: {skew:.3e}")
-    # a pad row of the slack is a unit row, so it adds an eigenvalue 1
-    S = np.zeros_like(Os)
-    S[:, range(width), range(width)] = 1.0
-    S[lab, place, place] = tau.repeat(d_B)
-    S -= Os
-    s_min = _least_eigenvalue(S)
+    # a pad is a zero row of both stacks: its eigenvalue 0 passes either
+    # check
+    s_min = _least_eigenvalue(Ts - Os)
     if not s_min >= 0.0:
         raise CertificateError(f"tau (x) I - Omega has eigenvalue {s_min:.3e}")
     x_min = _least_eigenvalue(Xs)
     if not x_min >= -DEFAULT.sdp_feas:
         raise CertificateError(f"dual X has eigenvalue {x_min:.3e}")
-    (a, b), (a2, b2) = np.divmod(X.rows, d_B), np.divmod(X.cols, d_B)
-    values = np.asarray(X.values)
-    marginal = float(np.bincount(a, np.where(
-        b == b2, np.where(a == a2, values.real, np.abs(values)), 0.0),
-        minlength=d_A).max())
+    # Tr_B X sums X's entries at ((a, b), (c, b)) into its cell (a, c):
+    # the diagonal ones, and those off it, whose rows and columns differ
+    # by a multiple of d_B
+    rows, cols, values = X
+    on = rows == cols
+    off = ((rows - cols) % d_B == 0) & ~on
+    bound = np.bincount(rows[on] // d_B, values[on].real, d_A)
+    if off.any():
+        # int64 codes, so that int32 indices cannot wrap
+        cells, at = np.unique((rows[off] // d_B).astype(np.int64) * d_A
+                              + cols[off] // d_B, return_inverse=True)
+        bound += np.bincount(cells // d_A, np.abs(
+            _summed(at, values[off], cells.size)), d_A)
+    marginal = float(bound.max())
     if not marginal <= 1.0 + DEFAULT.sdp_feas:
         raise CertificateError(
             f"Gershgorin bound of Tr_B X = {marginal:.12f} exceeds 1")
-    primal = float(tau.sum())
-    return _check_gap(result, primal, primal - float(
-        np.vdot(Os.swapaxes(1, 2).conj(), Xs).real))
+    primal = float(tv[ta == tc].sum().real)
+    gap = primal - float(np.vdot(Os.swapaxes(1, 2).conj(), Xs).real)
+    if not gap < DEFAULT.sdp_gap:
+        raise CertificateError(f"recomputed gap {gap:.3e} over budget")
+    if not (abs(result.optimum - primal) <= DEFAULT.sdp_feas
+            and abs(result.primal_dual_gap - gap) <= DEFAULT.sdp_feas):
+        raise CertificateError(
+            f"reported optimum {result.optimum!r} and gap "
+            f"{result.primal_dual_gap:.3e} differ from Tr tau = {primal!r} "
+            f"and gap {gap:.3e}")
+    return result
 
 
 def conditional_min_entropy(omega: OmegaState) -> SdpResult:
@@ -1012,17 +1010,16 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     dense Omega_j (rho_j from _spin_state), as the one n-copy Omega of
     any other source does.
 
-    Every check comes before any block is built: copies >= 1, then
-    sigma, H and H_B, then psi_B as a pure_state of H_B's dimension, then
-    the split.  Schur-Weyl blocks have one copy budget, the work of the
-    band path: their sides (2j + 1) d_B sum to at most MAX_OMEGA_SIDE^2
-    (n <= 1446 for a qubit target).  Blocks the chain declines are
-    refused before any rho_j is formed when the cubed sides of their
-    dense Omega_j, the work of the dense solves, sum past
+    Every check comes before any block is built: copies an integer >= 1
+    (not a bool), then sigma, H and H_B, then psi_B as a pure_state of
+    H_B's dimension, then the split.  Schur-Weyl blocks have one copy
+    budget, the work of the band path: their sides (2j + 1) d_B sum to
+    at most MAX_OMEGA_SIDE^2 (n <= 1446 for a qubit target).  Blocks the
+    chain declines are refused before any rho_j is formed when the cubed
+    sides of their dense Omega_j, the work of the dense solves, sum past
     MAX_OMEGA_SIDE^3.  ValidationError or DimMismatchError otherwise, and
     wherever iid_omega_state raises."""
-    if copies < 1:
-        raise ValidationError(f"copies must be at least 1, got {copies}")
+    _check_copies(copies)
     sigma, H, H_B = density_matrix(sigma), observable(H), observable(H_B)
     psi_B = pure_state(psi_B)
     require_same_dim(psi_B.dim, H_B.dim)

@@ -124,17 +124,6 @@ def tensor(*ops) -> np.ndarray:
     return out
 
 
-def partial_trace(M, dims) -> np.ndarray:
-    """Tr_B of an operator on A (x) B with dims = (dA, dB)."""
-    M = require_square(M)
-    dA, dB = int(dims[0]), int(dims[1])
-    if dA * dB != M.shape[0]:
-        raise DimMismatchError(
-            f"dims {dims} inconsistent with matrix of size {M.shape[0]}"
-        )
-    return np.einsum("ijkj->ik", M.reshape(dA, dB, dA, dB))
-
-
 def level_labels(w) -> np.ndarray:
     """Level index 0, 1, ... of each value of an ascending array.
 

@@ -35,7 +35,6 @@ from coherence_forge.linalg import (
     density_matrix,
     level_labels,
     observable,
-    partial_trace,
     pure_state,
     random_density,
     random_observable,
@@ -233,6 +232,26 @@ def test_omega_state_refuses_bad_inputs_before_tensor_powers(
     monkeypatch.setattr(coherence_forge.distill, "tensor", no_tensor)
     with pytest.raises(ValidationError, match=match):
         iid_omega_state(sigma, H_CBIT, psi, H_CBIT, 3)
+
+
+@pytest.mark.parametrize("copies", [2.0, 2.5, True, "2", None])
+def test_copies_must_be_an_integer(copies):
+    # refused before any other check: sigma here is no state
+    bad = np.diag([1.2, -0.2])
+    for sigma, H in ((bad, H01), (qubit(0.6), H01),
+                     (random_density(3, 1), np.diag([0.0, 1.0, 3.0]))):
+        with pytest.raises(ValidationError, match="copies must be an integer"):
+            iid_fidelity(sigma, H, CBIT, H01, copies)
+        with pytest.raises(ValidationError, match="copies must be an integer"):
+            iid_omega_state(sigma, H, CBIT, H01, copies)
+
+
+def test_numpy_integer_copies_are_accepted():
+    want = iid_fidelity(qubit(0.6), H01, CBIT, H01, 2)
+    assert iid_fidelity(qubit(0.6), H01, CBIT, H01, np.int64(2)) == want
+    om = iid_omega_state(qubit(0.6), H01, CBIT, H01, np.int32(2))
+    assert np.array_equal(om.matrix, iid_omega_state(
+        qubit(0.6), H01, CBIT, H01, 2).matrix)
 
 
 def test_omega_state_at_the_side_budget_solves_no_wide_matrix(monkeypatch):
@@ -445,6 +464,11 @@ def test_newton_path_matches_parent():
         assert abs(res.optimum - optimum) < 1e-12, key
 
 
+def _trace_B(M, d_A, d_B):
+    """Test-only Tr_B of an operator on A (x) B."""
+    return np.einsum("ijkj->ik", M.reshape(d_A, d_B, d_A, d_B))
+
+
 def _dense_newton_system(omega, ui, uk, x, mu):
     """Test-only reference for the Newton system on tau's units: g and K
     from the dense full-space S^-1 = (tau (x) I - Omega)^-1, by Tr_B and
@@ -455,7 +479,7 @@ def _dense_newton_system(omega, ui, uk, x, mu):
     tau = np.zeros((d_A, d_A), dtype=complex)
     tau[ui, uk] = x
     S_inv = np.linalg.inv(np.kron(tau, np.eye(d_B)) - omega.matrix)
-    g = np.eye(d_A) - mu * partial_trace(S_inv, (d_A, d_B))
+    g = np.eye(d_A) - mu * _trace_B(S_inv, d_A, d_B)
     R = S_inv.reshape(d_A, d_B, d_A, d_B)
     P1 = R.transpose(1, 3, 0, 2).reshape(d_B * d_B, d_A * d_A)
     P2 = R.transpose(3, 1, 2, 0).reshape(d_B * d_B, d_A * d_A)
@@ -567,38 +591,32 @@ def test_newton_term_budget_refuses_a_larger_system(monkeypatch):
 
 def test_newton_steps_build_no_full_space_matrix(monkeypatch):
     # the Newton steps and the final dual are gathered from the sector
-    # blocks, and X is scattered once: the solver takes no Tr_B and no
-    # Kronecker product, and a whole conditional_min_entropy takes one of
-    # each, both in verify_certificate
+    # blocks, and X is scattered once; verify_certificate re-checks it
+    # sector by sector: neither the solver nor a whole
+    # conditional_min_entropy takes a Kronecker product
     om = iid_omega_state(qubit(0.6), H01, CBIT, H01, 3)
-    calls = {"partial_trace": 0, "kron": 0}
-    trace_B, kron = coherence_forge.distill.partial_trace, np.kron
-
-    def counted_trace_B(*args):
-        calls["partial_trace"] += 1
-        return trace_B(*args)
+    calls = {"kron": 0}
+    kron = np.kron
 
     def counted_kron(*args):
         calls["kron"] += 1
         return kron(*args)
 
-    monkeypatch.setattr(coherence_forge.distill, "partial_trace",
-                        counted_trace_B)
     monkeypatch.setattr(np, "kron", counted_kron)
     assert _min_trace_sdp(om).newton_steps > 3
-    assert calls == {"partial_trace": 0, "kron": 0}
+    assert calls == {"kron": 0}
     conditional_min_entropy(om)
-    assert calls == {"partial_trace": 1, "kron": 1}
+    assert calls == {"kron": 0}
 
 
 def _dense_dual(S_inv, d_A, d_B):
     """Test-only reference for the final dual from a full-space mu S^-1:
     the congruence by T^-1/2 (x) I with T = Tr_B X, then the rescale to
     lambda_max(Tr_B X) <= 1."""
-    wT, VT = np.linalg.eigh(partial_trace(S_inv, (d_A, d_B)))
+    wT, VT = np.linalg.eigh(_trace_B(S_inv, d_A, d_B))
     C = np.kron((VT / np.sqrt(wT)) @ VT.conj().T, np.eye(d_B))
     X = C @ S_inv @ C
-    lam = float(np.linalg.eigvalsh(partial_trace(X, (d_A, d_B)))[-1])
+    lam = float(np.linalg.eigvalsh(_trace_B(X, d_A, d_B))[-1])
     return X / max(lam, 1.0)
 
 
@@ -905,6 +923,64 @@ def test_sector_check_solves_larger_sectors():
     assert verify_certificate(res, om) is res
     with pytest.raises(CertificateError, match="Omega has eigenvalue"):
         verify_certificate(replace(res, tau=0.999 * res.tau), om)
+
+
+def _barrier_result():
+    """Omega of two qubit copies into |+> and its barrier result."""
+    rho, H = _qubit_copies(0.6, 2)
+    om = iid_omega_state(rho, H, CBIT, H01, 1)
+    return om, conditional_min_entropy(om)
+
+
+def test_sector_check_refuses_dense_entries_off_the_mask():
+    # a small Hermitian entry of tau across A's level blocks, or of X
+    # across sectors, passes every eigenvalue, marginal and gap test of
+    # the full-space matrices, yet is no certificate of the pinched problem
+    om, res = _barrier_result()
+    d_A, d_B = om.sectors.shape
+    lab = om.sectors.ravel()
+    # A's levels i and k lie in different blocks when (i, 0) and (k, 0)
+    # lie in different sectors
+    levels = om.sectors[:, 0]
+    i, k = 0, int(np.flatnonzero(levels != levels[0])[0])
+    tau = res.tau.copy()
+    tau[i, k] = tau[k, i] = 1e-13
+    # p and q lie at different target levels, so Tr_B X is unchanged
+    p, q = 0, int(np.flatnonzero((lab != lab[0])
+                                 & (np.arange(lab.size) % d_B != 0))[0])
+    X = res.dual_certificate.copy()
+    X[p, q] = X[q, p] = 1e-13
+    for bad in (replace(res, tau=tau), replace(res, dual_certificate=X)):
+        slack = np.kron(bad.tau, np.eye(d_B)) - om.matrix
+        assert np.linalg.eigvalsh(slack)[0] >= 0.0
+        X_bad = bad.dual_certificate
+        assert np.linalg.eigvalsh(X_bad)[0] >= -DEFAULT.sdp_feas
+        assert (np.linalg.eigvalsh(_trace_B(X_bad, d_A, d_B))[-1]
+                <= 1.0 + DEFAULT.sdp_feas)
+        gap = float(np.trace(bad.tau).real
+                    - np.sum(om.matrix * bad.dual_certificate.T).real)
+        assert abs(gap - res.primal_dual_gap) <= DEFAULT.sdp_feas
+        with pytest.raises(CertificateError, match="off the sector mask"):
+            verify_certificate(bad, om)
+
+
+def test_verify_certificate_shares_no_code_with_either_solver(monkeypatch):
+    # the re-check passes a barrier and a chain result with every solver
+    # part that could build or read them refused
+    om, barrier = _barrier_result()
+    dense, bands = _spin_omegas(qubit(0.6), 6, 1)
+    banded = _band_omega(bands)
+    chain, dense_chain = _chain(bands), _chain(_bands_of(dense))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("verify_certificate ran solver code")
+
+    for name in ("_Sectors", "_min_trace_sdp", "_chain", "_bands_of",
+                 "_band_omega"):
+        monkeypatch.setattr(coherence_forge.distill, name, refused)
+    assert verify_certificate(barrier, om) is barrier
+    assert verify_certificate(chain, banded) is chain
+    assert verify_certificate(dense_chain, dense) is dense_chain
 
 
 def _schur_cases():

@@ -21,12 +21,10 @@ from coherence_forge.linalg import (
     fidelity,
     level_labels,
     observable,
-    partial_trace,
     psd_sqrt,
     pure_state,
     random_density,
     random_observable,
-    tensor,
 )
 from coherence_forge.purification import coherence_sectors
 
@@ -180,14 +178,6 @@ def test_psd_sqrt_squares_back():
     rho = random_density(4, rng)
     s = psd_sqrt(rho)
     assert np.max(np.abs(s @ s - rho)) < 1e-10
-
-
-def test_partial_trace_of_product():
-    rng = np.random.default_rng(5)
-    a = random_density(2, rng)
-    b = random_density(3, rng)
-    ab = tensor(a, b)
-    assert np.max(np.abs(partial_trace(ab, (2, 3)) - a)) < 1e-12
 
 
 def _group_levels_reference(w, gap_cutoff):
