@@ -31,6 +31,7 @@ from .errors import (
 )
 from .linalg import (
     MAX_ENTRY,
+    HermitianObservable,
     PureState,
     array_from_json,
     array_to_json,
@@ -73,11 +74,14 @@ def load_state(path: str):
 def load_hamiltonian(path: str, tau: float | None = None):
     """Read a Hamiltonian file.
 
-    Two schemas are accepted: a dense matrix {dim, re, im}, or the exact
-    commensurate form {"levels_in_2pi_over_tau": [ints], "basis": matrix,
-    "tau": t} which builds H = basis diag(2*pi*n/tau) basis^dag.  Returns
-    (observable, tau, dense_fallback); dense inputs leave grid snapping
-    to the downstream operation.
+    Two schemas are accepted: a dense matrix {dim, re, im}, eigensolved
+    once by observable, or the exact commensurate form
+    {"levels_in_2pi_over_tau": [ints], "basis": matrix, "tau": t}, never
+    eigensolved: H = basis diag(2*pi*n/tau) basis^dag has the spectrum
+    2*pi*n/tau exactly, in stable ascending order of n, and the basis
+    columns (unitary within cptp; the identity by default) in that order
+    as its eigenbasis.  Returns (observable, tau, dense_fallback); dense
+    inputs leave grid snapping to the downstream operation.
     """
     obj = _read_json(path)
     if isinstance(obj, dict) and "levels_in_2pi_over_tau" in obj:
@@ -106,6 +110,7 @@ def load_hamiltonian(path: str, tau: float | None = None):
             raise ValidationError(f"tau = {t!r} puts an energy 2*pi*n/tau "
                                   f"above MAX_ENTRY = {MAX_ENTRY:g}")
         H = np.diag(energies).astype(complex)
+        B = np.eye(len(levels), dtype=complex)
         if "basis" in obj:
             B = array_from_json(obj["basis"])
             if B.ndim != 2 or B.shape[0] != len(levels):
@@ -115,7 +120,9 @@ def load_hamiltonian(path: str, tau: float | None = None):
             if not resid <= DEFAULT.cptp:   # NaN fails too
                 raise ValidationError("basis is not unitary")
             H = B @ H @ B.conj().T
-        return observable(H), t, False
+        order = np.argsort(levels, kind="stable")
+        ob = HermitianObservable(H, np.array(energies)[order], B[:, order])
+        return ob, t, False
     arr = array_from_json(obj)
     if arr.ndim != 2:
         raise SchemaError("Hamiltonian matrix must be 2-D")

@@ -1102,11 +1102,10 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
 
 
 def _check_qubit_family(lam: float, n: int) -> None:
-    """ValidationError unless lam lies in (0, 1] and n >= 1."""
+    """ValidationError unless 0 < lam <= 1 and n passes _check_copies."""
     if not 0.0 < lam <= 1.0:
         raise ValidationError(f"lambda must lie in (0, 1], got {lam}")
-    if n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n}")
+    _check_copies(n)
 
 
 def qubit_infidelity_bound(lam: float, n: int):

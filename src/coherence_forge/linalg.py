@@ -160,12 +160,15 @@ class HermitianObservable:
     """Validated Hermitian matrix with a cached eigendecomposition.
 
     spectrum is ascending; eigenbasis columns align with it.  Both arrays
-    are read-only.
+    are made read-only on construction, whoever builds the container.
     """
 
     matrix: np.ndarray
     spectrum: np.ndarray = field(repr=False)
     eigenbasis: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.spectrum.flags.writeable = self.eigenbasis.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -200,7 +203,6 @@ def observable(M) -> HermitianObservable:
         return M
     M = require_square(M)
     w, V = eig_hermitian(M)
-    w.flags.writeable = V.flags.writeable = False
     return HermitianObservable(matrix=M, spectrum=w, eigenbasis=V)
 
 

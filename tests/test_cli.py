@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coherence_forge import cli
+from coherence_forge import cli, linalg
 from coherence_forge.linalg import (
     array_to_json,
     random_density,
@@ -113,6 +113,49 @@ def test_levels_basis_must_be_unitary(fixtures, tmp_path, capsys):
         else:
             # H = B diag(0, 1) B^dag has |+> as an eigenstate: F = 0
             assert json.loads(out)["F"] < 1e-12
+
+
+def _no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(linalg, "eig_hermitian", refuse)
+
+
+def test_levels_file_carries_its_eigenpairs(tmp_path, monkeypatch):
+    # unsorted, repeated levels in a random unitary basis load with no
+    # eigensolve: the spectrum is the sorted grid exactly, and the
+    # eigenbasis the basis columns in stable order of the levels
+    levels, tau = [3, 0, 1, 0], 3.0
+    G = np.random.default_rng(5).normal(size=(4, 4, 2)) @ [1.0, 1j]
+    B = np.linalg.qr(G)[0]
+    ham = tmp_path / "h.json"
+    ham.write_text(json.dumps({"levels_in_2pi_over_tau": levels, "tau": tau,
+                               "basis": array_to_json(B)}))
+    _no_eigensolve(monkeypatch)
+    H, t, dense = cli.load_hamiltonian(str(ham))
+    assert (t, dense) == (tau, False)
+    E = 2.0 * math.pi / tau * np.array(levels)
+    assert np.array_equal(H.spectrum, np.sort(E))
+    assert np.array_equal(H.eigenbasis, B[:, [1, 3, 2, 0]])
+    assert np.array_equal(H.matrix, B @ np.diag(E).astype(complex)
+                          @ B.conj().T)
+    assert np.allclose((H.eigenbasis * H.spectrum) @ H.eigenbasis.conj().T,
+                       H.matrix, atol=1e-14)
+
+
+def test_levels_file_without_basis_has_the_identity_basis(tmp_path,
+                                                           monkeypatch):
+    ham = tmp_path / "h.json"
+    _no_eigensolve(monkeypatch)
+    for levels, basis in (([0, 1, 3], np.eye(3)),
+                          ([2, 0, 1], np.eye(3)[:, [1, 2, 0]])):
+        ham.write_text(json.dumps({"levels_in_2pi_over_tau": levels}))
+        H = cli.load_hamiltonian(str(ham))[0]
+        assert np.array_equal(H.spectrum, np.sort(levels).astype(float))
+        assert np.array_equal(H.eigenbasis, basis)
+        assert np.array_equal(H.matrix, np.diag(levels).astype(complex))
 
 
 def test_proptest_cost_report_is_frozen():
@@ -865,8 +908,9 @@ def test_distill_copy_budget_is_checked_before_any_block(fixtures,
                    "--copies", copies])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
-    # rho, H and H_t at load; no n.J of any spin block
-    assert [M.shape[0] for M in mats] == [2, 2, 2]
+    # rho at load (the levels files carry their eigenpairs); no n.J of any
+    # spin block
+    assert [M.shape[0] for M in mats] == [2]
 
 
 def test_distill_refuses_a_bad_target_before_any_block(fixtures,
@@ -881,7 +925,8 @@ def test_distill_refuses_a_bad_target_before_any_block(fixtures,
                    "--copies", "179"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert [M.shape[0] for M in mats] == [2, 2, 2]
+    # rho at load only: the levels files carry their eigenpairs
+    assert [M.shape[0] for M in mats] == [2]
 
 
 def test_qubit_bound_table(fixtures):
@@ -1030,6 +1075,12 @@ HZ = {"re": [[0.5, 0.0], [0.0, -0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
     pytest.param({"dim": 2, **HALF}, b"[" * 200000, 1, id="too-deep"),
     pytest.param({"dim": 2, **HALF}, b"[" + b"1" * 5000 + b"]", 1,
                  id="long-int"),
+    # an empty level list, and a basis whose shape misses the levels
+    pytest.param({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": []}, 1,
+                 id="no-levels"),
+    pytest.param({"dim": 2, **PLUS}, {"levels_in_2pi_over_tau": [0, 1],
+                                      "basis": array_to_json(np.eye(3))}, 1,
+                 id="basis-shape"),
 ])
 def test_loader_edges(tmp_path, capsys, state, ham, code):
     for name, obj in (("s.json", state), ("h.json", ham)):
@@ -1153,9 +1204,10 @@ def test_distill_never_solves_the_copies_hamiltonian(fixtures, monkeypatch,
                      "--target", fixtures["cbit"], fixtures["h2"],
                      "--copies", "3"]) == 0
     capsys.readouterr()
-    # rho, H and H_t at load; the spin blocks' bands and chains need no
-    # eigensolve, and Omega is never decomposed
-    assert [M.shape[0] for M in mats] == [2, 2, 2]
+    # rho at load (the levels files carry their eigenpairs); the spin
+    # blocks' bands and chains need no eigensolve, and Omega is never
+    # decomposed
+    assert [M.shape[0] for M in mats] == [2]
     H3 = np.diag(np.add.outer(np.add.outer([0, 1], [0, 1]), [0, 1]).ravel())
     assert not any(M.shape == H3.shape and np.allclose(M, H3) for M in mats)
 

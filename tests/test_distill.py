@@ -370,6 +370,15 @@ def test_qubit_infidelity_bound_frozen():
         qubit_infidelity_bound(0.6, 0)
 
 
+@pytest.mark.parametrize("n", [2.5, True, math.nan, 0, -3, "3"])
+@pytest.mark.parametrize("fn", [qubit_infidelity_bound, cirac_comparison])
+def test_qubit_family_takes_the_copy_count_rule(fn, n):
+    # n follows iid_fidelity's copies rule: an integer (not a bool) >= 1
+    with pytest.raises(ValidationError):
+        fn(0.6, n)
+    assert fn(0.6, np.int64(3)) == fn(0.6, 3)
+
+
 def test_cirac_gap_is_exactly_two_over_one_plus_lam():
     for lam in (0.3, 0.6, 0.9):
         for n in (1, 10, 100):

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from coherence_forge import cli, distill
 from coherence_forge.channels import random_channel, twirl
 from coherence_forge.config import DEFAULT
 from coherence_forge.convert import intrinsic_period
@@ -272,3 +274,24 @@ def test_one_dimensional_hamiltonian_is_refused(call):
     # a vector is a state to density_matrix, but never a Hamiltonian
     with pytest.raises(DimMismatchError):
         call()
+
+
+def _levels_file(tmp_path):
+    ham = tmp_path / "h.json"
+    ham.write_text(json.dumps({"levels_in_2pi_over_tau": [1, 0]}))
+    return cli.load_hamiltonian(str(ham))[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda _: observable(random_observable(3, 0)),
+    lambda _: density_matrix(random_density(3, 0)),
+    lambda _: distill._spin_state(np.array([[0.6, 0.2j], [-0.2j, 0.4]]), 3),
+    _levels_file,
+], ids=["observable", "density_matrix", "spin_state", "levels_file"])
+def test_container_eigenpairs_are_read_only(tmp_path, make):
+    # every builder goes through the container, which freezes both arrays
+    ob = make(tmp_path)
+    for arr in (ob.spectrum, ob.eigenbasis):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
