@@ -21,7 +21,7 @@ import numpy as np
 from .config import DEFAULT
 from .clockdist import snap_levels
 from .errors import DimMismatchError, ValidationError
-from .linalg import density_matrix, eig_hermitian, observable
+from .linalg import density_matrix, eig_hermitian, observable, require_count
 from .measures import _check_alpha, _purity, _qfi, _renyi, _skew
 
 
@@ -313,8 +313,7 @@ def monotonicity_suite(measure_id: str, trials: int = 100, seed: int = 0,
     """
     tau = 2.0 * math.pi
     kernel = _suite_measure(measure_id, alpha)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    trials = require_count(trials, "trials")
     worst = -math.inf
     worst_trial = -1
     violations = 0

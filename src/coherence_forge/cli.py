@@ -115,9 +115,10 @@ def load_hamiltonian(path: str, tau: float | None = None):
             B = array_from_json(obj["basis"])
             if B.ndim != 2 or B.shape[0] != len(levels):
                 raise SchemaError("basis shape does not match levels")
-            # B is the one Kraus operator of its unitary channel
-            resid = np.max(np.abs(B @ B.conj().T - np.eye(len(levels))))
-            if not resid <= DEFAULT.cptp:   # NaN fails too
+            # B is the one Kraus operator of its unitary channel; an entry
+            # past 2 (or not finite) is refused before the product overflows
+            if not (np.abs(B).max(initial=0.0) <= 2.0 and np.max(np.abs(
+                    B @ B.conj().T - np.eye(len(levels)))) <= DEFAULT.cptp):
                 raise ValidationError("basis is not unitary")
             H = B @ H @ B.conj().T
         order = np.argsort(levels, kind="stable")

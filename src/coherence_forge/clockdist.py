@@ -22,7 +22,8 @@ from .errors import (
     SearchExhaustedError,
     ValidationError,
 )
-from .linalg import level_labels, observable, pure_state, require_same_dim
+from .linalg import (level_labels, observable, pure_state, require_count,
+                     require_same_dim)
 
 # np.convolve is direct, O(W^2) in the window W: the last squaring at
 # W = 2**17 takes about 1.2 s on one Xeon core, at 2**18 about 6 s.  2**17
@@ -111,13 +112,17 @@ def snap_levels(energies, ref, tau: float) -> np.ndarray:
     """Integer levels n with energies = ref + (2*pi/tau) * n.
 
     tau goes through check_tau, which every library tau reaches here.
-    Each energy must land within level_rel grid units of its integer,
-    else IncommensurateSpectrumError.  The op is element-wise: energies
-    may be a stack of spectra and ref an array that broadcasts against
-    it, and each entry gets the bits it gets alone.
+    Each energy must lie within 2**53 grid units of ref (the integers a
+    float holds), else ValidationError, and within level_rel grid units
+    of its integer, else IncommensurateSpectrumError.  The op is
+    element-wise: energies may be a stack of spectra and ref an array
+    that broadcasts against it, and each entry gets the bits it gets alone.
     """
     check_tau(tau)
-    x = (np.asarray(energies, dtype=float) - ref) / (2.0 * math.pi / tau)
+    with np.errstate(over="ignore"):   # an overflow is inf, refused below
+        x = (np.asarray(energies, dtype=float) - ref) / (2.0 * math.pi / tau)
+    if not (np.abs(x) <= 2.0 ** 53).all():   # NaN fails too
+        raise ValidationError("an energy lies past 2**53 grid units")
     n = np.rint(x)
     off = np.abs(x - n) > DEFAULT.level_rel
     if np.any(off):
@@ -194,8 +199,7 @@ def convolve_n(p: IntegerDistribution, m: int) -> IntegerDistribution:
     below 2e-147 for every window MAX_CONV_WINDOW admits, far under the
     rounding of about W * eps that tv_distance already carries.
     """
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+    m = require_count(m, "m")
     window = m * (len(p.probs) - 1) + 1
     if window > MAX_CONV_WINDOW:
         raise ValidationError(f"{m}-fold convolution needs a window of "
@@ -305,8 +309,7 @@ def barbour_bound(p: IntegerDistribution, m: int) -> float:
     math.inf (the bound is vacuous) when the variance is zero or
     m nu <= 1/2, which covers a p disjoint from its unit shift (nu = 0).
     """
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+    m = require_count(m, "m")
     var = p.variance()
     if var < DEFAULT.prob:
         return math.inf
@@ -326,5 +329,6 @@ def tp_distance(p: IntegerDistribution, m: int,
                 conv: IntegerDistribution) -> float:
     """tv(conv, TP(m mu, m var)) for conv = convolve_n(p, m), which the
     caller already holds: the quantity barbour_bound dominates."""
+    m = require_count(m, "m")
     return tv_distance(conv,
                        translated_poisson(m * p.mean(), m * p.variance()))

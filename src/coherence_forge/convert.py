@@ -30,7 +30,8 @@ from .clockdist import (
     shift,
     tv_distance,
 )
-from .linalg import HermitianObservable, density_matrix, observable
+from .linalg import (HermitianObservable, density_matrix, observable,
+                     require_count)
 from .measures import energy_variance, qfi
 from .purification import coherence_sectors
 
@@ -49,13 +50,6 @@ class ConversionPlan:
     shift_k: int
     tv_error: float
     fidelity_lower_bound: float
-
-
-def _plan(rate, m, m2, k, eps) -> ConversionPlan:
-    return ConversionPlan(rate=float(rate), copies_in=int(m),
-                          copies_out=int(m2), shift_k=int(k),
-                          tv_error=float(eps),
-                          fidelity_lower_bound=max(0.0, 1.0 - 2.0 * eps))
 
 
 def intrinsic_period(psi, H) -> float:
@@ -192,14 +186,12 @@ def iid_sweep(psi1, H1, psi2, H2, R: float, m_list):
     q = extract_distribution(psi2, H2, tau).distribution
     plans = []
     for m in m_list:
-        m = int(m)
-        if m < 1:
-            raise ValidationError(f"copy counts must be >= 1, got {m}")
+        m = require_count(m, "copy counts")
         m2 = -((-r.numerator * m) // r.denominator)   # exact ceil(R m)
-        pm = convolve_n(p, m)
-        qm = convolve_n(q, m2)
-        k, eps = best_shift(pm, qm)
-        plans.append(_plan(R, m, m2, k, eps))
+        k, eps = best_shift(convolve_n(p, m), convolve_n(q, m2))
+        plans.append(ConversionPlan(
+            rate=float(R), copies_in=m, copies_out=m2, shift_k=k,
+            tv_error=eps, fidelity_lower_bound=max(0.0, 1.0 - 2.0 * eps)))
     return plans
 
 

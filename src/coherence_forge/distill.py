@@ -18,18 +18,18 @@ Hamiltonian split by Schur-Weyl duality into one block per spin j
 and any other source is one block, its n-copy Omega.  A block whose
 sectors form a chain (a target with equal weights on two levels at the
 source's gap) is solved in closed form from its bands, with a dual
-built along the chain (_chain); any other block goes to its dense Omega
+built along the chain (_chain); any other block goes to its Omega
 (_dense_block: the chain on the bands read off it, else the barrier
-solver).  verify_certificate re-checks every block result, the chain's
-and the barrier's alike, sector by sector on the entries of tau, Omega
-and X.
+solver).  Omega, tau and X are held as their entries inside the sectors
+(SectorMatrix) from builder to certificate, and verify_certificate
+re-checks every block result, the chain's and the barrier's alike,
+sector by sector on those entries.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +50,7 @@ from .linalg import (
     level_labels,
     observable,
     pure_state,
+    require_count,
     require_same_dim,
     tensor,
 )
@@ -65,13 +66,14 @@ BARRIER_FACTOR = 0.05
 # a barrier stage before the last ends once the Newton decrement of the
 # normalised barrier function, lambda^2 = decrement / mu, is at most this
 CENTRING_DECREMENT = 1.0
-# iid_omega_state refuses n copies whose dense Omega side d**n * d_B, or
-# whose count of tau parameters, exceeds these: a dense Omega of side
-# 1024 takes 16 MB per matrix, and 924 parameters (six qubit copies)
-# take about 0.11 s per Newton step at one BLAS thread, 0.08 s of it the
-# complex solve.  iid_fidelity bounds the summed sides of all spin blocks
-# by the square of MAX_OMEGA_SIDE, and the cubed sides of the blocks that
-# need their dense Omega (those the chain declines) by its cube
+# iid_omega_state refuses n copies whose Omega side d**n * d_B, or whose
+# count of tau parameters, exceeds these: the side bounds the d**n x d**n
+# tensor power sigma^(x)n it builds, 16 MB at d**n = 1024, and 924
+# parameters (six qubit copies) take about 0.11 s per Newton step at one
+# BLAS thread, 0.08 s of it the complex solve.  iid_fidelity bounds the
+# summed sides of all spin blocks by the square of MAX_OMEGA_SIDE, and the
+# cubed sides of the blocks that need their Omega built from a dense
+# rho_j (those the chain declines) by its cube
 MAX_OMEGA_SIDE = 1024
 MAX_SDP_PARAMS = 1000
 # _min_trace_sdp refuses an Omega whose Newton system has more live terms
@@ -123,10 +125,10 @@ def distillation_copy_floor(rho, H, psi_target, H_t, eps: float,
 
 @dataclass(frozen=True)
 class SectorMatrix:
-    """An N x N matrix on A (x) B, N = d_A d_B, held as its entries:
-    values[q] at (rows[q], cols[q]), where (a, b) has the product index
-    a d_B + b, and zero elsewhere.  A spin block holds its Omega and a
-    chain's dual X this way, in O(N) memory."""
+    """A square matrix held as its entries: values[q] at (rows[q],
+    cols[q]), repeated entries adding, and zero elsewhere.  On A (x) B,
+    (a, b) has the product index a d_B + b.  Omega, tau and the dual X
+    are held this way, with entries inside the sectors only."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -140,11 +142,11 @@ class OmegaState:
     Hamiltonians' eigenvectors (each ascending in energy).
 
     sectors[i, j] labels the difference eigenspace that holds basis
-    vector (i, j); matrix is block-diagonal in these labels, as a dense
-    N x N array or as a SectorMatrix of its entries inside the sectors.
-    It is a state because the source and target it is built from are."""
+    vector (i, j); matrix is block-diagonal in these labels, held as the
+    SectorMatrix of its entries inside the sectors.  It is a state
+    because the source and target it is built from are."""
 
-    matrix: np.ndarray | SectorMatrix
+    matrix: SectorMatrix
     sectors: np.ndarray = field(repr=False)
 
 
@@ -177,14 +179,6 @@ def _sectors(blocks: list, b: np.ndarray) -> np.ndarray:
     return labels.reshape(len(a), len(b))
 
 
-def _check_copies(copies) -> None:
-    """ValidationError unless copies is an integer (not a bool) >= 1."""
-    if isinstance(copies, bool) or not isinstance(copies, numbers.Integral):
-        raise ValidationError(f"copies must be an integer, got {copies!r}")
-    if copies < 1:
-        raise ValidationError(f"copies must be at least 1, got {copies}")
-
-
 def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     """Pinch sigma^(x)copies (x) |conj(psi_B)><conj(psi_B)| onto the
     eigenspaces of H_n (x) I - I (x) H_B, with H_n = sum_i H_i the
@@ -196,20 +190,23 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     stable sort; sigma^(x)copies in their eigenbasis is the Kronecker
     power of sigma in H's eigenbasis, its rows and columns permuted by
     that sort, so no n-copy matrix is decomposed and no n-copy
-    eigenbasis or Hamiltonian is formed.
+    eigenbasis or Hamiltonian is formed.  Omega is returned as its
+    entries at the pairs of product states that share a sector, each
+    sigma^(x)copies[a, c] t[b, b'] with t = conj(psi_B) conj(psi_B)^dag,
+    the product np.kron forms; no N x N complex matrix is built.
 
     Before any tensor power is built, sigma is checked as a d x d
     density_matrix and psi_B as a pure_state (each at its own size; Omega
     itself is never decomposed), and ValidationError is raised when
     copies is not an integer >= 1 (a bool is refused), when sigma and H
-    differ in dimension, when the dense Omega side d**copies * d_B
-    passes MAX_OMEGA_SIDE, or when tau's parameter count, sum_E deg(E)^2
+    differ in dimension, when the Omega side d**copies * d_B passes
+    MAX_OMEGA_SIDE, or when tau's parameter count, sum_E deg(E)^2
     over the level_labels E of the summed spectrum, passes
     MAX_SDP_PARAMS.  Eigenvalue differences form levels by level_labels
     at gap_cutoff; a step between sorted differences that is at least
     gap_cutoff yet below sqrt(gap_cutoff) makes the levels ill-defined
     and raises IncommensurateSpectrum."""
-    _check_copies(copies)
+    copies = require_count(copies, "copies")
     H, H_B = observable(H), observable(H_B)
     sigma, psi = density_matrix(sigma), pure_state(psi_B)
     d = H.dim
@@ -235,26 +232,25 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     psi_bar = (U_B.conj().T @ psi.vector).conj()
     V = H.eigenbasis
     sn = tensor(*[V.conj().T @ sigma.matrix @ V] * copies)[perm][:, perm]
-    M = np.kron(sn, np.outer(psi_bar, psi_bar.conj()))
+    t = np.outer(psi_bar, psi_bar.conj())
     labels = _sectors([a], b)
     lab = labels.ravel()
-    return OmegaState(matrix=M * (lab[:, None] == lab[None, :]),
-                      sectors=labels)
+    rows, cols = np.nonzero(lab[:, None] == lab[None, :])
+    (i, j), (k, m) = np.divmod(rows, b.size), np.divmod(cols, b.size)
+    return OmegaState(SectorMatrix(rows, cols, sn[i, k] * t[j, m]), labels)
 
 
 @dataclass(frozen=True)
 class SdpResult:
     """Optimum Tr(tau) with its primal tau and dual X in the eigenbasis
-    the OmegaState is held in: tau in the U_A basis, X in U_A (x) U_B,
-    dense matrices from the barrier solver; a chain's (_chain) tau is
-    diagonal and held as that diagonal, its X as a SectorMatrix.
-    newton_steps and barrier_stages count the solver's work; min_slack
-    is the least eigenvalue of tau (x) I - Omega it ended on, read off
-    the sector eigensolve that also gives X."""
+    the OmegaState is held in, each a SectorMatrix: tau in the U_A
+    basis, X in U_A (x) U_B.  newton_steps and barrier_stages count the
+    solver's work; min_slack is the least eigenvalue of tau (x) I - Omega
+    it ended on, read off the sector eigensolve that also gives X."""
 
     optimum: float
-    tau: np.ndarray
-    dual_certificate: np.ndarray
+    tau: SectorMatrix
+    dual_certificate: SectorMatrix
     primal_dual_gap: float
     newton_steps: int
     barrier_stages: int
@@ -268,8 +264,10 @@ class _Sectors:
 
     Row b of each padded array belongs to sector b, whose product
     indices fill the places where valid[b] holds; a pad entry is an
-    identity row of the slack and zero elsewhere.  tau is held as the
-    vector x of its P block entries, unit q being tau[ui[q], uk[q]].
+    identity row of the slack and zero elsewhere.  Omega's entries are
+    summed into their places, and one off the sector mask raises
+    CertificateError before any Newton step.  tau is held as the vector
+    x of its P block entries, unit q being tau[ui[q], uk[q]].
 
     A's levels i and k share a tau block when (i, j) and (k, j) share a
     sector.  iid_omega_state's grouping makes that hold for every j or for
@@ -277,9 +275,11 @@ class _Sectors:
     least sqrt(gap_cutoff) apart or it raises.  So column 0 of the labels
     gives the blocks, and each sector is closed under them."""
 
-    def __init__(self, labels, Om):
+    def __init__(self, labels, Om: SectorMatrix):
         d_A, d_B = labels.shape
         lmi = labels.ravel()
+        if not (lmi[Om.rows] == lmi[Om.cols]).all():
+            raise CertificateError("Omega has an entry off the sector mask")
         sizes = np.bincount(lmi)
         n = sizes.max()
         self.valid = np.arange(n)[None, :] < sizes[:, None]
@@ -288,8 +288,6 @@ class _Sectors:
         a, j = np.divmod(E, d_B)
         self.pair = self.valid[:, :, None] & self.valid[:, None, :]
         rows, cols = E[:, :, None], E[:, None, :]
-        self.omega = (np.where(self.pair, Om[rows, cols], 0.0)
-                      - (~self.valid)[:, :, None] * np.eye(n))
         self.rows = np.broadcast_to(rows, self.pair.shape)[self.pair]
         self.cols = np.broadcast_to(cols, self.pair.shape)[self.pair]
         block = labels[:, 0]
@@ -314,6 +312,10 @@ class _Sectors:
         place[E[self.valid]] = np.nonzero(self.valid)[1]
         base = (lmi * n + place) * n
         zero = sizes.size * n * n
+        omega = np.zeros(zero, dtype=complex)
+        np.add.at(omega, base[Om.rows] + place[Om.cols], Om.values)
+        self.omega = (omega.reshape(sizes.size, n, n)
+                      - (~self.valid)[:, :, None] * np.eye(n))
         self.flat = np.zeros(zero + 1, dtype=complex)
         self.stack = self.flat[:-1].reshape(sizes.size, n, n)
         self.pad = np.zeros(1)
@@ -402,8 +404,7 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     d; one symmetrization removes the rounding.  S^-1 links only entries
     that share a sector, so G and K are gathered from the sector blocks
     of S^-1, K from its live terms only (Fujisawa, Kojima & Nakata,
-    Math. Program. 79, 1997); no full-space matrix is formed, and X is
-    scattered into the full space once.
+    Math. Program. 79, 1997); no full-space matrix is formed.
 
     Works on Omega scaled to unit largest eigenvalue, read from the
     sector blocks' spectra; the barrier weight
@@ -419,9 +420,9 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     X = Y Y^dag per sector, C X C is the gram of C Y.
 
     Raises ValidationError before any Newton step when K has more than
-    MAX_NEWTON_TERMS live terms."""
-    d_A, d_B = omega.sectors.shape
-    N = d_A * d_B
+    MAX_NEWTON_TERMS live terms, and CertificateError when Omega has an
+    entry off the sector mask."""
+    N = omega.sectors.size
     sectors = _Sectors(np.asarray(omega.sectors), omega.matrix)
     # Omega's spectrum is its sector blocks'; each pad adds an eigenvalue -1
     scale = float(np.linalg.eigvalsh(sectors.omega).max())
@@ -469,18 +470,18 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     c = ((VT / np.sqrt(wT)) @ VT.conj().T)[sectors.ui, sectors.uk]
     marginal = sectors.on_A(sectors.gram(sectors.lift(c) @ Y))
     Xs = sectors.stack / max(float(np.linalg.eigvalsh(marginal)[-1]), 1.0)
-    X = np.zeros((N, N), dtype=complex)
-    X[sectors.rows, sectors.cols] = Xs[sectors.pair]
-    tau = sectors.on_A(x)
-    primal = float(np.trace(tau).real)
+    primal = float(np.sum(x[sectors.diagonal]).real)
     dual = float(np.sum(sectors.omega * Xs.swapaxes(1, 2)).real)
     gap = scale * (primal - dual)
     if gap >= DEFAULT.sdp_gap:
         raise SolverStallError(f"certified gap {gap:.3e} over budget")
     # a pad's eigenvector is its own unit row: no weight on the valid rows
     live = np.sum(np.abs(V) ** 2, axis=1, where=sectors.valid[:, :, None])
-    return SdpResult(optimum=scale * primal, tau=scale * tau,
-                     dual_certificate=X, primal_dual_gap=gap,
+    return SdpResult(optimum=scale * primal,
+                     tau=SectorMatrix(sectors.ui, sectors.uk, scale * x),
+                     dual_certificate=SectorMatrix(
+                         sectors.rows, sectors.cols, Xs[sectors.pair]),
+                     primal_dual_gap=gap,
                      newton_steps=steps, barrier_stages=len(mus),
                      min_slack=scale * float(w[live > 0.5].min()))
 
@@ -501,33 +502,18 @@ def _least_eigenvalue(stack: np.ndarray) -> float:
 
 def _entries(name: str, M, n: int) -> tuple:
     """(rows, cols, values) of an n x n operand of verify_certificate: a
-    SectorMatrix's entries, finite and in range, else the nonzero entries
-    of a finite n x n array (a vector of n entries is the diagonal) that
-    is Hermitian within sdp_feas."""
-    if isinstance(M, SectorMatrix):
-        rows, cols, values = M.rows, M.cols, np.asarray(M.values)
-        at = np.concatenate((rows, cols))
-        if not (len(rows) == len(cols) == len(values)
-                and np.isfinite(values).all()
-                and (not at.size or 0 <= at.min() <= at.max() < n)):
-            raise CertificateError(
-                f"{name} is not finite entries of an {n} x {n} matrix")
-        return rows, cols, values
-    M = np.asarray(M)
-    if M.ndim == 1:
-        if M.shape != (n,) or not np.isfinite(M).all():
-            raise CertificateError(
-                f"{name} is not a finite diagonal of {n} entries")
-        skew = float(np.abs(M.imag).max())
-        at = (np.arange(n),)
-    else:
-        if M.shape != (n, n) or not np.isfinite(M).all():
-            raise CertificateError(f"{name} is not a finite {n} x {n} matrix")
-        skew = float(np.abs(M - M.conj().T).max())
-        at = np.nonzero(M)
-    if not skew <= DEFAULT.sdp_feas:
-        raise CertificateError(f"{name} is not Hermitian: {skew:.3e}")
-    return at[0], at[-1], M[at]
+    SectorMatrix whose entries are finite and in range."""
+    if not isinstance(M, SectorMatrix):
+        raise CertificateError(
+            f"{name} is a {type(M).__name__}, not a SectorMatrix")
+    rows, cols, values = M.rows, M.cols, np.asarray(M.values)
+    at = np.concatenate((rows, cols))
+    if not (len(rows) == len(cols) == len(values)
+            and np.isfinite(values).all()
+            and (not at.size or 0 <= at.min() <= at.max() < n)):
+        raise CertificateError(
+            f"{name} is not finite entries of an {n} x {n} matrix")
+    return rows, cols, values
 
 
 def _summed(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -539,14 +525,12 @@ def _summed(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 
 
 def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
-    """Re-check an SDP result apart from the solver, the barrier's (dense
-    tau and X) and a chain's (tau its diagonal, X a SectorMatrix) alike,
-    sector by sector from omega.sectors and sharing no code with either
-    solver.  A dense operand is first a finite matrix of its shape (tau
-    may be a diagonal), Hermitian within sdp_feas, and then its nonzero
-    entries are read; a SectorMatrix's entries are finite and in range.
-    The entries of tau (x) I, Omega and X lie inside the sector mask.
-    Gathered by sector (repeated entries add), X is Hermitian within
+    """Re-check an SDP result apart from the solver, the barrier's and a
+    chain's alike, sector by sector from omega.sectors and sharing no
+    code with either solver.  tau, Omega and X are each a SectorMatrix
+    whose entries are finite and in range, and the entries of tau (x) I,
+    Omega and X lie inside the sector mask.  Gathered by sector
+    (repeated entries add), each of the three is Hermitian within
     sdp_feas, and the least eigenvalues, in closed form for sectors of
     one or two product states and by eigvalsh for larger ones, are >= 0
     for tau (x) I - Omega and >= -sdp_feas for X.  Gershgorin's bound on
@@ -581,16 +565,17 @@ def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
          tv.repeat(d_B))
     # each operand's entries, summed into its padded sector stack
     stacks = []
-    for name, (rows, cols, values) in (("tau (x) I", T), ("Omega", Om),
+    for name, (rows, cols, values) in (("tau", T), ("Omega", Om),
                                        ("dual X", X)):
         if not (lab[rows] == lab[cols]).all():
             raise CertificateError(f"{name} has an entry off the sector mask")
-        stacks.append(_summed(base[rows] + place[cols], values,
-                              math.prod(shape)).reshape(shape))
+        stack = _summed(base[rows] + place[cols], values,
+                        math.prod(shape)).reshape(shape)
+        skew = float(np.abs(stack - stack.conj().swapaxes(1, 2)).max())
+        if not skew <= DEFAULT.sdp_feas:
+            raise CertificateError(f"{name} is not Hermitian: {skew:.3e}")
+        stacks.append(stack)
     Ts, Os, Xs = stacks
-    skew = float(np.abs(Xs - Xs.conj().swapaxes(1, 2)).max())
-    if not skew <= DEFAULT.sdp_feas:
-        raise CertificateError(f"dual X is not Hermitian: {skew:.3e}")
     # a pad is a zero row of both stacks: its eigenvalue 0 passes either
     # check
     s_min = _least_eigenvalue(Ts - Os)
@@ -786,18 +771,22 @@ def _spin_state(s, P: int) -> DensityMatrix:
 
 
 def _bands_of(omega: OmegaState) -> tuple:
-    """The bands (see _chain) of a dense Omega, read off its matrix."""
+    """The bands (see _chain) of an Omega, read off its entries."""
     d_A, d_B = omega.sectors.shape
-    Om = omega.matrix
-    m = np.arange(d_A - 1 if d_B > 1 else 0)
+    M = omega.matrix
+    rows, cols, values = M.rows, M.cols, M.values
+    on = rows == cols
+    # link m joins (m, 0) and (m + 1, 1)
+    at = (cols == rows + (d_B + 1)) & (rows % d_B == 0) & (d_B > 1)
     link = np.zeros(d_A - 1, dtype=complex)
-    link[m] = Om[m * d_B, (m + 1) * d_B + 1]
-    c = np.abs(link)
+    np.add.at(link, rows[at] // d_B, values[at])
     with np.errstate(divide="ignore"):
-        log_D = np.log(np.maximum(Om.diagonal().real, 0.0))
-        log_c = np.log(c)
+        log_D = np.log(np.maximum(
+            np.bincount(rows[on], values[on].real, d_A * d_B), 0.0))
+        log_c = np.log(np.abs(link))
+    # link/|link| would overflow at a subnormal |link|; angle(0) is 0
     return (omega.sectors, log_D.reshape(d_A, d_B), log_c,
-            np.where(c > 0.0, link / np.where(c > 0.0, c, 1.0), 1.0))
+            np.exp(1j * np.angle(link)))
 
 
 def _band_omega(bands: tuple) -> OmegaState:
@@ -827,8 +816,7 @@ def _chain(bands: tuple) -> SdpResult | None:
     where it is zero or off the sectors, Omega's phase there), when its
     A levels m meet B's first two levels in sectors that are singletons
     or links, each link's diagonal entries the largest of their rows
-    (within num); None for any other Omega.  tau comes back as its
-    diagonal and X as a SectorMatrix.
+    (within num); None for any other Omega.
 
     tau is then diagonal, t_m = o_m + u_m with o_m the largest diagonal
     entry of row m, and the LMI reads u >= 0 and u_m u_{m+1} >= c_m^2.
@@ -933,9 +921,10 @@ def _chain(bands: tuple) -> SdpResult | None:
         pk * D[i] + rk * D[j] + 2.0 * q * np.exp(log_c[k])).sum())
     if not gap < DEFAULT.sdp_gap:
         return None
-    return SdpResult(optimum=primal, tau=t, dual_certificate=X,
-                     primal_dual_gap=gap, newton_steps=0, barrier_stages=0,
-                     min_slack=low)
+    diagonal = np.arange(d_A)
+    return SdpResult(optimum=primal, tau=SectorMatrix(diagonal, diagonal, t),
+                     dual_certificate=X, primal_dual_gap=gap, newton_steps=0,
+                     barrier_stages=0, min_slack=low)
 
 
 @dataclass(frozen=True)
@@ -988,8 +977,8 @@ def _certified(res: SdpResult | None, omega: OmegaState) -> SdpResult | None:
 
 
 def _dense_block(omega: OmegaState) -> SdpResult:
-    """A dense Omega solved by _chain on its bands where that certifies,
-    else by conditional_min_entropy."""
+    """An Omega solved by _chain on its bands where that certifies, else
+    by conditional_min_entropy."""
     return (_certified(_chain(_bands_of(omega)), omega)
             or conditional_min_entropy(omega))
 
@@ -1007,8 +996,8 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     eigenbasis (its phases, like the source's, are a time translation)
     and the labels of _sectors.  If that chain or its sector-wise
     verify_certificate fails, each block goes to _dense_block on its
-    dense Omega_j (rho_j from _spin_state), as the one n-copy Omega of
-    any other source does.
+    Omega_j, built from the dense rho_j of _spin_state, as the one n-copy
+    Omega of any other source does.
 
     Every check comes before any block is built: copies an integer >= 1
     (not a bool), then sigma, H and H_B, then psi_B as a pure_state of
@@ -1016,10 +1005,10 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     budget, the work of the band path: their sides (2j + 1) d_B sum to
     at most MAX_OMEGA_SIDE^2 (n <= 1446 for a qubit target).  Blocks the
     chain declines are refused before any rho_j is formed when the cubed
-    sides of their dense Omega_j, the work of the dense solves, sum past
+    sides of their Omega_j, the work of the dense solves, sum past
     MAX_OMEGA_SIDE^3.  ValidationError or DimMismatchError otherwise, and
     wherever iid_omega_state raises."""
-    _check_copies(copies)
+    copies = require_count(copies, "copies")
     sigma, H, H_B = density_matrix(sigma), observable(H), observable(H_B)
     psi_B = pure_state(psi_B)
     require_same_dim(psi_B.dim, H_B.dim)
@@ -1101,11 +1090,11 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
         blocks=solved, blocks_dropped=count - solved)
 
 
-def _check_qubit_family(lam: float, n: int) -> None:
-    """ValidationError unless 0 < lam <= 1 and n passes _check_copies."""
+def _check_qubit_family(lam: float, n: int) -> int:
+    """n as an int; ValidationError unless 0 < lam <= 1 and n is a count."""
     if not 0.0 < lam <= 1.0:
         raise ValidationError(f"lambda must lie in (0, 1], got {lam}")
-    _check_copies(n)
+    return require_count(n, "n")
 
 
 def qubit_infidelity_bound(lam: float, n: int):
@@ -1115,7 +1104,7 @@ def qubit_infidelity_bound(lam: float, n: int):
     exact_bound comes from the purity-of-coherence converse applied to
     the n-copy qubit family; asymptotic is its large-n expansion
     (1 - lam^2)/(4 lam^2 n)."""
-    _check_qubit_family(lam, n)
+    n = _check_qubit_family(lam, n)
     lt2 = n * lam * lam / (1.0 + (n - 1) * lam * lam)
     exact = 0.5 * (1.0 - math.sqrt(lt2))
     asym = (1.0 - lam * lam) / (4.0 * lam * lam * n)
@@ -1126,5 +1115,5 @@ def cirac_comparison(lam: float, n: int) -> float:
     """Published asymptotic infidelity (1-lam)/(2 lam^2 n) of the best
     known qubit purification channel; exceeds the asymptotic lower bound
     by exactly 2/(1+lam)."""
-    _check_qubit_family(lam, n)
+    n = _check_qubit_family(lam, n)
     return (1.0 - lam) / (2.0 * lam * lam * n)

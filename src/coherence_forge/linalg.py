@@ -54,6 +54,16 @@ def require_square(M: np.ndarray) -> np.ndarray:
     return require_finite(M)
 
 
+def require_count(n, name: str) -> int:
+    """n as an int; ValidationError naming it unless it is an integer (a
+    numpy one too, not a bool) of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValidationError(f"{name} must be at least 1, got {n}")
+    return int(n)
+
+
 def require_same_dim(state_dim: int, ham_dim: int) -> None:
     """DimMismatchError unless a state and a Hamiltonian share a dimension."""
     if state_dim != ham_dim:
@@ -233,7 +243,8 @@ def pure_state(v) -> PureState:
     if v.ndim != 1:
         raise DimMismatchError(f"expected a vector, got shape {v.shape}")
     require_finite(v)
-    n = np.linalg.norm(v)
+    with np.errstate(over="ignore"):   # an overflow is inf, refused below
+        n = np.linalg.norm(v)
     if abs(n - 1.0) > DEFAULT.norm:
         raise ValidationError(f"norm is {n:.12f}, expected 1")
     return PureState(vector=v / n)
@@ -302,4 +313,7 @@ def array_from_json(obj) -> np.ndarray:
     if re.shape != shape or len(set(shape)) != 1:
         raise SchemaError(f"payload shape {re.shape} does not match "
                           f"dim {obj['dim']}")
-    return re + 1j * im
+    # not re + 1j * im, which warns at an infinite im
+    out = re.astype(complex)
+    out.imag = im
+    return out

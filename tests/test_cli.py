@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1243,3 +1244,31 @@ def test_cli_import_leaves_acceptance_unloaded():
             [SRC, os.environ.get("PYTHONPATH", "")])))
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    # 1e19 grid units wrap negative when cast to int
+    (["dist", "--state", "plus", "--ham", "big"],
+     {"plus": array_to_json(np.array([1.0, 1.0]) / math.sqrt(2)),
+      "big": array_to_json(np.diag([0.0, 1e19]))}, "past 2**53"),
+    # 1j * inf in the decoder is (nan + inf j), with a warning
+    (["measures", "--state", "inf_im", "--ham", "h2"],
+     {"inf_im": '{"dim": 2, "re": [0.6, 0.8], "im": [Infinity, 0.0]}',
+      "h2": {"levels_in_2pi_over_tau": [0, 1]}}, "non-finite entry"),
+    # the sum of squares of 1e308 overflows in the norm
+    (["measures", "--state", "huge", "--ham", "h2"],
+     {"huge": array_to_json(np.array([1e308, 0.0])),
+      "h2": {"levels_in_2pi_over_tau": [0, 1]}}, "norm is inf"),
+], ids=["dense-h-past-the-grid", "infinite-im", "huge-pure-entry"])
+def test_bad_input_exits_1_without_a_warning(tmp_path, capsys, argv, files,
+                                             message):
+    for name, obj in files.items():
+        (tmp_path / name).write_text(obj if isinstance(obj, str)
+                                     else json.dumps(obj))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error: ") == 1 and message in err

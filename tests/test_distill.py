@@ -32,6 +32,7 @@ from coherence_forge.errors import (
     ValidationError,
 )
 from coherence_forge.linalg import (
+    HermitianObservable,
     density_matrix,
     level_labels,
     observable,
@@ -65,10 +66,25 @@ def dephase(rho, H):
     return V @ (rt * (lab[:, None] == lab[None, :])) @ V.conj().T
 
 
+def as_entries(M):
+    """Test-only: a dense matrix as the SectorMatrix of its nonzero
+    entries."""
+    M = np.asarray(M)
+    rows, cols = np.nonzero(M)
+    return SectorMatrix(rows, cols, M[rows, cols])
+
+
+def as_dense(S, n):
+    """Test-only: the n x n matrix of a SectorMatrix's entries."""
+    M = np.zeros((n, n), dtype=complex)
+    np.add.at(M, (S.rows, S.cols), S.values)
+    return M
+
+
 def single_sector(Om, d_A, d_B):
     """A joint state on A (x) B with no time-translation structure: one
     sector, so the SDP runs on the full space."""
-    return OmegaState(matrix=np.asarray(Om, dtype=complex),
+    return OmegaState(matrix=as_entries(np.asarray(Om, dtype=complex)),
                       sectors=np.zeros((d_A, d_B), dtype=int))
 
 
@@ -178,7 +194,8 @@ def test_omega_state_oracle_by_difference_hamiltonian():
         bar = psi.conj()
         M0 = np.kron(sigma, np.outer(bar, bar.conj()))
         Delta = np.kron(H_A, np.eye(d_B)) - np.kron(np.eye(d_A), H_B)
-        assert np.max(np.abs(om.matrix - dephase(M0, Delta))) < 1e-10
+        assert np.max(np.abs(as_dense(om.matrix, d_A * d_B)
+                             - dephase(M0, Delta))) < 1e-10
         assert om.sectors.shape == (d_A, d_B)
 
 
@@ -190,7 +207,7 @@ def test_omega_state_eigenstate_target_factorizes():
     psi = np.array([0.0, 1.0])
     om = iid_omega_state(sigma, H_A, psi, H_B, 1)
     want = np.kron(dephase(sigma, H_A), np.outer(psi, psi))
-    assert np.max(np.abs(om.matrix - want)) < 1e-12
+    assert np.max(np.abs(as_dense(om.matrix, 6) - want)) < 1e-12
 
 
 def test_omega_state_reads_cached_hamiltonian_spectra(monkeypatch):
@@ -214,7 +231,8 @@ def test_omega_state_reads_cached_hamiltonian_spectra(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     cached = iid_omega_state(sigma, obs_A, CBIT, obs_B, 1)
     assert sizes == [3]
-    assert np.array_equal(cached.matrix, plain.matrix)
+    assert np.array_equal(as_dense(cached.matrix, 6),
+                          as_dense(plain.matrix, 6))
 
 
 @pytest.mark.parametrize("sigma, psi, match", [
@@ -250,8 +268,8 @@ def test_numpy_integer_copies_are_accepted():
     want = iid_fidelity(qubit(0.6), H01, CBIT, H01, 2)
     assert iid_fidelity(qubit(0.6), H01, CBIT, H01, np.int64(2)) == want
     om = iid_omega_state(qubit(0.6), H01, CBIT, H01, np.int32(2))
-    assert np.array_equal(om.matrix, iid_omega_state(
-        qubit(0.6), H01, CBIT, H01, 2).matrix)
+    assert np.array_equal(as_dense(om.matrix, 8), as_dense(iid_omega_state(
+        qubit(0.6), H01, CBIT, H01, 2).matrix, 8))
 
 
 def test_omega_state_at_the_side_budget_solves_no_wide_matrix(monkeypatch):
@@ -323,10 +341,10 @@ def test_sdp_certificates():
         res = _min_trace_sdp(single_sector(Om, d_A, d_B))
         assert res.primal_dual_gap < 1e-7
         # primal feasibility of tau
-        slack = np.kron(res.tau, np.eye(d_B)) - Om
+        slack = np.kron(as_dense(res.tau, d_A), np.eye(d_B)) - Om
         assert np.min(np.linalg.eigvalsh(slack)) > -1e-9
         # dual feasibility of X: PSD with Tr_B X <= I
-        X = res.dual_certificate
+        X = as_dense(res.dual_certificate, d_A * d_B)
         assert np.min(np.linalg.eigvalsh(X)) > -1e-11
         TrB = np.zeros((d_A, d_A), dtype=complex)
         for i in range(d_A):
@@ -427,13 +445,14 @@ def test_sector_solve_matches_full_space_solve():
     # Omega agree
     om, H_A = _rotated_instance()
     assert len(np.unique(om.sectors)) > 1
-    full = single_sector(om.matrix, 6, 3)
+    full = single_sector(as_dense(om.matrix, 18), 6, 3)
     a = conditional_min_entropy(om)
     b = conditional_min_entropy(full)
     assert abs(a.optimum - b.optimum) < 1e-7
     # tau is block-diagonal over H_A's levels, in H_A's eigenbasis
     Ha = np.diag(np.linalg.eigvalsh(H_A))
-    assert np.max(np.abs(a.tau @ Ha - Ha @ a.tau)) < 1e-9
+    tau = as_dense(a.tau, 6)
+    assert np.max(np.abs(tau @ Ha - Ha @ tau)) < 1e-9
 
 
 # (newton_steps, old_steps, optimum).  The optima are those of commit
@@ -460,7 +479,7 @@ PARENT_PATH = {
 def test_newton_path_matches_parent():
     om, _ = _rotated_instance()
     cases = {"rotated sectors": om,
-             "rotated full": single_sector(om.matrix, 6, 3)}
+             "rotated full": single_sector(as_dense(om.matrix, 18), 6, 3)}
     for n in range(1, 5):
         for lam in (0.6, 0.9):
             rho, H = _qubit_copies(lam, n)
@@ -487,7 +506,8 @@ def _dense_newton_system(omega, ui, uk, x, mu):
     d_A, d_B = omega.sectors.shape
     tau = np.zeros((d_A, d_A), dtype=complex)
     tau[ui, uk] = x
-    S_inv = np.linalg.inv(np.kron(tau, np.eye(d_B)) - omega.matrix)
+    S_inv = np.linalg.inv(np.kron(tau, np.eye(d_B))
+                          - as_dense(omega.matrix, d_A * d_B))
     g = np.eye(d_A) - mu * _trace_B(S_inv, d_A, d_B)
     R = S_inv.reshape(d_A, d_B, d_A, d_B)
     P1 = R.transpose(1, 3, 0, 2).reshape(d_B * d_B, d_A * d_A)
@@ -503,7 +523,7 @@ def _oracle_cases():
     with a 3-level target."""
     om, _ = _rotated_instance()
     cases = {"rotated sectors": om,
-             "rotated full": single_sector(om.matrix, 6, 3)}
+             "rotated full": single_sector(as_dense(om.matrix, 18), 6, 3)}
     for n in range(1, 5):
         for lam in (0.6, 0.9):
             rho, H = _qubit_copies(lam, n)
@@ -600,8 +620,8 @@ def test_newton_term_budget_refuses_a_larger_system(monkeypatch):
 
 def test_newton_steps_build_no_full_space_matrix(monkeypatch):
     # the Newton steps and the final dual are gathered from the sector
-    # blocks, and X is scattered once; verify_certificate re-checks it
-    # sector by sector: neither the solver nor a whole
+    # blocks, and X is read off them as entries; verify_certificate
+    # re-checks it sector by sector: neither the solver nor a whole
     # conditional_min_entropy takes a Kronecker product
     om = iid_omega_state(qubit(0.6), H01, CBIT, H01, 3)
     calls = {"kron": 0}
@@ -647,14 +667,16 @@ def test_final_dual_matches_the_dense_rescale(monkeypatch):
     # in units of 1e-9 the least slack in the solver's units passes the
     # unit eigenvalue of each pad, which min_slack must skip
     om = cases[3, 0.6]
-    cases["small units"] = OmegaState(1e-9 * om.matrix, om.sectors)
+    cases["small units"] = OmegaState(
+        replace(om.matrix, values=1e-9 * om.matrix.values), om.sectors)
     for key, omega in cases.items():
         d_A, d_B = omega.sectors.shape
         N = d_A * d_B
         res = conditional_min_entropy(omega)
         # sector b holds the product indices labelled b, ascending, then pads
         lab = omega.sectors.ravel()
-        S = np.kron(res.tau, np.eye(d_B)) - omega.matrix
+        Om, tau = as_dense(omega.matrix, N), as_dense(res.tau, d_A)
+        S = np.kron(tau, np.eye(d_B)) - Om
         S_inv = np.zeros((N, N), dtype=complex)
         slacks = []
         for b, (w, V) in enumerate(zip(last["w"], last["V"])):
@@ -662,13 +684,12 @@ def test_final_dual_matches_the_dense_rescale(monkeypatch):
             n = np.count_nonzero(lab == b)
             S_inv[idx] = ((V / w) @ V.conj().T)[:n, :n]
             slacks.append(np.linalg.eigvalsh(S[idx])[0])
-        scale = float(np.linalg.eigvalsh(omega.matrix)[-1])
+        scale = float(np.linalg.eigvalsh(Om)[-1])
         mu = DEFAULT.sdp_gap / (4 * N * scale)
-        X = res.dual_certificate
+        X = as_dense(res.dual_certificate, N)
         X_ref = _dense_dual(mu * S_inv, d_A, d_B)
         assert np.max(np.abs(X - X_ref)) <= 1e-12 * np.max(np.abs(X_ref)), key
-        gap = float(np.trace(res.tau).real
-                    - np.sum(omega.matrix * X_ref.T).real)
+        gap = float(np.trace(tau).real - np.sum(Om * X_ref.T).real)
         assert abs(res.primal_dual_gap - gap) < 1e-14, key
         assert abs(res.min_slack - min(slacks)) < 1e-15, key
         assert np.all(X[lab[:, None] != lab[None, :]] == 0.0), key
@@ -682,7 +703,7 @@ def test_final_dual_matches_the_dense_rescale(monkeypatch):
 def _in_caller_basis(om, U_A, U_B):
     """Omega rotated from the U_A (x) U_B basis it is held in."""
     W = np.kron(U_A, U_B)
-    return W @ om.matrix @ W.conj().T
+    return W @ as_dense(om.matrix, om.sectors.size) @ W.conj().T
 
 
 def _iid_eigenbasis(H1, n):
@@ -828,7 +849,7 @@ def test_sdp_result_reports_solver_work():
     om = iid_omega_state(rho, H, CBIT, H01, 1)
     res = conditional_min_entropy(om)
     assert res.newton_steps > res.barrier_stages > 0
-    slack = np.kron(res.tau, np.eye(2)) - om.matrix
+    slack = np.kron(as_dense(res.tau, 4), np.eye(2)) - as_dense(om.matrix, 8)
     assert abs(res.min_slack - np.linalg.eigvalsh(slack)[0]) < 1e-12
     assert res.min_slack > 0.0
 
@@ -838,29 +859,42 @@ def test_verify_certificate_rejects_tampering():
     om = iid_omega_state(rho, H, CBIT, H01, 1)
     res = conditional_min_entropy(om)
     assert verify_certificate(res, om) is res
-    tau, X = res.tau, res.dual_certificate
+    d_A, N = om.sectors.shape[0], om.sectors.size
+    tau, X = as_dense(res.tau, d_A), as_dense(res.dual_certificate, N)
     eye_A, eye = np.eye(tau.shape[0]), np.eye(X.shape[0])
-    # eigvalsh reads one triangle, so these pass every eigenvalue test
-    upper_A, upper = np.triu(np.ones_like(tau), 1), np.triu(np.ones_like(X), 1)
+    # eigvalsh reads one triangle, so these pass every eigenvalue test;
+    # they lie inside the sector mask, so only the Hermitian test is left
+    lab, block = om.sectors.ravel(), om.sectors[:, 0]
+    upper_A = np.triu(block[:, None] == block[None, :], 1).astype(float)
+    upper = np.triu(lab[:, None] == lab[None, :], 1).astype(float)
+
+    def dense(tau=tau, X=X, **reported):
+        return replace(res, tau=as_entries(tau),
+                       dual_certificate=as_entries(X), **reported)
+
+    def grown(S, n):
+        # an entry past the side n of the matrix
+        return SectorMatrix(np.append(S.rows, n), np.append(S.cols, 0),
+                            np.append(S.values, 0.0))
+
     tampered = [
-        (replace(res, tau=tau + upper_A), "tau is not Hermitian"),
-        (replace(res, dual_certificate=X + 0.3j * upper),
-         "dual X is not Hermitian"),
-        (replace(res, tau=tau - 1e-6 * eye_A), "Omega has eigenvalue"),
-        (replace(res, dual_certificate=X - 1e-6 * eye), "dual X has"),
-        (replace(res, dual_certificate=1.001 * X), "Tr_B X"),
-        (replace(res, tau=tau + 1e-6 * eye_A,
-                 optimum=float(np.trace(tau).real) + 4e-6), "recomputed gap"),
+        (dense(tau=tau + upper_A), "tau is not Hermitian"),
+        (dense(X=X + 0.3j * upper), "dual X is not Hermitian"),
+        (dense(tau=tau - 1e-6 * eye_A), "Omega has eigenvalue"),
+        (dense(X=X - 1e-6 * eye), "dual X has"),
+        (dense(X=1.001 * X), "Tr_B X"),
+        (dense(tau=tau + 1e-6 * eye_A,
+               optimum=float(np.trace(tau).real) + 4e-6), "recomputed gap"),
         (replace(res, primal_dual_gap=0.0), "reported"),
         (replace(res, optimum=res.optimum - 1e-6), "reported"),
         # non-finite or misshapen results fail closed
         (replace(res, optimum=math.nan), "reported"),
         (replace(res, primal_dual_gap=math.nan), "reported"),
-        (replace(res, tau=np.where(eye_A == 1, np.nan, tau)), "tau is not"),
-        (replace(res, dual_certificate=np.where(eye == 1, np.inf, X)),
+        (dense(tau=np.where(eye_A == 1, np.nan, tau)), "tau is not"),
+        (dense(X=np.where(eye == 1, np.inf, X)), "dual X is not"),
+        (replace(res, tau=grown(res.tau, d_A)), "tau is not"),
+        (replace(res, dual_certificate=grown(res.dual_certificate, N)),
          "dual X is not"),
-        (replace(res, tau=tau[:-1, :-1]), "tau is not"),
-        (replace(res, dual_certificate=X[:, :-1]), "dual X is not"),
     ]
     for bad, match in tampered:
         with pytest.raises(CertificateError, match=match):
@@ -885,22 +919,25 @@ def test_sector_check_rejects_tampering():
         values[at] += by
         return values
 
+    def diagonal(values):
+        return replace(res, tau=replace(tau, values=values))
+
     tampered = [
-        (replace(res, tau=0.999 * tau), "Omega has eigenvalue"),
+        (diagonal(0.999 * tau.values), "Omega has eigenvalue"),
         # product states (0, 0) and (1, 0) lie in different sectors
         (entries(np.append(X.rows, 0), np.append(X.cols, 2),
                  np.append(X.values, 0.0)), "off the sector mask"),
         (entries(values=bumped(link, 0.3j)), "dual X is not Hermitian"),
         (entries(values=bumped(diag, -X.values[diag] - 1e-6)), "dual X has"),
         (entries(values=1.001 * X.values), "Tr_B X"),
-        (replace(res, tau=tau + 1e-6, optimum=float(tau.sum()) + 7e-6),
-         "recomputed gap"),
+        (replace(diagonal(tau.values + 1e-6),
+                 optimum=float(tau.values.sum()) + 7e-6), "recomputed gap"),
         (replace(res, primal_dual_gap=1e-8), "reported"),
         (replace(res, optimum=math.nan), "reported"),
-        (replace(res, tau=np.where(tau == tau.max(), np.nan, tau)),
-         "tau is not"),
-        (replace(res, tau=tau[:-1]), "tau is not"),
-        (replace(res, tau=tau + 1e-6j), "tau is not Hermitian"),
+        (diagonal(np.where(tau.values == tau.values.max(), np.nan,
+                           tau.values)), "tau is not"),
+        (diagonal(tau.values[:-1]), "tau is not"),
+        (diagonal(tau.values + 1e-6j), "tau is not Hermitian"),
         (entries(values=bumped(diag, np.inf)), "dual X is not finite"),
         (entries(np.append(X.rows, om.sectors.size),
                  np.append(X.cols, 0), np.append(X.values, 0.0)),
@@ -909,12 +946,12 @@ def test_sector_check_rejects_tampering():
     for bad, match in tampered:
         with pytest.raises(CertificateError, match=match):
             verify_certificate(bad, om)
-    # a dense Omega must be zero off the sector mask
+    # an Omega must be zero off the sector mask
     assert verify_certificate(res, dense) is res
-    off = dense.matrix.copy()
+    off = as_dense(dense.matrix, dense.sectors.size)
     off[0, 2] = off[2, 0] = 1e-3
     with pytest.raises(CertificateError, match="Omega has an entry off"):
-        verify_certificate(res, replace(dense, matrix=off))
+        verify_certificate(res, replace(dense, matrix=as_entries(off)))
 
 
 def test_sector_check_solves_larger_sectors():
@@ -924,14 +961,17 @@ def test_sector_check_solves_larger_sectors():
         matrix=SectorMatrix(np.arange(3), np.arange(3),
                             np.array([0.2, 0.3, 0.5])),
         sectors=np.zeros((3, 1), dtype=int))
-    res = SdpResult(optimum=1.0, tau=np.array([0.2, 0.3, 0.5]),
+    res = SdpResult(optimum=1.0,
+                    tau=SectorMatrix(np.arange(3), np.arange(3),
+                                     np.array([0.2, 0.3, 0.5])),
                     dual_certificate=SectorMatrix(np.arange(3), np.arange(3),
                                                   np.ones(3)),
                     primal_dual_gap=0.0, newton_steps=0, barrier_stages=0,
                     min_slack=0.0)
     assert verify_certificate(res, om) is res
     with pytest.raises(CertificateError, match="Omega has eigenvalue"):
-        verify_certificate(replace(res, tau=0.999 * res.tau), om)
+        verify_certificate(replace(res, tau=replace(
+            res.tau, values=0.999 * res.tau.values)), om)
 
 
 def _barrier_result():
@@ -952,22 +992,24 @@ def test_sector_check_refuses_dense_entries_off_the_mask():
     # lie in different sectors
     levels = om.sectors[:, 0]
     i, k = 0, int(np.flatnonzero(levels != levels[0])[0])
-    tau = res.tau.copy()
+    tau = as_dense(res.tau, d_A)
     tau[i, k] = tau[k, i] = 1e-13
     # p and q lie at different target levels, so Tr_B X is unchanged
     p, q = 0, int(np.flatnonzero((lab != lab[0])
                                  & (np.arange(lab.size) % d_B != 0))[0])
-    X = res.dual_certificate.copy()
+    X = as_dense(res.dual_certificate, lab.size)
     X[p, q] = X[q, p] = 1e-13
-    for bad in (replace(res, tau=tau), replace(res, dual_certificate=X)):
-        slack = np.kron(bad.tau, np.eye(d_B)) - om.matrix
+    Om = as_dense(om.matrix, lab.size)
+    for bad in (replace(res, tau=as_entries(tau)),
+                replace(res, dual_certificate=as_entries(X))):
+        tau_bad = as_dense(bad.tau, d_A)
+        X_bad = as_dense(bad.dual_certificate, lab.size)
+        slack = np.kron(tau_bad, np.eye(d_B)) - Om
         assert np.linalg.eigvalsh(slack)[0] >= 0.0
-        X_bad = bad.dual_certificate
         assert np.linalg.eigvalsh(X_bad)[0] >= -DEFAULT.sdp_feas
         assert (np.linalg.eigvalsh(_trace_B(X_bad, d_A, d_B))[-1]
                 <= 1.0 + DEFAULT.sdp_feas)
-        gap = float(np.trace(bad.tau).real
-                    - np.sum(om.matrix * bad.dual_certificate.T).real)
+        gap = float(np.trace(tau_bad).real - np.sum(Om * X_bad.T).real)
         assert abs(gap - res.primal_dual_gap) <= DEFAULT.sdp_feas
         with pytest.raises(CertificateError, match="off the sector mask"):
             verify_certificate(bad, om)
@@ -1304,7 +1346,8 @@ def test_chain_certificate_is_checked_by_verify_certificate():
     assert abs(res.optimum - res_b.optimum) < 1e-14
     for r, o in ((res, om), (res_b, banded)):
         with pytest.raises(CertificateError, match="Omega has eigenvalue"):
-            verify_certificate(replace(r, tau=0.999 * r.tau), o)
+            verify_certificate(replace(r, tau=replace(
+                r.tau, values=0.999 * r.tau.values)), o)
     # Omega of sectors other than singletons and links is not a chain
     assert _chain(_bands_of(_rotated_instance()[0])) is None
 
@@ -1318,7 +1361,8 @@ def test_refused_chain_certificate_falls_back_to_the_barrier(monkeypatch):
 
     def short(omega):
         res = chain(omega)
-        return replace(res, tau=0.999 * res.tau)
+        return replace(res, tau=replace(res.tau,
+                                        values=0.999 * res.tau.values))
 
     monkeypatch.setattr(coherence_forge.distill, "_chain", short)
     res = iid_fidelity(qubit(0.6), H01, CBIT, H01, 6)
@@ -1418,3 +1462,118 @@ def test_non_optimal_chain_skips_the_dense_recheck(monkeypatch, seed):
     assert len(checks) == 1
     assert res.fidelity == dense.optimum
     assert res.newton_steps == dense.newton_steps > 0
+
+
+def test_every_operand_is_held_as_sector_entries(monkeypatch):
+    # Omega, tau and X reach verify_certificate as SectorMatrix entries on
+    # the dense path (chain and barrier), the Schur chain and the Schur
+    # fallback alike
+    checked = []
+    real = coherence_forge.distill.verify_certificate
+
+    def recorded(result, omega):
+        checked.append((result, omega))
+        return real(result, omega)
+
+    monkeypatch.setattr(coherence_forge.distill, "verify_certificate",
+                        recorded)
+    unbalanced = np.array([math.sqrt(0.7), math.sqrt(0.3)])
+    for sigma, H, psi, n, kind in [
+            (random_density(3, 91), np.diag([0.0, 1.0, 2.0]), CBIT, 1,
+             "dense"),
+            (random_density(3, 94), np.diag([0.0, 1.0, 1.0]), CBIT, 1,
+             "dense"),
+            (qubit(0.6), H01, CBIT, 5, "schur-chain"),
+            (qubit(0.6), H01, unbalanced, 3, "schur")]:
+        checked.clear()
+        assert iid_fidelity(sigma, H, psi, H01, n).certificate == kind
+        assert checked
+        for result, omega in checked:
+            for operand in (omega.matrix, result.tau,
+                            result.dual_certificate):
+                assert isinstance(operand, SectorMatrix), kind
+
+
+def test_verify_certificate_refuses_a_dense_operand():
+    om, res = _barrier_result()
+    d_A, N = om.sectors.shape[0], om.sectors.size
+    for bad, name in [
+            (replace(res, tau=as_dense(res.tau, d_A)), "tau"),
+            (replace(res, dual_certificate=as_dense(res.dual_certificate, N)),
+             "dual X")]:
+        with pytest.raises(CertificateError, match=f"^{name} is a ndarray"):
+            verify_certificate(bad, om)
+    with pytest.raises(CertificateError, match="^Omega is a ndarray"):
+        verify_certificate(res, replace(om, matrix=as_dense(om.matrix, N)))
+
+
+def test_off_mask_omega_is_refused_before_any_newton_step(monkeypatch):
+    # the solver scatters Omega's entries into its sectors, and one
+    # across two sectors is refused there, not dropped
+    om = iid_omega_state(qubit(0.6), H01, CBIT, H01, 2)
+    lab = om.sectors.ravel()
+    p, q = 0, int(np.flatnonzero(lab != lab[0])[0])
+    M = om.matrix
+    off = replace(om, matrix=SectorMatrix(
+        np.append(M.rows, [p, q]), np.append(M.cols, [q, p]),
+        np.append(M.values, [1e-3, 1e-3])))
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("Newton step taken")
+
+    monkeypatch.setattr(_Sectors, "slack", no_step)
+    with pytest.raises(CertificateError, match="Omega has an entry off"):
+        conditional_min_entropy(off)
+
+
+def test_iid_omega_state_forms_no_kronecker_product_with_the_target(
+        monkeypatch):
+    # one copy takes no np.kron at all; n copies take only the tensor
+    # power sigma^(x)n, whose side is d^n, never the N = d^n d_B of Omega
+    sides = []
+    kron = np.kron
+
+    def counted(a, b):
+        out = kron(a, b)
+        sides.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(np, "kron", counted)
+    H3 = np.diag([0.0, 1.0, 2.0])
+    om = iid_omega_state(random_density(3, 1), H3, np.ones(3) / math.sqrt(3),
+                         H3, 1)
+    assert om.sectors.size == 9 and sides == []
+    iid_omega_state(qubit(0.6), H01, CBIT, H01, 3)
+    assert sides == [4, 8]
+
+
+def test_omega_of_512_product_states_fits_in_a_few_megabytes():
+    # a 256-level source into |+>: Omega has 512 product states but only
+    # about 1,000 entries inside its sectors, and the barrier solver works
+    # on them.  A dense Omega alone would take 4 MB, and the N x N dual
+    # another 4; the whole call peaked at 18 MB with both.
+    d = 256
+    levels = np.arange(d, dtype=float)
+    H = HermitianObservable(matrix=np.diag(levels).astype(complex),
+                            spectrum=levels,
+                            eigenbasis=np.eye(d, dtype=complex))
+    sigma, H_B = density_matrix(random_density(d, 3)), observable(H01)
+    tracemalloc.start()
+    try:
+        res = iid_fidelity(sigma, H, CBIT, H_B, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.certificate == "dense" and res.newton_steps > 0
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("psi", [[1.0, 1e-320], [1.0, 1e-320j],
+                                 [1e-320, 1.0]])
+def test_subnormal_links_have_unit_phases(psi):
+    # a target amplitude of 1e-320 makes Omega's links subnormal; their
+    # phase link/|link| took 1/|link|, which overflowed (a RuntimeWarning
+    # is an error in this suite).  Found by the seeded fuzz of test_fuzz.
+    res = iid_fidelity(qubit(0.6), H01, np.array(psi), H01, 2)
+    assert 1.0 - DEFAULT.sdp_gap < res.fidelity <= 1.0
+    assert 0.0 <= res.gap < DEFAULT.sdp_gap

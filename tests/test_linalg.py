@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from coherence_forge import cli, distill
-from coherence_forge.channels import random_channel, twirl
+from coherence_forge.channels import monotonicity_suite, random_channel, twirl
+from coherence_forge.clockdist import (
+    IntegerDistribution,
+    barbour_bound,
+    convolve_n,
+    tp_distance,
+)
 from coherence_forge.config import DEFAULT
-from coherence_forge.convert import intrinsic_period
+from coherence_forge.convert import intrinsic_period, iid_sweep
 from coherence_forge.distill import iid_omega_state
 from coherence_forge.errors import (
     DimMismatchError,
@@ -295,3 +301,38 @@ def test_container_eigenpairs_are_read_only(tmp_path, make):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+_P = IntegerDistribution(offset=0, probs=np.array([0.25, 0.5, 0.25]))
+# (entry point taking a count n, the name its messages give n)
+COUNTED = [
+    (lambda n: distill.iid_fidelity(np.eye(2) / 2, H_QUBIT, PLUS, H_QUBIT, n),
+     "copies"),
+    (lambda n: iid_omega_state(np.eye(2) / 2, H_QUBIT, PLUS, H_QUBIT, n),
+     "copies"),
+    (lambda n: distill.qubit_infidelity_bound(0.6, n), "n"),
+    (lambda n: distill.cirac_comparison(0.6, n), "n"),
+    (lambda n: convolve_n(_P, n), "m"),
+    (lambda n: barbour_bound(_P, n), "m"),
+    (lambda n: tp_distance(_P, n, _P), "m"),
+    (lambda n: iid_sweep(PLUS, H_QUBIT, PLUS, H_QUBIT, 1.0, [n]),
+     "copy counts"),
+    (lambda n: monotonicity_suite("F", n), "trials"),
+]
+
+
+@pytest.mark.parametrize("fn, name", COUNTED,
+                         ids=[name for _, name in COUNTED])
+def test_every_count_takes_one_rule(fn, name):
+    # an integer (a numpy one too, not a bool) of at least 1, refused
+    # with the count's name before any work
+    for n in (2.5, True, "3", None, math.nan, np.float64(2.0)):
+        with pytest.raises(ValidationError,
+                           match=f"^{name} must be an integer"):
+            fn(n)
+    for n in (0, -3, np.int64(0)):
+        with pytest.raises(ValidationError,
+                           match=f"^{name} must be at least 1"):
+            fn(n)
+    # read as the int it equals, so no numpy integer reaches the result
+    assert repr(fn(np.int64(2))) == repr(fn(2))
