@@ -9,10 +9,11 @@ other values assume desk-scale inputs (matrix entries O(1), dimensions
 in the tens).  Every field is read by the package itself; a cutoff that
 only a test's reference implementation needs lives with that test.
 
-A few algorithm constants stay in the module whose algorithm they tune:
-convert.TIE_WIDTH (1e-15, two total variations that best_shift counts
-as tied), channels.VIOLATION (1e-8, the growth the monotonicity suite
-counts as a violation), the distill SDP's barrier schedule
+convert.best_shift has no tie width of its own: two total variations
+within the rounding margin of its cumsum bounds count as tied.  A few
+algorithm constants stay in the module whose algorithm they tune:
+channels.VIOLATION (1e-8, the growth the monotonicity suite counts as a
+violation), the distill SDP's barrier schedule
 (distill.BARRIER_FACTOR, 0.05 between barrier weights;
 distill.CENTRING_DECREMENT, the lambda^2 <= 1 that ends every stage but
 the last; and the Newton decrement of 1e-13 x max(1, tr tau) that ends

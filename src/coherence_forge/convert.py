@@ -35,10 +35,6 @@ from .linalg import (HermitianObservable, density_matrix, observable,
 from .measures import energy_variance, qfi
 from .purification import coherence_sectors
 
-# best_shift counts two total variations within this of each other as a tie
-TIE_WIDTH = 1e-15
-
-
 @dataclass(frozen=True)
 class ConversionPlan:
     """One certified conversion: m copies in, m2 copies out, output
@@ -129,11 +125,11 @@ def best_shift(p: IntegerDistribution, q: IntegerDistribution):
     with F the cumulative mass and M the total mass (neither need be 1).
     Shifts are visited in ascending LB; the search stops at the first k
     whose LB, less a margin for cumsum rounding, exceeds the best tv so
-    far by more than TIE_WIDTH.  Every shift not visited has a tv above
-    that, so it could neither beat nor tie the minimum.  The visited
-    shifts then go through the tie rule in ascending k: a smaller tv by
-    more than TIE_WIDTH wins, and ties go to the smaller |k|, then to the
-    negative one.
+    far by more than that margin.  Every shift not visited has a tv above
+    that, so it could neither beat nor tie the minimum.  Two tvs closer
+    than the margin are not told apart by rounding, so the visited shifts
+    within the margin of the least tv tie: the smallest |k| wins, then
+    the negative one.
     """
     k_lo = p.support_min - q.support_max
     lb, margin = _shift_bounds(p, q)
@@ -142,27 +138,20 @@ def best_shift(p: IntegerDistribution, q: IntegerDistribution):
     visited = [(k_lo + i_min, best_e)]
     # only the shifts whose bound is within reach of that first tv are
     # sorted, and the full-length bound array is freed before the search
-    near = np.flatnonzero(lb - margin <= best_e + TIE_WIDTH)
+    near = np.flatnonzero(lb - margin <= best_e + margin)
     lb = lb[near]
     for j in np.argsort(lb, kind="stable"):
-        if lb[j] - margin > best_e + TIE_WIDTH:
+        if lb[j] - margin > best_e + margin:
             break
         if near[j] != i_min:
             k = k_lo + int(near[j])
             e = tv_distance(p, shift(q, k))
             visited.append((k, e))
             best_e = min(best_e, e)
-    best_k = None
-    best_e = math.inf
-    for k, e in sorted(visited):
-        better = e < best_e - TIE_WIDTH
-        tie = abs(e - best_e) <= TIE_WIDTH
-        if better or (tie and (abs(k) < abs(best_k)
-                               or (abs(k) == abs(best_k) and k < best_k))):
-            best_k, best_e = k, e
-    if best_k is None:
-        # every tv was NaN (a NaN mass); no shift can be certified
-        best_k, best_e = 0, 1.0
+    # every tv is NaN for a NaN mass, and then no shift can be certified
+    best_k, best_e = min(
+        ((k, e) for k, e in visited if e <= best_e + margin),
+        key=lambda ke: (abs(ke[0]), ke[0]), default=(0, 1.0))
     return int(best_k), float(best_e)
 
 

@@ -15,15 +15,16 @@ one gate that checks each request before any block is built.  It
 solves a list of blocks: copies of a qubit under a non-degenerate
 Hamiltonian split by Schur-Weyl duality into one block per spin j
 (_schur_blocks, which gives each block as the two bands of its state),
-and any other source is one block, its n-copy Omega.  A block whose
+and any other source is one block, its n-copy Omega.  An Omega whose
 sectors form a chain (a target with equal weights on two levels at the
-source's gap) is solved in closed form from its bands, with a dual
-built along the chain (_chain); any other block goes to its Omega
-(_dense_block: the chain on the bands read off it, else the barrier
-solver).  Omega, tau and X are held as their entries inside the sectors
-(SectorMatrix) from builder to certificate, and verify_certificate
-re-checks every block result, the chain's and the barrier's alike,
-sector by sector on those entries.
+source's gap) is solved in closed form from its entries, with a dual
+built along the chain (_chain); the spin blocks go to it at once, as
+one direct sum, and any block it declines goes to its own Omega
+(_dense_block: the chain, else the barrier solver).  Omega, tau and X
+are held as their entries inside the sectors (SectorMatrix) from
+builder to certificate, and verify_certificate re-checks every block
+result, the chain's and the barrier's alike, sector by sector on those
+entries.
 """
 
 from __future__ import annotations
@@ -770,89 +771,66 @@ def _spin_state(s, P: int) -> DensityMatrix:
                          eigenbasis=U)
 
 
-def _bands_of(omega: OmegaState) -> tuple:
-    """The bands (see _chain) of an Omega, read off its entries."""
-    d_A, d_B = omega.sectors.shape
-    M = omega.matrix
-    rows, cols, values = M.rows, M.cols, M.values
-    on = rows == cols
-    # link m joins (m, 0) and (m + 1, 1)
-    at = (cols == rows + (d_B + 1)) & (rows % d_B == 0) & (d_B > 1)
-    link = np.zeros(d_A - 1, dtype=complex)
-    np.add.at(link, rows[at] // d_B, values[at])
-    with np.errstate(divide="ignore"):
-        log_D = np.log(np.maximum(
-            np.bincount(rows[on], values[on].real, d_A * d_B), 0.0))
-        log_c = np.log(np.abs(link))
-    # link/|link| would overflow at a subnormal |link|; angle(0) is 0
-    return (omega.sectors, log_D.reshape(d_A, d_B), log_c,
-            np.exp(1j * np.angle(link)))
+def _links(labels: np.ndarray) -> np.ndarray:
+    """The A levels m whose product states (m, 0) and (m + 1, 1) share a
+    sector: the links of a chain."""
+    return (np.flatnonzero(labels[:-1, 0] == labels[1:, 1])
+            if labels.shape[1] > 1 else np.arange(0))
 
 
-def _band_omega(bands: tuple) -> OmegaState:
-    """The OmegaState of bands (see _chain) as a SectorMatrix: the
-    diagonal, and Omega and its conjugate on each link whose two product
-    states share a sector."""
-    labels, log_diagonal, log_links, phases = bands
-    d_A, d_B = labels.shape
-    m = (log_links > -math.inf).nonzero()[0]
-    if d_B > 1:
-        m = m[labels[m, 0] == labels[m + 1, 1]]
-    i = m * d_B
-    j = i + (d_B + 1)
-    link = np.exp(log_links[m]) * (phases[m] if np.ndim(phases) else phases)
-    q = np.arange(d_A * d_B)
-    return OmegaState(
-        matrix=SectorMatrix(
-            np.concatenate((q, i, j)), np.concatenate((q, j, i)),
-            np.concatenate((np.exp(log_diagonal.ravel()), link,
-                            np.conj(link)))),
-        sectors=labels)
+def _chain(omega: OmegaState) -> SdpResult | None:
+    """The optimum of an Omega whose A levels m meet B's first two levels
+    in sectors that are singletons or links (m, 0)-(m + 1, 1), each
+    link's diagonal entries the largest of their rows (within num); None
+    for any other Omega.  Omega's diagonal D and its entries c_m on the
+    links are read off its entries, repeated entries adding.
 
-
-def _chain(bands: tuple) -> SdpResult | None:
-    """The optimum of an Omega given by its bands, (sector labels,
-    log |diagonal|, log |Omega| on the links (m, 0)-(m + 1, 1) with -inf
-    where it is zero or off the sectors, Omega's phase there), when its
-    A levels m meet B's first two levels in sectors that are singletons
-    or links, each link's diagonal entries the largest of their rows
-    (within num); None for any other Omega.
-
-    tau is then diagonal, t_m = o_m + u_m with o_m the largest diagonal
-    entry of row m, and the LMI reads u >= 0 and u_m u_{m+1} >= c_m^2.
-    On each run of links with c > 0 every constraint is taken active:
-    u_0 = x, u_{m+1} = c_m^2/u_m, so sum u = A x + B/x, least at
-    x = sqrt(B/A), all in logs.  The dual is built forward along the run:
-    p_0 = 1, r_m = p_m u_m/u_{m+1} (from its log), p_{m+1} = 1 - r_m,
-    each clipped to [0, 1], then X rescaled so that Tr_B X <= I; link m
-    carries [[p_m, q_m], [q_m^*, r_m]] with |q_m| = sqrt(p_m r_m) and
-    Omega's phase, and a row off every run a 1 at its largest entry.
+    tau is then diagonal, t_m = o_m + u_m with o_m the largest entry of D
+    on row m (or 0), and the LMI reads u >= 0 and u_m u_{m+1} >= |c_m|^2.
+    On each run of links with c != 0 every constraint is taken active:
+    u_0 = x, u_{m+1} = |c_m|^2/u_m, so sum u = A x + B/x, least at
+    x = sqrt(B/A), solved in logs (a zero as -inf).  The dual is built
+    forward along the run: p_0 = 1, r_m = p_m u_m/u_{m+1} (from its log),
+    p_{m+1} = 1 - r_m, each clipped to [0, 1], then X rescaled so that
+    Tr_B X <= I; link m carries [[p_m, q_m], [q_m^*, r_m]] with
+    |q_m| = sqrt(p_m r_m) and c_m's phase (a sign for a real Omega, whose
+    X stays real), and a row off every run a 1 at its largest entry.
     Each t_m is lifted by 16 eps of the largest t next to it, what a
     2 x 2 closed form may round away, then tau until every sector's
-    closed form is >= 0; the lift is local, so a direct sum of chains
-    gives the sum of their optima.  None, too, when the gap
-    Tr tau - Tr(Omega X) is not below sdp_gap."""
-    labels, log_diagonal, log_links, phases = bands
+    closed form, read from D and |c|, is >= 0; the lift is local, so a
+    direct sum of chains gives the sum of their optima.  None, too, when
+    the gap Tr tau - Tr(Omega X) is not below sdp_gap."""
+    labels = omega.sectors
     d_A, d_B = labels.shape
     sizes = np.bincount(labels.ravel())
     if sizes.max() > 2:
         return None
-    log_D = log_diagonal.ravel()
-    log_o = log_diagonal.max(axis=1)
+    M = omega.matrix
+    on = M.rows == M.cols
+    D = np.bincount(M.rows[on], M.values[on].real, d_A * d_B)
+    # a diagonal entry rounded below zero counts as zero for the row's top
+    top = np.maximum(D, 0.0)
+    o = top.reshape(d_A, d_B).max(axis=1)
     # link m: (m, 0) and (m + 1, 1), at flat places first and second,
     # share a sector; every sector of two product states must be one
-    linked = (labels[:-1, 0] == labels[1:, 1] if d_B > 1
-              else np.zeros(d_A - 1, dtype=bool))
-    m = linked.nonzero()[0]
+    m = _links(labels)
     first = m * d_B
     second = first + (d_B + 1)
-    tol = math.log1p(-DEFAULT.num)
+    tol = 1.0 - DEFAULT.num
     if np.count_nonzero(sizes == 2) != m.size or not (
-            (log_D[first] >= log_o[m] + tol).all()
-            and (log_D[second] >= log_o[m + 1] + tol).all()):
+            (top[first] >= tol * o[m]).all()
+            and (top[second] >= tol * o[m + 1]).all()):
         return None
-    log_c = np.where(linked, log_links, -math.inf)
-    live = log_c > -math.inf
+    # inside the sectors, the checks above leave the links as the only
+    # entries at (r, r + d_B + 1); one off them fails verify_certificate
+    at = M.cols == M.rows + (d_B + 1)
+    on_link = np.zeros(d_A, dtype=M.values.dtype)
+    np.add.at(on_link, M.rows[at] // d_B, M.values[at])
+    c = np.zeros(d_A - 1)
+    c[m] = np.abs(on_link[m])
+    with np.errstate(divide="ignore"):
+        log_c = np.log(c)
+    live = c > 0.0
     # link m's weights: p[m] on row m and r[m + 1] on row m + 1
     log_u = np.full(d_A, -math.inf)
     p, r = np.zeros(d_A), np.zeros(d_A)
@@ -877,9 +855,7 @@ def _chain(bands: tuple) -> SdpResult | None:
             lambda p_m, ratio: 1.0 - min(1.0, p_m * ratio), initial=1.0)))
         p[s:e] = ps[:-1]
         r[s + 1:e + 1] = 1.0 - ps[1:]
-    D = np.exp(log_D)
-    c = np.exp(log_c[m])
-    t = np.exp(log_o) + np.exp(log_u)
+    t = o + np.exp(log_u)
     # 16 eps of the largest t a row shares a sector with: the rounding of
     # a 2 x 2 closed form is a few eps of its block's norm
     near = t.copy()
@@ -896,7 +872,7 @@ def _chain(bands: tuple) -> SdpResult | None:
         slack = t.repeat(d_B) - D
         a, b = slack[first], slack[second]
         low = min(float(slack.min()),
-                  float((0.5 * (a + b) - np.hypot(0.5 * (a - b), c)).min(
+                  float((0.5 * (a + b) - np.hypot(0.5 * (a - b), c[m])).min(
                       initial=math.inf)))
         if low >= 0.0:
             break
@@ -907,18 +883,20 @@ def _chain(bands: tuple) -> SdpResult | None:
     in_run = np.zeros(d_A, dtype=bool)
     in_run[k] = in_run[k + 1] = True
     lone = (~in_run).nonzero()[0]
-    at = lone * d_B + log_diagonal[lone].argmax(axis=1)
+    at = lone * d_B + top.reshape(d_A, d_B)[lone].argmax(axis=1)
     pk, rk = p[k], r[k + 1]
     q = np.sqrt(pk * rk)
     scale = 1.0 / max(1.0, float((p + r + ~in_run).max()))
-    link = q * (phases[k] if np.ndim(phases) else phases)
+    # link/|link| would overflow at a subnormal |link|
+    link = q * (np.exp(1j * np.angle(on_link[k]))
+                if np.iscomplexobj(on_link) else np.sign(on_link[k]))
     X = SectorMatrix(np.concatenate((at, i, j, i, j)),
                      np.concatenate((at, i, j, j, i)),
                      scale * np.concatenate((np.ones(at.size), pk, rk, link,
                                              np.conj(link))))
     primal = float(t.sum())
     gap = primal - scale * float(D[at].sum() + (
-        pk * D[i] + rk * D[j] + 2.0 * q * np.exp(log_c[k])).sum())
+        pk * D[i] + rk * D[j] + 2.0 * q * c[k]).sum())
     if not gap < DEFAULT.sdp_gap:
         return None
     diagonal = np.arange(d_A)
@@ -939,8 +917,8 @@ class BlockSum:
     certified for the Omega_j as computed.  For Schur-Weyl blocks a
     rounding correction widens them on both sides (added once to upper
     and twice to gap): |psi_B|^2 |1 - sum_j p_j| over all blocks, plus
-    sum_j |p_j Tr Omega_j - p_j |psi_B|^2| over the blocks solved (each
-    Omega_j from its bands), plus
+    sum_j |p_j Tr Omega_j - p_j |psi_B|^2| over the blocks solved (read
+    off the direct sum the chain solves), plus
     (blocks + 2) eps/2 upper for the sum.  It is an estimate, not a
     proven bound: rounding errors of opposite sign within one Omega_j, or
     among the p_j, cancel in these traces.  bound_exact and
@@ -977,9 +955,9 @@ def _certified(res: SdpResult | None, omega: OmegaState) -> SdpResult | None:
 
 
 def _dense_block(omega: OmegaState) -> SdpResult:
-    """An Omega solved by _chain on its bands where that certifies, else
-    by conditional_min_entropy."""
-    return (_certified(_chain(_bands_of(omega)), omega)
+    """An Omega solved by _chain where that certifies, else by
+    conditional_min_entropy."""
+    return (_certified(_chain(omega), omega)
             or conditional_min_entropy(omega))
 
 
@@ -991,13 +969,14 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     decides the split, and its one frame also feeds _schur_blocks and the
     bounds' qubit-family rule (_visibility).
 
-    The spin blocks with p_j >= 1e-17 go to _chain at once, as the bands
-    of the direct sum of p_j Omega_j, with psi_B's weights in H_B's
-    eigenbasis (its phases, like the source's, are a time translation)
-    and the labels of _sectors.  If that chain or its sector-wise
-    verify_certificate fails, each block goes to _dense_block on its
-    Omega_j, built from the dense rho_j of _spin_state, as the one n-copy
-    Omega of any other source does.
+    The spin blocks with p_j >= 1e-17 go to _chain at once, as one
+    OmegaState, the direct sum of p_j Omega_j built from their bands, with
+    psi_B's weights in H_B's eigenbasis (its phases, like the source's,
+    are a time translation) and the labels of _sectors; that same Omega
+    goes to verify_certificate, and its diagonal D to the rounding
+    estimate.  If that chain or its sector-wise verify_certificate fails,
+    each block goes to _dense_block on its Omega_j, built from the dense
+    rho_j of _spin_state, as the one n-copy Omega of any other source does.
 
     Every check comes before any block is built: copies an integer >= 1
     (not a bool), then sigma, H and H_B, then psi_B as a pure_state of
@@ -1036,14 +1015,20 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
         count, solved = half + 1, len(live)
         sides = [b[1].size for b in live]
         row_log_p = np.repeat([b[0] for b in live], sides)
-        # the direct sum of p_j Omega_j, with no link from one block to
-        # the next
-        whole = (
-            _sectors([b[1] for b in live], H_B.spectrum),
-            (np.concatenate([b[2] for b in live]) + row_log_p)[:, None]
-            + log_t, np.concatenate([x for b in live for x in (
-                [-math.inf], b[3])])[1:] + row_log_p[:-1] + log_link, 1.0)
-        res = _certified(_chain(whole), _band_omega(whole))
+        # the direct sum of p_j Omega_j: its diagonal D, and its entries
+        # on the links that share a sector, none from one block to the next
+        labels = _sectors([b[1] for b in live], H_B.spectrum)
+        D = np.exp((np.concatenate([b[2] for b in live]) + row_log_p)[:, None]
+                   + log_t)
+        m = _links(labels)
+        c = np.exp((np.concatenate([x for b in live for x in (
+            [-math.inf], b[3])])[1:] + row_log_p[:-1] + log_link)[m])
+        i, q = m * d_B, np.arange(D.size)
+        j = i + (d_B + 1)
+        whole = OmegaState(SectorMatrix(
+            np.concatenate((q, i, j)), np.concatenate((q, j, i)),
+            np.concatenate((D.ravel(), c, c))), labels)
+        res = _certified(_chain(whole), whole)
         if res is not None:
             results = [(1.0, res)]
         elif sum((P * d_B) ** 3 for P in sides) > MAX_OMEGA_SIDE ** 3:
@@ -1058,12 +1043,11 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
                     eigenbasis=np.eye(levels.size, dtype=complex)),
                 psi_B, H_B, 1))) for log_p, levels, *_ in live]
         # a dropped block adds at most its weight; what the rounded
-        # weights miss of 1 and each block's rounded bands miss of psi_B's
-        # norm widen the interval by their size on both sides
+        # weights miss of 1 and each block's rounded diagonal D misses of
+        # psi_B's norm widen the interval by their size on both sides
         w = float(weight.sum())
         dropped = float(p[~keep].sum())
-        mass = np.add.reduceat(np.exp(whole[1]).sum(axis=1),
-                               np.cumsum([0] + sides[:-1]))
+        mass = np.add.reduceat(D.sum(axis=1), np.cumsum([0] + sides[:-1]))
         error = (w * abs(1.0 - float(p.sum()))
                  + float(np.abs(mass - w * p[keep]).sum()))
         upper, gap = dropped + error, dropped + 2.0 * error

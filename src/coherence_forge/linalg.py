@@ -219,12 +219,17 @@ def observable(M) -> HermitianObservable:
 def density_matrix(M) -> DensityMatrix:
     """M checked to be a state (trace 1, no eigenvalue below -psd), with
     its eigendecomposition cached.  A DensityMatrix is returned as it is,
-    and a vector or a PureState v stands for |v><v|."""
+    and a vector or a PureState v stands for |v><v|; a vector with an
+    entry past sqrt(MAX_ENTRY) in magnitude, whose |v><v| would pass
+    MAX_ENTRY or overflow, raises ValidationError before it is formed."""
     if isinstance(M, DensityMatrix):
         return M
     M = M.vector if isinstance(M, PureState) else np.asarray(M, complex)
     if M.ndim == 1:
-        M = np.outer(require_finite(M), M.conj())
+        if not np.abs(require_finite(M)).max(initial=0.0) <= MAX_ENTRY ** 0.5:
+            raise ValidationError("vector entry above sqrt(MAX_ENTRY) = "
+                                  f"{MAX_ENTRY ** 0.5:g} in magnitude")
+        M = np.outer(M, M.conj())
     ob = observable(M)
     w = ob.spectrum
     if abs(np.sum(w) - 1.0) > DEFAULT.trace:

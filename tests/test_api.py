@@ -1,21 +1,21 @@
-"""Every public function and class of the package is referenced by the
+"""Every function and class of the package is referenced by the
 package's code, and every tolerance is read by it and documented.
 
 Every name a package module imports (other than in __init__, and other
 than a __future__ feature) is used in that module's code.
 
-A public module-level name that appears as a code token in no module but
-at its own def or class line (and in the __init__ export) serves only
-its own tests; a name inside a string, a docstring or a comment does not
-count.  The CLI's cmd_* handlers count as referenced, since main
-dispatches them by name.  Any other such name stays in the package only
-for a reason listed in KEPT.  Every error class but the common base is
-raised somewhere in the package.  Every field of config.Tolerances is
-read as DEFAULT.<field> in the package's code and named in the README's
-Tolerances table.  Every package name the README quotes in backticks, as
-module.name or as a call name(...) holding an underscore, is defined,
-and the README's Library quick start runs and gives the numbers its
-comments show.
+A module-level function or class, public or private, whose name appears
+as a code token in no module but at its own def or class line (and in
+the __init__ export) serves only its own tests; a name inside a string,
+a docstring or a comment does not count.  The CLI's cmd_* handlers count
+as referenced, since main dispatches them by name.  Any other such name
+stays in the package only for a reason listed in KEPT.  Every error
+class but the common base is raised somewhere in the package.  Every
+field of config.Tolerances is read as DEFAULT.<field> in the package's
+code and named in the README's Tolerances table.  Every package name the
+README quotes in backticks, as module.name or as a call name(...)
+holding an underscore, is defined, and the README's Library quick start
+runs and gives the numbers its comments show.
 """
 
 import ast
@@ -127,9 +127,9 @@ def test_no_exported_function_takes_a_tolerance_table():
     assert not hasattr(coherence_forge, "Tolerances")
 
 
-def _public_symbols():
-    """Public functions and classes defined at module level in the
-    package, by name."""
+def _module_symbols():
+    """Functions and classes defined at module level in the package, by
+    name, private ones too."""
     out = set()
     for p in SRC.glob("*.py"):
         if p.stem.startswith("_"):
@@ -137,18 +137,18 @@ def _public_symbols():
         module = importlib.import_module(f"coherence_forge.{p.stem}")
         out |= {name for name, obj in vars(module).items()
                 if (inspect.isfunction(obj) or inspect.isclass(obj))
-                and obj.__module__ == module.__name__
-                and not name.startswith("_")}
+                and obj.__module__ == module.__name__}
     return out
 
 
 def test_every_exported_function_is_referenced():
     names = [name for p in SRC.glob("*.py") if p.name != "__init__.py"
              for name in _code_names(p.read_text())]
-    public = {name for name in _public_symbols()
-              if not name.startswith("cmd_")}
-    assert KEPT.keys() <= public
-    unreferenced = public - set(names)
+    # a private name counts too, so that no helper is kept for tests only
+    symbols = {name for name in _module_symbols()
+               if not name.startswith("cmd_")}
+    assert KEPT.keys() <= symbols
+    unreferenced = symbols - set(names)
     assert sorted(unreferenced - KEPT.keys()) == []
     # a kept name that gains a reference no longer needs its exception
     assert sorted(KEPT.keys() - unreferenced) == []

@@ -7,6 +7,7 @@ import pytest
 from coherence_forge import convert
 from coherence_forge.clockdist import (
     IntegerDistribution,
+    convolve_n,
     integer_distribution,
     occupied_levels,
     shift,
@@ -163,16 +164,18 @@ def test_best_shift():
 
 
 def _exhaustive_shift(p, q):
-    """Reference: every k where the windows overlap, same tie rule."""
-    best_k, best_e = None, math.inf
-    for k in range(p.support_min - q.support_max,
-                   p.support_max - q.support_min + 1):
-        e = tv_distance(p, shift(q, k))
-        better = e < best_e - 1e-15
-        tie = abs(e - best_e) <= 1e-15
-        if better or (tie and (abs(k) < abs(best_k)
-                               or (abs(k) == abs(best_k) and k < best_k))):
-            best_k, best_e = k, e
+    """Reference: the tv at every k where the windows overlap, and the
+    same tie rule: of the shifts within the rounding margin
+    8 n eps (sum|p| + sum|q|) of the least tv, n + 1 the two lengths
+    summed, the smallest |k| wins, then the negative one."""
+    tvs = [(k, tv_distance(p, shift(q, k)))
+           for k in range(p.support_min - q.support_max,
+                          p.support_max - q.support_min + 1)]
+    margin = (8.0 * (p.probs.size + q.probs.size - 1) * np.finfo(float).eps
+              * float(np.sum(np.abs(p.probs)) + np.sum(np.abs(q.probs))))
+    least = min(e for _, e in tvs)
+    best_k, best_e = min(((k, e) for k, e in tvs if e <= least + margin),
+                         key=lambda ke: (abs(ke[0]), ke[0]))
     return int(best_k), float(best_e)
 
 
@@ -234,6 +237,21 @@ def test_best_shift_matches_exhaustive(monkeypatch):
         for f in (0.9, 1.1):
             iid_sweep(psi, H, CBIT, H_CBIT, f * R, (16, 64, 256, 1024))
     assert len(seen) == 16
+
+
+def test_best_shift_is_reproducible_under_rounding():
+    # cbit masses moved by one ulp-scale step either way: 64 copies
+    # against 71 have two shifts whose tvs differ by less than rounding,
+    # and both moves must pick the same one, the smaller |k|
+    plans = []
+    for delta in (1e-15, -1e-15):
+        cbit = IntegerDistribution(0, np.array([0.5 + delta, 0.5 - delta]))
+        p, q = convolve_n(cbit, 64), convolve_n(cbit, 71)
+        plans.append(best_shift(p, q))
+        assert plans[-1] == _exhaustive_shift(p, q)
+    (k1, e1), (k2, e2) = plans
+    assert k1 == k2 == -3
+    assert abs(e1 - e2) < 1e-14
 
 
 def test_best_shift_budget(monkeypatch):

@@ -41,8 +41,6 @@ from coherence_forge.linalg import (
     random_observable,
 )
 from coherence_forge.distill import (
-    _band_omega,
-    _bands_of,
     _chain,
     _min_trace_sdp,
     _qubit_frame,
@@ -79,6 +77,28 @@ def as_dense(S, n):
     M = np.zeros((n, n), dtype=complex)
     np.add.at(M, (S.rows, S.cols), S.values)
     return M
+
+
+def band_omega(bands):
+    """Test-only: the OmegaState of bands (sector labels, log |diagonal|,
+    log |Omega| on the links (m, 0)-(m + 1, 1), Omega's phase there): the
+    diagonal, and Omega and its conjugate on each link whose two product
+    states share a sector."""
+    labels, log_diagonal, log_links, phases = bands
+    d_A, d_B = labels.shape
+    m = (log_links > -math.inf).nonzero()[0]
+    if d_B > 1:
+        m = m[labels[m, 0] == labels[m + 1, 1]]
+    i = m * d_B
+    j = i + (d_B + 1)
+    link = np.exp(log_links[m]) * (phases[m] if np.ndim(phases) else phases)
+    q = np.arange(d_A * d_B)
+    return OmegaState(
+        matrix=SectorMatrix(
+            np.concatenate((q, i, j)), np.concatenate((q, j, i)),
+            np.concatenate((np.exp(log_diagonal.ravel()), link,
+                            np.conj(link)))),
+        sectors=labels)
 
 
 def single_sector(Om, d_A, d_B):
@@ -904,8 +924,8 @@ def test_verify_certificate_rejects_tampering():
 def test_sector_check_rejects_tampering():
     # the re-check of a chain's result reads entries only, sector by sector
     dense, bands = _spin_omegas(qubit(0.6), 6, 0)
-    om = _band_omega(bands)
-    res = _chain(bands)
+    om = band_omega(bands)
+    res = _chain(om)
     assert verify_certificate(res, om) is res
     tau, X = res.tau, res.dual_certificate
     link = np.flatnonzero(X.rows != X.cols)[0]
@@ -1020,14 +1040,13 @@ def test_verify_certificate_shares_no_code_with_either_solver(monkeypatch):
     # part that could build or read them refused
     om, barrier = _barrier_result()
     dense, bands = _spin_omegas(qubit(0.6), 6, 1)
-    banded = _band_omega(bands)
-    chain, dense_chain = _chain(bands), _chain(_bands_of(dense))
+    banded = band_omega(bands)
+    chain, dense_chain = _chain(banded), _chain(dense)
 
     def refused(*args, **kwargs):
         raise AssertionError("verify_certificate ran solver code")
 
-    for name in ("_Sectors", "_min_trace_sdp", "_chain", "_bands_of",
-                 "_band_omega"):
+    for name in ("_Sectors", "_min_trace_sdp", "_chain"):
         monkeypatch.setattr(coherence_forge.distill, name, refused)
     assert verify_certificate(barrier, om) is barrier
     assert verify_certificate(chain, banded) is chain
@@ -1204,8 +1223,8 @@ def _band_and_dense(sigma, H, psi, H_B, n):
                  log_super + log_t.mean(), 1.0)
         omega = iid_omega_state(_spin_state(s, levels.size), np.diag(levels),
                                 psi, H_B, 1)
-        band += math.exp(log_p) * _chain(bands).optimum
-        dense += math.exp(log_p) * _chain(_bands_of(omega)).optimum
+        band += math.exp(log_p) * _chain(band_omega(bands)).optimum
+        dense += math.exp(log_p) * _chain(omega).optimum
     return band, dense
 
 
@@ -1338,8 +1357,8 @@ def _spin_omegas(sigma, n, block):
 def test_chain_certificate_is_checked_by_verify_certificate():
     # the spin-2 block of six copies, from its dense Omega and its bands
     om, bands = _spin_omegas(qubit(0.6), 6, 1)
-    banded = _band_omega(bands)
-    res, res_b = _chain(_bands_of(om)), _chain(bands)
+    banded = band_omega(bands)
+    res, res_b = _chain(om), _chain(banded)
     assert verify_certificate(res, om) is res
     assert verify_certificate(res_b, banded) is res_b
     assert res.primal_dual_gap < 1e-14
@@ -1349,7 +1368,65 @@ def test_chain_certificate_is_checked_by_verify_certificate():
             verify_certificate(replace(r, tau=replace(
                 r.tau, values=0.999 * r.tau.values)), o)
     # Omega of sectors other than singletons and links is not a chain
-    assert _chain(_bands_of(_rotated_instance()[0])) is None
+    assert _chain(_rotated_instance()[0]) is None
+
+
+def _same_result(a, b):
+    """True when two SdpResults agree bit for bit, field by field."""
+    return all(
+        np.array_equal(np.asarray(getattr(a, f)), np.asarray(getattr(b, f)))
+        for f in ("optimum", "primal_dual_gap", "min_slack", "newton_steps",
+                  "barrier_stages")) and all(
+        np.array_equal(getattr(x, f), getattr(y, f))
+        for x, y in ((a.tau, b.tau),
+                     (a.dual_certificate, b.dual_certificate))
+        for f in ("rows", "cols", "values"))
+
+
+def test_chain_reads_omega_entries_in_any_order_and_split():
+    # _chain sums repeated entries, as _Sectors and verify_certificate do:
+    # shuffled entries, or one diagonal and one link entry each split into
+    # two halves, give the same result bit for bit, for the real Omega of
+    # a spin block and the complex one of its dense build
+    rng = np.random.default_rng(42)
+    dense, bands = _spin_omegas(qubit(0.6), 6, 1)
+    for om in (band_omega(bands), dense):
+        res = _chain(om)
+        assert res is not None
+        M = om.matrix
+        order = rng.permutation(M.values.size)
+        shuffled = SectorMatrix(M.rows[order], M.cols[order],
+                                M.values[order])
+        link = np.flatnonzero(M.rows != M.cols)[0]
+        split = np.array([0, link])
+        halves = SectorMatrix(
+            np.concatenate((M.rows, M.rows[split])),
+            np.concatenate((M.cols, M.cols[split])),
+            np.concatenate((M.values, 0.5 * M.values[split])))
+        halves.values[split] *= 0.5
+        for other in (shuffled, halves):
+            assert _same_result(_chain(replace(om, matrix=other)), res)
+
+
+def test_schur_chain_keeps_a_real_dual(monkeypatch):
+    # the direct sum of spin blocks is a real Omega, and the chain's dual X
+    # on it stays real, so verify_certificate sums no complex entries
+    seen = []
+    real = coherence_forge.distill.verify_certificate
+
+    def recorded(result, omega):
+        seen.append((result, omega))
+        return real(result, omega)
+
+    monkeypatch.setattr(coherence_forge.distill, "verify_certificate",
+                        recorded)
+    for n in (1, 4, 30):
+        res = iid_fidelity(qubit(0.6), H01, CBIT, H01, n)
+        assert res.certificate == "schur-chain"
+    assert len(seen) == 3
+    for result, omega in seen:
+        assert not np.iscomplexobj(omega.matrix.values)
+        assert not np.iscomplexobj(result.dual_certificate.values)
 
 
 def test_refused_chain_certificate_falls_back_to_the_barrier(monkeypatch):
@@ -1447,7 +1524,7 @@ def test_non_optimal_chain_skips_the_dense_recheck(monkeypatch, seed):
     sigma = random_density(4, seed)
     H = np.diag([0.0, 1.0, 2.0, 3.0])
     om = iid_omega_state(sigma, H, CBIT, H01, 1)
-    assert _chain(_bands_of(om)) is None
+    assert _chain(om) is None
     dense = conditional_min_entropy(om)
     checks = []
     real = coherence_forge.distill.verify_certificate

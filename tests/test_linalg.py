@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,20 @@ def test_density_matrix_validation():
         # a plain vector stands for its density matrix
         with pytest.raises(ValidationError):
             density_matrix(np.array([bad, 1.0]))
+
+
+def test_density_matrix_refuses_a_huge_vector_before_its_projector():
+    # |v><v| of an entry near 1e155 or above would overflow in np.outer;
+    # it is refused first, with no warning, and a unit vector's
+    # projector is formed as before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (1e200, 1e76, 1e155j):
+            with pytest.raises(ValidationError, match="sqrt.MAX_ENTRY"):
+                density_matrix(np.array([big, 0.0]))
+    v = np.array([0.6, 0.8j])
+    assert np.array_equal(density_matrix(pure_state(v)).matrix,
+                          np.outer(v, v.conj()))
 
 
 def test_pure_state_requires_unit_norm():
