@@ -14,8 +14,9 @@ iid_fidelity is the one entry point for n copies of any source, and the
 one gate that checks each request before any block is built.  It
 solves a list of blocks: copies of a qubit under a non-degenerate
 Hamiltonian split by Schur-Weyl duality into one block per spin j
-(_schur_blocks, which gives each block as the two bands of its state),
-and any other source is one block, its n-copy Omega.  An Omega whose
+(_schur_blocks, which gives each block's state as its bands, as far as
+the sectors reach, and _spin_omega, which builds Omega from them), and
+any other source is one block, its n-copy Omega.  An Omega whose
 sectors form a chain (a target with equal weights on two levels at the
 source's gap) is solved in closed form from its entries, with a dual
 built along the chain (_chain); the spin blocks go to it at once, as
@@ -29,7 +30,6 @@ entries.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -73,8 +73,8 @@ CENTRING_DECREMENT = 1.0
 # parameters (six qubit copies) take about 0.11 s per Newton step at one
 # BLAS thread, 0.08 s of it the complex solve.  iid_fidelity bounds the
 # summed sides of all spin blocks by the square of MAX_OMEGA_SIDE, and the
-# cubed sides of the blocks that need their Omega built from a dense
-# rho_j (those the chain declines) by its cube
+# cubed sides of the blocks solved one by one (those the chain declines)
+# by its cube
 MAX_OMEGA_SIDE = 1024
 MAX_SDP_PARAMS = 1000
 # _min_trace_sdp refuses an Omega whose Newton system has more live terms
@@ -151,14 +151,16 @@ class OmegaState:
     sectors: np.ndarray = field(repr=False)
 
 
-def _sectors(blocks: list, b: np.ndarray) -> np.ndarray:
-    """The sector labels of the product levels (i, j) of each block's A
-    levels a (ascending, the blocks in order) and B levels b, as a
-    sum(len(a)) x len(b) array: within a block, the level_labels of the
+def _sectors(blocks: list, b: np.ndarray) -> tuple:
+    """(labels, rows, cols) for the product levels (i, j) of each block's
+    A levels a (ascending, the blocks in order) and B levels b.  labels is
+    a sum(len(a)) x len(b) array: within a block, the level_labels of the
     sorted differences a_i - b_j at gap_cutoff, numbered on from the
-    previous block's, so that no sector spans two blocks.  A step between
-    sorted differences of one block that is at least gap_cutoff yet
-    below sqrt(gap_cutoff) makes the sectors ill-defined and raises
+    previous block's, so that no sector spans two blocks.  rows and cols
+    are the pairs of product indices i len(b) + j that share a sector:
+    the diagonal pairs (q, q) first, in order, then the others.  A step
+    between sorted differences of one block that is at least gap_cutoff
+    yet below sqrt(gap_cutoff) makes the sectors ill-defined and raises
     IncommensurateSpectrumError."""
     a = np.concatenate(blocks)
     delta = (a[:, None] - b[None, :]).ravel()
@@ -174,10 +176,21 @@ def _sectors(blocks: list, b: np.ndarray) -> np.ndarray:
         raise IncommensurateSpectrumError(
             f"difference-spectrum gap {steps[np.argmax(vague)]:.3e} too "
             "small to separate eigenspaces reliably")
+    new = (steps >= DEFAULT.gap_cutoff) | new_block
+    ordered = np.concatenate(([0], new.cumsum()))
     labels = np.empty(delta.size, dtype=int)
-    labels[order] = np.concatenate((
-        [0], ((steps >= DEFAULT.gap_cutoff) | new_block).cumsum()))
-    return labels.reshape(len(a), len(b))
+    labels[order] = ordered
+    # in sector order, two product states of one sector lie d = 1, 2, ...
+    # places apart, d below the largest sector's size
+    q = np.arange(delta.size)
+    rows, cols = [q], [q]
+    for d in range(1, int(np.bincount(ordered).max())):
+        same = ordered[d:] == ordered[:-d]
+        u, v = order[:-d][same], order[d:][same]
+        rows += [u, v]
+        cols += [v, u]
+    return (labels.reshape(len(a), len(b)), np.concatenate(rows),
+            np.concatenate(cols))
 
 
 def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
@@ -234,9 +247,7 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     V = H.eigenbasis
     sn = tensor(*[V.conj().T @ sigma.matrix @ V] * copies)[perm][:, perm]
     t = np.outer(psi_bar, psi_bar.conj())
-    labels = _sectors([a], b)
-    lab = labels.ravel()
-    rows, cols = np.nonzero(lab[:, None] == lab[None, :])
+    labels, rows, cols = _sectors([a], b)
     (i, j), (k, m) = np.divmod(rows, b.size), np.divmod(cols, b.size)
     return OmegaState(SectorMatrix(rows, cols, sn[i, k] * t[j, m]), labels)
 
@@ -652,29 +663,29 @@ def _visibility(s: np.ndarray | None, H: HermitianObservable,
     return min(lam, 1.0) if family else None
 
 
-def _schur_blocks(s, H, copies: int) -> list:
-    """The Schur-Weyl blocks of sigma^(x)copies, one (log p_j, spin) for
-    each spin j = copies/2, copies/2 - 1, ... of positive weight, from
-    s = _qubit_frame(sigma, H) and the non-degenerate H.  spin = (levels,
-    log_diagonal, log_super): H_j's levels, ascending, and the logs of
-    rho_j's diagonal and first superdiagonal (-inf where one underflows).
+def _schur_blocks(s, H, copies: int, reach: int = 1) -> list:
+    """The Schur-Weyl blocks of sigma^(x)copies, one (log p_j, levels,
+    bands) for each spin j = copies/2, copies/2 - 1, ... of positive
+    weight, from s = _qubit_frame(sigma, H) and the non-degenerate H:
+    H_j's levels, ascending, and bands[r, m] = log rho_j[m - r, m] for
+    r = 0..reach (-inf where it underflows, and at m < r).
 
     sigma^(x)n is the direct sum of p_j rho_j (x) I_{S_j}/dim S_j, and
     H_n of H_j (x) I_{S_j}, so F*(n) = sum_j p_j F*(rho_j) (Keyl & Werner,
     PRA 64, 052311, 2001; Gatermann & Parrilo, 2004).  With s_01's phase
     taken off (a time translation), rho_j is Sym^N(s) over its trace,
     N = 2j, in the basis i = 0..N of the copies in the upper level, where
-    H_j = n E_0 + g (k + i), k = n/2 - j.  Its bands are
-    <i|Sym^N s|i> = F(N - i, i) and <i|Sym^N s|i+1> =
-    sqrt((N - i)/(i + 1)) K(N - 1 - i, i) on the grid of (a, b) copies in
-    the lower and upper level, where F(a, b) = alpha F(a - 1, b) + D(a, b),
-    D(a, b) = beta D(a, b - 1) + gamma^2 F(a - 1, b - 1) and
-    K(a, b) = beta K(a, b - 1) + gamma F(a, b), F(0, 0) = D(0, 0) = 1,
-    with alpha, beta, gamma = s_00, s_11, |s_01| over s's larger
-    eigenvalue.  The coefficients are non-negative, so one sweep of the
-    anti-diagonals (each summing to 1..N + 1) gives every block to
-    rounding, O(P) work per block of side P = N + 1.
-    p_j = dim S_j det(s)^k Tr Sym^N(s), with
+    H_j = n E_0 + g (k + i), k = n/2 - j, and
+    <i|Sym^N s|i + r> = sqrt(C(N, i + r)/C(N, i)) K_r(N - r - i, i) on the
+    grid of (a, b) copies in the lower and upper level:
+    K_r(a, b) = beta K_r(a, b - 1) + gamma K_{r-1}(a, b), K_0 = F,
+    F(a, b) = alpha F(a - 1, b) + D(a, b) and D(a, b) = beta D(a, b - 1)
+    + gamma^2 F(a - 1, b - 1), F(0, 0) = D(0, 0) = 1, with alpha, beta,
+    gamma = s_00, s_11, |s_01| over s's larger eigenvalue.  The
+    coefficients are non-negative, so one sweep of the anti-diagonals
+    gives every block to rounding; it carries L_r(a, b) = K_r(a, b - r),
+    so that the bands of block N lie on anti-diagonal N, O(reach P) work
+    per block of side P = N + 1.  p_j = dim S_j det(s)^k Tr Sym^N(s), with
     dim S_j = C(n, k)(n - 2k + 1)/(n - k + 1), in logs.
 
     Trusts iid_fidelity's checks of copies, the split and the budget;
@@ -692,90 +703,75 @@ def _schur_blocks(s, H, copies: int) -> list:
     log_top = math.log((1.0 + r) / 2.0)
     log_det = log_top + math.log((1.0 - r) / 2.0) if r < 1.0 else -math.inf
     E0, g = float(H.spectrum[0]), float(H.spectrum[1] - H.spectrum[0])
-    # anti-diagonal N at places 1..N + 1 (a = 0..N); place 0 and the
-    # places past N + 1 hold zeros
-    F, F1, F2, D, D1, K, K1 = np.zeros((7, n + 2))
-    F1[1] = D1[1] = 1.0
-    K1[1] = gamma
+    # the blocks side by side, the largest spin first; the spins of weight
+    # zero (k > 0 for a pure sigma) are left out
+    ks = np.arange(n // 2 + 1 if log_det > -math.inf else 1)
+    sides = n + 1 - 2 * ks
+    starts = np.cumsum(sides) - sides
+    start = dict(zip(sides.tolist(), starts.tolist()))
+    raw = np.zeros((reach + 1, int(sides.sum())))
+    # anti-diagonal N at places 1..N + 1 (a = 0..N), row r of L holding
+    # L_r and row 0 F; place 0 and the places past N + 1 hold zeros
+    L, L1, L2 = np.zeros((3, reach + 1, n + 2))
+    D, D1 = np.zeros((2, n + 2))
+    L1[0, 1] = D1[1] = 1.0
     root = np.sqrt(np.arange(n + 1.0))
-    ks, diagonals, supers = [], [], []
     for N in range(n + 1):
         if N:
-            D[1:N + 2] = beta * D1[1:N + 2] + gamma * gamma * F2[:N + 1]
-            F[1:N + 2] = alpha * F1[:N + 1] + D[1:N + 2]
-            K[1:N + 2] = beta * K1[1:N + 2] + gamma * F[1:N + 2]
-            F, F1, F2 = F2, F, F1
+            D[1:N + 2] = beta * D1[1:N + 2] + gamma * gamma * L2[0, :N + 1]
+            L[0, 1:N + 2] = alpha * L1[0, :N + 1] + D[1:N + 2]
+            L[1:, 1:N + 2] = (beta * L1[1:, 1:N + 2]
+                              + gamma * L1[:-1, 1:N + 2])
+            L, L1, L2 = L2, L, L1
             D, D1 = D1, D
-            K, K1 = K1, K
-        # F1, D1 and K1 now hold anti-diagonal N, and K holds N - 1; the
-        # spins of weight zero (k > 0 for a pure sigma) are left out
-        k = (n - N) // 2
-        if not (n - N) % 2 and (k == 0 or log_det > -math.inf):
-            ks.append(k)
-            diagonals.append(F1[N + 1:0:-1].copy())
-            supers.append(K[N:0:-1] * root[N:0:-1] / root[1:N + 1])
-    # every block at once, the largest spin first
-    ks.reverse()
-    sides = [n + 1 - 2 * k for k in ks]
-    starts = np.cumsum([0] + sides[:-1])
-    diagonal = np.concatenate(diagonals[::-1])
-    log_totals = np.log(np.add.reduceat(diagonal, starts))
+        # L1 and D1 now hold anti-diagonal N: column i of block N is
+        # L_r(N - i, i) = K_r(N - i, i - r), and superdiagonal r takes the
+        # factors sqrt(N + 1 - i + t)/sqrt(i - t) of sqrt(C(N, i)/C(N, i - r))
+        # at i > t, one t < r at a time
+        if N + 1 in start:
+            at = start[N + 1]
+            raw[:, at:at + N + 1] = L1[:, N + 1:0:-1]
+            for t in range(min(reach, N)):
+                band = raw[t + 1:, at + t + 1:at + N + 1]
+                band *= root[N:t:-1]
+                band /= root[1:N - t + 1]
+    i = np.arange(raw.shape[1]) - starts.repeat(sides)
+    log_totals = np.log(np.add.reduceat(raw[0], starts))
     with np.errstate(divide="ignore"):
-        log_diagonal = np.log(diagonal) - log_totals.repeat(sides)
-        log_super = (np.log(np.concatenate(supers[::-1]))
-                     - log_totals.repeat([P - 1 for P in sides]))
-    levels = n * E0 + g * (np.repeat(ks, sides) + np.arange(diagonal.size)
-                           - starts.repeat(sides))
+        bands = np.log(raw) - log_totals.repeat(sides)
+    levels = n * E0 + g * (ks.repeat(sides) + i)
     blocks = []
-    # block b's bands start at at = sum of the earlier sides, its
-    # superdiagonal at at - b (one entry fewer a block)
-    for b, (k, P, at, log_total) in enumerate(zip(
-            ks, sides, starts.tolist(), log_totals.tolist())):
+    for k, P, at, log_total in zip(ks.tolist(), sides.tolist(),
+                                   starts.tolist(), log_totals.tolist()):
         log_dim = (math.lgamma(n + 1) - math.lgamma(k + 1)
                    - math.lgamma(n - k + 1) + math.log(P)
                    - math.log(n - k + 1))
         blocks.append((log_dim + (k * log_det if k else 0.0)
                        + (P - 1) * log_top + log_total,
-                       (levels[at:at + P], log_diagonal[at:at + P],
-                        log_super[at - b:at - b + P - 1])))
+                       levels[at:at + P], bands[:, at:at + P]))
     return blocks
 
 
-def _spin_state(s, P: int) -> DensityMatrix:
-    """rho_j of side P = 2j + 1 as a dense DensityMatrix in _schur_blocks'
-    basis, for a block the chain declines: with s = (I + r n.sigma)/2, it
-    is diagonal in the eigenbasis of n.J (one eigh of a tridiagonal
-    matrix; s = I/2 keeps the J_z basis) with weight a^(j+mu) b^(j-mu),
-    a, b = (1 +- r)/2, on its eigenvalue mu, and comes with that
-    eigendecomposition."""
-    rz, s01 = float((s[0, 0] - s[1, 1]).real), complex(s[0, 1])
-    r = min(1.0, math.hypot(rz, 2.0 * abs(s01)))
-    i = np.arange(P)
-    e_b = (P - 1 - i).astype(float)
-    # a^i b^(P - 1 - i) on mu = i - j, with 0 log 0 = 0
-    log_w = i * math.log((1.0 + r) / 2.0) + np.multiply(
-        e_b, math.log((1.0 - r) / 2.0) if r < 1.0 else -math.inf,
-        out=np.zeros(P), where=e_b > 0)
-    w = np.exp(log_w - np.logaddexp.reduce(log_w))
-    if r > 0.0:
-        # r n.J in the basis m = j - i: r_z m on the diagonal, and
-        # sigma_01 <m+1|J_+|m> above it
-        off = (s01 / r) * np.sqrt((i[1:] * (P - i[1:])).astype(float))
-        nJ = (np.diag((rz / r) * ((P - 1) / 2.0 - i)).astype(complex)
-              + np.diag(off, 1) + np.diag(off.conj(), -1))
-        U = np.linalg.eigh(nJ)[1]
-    else:
-        U = np.eye(P, dtype=complex)
-    rho = (U * w) @ U.conj().T
-    return DensityMatrix(matrix=0.5 * (rho + rho.conj().T), spectrum=w,
-                         eigenbasis=U)
-
-
-def _links(labels: np.ndarray) -> np.ndarray:
-    """The A levels m whose product states (m, 0) and (m + 1, 1) share a
-    sector: the links of a chain."""
-    return (np.flatnonzero(labels[:-1, 0] == labels[1:, 1])
-            if labels.shape[1] > 1 else np.arange(0))
+def _spin_omega(blocks: list, sectors: tuple,
+                log_t: np.ndarray) -> OmegaState:
+    """The direct sum of p_j Omega_j over blocks (log p_j, levels, bands)
+    of _schur_blocks, sectors = _sectors of their levels and H_B's, and
+    log_t the logs of psi_B's weights in H_B's eigenbasis (its phases,
+    like the source's, are a time translation): at each pair of product
+    states (m, b), (m', b') that share a sector, in _sectors' order,
+    exp(log rho_j[m, m'] + log p_j + (log t_b + log t_b')/2)."""
+    labels, rows, cols = sectors
+    d_B = labels.shape[1]
+    # log p_j rho_j, band by band
+    bands = np.concatenate([b[2] for b in blocks], axis=1) + np.repeat(
+        [b[0] for b in blocks], [b[1].size for b in blocks])
+    N = labels.size
+    diagonal = np.exp(bands[0][:, None] + log_t).ravel()
+    (m, b), (k, c) = np.divmod(rows[N:], d_B), np.divmod(cols[N:], d_B)
+    off = np.exp(bands[np.abs(m - k), np.maximum(m, k)]
+                 + 0.5 * (log_t[b] + log_t[c]))
+    return OmegaState(SectorMatrix(rows, cols,
+                                   np.concatenate((diagonal, off))), labels)
 
 
 def _chain(omega: OmegaState) -> SdpResult | None:
@@ -813,7 +809,8 @@ def _chain(omega: OmegaState) -> SdpResult | None:
     o = top.reshape(d_A, d_B).max(axis=1)
     # link m: (m, 0) and (m + 1, 1), at flat places first and second,
     # share a sector; every sector of two product states must be one
-    m = _links(labels)
+    m = (np.flatnonzero(labels[:-1, 0] == labels[1:, 1]) if d_B > 1
+         else np.arange(0))
     first = m * d_B
     second = first + (d_B + 1)
     tol = 1.0 - DEFAULT.num
@@ -850,9 +847,11 @@ def _chain(omega: OmegaState) -> SdpResult | None:
         log_u[s:e + 1] = lu
         # r_m = min(1, p_m u_m/u_{m+1}) and p_{m+1} = 1 - r_m stay in
         # [0, 1]; a ratio past e^709 gives r_m = 1 for any normal p_m
-        ps = np.array(list(itertools.accumulate(
-            np.exp(np.minimum(lu[:-1] - lu[1:], 709.0)).tolist(),
-            lambda p_m, ratio: 1.0 - min(1.0, p_m * ratio), initial=1.0)))
+        ps = [1.0]
+        for ratio in np.exp(np.minimum(lu[:-1] - lu[1:], 709.0)).tolist():
+            ratio *= ps[-1]
+            ps.append(1.0 - (ratio if ratio < 1.0 else 1.0))
+        ps = np.array(ps)
         p[s:e] = ps[:-1]
         r[s + 1:e + 1] = 1.0 - ps[1:]
     t = o + np.exp(log_u)
@@ -914,11 +913,12 @@ class BlockSum:
     min(1, upper), so it bounds F* <= 1 from above, and fidelity - gap
     bounds it from below: gap is sum_j p_j gap_j plus that mass, less
     what the clip took off upper, and never negative.  Those bounds are
-    certified for the Omega_j as computed.  For Schur-Weyl blocks a
-    rounding correction widens them on both sides (added once to upper
-    and twice to gap): |psi_B|^2 |1 - sum_j p_j| over all blocks, plus
+    certified for the Omega_j as computed, from their rounded bands for
+    Schur-Weyl blocks.  For these a rounding correction widens them on
+    both sides (added once to upper and twice to gap):
+    |psi_B|^2 |1 - sum_j p_j| over all blocks, plus
     sum_j |p_j Tr Omega_j - p_j |psi_B|^2| over the blocks solved (read
-    off the direct sum the chain solves), plus
+    off the diagonal of their direct sum, which _spin_omega builds), plus
     (blocks + 2) eps/2 upper for the sum.  It is an estimate, not a
     proven bound: rounding errors of opposite sign within one Omega_j, or
     among the p_j, cancel in these traces.  bound_exact and
@@ -970,23 +970,25 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     bounds' qubit-family rule (_visibility).
 
     The spin blocks with p_j >= 1e-17 go to _chain at once, as one
-    OmegaState, the direct sum of p_j Omega_j built from their bands, with
-    psi_B's weights in H_B's eigenbasis (its phases, like the source's,
-    are a time translation) and the labels of _sectors; that same Omega
-    goes to verify_certificate, and its diagonal D to the rounding
-    estimate.  If that chain or its sector-wise verify_certificate fails,
-    each block goes to _dense_block on its Omega_j, built from the dense
-    rho_j of _spin_state, as the one n-copy Omega of any other source does.
+    OmegaState, the direct sum of p_j Omega_j that _spin_omega builds from
+    their bands; that same Omega goes to verify_certificate, and its
+    diagonal to the rounding estimate.  The bands are swept as far as the
+    sector pairs of _sectors reach, the farthest |m - m'| in one sector;
+    past the first the direct sum is no chain.  Then, or if that chain or
+    its sector-wise verify_certificate fails, each block goes to
+    _dense_block on its own Omega_j from _spin_omega, as the one n-copy
+    Omega of any other source does.
 
     Every check comes before any block is built: copies an integer >= 1
     (not a bool), then sigma, H and H_B, then psi_B as a pure_state of
     H_B's dimension, then the split.  Schur-Weyl blocks have one copy
     budget, the work of the band path: their sides (2j + 1) d_B sum to
     at most MAX_OMEGA_SIDE^2 (n <= 1446 for a qubit target).  Blocks the
-    chain declines are refused before any rho_j is formed when the cubed
-    sides of their Omega_j, the work of the dense solves, sum past
-    MAX_OMEGA_SIDE^3.  ValidationError or DimMismatchError otherwise, and
-    wherever iid_omega_state raises."""
+    chain declines are refused before any band past the first is swept,
+    and before any is solved on its own, when the cubed sides of their
+    Omega_j, the work of the block solves, sum past MAX_OMEGA_SIDE^3.
+    ValidationError or DimMismatchError otherwise, and wherever
+    iid_omega_state raises."""
     copies = require_count(copies, "copies")
     sigma, H, H_B = density_matrix(sigma), observable(H), observable(H_B)
     psi_B = pure_state(psi_B)
@@ -1007,46 +1009,42 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
         weight = np.abs(H_B.eigenbasis.conj().T @ psi_B.vector) ** 2
         with np.errstate(divide="ignore"):
             log_t = np.log(weight)
-        log_link = 0.5 * (log_t[0] + log_t[1]) if d_B > 1 else -math.inf
         blocks = _schur_blocks(s, H, copies)
-        p = np.exp([log_p for log_p, _ in blocks])
+        p = np.exp([b[0] for b in blocks])
         keep = p >= 1e-17
-        live = [(log_p, *spin) for (log_p, spin), k in zip(blocks, keep) if k]
+        live = [b for b, k in zip(blocks, keep) if k]
         count, solved = half + 1, len(live)
         sides = [b[1].size for b in live]
-        row_log_p = np.repeat([b[0] for b in live], sides)
-        # the direct sum of p_j Omega_j: its diagonal D, and its entries
-        # on the links that share a sector, none from one block to the next
-        labels = _sectors([b[1] for b in live], H_B.spectrum)
-        D = np.exp((np.concatenate([b[2] for b in live]) + row_log_p)[:, None]
-                   + log_t)
-        m = _links(labels)
-        c = np.exp((np.concatenate([x for b in live for x in (
-            [-math.inf], b[3])])[1:] + row_log_p[:-1] + log_link)[m])
-        i, q = m * d_B, np.arange(D.size)
-        j = i + (d_B + 1)
-        whole = OmegaState(SectorMatrix(
-            np.concatenate((q, i, j)), np.concatenate((q, j, i)),
-            np.concatenate((D.ravel(), c, c))), labels)
-        res = _certified(_chain(whole), whole)
-        if res is not None:
-            results = [(1.0, res)]
-        elif sum((P * d_B) ** 3 for P in sides) > MAX_OMEGA_SIDE ** 3:
+        labels, rows, cols = sectors = _sectors([b[1] for b in live],
+                                                H_B.spectrum)
+        # the farthest superdiagonal a sector pair (or its mirror) reaches:
+        # past the first, the direct sum is no chain
+        reach = int((rows[labels.size:] // d_B
+                     - cols[labels.size:] // d_B).max(initial=0))
+        res = None
+        if reach <= 1:
+            omega = _spin_omega(live, sectors, log_t)
+            res = _certified(_chain(omega), omega)
+        if res is None and sum((P * d_B) ** 3
+                               for P in sides) > MAX_OMEGA_SIDE ** 3:
             raise ValidationError(
                 f"{copies} copies make spin blocks that are no closed-form "
-                "chain, and the cubed sides of their dense Omega sum past "
+                "chain, and the cubed sides of their Omega_j sum past "
                 f"the budget of {MAX_OMEGA_SIDE}**3")
-        else:
-            results = [(math.exp(log_p), _dense_block(iid_omega_state(
-                _spin_state(s, levels.size), HermitianObservable(
-                    matrix=np.diag(levels).astype(complex), spectrum=levels,
-                    eigenbasis=np.eye(levels.size, dtype=complex)),
-                psi_B, H_B, 1))) for log_p, levels, *_ in live]
+        if reach > 1:
+            live = [b for b, k in zip(_schur_blocks(s, H, copies, reach),
+                                      keep) if k]
+            omega = _spin_omega(live, sectors, log_t)
+        results = [(1.0, res)] if res is not None else [
+            (math.exp(log_p), _dense_block(_spin_omega(
+                [(0.0, levels, bands)], _sectors([levels], H_B.spectrum),
+                log_t))) for log_p, levels, bands in live]
         # a dropped block adds at most its weight; what the rounded
-        # weights miss of 1 and each block's rounded diagonal D misses of
+        # weights miss of 1 and each block's rounded diagonal misses of
         # psi_B's norm widen the interval by their size on both sides
         w = float(weight.sum())
         dropped = float(p[~keep].sum())
+        D = omega.matrix.values[:labels.size].reshape(-1, d_B)
         mass = np.add.reduceat(D.sum(axis=1), np.cumsum([0] + sides[:-1]))
         error = (w * abs(1.0 - float(p.sum()))
                  + float(np.abs(mass - w * p[keep]).sum()))

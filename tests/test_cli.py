@@ -828,26 +828,47 @@ def test_distill_certifies_a_thousand_copies_in_a_pinned_time(fixtures,
     assert abs(1000 * (1 - out["fidelity"]) - 0.445040) < 1e-6
 
 
-@pytest.mark.parametrize("copies", ["200", "1000"])
+@pytest.mark.parametrize("copies, target, levels", [
+    pytest.param("200", "unbalanced", [0, 1], id="200"),
+    pytest.param("1000", "unbalanced", [0, 1], id="1000"),
+    pytest.param("200", "cbit", [0, 2], id="200-twice-the-gap"),
+])
 def test_distill_refuses_wide_blocks_the_chain_declines(fixtures, monkeypatch,
-                                                        capsys, copies):
-    # an unbalanced target is no closed-form chain; at 200 copies every
-    # spin block is at most 402 wide, but the cubed sides of the live
-    # blocks' dense Omega sum past 1024**3, and at 1000 copies the first
-    # live block alone is wider than 1024: refused before any dense block
-    def no_dense(*args, **kwargs):
-        raise AssertionError("dense spin block built")
+                                                        capsys, copies,
+                                                        target, levels):
+    # an unbalanced target, or one at twice the gap, is no closed-form
+    # chain; at 200 copies every spin block is at most 402 wide, but the
+    # cubed sides of the live blocks' Omega_j sum past 1024**3, and at
+    # 1000 copies the first live block alone is wider than 1024: refused
+    # before any block is solved, and before any band past the first is
+    # swept
+    def no_solve(*args, **kwargs):
+        raise AssertionError("spin block solved")
 
-    for name in ("_spin_state", "conditional_min_entropy"):
-        monkeypatch.setattr(cli.distill, name, no_dense)
-    target = fixtures["dir"] / "unbalanced.json"
-    target.write_text(json.dumps(array_to_json(
-        np.array([math.sqrt(0.7), math.sqrt(0.3)]))))
+    reaches = []
+    blocks = cli.distill._schur_blocks
+
+    def swept(s, H, copies, reach=1):
+        reaches.append(reach)
+        return blocks(s, H, copies, reach)
+
+    monkeypatch.setattr(cli.distill, "conditional_min_entropy", no_solve)
+    monkeypatch.setattr(cli.distill, "_schur_blocks", swept)
+    if target == "unbalanced":
+        target = fixtures["dir"] / "unbalanced.json"
+        target.write_text(json.dumps(array_to_json(
+            np.array([math.sqrt(0.7), math.sqrt(0.3)]))))
+    else:
+        target = fixtures[target]
+    ham = fixtures["dir"] / "target_h.json"
+    ham.write_text(json.dumps({"levels_in_2pi_over_tau": levels,
+                               "tau": TAU}))
     assert cli.main(["distill", "--in", fixtures["rho"], fixtures["h2"],
-                     "--target", str(target), fixtures["h2"],
+                     "--target", str(target), str(ham),
                      "--copies", copies]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no closed-form chain" in err
+    assert reaches == [1]
 
 
 def test_distill_certifies_a_hundred_copies_in_closed_form(fixtures, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -32,6 +33,7 @@ from coherence_forge.errors import (
     ValidationError,
 )
 from coherence_forge.linalg import (
+    DensityMatrix,
     HermitianObservable,
     density_matrix,
     level_labels,
@@ -39,6 +41,7 @@ from coherence_forge.linalg import (
     pure_state,
     random_density,
     random_observable,
+    tensor,
 )
 from coherence_forge.distill import (
     _chain,
@@ -47,7 +50,7 @@ from coherence_forge.distill import (
     _schur_blocks,
     _sectors,
     _Sectors,
-    _spin_state,
+    _spin_omega,
 )
 
 TAU = 2 * math.pi
@@ -79,26 +82,36 @@ def as_dense(S, n):
     return M
 
 
-def band_omega(bands):
-    """Test-only: the OmegaState of bands (sector labels, log |diagonal|,
-    log |Omega| on the links (m, 0)-(m + 1, 1), Omega's phase there): the
-    diagonal, and Omega and its conjugate on each link whose two product
-    states share a sector."""
-    labels, log_diagonal, log_links, phases = bands
-    d_A, d_B = labels.shape
-    m = (log_links > -math.inf).nonzero()[0]
-    if d_B > 1:
-        m = m[labels[m, 0] == labels[m + 1, 1]]
-    i = m * d_B
-    j = i + (d_B + 1)
-    link = np.exp(log_links[m]) * (phases[m] if np.ndim(phases) else phases)
-    q = np.arange(d_A * d_B)
-    return OmegaState(
-        matrix=SectorMatrix(
-            np.concatenate((q, i, j)), np.concatenate((q, j, i)),
-            np.concatenate((np.exp(log_diagonal.ravel()), link,
-                            np.conj(link)))),
-        sectors=labels)
+# the dense oracle of a spin block's rho_j, one eigh of n.J apart from the
+# band sweep of _schur_blocks
+def spin_state(s, P: int) -> DensityMatrix:
+    """rho_j of side P = 2j + 1 as a dense DensityMatrix in _schur_blocks'
+    basis, for a block the chain declines: with s = (I + r n.sigma)/2, it
+    is diagonal in the eigenbasis of n.J (one eigh of a tridiagonal
+    matrix; s = I/2 keeps the J_z basis) with weight a^(j+mu) b^(j-mu),
+    a, b = (1 +- r)/2, on its eigenvalue mu, and comes with that
+    eigendecomposition."""
+    rz, s01 = float((s[0, 0] - s[1, 1]).real), complex(s[0, 1])
+    r = min(1.0, math.hypot(rz, 2.0 * abs(s01)))
+    i = np.arange(P)
+    e_b = (P - 1 - i).astype(float)
+    # a^i b^(P - 1 - i) on mu = i - j, with 0 log 0 = 0
+    log_w = i * math.log((1.0 + r) / 2.0) + np.multiply(
+        e_b, math.log((1.0 - r) / 2.0) if r < 1.0 else -math.inf,
+        out=np.zeros(P), where=e_b > 0)
+    w = np.exp(log_w - np.logaddexp.reduce(log_w))
+    if r > 0.0:
+        # r n.J in the basis m = j - i: r_z m on the diagonal, and
+        # sigma_01 <m+1|J_+|m> above it
+        off = (s01 / r) * np.sqrt((i[1:] * (P - i[1:])).astype(float))
+        nJ = (np.diag((rz / r) * ((P - 1) / 2.0 - i)).astype(complex)
+              + np.diag(off, 1) + np.diag(off.conj(), -1))
+        U = np.linalg.eigh(nJ)[1]
+    else:
+        U = np.eye(P, dtype=complex)
+    rho = (U * w) @ U.conj().T
+    return DensityMatrix(matrix=0.5 * (rho + rho.conj().T), spectrum=w,
+                         eigenbasis=U)
 
 
 def single_sector(Om, d_A, d_B):
@@ -767,6 +780,82 @@ def test_iid_omega_state_matches_the_dense_build():
     check(random_density(3, rng), U @ np.diag([0.0, 1.0, 1.0]) @ U.conj().T, 3)
 
 
+def _mask_pairs(labels):
+    """The pairs of product indices that share a sector, as the N x N
+    label mask gives them, row by row."""
+    lab = labels.ravel()
+    return np.nonzero(lab[:, None] == lab[None, :])
+
+
+def test_sector_pairs_are_the_pairs_of_the_label_mask():
+    # _sectors gives every pair of the mask once, the diagonal first: for
+    # one block, several, degenerate B levels, incommensurate levels and
+    # seeded level sets
+    rng = np.random.default_rng(88)
+    cases = [
+        ([np.arange(6.0)], np.array([0.0, 1.0])),
+        ([np.arange(k, 8.0 - k) for k in range(4)], np.array([0.0, 1.0, 2.0])),
+        ([np.arange(5.0), np.arange(1.0, 4.0)], np.array([0.0, 0.0, 1.0])),
+        ([np.array([0.0, math.sqrt(2), math.pi]), np.array([0.5, math.e])],
+         np.array([0.0, math.sqrt(3), 2.0])),
+    ]
+    cases += [([np.sort(rng.integers(0, 5, size=rng.integers(1, 7))
+                        ).astype(float) for _ in range(rng.integers(1, 4))],
+               np.sort(rng.integers(0, 4, size=rng.integers(1, 4))
+                       ).astype(float)) for _ in range(100)]
+    for blocks, b in cases:
+        labels, rows, cols = _sectors(blocks, b)
+        N = labels.size
+        assert np.array_equal(rows[:N], np.arange(N))
+        assert np.array_equal(cols[:N], np.arange(N))
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == set(zip(*(x.tolist()
+                                       for x in _mask_pairs(labels))))
+
+
+def _masked_entries(sigma, H, psi_B, H_B, copies):
+    """Omega's entries {(row, col): value} as iid_omega_state built them
+    from the N x N label mask: sigma^(x)copies[a, c] t[b, b'] at each pair
+    of the mask."""
+    H, H_B = observable(H), observable(H_B)
+    sigma, psi = density_matrix(sigma), pure_state(psi_B)
+    a = H.spectrum
+    for _ in range(copies - 1):
+        a = np.add.outer(a, H.spectrum).ravel()
+    perm = np.argsort(a, kind="stable")
+    psi_bar = (H_B.eigenbasis.conj().T @ psi.vector).conj()
+    V = H.eigenbasis
+    sn = tensor(*[V.conj().T @ sigma.matrix @ V] * copies)[perm][:, perm]
+    t = np.outer(psi_bar, psi_bar.conj())
+    rows, cols = _mask_pairs(_sectors([a[perm]], H_B.spectrum)[0])
+    (i, j), (k, m) = np.divmod(rows, H_B.dim), np.divmod(cols, H_B.dim)
+    return dict(zip(zip(rows.tolist(), cols.tolist()),
+                    (sn[i, k] * t[j, m]).tolist()))
+
+
+def test_iid_omega_state_entries_are_those_of_the_label_mask():
+    # the same entries, bit for bit, as a set: only their order moved
+    rng = np.random.default_rng(89)
+    U = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    H3 = np.diag([0.0, 1.0, 2.0])
+    cases = [(qubit(0.6), H01, CBIT, H01, n) for n in (1, 2, 3, 4)]
+    cases += [
+        (random_density(3, rng), U @ np.diag([0.0, 1.0, 1.0]) @ U.conj().T,
+         CBIT, H01, 2),
+        (random_density(4, rng), np.diag([0.0, 1.0, 1.0, 3.0]),
+         np.ones(3) / math.sqrt(3), H3, 1),
+        (random_density(3, rng), np.diag([0.0, math.sqrt(2), math.pi]),
+         np.array([0.6, 0.8j]), np.diag([0.0, math.e]), 2),
+    ]
+    for sigma, H, psi, H_B, n in cases:
+        M = iid_omega_state(sigma, H, psi, H_B, n).matrix
+        entries = list(zip(zip(M.rows.tolist(), M.cols.tolist()),
+                           M.values.tolist()))
+        assert len(dict(entries)) == len(entries)
+        assert dict(entries) == _masked_entries(sigma, H, psi, H_B, n)
+
+
 def test_iid_param_count_is_exact(monkeypatch):
     # tau's parameter count sum_E deg(E)^2 over the n-copy levels E equals
     # the brute-force count from every n-copy sum, spaced levels or not;
@@ -923,8 +1012,7 @@ def test_verify_certificate_rejects_tampering():
 
 def test_sector_check_rejects_tampering():
     # the re-check of a chain's result reads entries only, sector by sector
-    dense, bands = _spin_omegas(qubit(0.6), 6, 0)
-    om = band_omega(bands)
+    dense, om = _spin_omegas(qubit(0.6), 6, 0)
     res = _chain(om)
     assert verify_certificate(res, om) is res
     tau, X = res.tau, res.dual_certificate
@@ -1039,14 +1127,14 @@ def test_verify_certificate_shares_no_code_with_either_solver(monkeypatch):
     # the re-check passes a barrier and a chain result with every solver
     # part that could build or read them refused
     om, barrier = _barrier_result()
-    dense, bands = _spin_omegas(qubit(0.6), 6, 1)
-    banded = band_omega(bands)
+    dense, banded = _spin_omegas(qubit(0.6), 6, 1)
     chain, dense_chain = _chain(banded), _chain(dense)
 
     def refused(*args, **kwargs):
         raise AssertionError("verify_certificate ran solver code")
 
-    for name in ("_Sectors", "_min_trace_sdp", "_chain"):
+    for name in ("_Sectors", "_min_trace_sdp", "_chain", "_schur_blocks",
+                 "_sectors", "_spin_omega"):
         monkeypatch.setattr(coherence_forge.distill, name, refused)
     assert verify_certificate(barrier, om) is barrier
     assert verify_certificate(chain, banded) is chain
@@ -1101,31 +1189,70 @@ def test_schur_blocks_resolve_the_spectrum_of_the_copies():
     H = random_observable(2, rng)
     dense = np.linalg.eigvalsh(_dense_copies(sigma, H, n)[0])
     parts = []
-    for log_p, (levels, log_rho, log_super) in _schur_blocks(sigma, H, n):
+    for log_p, levels, bands in _schur_blocks(sigma, H, n):
         P = levels.size
         j2 = P - 1
         k = (n - j2) // 2
         dim_s = math.comb(n, k) * (n - 2 * k + 1) // (n - k + 1)
-        rho = _spin_state(sigma, P)
+        rho = spin_state(sigma, P)
         parts += [math.exp(log_p) * w / dim_s
                   for w in np.linalg.eigvalsh(rho.matrix)] * dim_s
         assert np.allclose(rho.spectrum, np.linalg.eigvalsh(rho.matrix),
                            atol=1e-14)
         assert np.allclose(np.diff(levels),
                            np.diff(np.linalg.eigvalsh(H))[0], atol=1e-12)
-        assert np.allclose(np.exp(log_rho), rho.matrix.diagonal().real,
+        assert np.allclose(np.exp(bands[0]), rho.matrix.diagonal().real,
                            atol=1e-15)
-        assert np.allclose(np.exp(log_super),
+        assert np.allclose(np.exp(bands[1, 1:]),
                            np.abs(np.diagonal(rho.matrix, 1)), atol=1e-15)
     assert np.allclose(np.sort(parts), dense, atol=1e-14)
+
+
+def _brute_sym(s, N):
+    """Sym^N(s) in the basis i = 0..N of the copies in the upper level,
+    summed over all 2^N x 2^N strings: <i|Sym^N s|i'> is the sum of
+    prod_k s[x_k, y_k] over the strings x with i ones and y with i' ones,
+    over sqrt(C(N, i) C(N, i'))."""
+    x = np.array(list(itertools.product((0, 1), repeat=N)), dtype=int)
+    weight = x.sum(axis=1)
+    terms = np.prod(s[x[:, None, :], x[None, :, :]], axis=2)
+    S = np.zeros((N + 1, N + 1))
+    np.add.at(S, (weight[:, None], weight[None, :]), terms)
+    comb = np.array([math.comb(N, i) for i in range(N + 1)], dtype=float)
+    return S / np.sqrt(np.outer(comb, comb))
+
+
+def test_schur_bands_match_the_brute_force_symmetric_power():
+    # every superdiagonal r <= N of every block rho_j = Sym^N(s)/Tr, with
+    # s_01's phase taken off, against the sum over all strings; a pure s
+    # has one live block, and s = I/2 a diagonal rho_j
+    rng = np.random.default_rng(87)
+    pure = np.array([0.8, 0.6j])
+    sources = [random_density(2, rng) for _ in range(3)]
+    sources += [np.outer(pure, pure.conj()), np.eye(2) / 2]
+    for s in sources:
+        flat = np.array([[s[0, 0].real, abs(s[0, 1])],
+                         [abs(s[0, 1]), s[1, 1].real]])
+        for n in range(1, 8):
+            for _, levels, bands in _schur_blocks(s, H01, n, n):
+                N = levels.size - 1
+                S = _brute_sym(flat, N)
+                S /= np.trace(S)
+                assert bands.shape == (n + 1, N + 1)
+                assert np.all(bands[N + 1:] == -math.inf)
+                for r in range(N + 1):
+                    got = np.exp(bands[r, r:])
+                    want = np.diagonal(S, r)
+                    assert np.all(np.abs(got - want) <= 1e-13 * want), (n, r)
+                    assert np.all(bands[r, :r] == -math.inf)
 
 
 def test_schur_weights_sum_to_one_at_150_copies():
     blocks = _schur_blocks(qubit(0.6), H01, 150)
     assert len(blocks) == 76
-    assert abs(sum(math.exp(log_p) for log_p, _ in blocks) - 1) < 1e-12
-    for _, (_, log_rho, _) in blocks:
-        assert abs(np.exp(log_rho).sum() - 1) < 1e-12
+    assert abs(sum(math.exp(log_p) for log_p, *_ in blocks) - 1) < 1e-12
+    for _, _, bands in blocks:
+        assert abs(np.exp(bands[0]).sum() - 1) < 1e-12
 
 
 def test_schur_edge_sources_are_exact():
@@ -1209,23 +1336,25 @@ def test_iid_fidelity_reports_no_bound_off_the_qubit_family(sigma, psi, H_B,
 
 
 def _band_and_dense(sigma, H, psi, H_B, n):
-    """sum_j p_j F*_j over the spin blocks with p_j >= 1e-17, once with
-    each block solved by _chain from its bands as iid_fidelity holds them,
-    once from its dense Omega (_spin_state, iid_omega_state)."""
+    """(p_j, band Omega_j, dense Omega_j) for each spin block with
+    p_j >= 1e-17: the band one built by _spin_omega from _schur_blocks,
+    swept as far as the block's sector pairs reach, as iid_fidelity builds
+    it; the dense one from the oracle spin_state through iid_omega_state."""
     H, H_B, psi = observable(H), observable(H_B), pure_state(psi)
     s = _qubit_frame(density_matrix(sigma), H)
     log_t = np.log(np.abs(H_B.eigenbasis.conj().T @ psi.vector) ** 2)
-    band = dense = 0.0
-    for log_p, (levels, log_rho, log_super) in _schur_blocks(s, H, n):
-        if log_p < math.log(1e-17):
-            continue
-        bands = (_sectors([levels], H_B.spectrum), log_rho[:, None] + log_t,
-                 log_super + log_t.mean(), 1.0)
-        omega = iid_omega_state(_spin_state(s, levels.size), np.diag(levels),
-                                psi, H_B, 1)
-        band += math.exp(log_p) * _chain(band_omega(bands)).optimum
-        dense += math.exp(log_p) * _chain(omega).optimum
-    return band, dense
+    live = [(log_p, levels) for log_p, levels, _ in _schur_blocks(s, H, n)
+            if log_p >= math.log(1e-17)]
+    sectors = [_sectors([levels], H_B.spectrum) for _, levels in live]
+    reach = max(int(np.abs(rows[lab.size:] // H_B.dim
+                           - cols[lab.size:] // H_B.dim).max(initial=0))
+                for lab, rows, cols in sectors)
+    bands = {levels.size: b for _, levels, b in _schur_blocks(s, H, n, reach)}
+    return [(math.exp(log_p),
+             _spin_omega([(0.0, levels, bands[levels.size])], sec, log_t),
+             iid_omega_state(spin_state(s, levels.size), np.diag(levels), psi,
+                             H_B, 1))
+            for (log_p, levels), sec in zip(live, sectors)]
 
 
 def _band_cases():
@@ -1252,11 +1381,52 @@ def test_band_path_matches_the_dense_path(n):
     # the bands give each block's F* as its dense Omega does, and
     # iid_fidelity's certified interval holds their weighted sum
     for name, sigma, H, psi, H_B in _band_cases():
-        band, dense = _band_and_dense(sigma, H, psi, H_B, n)
+        blocks = _band_and_dense(sigma, H, psi, H_B, n)
+        band = sum(p * _chain(om).optimum for p, om, _ in blocks)
+        dense = sum(p * _chain(om).optimum for p, _, om in blocks)
         assert abs(band - dense) < 1e-14, name
         res = iid_fidelity(sigma, H, psi, H_B, n)
         assert res.certificate == "schur-chain", name
         assert res.fidelity - res.gap <= band <= res.fidelity, name
+
+
+def _fallback_cases():
+    """(name, sigma, H, psi_B, H_B) whose spin blocks the chain declines,
+    for the source at lam = 0.6 and a seeded off-axis one."""
+    rng = np.random.default_rng(81)
+    G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    off_axis = G @ G.conj().T / np.trace(G @ G.conj().T).real
+    H012 = np.diag([0.0, 1.0, 2.0])
+    targets = [
+        ("twice the gap", CBIT, np.diag([0.0, 2.0])),
+        ("three levels", np.ones(3) / math.sqrt(3), H012),
+        ("degenerate H_B", CBIT, np.zeros((2, 2))),
+        ("unbalanced 0.6", np.array([math.sqrt(0.6), math.sqrt(0.4)]), H01),
+        ("unbalanced 0.7", np.array([math.sqrt(0.7), math.sqrt(0.3)]), H01),
+        ("complex target", np.array([0.6, 0.48j, 0.64]), H012),
+        ("levels 0 and 7", CBIT, np.diag([0.0, 7.0])),
+    ]
+    return [(f"{name}, {source}", sigma, H01, psi, H_B)
+            for name, psi, H_B in targets
+            for source, sigma in (("lam=0.6", qubit(0.6)),
+                                  ("off axis", off_axis))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+def test_band_omega_of_a_declined_block_matches_the_dense_oracle(n):
+    # each live block's band Omega_j, every superdiagonal its sectors
+    # reach swept, has the |entries| of the dense oracle's and the same
+    # min-entropy optimum; the oracle's phases are a time translation
+    for name, sigma, H, psi, H_B in _fallback_cases():
+        for _, band, dense in _band_and_dense(sigma, H, psi, H_B, n):
+            assert np.array_equal(band.sectors, dense.sectors), name
+            N = band.sectors.size
+            B = np.abs(as_dense(band.matrix, N))
+            D = np.abs(as_dense(dense.matrix, N))
+            assert np.max(np.abs(B - D)) <= 1e-13 * D.max(), name
+            assert abs(conditional_min_entropy(band).optimum
+                       - conditional_min_entropy(dense).optimum
+                       ) <= 2.0 * DEFAULT.sdp_gap, name
 
 
 @pytest.mark.parametrize("n", [10, 50, 100, 179, 1000])
@@ -1343,21 +1513,20 @@ def test_bad_target_is_refused_before_any_spin_block(monkeypatch):
 
 
 def _spin_omegas(sigma, n, block):
-    """(dense Omega, bands) of one spin block of n copies of sigma under
-    H01 into |+> under H01: the dense one from _spin_state, the bands as
-    iid_fidelity holds them."""
-    levels, log_rho, log_super = _schur_blocks(sigma, H01, n)[block][1]
-    log_t = np.log(np.abs(CBIT) ** 2)
-    omega = iid_omega_state(_spin_state(sigma, levels.size),
+    """(dense Omega, band Omega) of one spin block of n copies of sigma
+    under H01 into |+> under H01: the dense one from spin_state, the band
+    one built as iid_fidelity builds it."""
+    _, levels, bands = _schur_blocks(sigma, H01, n)[block]
+    omega = iid_omega_state(spin_state(sigma, levels.size),
                             np.diag(levels), CBIT, H01, 1)
-    return omega, (_sectors([levels], np.array([0.0, 1.0])),
-                   log_rho[:, None] + log_t, log_super + log_t[0], 1.0)
+    return omega, _spin_omega([(0.0, levels, bands)],
+                              _sectors([levels], np.array([0.0, 1.0])),
+                              np.log(np.abs(CBIT) ** 2))
 
 
 def test_chain_certificate_is_checked_by_verify_certificate():
     # the spin-2 block of six copies, from its dense Omega and its bands
-    om, bands = _spin_omegas(qubit(0.6), 6, 1)
-    banded = band_omega(bands)
+    om, banded = _spin_omegas(qubit(0.6), 6, 1)
     res, res_b = _chain(om), _chain(banded)
     assert verify_certificate(res, om) is res
     assert verify_certificate(res_b, banded) is res_b
@@ -1389,8 +1558,8 @@ def test_chain_reads_omega_entries_in_any_order_and_split():
     # two halves, give the same result bit for bit, for the real Omega of
     # a spin block and the complex one of its dense build
     rng = np.random.default_rng(42)
-    dense, bands = _spin_omegas(qubit(0.6), 6, 1)
-    for om in (band_omega(bands), dense):
+    dense, banded = _spin_omegas(qubit(0.6), 6, 1)
+    for om in (banded, dense):
         res = _chain(om)
         assert res is not None
         M = om.matrix

@@ -306,9 +306,8 @@ def _levels_file(tmp_path):
 @pytest.mark.parametrize("make", [
     lambda _: observable(random_observable(3, 0)),
     lambda _: density_matrix(random_density(3, 0)),
-    lambda _: distill._spin_state(np.array([[0.6, 0.2j], [-0.2j, 0.4]]), 3),
     _levels_file,
-], ids=["observable", "density_matrix", "spin_state", "levels_file"])
+], ids=["observable", "density_matrix", "levels_file"])
 def test_container_eigenpairs_are_read_only(tmp_path, make):
     # every builder goes through the container, which freezes both arrays
     ob = make(tmp_path)
