@@ -13,11 +13,9 @@ Modules:
 
 from .config import DEFAULT
 from .errors import (
-    AlphaOutOfRangeError,
     CertificateError,
     CoherenceForgeError,
     DimMismatchError,
-    EpsOutOfRangeError,
     GcdNotOneError,
     IncommensurateSpectrumError,
     NonHermitianError,

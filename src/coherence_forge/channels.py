@@ -31,14 +31,6 @@ class KrausChannel:
 
     kraus: np.ndarray
 
-    @property
-    def d_in(self) -> int:
-        return self.kraus.shape[2]
-
-    @property
-    def d_out(self) -> int:
-        return self.kraus.shape[1]
-
 
 def kraus_channel(ops) -> KrausChannel:
     """Validated channel from d_out x d_in operators, given as a sequence
@@ -167,13 +159,13 @@ def twirl(ch: KrausChannel, H_in, H_out, tau: float) -> KrausChannel:
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    measure_id: str
+    measure: str
+    alpha: float | None
     trials: int
     seed: int
     max_violation: float
     worst_trial: int
     violations: int
-    alpha: float | None = None
 
 
 # Trials are drawn, stacked and measured this many at a time, so that
@@ -309,11 +301,16 @@ def monotonicity_suite(measure_id: str, trials: int = 100, seed: int = 0,
     arithmetic run alone, in the cores that random_channel, twirl and
     apply call.  Every check of those public calls is made, and the
     report is bit for bit what a loop over single trials gives.  A NaN
-    measure counts as a violation of size inf.
+    measure counts as a violation of size inf.  ValidationError, before
+    any trial is drawn, for a bad measure id, alpha or trial count, or a
+    seed that is not an integer >= 0 (a bool is not one).
     """
     tau = 2.0 * math.pi
     kernel = _suite_measure(measure_id, alpha)
     trials = require_count(trials, "trials")
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     worst = -math.inf
     worst_trial = -1
     violations = 0
@@ -325,8 +322,7 @@ def monotonicity_suite(measure_id: str, trials: int = 100, seed: int = 0,
                 worst_trial = t
             if gap > VIOLATION:
                 violations += 1
-    return MonotonicityReport(measure_id=measure_id, trials=trials,
-                              seed=seed, max_violation=worst,
-                              worst_trial=worst_trial,
-                              violations=violations,
-                              alpha=alpha if measure_id == "renyi" else None)
+    return MonotonicityReport(measure=measure_id,
+                              alpha=alpha if measure_id == "renyi" else None,
+                              trials=trials, seed=seed, max_violation=worst,
+                              worst_trial=worst_trial, violations=violations)

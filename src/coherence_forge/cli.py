@@ -290,16 +290,7 @@ def cmd_proptest(args) -> int:
     seed = args.seed if args.seed is not None else default_seed()
     rep = channels.monotonicity_suite(args.measure, trials=args.trials,
                                       seed=seed, alpha=args.alpha)
-    _emit({
-        "suite": "monotonicity",
-        "measure": args.measure,
-        "alpha": rep.alpha,
-        "trials": rep.trials,
-        "seed": rep.seed,
-        "max_violation": rep.max_violation,
-        "worst_trial": rep.worst_trial,
-        "violations": rep.violations,
-    })
+    _emit({"suite": "monotonicity", **dataclasses.asdict(rep)})
     return 0 if rep.violations == 0 else 2
 
 

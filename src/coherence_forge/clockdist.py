@@ -55,10 +55,6 @@ class IntegerDistribution:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
 
     @property
-    def support_min(self) -> int:
-        return self.offset
-
-    @property
     def support_max(self) -> int:
         return self.offset + len(self.probs) - 1
 
@@ -91,12 +87,11 @@ def integer_distribution(offset: int, probs) -> IntegerDistribution:
 class PeriodicClockState:
     """The integer energy occupation data of a pure state.
 
-    levels are the occupied integers after shifting the lowest occupied
-    level to 0; period is the reference period tau divided by the gcd of
-    the levels (0.0 flags an energy eigenstate, which never moves).
+    distribution puts the lowest occupied level at 0; period is the
+    reference period tau divided by the gcd of the occupied levels (0.0
+    flags an energy eigenstate, which never moves).
     """
 
-    levels: tuple
     distribution: IntegerDistribution
     period: float
 
@@ -166,8 +161,7 @@ def extract_distribution(psi, H, tau: float) -> PeriodicClockState:
     dist = integer_distribution(0, probs / probs.sum())
     g = math.gcd(*ns)
     per = 0.0 if g == 0 else tau / g
-    return PeriodicClockState(levels=tuple(sorted(set(ns))),
-                              distribution=dist, period=per)
+    return PeriodicClockState(distribution=dist, period=per)
 
 
 def shift(p: IntegerDistribution, k: int) -> IntegerDistribution:

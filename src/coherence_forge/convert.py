@@ -95,14 +95,14 @@ def max_rate(psi1, H1, psi2, H2) -> float:
 
 def _shift_bounds(p: IntegerDistribution, q: IntegerDistribution):
     """LB(k) <= tv(p, shift(q, k)) for the shifts k = k_lo, k_lo + 1, ...
-    where the windows overlap (k_lo = p.support_min - q.support_max), and
+    where the windows overlap (k_lo = p.offset - q.support_max), and
     a margin that covers the rounding of the cumsums behind it."""
     cp = np.cumsum(p.probs)
     cq = np.concatenate(([0.0], np.cumsum(q.probs)))
     i0 = min(int(np.searchsorted(cp, 0.5 * cp[-1])), len(cp) - 1)
     n = len(cp) + len(cq) - 2
     # F_q(x0 - k), read from cq backwards
-    top = p.offset + i0 - q.offset + 1 - (p.support_min - q.support_max)
+    top = p.offset + i0 - q.offset + 1 - (p.offset - q.support_max)
     fq = cq[np.clip(np.arange(top, top - n, -1), 0, len(cq) - 1)]
     lb = np.abs(cp[i0] - fq)                              # |A|
     lb += np.abs(fq + ((cp[-1] - cp[i0]) - cq[-1]))       # |B|
@@ -131,7 +131,7 @@ def best_shift(p: IntegerDistribution, q: IntegerDistribution):
     within the margin of the least tv tie: the smallest |k| wins, then
     the negative one.
     """
-    k_lo = p.support_min - q.support_max
+    k_lo = p.offset - q.support_max
     lb, margin = _shift_bounds(p, q)
     i_min = int(np.argmin(lb))
     best_e = tv_distance(p, shift(q, k_lo + i_min))

@@ -38,7 +38,6 @@ import numpy as np
 from .config import DEFAULT
 from .errors import (
     CertificateError,
-    EpsOutOfRangeError,
     IncommensurateSpectrumError,
     SolverStallError,
     ValidationError,
@@ -109,7 +108,7 @@ def distillation_copy_floor(rho, H, psi_target, H_t, eps: float,
     nothing is demanded (incoherent target or a source with unbounded
     purity).  Every operand is validated before any early return."""
     if not 0.0 < eps < 2.0 / 3.0:
-        raise EpsOutOfRangeError(f"eps must lie in (0, 2/3), got {eps}")
+        raise ValidationError(f"eps must lie in (0, 2/3), got {eps}")
     if not 0.0 < prob <= 1.0:
         raise ValidationError(f"prob must lie in (0, 1], got {prob}")
     rho, H, H_t = density_matrix(rho), observable(H), observable(H_t)
@@ -628,7 +627,13 @@ def verify_certificate(result: SdpResult, omega: OmegaState) -> SdpResult:
 
 def conditional_min_entropy(omega: OmegaState) -> SdpResult:
     """2^{-Hmin(B|A)} of the pinched state Omega, with a dual certificate that
-    verify_certificate has re-checked."""
+    verify_certificate has re-checked.  ValidationError, before any Newton
+    step, unless Omega's trace is 1 within num: sdp_gap is absolute, so a
+    gap below it certifies nothing on an Omega far below unit scale."""
+    M = omega.matrix
+    trace = float(np.sum(M.values[M.rows == M.cols]).real)
+    if not abs(trace - 1.0) <= DEFAULT.num:   # NaN fails too
+        raise ValidationError(f"Omega has trace {trace!r}, expected 1")
     return verify_certificate(_min_trace_sdp(omega), omega)
 
 
@@ -1085,17 +1090,20 @@ def qubit_infidelity_bound(lam: float, n: int):
 
     exact_bound comes from the purity-of-coherence converse applied to
     the n-copy qubit family; asymptotic is its large-n expansion
-    (1 - lam^2)/(4 lam^2 n)."""
+    (1 - lam^2)/(4 lam^2 n), math.inf where that denominator underflows
+    to 0."""
     n = _check_qubit_family(lam, n)
     lt2 = n * lam * lam / (1.0 + (n - 1) * lam * lam)
     exact = 0.5 * (1.0 - math.sqrt(lt2))
-    asym = (1.0 - lam * lam) / (4.0 * lam * lam * n)
-    return exact, asym
+    den = 4.0 * lam * lam * n
+    return exact, (1.0 - lam * lam) / den if den else math.inf
 
 
 def cirac_comparison(lam: float, n: int) -> float:
     """Published asymptotic infidelity (1-lam)/(2 lam^2 n) of the best
     known qubit purification channel; exceeds the asymptotic lower bound
-    by exactly 2/(1+lam)."""
+    by exactly 2/(1+lam).  math.inf where the denominator underflows to
+    0."""
     n = _check_qubit_family(lam, n)
-    return (1.0 - lam) / (2.0 * lam * lam * n)
+    den = 2.0 * lam * lam * n
+    return (1.0 - lam) / den if den else math.inf

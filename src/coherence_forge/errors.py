@@ -27,14 +27,6 @@ class DimMismatchError(ValidationError):
     """Operands have incompatible dimensions."""
 
 
-class AlphaOutOfRangeError(ValidationError):
-    """Order parameter outside the admissible interval (1, 2]."""
-
-
-class EpsOutOfRangeError(ValidationError):
-    """Error budget outside the admissible interval."""
-
-
 class IncommensurateSpectrumError(CoherenceForgeError):
     """Occupied energy levels are not integer multiples of 2*pi/tau."""
 

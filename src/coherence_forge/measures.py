@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT
-from .errors import AlphaOutOfRangeError, ValidationError
+from .errors import ValidationError
 from .linalg import (
     DensityMatrix,
     PureState,
@@ -33,7 +33,7 @@ from .linalg import (
 
 def _check_alpha(alpha: float) -> None:
     if not (1.0 < alpha <= 2.0):
-        raise AlphaOutOfRangeError(f"alpha must be in (1, 2], got {alpha}")
+        raise ValidationError(f"alpha must be in (1, 2], got {alpha}")
 
 
 def _spectral(rho, H):

@@ -57,9 +57,6 @@ class PureEnsemble:
     members: np.ndarray
     average_variance: float
 
-    def mixture(self) -> np.ndarray:
-        return (self.members * self.weights) @ self.members.conj().T
-
 
 def aligned_eigensystem(rho, H):
     """Eigendecomposition of the DensityMatrix rho with the matrix H

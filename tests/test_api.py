@@ -9,7 +9,9 @@ as a code token in no module but at its own def or class line (and in
 the __init__ export) serves only its own tests; a name inside a string,
 a docstring or a comment does not count.  The CLI's cmd_* handlers count
 as referenced, since main dispatches them by name.  Any other such name
-stays in the package only for a reason listed in KEPT.  Every error
+stays in the package only for a reason listed in KEPT.  Every method and
+property of a package class, dunders aside, is read as an attribute
+(x.name) somewhere in the package's code.  Every error
 class but the common base is raised somewhere in the package.  Every
 field of config.Tolerances is read as DEFAULT.<field> in the package's
 code and named in the README's Tolerances table.  Every package name the
@@ -152,6 +154,44 @@ def test_every_exported_function_is_referenced():
     assert sorted(unreferenced - KEPT.keys()) == []
     # a kept name that gains a reference no longer needs its exception
     assert sorted(KEPT.keys() - unreferenced) == []
+
+
+def _class_members(source):
+    """Names of the methods and properties defined in the class bodies of
+    source, dunders aside."""
+    return {f.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) for f in node.body
+            if isinstance(f, ast.FunctionDef)
+            and not (f.name.startswith("__") and f.name.endswith("__"))}
+
+
+def _attribute_reads(source):
+    """Names read as an attribute, x.name, in the code of source."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+
+
+def test_members_and_attribute_reads_come_from_the_syntax_tree():
+    src = ('class C:\n'
+           '    def __init__(self):\n'
+           '        self.x = g.h\n'
+           '\n'
+           '    @property\n'
+           '    def p(self):\n'
+           '        return "q.r"  # s.t\n'
+           '\n'
+           'def f(d_in):\n'
+           '    return d_in\n')
+    assert _class_members(src) == {"p"}
+    assert _attribute_reads(src) == {"x", "h"}
+
+
+def test_every_method_is_read_as_an_attribute():
+    # a bare name does not count: a local variable may share it
+    sources = [p.read_text() for p in SRC.glob("*.py")]
+    members = set().union(*map(_class_members, sources))
+    reads = set().union(*map(_attribute_reads, sources))
+    assert sorted(members - reads) == []
 
 
 def _raised_names(source):

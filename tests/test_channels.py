@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -48,7 +49,7 @@ TAU = 2 * math.pi
 
 def test_kraus_channel_validation():
     ok = kraus_channel([np.eye(2) / math.sqrt(2), np.eye(2) / math.sqrt(2)])
-    assert ok.d_in == ok.d_out == 2
+    assert ok.kraus.shape[1:] == (2, 2)
     with pytest.raises(ValidationError):
         kraus_channel([np.eye(2) * 0.9])
     with pytest.raises(ValidationError):
@@ -62,7 +63,6 @@ def test_kraus_channel_validation():
     stacked = np.stack([np.eye(3)[:, :2], np.eye(3)[:, :2]]) / math.sqrt(2)
     ch = kraus_channel(stacked)
     assert ch.kraus.shape == (2, 3, 2)
-    assert (ch.d_out, ch.d_in) == (3, 2)
     stacked[0] = 0.0   # the channel holds its own copy
     assert ch.kraus[0, 0, 0] != 0.0
     with pytest.raises(ValueError):
@@ -100,7 +100,7 @@ TI_RESIDUAL = 1e-10
 def superoperator(ch):
     """Matrix of the channel on vectorized operators: sum_k K (x) conj(K)."""
     S = np.einsum("kab,kcd->acbd", ch.kraus, ch.kraus.conj())
-    return S.reshape(ch.d_out ** 2, ch.d_in ** 2)
+    return S.reshape(ch.kraus.shape[1] ** 2, ch.kraus.shape[2] ** 2)
 
 
 def is_ti(ch, H_in, H_out, tau):
@@ -379,7 +379,7 @@ def _reference_suite(measure_id, trials, seed, alpha=1.5):
         if gap > 1e-8:
             violations += 1
     rep = MonotonicityReport(
-        measure_id=measure_id, trials=trials, seed=seed,
+        measure=measure_id, trials=trials, seed=seed,
         max_violation=worst, worst_trial=worst_trial,
         violations=violations,
         alpha=alpha if measure_id == "renyi" else None)
@@ -465,14 +465,24 @@ def test_suite_validates_before_drawing(monkeypatch, capsys):
     monkeypatch.setattr(channels.np.random, "default_rng", no_draws)
     for kw in ({"measure_id": "nope"}, {"measure_id": "F", "trials": 0},
                {"measure_id": "renyi", "alpha": 2.5},
-               {"measure_id": "renyi", "alpha": 1.0}):
+               {"measure_id": "renyi", "alpha": 1.0},
+               {"measure_id": "F", "seed": -1},
+               {"measure_id": "F", "seed": True},
+               {"measure_id": "F", "seed": 1.0}):
         with pytest.raises(ValidationError):
             monotonicity_suite(**kw)
-    rc = cli.main(["proptest", "--measure", "renyi", "--alpha", "2.5"])
-    out, err = capsys.readouterr()
-    assert rc == 1
-    assert out == ""
-    assert err.startswith("error:")
+    # numpy refuses a negative seed only once it draws, with a traceback;
+    # the environment's seed is read when --seed is not given
+    monkeypatch.setenv("COHERENCE_FORGE_SEED", "-7")
+    for argv in (["--measure", "renyi", "--alpha", "2.5"],
+                 ["--trials", "3", "--seed", "-1"], ["--trials", "3"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["proptest", *argv])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_stacked_support_measures_match_public_functions():

@@ -973,6 +973,14 @@ def test_qubit_bound_refuses_empty_table(capsys, lam, n):
     assert err.startswith("error: ")
 
 
+def test_qubit_bound_prints_inf_once_lambda_squared_underflows(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["qubit-bound", "--lambda", "1e-300", "--n", "2"]) == 0
+    assert capsys.readouterr() == (
+        "n,exact,asymptotic,cirac\n1,0.5,inf,inf\n2,0.5,inf,inf\n", "")
+
+
 def test_qubit_bound_streams_its_rows():
     # rows are printed as they are computed, so memory does not grow
     # with --n

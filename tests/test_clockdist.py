@@ -39,7 +39,7 @@ PLUS = np.array([1.0, 1.0]) / math.sqrt(2)
 def test_extract_cbit():
     H = np.diag([0.0, 1.0])
     clock = extract_distribution(PLUS, H, TAU)
-    assert clock.levels == (0, 1)
+    assert tuple(np.flatnonzero(clock.distribution.probs)) == (0, 1)
     assert np.allclose(clock.distribution.probs, [0.5, 0.5])
     assert abs(clock.period - TAU) < 1e-12
 
@@ -48,7 +48,7 @@ def test_extract_gap_two_halves_period():
     psi = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
     H = np.diag([0.0, 1.0, 2.0])
     clock = extract_distribution(psi, H, TAU)
-    assert clock.levels == (0, 2)
+    assert tuple(np.flatnonzero(clock.distribution.probs)) == (0, 2)
     assert abs(clock.period - TAU / 2) < 1e-12
 
 
@@ -56,7 +56,7 @@ def test_extract_uniform_023():
     psi = np.array([1.0, 0.0, 1.0, 1.0]) / math.sqrt(3)
     H = np.diag([0.0, 1.0, 2.0, 3.0])
     clock = extract_distribution(psi, H, TAU)
-    assert clock.levels == (0, 2, 3)
+    assert tuple(np.flatnonzero(clock.distribution.probs)) == (0, 2, 3)
     assert abs(clock.period - TAU) < 1e-12
     assert abs(clock.distribution.variance() - 14.0 / 9.0) < 1e-12
 
@@ -65,14 +65,14 @@ def test_extract_eigenstate_has_no_period():
     H = np.diag([0.0, 1.0])
     clock = extract_distribution(np.array([1.0, 0.0]), H, TAU)
     assert clock.period == 0.0
-    assert clock.levels == (0,)
+    assert tuple(np.flatnonzero(clock.distribution.probs)) == (0,)
 
 
 def test_extract_offset_spectrum_still_integer():
     # a constant shift of H must not break the integer grid
     H = np.diag([0.7, 1.7])
     clock = extract_distribution(PLUS, H, TAU)
-    assert clock.levels == (0, 1)
+    assert tuple(np.flatnonzero(clock.distribution.probs)) == (0, 1)
 
 
 def test_extract_incommensurate_raises():

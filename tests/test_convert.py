@@ -169,8 +169,8 @@ def _exhaustive_shift(p, q):
     8 n eps (sum|p| + sum|q|) of the least tv, n + 1 the two lengths
     summed, the smallest |k| wins, then the negative one."""
     tvs = [(k, tv_distance(p, shift(q, k)))
-           for k in range(p.support_min - q.support_max,
-                          p.support_max - q.support_min + 1)]
+           for k in range(p.offset - q.support_max,
+                          p.support_max - q.offset + 1)]
     margin = (8.0 * (p.probs.size + q.probs.size - 1) * np.finfo(float).eps
               * float(np.sum(np.abs(p.probs)) + np.sum(np.abs(q.probs))))
     least = min(e for _, e in tvs)

@@ -28,7 +28,6 @@ from coherence_forge.distill import (
 from coherence_forge.errors import (
     CertificateError,
     DimMismatchError,
-    EpsOutOfRangeError,
     IncommensurateSpectrumError,
     ValidationError,
 )
@@ -192,7 +191,7 @@ def test_copy_floor_reads_eps_as_a_trace_norm(lam):
 def test_copy_floor_edge_cases():
     # V (2/eps - 3) is a floor only for eps in (0, 2/3)
     for bad in (0.0, 2.0 / 3.0, 1.0):
-        with pytest.raises(EpsOutOfRangeError):
+        with pytest.raises(ValidationError):
             distillation_copy_floor(qubit(0.6), H_CBIT, CBIT, H_CBIT, bad)
     with pytest.raises(ValidationError):
         distillation_copy_floor(qubit(0.6), H_CBIT, CBIT, H_CBIT, 0.01,
@@ -705,7 +704,7 @@ def test_final_dual_matches_the_dense_rescale(monkeypatch):
     for key, omega in cases.items():
         d_A, d_B = omega.sectors.shape
         N = d_A * d_B
-        res = conditional_min_entropy(omega)
+        res = verify_certificate(_min_trace_sdp(omega), omega)
         # sector b holds the product indices labelled b, ascending, then pads
         lab = omega.sectors.ravel()
         Om, tau = as_dense(omega.matrix, N), as_dense(res.tau, d_A)
@@ -731,6 +730,28 @@ def test_final_dual_matches_the_dense_rescale(monkeypatch):
         X_tau = _dense_dual(DEFAULT.sdp_gap / (4 * N) * np.linalg.inv(S),
                             d_A, d_B)
         assert np.max(np.abs(X - X_tau)) <= 1e-6 * np.max(np.abs(X_tau)), key
+
+
+def test_min_entropy_refuses_an_omega_off_unit_trace(monkeypatch):
+    # sdp_gap is absolute: three qubit copies at lam = 0.6 scaled by 1e-9
+    # were "certified" at 25.5e-9, where the optimum is 0.868e-9
+    def no_solve(omega):
+        raise AssertionError("a Newton step was taken")
+
+    om = _oracle_cases()[3, 0.6]
+    monkeypatch.setattr(coherence_forge.distill, "_min_trace_sdp", no_solve)
+    for scale in (1e-9, 1.0 + 3 * DEFAULT.num, math.nan):
+        values = scale * om.matrix.values
+        scaled = OmegaState(replace(om.matrix, values=values), om.sectors)
+        with pytest.raises(ValidationError, match="trace"):
+            conditional_min_entropy(scaled)
+
+
+def test_qubit_bounds_are_inf_once_lambda_squared_underflows():
+    # (1 - lam^2) / (4 lam^2 n) and (1 - lam) / (2 lam^2 n) divided by 0
+    for lam, n in ((1e-200, 3), (1e-162, 3), (1e-300, 2), (1e-158, 3)):
+        assert qubit_infidelity_bound(lam, n) == (0.5, math.inf)
+        assert cirac_comparison(lam, n) == math.inf
 
 
 def _in_caller_basis(om, U_A, U_B):

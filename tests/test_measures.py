@@ -13,7 +13,6 @@ from coherence_forge.linalg import (
     random_observable,
 )
 from coherence_forge.errors import (
-    AlphaOutOfRangeError,
     NonHermitianError,
     ValidationError,
 )
@@ -212,9 +211,9 @@ def test_renyi_alpha_two_matches_purity():
 
 
 def test_renyi_alpha_range():
-    with pytest.raises(AlphaOutOfRangeError):
+    with pytest.raises(ValidationError):
         renyi_purity_monotone(QUBIT, SZ_HALF, 1.0)
-    with pytest.raises(AlphaOutOfRangeError):
+    with pytest.raises(ValidationError):
         renyi_purity_monotone(QUBIT, SZ_HALF, 2.5)
 
 
