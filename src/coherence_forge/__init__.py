@@ -15,16 +15,13 @@ from .config import DEFAULT
 from .errors import (
     CertificateError,
     CoherenceForgeError,
-    DimMismatchError,
     GcdNotOneError,
     IncommensurateSpectrumError,
-    NonHermitianError,
     PeriodMismatchError,
     SchemaError,
     SearchExhaustedError,
     SolverStallError,
     ValidationError,
-    ZeroTargetVarianceError,
 )
 from .linalg import (
     DensityMatrix,
@@ -38,7 +35,6 @@ from .linalg import (
     level_labels,
     observable,
     pure_state,
-    tensor,
 )
 from .measures import (
     energy_variance,

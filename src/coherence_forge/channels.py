@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .clockdist import snap_levels
-from .errors import DimMismatchError, ValidationError
+from .errors import ValidationError
 from .linalg import density_matrix, eig_hermitian, observable, require_count
 from .measures import _check_alpha, _purity, _qfi, _renyi, _skew
 
@@ -40,11 +40,11 @@ def kraus_channel(ops) -> KrausChannel:
         K = np.array(ops if isinstance(ops, np.ndarray) else tuple(ops),
                      dtype=complex)
     except ValueError as exc:
-        raise DimMismatchError("Kraus operators have mixed shapes") from exc
+        raise ValidationError("Kraus operators have mixed shapes") from exc
     if len(K) == 0:
         raise ValidationError("a channel needs at least one Kraus operator")
     if K.ndim != 3:
-        raise DimMismatchError(
+        raise ValidationError(
             f"Kraus operators must be matrices, got shape {K.shape[1:]}"
         )
     _require_cptp([K])
@@ -114,7 +114,7 @@ def random_channel(d_in: int, d_out: int, rank: int, seed) -> KrausChannel:
 def _apply(K, rho) -> np.ndarray:
     """sum_k K rho K^dag for the Kraus array K and the plain matrix rho."""
     if rho.shape[0] != K.shape[2]:
-        raise DimMismatchError(
+        raise ValidationError(
             f"state dim {rho.shape[0]} != channel input dim {K.shape[2]}"
         )
     return np.sum(K @ rho @ K.conj().transpose(0, 2, 1), axis=0)
@@ -130,7 +130,7 @@ def _twirl(K, V_in, n_in, V_out, n_out) -> np.ndarray:
     """Unvalidated Kraus array of the twirl of K, for the eigenbases V and
     the snapped integer levels n of H_in and H_out."""
     if len(n_in) != K.shape[2] or len(n_out) != K.shape[1]:
-        raise DimMismatchError("Hamiltonian dims do not match the channel")
+        raise ValidationError("Hamiltonian dims do not match the channel")
     Kt = V_out.conj().T @ K @ V_in
     grid = n_out[:, None] - n_in[None, :]
     # ascending modes without np.unique, which imports numpy.ma

@@ -160,7 +160,7 @@ def extract_distribution(psi, H, tau: float) -> PeriodicClockState:
     probs = np.bincount(ns, weights=masses)
     dist = integer_distribution(0, probs / probs.sum())
     g = math.gcd(*ns)
-    per = 0.0 if g == 0 else tau / g
+    per = 0.0 if g == 0 else float(tau / g)
     return PeriodicClockState(distribution=dist, period=per)
 
 

@@ -17,11 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULT
-from .errors import (
-    PeriodMismatchError,
-    ValidationError,
-    ZeroTargetVarianceError,
-)
+from .errors import PeriodMismatchError, ValidationError
 from .clockdist import (
     IntegerDistribution,
     convolve_n,
@@ -87,7 +83,7 @@ def max_rate(psi1, H1, psi2, H2) -> float:
     H1, H2 = observable(H1), observable(H2)
     v2 = energy_variance(psi2, H2)
     if v2 <= DEFAULT.num:
-        raise ZeroTargetVarianceError("target state has no energy spread")
+        raise ValidationError("target state has no energy spread")
     _common_period(psi1, H1, psi2, H2)
     v1 = energy_variance(psi1, H1)
     return float(v1 / v2)

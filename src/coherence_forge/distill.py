@@ -52,7 +52,6 @@ from .linalg import (
     pure_state,
     require_count,
     require_same_dim,
-    tensor,
 )
 from .measures import (
     energy_variance,
@@ -67,8 +66,8 @@ BARRIER_FACTOR = 0.05
 # normalised barrier function, lambda^2 = decrement / mu, is at most this
 CENTRING_DECREMENT = 1.0
 # iid_omega_state refuses n copies whose Omega side d**n * d_B, or whose
-# count of tau parameters, exceeds these: the side bounds the d**n x d**n
-# tensor power sigma^(x)n it builds, 16 MB at d**n = 1024, and 924
+# count of tau parameters, exceeds these: the side bounds the d**n sums of
+# the n-copy spectrum and the N product states that _sectors pairs, and 924
 # parameters (six qubit copies) take about 0.11 s per Newton step at one
 # BLAS thread, 0.08 s of it the complex solve.  iid_fidelity bounds the
 # summed sides of all spin blocks by the square of MAX_OMEGA_SIDE, and the
@@ -200,15 +199,16 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
 
     The conjugate of psi_B is taken in the H_B eigenbasis.  The levels
     of H_n are H's cached eigenvalues summed and sorted ascending by a
-    stable sort; sigma^(x)copies in their eigenbasis is the Kronecker
-    power of sigma in H's eigenbasis, its rows and columns permuted by
-    that sort, so no n-copy matrix is decomposed and no n-copy
+    stable sort, so no n-copy matrix is decomposed and no n-copy
     eigenbasis or Hamiltonian is formed.  Omega is returned as its
     entries at the pairs of product states that share a sector, each
-    sigma^(x)copies[a, c] t[b, b'] with t = conj(psi_B) conj(psi_B)^dag,
-    the product np.kron forms; no N x N complex matrix is built.
+    sigma^(x)copies[a, c] t[b, b'] with t = conj(psi_B) conj(psi_B)^dag.
+    That entry of sigma^(x)copies is read off one copy's s = V^dag sigma
+    V, V H's eigenbasis: the product of s at the base-d digits of a and c
+    before the sort, taken left to right as a Kronecker product takes
+    them.  No n-copy matrix and no N x N matrix is built.
 
-    Before any tensor power is built, sigma is checked as a d x d
+    Before any n-copy array is built, sigma is checked as a d x d
     density_matrix and psi_B as a pure_state (each at its own size; Omega
     itself is never decomposed), and ValidationError is raised when
     copies is not an integer >= 1 (a bool is refused), when sigma and H
@@ -243,12 +243,16 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     require_same_dim(psi.dim, H_B.dim)
     b, U_B = H_B.spectrum, H_B.eigenbasis
     psi_bar = (U_B.conj().T @ psi.vector).conj()
-    V = H.eigenbasis
-    sn = tensor(*[V.conj().T @ sigma.matrix @ V] * copies)[perm][:, perm]
+    s = H.eigenbasis.conj().T @ sigma.matrix @ H.eigenbasis
     t = np.outer(psi_bar, psi_bar.conj())
     labels, rows, cols = _sectors([a], b)
     (i, j), (k, m) = np.divmod(rows, b.size), np.divmod(cols, b.size)
-    return OmegaState(SectorMatrix(rows, cols, sn[i, k] * t[j, m]), labels)
+    x = np.unravel_index(perm[i], (d,) * copies)
+    y = np.unravel_index(perm[k], (d,) * copies)
+    sn = s[x[0], y[0]]
+    for xc, yc in zip(x[1:], y[1:]):
+        sn = sn * s[xc, yc]
+    return OmegaState(SectorMatrix(rows, cols, sn * t[j, m]), labels)
 
 
 @dataclass(frozen=True)
@@ -992,8 +996,7 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     chain declines are refused before any band past the first is swept,
     and before any is solved on its own, when the cubed sides of their
     Omega_j, the work of the block solves, sum past MAX_OMEGA_SIDE^3.
-    ValidationError or DimMismatchError otherwise, and wherever
-    iid_omega_state raises."""
+    ValidationError otherwise, and wherever iid_omega_state raises."""
     copies = require_count(copies, "copies")
     sigma, H, H_B = density_matrix(sigma), observable(H), observable(H_B)
     psi_B = pure_state(psi_B)

@@ -2,8 +2,9 @@
 
 Everything derives from CoherenceForgeError so callers can catch broadly.
 SchemaError covers malformed input structure (bad JSON shape, missing keys);
-ValidationError covers well-formed input with invalid values (non-Hermitian
-matrix, trace != 1, ...).
+ValidationError covers every well-formed argument with an invalid value
+(non-Hermitian matrix, mismatched dimensions, trace != 1, a target with no
+energy spread, ...).  The other classes name failures a caller can act on.
 """
 
 
@@ -17,14 +18,6 @@ class SchemaError(CoherenceForgeError):
 
 class ValidationError(CoherenceForgeError):
     """Input is structurally fine but violates a required property."""
-
-
-class NonHermitianError(ValidationError):
-    """Matrix expected to be Hermitian is not."""
-
-
-class DimMismatchError(ValidationError):
-    """Operands have incompatible dimensions."""
 
 
 class IncommensurateSpectrumError(CoherenceForgeError):
@@ -42,10 +35,6 @@ class GcdNotOneError(CoherenceForgeError):
 
 class SearchExhaustedError(CoherenceForgeError):
     """A bounded search ended without finding what it was asked for."""
-
-
-class ZeroTargetVarianceError(CoherenceForgeError):
-    """Target state carries no energy spread, so no finite rate exists."""
 
 
 class SolverStallError(CoherenceForgeError):

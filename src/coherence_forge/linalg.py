@@ -2,8 +2,8 @@
 
 Wraps numpy's Hermitian eigensolver with explicit validation (finite
 entries, Hermiticity, reconstruction residual) and provides the state /
-observable containers, tensor-product helpers, energy levels, seeded
-samplers, and the JSON wire format for matrices and vectors.
+observable containers, energy levels, fidelity, seeded samplers, and the
+JSON wire format for matrices and vectors.
 
 The containers are the only source of eigenpairs.  A
 HermitianObservable owns the eigendecomposition of its operand: spectrum
@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT
-from .errors import (
-    DimMismatchError,
-    NonHermitianError,
-    SchemaError,
-    ValidationError,
-)
+from .errors import SchemaError, ValidationError
 
 
 # the largest entry magnitude eig_hermitian accepts: the measures and the
@@ -50,7 +45,7 @@ def require_finite(a: np.ndarray) -> np.ndarray:
 def require_square(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimMismatchError(f"expected a square matrix, got shape {M.shape}")
+        raise ValidationError(f"expected a square matrix, got shape {M.shape}")
     return require_finite(M)
 
 
@@ -65,9 +60,9 @@ def require_count(n, name: str) -> int:
 
 
 def require_same_dim(state_dim: int, ham_dim: int) -> None:
-    """DimMismatchError unless a state and a Hamiltonian share a dimension."""
+    """ValidationError unless a state and a Hamiltonian share a dimension."""
     if state_dim != ham_dim:
-        raise DimMismatchError(
+        raise ValidationError(
             f"state dim {state_dim} != Hamiltonian dim {ham_dim}")
 
 
@@ -79,15 +74,14 @@ def eig_hermitian(M):
     of V the matching orthonormal eigenvectors; a stack gives stacks,
     each entry bit for bit what the single matrix gives.  Raises
     ValidationError on a NaN or infinite entry or one above MAX_ENTRY in
-    magnitude, NonHermitianError if a matrix is not Hermitian within
-    herm, and ValidationError if the reconstruction V diag(w) V^dag
-    misses it by more than recon (which would indicate a solver failure,
-    not bad input).  Both limits are scaled by each matrix's own
+    magnitude, if a matrix is not Hermitian within herm, and if the
+    reconstruction V diag(w) V^dag misses it by more than recon (which
+    would indicate a solver failure, not bad input).  Both limits are scaled by each matrix's own
     max|M_ij|, so operators in any units are judged alike.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise DimMismatchError(
+        raise ValidationError(
             f"expected a square matrix or a stack of them, got shape {M.shape}")
     # one flat reduction per matrix, cheaper than reducing an axis pair;
     # a single matrix is a stack of one, so the checks below see arrays
@@ -101,7 +95,7 @@ def eig_hermitian(M):
     dev = np.abs(M - Mh).reshape(flat).max(axis=-1, initial=0.0)
     bad = dev > DEFAULT.herm * scale
     if np.count_nonzero(bad):
-        raise NonHermitianError("matrix deviates from Hermiticity by "
+        raise ValidationError("matrix deviates from Hermiticity by "
                                 f"{np.max(dev, where=bad, initial=0.0):.3e}")
     Msym = 0.5 * (M + Mh)
     w, V = np.linalg.eigh(Msym)
@@ -122,16 +116,6 @@ def psd_sqrt(M):
     rho = density_matrix(M)
     V = rho.eigenbasis
     return (V * np.sqrt(np.clip(rho.spectrum, 0.0, None))) @ V.conj().T
-
-
-def tensor(*ops) -> np.ndarray:
-    """Kronecker product of the given matrices (or vectors), left to right."""
-    if not ops:
-        raise ValidationError("tensor() needs at least one operand")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
 
 
 def level_labels(w) -> np.ndarray:
@@ -155,7 +139,7 @@ def fidelity(rho, sigma) -> float:
     sq = psd_sqrt(rho)
     sigma = density_matrix(sigma).matrix
     if sq.shape != sigma.shape:
-        raise DimMismatchError("states have different dimensions")
+        raise ValidationError("states have different dimensions")
     inner = sq @ sigma @ sq
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
@@ -246,7 +230,7 @@ def pure_state(v) -> PureState:
         return v
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1:
-        raise DimMismatchError(f"expected a vector, got shape {v.shape}")
+        raise ValidationError(f"expected a vector, got shape {v.shape}")
     require_finite(v)
     with np.errstate(over="ignore"):   # an overflow is inf, refused below
         n = np.linalg.norm(v)
@@ -284,7 +268,7 @@ def array_to_json(a) -> dict:
     if a.ndim == 1 or (a.ndim == 2 and a.shape[0] == a.shape[1]):
         return {"dim": int(a.shape[0]), "re": a.real.tolist(),
                 "im": a.imag.tolist()}
-    raise DimMismatchError(f"cannot encode array of shape {a.shape}")
+    raise ValidationError(f"cannot encode array of shape {a.shape}")
 
 
 def array_from_json(obj) -> np.ndarray:

@@ -39,8 +39,8 @@ def _check_alpha(alpha: float) -> None:
 def _spectral(rho, H):
     """(p, A): eigenvalues p of rho (ascending) and A = V^dag H V, H in
     rho's eigenbasis V.  rho goes through density_matrix and H through
-    observable, so a matrix that is not a state raises ValidationError
-    and a non-Hermitian H NonHermitianError."""
+    observable, so a matrix that is not a state and a non-Hermitian H
+    raise ValidationError."""
     rho, H = density_matrix(rho), observable(H).matrix
     require_same_dim(rho.dim, H.shape[0])
     V = rho.eigenbasis
@@ -152,7 +152,7 @@ def energy_variance(state, H) -> float:
     var = second - mean * mean
     if var < -DEFAULT.num:
         raise ValidationError(f"variance {var:.3e} below -tolerance")
-    return max(var, 0.0)
+    return float(max(var, 0.0))
 
 
 def support_commutes(rho, H) -> bool:

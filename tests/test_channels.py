@@ -24,7 +24,6 @@ from coherence_forge.clockdist import snap_levels
 from coherence_forge.config import DEFAULT
 from coherence_forge.convert import coherence_cost
 from coherence_forge.errors import (
-    DimMismatchError,
     IncommensurateSpectrumError,
     ValidationError,
 )
@@ -57,7 +56,8 @@ def test_kraus_channel_validation():
     with pytest.raises(ValidationError):
         kraus_channel([np.full((2, 2), np.nan)])
     for bad in ([np.ones(2)], [np.ones((2, 2, 2))], [np.eye(2), np.eye(3)]):
-        with pytest.raises(DimMismatchError):
+        with pytest.raises(ValidationError, match="Kraus operators (must be "
+                           "matrices|have mixed shapes)"):
             kraus_channel(bad)
     # a stacked (rank, d_out, d_in) array: two halves of a 3 x 2 isometry
     stacked = np.stack([np.eye(3)[:, :2], np.eye(3)[:, :2]]) / math.sqrt(2)

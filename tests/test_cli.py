@@ -895,16 +895,16 @@ def test_distill_certifies_a_hundred_copies_in_closed_form(fixtures, capsys):
 ])
 def test_distill_refuses_oversized_requests(fixtures, monkeypatch, capsys,
                                             copies, levels, source):
-    # the refusal comes before any tensor power is built
-    def no_tensor(*args, **kwargs):
-        raise AssertionError("tensor power built")
+    # the refusal comes before any n-copy array is built
+    def no_sectors(*args, **kwargs):
+        raise AssertionError("n-copy sectors built")
 
     ham = fixtures["dir"] / "ham.json"
     ham.write_text(json.dumps({"levels_in_2pi_over_tau": levels}))
     qutrit = fixtures["dir"] / "qutrit.json"
     qutrit.write_text(json.dumps(array_to_json(
         random_density(3, np.random.default_rng(73)))))
-    monkeypatch.setattr(cli.distill, "tensor", no_tensor)
+    monkeypatch.setattr(cli.distill, "_sectors", no_sectors)
     rc = cli.main(["distill", "--in",
                    str(qutrit) if source == "qutrit" else fixtures[source],
                    str(ham), "--target", fixtures["cbit"], fixtures["h2"],

@@ -25,7 +25,6 @@ from coherence_forge.errors import (
     IncommensurateSpectrumError,
     PeriodMismatchError,
     ValidationError,
-    ZeroTargetVarianceError,
 )
 
 TAU = 2 * math.pi
@@ -143,7 +142,8 @@ def test_max_rate_rejects_period_mismatch():
     psi02 = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
     with pytest.raises(PeriodMismatchError):
         max_rate(psi02, np.diag([0.0, 1.0, 2.0]), CBIT, H_CBIT)
-    with pytest.raises(ZeroTargetVarianceError):
+    with pytest.raises(ValidationError,
+                       match="target state has no energy spread"):
         max_rate(CBIT, H_CBIT, np.array([1.0, 0.0]), H_CBIT)
     with pytest.raises(PeriodMismatchError):
         max_rate(np.array([1.0, 0.0]), H_CBIT, CBIT, H_CBIT)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -27,7 +28,6 @@ from coherence_forge.distill import (
 )
 from coherence_forge.errors import (
     CertificateError,
-    DimMismatchError,
     IncommensurateSpectrumError,
     ValidationError,
 )
@@ -40,7 +40,6 @@ from coherence_forge.linalg import (
     pure_state,
     random_density,
     random_observable,
-    tensor,
 )
 from coherence_forge.distill import (
     _chain,
@@ -275,11 +274,11 @@ def test_omega_state_reads_cached_hamiltonian_spectra(monkeypatch):
 def test_omega_state_refuses_bad_inputs_before_tensor_powers(
         monkeypatch, sigma, psi, match):
     # sigma is checked as a 2 x 2 state and psi_B as a unit vector, each
-    # at its own size, before any n-copy matrix exists
-    def no_tensor(*args, **kwargs):
-        raise AssertionError("tensor power built")
+    # at its own size, before any n-copy array exists
+    def no_sectors(*args, **kwargs):
+        raise AssertionError("n-copy sectors built")
 
-    monkeypatch.setattr(coherence_forge.distill, "tensor", no_tensor)
+    monkeypatch.setattr(coherence_forge.distill, "_sectors", no_sectors)
     with pytest.raises(ValidationError, match=match):
         iid_omega_state(sigma, H_CBIT, psi, H_CBIT, 3)
 
@@ -847,12 +846,22 @@ def _masked_entries(sigma, H, psi_B, H_B, copies):
     perm = np.argsort(a, kind="stable")
     psi_bar = (H_B.eigenbasis.conj().T @ psi.vector).conj()
     V = H.eigenbasis
-    sn = tensor(*[V.conj().T @ sigma.matrix @ V] * copies)[perm][:, perm]
+    sn = functools.reduce(np.kron, [V.conj().T @ sigma.matrix @ V] * copies)
+    sn = sn[perm][:, perm]
     t = np.outer(psi_bar, psi_bar.conj())
     rows, cols = _mask_pairs(_sectors([a[perm]], H_B.spectrum)[0])
     (i, j), (k, m) = np.divmod(rows, H_B.dim), np.divmod(cols, H_B.dim)
     return dict(zip(zip(rows.tolist(), cols.tolist()),
                     (sn[i, k] * t[j, m]).tolist()))
+
+
+def _widest_dense_request():
+    """The widest n-copy request the budgets admit: 22 levels 2^k / 2^10,
+    no two of whose pair sums collide, at two copies into a target under
+    levels {0, 2^-10}; 968 product states and 946 tau parameters."""
+    return (density_matrix(random_density(22, 5)),
+            observable(np.diag(2.0 ** np.arange(22) / 2 ** 10)), CBIT,
+            observable(np.diag([0.0, 2.0 ** -10])), 2)
 
 
 def test_iid_omega_state_entries_are_those_of_the_label_mask():
@@ -868,6 +877,8 @@ def test_iid_omega_state_entries_are_those_of_the_label_mask():
          np.ones(3) / math.sqrt(3), H3, 1),
         (random_density(3, rng), np.diag([0.0, math.sqrt(2), math.pi]),
          np.array([0.6, 0.8j]), np.diag([0.0, math.e]), 2),
+        (random_density(3, rng), np.diag([0.0, 1.0, 3.0]), CBIT, H01, 4),
+        _widest_dense_request(),
     ]
     for sigma, H, psi, H_B, n in cases:
         M = iid_omega_state(sigma, H, psi, H_B, n).matrix
@@ -877,10 +888,24 @@ def test_iid_omega_state_entries_are_those_of_the_label_mask():
         assert dict(entries) == _masked_entries(sigma, H, psi, H_B, n)
 
 
+def test_widest_dense_omega_state_peaks_below_a_megabyte():
+    # sigma^(x)2 alone would take 3.7 MB at d = 22, and its row and column
+    # permutations as much again; Omega has 2,140 entries in its sectors
+    args = _widest_dense_request()
+    tracemalloc.start()
+    try:
+        om = iid_omega_state(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert om.sectors.size == 968 and om.matrix.values.size == 2140
+    assert peak < 1e6
+
+
 def test_iid_param_count_is_exact(monkeypatch):
     # tau's parameter count sum_E deg(E)^2 over the n-copy levels E equals
     # the brute-force count from every n-copy sum, spaced levels or not;
-    # a request within budget goes on to build its tensor powers
+    # a request within budget goes on to pair its product states
     class Built(Exception):
         pass
 
@@ -888,7 +913,7 @@ def test_iid_param_count_is_exact(monkeypatch):
         raise Built
 
     monkeypatch.setattr(coherence_forge.distill, "MAX_OMEGA_SIDE", 10**12)
-    monkeypatch.setattr(coherence_forge.distill, "tensor", built)
+    monkeypatch.setattr(coherence_forge.distill, "_sectors", built)
     rng = np.random.default_rng(62)
     unspaced = 0
     for _ in range(300):
@@ -1527,7 +1552,8 @@ def test_bad_target_is_refused_before_any_spin_block(monkeypatch):
         raise AssertionError("spin blocks built")
 
     monkeypatch.setattr(coherence_forge.distill, "_schur_blocks", no_blocks)
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(ValidationError,
+                       match="state dim 3 != Hamiltonian dim 2"):
         iid_fidelity(qubit(0.6), H01, np.ones(3) / math.sqrt(3), H01, 179)
     with pytest.raises(ValidationError, match="norm"):
         iid_fidelity(qubit(0.6), H01, np.ones(2), H01, 179)
@@ -1795,23 +1821,18 @@ def test_off_mask_omega_is_refused_before_any_newton_step(monkeypatch):
 
 def test_iid_omega_state_forms_no_kronecker_product_with_the_target(
         monkeypatch):
-    # one copy takes no np.kron at all; n copies take only the tensor
-    # power sigma^(x)n, whose side is d^n, never the N = d^n d_B of Omega
-    sides = []
-    kron = np.kron
+    # no copy count takes np.kron: each entry of sigma^(x)n is read off
+    # one copy, so neither the d^n power nor the N = d^n d_B Omega is built
+    def no_kron(*args):
+        raise AssertionError("np.kron called")
 
-    def counted(a, b):
-        out = kron(a, b)
-        sides.append(out.shape[0])
-        return out
-
-    monkeypatch.setattr(np, "kron", counted)
+    monkeypatch.setattr(np, "kron", no_kron)
     H3 = np.diag([0.0, 1.0, 2.0])
     om = iid_omega_state(random_density(3, 1), H3, np.ones(3) / math.sqrt(3),
                          H3, 1)
-    assert om.sectors.size == 9 and sides == []
-    iid_omega_state(qubit(0.6), H01, CBIT, H01, 3)
-    assert sides == [4, 8]
+    assert om.sectors.size == 9
+    om = iid_omega_state(qubit(0.6), H01, CBIT, H01, 3)
+    assert om.sectors.size == 16
 
 
 def test_omega_of_512_product_states_fits_in_a_few_megabytes():

@@ -5,6 +5,20 @@ import pytest
 
 from coherence_forge import purification
 from coherence_forge.channels import apply, random_channel
+from coherence_forge.clockdist import (
+    barbour_bound,
+    convolve_n,
+    extract_distribution,
+    integer_distribution,
+    tp_distance,
+    tv_distance,
+)
+from coherence_forge.convert import coherence_cost, intrinsic_period, max_rate
+from coherence_forge.distill import (
+    cirac_comparison,
+    distillation_copy_floor,
+    qubit_infidelity_bound,
+)
 from coherence_forge.linalg import (
     density_matrix,
     fidelity,
@@ -13,7 +27,6 @@ from coherence_forge.linalg import (
     random_observable,
 )
 from coherence_forge.errors import (
-    NonHermitianError,
     ValidationError,
 )
 from coherence_forge.measures import (
@@ -87,8 +100,47 @@ def test_a_non_hermitian_hamiltonian_is_refused(call, monkeypatch):
         raise AssertionError("H_A built from a non-Hermitian H_S")
 
     monkeypatch.setattr(purification, "_coordinate_aux", no_aux)
-    with pytest.raises(NonHermitianError):
+    with pytest.raises(ValidationError, match="deviates from Hermiticity"):
         call(np.array([[0.0, 1.0], [0.0, 0.0]]), pur)
+
+
+PAIR = integer_distribution(0, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qfi(QUBIT, SZ_HALF),
+    lambda: energy_variance(PLUS, SZ_HALF),
+    lambda: energy_variance(QUBIT, SZ_HALF),
+    lambda: purity_of_coherence(QUBIT, SZ_HALF),
+    lambda: skew_information(QUBIT, SZ_HALF),
+    lambda: renyi_purity_monotone(QUBIT, SZ_HALF, 1.5),
+    lambda: qfi_via_fidelity(QUBIT, SZ_HALF),
+    lambda: fidelity(QUBIT, PLUS),
+    lambda: kkt_residual(build_optimal_purification(QUBIT, SZ_HALF),
+                         SZ_HALF),
+    lambda: PAIR.mean(),
+    lambda: PAIR.variance(),
+    lambda: tv_distance(PAIR, convolve_n(PAIR, 2)),
+    lambda: barbour_bound(PAIR, 4),
+    lambda: tp_distance(PAIR, 4, convolve_n(PAIR, 4)),
+    lambda: extract_distribution(PLUS, SZ_HALF, 2 * math.pi).period,
+    lambda: intrinsic_period(PLUS, SZ_HALF),
+    lambda: max_rate(PLUS, SZ_HALF, PLUS, SZ_HALF),
+    lambda: coherence_cost(QUBIT, SZ_HALF, 2 * math.pi),
+    lambda: distillation_copy_floor(QUBIT, SZ_HALF, PLUS, SZ_HALF, 0.1),
+    lambda: qubit_infidelity_bound(0.6, 4)[0],
+    lambda: qubit_infidelity_bound(0.6, 4)[1],
+    lambda: cirac_comparison(0.6, 4),
+], ids=["qfi", "energy_variance_pure", "energy_variance_mixed",
+        "purity_of_coherence", "skew_information", "renyi_purity_monotone",
+        "qfi_via_fidelity", "fidelity", "kkt_residual", "mean", "variance",
+        "tv_distance", "barbour_bound", "tp_distance", "period",
+        "intrinsic_period", "max_rate", "coherence_cost",
+        "distillation_copy_floor", "qubit_infidelity_bound_exact",
+        "qubit_infidelity_bound_asymptotic", "cirac_comparison"])
+def test_public_scalars_are_plain_floats(call):
+    # a numpy scalar prints as np.float64(0.25), not as 0.25
+    assert type(call()) is float
 
 
 def test_qfi_pure_is_four_times_variance():

@@ -7,7 +7,7 @@ import pytest
 
 from coherence_forge import cli
 from coherence_forge.config import DEFAULT
-from coherence_forge.errors import DimMismatchError, PeriodMismatchError
+from coherence_forge.errors import PeriodMismatchError, ValidationError
 from coherence_forge.linalg import (
     array_to_json,
     density_matrix,
@@ -155,7 +155,8 @@ def test_kkt_residual_detects_a_moved_aux_hamiltonian():
         moved = observable(pur.aux_hamiltonian.matrix
                            + 1e-3 * random_observable(4, rng))
         assert kkt_residual(replace(pur, aux_hamiltonian=moved), H) >= 1e-5
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(ValidationError,
+                       match="state dim 4 != Hamiltonian dim 3"):
         kkt_residual(pur, np.eye(3))
 
 
