@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -1865,3 +1865,160 @@ def test_subnormal_links_have_unit_phases(psi):
     res = iid_fidelity(qubit(0.6), H01, np.array(psi), H01, 2)
     assert 1.0 - DEFAULT.sdp_gap < res.fidelity <= 1.0
     assert 0.0 <= res.gap < DEFAULT.sdp_gap
+
+
+def _frozen_requests():
+    """(id, sigma, H, psi_B, H_B, copies) for the BlockSum freeze: the
+    chain, the Schur fallback at reach 1 and 2, and the dense path, its
+    chain and its barrier solve."""
+    rng = np.random.default_rng(87)
+    G = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    complex_qubit = G @ G.conj().T / np.trace(G @ G.conj().T).real
+    H012, H013 = np.diag([0.0, 1.0, 2.0]), np.diag([0.0, 1.0, 3.0])
+    cases = [(f"lam={lam} n={n}", qubit(lam), H01, CBIT, H01, n)
+             for lam, n in ((0.6, 1), (0.6, 2), (0.6, 3), (0.6, 30),
+                            (0.3, 10), (0.9, 100), (0.99, 4))]
+    cases += [(f"w0={w0} n={n}", qubit(0.6), H01,
+               np.array([math.sqrt(w0), math.sqrt(1 - w0)]), H01, n)
+              for w0 in (0.6, 0.95) for n in (3, 10)]
+    cases += [(f"twice the gap n={n}", qubit(0.6), H01, CBIT,
+               np.diag([0.0, 2.0]), n) for n in (3, 10)]
+    cases += [
+        ("three levels", qubit(0.6), H01, np.ones(3) / math.sqrt(3), H012, 3),
+        ("degenerate H_B", qubit(0.6), H01, CBIT, np.zeros((2, 2)), 2),
+        ("complex qubit n=3", complex_qubit, H01, CBIT, H01, 3),
+        ("complex qubit n=10", complex_qubit, H01, CBIT, H01, 10),
+        ("pure", qubit(1.0), H01, CBIT, H01, 3),
+        ("half", np.eye(2) / 2, H01, CBIT, H01, 3),
+        ("one-level target", qubit(0.6), H01, [1.0], [[0.0]], 3),
+    ]
+    cases += [(f"qutrit {levels} n={n}", random_density(3, 91), H, CBIT,
+               H01, n)
+              for levels, H in (("012", H012), ("013", H013))
+              for n in (1, 2)]
+    cases += [(f"d=4 seed={seed}", random_density(4, seed),
+               np.diag([0.0, 1.0, 2.0, 3.0]), CBIT, H01, 1)
+              for seed in (91, 93)]
+    cases.append(("qutrit 011", random_density(3, 94),
+                  np.diag([0.0, 1.0, 1.0]), CBIT, H01, 1))
+    return cases
+
+
+# repr of astuple(iid_fidelity(...)) for each _frozen_requests
+# case, from the commit before the dense Omega joined the block list
+FROZEN_BLOCK_SUMS = {
+    "lam=0.6 n=1":
+        (0.8000000000000033, 3.6415315207705155e-15, 0.20000000000000007,
+         0.44444444444444475, 0, 0, 1.4710455076283324e-15, "schur-chain", 1,
+         0),
+    "lam=0.6 n=2":
+        (0.8000000000000047, 5.317968287954504e-15, 0.1361965624455006,
+         0.22222222222222238, 0, 0, 7.077671781985373e-16, "schur-chain", 2,
+         0),
+    "lam=0.6 n=3":
+        (0.868338983050852, 5.10110974176823e-15, 0.10379709215346933,
+         0.14814814814814825, 0, 0, 4.579669976578771e-16, "schur-chain", 2,
+         0),
+    "lam=0.6 n=30":
+        (0.9843322543887982, 1.5722769817408366e-14, 0.014187293276528179,
+         0.014814814814814824, 0, 0, 5.293955920339377e-23, "schur-chain", 16,
+         0),
+    "lam=0.3 n=10":
+        (0.7913473703583417, 5.7702795792350886e-15, 0.14742462895829872,
+         0.2527777777777779, 0, 0, 6.5052130349130266e-18, "schur-chain", 6,
+         0),
+    "lam=0.9 n=100":
+        (0.99941252820083, 7.302666947720091e-14, 0.000585390101203509,
+         0.0005864197530864213, 0, 0, 3.363116314379561e-43, "schur-chain",
+         32, 19),
+    "lam=0.99 n=4":
+        (0.9986985663559673, 7.221970777425109e-15, 0.0012641924011414507,
+         0.0012690031629425877, 0, 0, 1.3189997054643965e-17, "schur-chain",
+         3, 0),
+    "w0=0.6 n=3":
+        (0.867642035438576, 2.5000000273596753e-08, None, None, 55, 8,
+         9.999999636007154e-10, "schur", 2, 0),
+    "w0=0.6 n=10":
+        (0.949565209804479, 2.4890047418495853e-08, None, None, 182, 8,
+         9.289942681789392e-18, "schur", 6, 0),
+    "w0=0.95 n=3":
+        (0.971571981899041, 2.4999999376207975e-08, None, None, 62, 8,
+         1.9586498553849255e-09, "schur", 2, 0),
+    "w0=0.95 n=10":
+        (0.9890007633672823, 2.4889920084402718e-08, None, None, 191, 8,
+         1.4668330550193776e-17, "schur", 6, 0),
+    "twice the gap n=3":
+        (0.6558845769311955, 1.6999981068086157e-08, None, None, 24, 7,
+         2.842170943040403e-16, "schur", 2, 0),
+    "twice the gap n=10":
+        (0.8376439727356529, 2.4890005050282346e-08, None, None, 182, 8,
+         7.823109626770014e-18, "schur", 6, 0),
+    "three levels":
+        (0.713088325677805, 2.4999967091918584e-08, None, None, 47, 8,
+         7.083319599582053e-10, "schur", 2, 0),
+    "degenerate H_B":
+        (1.0, 1.2499999428872156e-08, None, None, 50, 8,
+         1.9999989175900625e-09, "schur", 2, 0),
+    "complex qubit n=3":
+        (0.9738339952724343, 8.331188179575508e-15, None, None, 0, 0,
+         5.377642775528102e-16, "schur-chain", 2, 0),
+    "complex qubit n=10":
+        (0.9955214215506396, 8.271514102661247e-15, None, None, 0, 0,
+         8.819730563285402e-20, "schur-chain", 6, 0),
+    "pure":
+        (1.0, 6.661338147751018e-16, 5.551115123125783e-17,
+         3.70074341541719e-17, 0, 0, 4.867741623017756e-17, "schur-chain", 2,
+         0),
+    "half":
+        (0.5000000000000031, 3.552713678800503e-15, None, None, 0, 0,
+         2.220446049250313e-16, "schur-chain", 2, 0),
+    "one-level target":
+        (1.0, 3.330669073875509e-16, None, None, 0, 0, 5.551115123125783e-16,
+         "schur-chain", 2, 0),
+    "qutrit 012 n=1":
+        (0.6555094360214755, 2.4424906541753444e-15, None, None, 0, 0,
+         7.91033905045424e-16, "dense", 1, 0),
+    "qutrit 012 n=2":
+        (0.7256529888450194, 2.500000088792141e-08, None, None, 35, 8,
+         7.172251726459805e-10, "dense", 1, 0),
+    "qutrit 013 n=1":
+        (0.6526796246117994, 2.4424906541753444e-15, None, None, 0, 0,
+         7.771561172376096e-16, "dense", 1, 0),
+    "qutrit 013 n=2":
+        (0.7172427491380978, 2.5000000183920058e-08, None, None, 37, 8,
+         6.944444659802206e-10, "dense", 1, 0),
+    "d=4 seed=91":
+        (0.7258631413891614, 2.499994698153311e-08, None, None, 33, 8,
+         1.5624934864066566e-09, "dense", 1, 0),
+    "d=4 seed=93":
+        (0.6862948597534403, 2.4999930193132075e-08, None, None, 31, 8,
+         1.5624913436312948e-09, "dense", 1, 0),
+    "qutrit 011":
+        (0.8130880286691085, 2.500000097670083e-08, None, None, 32, 8,
+         2.0833334821528627e-09, "dense", 1, 0),
+}
+
+
+def test_iid_fidelity_reports_are_frozen():
+    # every field of every BlockSum keeps its bits, on each path, and each
+    # refusal keeps its class and message: the side budget, the cubed
+    # budget of blocks the chain declines, and the dense side budget
+    for name, sigma, H, psi, H_B, n in _frozen_requests():
+        res = iid_fidelity(sigma, H, psi, H_B, n)
+        assert (repr(astuple(res))
+                == repr(FROZEN_BLOCK_SUMS[name])), name
+    unbalanced = np.array([math.sqrt(0.7), math.sqrt(0.3)])
+    for args, message in [
+        ((qubit(0.6), H01, CBIT, H01, 1447),
+         "1447 copies make spin blocks whose sides sum past the budget of "
+         "1024**2"),
+        ((qubit(0.6), H01, unbalanced, H01, 200),
+         "200 copies make spin blocks that are no closed-form chain, and "
+         "the cubed sides of their Omega_j sum past the budget of 1024**3"),
+        ((random_density(3, 91), np.diag([0.0, 1.0, 2.0]), CBIT, H01, 7),
+         "7 copies make Omega 3**7 * 2 wide, above the budget of 1024"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            iid_fidelity(*args)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == message
