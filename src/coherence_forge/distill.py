@@ -12,20 +12,19 @@ weak-duality proof (gap below sdp_gap).
 
 iid_fidelity is the one entry point for n copies of any source, and the
 one gate that checks each request before any block is built.  It
-solves a list of blocks: copies of a qubit under a non-degenerate
-Hamiltonian split by Schur-Weyl duality into one block per spin j
-(_schur_blocks, which gives each block's state as its bands, as far as
-the sectors reach, and _spin_omega, which builds Omega from them), and
-any other source is one block, its n-copy Omega.  An Omega whose
-sectors form a chain (a target with equal weights on two levels at the
-source's gap) is solved in closed form from its entries, with a dual
-built along the chain (_chain); the spin blocks go to it at once, as
-one direct sum, and any block it declines goes to its own Omega
-(_dense_block: the chain, else the barrier solver).  Omega, tau and X
-are held as their entries inside the sectors (SectorMatrix) from
-builder to certificate, and verify_certificate re-checks every block
-result, the chain's and the barrier's alike, sector by sector on those
-entries.
+solves a list of blocks in one loop: copies of a qubit under a
+non-degenerate Hamiltonian split by Schur-Weyl duality into one block
+per spin j (_schur_blocks, which gives each block's state as its bands,
+as far as the sectors reach, and _spin_omega, which builds Omega from
+them), and any other source is one block, its n-copy Omega.  An Omega
+whose sectors form a chain (a target with equal weights on two levels
+at the source's gap) is solved in closed form from its entries, with a
+dual built along the chain (_chain); the spin blocks go to it at once,
+as one direct sum, and otherwise each block goes to its own Omega: the
+chain, else the barrier solver.  Omega, tau and X are held as their
+entries inside the sectors (SectorMatrix) from builder to certificate,
+and verify_certificate re-checks every block result, the chain's and
+the barrier's alike, sector by sector on those entries.
 """
 
 from __future__ import annotations
@@ -856,10 +855,12 @@ def _chain(omega: OmegaState) -> SdpResult | None:
         log_u[s:e + 1] = lu
         # r_m = min(1, p_m u_m/u_{m+1}) and p_{m+1} = 1 - r_m stay in
         # [0, 1]; a ratio past e^709 gives r_m = 1 for any normal p_m
-        ps = [1.0]
+        pm = 1.0
+        ps = [pm]
         for ratio in np.exp(np.minimum(lu[:-1] - lu[1:], 709.0)).tolist():
-            ratio *= ps[-1]
-            ps.append(1.0 - (ratio if ratio < 1.0 else 1.0))
+            ratio *= pm
+            pm = 1.0 - (ratio if ratio < 1.0 else 1.0)
+            ps.append(pm)
         ps = np.array(ps)
         p[s:e] = ps[:-1]
         r[s + 1:e + 1] = 1.0 - ps[1:]
@@ -927,7 +928,7 @@ class BlockSum:
     both sides (added once to upper and twice to gap):
     |psi_B|^2 |1 - sum_j p_j| over all blocks, plus
     sum_j |p_j Tr Omega_j - p_j |psi_B|^2| over the blocks solved (read
-    off the diagonal of their direct sum, which _spin_omega builds), plus
+    off band 0 of their bands, as _spin_omega forms the diagonal), plus
     (blocks + 2) eps/2 upper for the sum.  It is an estimate, not a
     proven bound: rounding errors of opposite sign within one Omega_j, or
     among the p_j, cancel in these traces.  bound_exact and
@@ -963,30 +964,24 @@ def _certified(res: SdpResult | None, omega: OmegaState) -> SdpResult | None:
         return None
 
 
-def _dense_block(omega: OmegaState) -> SdpResult:
-    """An Omega solved by _chain where that certifies, else by
-    conditional_min_entropy."""
-    return (_certified(_chain(omega), omega)
-            or conditional_min_entropy(omega))
-
-
 def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     """F*(copies) of any source sigma under H into any target psi_B under
     H_B, summed over blocks: the Schur-Weyl blocks of a qubit under a
     non-degenerate qubit H (_schur_blocks), or else the one n-copy
-    Omega = iid_omega_state(sigma, H, psi_B, H_B, copies).  _qubit_frame
-    decides the split, and its one frame also feeds _schur_blocks and the
-    bounds' qubit-family rule (_visibility).
+    Omega = iid_omega_state(sigma, H, psi_B, H_B, copies), a block of
+    weight 1.  _qubit_frame decides the split, and its one frame also
+    feeds _schur_blocks and the bounds' qubit-family rule (_visibility).
 
     The spin blocks with p_j >= 1e-17 go to _chain at once, as one
     OmegaState, the direct sum of p_j Omega_j that _spin_omega builds from
-    their bands; that same Omega goes to verify_certificate, and its
-    diagonal to the rounding estimate.  The bands are swept as far as the
-    sector pairs of _sectors reach, the farthest |m - m'| in one sector;
-    past the first the direct sum is no chain.  Then, or if that chain or
-    its sector-wise verify_certificate fails, each block goes to
-    _dense_block on its own Omega_j from _spin_omega, as the one n-copy
-    Omega of any other source does.
+    their bands, and verify_certificate re-checks it.  The bands are swept
+    as far as the sector pairs of _sectors reach, the farthest |m - m'| in
+    one sector; past the first the direct sum is no chain and is not
+    built.  Then, or if that chain fails its check, each block's Omega_j
+    is built by _spin_omega when the solve loop reaches it; that loop also
+    solves any other source's one Omega, by _chain where
+    verify_certificate passes it, else by conditional_min_entropy.  The
+    rounding estimate reads the blocks' diagonal off band 0.
 
     Every check comes before any block is built: copies an integer >= 1
     (not a bool), then sigma, H and H_B, then psi_B as a pure_state of
@@ -1003,9 +998,9 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     require_same_dim(psi_B.dim, H_B.dim)
     d_B = H_B.dim
     s = _qubit_frame(sigma, H)
+    res = None
     if s is None:
-        results = [(1.0, _dense_block(
-            iid_omega_state(sigma, H, psi_B, H_B, copies)))]
+        omegas = [(0.0, iid_omega_state(sigma, H, psi_B, H_B, copies))]
         count = solved = 1
         upper = gap = 0.0
     else:
@@ -1029,7 +1024,6 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
         # past the first, the direct sum is no chain
         reach = int((rows[labels.size:] // d_B
                      - cols[labels.size:] // d_B).max(initial=0))
-        res = None
         if reach <= 1:
             omega = _spin_omega(live, sectors, log_t)
             res = _certified(_chain(omega), omega)
@@ -1042,21 +1036,25 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
         if reach > 1:
             live = [b for b, k in zip(_schur_blocks(s, H, copies, reach),
                                       keep) if k]
-            omega = _spin_omega(live, sectors, log_t)
-        results = [(1.0, res)] if res is not None else [
-            (math.exp(log_p), _dense_block(_spin_omega(
-                [(0.0, levels, bands)], _sectors([levels], H_B.spectrum),
-                log_t))) for log_p, levels, bands in live]
+        omegas = ((log_p, _spin_omega([(0.0, levels, bands)],
+                                      _sectors([levels], H_B.spectrum),
+                                      log_t))
+                  for log_p, levels, bands in live)
         # a dropped block adds at most its weight; what the rounded
-        # weights miss of 1 and each block's rounded diagonal misses of
-        # psi_B's norm widen the interval by their size on both sides
+        # weights miss of 1 and each block's rounded diagonal,
+        # exp(log rho_j[m, m] + log p_j + log t_b), misses of psi_B's norm
+        # widen the interval by their size on both sides
         w = float(weight.sum())
         dropped = float(p[~keep].sum())
-        D = omega.matrix.values[:labels.size].reshape(-1, d_B)
+        D = np.exp(np.concatenate([b[2][0] + b[0] for b in live])[:, None]
+                   + log_t)
         mass = np.add.reduceat(D.sum(axis=1), np.cumsum([0] + sides[:-1]))
         error = (w * abs(1.0 - float(p.sum()))
                  + float(np.abs(mass - w * p[keep]).sum()))
         upper, gap = dropped + error, dropped + 2.0 * error
+    results = [(1.0, res)] if res is not None else [
+        (math.exp(log_p), _certified(_chain(omega), omega)
+         or conditional_min_entropy(omega)) for log_p, omega in omegas]
     upper += sum(p_j * r.optimum for p_j, r in results)
     gap += sum(p_j * r.primal_dual_gap for p_j, r in results)
     if s is not None:

@@ -97,10 +97,13 @@ def eig_hermitian(M):
     if np.count_nonzero(bad):
         raise ValidationError("matrix deviates from Hermiticity by "
                                 f"{np.max(dev, where=bad, initial=0.0):.3e}")
-    Msym = 0.5 * (M + Mh)
+    Msym = M + Mh
+    del Mh
+    Msym *= 0.5
     w, V = np.linalg.eigh(Msym)
-    resid = np.abs((V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
-                   - Msym).reshape(flat).max(axis=-1, initial=0.0)
+    R = (V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    R -= Msym
+    resid = np.abs(R).reshape(flat).max(axis=-1, initial=0.0)
     bad = resid > DEFAULT.recon * scale
     if np.count_nonzero(bad):
         raise ValidationError("eigendecomposition residual "

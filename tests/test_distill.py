@@ -1867,6 +1867,29 @@ def test_subnormal_links_have_unit_phases(psi):
     assert 0.0 <= res.gap < DEFAULT.sdp_gap
 
 
+def test_one_solve_loop_builds_and_solves_each_block_once(monkeypatch):
+    # a target at twice the gap reaches past the first superdiagonal: no
+    # direct sum is built, only each live block's Omega_j, once; a dense
+    # Omega whose chain is declined is tried by the chain once and solved
+    # once by the barrier
+    calls = []
+    for name in ("_spin_omega", "_chain", "conditional_min_entropy"):
+        def counted(*args, _name=name,
+                    _real=getattr(coherence_forge.distill, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(coherence_forge.distill, name, counted)
+    res = iid_fidelity(qubit(0.6), H01, CBIT, np.diag([0.0, 2.0]), 10)
+    assert (res.blocks, res.blocks_dropped) == (6, 0)
+    assert calls.count("_spin_omega") == 6
+    calls.clear()
+    res = iid_fidelity(random_density(4, 91), np.diag([0.0, 1.0, 2.0, 3.0]),
+                       CBIT, H01, 1)
+    assert res.certificate == "dense" and res.newton_steps > 0
+    assert calls == ["_chain", "conditional_min_entropy"]
+
+
 def _frozen_requests():
     """(id, sigma, H, psi_B, H_B, copies) for the BlockSum freeze: the
     chain, the Schur fallback at reach 1 and 2, and the dense path, its

@@ -1,0 +1,37 @@
+import importlib.util
+from pathlib import Path
+
+TIER1 = Path(__file__).resolve().parents[1] / "tools" / "tier1.py"
+
+
+def _tier1():
+    spec = importlib.util.spec_from_file_location("tier1", TIER1)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tier1_reads_failed_and_errored_node_ids():
+    # a parametrized id may hold spaces; a collection error names its file
+    out = "\n".join([
+        "..F.E",
+        "=========================== short test summary info "
+        "============================",
+        "FAILED tests/test_a.py::test_x[twice the gap-1] - AssertionError: "
+        "a - b",
+        "FAILED tests/test_a.py::test_y",
+        "ERROR tests/test_b.py - ImportError: no module",
+        "2 failed, 3 passed, 1 error in 0.10s",
+    ])
+    assert _tier1().failed_tests(out) == {
+        "tests/test_a.py::test_x[twice the gap-1]",
+        "tests/test_a.py::test_y",
+        "tests/test_b.py",
+    }
+
+
+def test_tier1_knows_the_two_failures_by_design():
+    assert _tier1().KNOWN_FAILURES == {
+        "tests/test_acceptance.py::test_criterion[8]",
+        "tests/test_measures.py::test_skew_sandwich_against_qfi",
+    }

@@ -1,0 +1,66 @@
+"""Run the Tier-1 suite and check that only the known failures fail.
+
+    python3 tools/tier1.py
+
+Runs ``python -m pytest -q --continue-on-collection-errors`` from the root
+of the checkout, with src on PYTHONPATH and OMP_NUM_THREADS=1, and prints
+its output.  Exits 0 when the tests that fail or error are exactly
+KNOWN_FAILURES; otherwise names each new failure and each known failure
+that no longer fails (it passes or is gone), and exits 1.  If pytest
+itself stops (an internal or usage error) its exit code is passed on.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# failing by design; README's test section says why
+KNOWN_FAILURES = frozenset({
+    "tests/test_acceptance.py::test_criterion[8]",
+    "tests/test_measures.py::test_skew_sandwich_against_qfi",
+})
+
+
+def failed_tests(output: str) -> set:
+    """The node ids on the FAILED and ERROR lines of pytest's short
+    summary, each line ``FAILED <node id>`` or ``FAILED <node id> - <why>``.
+    """
+    failed = set()
+    for line in output.splitlines():
+        for status in ("FAILED ", "ERROR "):
+            if line.startswith(status):
+                failed.add(line[len(status):].split(" - ", 1)[0])
+    return failed
+
+
+def main() -> int:
+    env = dict(os.environ, OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in ("src", os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE",
+         "--continue-on-collection-errors"],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    sys.stdout.write(run.stdout)
+    sys.stderr.write(run.stderr)
+    if run.returncode not in (0, 1):
+        print(f"tier1: pytest stopped with exit code {run.returncode}")
+        return run.returncode
+    failed = failed_tests(run.stdout)
+    for test in sorted(failed - KNOWN_FAILURES):
+        print(f"tier1: new failure: {test}")
+    for test in sorted(KNOWN_FAILURES - failed):
+        print(f"tier1: known failure no longer fails: {test}")
+    if failed != KNOWN_FAILURES:
+        return 1
+    print("tier1: ok, only the known failures fail")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
