@@ -1053,8 +1053,8 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
                  + float(np.abs(mass - w * p[keep]).sum()))
         upper, gap = dropped + error, dropped + 2.0 * error
     results = [(1.0, res)] if res is not None else [
-        (math.exp(log_p), _certified(_chain(omega), omega)
-         or conditional_min_entropy(omega)) for log_p, omega in omegas]
+        (math.exp(log_p), _certified(_chain(omega_j), omega_j)
+         or conditional_min_entropy(omega_j)) for log_p, omega_j in omegas]
     upper += sum(p_j * r.optimum for p_j, r in results)
     gap += sum(p_j * r.primal_dual_gap for p_j, r in results)
     if s is not None:
