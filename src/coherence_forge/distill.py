@@ -11,20 +11,21 @@ explicit dual certificate, so every reported optimum carries its own
 weak-duality proof (gap below sdp_gap).
 
 iid_fidelity is the one entry point for n copies of any source, and the
-one gate that checks each request before any block is built.  It
-solves a list of blocks in one loop: copies of a qubit under a
-non-degenerate Hamiltonian split by Schur-Weyl duality into one block
-per spin j (_schur_blocks, which gives each block's state as its bands,
-as far as the sectors reach, and _spin_omega, which builds Omega from
-them), and any other source is one block, its n-copy Omega.  An Omega
-whose sectors form a chain (a target with equal weights on two levels
-at the source's gap) is solved in closed form from its entries, with a
-dual built along the chain (_chain); the spin blocks go to it at once,
-as one direct sum, and otherwise each block goes to its own Omega: the
-chain, else the barrier solver.  Omega, tau and X are held as their
-entries inside the sectors (SectorMatrix) from builder to certificate,
-and verify_certificate re-checks every block result, the chain's and
-the barrier's alike, sector by sector on those entries.
+one gate that checks each request before any block is built.  It solves
+a list of blocks in one loop: copies of a qubit under a non-degenerate
+Hamiltonian split by Schur-Weyl duality into one block per spin j
+(_schur_blocks, which gives every block's state as log bands, as far as
+the sectors reach, the blocks' columns side by side, and _spin_omega,
+which builds Omega from log bands alone), and any other source is one
+block, its n-copy Omega.  An Omega whose sectors form a chain (a target
+with equal weights on two levels at the source's gap) is solved in
+closed form from its entries, with a dual built along the chain
+(_chain); the spin blocks go to it at once, as one direct sum, and
+otherwise each block goes to its own Omega: the chain, else the barrier
+solver.  Omega, tau and X are held as their entries inside the sectors
+(SectorMatrix) from builder to certificate, and verify_certificate
+re-checks every block result, the chain's and the barrier's alike,
+sector by sector on those entries.
 """
 
 from __future__ import annotations
@@ -148,21 +149,19 @@ class OmegaState:
     sectors: np.ndarray = field(repr=False)
 
 
-def _sectors(blocks: list, b: np.ndarray) -> tuple:
-    """(labels, rows, cols) for the product levels (i, j) of each block's
-    A levels a (ascending, the blocks in order) and B levels b.  labels is
-    a sum(len(a)) x len(b) array: within a block, the level_labels of the
-    sorted differences a_i - b_j at gap_cutoff, numbered on from the
-    previous block's, so that no sector spans two blocks.  rows and cols
-    are the pairs of product indices i len(b) + j that share a sector:
-    the diagonal pairs (q, q) first, in order, then the others.  A step
-    between sorted differences of one block that is at least gap_cutoff
-    yet below sqrt(gap_cutoff) makes the sectors ill-defined and raises
-    IncommensurateSpectrumError."""
-    a = np.concatenate(blocks)
+def _sectors(a: np.ndarray, sides, b: np.ndarray) -> tuple:
+    """(labels, rows, cols) for the product levels (i, j) of A levels a
+    and B levels b, a being blocks of the given sides side by side, each
+    ascending.  labels is a len(a) x len(b) array: within a block, the
+    level_labels of the sorted differences a_i - b_j at gap_cutoff,
+    numbered on from the previous block's, so that no sector spans two
+    blocks.  rows and cols are the pairs of product indices i len(b) + j
+    that share a sector: the diagonal pairs (q, q) first, in order, then
+    the others.  A step between sorted differences of one block that is
+    at least gap_cutoff yet below sqrt(gap_cutoff) makes the sectors
+    ill-defined and raises IncommensurateSpectrumError."""
     delta = (a[:, None] - b[None, :]).ravel()
-    block = np.repeat(np.arange(len(blocks)),
-                      [len(x) * len(b) for x in blocks])
+    block = np.repeat(np.arange(len(sides)), np.multiply(sides, b.size))
     order = np.lexsort((delta, block))
     delta, block = delta[order], block[order]
     steps = delta[1:] - delta[:-1]
@@ -186,7 +185,7 @@ def _sectors(blocks: list, b: np.ndarray) -> tuple:
         u, v = order[:-d][same], order[d:][same]
         rows += [u, v]
         cols += [v, u]
-    return (labels.reshape(len(a), len(b)), np.concatenate(rows),
+    return (labels.reshape(a.size, b.size), np.concatenate(rows),
             np.concatenate(cols))
 
 
@@ -244,7 +243,7 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     psi_bar = (U_B.conj().T @ psi.vector).conj()
     s = H.eigenbasis.conj().T @ sigma.matrix @ H.eigenbasis
     t = np.outer(psi_bar, psi_bar.conj())
-    labels, rows, cols = _sectors([a], b)
+    labels, rows, cols = _sectors(a, [a.size], b)
     (i, j), (k, m) = np.divmod(rows, b.size), np.divmod(cols, b.size)
     x = np.unravel_index(perm[i], (d,) * copies)
     y = np.unravel_index(perm[k], (d,) * copies)
@@ -671,12 +670,14 @@ def _visibility(s: np.ndarray | None, H: HermitianObservable,
     return min(lam, 1.0) if family else None
 
 
-def _schur_blocks(s, H, copies: int, reach: int = 1) -> list:
-    """The Schur-Weyl blocks of sigma^(x)copies, one (log p_j, levels,
-    bands) for each spin j = copies/2, copies/2 - 1, ... of positive
-    weight, from s = _qubit_frame(sigma, H) and the non-degenerate H:
-    H_j's levels, ascending, and bands[r, m] = log rho_j[m - r, m] for
-    r = 0..reach (-inf where it underflows, and at m < r).
+def _schur_blocks(s, H, copies: int, reach: int = 1) -> tuple:
+    """The Schur-Weyl blocks of sigma^(x)copies as (log_p, sides, levels,
+    bands), from s = _qubit_frame(sigma, H) and the non-degenerate H: the
+    blocks are columns side by side, one for each spin j = copies/2,
+    copies/2 - 1, ... of positive weight, the largest first.  Block j has
+    log_p[j] = log p_j and sides[j] = 2j + 1 columns, on which levels
+    holds H_j's levels, ascending, and bands[r, m] = log rho_j[m - r, m]
+    for r = 0..reach (-inf where it underflows, and at m < r).
 
     sigma^(x)n is the direct sum of p_j rho_j (x) I_{S_j}/dim S_j, and
     H_n of H_j (x) I_{S_j}, so F*(n) = sum_j p_j F*(rho_j) (Keyl & Werner,
@@ -748,31 +749,25 @@ def _schur_blocks(s, H, copies: int, reach: int = 1) -> list:
     with np.errstate(divide="ignore"):
         bands = np.log(raw) - log_totals.repeat(sides)
     levels = n * E0 + g * (ks.repeat(sides) + i)
-    blocks = []
-    for k, P, at, log_total in zip(ks.tolist(), sides.tolist(),
-                                   starts.tolist(), log_totals.tolist()):
-        log_dim = (math.lgamma(n + 1) - math.lgamma(k + 1)
-                   - math.lgamma(n - k + 1) + math.log(P)
-                   - math.log(n - k + 1))
-        blocks.append((log_dim + (k * log_det if k else 0.0)
-                       + (P - 1) * log_top + log_total,
-                       levels[at:at + P], bands[:, at:at + P]))
-    return blocks
+    log_p = np.array([
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + math.log(P) - math.log(n - k + 1) + (k * log_det if k else 0.0)
+        + (P - 1) * log_top + log_total for k, P, log_total
+        in zip(ks.tolist(), sides.tolist(), log_totals.tolist())])
+    return log_p, sides, levels, bands
 
 
-def _spin_omega(blocks: list, sectors: tuple,
+def _spin_omega(bands: np.ndarray, sectors: tuple,
                 log_t: np.ndarray) -> OmegaState:
-    """The direct sum of p_j Omega_j over blocks (log p_j, levels, bands)
-    of _schur_blocks, sectors = _sectors of their levels and H_B's, and
-    log_t the logs of psi_B's weights in H_B's eigenbasis (its phases,
-    like the source's, are a time translation): at each pair of product
-    states (m, b), (m', b') that share a sector, in _sectors' order,
-    exp(log rho_j[m, m'] + log p_j + (log t_b + log t_b')/2)."""
+    """Omega from log bands alone, bands[r, m] = log A[m - r, m] of its A
+    part (_schur_blocks' bands of one block, or of several side by side
+    plus each column's log p_j), sectors = _sectors of its levels and
+    H_B's, and log_t the logs of psi_B's weights in H_B's eigenbasis (its
+    phases, like the source's, are a time translation): at each pair of
+    product states (m, b), (m', b') that share a sector, in _sectors'
+    order, exp(bands[|m - m'|, max(m, m')] + (log t_b + log t_b')/2)."""
     labels, rows, cols = sectors
     d_B = labels.shape[1]
-    # log p_j rho_j, band by band
-    bands = np.concatenate([b[2] for b in blocks], axis=1) + np.repeat(
-        [b[0] for b in blocks], [b[1].size for b in blocks])
     N = labels.size
     diagonal = np.exp(bands[0][:, None] + log_t).ravel()
     (m, b), (k, c) = np.divmod(rows[N:], d_B), np.divmod(cols[N:], d_B)
@@ -928,7 +923,7 @@ class BlockSum:
     both sides (added once to upper and twice to gap):
     |psi_B|^2 |1 - sum_j p_j| over all blocks, plus
     sum_j |p_j Tr Omega_j - p_j |psi_B|^2| over the blocks solved (read
-    off band 0 of their bands, as _spin_omega forms the diagonal), plus
+    off band 0 plus log p_j, as _spin_omega forms the diagonal), plus
     (blocks + 2) eps/2 upper for the sum.  It is an estimate, not a
     proven bound: rounding errors of opposite sign within one Omega_j, or
     among the p_j, cancel in these traces.  bound_exact and
@@ -972,14 +967,15 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     weight 1.  _qubit_frame decides the split, and its one frame also
     feeds _schur_blocks and the bounds' qubit-family rule (_visibility).
 
-    The spin blocks with p_j >= 1e-17 go to _chain at once, as one
-    OmegaState, the direct sum of p_j Omega_j that _spin_omega builds from
-    their bands, and verify_certificate re-checks it.  The bands are swept
-    as far as the sector pairs of _sectors reach, the farthest |m - m'| in
-    one sector; past the first the direct sum is no chain and is not
-    built.  Then, or if that chain fails its check, each block's Omega_j
-    is built by _spin_omega when the solve loop reaches it; that loop also
-    solves any other source's one Omega, by _chain where
+    The spin blocks with p_j >= 1e-17, kept by one mask on the columns,
+    go to _chain at once, as one OmegaState, the direct sum of p_j Omega_j
+    that _spin_omega builds from their bands plus log p_j, and
+    verify_certificate re-checks it.  The bands are swept as far as the
+    sector pairs of _sectors reach, the farthest |m - m'| in one sector;
+    past the first the direct sum is no chain and is not built.  Then, or
+    if that chain fails its check, each block's Omega_j is built by
+    _spin_omega from its own columns when the solve loop reaches it; that
+    loop also solves any other source's one Omega, by _chain where
     verify_certificate passes it, else by conditional_min_entropy.  The
     rounding estimate reads the blocks' diagonal off band 0.
 
@@ -1012,43 +1008,45 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
         weight = np.abs(H_B.eigenbasis.conj().T @ psi_B.vector) ** 2
         with np.errstate(divide="ignore"):
             log_t = np.log(weight)
-        blocks = _schur_blocks(s, H, copies)
-        p = np.exp([b[0] for b in blocks])
+        log_p, sides, levels, bands = _schur_blocks(s, H, copies)
+        p = np.exp(log_p)
         keep = p >= 1e-17
-        live = [b for b, k in zip(blocks, keep) if k]
-        count, solved = half + 1, len(live)
-        sides = [b[1].size for b in live]
-        labels, rows, cols = sectors = _sectors([b[1] for b in live],
-                                                H_B.spectrum)
+        # the live blocks, and each of their columns' log p_j
+        live = keep.repeat(sides)
+        log_p, sides, levels, bands = (log_p[keep], sides[keep],
+                                       levels[live], bands[:, live])
+        log_p_col = log_p.repeat(sides)
+        starts = np.cumsum(sides) - sides
+        count, solved = half + 1, sides.size
+        labels, rows, cols = sectors = _sectors(levels, sides, H_B.spectrum)
         # the farthest superdiagonal a sector pair (or its mirror) reaches:
         # past the first, the direct sum is no chain
         reach = int((rows[labels.size:] // d_B
                      - cols[labels.size:] // d_B).max(initial=0))
         if reach <= 1:
-            omega = _spin_omega(live, sectors, log_t)
+            omega = _spin_omega(bands + log_p_col, sectors, log_t)
             res = _certified(_chain(omega), omega)
         if res is None and sum((P * d_B) ** 3
-                               for P in sides) > MAX_OMEGA_SIDE ** 3:
+                               for P in sides.tolist()) > MAX_OMEGA_SIDE ** 3:
             raise ValidationError(
                 f"{copies} copies make spin blocks that are no closed-form "
                 "chain, and the cubed sides of their Omega_j sum past "
                 f"the budget of {MAX_OMEGA_SIDE}**3")
         if reach > 1:
-            live = [b for b, k in zip(_schur_blocks(s, H, copies, reach),
-                                      keep) if k]
-        omegas = ((log_p, _spin_omega([(0.0, levels, bands)],
-                                      _sectors([levels], H_B.spectrum),
-                                      log_t))
-                  for log_p, levels, bands in live)
+            bands = _schur_blocks(s, H, copies, reach)[3][:, live]
+        omegas = ((log_p_j, _spin_omega(bands[:, at:at + P],
+                                        _sectors(levels[at:at + P], [P],
+                                                 H_B.spectrum), log_t))
+                  for log_p_j, P, at in zip(log_p.tolist(), sides.tolist(),
+                                            starts.tolist()))
         # a dropped block adds at most its weight; what the rounded
         # weights miss of 1 and each block's rounded diagonal,
         # exp(log rho_j[m, m] + log p_j + log t_b), misses of psi_B's norm
         # widen the interval by their size on both sides
         w = float(weight.sum())
         dropped = float(p[~keep].sum())
-        D = np.exp(np.concatenate([b[2][0] + b[0] for b in live])[:, None]
-                   + log_t)
-        mass = np.add.reduceat(D.sum(axis=1), np.cumsum([0] + sides[:-1]))
+        D = np.exp((bands[0] + log_p_col)[:, None] + log_t)
+        mass = np.add.reduceat(D.sum(axis=1), starts)
         error = (w * abs(1.0 - float(p.sum()))
                  + float(np.abs(mass - w * p[keep]).sum()))
         upper, gap = dropped + error, dropped + 2.0 * error

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -824,7 +825,8 @@ def test_sector_pairs_are_the_pairs_of_the_label_mask():
                np.sort(rng.integers(0, 4, size=rng.integers(1, 4))
                        ).astype(float)) for _ in range(100)]
     for blocks, b in cases:
-        labels, rows, cols = _sectors(blocks, b)
+        labels, rows, cols = _sectors(np.concatenate(blocks),
+                                      [x.size for x in blocks], b)
         N = labels.size
         assert np.array_equal(rows[:N], np.arange(N))
         assert np.array_equal(cols[:N], np.arange(N))
@@ -849,7 +851,7 @@ def _masked_entries(sigma, H, psi_B, H_B, copies):
     sn = functools.reduce(np.kron, [V.conj().T @ sigma.matrix @ V] * copies)
     sn = sn[perm][:, perm]
     t = np.outer(psi_bar, psi_bar.conj())
-    rows, cols = _mask_pairs(_sectors([a[perm]], H_B.spectrum)[0])
+    rows, cols = _mask_pairs(_sectors(a[perm], [a.size], H_B.spectrum)[0])
     (i, j), (k, m) = np.divmod(rows, H_B.dim), np.divmod(cols, H_B.dim)
     return dict(zip(zip(rows.tolist(), cols.tolist()),
                     (sn[i, k] * t[j, m]).tolist()))
@@ -997,6 +999,51 @@ def test_fstar_independent_of_blas_threads():
         outs.append(run.stdout)
     assert outs[0] == outs[1]
     assert len(outs[0].split()) == 3
+
+
+def test_block_sums_independent_of_blas_threads():
+    # the chain, the Schur barrier at reach 1 and 2 and the dense barrier
+    # give the same BlockSum at one BLAS thread and at two, but for gap
+    # and min_slack, which the dense barrier solve can move in their low
+    # bits; each run still certifies on its own
+    src = os.path.dirname(os.path.dirname(coherence_forge.__file__))
+    code = (
+        "import json, math, numpy as np\n"
+        "from dataclasses import asdict\n"
+        "from coherence_forge.distill import iid_fidelity\n"
+        "from coherence_forge.linalg import random_density\n"
+        "plus = np.array([1.0, 1.0]) / math.sqrt(2)\n"
+        "h = np.diag([0.0, 1.0])\n"
+        "q = 0.6 * np.outer(plus, plus) + 0.2 * np.eye(2)\n"
+        "for args in [\n"
+        "        (q, h, plus, h, 30),\n"
+        "        (q, h, np.array([math.sqrt(0.6), math.sqrt(0.4)]), h, 10),\n"
+        "        (q, h, plus, np.diag([0.0, 2.0]), 10),\n"
+        "        (random_density(3, 91), np.diag([0.0, 1.0, 2.0]), plus, h,"
+        " 3),\n"
+        "        (random_density(4, 91), np.diag([0.0, 1.0, 2.0, 3.0]), plus,"
+        " h, 1)]:\n"
+        "    print(json.dumps(asdict(iid_fidelity(*args))))\n"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outs.append([json.loads(line) for line in run.stdout.splitlines()])
+    assert len(outs[0]) == len(outs[1]) == 5
+    kinds = []
+    for one, two in zip(*outs):
+        for res in (one, two):
+            assert res.pop("gap") < DEFAULT.sdp_gap
+            assert res.pop("min_slack") > 0.0
+        assert one == two
+        kinds.append(one["certificate"])
+    assert kinds == ["schur-chain", "schur", "schur", "dense", "dense"]
 
 
 def test_sdp_result_reports_solver_work():
@@ -1226,6 +1273,15 @@ def test_schur_blocks_match_the_dense_solve(n):
             assert res.newton_steps > res.barrier_stages > 0
 
 
+def _blocks(s, H, n, reach=1):
+    """_schur_blocks(s, H, n, reach) split into one (log p_j, levels,
+    bands) for each block, the largest spin first."""
+    log_p, sides, levels, bands = _schur_blocks(s, H, n, reach)
+    cuts = np.cumsum(sides)[:-1]
+    return list(zip(log_p.tolist(), np.split(levels, cuts),
+                    np.split(bands, cuts, axis=1)))
+
+
 def test_schur_blocks_resolve_the_spectrum_of_the_copies():
     # p_j rho_j (x) I/dim S_j over all j has the spectrum of sigma^(x)n,
     # and each block's bands are those of its dense rho_j
@@ -1235,7 +1291,7 @@ def test_schur_blocks_resolve_the_spectrum_of_the_copies():
     H = random_observable(2, rng)
     dense = np.linalg.eigvalsh(_dense_copies(sigma, H, n)[0])
     parts = []
-    for log_p, levels, bands in _schur_blocks(sigma, H, n):
+    for log_p, levels, bands in _blocks(sigma, H, n):
         P = levels.size
         j2 = P - 1
         k = (n - j2) // 2
@@ -1280,7 +1336,7 @@ def test_schur_bands_match_the_brute_force_symmetric_power():
         flat = np.array([[s[0, 0].real, abs(s[0, 1])],
                          [abs(s[0, 1]), s[1, 1].real]])
         for n in range(1, 8):
-            for _, levels, bands in _schur_blocks(s, H01, n, n):
+            for _, levels, bands in _blocks(s, H01, n, n):
                 N = levels.size - 1
                 S = _brute_sym(flat, N)
                 S /= np.trace(S)
@@ -1294,7 +1350,17 @@ def test_schur_bands_match_the_brute_force_symmetric_power():
 
 
 def test_schur_weights_sum_to_one_at_150_copies():
-    blocks = _schur_blocks(qubit(0.6), H01, 150)
+    # the blocks come as four arrays, their columns side by side, the
+    # largest spin first; within a block the levels step by H's gap
+    layout = _schur_blocks(qubit(0.6), H01, 150)
+    assert len(layout) == 4
+    assert all(isinstance(x, np.ndarray) for x in layout)
+    _, sides, levels, bands = layout
+    assert np.array_equal(sides, np.arange(151, 0, -2))
+    assert levels.size == bands.shape[1] == sides.sum()
+    for block in np.split(levels, np.cumsum(sides)[:-1]):
+        assert np.all(np.diff(block) == 1.0)
+    blocks = _blocks(qubit(0.6), H01, 150)
     assert len(blocks) == 76
     assert abs(sum(math.exp(log_p) for log_p, *_ in blocks) - 1) < 1e-12
     for _, _, bands in blocks:
@@ -1307,7 +1373,7 @@ def test_schur_edge_sources_are_exact():
     # an error in this suite)
     pure = np.array([[0.5, 0.5], [0.5, 0.5]])
     for n in (1, 4, 7):
-        assert len(_schur_blocks(pure, H01, n)) == 1
+        assert len(_blocks(pure, H01, n)) == 1
         res = iid_fidelity(pure, H01, CBIT, H01, n)
         assert (res.blocks, res.blocks_dropped) == (1, n // 2)
         assert res.certificate == "schur-chain"
@@ -1389,15 +1455,15 @@ def _band_and_dense(sigma, H, psi, H_B, n):
     H, H_B, psi = observable(H), observable(H_B), pure_state(psi)
     s = _qubit_frame(density_matrix(sigma), H)
     log_t = np.log(np.abs(H_B.eigenbasis.conj().T @ psi.vector) ** 2)
-    live = [(log_p, levels) for log_p, levels, _ in _schur_blocks(s, H, n)
+    live = [(log_p, levels) for log_p, levels, _ in _blocks(s, H, n)
             if log_p >= math.log(1e-17)]
-    sectors = [_sectors([levels], H_B.spectrum) for _, levels in live]
+    sectors = [_sectors(levels, [levels.size], H_B.spectrum)
+               for _, levels in live]
     reach = max(int(np.abs(rows[lab.size:] // H_B.dim
                            - cols[lab.size:] // H_B.dim).max(initial=0))
                 for lab, rows, cols in sectors)
-    bands = {levels.size: b for _, levels, b in _schur_blocks(s, H, n, reach)}
-    return [(math.exp(log_p),
-             _spin_omega([(0.0, levels, bands[levels.size])], sec, log_t),
+    bands = {levels.size: b for _, levels, b in _blocks(s, H, n, reach)}
+    return [(math.exp(log_p), _spin_omega(bands[levels.size], sec, log_t),
              iid_omega_state(spin_state(s, levels.size), np.diag(levels), psi,
                              H_B, 1))
             for (log_p, levels), sec in zip(live, sectors)]
@@ -1563,11 +1629,11 @@ def _spin_omegas(sigma, n, block):
     """(dense Omega, band Omega) of one spin block of n copies of sigma
     under H01 into |+> under H01: the dense one from spin_state, the band
     one built as iid_fidelity builds it."""
-    _, levels, bands = _schur_blocks(sigma, H01, n)[block]
+    _, levels, bands = _blocks(sigma, H01, n)[block]
     omega = iid_omega_state(spin_state(sigma, levels.size),
                             np.diag(levels), CBIT, H01, 1)
-    return omega, _spin_omega([(0.0, levels, bands)],
-                              _sectors([levels], np.array([0.0, 1.0])),
+    return omega, _spin_omega(bands, _sectors(levels, [levels.size],
+                                              np.array([0.0, 1.0])),
                               np.log(np.abs(CBIT) ** 2))
 
 

@@ -4,7 +4,9 @@
 
 Runs ``python -m pytest -q --continue-on-collection-errors`` from the root
 of the checkout, with src on PYTHONPATH and OMP_NUM_THREADS=1, and prints
-its output.  Exits 0 when the tests that fail or error are exactly
+its output.  ``-p no:cacheprovider`` keeps the run from writing a
+.pytest_cache into the checkout, and ``--durations=5`` lists the five
+slowest tests.  Exits 0 when the tests that fail or error are exactly
 KNOWN_FAILURES; otherwise names each new failure and each known failure
 that no longer fails (it passes or is gone), and exits 1.  If pytest
 itself stops (an internal or usage error) its exit code is passed on.
@@ -44,7 +46,8 @@ def main() -> int:
         p for p in ("src", os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE",
-         "--continue-on-collection-errors"],
+         "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--durations=5"],
         cwd=ROOT, env=env, capture_output=True, text=True)
     sys.stdout.write(run.stdout)
     sys.stderr.write(run.stderr)
