@@ -280,7 +280,9 @@ class _Sectors:
     identity row of the slack and zero elsewhere.  Omega's entries are
     summed into their places, and one off the sector mask raises
     CertificateError before any Newton step.  tau is held as the vector
-    x of its P block entries, unit q being tau[ui[q], uk[q]].
+    x of its P block entries, unit q being tau[ui[q], uk[q]].  The live
+    Newton terms are counted first: past MAX_NEWTON_TERMS, ValidationError
+    comes before any stack or map is built.
 
     A's levels i and k share a tau block when (i, j) and (k, j) share a
     sector.  iid_omega_state's grouping makes that hold for every j or for
@@ -294,6 +296,22 @@ class _Sectors:
         if not (lmi[Om.rows] == lmi[Om.cols]).all():
             raise CertificateError("Omega has an entry off the sector mask")
         sizes = np.bincount(lmi)
+        block = labels[:, 0]
+        ui, uk = np.nonzero(block[:, None] == block[None, :])
+        P = ui.size
+        # unit q = (i, k) at column j is the pair (q, j), flat, with product
+        # indices r = (i, j) and c = (k, j).  K[q, q'] for q' = (l, m) is
+        # sum_{j, j'} S^-1[(i,j),(l,j')] S^-1[(m,j'),(k,j)]; a term lives
+        # when (q, j) and (q', j') have one code for the sectors of r and
+        # c, so each code gives its count^2 terms
+        r = (ui[:, None] * d_B + np.arange(d_B)).ravel()
+        c = (uk[:, None] * d_B + np.arange(d_B)).ravel()
+        codes = lmi[r] * sizes.size + lmi[c]
+        terms = int(np.square(np.unique(codes, return_counts=True)[1]).sum())
+        if terms > MAX_NEWTON_TERMS:
+            raise ValidationError(
+                f"the Newton system has {terms} live terms, above the budget "
+                f"of {MAX_NEWTON_TERMS}")
         n = sizes.max()
         self.valid = np.arange(n)[None, :] < sizes[:, None]
         E = np.zeros(self.valid.shape, dtype=int)
@@ -303,9 +321,6 @@ class _Sectors:
         rows, cols = E[:, :, None], E[:, None, :]
         self.rows = np.broadcast_to(rows, self.pair.shape)[self.pair]
         self.cols = np.broadcast_to(cols, self.pair.shape)[self.pair]
-        block = labels[:, 0]
-        ui, uk = np.nonzero(block[:, None] == block[None, :])
-        P = ui.size
         unit = np.full((d_A, d_A), P)
         unit[ui, uk] = np.arange(P)
         # lift_map indexes x with a zero appended at place P
@@ -334,33 +349,18 @@ class _Sectors:
         self.pad = np.zeros(1)
         itype = (np.int32 if max(zero, P * P) <= np.iinfo(np.int32).max
                  else np.int64)
-        # the product indices (i, j) and (k, j) of unit q = (i, k) at
-        # column j, flat over the pairs (q, j)
-        r = (ui[:, None] * d_B + np.arange(d_B)).ravel()
-        c = (uk[:, None] * d_B + np.arange(d_B)).ravel()
         self.trace_slots = np.where(lmi[r] == lmi[c], base[r] + place[c],
                                     zero).astype(itype).reshape(P, d_B)
-        # K[q, q'] for units q = (i, k), q' = (l, m) is
-        # sum_{j, j'} S^-1[(i,j),(l,j')] S^-1[(m,j'),(k,j)]; a term lives
-        # when both factors lie inside a sector, that is when the pairs
-        # (q, j) and (q', j') have one code for the sectors of (i, j) and
-        # (k, j).  Each piece takes the pairs (q, j) whose masks over
-        # (q', j') hold about 2**20 entries, and keeps its live terms, each
-        # as its cell q P + q' and both factors' places, in (q, j, q', j')
-        # order: np.add.at then sums each cell in (j, j') order.
-        codes = lmi[r] * sizes.size + lmi[c]
+        # each piece takes the pairs (q, j) whose masks over (q', j') hold
+        # about 2**20 entries, and keeps its live terms, each as its cell
+        # q P + q' and both factors' places, in (q, j, q', j') order:
+        # np.add.at then sums each cell in (j, j') order
         unit_of = np.repeat(np.arange(P), d_B)
         step = max(1, 2 ** 20 // codes.size)
         self.pieces = []
-        live = 0
         for lo in range(0, codes.size, step):
             at, to = np.divmod(np.flatnonzero(
                 codes[lo:lo + step, None] == codes), codes.size)
-            live += at.size
-            if live > MAX_NEWTON_TERMS:
-                raise ValidationError(
-                    f"the Newton system has over {MAX_NEWTON_TERMS} live "
-                    "terms, above the budget")
             at += lo
             self.pieces.append((
                 (unit_of[at] * P + unit_of[to]).astype(itype),
@@ -432,9 +432,9 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     T = Tr_B X, which makes Tr_B X = I and keeps X >= 0; with
     X = Y Y^dag per sector, C X C is the gram of C Y.
 
-    Raises ValidationError before any Newton step when K has more than
-    MAX_NEWTON_TERMS live terms, and CertificateError when Omega has an
-    entry off the sector mask."""
+    Raises CertificateError when Omega has an entry off the sector mask,
+    and ValidationError when K has more than MAX_NEWTON_TERMS live terms,
+    each before any sector stack is built."""
     N = omega.sectors.size
     sectors = _Sectors(np.asarray(omega.sectors), omega.matrix)
     # Omega's spectrum is its sector blocks'; each pad adds an eigenvalue -1
@@ -671,10 +671,12 @@ def _visibility(s: np.ndarray | None, H: HermitianObservable,
 
 
 def _schur_blocks(s, H, copies: int, reach: int = 1) -> tuple:
-    """The Schur-Weyl blocks of sigma^(x)copies as (log_p, sides, levels,
-    bands), from s = _qubit_frame(sigma, H) and the non-degenerate H: the
-    blocks are columns side by side, one for each spin j = copies/2,
-    copies/2 - 1, ... of positive weight, the largest first.  Block j has
+    """The Schur-Weyl blocks of sigma^(x)copies that iid_fidelity solves,
+    from s = _qubit_frame(sigma, H) and the non-degenerate observable H:
+    (log_p, sides, levels, bands) of each spin j = copies/2, copies/2 - 1,
+    ... with p_j >= 1e-17 (a pure sigma's lower spins weigh 0), as
+    columns side by side, the largest first, then the sums over every
+    spin of p_j (total) and of the p_j left out (dropped).  Block j has
     log_p[j] = log p_j and sides[j] = 2j + 1 columns, on which levels
     holds H_j's levels, ascending, and bands[r, m] = log rho_j[m - r, m]
     for r = 0..reach (-inf where it underflows, and at m < r).
@@ -697,9 +699,7 @@ def _schur_blocks(s, H, copies: int, reach: int = 1) -> tuple:
     per block of side P = N + 1.  p_j = dim S_j det(s)^k Tr Sym^N(s), with
     dim S_j = C(n, k)(n - 2k + 1)/(n - k + 1), in logs.
 
-    Trusts iid_fidelity's checks of copies, the split and the budget;
-    H may still be an array."""
-    H = observable(H)
+    Trusts iid_fidelity's checks of copies, the split and the budget."""
     n = copies
     # the Bloch vector in H's eigenbasis, |0> the lower level, clipped to
     # the ball; s over its larger eigenvalue (1 + r)/2
@@ -712,9 +712,8 @@ def _schur_blocks(s, H, copies: int, reach: int = 1) -> tuple:
     log_top = math.log((1.0 + r) / 2.0)
     log_det = log_top + math.log((1.0 - r) / 2.0) if r < 1.0 else -math.inf
     E0, g = float(H.spectrum[0]), float(H.spectrum[1] - H.spectrum[0])
-    # the blocks side by side, the largest spin first; the spins of weight
-    # zero (k > 0 for a pure sigma) are left out
-    ks = np.arange(n // 2 + 1 if log_det > -math.inf else 1)
+    # the blocks side by side, the largest spin first
+    ks = np.arange(n // 2 + 1)
     sides = n + 1 - 2 * ks
     starts = np.cumsum(sides) - sides
     start = dict(zip(sides.tolist(), starts.tolist()))
@@ -754,7 +753,11 @@ def _schur_blocks(s, H, copies: int, reach: int = 1) -> tuple:
         + math.log(P) - math.log(n - k + 1) + (k * log_det if k else 0.0)
         + (P - 1) * log_top + log_total for k, P, log_total
         in zip(ks.tolist(), sides.tolist(), log_totals.tolist())])
-    return log_p, sides, levels, bands
+    p = np.exp(log_p)
+    keep = p >= 1e-17
+    live = keep.repeat(sides)
+    return (log_p[keep], sides[keep], levels[live], bands[:, live],
+            float(p.sum()), float(p[~keep].sum()))
 
 
 def _spin_omega(bands: np.ndarray, sectors: tuple,
@@ -967,7 +970,7 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     weight 1.  _qubit_frame decides the split, and its one frame also
     feeds _schur_blocks and the bounds' qubit-family rule (_visibility).
 
-    The spin blocks with p_j >= 1e-17, kept by one mask on the columns,
+    The spin blocks that _schur_blocks keeps, those with p_j >= 1e-17,
     go to _chain at once, as one OmegaState, the direct sum of p_j Omega_j
     that _spin_omega builds from their bands plus log p_j, and
     verify_certificate re-checks it.  The bands are swept as far as the
@@ -977,7 +980,8 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     _spin_omega from its own columns when the solve loop reaches it; that
     loop also solves any other source's one Omega, by _chain where
     verify_certificate passes it, else by conditional_min_entropy.  The
-    rounding estimate reads the blocks' diagonal off band 0.
+    rounding estimate reads the kept blocks' diagonal off band 0, and
+    the sums of all p_j and of the dropped ones off _schur_blocks.
 
     Every check comes before any block is built: copies an integer >= 1
     (not a bool), then sigma, H and H_B, then psi_B as a pure_state of
@@ -1008,13 +1012,8 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
         weight = np.abs(H_B.eigenbasis.conj().T @ psi_B.vector) ** 2
         with np.errstate(divide="ignore"):
             log_t = np.log(weight)
-        log_p, sides, levels, bands = _schur_blocks(s, H, copies)
-        p = np.exp(log_p)
-        keep = p >= 1e-17
-        # the live blocks, and each of their columns' log p_j
-        live = keep.repeat(sides)
-        log_p, sides, levels, bands = (log_p[keep], sides[keep],
-                                       levels[live], bands[:, live])
+        log_p, sides, levels, bands, total, dropped = _schur_blocks(
+            s, H, copies)
         log_p_col = log_p.repeat(sides)
         starts = np.cumsum(sides) - sides
         count, solved = half + 1, sides.size
@@ -1033,7 +1032,7 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
                 "chain, and the cubed sides of their Omega_j sum past "
                 f"the budget of {MAX_OMEGA_SIDE}**3")
         if reach > 1:
-            bands = _schur_blocks(s, H, copies, reach)[3][:, live]
+            bands = _schur_blocks(s, H, copies, reach)[3]
         omegas = ((log_p_j, _spin_omega(bands[:, at:at + P],
                                         _sectors(levels[at:at + P], [P],
                                                  H_B.spectrum), log_t))
@@ -1044,11 +1043,10 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
         # exp(log rho_j[m, m] + log p_j + log t_b), misses of psi_B's norm
         # widen the interval by their size on both sides
         w = float(weight.sum())
-        dropped = float(p[~keep].sum())
         D = np.exp((bands[0] + log_p_col)[:, None] + log_t)
         mass = np.add.reduceat(D.sum(axis=1), starts)
-        error = (w * abs(1.0 - float(p.sum()))
-                 + float(np.abs(mass - w * p[keep]).sum()))
+        error = (w * abs(1.0 - total)
+                 + float(np.abs(mass - w * np.exp(log_p)).sum()))
         upper, gap = dropped + error, dropped + 2.0 * error
     results = [(1.0, res)] if res is not None else [
         (math.exp(log_p), _certified(_chain(omega_j), omega_j)

@@ -79,6 +79,20 @@ def test_random_channel_is_cptp_and_deterministic():
             assert np.max(np.abs(a - b)) == 0.0
     with pytest.raises(ValidationError):
         random_channel(4, 2, 1, 0)   # rank*d_out < d_in
+    with pytest.raises(ValidationError, match=r"^rank must be in \[1, 4\]$"):
+        random_channel(2, 2, 0, 0)
+
+
+def test_channel_refuses_operands_of_the_wrong_dimension():
+    ch = random_channel(2, 2, 2, 1)
+    with pytest.raises(ValidationError,
+                       match="^state dim 3 != channel input dim 2$"):
+        apply(ch, random_density(3, 1))
+    H2, H3 = np.diag([0.0, 1.0]), np.diag([0.0, 1.0, 2.0])
+    dims = "^Hamiltonian dims do not match the channel$"
+    for H_in, H_out in ((H3, H2), (H2, H3)):
+        with pytest.raises(ValidationError, match=dims):
+            twirl(ch, H_in, H_out, TAU)
 
 
 def test_apply_preserves_trace_and_positivity():

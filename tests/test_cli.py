@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from coherence_forge import cli, linalg
+from coherence_forge.config import DEFAULT
+from coherence_forge.errors import CertificateError, SolverStallError
 from coherence_forge.linalg import (
     array_to_json,
     random_density,
@@ -949,6 +951,56 @@ def test_distill_refuses_a_bad_target_before_any_block(fixtures,
     assert capsys.readouterr().err.startswith("error: ")
     # rho at load only: the levels files carry their eigenpairs
     assert [M.shape[0] for M in mats] == [2]
+
+
+def test_loaders_refuse_a_file_of_the_wrong_rank(fixtures, tmp_path,
+                                                capsys):
+    # a dense Hamiltonian file must hold a matrix, and dist's --state a
+    # vector
+    ham = tmp_path / "h1d.json"
+    ham.write_text(json.dumps(array_to_json(np.array([0.0, 1.0]))))
+    assert cli.main(["measures", "--state", fixtures["cbit"],
+                     "--ham", str(ham)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: Hamiltonian matrix must be 2-D\n")
+    assert cli.main(["dist", "--state", fixtures["rho"],
+                     "--ham", fixtures["h2"]]) == 1
+    assert capsys.readouterr() == (
+        "", "error: --state must be a pure state (1-D JSON array)\n")
+
+
+@pytest.mark.parametrize("error", [SolverStallError, CertificateError])
+def test_distill_exits_2_when_no_certificate_is_found(fixtures, monkeypatch,
+                                                     capsys, error):
+    def fails(*args, **kwargs):
+        raise error("no certificate")
+
+    monkeypatch.setattr(cli.distill, "iid_fidelity", fails)
+    assert cli.main(["distill", "--in", fixtures["rho"], fixtures["h2"],
+                     "--target", fixtures["cbit"], fixtures["h2"]]) == 2
+    assert capsys.readouterr() == ("", "error: no certificate\n")
+
+
+def test_distill_exits_2_past_the_newton_step_budget(fixtures, monkeypatch,
+                                                     capsys):
+    # one copy of this source under levels {0, 1, 2, 3} is no chain, so
+    # the barrier solves it, in more than 3 Newton steps
+    monkeypatch.setattr(cli.distill, "DEFAULT",
+                        dataclasses.replace(DEFAULT, sdp_max_newton=3))
+    sigma = random_density(4, 91)
+    plus = np.array([1.0, 1.0]) / math.sqrt(2)
+    with pytest.raises(SolverStallError, match="within 3 Newton steps$"):
+        cli.distill.iid_fidelity(sigma, np.diag([0.0, 1.0, 2.0, 3.0]), plus,
+                                 np.diag([0.0, 1.0]), 1)
+    state = fixtures["dir"] / "sigma4.json"
+    state.write_text(json.dumps(array_to_json(sigma)))
+    assert cli.main(["distill", "--in", str(state), fixtures["h4"],
+                     "--target", fixtures["cbit"], fixtures["h2"]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith(
+        "within 3 Newton steps\n")
+    assert err.count("\n") == 1
 
 
 def test_qubit_bound_table(fixtures):

@@ -125,6 +125,15 @@ def test_integer_distribution_validation():
     for bad in ([math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]):
         with pytest.raises(ValidationError):
             integer_distribution(0, bad)
+    with pytest.raises(ValidationError,
+                       match=r"^probs must be a nonempty 1-D array$"):
+        integer_distribution(0, [])
+
+
+def test_translated_poisson_refuses_a_negative_variance():
+    with pytest.raises(ValidationError,
+                       match=r"^sigma2 must be >= 0, got -0\.5$"):
+        translated_poisson(1.0, -0.5)
 
 
 def test_convolve_n_refuses_windows_over_budget(monkeypatch):

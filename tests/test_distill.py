@@ -644,10 +644,34 @@ def test_newton_term_budget_refuses_a_larger_system(monkeypatch):
     assert live == 4 ** 2 * (1 + 2 ** 4 + 1)
     monkeypatch.setattr(coherence_forge.distill, "MAX_NEWTON_TERMS",
                         live - 1)
-    with pytest.raises(ValidationError, match="live terms"):
+    with pytest.raises(ValidationError, match=(
+            f"has {live} live terms, above the budget of {live - 1}$")):
         conditional_min_entropy(om)
     monkeypatch.setattr(coherence_forge.distill, "MAX_NEWTON_TERMS", live)
     assert conditional_min_entropy(om).primal_dual_gap < DEFAULT.sdp_gap
+
+
+def test_newton_term_budget_is_checked_before_any_stack(monkeypatch):
+    # one copy of an 8-level source under H = 0 into the uniform state of
+    # a 16-level H_B = 0 is one sector of side 128 with 64 tau units, so
+    # 64**2 * 16**2 = 2**20 live terms.  Past a smaller budget the count
+    # comes from the sector codes alone, after the off-mask check of
+    # Omega's 16,384 entries: the refusal peaks below 1 MB, far below the
+    # 12 MB of index maps that those terms would take
+    om = iid_omega_state(random_density(8, 1), np.zeros((8, 8)),
+                         np.ones(16) / 4, np.zeros((16, 16)), 1)
+    monkeypatch.setattr(coherence_forge.distill, "MAX_NEWTON_TERMS",
+                        2 ** 20 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=(
+                f"has {2 ** 20} live terms, above the budget of "
+                f"{2 ** 20 - 1}$")):
+            _Sectors(om.sectors, om.matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_newton_steps_build_no_full_space_matrix(monkeypatch):
@@ -1274,9 +1298,10 @@ def test_schur_blocks_match_the_dense_solve(n):
 
 
 def _blocks(s, H, n, reach=1):
-    """_schur_blocks(s, H, n, reach) split into one (log p_j, levels,
-    bands) for each block, the largest spin first."""
-    log_p, sides, levels, bands = _schur_blocks(s, H, n, reach)
+    """_schur_blocks(s, observable(H), n, reach) split into one (log p_j,
+    levels, bands) for each block it keeps, the largest spin first."""
+    log_p, sides, levels, bands, _, _ = _schur_blocks(s, observable(H), n,
+                                                      reach)
     cuts = np.cumsum(sides)[:-1]
     return list(zip(log_p.tolist(), np.split(levels, cuts),
                     np.split(bands, cuts, axis=1)))
@@ -1350,21 +1375,41 @@ def test_schur_bands_match_the_brute_force_symmetric_power():
 
 
 def test_schur_weights_sum_to_one_at_150_copies():
-    # the blocks come as four arrays, their columns side by side, the
-    # largest spin first; within a block the levels step by H's gap
-    layout = _schur_blocks(qubit(0.6), H01, 150)
-    assert len(layout) == 4
-    assert all(isinstance(x, np.ndarray) for x in layout)
-    _, sides, levels, bands = layout
-    assert np.array_equal(sides, np.arange(151, 0, -2))
+    # the kept blocks come as four arrays, their columns side by side, the
+    # largest spin first, with the sum of every p_j and of those dropped;
+    # within a block the levels step by H's gap.  At lam = 0.6 the spin-0
+    # block weighs 2.5e-18 and is the one dropped
+    layout = _schur_blocks(qubit(0.6), observable(H01), 150)
+    assert len(layout) == 6
+    assert all(isinstance(x, np.ndarray) for x in layout[:4])
+    _, sides, levels, bands, total, dropped = layout
+    assert np.array_equal(sides, np.arange(151, 1, -2))
     assert levels.size == bands.shape[1] == sides.sum()
     for block in np.split(levels, np.cumsum(sides)[:-1]):
         assert np.all(np.diff(block) == 1.0)
+    assert abs(total - 1) < 1e-12
+    assert 0.0 < dropped < 1e-17
     blocks = _blocks(qubit(0.6), H01, 150)
-    assert len(blocks) == 76
+    assert len(blocks) == 75
     assert abs(sum(math.exp(log_p) for log_p, *_ in blocks) - 1) < 1e-12
     for _, _, bands in blocks:
         assert abs(np.exp(bands[0]).sum() - 1) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_schur_blocks_keep_one_block_of_a_pure_source(n):
+    # a pure source's spins below the largest weigh 0: the one drop rule
+    # leaves them out, with nothing dropped and no warning (an error in
+    # this suite) on the way
+    v = np.array([0.8, 0.6j])
+    for pure in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+                 np.outer(v, v.conj())):
+        log_p, sides, levels, bands, total, dropped = _schur_blocks(
+            pure, observable(H01), n)
+        assert np.array_equal(sides, [n + 1])
+        assert levels.size == bands.shape[1] == n + 1
+        assert log_p.size == 1 and abs(total - 1.0) < 1e-12
+        assert dropped == 0.0
 
 
 def test_schur_edge_sources_are_exact():
@@ -1455,8 +1500,7 @@ def _band_and_dense(sigma, H, psi, H_B, n):
     H, H_B, psi = observable(H), observable(H_B), pure_state(psi)
     s = _qubit_frame(density_matrix(sigma), H)
     log_t = np.log(np.abs(H_B.eigenbasis.conj().T @ psi.vector) ** 2)
-    live = [(log_p, levels) for log_p, levels, _ in _blocks(s, H, n)
-            if log_p >= math.log(1e-17)]
+    live = [(log_p, levels) for log_p, levels, _ in _blocks(s, H, n)]
     sectors = [_sectors(levels, [levels.size], H_B.spectrum)
                for _, levels in live]
     reach = max(int(np.abs(rows[lab.size:] // H_B.dim

@@ -18,6 +18,7 @@ from coherence_forge.config import DEFAULT
 from coherence_forge.convert import intrinsic_period, iid_sweep
 from coherence_forge.distill import iid_omega_state
 from coherence_forge.errors import (
+    CoherenceForgeError,
     SchemaError,
     ValidationError,
 )
@@ -296,6 +297,40 @@ def test_json_schema_errors():
         array_from_json({"re": [[1.0]]})
     with pytest.raises(SchemaError):
         array_from_json({"dim": 2, "re": [[1.0, 0.0]], "im": [[0.0, 0.0]]})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: fidelity(random_density(2, 0), random_density(3, 0)),
+     ValidationError, "states have different dimensions"),
+    (lambda: pure_state(np.eye(2)),
+     ValidationError, "expected a vector, got shape (2, 2)"),
+    (lambda: array_to_json(np.zeros((2, 2, 2))),
+     ValidationError, "cannot encode array of shape (2, 2, 2)"),
+    (lambda: array_from_json({"dim": 2, "re": np.zeros((2, 2, 2)).tolist(),
+                              "im": np.zeros((2, 2, 2)).tolist()}),
+     SchemaError, "payload must be 1-D or 2-D, got 3-D"),
+], ids=["fidelity", "pure_state", "array_to_json", "array_from_json"])
+def test_shape_refusals_name_their_rule(call, error, message):
+    # an operand of the wrong rank or size is refused by its own check
+    with pytest.raises(CoherenceForgeError) as info:
+        call()
+    assert info.type is error
+    assert str(info.value) == message
+
+
+def test_eig_hermitian_refuses_a_wrong_basis(monkeypatch):
+    # the reconstruction check catches a solver that returns the right
+    # eigenvalues with the wrong eigenvectors
+    eigh = np.linalg.eigh
+
+    def wrong_basis(M):
+        w, V = eigh(M)
+        return w, np.eye(M.shape[-1], dtype=V.dtype)
+
+    monkeypatch.setattr(np.linalg, "eigh", wrong_basis)
+    with pytest.raises(ValidationError,
+                       match="^eigendecomposition residual [0-9.e+-]+$"):
+        eig_hermitian(random_observable(3, 0))
 
 
 @pytest.mark.parametrize("call", [

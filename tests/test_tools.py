@@ -35,3 +35,20 @@ def test_tier1_knows_the_two_failures_by_design():
         "tests/test_acceptance.py::test_criterion[8]",
         "tests/test_measures.py::test_skew_sandwich_against_qfi",
     }
+
+
+def test_tier1_counts_source_lines_as_wc_does(tmp_path):
+    # wc -l counts newline characters, so a last line without one is not
+    # counted; only the package's own .py files are listed, by name
+    src = tmp_path / "src" / "coherence_forge"
+    (src / "sub").mkdir(parents=True)
+    (src / "b.py").write_text("x = 1\ny = 2\n")
+    (src / "a.py").write_text("\n" * 10)
+    (src / "c.py").write_text("no newline")
+    (src / "notes.txt").write_text("\n")
+    (src / "sub" / "d.py").write_text("\n")
+    assert _tier1().line_counts(tmp_path) == (
+        "10 src/coherence_forge/a.py\n"
+        " 2 src/coherence_forge/b.py\n"
+        " 0 src/coherence_forge/c.py\n"
+        "12 total\n")

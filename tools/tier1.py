@@ -6,7 +6,9 @@ Runs ``python -m pytest -q --continue-on-collection-errors`` from the root
 of the checkout, with src on PYTHONPATH and OMP_NUM_THREADS=1, and prints
 its output.  ``-p no:cacheprovider`` keeps the run from writing a
 .pytest_cache into the checkout, and ``--durations=5`` lists the five
-slowest tests.  Exits 0 when the tests that fail or error are exactly
+slowest tests.  After pytest's output it prints the line count of each
+``src/coherence_forge/*.py`` and their total, as ``wc -l`` counts them.
+Exits 0 when the tests that fail or error are exactly
 KNOWN_FAILURES; otherwise names each new failure and each known failure
 that no longer fails (it passes or is gone), and exits 1.  If pytest
 itself stops (an internal or usage error) its exit code is passed on.
@@ -20,6 +22,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SOURCES = "src/coherence_forge/*.py"
 
 # failing by design; README's test section says why
 KNOWN_FAILURES = frozenset({
@@ -40,6 +43,18 @@ def failed_tests(output: str) -> set:
     return failed
 
 
+def line_counts(root: Path) -> str:
+    """One line per SOURCES file under root, by name, then the total: the
+    file's count of newline characters (what ``wc -l`` counts), right
+    aligned, and its path from root."""
+    counts = [(path.relative_to(root).as_posix(),
+               path.read_bytes().count(b"\n"))
+              for path in sorted(root.glob(SOURCES))]
+    counts.append(("total", sum(n for _, n in counts)))
+    width = len(str(counts[-1][1]))
+    return "".join(f"{n:>{width}} {name}\n" for name, n in counts)
+
+
 def main() -> int:
     env = dict(os.environ, OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -51,6 +66,7 @@ def main() -> int:
         cwd=ROOT, env=env, capture_output=True, text=True)
     sys.stdout.write(run.stdout)
     sys.stderr.write(run.stderr)
+    sys.stdout.write(line_counts(ROOT))
     if run.returncode not in (0, 1):
         print(f"tier1: pytest stopped with exit code {run.returncode}")
         return run.returncode
