@@ -419,22 +419,22 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     of S^-1, K from its live terms only (Fujisawa, Kojima & Nakata,
     Math. Program. 79, 1997); no full-space matrix is formed.
 
-    Works on Omega scaled to unit largest eigenvalue, read from the
-    sector blocks' spectra; the barrier weight
-    is driven down by BARRIER_FACTOR per stage to gap_tol/(4*N*scale),
-    which pins the centered duality gap mu*N under the requested
-    tolerance after unscaling.  Only that last stage's centring reaches
-    the certificate, so it alone runs to a full step with a decrement
-    below 1e-13 x max(1, tr tau); every earlier stage ends once the
-    decrement is at most CENTRING_DECREMENT * mu (Boyd & Vandenberghe,
-    Convex Optimization, 11.3).  The
-    dual X = mu S^-1 is rescaled by the congruence C = T^-1/2 (x) I with
-    T = Tr_B X, which makes Tr_B X = I and keeps X >= 0; with
-    X = Y Y^dag per sector, C X C is the gram of C Y.
+    Works on Omega scaled to unit largest eigenvalue (read from the
+    sector blocks' spectra), with the barrier weight driven down by
+    BARRIER_FACTOR per stage to gap_tol/(4*N*scale): the centred gap
+    mu*N is then under the tolerance after unscaling.  A stage ends only
+    when centred: the last, whose centring alone reaches the certificate,
+    on a full step with a decrement below 1e-13 x max(1, tr tau), every
+    earlier one once the decrement is at most CENTRING_DECREMENT * mu
+    (Boyd & Vandenberghe, Convex Optimization, 11.3).  The dual
+    X = mu S^-1 is rescaled by C = T^-1/2 (x) I, T = Tr_B X, which makes
+    Tr_B X = I and keeps X >= 0; with X = Y Y^dag per sector, C X C is
+    the gram of C Y.
 
-    Raises CertificateError when Omega has an entry off the sector mask,
-    and ValidationError when K has more than MAX_NEWTON_TERMS live terms,
-    each before any sector stack is built."""
+    Raises CertificateError when Omega has an entry off the sector mask
+    and ValidationError past MAX_NEWTON_TERMS live terms of K, each before
+    any sector stack is built; SolverStallError past sdp_max_newton
+    steps in all stages, on leaving the cone, or on a gap not below sdp_gap."""
     N = omega.sectors.size
     sectors = _Sectors(np.asarray(omega.sectors), omega.matrix)
     # Omega's spectrum is its sector blocks'; each pad adds an eigenvalue -1
@@ -452,7 +452,7 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
 
     steps = 0
     for mu in mus:
-        for _ in range(60):
+        while True:
             w, V = sectors.slack(x)
             Vr = V / np.sqrt(w)[:, None, :]
             g = sectors.eye - mu * sectors.gram(Vr)

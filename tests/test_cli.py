@@ -1003,6 +1003,26 @@ def test_distill_exits_2_past_the_newton_step_budget(fixtures, monkeypatch,
     assert err.count("\n") == 1
 
 
+def test_distill_certifies_a_full_rank_16_level_source(fixtures, capsys):
+    # the barrier solve needs a stage of 89 Newton steps; a stage cut
+    # off before it is centred makes it leave the cone, and distill exit 2
+    d = 16
+    tmp = fixtures["dir"]
+    (tmp / "sigma16.json").write_text(
+        json.dumps(array_to_json(random_density(d, 1))))
+    (tmp / "uniform16.json").write_text(
+        json.dumps(array_to_json(np.ones(d) / math.sqrt(d))))
+    (tmp / "h16.json").write_text(
+        json.dumps({"levels_in_2pi_over_tau": list(range(d))}))
+    ham = str(tmp / "h16.json")
+    assert cli.main(["distill", "--in", str(tmp / "sigma16.json"), ham,
+                     "--target", str(tmp / "uniform16.json"), ham]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["certificate"] == "dense"
+    assert out["gap"] < 1e-7
+    assert 0 < out["newton_steps"] <= DEFAULT.sdp_max_newton
+
+
 def test_qubit_bound_table(fixtures):
     res = run_cli("qubit-bound", "--lambda", "0.6", "--n", "5")
     assert res.returncode == 0

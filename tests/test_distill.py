@@ -1842,6 +1842,27 @@ def test_dense_omega_off_the_closed_form_takes_the_barrier_solver(levels,
     assert res.fidelity == dense.optimum
 
 
+def _seeded_target(d, seed):
+    rng = np.random.default_rng([seed, 7])
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("d, seed, target", [
+    (16, 1, "uniform"), (16, 2, "uniform"), (24, 1, "seeded"),
+])
+def test_full_rank_qudits_certify_within_the_step_budget(d, seed, target):
+    # each solve needs a barrier stage of over 60 Newton steps; a stage
+    # cut off before it is centred makes the solve leave the cone
+    H = np.diag(np.arange(d, dtype=float))
+    psi = (np.ones(d) / math.sqrt(d) if target == "uniform"
+           else _seeded_target(d, seed))
+    res = conditional_min_entropy(
+        iid_omega_state(random_density(d, seed), H, psi, H, 1))
+    assert 0.0 <= res.primal_dual_gap < DEFAULT.sdp_gap
+    assert 0 < res.newton_steps <= DEFAULT.sdp_max_newton
+
+
 @pytest.mark.parametrize("seed", [91, 93, 94])
 def test_non_optimal_chain_skips_the_dense_recheck(monkeypatch, seed):
     # these chains' closed-form gaps, 0.31, 0.063 and 0.083, are past

@@ -1,4 +1,5 @@
 import importlib.util
+import os
 from pathlib import Path
 
 TIER1 = Path(__file__).resolve().parents[1] / "tools" / "tier1.py"
@@ -52,3 +53,13 @@ def test_tier1_counts_source_lines_as_wc_does(tmp_path):
         " 2 src/coherence_forge/b.py\n"
         " 0 src/coherence_forge/c.py\n"
         "12 total\n")
+
+
+def test_tier1_runs_pytest_at_one_blas_thread():
+    # OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS, so a
+    # caller's value of either must not reach the child
+    env = _tier1().child_env({"OMP_NUM_THREADS": "4",
+                              "OPENBLAS_NUM_THREADS": "2",
+                              "PYTHONPATH": "lib"})
+    assert env["OMP_NUM_THREADS"] == env["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["PYTHONPATH"].split(os.pathsep) == ["src", "lib"]

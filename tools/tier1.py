@@ -3,10 +3,11 @@
     python3 tools/tier1.py
 
 Runs ``python -m pytest -q --continue-on-collection-errors`` from the root
-of the checkout, with src on PYTHONPATH and OMP_NUM_THREADS=1, and prints
-its output.  ``-p no:cacheprovider`` keeps the run from writing a
-.pytest_cache into the checkout, and ``--durations=5`` lists the five
-slowest tests.  After pytest's output it prints the line count of each
+of the checkout, with src on PYTHONPATH and OMP_NUM_THREADS=1 and
+OPENBLAS_NUM_THREADS=1 (child_env), and prints its output.
+``-p no:cacheprovider`` keeps the run from writing a .pytest_cache into
+the checkout, and ``--durations=5`` lists the five slowest tests.  After
+pytest's output it prints the line count of each
 ``src/coherence_forge/*.py`` and their total, as ``wc -l`` counts them.
 Exits 0 when the tests that fail or error are exactly
 KNOWN_FAILURES; otherwise names each new failure and each known failure
@@ -55,15 +56,22 @@ def line_counts(root: Path) -> str:
     return "".join(f"{n:>{width}} {name}\n" for name, n in counts)
 
 
-def main() -> int:
-    env = dict(os.environ, OMP_NUM_THREADS="1")
+def child_env(environ) -> dict:
+    """environ with src first on PYTHONPATH and one BLAS thread: both
+    OMP_NUM_THREADS and OPENBLAS_NUM_THREADS are set to 1, since
+    OpenBLAS reads its own variable first, over a caller's value."""
+    env = dict(environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in ("src", os.environ.get("PYTHONPATH")) if p)
+        p for p in ("src", environ.get("PYTHONPATH")) if p)
+    return env
+
+
+def main() -> int:
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE",
          "--continue-on-collection-errors", "-p", "no:cacheprovider",
          "--durations=5"],
-        cwd=ROOT, env=env, capture_output=True, text=True)
+        cwd=ROOT, env=child_env(os.environ), capture_output=True, text=True)
     sys.stdout.write(run.stdout)
     sys.stderr.write(run.stderr)
     sys.stdout.write(line_counts(ROOT))
