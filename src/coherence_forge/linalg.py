@@ -189,9 +189,6 @@ class PureState:
     def dim(self) -> int:
         return self.vector.shape[0]
 
-    def density(self) -> np.ndarray:
-        return np.outer(self.vector, self.vector.conj())
-
 
 def observable(M) -> HermitianObservable:
     """M with its eigendecomposition cached; a HermitianObservable is

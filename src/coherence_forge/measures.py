@@ -6,10 +6,13 @@ All quantities measure how far rho is from commuting with H:
     purity_of_coherence  P = tr(H rho^2 H rho^+) - tr(rho H^2)
     skew_information     W = -tr([sqrt(rho), H]^2)/2
 
-with H_jk the matrix elements of H in the eigenbasis of rho.  F and W are
-always finite; P (and the Renyi family that interpolates to it) blows up
-whenever rho carries coherence between its support and its kernel, and
-is then returned as math.inf.
+with H_jk the matrix elements of H in the eigenbasis of rho.  Each is
+sum_jk c_jk |H_jk|^2 with c_jk = c_kj >= 0 term by term and 0 on the
+diagonal (the kernels below), so no terms cancel and H + c I gives the
+values of H up to the rounding of H_jk.  F and W are always finite; P
+(and the Renyi family that interpolates to it) blows up whenever rho
+carries coherence between its support and its kernel, and is then
+returned as math.inf.
 """
 
 from __future__ import annotations
@@ -77,12 +80,6 @@ def _support_commutes(p, A):
                            A) < DEFAULT.commute ** 2
 
 
-def _floor0(v):
-    """max(v, 0.0) elementwise as Python's max takes it: NaN and -0.0
-    pass through."""
-    return np.where(v < 0.0, 0.0, v)
-
-
 def _qfi(p, A):
     """2 sum_jk (p_j-p_k)^2/(p_j+p_k) |A_jk|^2, skipping pairs whose
     p_j + p_k is below pair_cutoff (both populations numerically zero)."""
@@ -94,38 +91,38 @@ def _qfi(p, A):
 
 
 def _skew(p, A):
-    """sum_jk (p_j - sqrt(p_j p_k)) |A_jk|^2, negative p clipped to 0."""
-    p = np.clip(p, 0.0, None)
-    root = np.sqrt(p)
-    return _floor0(_pair_sum(
-        p[..., :, None] - root[..., :, None] * root[..., None, :], A))
+    """sum_jk (sqrt p_j - sqrt p_k)^2/2 |A_jk|^2, negative p clipped to 0."""
+    root = np.sqrt(np.clip(p, 0.0, None))
+    diff = root[..., :, None] - root[..., None, :]
+    return _pair_sum(0.5 * diff * diff, A)
 
 
 def _support_sum(coeff, p, A):
-    """_pair_sum of coeff(q) over the support pairs of each spectrum p,
-    floored at 0, with q = p but 1 on the kernel so that no coefficient
+    """_pair_sum of coeff(q_j, q_k) over the support pairs of each
+    spectrum p, with q = p but 1 on the kernel so that no coefficient
     divides by zero; inf on rows whose support does not commute with H."""
     sup = p > DEFAULT.rank_cutoff
-    c = coeff(np.where(sup, p, 1.0))
+    q = np.where(sup, p, 1.0)
+    c = coeff(q[..., :, None], q[..., None, :])
     pairs = sup[..., :, None] & sup[..., None, :]
-    val = _floor0(_pair_sum(np.where(pairs, c, 0.0), A))
+    val = _pair_sum(np.where(pairs, c, 0.0), A)
     return np.where(_support_commutes(p, A), val, math.inf)
 
 
 def _purity(p, A):
-    """sum_jk (p_k^2 - p_j^2)/p_j |A_kj|^2 over the support pairs."""
-    # ratio[k, j] = (p_k^2 - p_j^2) / p_j
+    """sum_jk (p_j - p_k)^2 (p_j + p_k)/(2 p_j p_k) |A_jk|^2 over the
+    support pairs."""
     return _support_sum(
-        lambda q: (q[..., :, None] ** 2 - q[..., None, :] ** 2)
-        / q[..., None, :], p, A)
+        lambda pj, pk: 0.5 * (pj - pk) ** 2 * (pj + pk) / (pj * pk), p, A)
 
 
 def _renyi(p, A, alpha: float):
-    """sum_jk (p_j^alpha p_k^(1-alpha) - p_j) |A_jk|^2 over the support
-    pairs."""
-    return _support_sum(
-        lambda q: (q[..., :, None] ** alpha * q[..., None, :] ** (1.0 - alpha)
-                   - q[..., :, None]), p, A)
+    """sum_jk (t - 1)(p_j - p_k/t)/2 |A_jk|^2 over the support pairs,
+    with t = (p_j/p_k)^(alpha-1): t - 1 and p_j - p_k/t share a sign."""
+    def coeff(pj, pk):
+        t = (pj / pk) ** (alpha - 1.0)
+        return 0.5 * (t - 1.0) * (pj - pk / t)
+    return _support_sum(coeff, p, A)
 
 
 def qfi(rho, H) -> float:
@@ -138,21 +135,23 @@ def qfi(rho, H) -> float:
 
 
 def energy_variance(state, H) -> float:
-    """<H^2> - <H>^2 in the given state, clamped at 0.  A vector or a
-    PureState goes through pure_state (no eigensolve), a matrix through
-    density_matrix."""
-    H = observable(H).matrix
+    """<H^2> - <H>^2 in the given state, as a sum of non-negative terms:
+    the squared norm of H - <H> applied to the state.  A vector or a
+    PureState v goes through pure_state (no eigensolve) and gives
+    ||Hv - <v|Hv> v||^2; a matrix goes through density_matrix and gives
+    sum_j p_j sum_k |A_kj - m delta_kj|^2, with (p, A) from _spectral,
+    negative p clipped to 0, and m = sum_j p_j A_jj."""
+    H = observable(H)
     if isinstance(state, PureState) or np.ndim(state) == 1:
-        rho = pure_state(state).density()
-    else:
-        rho = density_matrix(state).matrix
-    require_same_dim(rho.shape[0], H.shape[0])
-    mean = np.trace(rho @ H).real
-    second = np.trace(rho @ H @ H).real
-    var = second - mean * mean
-    if var < -DEFAULT.num:
-        raise ValidationError(f"variance {var:.3e} below -tolerance")
-    return float(max(var, 0.0))
+        v = pure_state(state).vector
+        require_same_dim(v.size, H.dim)
+        Hv = H.matrix @ v
+        r = Hv - np.vdot(v, Hv).real * v
+        return float(np.vdot(r, r).real)
+    p, A = _spectral(state, H)
+    p = np.clip(p, 0.0, None)
+    R = A - np.sum(p * A.diagonal().real) * np.eye(p.size)
+    return float(np.sum(p * np.sum(np.abs(R) ** 2, axis=0)))
 
 
 def support_commutes(rho, H) -> bool:
@@ -171,8 +170,8 @@ def purity_of_coherence(rho, H) -> float:
     with H.
 
     Computed as the eigenbasis sum over support pairs
-    sum_{jk} (p_k^2 - p_j^2)/p_j |H_kj|^2, which is algebraically the same
-    but never forms the pseudo-inverse explicitly.
+    sum_{jk} (p_j - p_k)^2 (p_j + p_k)/(2 p_j p_k) |H_jk|^2, which is
+    algebraically the same but never forms the pseudo-inverse.
     """
     return float(_purity(*_spectral(rho, H)))
 
@@ -180,7 +179,7 @@ def purity_of_coherence(rho, H) -> float:
 def skew_information(rho, H) -> float:
     """Wigner-Yanase skew information -tr([sqrt(rho), H]^2)/2.
 
-    Evaluated in the eigenbasis: sum_{jk} (p_j - sqrt(p_j p_k)) |H_jk|^2.
+    Evaluated in the eigenbasis: sum_{jk} (sqrt p_j - sqrt p_k)^2/2 |H_jk|^2.
     """
     return float(_skew(*_spectral(rho, H)))
 

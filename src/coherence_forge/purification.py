@@ -29,11 +29,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .clockdist import snap_levels
-from .errors import (
-    IncommensurateSpectrumError,
-    PeriodMismatchError,
-    ValidationError,
-)
+from .errors import IncommensurateSpectrumError, PeriodMismatchError
 from .linalg import (
     HermitianObservable,
     density_matrix,
@@ -80,13 +76,12 @@ def _amplitudes(p, V) -> np.ndarray:
 
 
 def _joint_variance(phi, H_S, H_A) -> float:
-    """<act|act> - <phi|act>^2, the variance of H_S x I + I x H_A in vec phi,
-    with act = H_S phi + phi H_A^T, for plain matrices H_S and H_A."""
+    """||act - <phi|act> phi||^2, the variance of H_S x I + I x H_A in
+    vec phi as the norm of its centred action, with act = H_S phi +
+    phi H_A^T, for plain matrices H_S and H_A."""
     act = H_S @ phi + phi @ H_A.T
-    var = np.vdot(act, act).real - np.vdot(phi, act).real ** 2
-    if var < -DEFAULT.num:
-        raise ValidationError(f"variance {var:.3e} below -tolerance")
-    return float(max(var, 0.0))
+    r = act - np.vdot(phi, act).real * phi
+    return float(np.vdot(r, r).real)
 
 
 def _measure(eta, H):
@@ -98,17 +93,17 @@ def _measure(eta, H):
     outcomes in its kernel carry roundoff weight up to about 1e-11.
     Returns the kept weights renormalised, the kept members as unit
     columns M, and the weighted average of their variances
-    ||H psi||^2 - <psi|H|psi>^2, each clamped at 0.
+    ||H psi - <psi|H|psi> psi||^2.
     """
     w = np.einsum("ik,ik->k", eta.conj(), eta).real
     keep = w > DEFAULT.rank_cutoff
     w = w[keep]
     M = eta[:, keep] / np.sqrt(w)
     HM = H @ M
-    mean = np.einsum("ik,ik->k", M.conj(), HM).real
-    var = np.einsum("ik,ik->k", HM.conj(), HM).real - mean ** 2
+    R = HM - M * np.einsum("ik,ik->k", M.conj(), HM).real
+    var = np.einsum("ik,ik->k", R.conj(), R).real
     w = w / w.sum()
-    return w, M, float(np.sum(w * np.maximum(var, 0.0)))
+    return w, M, float(np.sum(w * var))
 
 
 def _outcomes(pur: Purification) -> np.ndarray:

@@ -99,6 +99,34 @@ def test_measures_cost_field(fixtures, tmp_path, capsys, tau):
     assert json.loads(capsys.readouterr().out)["cost"] is None
 
 
+def _levels_file(tmp_path, levels):
+    path = tmp_path / f"levels_{levels[0]:g}.json"
+    path.write_text(json.dumps({"levels_in_2pi_over_tau": levels,
+                                "tau": TAU}))
+    return str(path)
+
+
+@pytest.mark.parametrize("state, fields", [
+    (random_density(3, 1), ["W", "renyi"]),
+    (np.ones(3) / math.sqrt(3), ["variance_if_pure"]),
+], ids=["mixed", "pure"])
+def test_measures_do_not_move_with_the_zero_of_energy(tmp_path, capsys,
+                                                      state, fields):
+    # levels {0, 1, 2} and {1e6, 1e6 + 1, 1e6 + 2} differ by 1e6 I,
+    # which moves no value beyond the rounding of the Hamiltonian's entries
+    st = tmp_path / "state.json"
+    st.write_text(json.dumps(array_to_json(state)))
+    outs = []
+    for levels in ([0, 1, 2], [1e6, 1e6 + 1, 1e6 + 2]):
+        assert cli.main(["measures", "--state", str(st), "--ham",
+                         _levels_file(tmp_path, levels),
+                         "--alpha", "1.5"]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    for field in fields:
+        ref = outs[0][field]
+        assert abs(outs[1][field] - ref) <= 1e-8 * ref, field
+
+
 def test_levels_basis_must_be_unitary(fixtures, tmp_path, capsys):
     # the basis is the one Kraus operator of its unitary channel, judged
     # at cptp; a NaN entry fails the check rather than passing it
@@ -177,15 +205,15 @@ def test_proptest_cost_report_is_frozen():
     ("F", [], '"alpha": null, "trials": 60, "seed": 7, '
               '"max_violation": 2.466982515816891e-31, "worst_trial": 30'),
     ("P", [], '"alpha": null, "trials": 60, "seed": 7, '
-              '"max_violation": 1.325356646656392e-31, "worst_trial": 30'),
+              '"max_violation": 2.5815113200208894e-31, "worst_trial": 30'),
     ("W", [], '"alpha": null, "trials": 60, "seed": 7, '
-              '"max_violation": 1.6024952699529948e-32, "worst_trial": 36'),
+              '"max_violation": 3.117325521818896e-32, "worst_trial": 30'),
     ("renyi", ["--alpha", "1.5"],
      '"alpha": 1.5, "trials": 60, "seed": 7, '
-     '"max_violation": 3.031322894340544e-32, "worst_trial": 36'),
+     '"max_violation": 9.494985821449058e-32, "worst_trial": 30'),
     ("renyi", ["--alpha", "2.0"],
      '"alpha": 2.0, "trials": 60, "seed": 7, '
-     '"max_violation": 5.551115123125806e-17, "worst_trial": 30'),
+     '"max_violation": 2.5815113200208903e-31, "worst_trial": 30'),
 ])
 def test_proptest_reports_are_frozen(measure, alpha, report):
     # frozen from the suite that drew, validated, twirled and applied
@@ -459,6 +487,19 @@ def test_convert_max_rate_note_prints_a_plain_float(fixtures, capsys):
                      "--out", fixtures["cbit"], fixtures["h2"],
                      "--copies", "8"]) == 0
     assert capsys.readouterr().err == "note: using max rate 1.0\n"
+
+
+def test_convert_does_not_move_with_the_zero_of_energy(fixtures, tmp_path,
+                                                       capsys):
+    # |+> on levels {1e8, 1e8 + 1} is |+> on {0, 1} moved by 1e8 I, so
+    # its variance and every row of the sweep are the same
+    rows = []
+    for levels in ([0, 1], [1e8, 1e8 + 1]):
+        assert cli.main(["convert", "--in", fixtures["cbit"],
+                         _levels_file(tmp_path, levels),
+                         "--out", fixtures["cbit"], fixtures["h2"]]) == 0
+        rows.append(capsys.readouterr().out)
+    assert rows[1] == rows[0]
 
 
 def test_convert_is_independent_of_the_files_tau(fixtures, capsys):

@@ -269,6 +269,56 @@ def test_renyi_alpha_range():
         renyi_purity_monotone(QUBIT, SZ_HALF, 2.5)
 
 
+QUTRIT_LEVELS = np.diag([0.0, 1.0, 2.0])
+MEASURES = {"F": qfi, "P": purity_of_coherence, "W": skew_information,
+            "renyi_1.5": lambda r, h: renyi_purity_monotone(r, h, 1.5),
+            "renyi_2": lambda r, h: renyi_purity_monotone(r, h, 2.0),
+            "variance": energy_variance}
+
+
+@pytest.mark.parametrize("shift", [1e4, 1e6])
+def test_measures_do_not_move_with_the_zero_of_energy(shift):
+    # no term of a measure or variance depends on the zero of energy, so
+    # H + c I moves each only through the rounding of A = V^dag H V,
+    # about c * 1e-16 relative
+    H_c = QUTRIT_LEVELS + shift * np.eye(3)
+    rng = np.random.default_rng(52)
+    for s in range(20):
+        rho = random_density(3, s)
+        for name, f in MEASURES.items():
+            ref = f(rho, QUTRIT_LEVELS)
+            assert abs(f(rho, H_c) - ref) <= 1e-8 * ref, (name, s)
+        psi = random_pure(3, rng)
+        ref = energy_variance(psi, QUTRIT_LEVELS)
+        assert abs(energy_variance(psi, H_c) - ref) <= 1e-8 * ref, s
+
+
+def test_variance_of_an_eigenstate_matrix_is_not_negative():
+    # the kernel populations of |v><v| come out of the eigensolver as
+    # about -1e-17; weighing the kernel columns with them would make the
+    # variance of an eigenstate of H about -1e-15
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        d = int(rng.integers(2, 6))
+        Q = np.linalg.qr(rng.normal(size=(d, d))
+                         + 1j * rng.normal(size=(d, d)))[0]
+        H = (Q * rng.normal(size=d)) @ Q.conj().T
+        rho = np.outer(Q[:, 0], Q[:, 0].conj())
+        assert 0.0 <= energy_variance(rho, H) < 1e-12
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e6])
+def test_an_incoherent_state_reads_exactly_zero(shift):
+    # rho commutes with H, so A = V^dag H V is diagonal, where every
+    # coefficient is exactly 0: no rounding of A_jj reaches a value
+    rho = np.diag([0.2, 0.3, 0.5])
+    H = QUTRIT_LEVELS + shift * np.eye(3)
+    assert qfi(rho, H) == purity_of_coherence(rho, H) == 0.0
+    assert skew_information(rho, H) == 0.0
+    for alpha in (1.25, 1.5, 1.75, 2.0):
+        assert renyi_purity_monotone(rho, H, alpha) == 0.0, alpha
+
+
 def test_qfi_via_fidelity_matches_closed_form():
     rng = np.random.default_rng(19)
     for _ in range(20):

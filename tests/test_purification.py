@@ -200,6 +200,17 @@ def test_optimal_ensemble_reconstructs_and_is_optimal():
         assert abs(ens.average_variance - F / 4) < 1e-8 * max(1.0, F)
 
 
+def test_optimal_ensemble_does_not_move_with_the_zero_of_energy():
+    # the member variances are norms of (H - <H>) psi, so H + 1e6 I keeps
+    # 4 x average_variance on F up to the rounding of H's entries
+    H = np.diag([0.0, 1.0, 2.0]) + 1e6 * np.eye(3)
+    for s in range(20):
+        rho = random_density(3, s)
+        F = qfi(rho, H)
+        ens = optimal_ensemble(build_optimal_purification(rho, H), H)
+        assert abs(4 * ens.average_variance - F) <= 1e-8 * F, s
+
+
 def test_random_ensembles_cannot_undercut():
     # any ensemble of rho obtained through a random isometry on the
     # purifier has average variance >= F/4
