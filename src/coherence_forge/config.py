@@ -14,13 +14,13 @@ within the rounding margin of its cumsum bounds count as tied.  A few
 algorithm constants stay in the module whose algorithm they tune:
 channels.VIOLATION (1e-8, the growth the monotonicity suite counts as a
 violation), the distill SDP's barrier schedule (distill.BARRIER_FACTOR,
-0.05 between barrier weights; distill.CENTRING_DECREMENT, the
-lambda^2 <= 1 that ends every stage but the last; and the Newton
-decrement of 1e-13 x max(1, tr tau) that ends the last: a stage ends by
-these rules alone, and sdp_max_newton bounds the steps of all stages
-together), clockdist.TINY (2**-511, the square root of the smallest
-normal float: convolve_n zeroes masses below it, so no product is
-subnormal), and the size budgets clockdist.MAX_CONV_WINDOW,
+0.05, the step of the barrier weight as each stage but the last ends;
+distill.CENTRING_DECREMENT, the lambda^2 <= 1 that ends those stages;
+and the Newton decrement of 1e-13 x max(1, tr tau) that ends the last: a
+stage ends by these rules alone, and sdp_max_newton bounds the steps of
+the one loop over all stages), clockdist.TINY (2**-511, the square root
+of the smallest normal float: convolve_n zeroes masses below it, so no
+product is subnormal), and the size budgets clockdist.MAX_CONV_WINDOW,
 clockdist.MAX_OVERLAP_COPIES, distill.MAX_OMEGA_SIDE,
 distill.MAX_SDP_PARAMS and distill.MAX_NEWTON_TERMS.  linalg.MAX_ENTRY
 (1e150) is the largest entry magnitude eig_hermitian accepts, since the

@@ -11,21 +11,19 @@ explicit dual certificate, so every reported optimum carries its own
 weak-duality proof (gap below sdp_gap).
 
 iid_fidelity is the one entry point for n copies of any source, and the
-one gate that checks each request before any block is built.  It solves
-a list of blocks in one loop: copies of a qubit under a non-degenerate
-Hamiltonian split by Schur-Weyl duality into one block per spin j
-(_schur_blocks, which gives every block's state as log bands, as far as
-the sectors reach, the blocks' columns side by side, and _spin_omega,
-which builds Omega from log bands alone), and any other source is one
-block, its n-copy Omega.  An Omega whose sectors form a chain (a target
-with equal weights on two levels at the source's gap) is solved in
-closed form from its entries, with a dual built along the chain
-(_chain); the spin blocks go to it at once, as one direct sum, and
-otherwise each block goes to its own Omega: the chain, else the barrier
-solver.  Omega, tau and X are held as their entries inside the sectors
-(SectorMatrix) from builder to certificate, and verify_certificate
-re-checks every block result, the chain's and the barrier's alike,
-sector by sector on those entries.
+one gate that checks each request before any block is built.  It takes
+a list of blocks from one builder and solves it in one loop: copies of
+a qubit under a non-degenerate Hamiltonian split by Schur-Weyl duality
+into one block per spin j (_spin_blocks, each Omega built from log
+bands), and any other source is one block, its n-copy Omega.  An Omega
+whose sectors form a chain (a target with equal weights on two levels
+at the source's gap) is solved in closed form from its entries, with a
+dual built along the chain (_chain), else by the barrier solver; the
+spin blocks go to the chain at once, as one direct sum.  Omega, tau and
+X are held as their entries inside the sectors (SectorMatrix) from
+builder to certificate, and verify_certificate re-checks every block
+result, the chain's and the barrier's alike, sector by sector on those
+entries.
 """
 
 from __future__ import annotations
@@ -69,10 +67,10 @@ CENTRING_DECREMENT = 1.0
 # count of tau parameters, exceeds these: the side bounds the d**n sums of
 # the n-copy spectrum and the N product states that _sectors pairs, and 924
 # parameters (six qubit copies) take about 0.11 s per Newton step at one
-# BLAS thread, 0.08 s of it the complex solve.  iid_fidelity bounds the
-# summed sides of all spin blocks by the square of MAX_OMEGA_SIDE, and the
-# cubed sides of the blocks solved one by one (those the chain declines)
-# by its cube
+# BLAS thread, 0.08 s of it the complex solve.  _spin_blocks bounds the
+# summed sides of all spin blocks by the square of MAX_OMEGA_SIDE, and
+# iid_fidelity the cubed sides of the blocks of any list that are solved
+# one by one (those the chain declines) by its cube
 MAX_OMEGA_SIDE = 1024
 MAX_SDP_PARAMS = 1000
 # _min_trace_sdp refuses an Omega whose Newton system has more live terms
@@ -420,16 +418,17 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     Math. Program. 79, 1997); no full-space matrix is formed.
 
     Works on Omega scaled to unit largest eigenvalue (read from the
-    sector blocks' spectra), with the barrier weight driven down by
-    BARRIER_FACTOR per stage to gap_tol/(4*N*scale): the centred gap
-    mu*N is then under the tolerance after unscaling.  A stage ends only
-    when centred: the last, whose centring alone reaches the certificate,
-    on a full step with a decrement below 1e-13 x max(1, tr tau), every
-    earlier one once the decrement is at most CENTRING_DECREMENT * mu
-    (Boyd & Vandenberghe, Convex Optimization, 11.3).  The dual
-    X = mu S^-1 is rescaled by C = T^-1/2 (x) I, T = Tr_B X, which makes
-    Tr_B X = I and keeps X >= 0; with X = Y Y^dag per sector, C X C is
-    the gram of C Y.
+    sector blocks' spectra), in one loop of Newton steps from barrier
+    weight mu = max(1, mu_final), mu_final = sdp_gap/(4*N*scale), where
+    the centred gap mu*N is under the tolerance after unscaling.  A stage
+    ends only when centred: the last, at mu_final, whose centring alone
+    reaches the certificate, on a full step with a decrement below
+    1e-13 x max(1, tr tau); an earlier one once the decrement is at most
+    CENTRING_DECREMENT * mu, and mu then steps down by BARRIER_FACTOR,
+    not below mu_final (Boyd & Vandenberghe, Convex Optimization, 11.3).
+    The dual X = mu_final S^-1 is rescaled by C = T^-1/2 (x) I,
+    T = Tr_B X, which makes Tr_B X = I and keeps X >= 0; with X = Y Y^dag
+    per sector, C X C is the gram of C Y.
 
     Raises CertificateError when Omega has an entry off the sector mask
     and ValidationError past MAX_NEWTON_TERMS live terms of K, each before
@@ -443,42 +442,36 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
 
     x = 1.1 * sectors.eye.astype(complex)
     mu_final = DEFAULT.sdp_gap / (4.0 * N * scale)
-    mus = []
-    mu = 1.0
-    while mu > mu_final:
-        mus.append(mu)
-        mu = max(BARRIER_FACTOR * mu, mu_final)
-    mus.append(mu_final)
-
-    steps = 0
-    for mu in mus:
-        while True:
-            w, V = sectors.slack(x)
-            Vr = V / np.sqrt(w)[:, None, :]
-            g = sectors.eye - mu * sectors.gram(Vr)
-            dx = np.linalg.solve(mu * sectors.hessian(), -g)
-            dx = 0.5 * (dx + dx.take(sectors.transpose).conj())
-            decrement = -float(np.vdot(g, dx).real)
-            # S^-1/2 dS S^-1/2 per sector
-            t_min = float(np.linalg.eigvalsh(
-                Vr.conj().swapaxes(1, 2) @ sectors.lift(dx) @ Vr).min())
-            t = 1.0 if t_min >= 0.0 else min(1.0, 0.98 / (-t_min))
-            x = x + t * dx
-            steps += 1
-            if steps > DEFAULT.sdp_max_newton:
-                raise SolverStallError(
-                    f"no gap < {DEFAULT.sdp_gap} within "
-                    f"{DEFAULT.sdp_max_newton} Newton steps"
-                )
-            if mu > mu_final:
-                if decrement <= CENTRING_DECREMENT * mu:
-                    break
-            elif t == 1.0 and decrement < 1e-13 * max(
-                    1.0, abs(float(np.sum(x[sectors.diagonal]).real))):
-                break
+    mu = max(1.0, mu_final)
+    steps, stages = 0, 1
+    while True:
+        w, V = sectors.slack(x)
+        Vr = V / np.sqrt(w)[:, None, :]
+        g = sectors.eye - mu * sectors.gram(Vr)
+        dx = np.linalg.solve(mu * sectors.hessian(), -g)
+        dx = 0.5 * (dx + dx.take(sectors.transpose).conj())
+        decrement = -float(np.vdot(g, dx).real)
+        # S^-1/2 dS S^-1/2 per sector
+        t_min = float(np.linalg.eigvalsh(
+            Vr.conj().swapaxes(1, 2) @ sectors.lift(dx) @ Vr).min())
+        t = 1.0 if t_min >= 0.0 else min(1.0, 0.98 / (-t_min))
+        x = x + t * dx
+        steps += 1
+        if steps > DEFAULT.sdp_max_newton:
+            raise SolverStallError(
+                f"no gap < {DEFAULT.sdp_gap} within "
+                f"{DEFAULT.sdp_max_newton} Newton steps"
+            )
+        if mu > mu_final:
+            if decrement <= CENTRING_DECREMENT * mu:
+                mu = max(BARRIER_FACTOR * mu, mu_final)
+                stages += 1
+        elif t == 1.0 and decrement < 1e-13 * max(
+                1.0, abs(float(np.sum(x[sectors.diagonal]).real))):
+            break
 
     w, V = sectors.slack(x)
-    Y = math.sqrt(mus[-1]) * V / np.sqrt(w)[:, None, :]
+    Y = math.sqrt(mu_final) * V / np.sqrt(w)[:, None, :]
     wT, VT = np.linalg.eigh(sectors.on_A(sectors.gram(Y)))
     c = ((VT / np.sqrt(wT)) @ VT.conj().T)[sectors.ui, sectors.uk]
     marginal = sectors.on_A(sectors.gram(sectors.lift(c) @ Y))
@@ -495,7 +488,7 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
                      dual_certificate=SectorMatrix(
                          sectors.rows, sectors.cols, Xs[sectors.pair]),
                      primal_dual_gap=gap,
-                     newton_steps=steps, barrier_stages=len(mus),
+                     newton_steps=steps, barrier_stages=stages,
                      min_slack=scale * float(w[live > 0.5].min()))
 
 
@@ -699,7 +692,7 @@ def _schur_blocks(s, H, copies: int, reach: int = 1) -> tuple:
     per block of side P = N + 1.  p_j = dim S_j det(s)^k Tr Sym^N(s), with
     dim S_j = C(n, k)(n - 2k + 1)/(n - k + 1), in logs.
 
-    Trusts iid_fidelity's checks of copies, the split and the budget."""
+    Trusts _spin_blocks' budget and iid_fidelity's checks before it."""
     n = copies
     # the Bloch vector in H's eigenbasis, |0> the lower level, clipped to
     # the ball; s over its larger eigenvalue (1 + r)/2
@@ -922,8 +915,8 @@ class BlockSum:
     bounds it from below: gap is sum_j p_j gap_j plus that mass, less
     what the clip took off upper, and never negative.  Those bounds are
     certified for the Omega_j as computed, from their rounded bands for
-    Schur-Weyl blocks.  For these a rounding correction widens them on
-    both sides (added once to upper and twice to gap):
+    Schur-Weyl blocks.  For these _spin_blocks' rounding correction
+    widens them on both sides (added once to upper and twice to gap):
     |psi_B|^2 |1 - sum_j p_j| over all blocks, plus
     sum_j |p_j Tr Omega_j - p_j |psi_B|^2| over the blocks solved (read
     off band 0 plus log p_j, as _spin_omega forms the diagonal), plus
@@ -962,102 +955,109 @@ def _certified(res: SdpResult | None, omega: OmegaState) -> SdpResult | None:
         return None
 
 
+def _spin_blocks(s, H, psi_B, H_B, copies: int) -> tuple:
+    """The spin blocks of copies of a qubit under a non-degenerate qubit
+    H, s = _qubit_frame(sigma, H), as the builder's tuple iid_fidelity
+    takes: (direct, sides, omegas, count, upper, gap, rel).  direct is an
+    OmegaState for _chain to try first, or None; sides are the Omega_j
+    sides of the blocks to solve; omegas yields their (log p_j, Omega_j),
+    each built when the loop reaches it; count is the blocks before the
+    drop; upper and gap are the widening the sums start from, rel their
+    rounding relative to upper.  The dense list is (None, [N],
+    [(0.0, Omega)], 1, 0.0, 0.0, 0.0).
+
+    ValidationError, before any band is swept, when the sides (2j + 1) d_B
+    of all spins sum past MAX_OMEGA_SIDE^2 (n > 1446 for a qubit target).
+    The kept spins' bands (_schur_blocks) are swept to reach 1; a wider
+    reach of their _sectors, the farthest |m - m'| in one sector, means
+    no chain: no direct sum is built, and omegas sweeps to that reach on
+    its first step.  Every Omega is _spin_omega of bands plus log p_j.
+    upper, gap and rel are BlockSum's rounding estimate."""
+    d_B = H_B.dim
+    half = copies // 2
+    if (half + 1) * (copies + 1 - half) * d_B > MAX_OMEGA_SIDE ** 2:
+        raise ValidationError(
+            f"{copies} copies make spin blocks whose sides sum past "
+            f"the budget of {MAX_OMEGA_SIDE}**2")
+    weight = np.abs(H_B.eigenbasis.conj().T @ psi_B.vector) ** 2
+    with np.errstate(divide="ignore"):
+        log_t = np.log(weight)
+    log_p, sides, levels, bands, total, dropped = _schur_blocks(s, H, copies)
+    log_p_col = log_p.repeat(sides)
+    starts = np.cumsum(sides) - sides
+    labels, rows, cols = sectors = _sectors(levels, sides, H_B.spectrum)
+    # the farthest superdiagonal a sector pair (or its mirror) reaches:
+    # past the first, the direct sum is no chain
+    reach = int((rows[labels.size:] // d_B
+                 - cols[labels.size:] // d_B).max(initial=0))
+    direct = (_spin_omega(bands + log_p_col, sectors, log_t) if reach <= 1
+              else None)
+
+    def omegas():
+        wide = _schur_blocks(s, H, copies, reach)[3] if reach > 1 else bands
+        for log_p_j, P, at in zip(log_p.tolist(), sides.tolist(),
+                                  starts.tolist()):
+            yield log_p_j, _spin_omega(wide[:, at:at + P], _sectors(
+                levels[at:at + P], [P], H_B.spectrum), log_t)
+
+    # a dropped block adds at most its weight; what the rounded
+    # weights miss of 1 and each block's rounded diagonal,
+    # exp(log rho_j[m, m] + log p_j + log t_b), misses of psi_B's norm
+    # widen the interval by their size on both sides
+    w = float(weight.sum())
+    D = np.exp((bands[0] + log_p_col)[:, None] + log_t)
+    mass = np.add.reduceat(D.sum(axis=1), starts)
+    error = (w * abs(1.0 - total)
+             + float(np.abs(mass - w * np.exp(log_p)).sum()))
+    return (direct, (sides * d_B).tolist(), omegas(), half + 1,
+            dropped + error, dropped + 2.0 * error,
+            (sides.size + 2) * 0.5 * float(np.finfo(float).eps))
+
+
 def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
     """F*(copies) of any source sigma under H into any target psi_B under
-    H_B, summed over blocks: the Schur-Weyl blocks of a qubit under a
-    non-degenerate qubit H (_schur_blocks), or else the one n-copy
-    Omega = iid_omega_state(sigma, H, psi_B, H_B, copies), a block of
-    weight 1.  _qubit_frame decides the split, and its one frame also
-    feeds _schur_blocks and the bounds' qubit-family rule (_visibility).
-
-    The spin blocks that _schur_blocks keeps, those with p_j >= 1e-17,
-    go to _chain at once, as one OmegaState, the direct sum of p_j Omega_j
-    that _spin_omega builds from their bands plus log p_j, and
-    verify_certificate re-checks it.  The bands are swept as far as the
-    sector pairs of _sectors reach, the farthest |m - m'| in one sector;
-    past the first the direct sum is no chain and is not built.  Then, or
-    if that chain fails its check, each block's Omega_j is built by
-    _spin_omega from its own columns when the solve loop reaches it; that
-    loop also solves any other source's one Omega, by _chain where
-    verify_certificate passes it, else by conditional_min_entropy.  The
-    rounding estimate reads the kept blocks' diagonal off band 0, and
-    the sums of all p_j and of the dropped ones off _schur_blocks.
+    H_B, summed over the block list of one builder: _spin_blocks for a
+    qubit under a non-degenerate qubit H (_qubit_frame decides, and its
+    frame also feeds the bounds' qubit-family rule, _visibility), else one
+    block of weight 1, Omega = iid_omega_state(sigma, H, psi_B, H_B,
+    copies).  A direct sum from the builder goes to _chain first;
+    otherwise, or if verify_certificate refuses that chain, one loop
+    solves each Omega_j, by _chain where verify_certificate passes it,
+    else by conditional_min_entropy.
 
     Every check comes before any block is built: copies an integer >= 1
     (not a bool), then sigma, H and H_B, then psi_B as a pure_state of
-    H_B's dimension, then the split.  Schur-Weyl blocks have one copy
-    budget, the work of the band path: their sides (2j + 1) d_B sum to
-    at most MAX_OMEGA_SIDE^2 (n <= 1446 for a qubit target).  Blocks the
-    chain declines are refused before any band past the first is swept,
-    and before any is solved on its own, when the cubed sides of their
-    Omega_j, the work of the block solves, sum past MAX_OMEGA_SIDE^3.
-    ValidationError otherwise, and wherever iid_omega_state raises."""
+    H_B's dimension, then the builder's budgets.  One budget holds for
+    every list before the loop: the cubed sides of the Omega_j sum to at
+    most MAX_OMEGA_SIDE^3 (a dense Omega, at most MAX_OMEGA_SIDE wide,
+    always does).  ValidationError otherwise, and wherever the builder or
+    iid_omega_state raises."""
     copies = require_count(copies, "copies")
     sigma, H, H_B = density_matrix(sigma), observable(H), observable(H_B)
     psi_B = pure_state(psi_B)
     require_same_dim(psi_B.dim, H_B.dim)
-    d_B = H_B.dim
     s = _qubit_frame(sigma, H)
-    res = None
     if s is None:
-        omegas = [(0.0, iid_omega_state(sigma, H, psi_B, H_B, copies))]
-        count = solved = 1
-        upper = gap = 0.0
+        omega = iid_omega_state(sigma, H, psi_B, H_B, copies)
+        blocks = None, [omega.sectors.size], [(0.0, omega)], 1, 0.0, 0.0, 0.0
     else:
-        half = copies // 2
-        if (half + 1) * (copies + 1 - half) * d_B > MAX_OMEGA_SIDE ** 2:
-            raise ValidationError(
-                f"{copies} copies make spin blocks whose sides sum past "
-                f"the budget of {MAX_OMEGA_SIDE}**2")
-        weight = np.abs(H_B.eigenbasis.conj().T @ psi_B.vector) ** 2
-        with np.errstate(divide="ignore"):
-            log_t = np.log(weight)
-        log_p, sides, levels, bands, total, dropped = _schur_blocks(
-            s, H, copies)
-        log_p_col = log_p.repeat(sides)
-        starts = np.cumsum(sides) - sides
-        count, solved = half + 1, sides.size
-        labels, rows, cols = sectors = _sectors(levels, sides, H_B.spectrum)
-        # the farthest superdiagonal a sector pair (or its mirror) reaches:
-        # past the first, the direct sum is no chain
-        reach = int((rows[labels.size:] // d_B
-                     - cols[labels.size:] // d_B).max(initial=0))
-        if reach <= 1:
-            omega = _spin_omega(bands + log_p_col, sectors, log_t)
-            res = _certified(_chain(omega), omega)
-        if res is None and sum((P * d_B) ** 3
-                               for P in sides.tolist()) > MAX_OMEGA_SIDE ** 3:
-            raise ValidationError(
-                f"{copies} copies make spin blocks that are no closed-form "
-                "chain, and the cubed sides of their Omega_j sum past "
-                f"the budget of {MAX_OMEGA_SIDE}**3")
-        if reach > 1:
-            bands = _schur_blocks(s, H, copies, reach)[3]
-        omegas = ((log_p_j, _spin_omega(bands[:, at:at + P],
-                                        _sectors(levels[at:at + P], [P],
-                                                 H_B.spectrum), log_t))
-                  for log_p_j, P, at in zip(log_p.tolist(), sides.tolist(),
-                                            starts.tolist()))
-        # a dropped block adds at most its weight; what the rounded
-        # weights miss of 1 and each block's rounded diagonal,
-        # exp(log rho_j[m, m] + log p_j + log t_b), misses of psi_B's norm
-        # widen the interval by their size on both sides
-        w = float(weight.sum())
-        D = np.exp((bands[0] + log_p_col)[:, None] + log_t)
-        mass = np.add.reduceat(D.sum(axis=1), starts)
-        error = (w * abs(1.0 - total)
-                 + float(np.abs(mass - w * np.exp(log_p)).sum()))
-        upper, gap = dropped + error, dropped + 2.0 * error
+        blocks = _spin_blocks(s, H, psi_B, H_B, copies)
+    direct, sides, omegas, count, upper, gap, rel = blocks
+    res = None if direct is None else _certified(_chain(direct), direct)
+    if res is None and sum(N ** 3 for N in sides) > MAX_OMEGA_SIDE ** 3:
+        raise ValidationError(
+            f"{copies} copies make spin blocks that are no closed-form "
+            "chain, and the cubed sides of their Omega_j sum past "
+            f"the budget of {MAX_OMEGA_SIDE}**3")
     results = [(1.0, res)] if res is not None else [
         (math.exp(log_p), _certified(_chain(omega_j), omega_j)
          or conditional_min_entropy(omega_j)) for log_p, omega_j in omegas]
     upper += sum(p_j * r.optimum for p_j, r in results)
     gap += sum(p_j * r.primal_dual_gap for p_j, r in results)
-    if s is not None:
-        # the rounding of the sum over blocks
-        rounding = (solved + 2) * 0.5 * float(np.finfo(float).eps) * upper
-        upper += rounding
-        gap += 2.0 * rounding
+    # the rounding of the sum over blocks
+    rounding = rel * upper
+    upper += rounding
+    gap += 2.0 * rounding
     lam = _visibility(s, H, psi_B, H_B)
     exact, asym = ((None, None) if lam is None
                    else qubit_infidelity_bound(lam, copies))
@@ -1071,7 +1071,7 @@ def iid_fidelity(sigma, H, psi_B, H_B, copies: int) -> BlockSum:
         min_slack=min(p_j * r.min_slack for p_j, r in results),
         certificate=("dense" if s is None
                      else "schur" if stages else "schur-chain"),
-        blocks=solved, blocks_dropped=count - solved)
+        blocks=len(sides), blocks_dropped=count - len(sides))
 
 
 def _check_qubit_family(lam: float, n: int) -> int:

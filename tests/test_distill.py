@@ -2021,6 +2021,73 @@ def test_one_solve_loop_builds_and_solves_each_block_once(monkeypatch):
     assert calls == ["_chain", "conditional_min_entropy"]
 
 
+def test_any_block_list_from_the_builder_is_solved_and_summed(monkeypatch):
+    # iid_fidelity solves whatever list the picked builder returns: here
+    # two dense qutrit blocks for a qubit request, with no direct sum and
+    # no widening, each solved as the loop solves it and summed at its
+    # weight exp(log p_j): a closed-form chain (levels 0, 1, 2) at 0.25 and
+    # a barrier solve (levels 0, 1, 1) at 0.75
+    blocks = [(math.log(w), iid_omega_state(random_density(3, seed),
+                                            np.diag(levels), CBIT, H01, 1))
+              for w, seed, levels in ((0.25, 91, [0.0, 1.0, 2.0]),
+                                      (0.75, 94, [0.0, 1.0, 1.0]))]
+    monkeypatch.setattr(
+        coherence_forge.distill, "_spin_blocks",
+        lambda *args: (None, [om.sectors.size for _, om in blocks],
+                       iter(blocks), 2, 0.0, 0.0, 0.0))
+    solved = [(math.exp(log_p), coherence_forge.distill._certified(
+        _chain(om), om) or conditional_min_entropy(om))
+        for log_p, om in blocks]
+    res = iid_fidelity(qubit(0.6), H01, CBIT, H01, 3)
+    assert res.fidelity == sum(p * r.optimum for p, r in solved)
+    assert res.gap == sum(p * r.primal_dual_gap for p, r in solved)
+    assert res.min_slack == min(p * r.min_slack for p, r in solved)
+    assert res.newton_steps == solved[1][1].newton_steps > 0
+    assert (res.blocks, res.blocks_dropped) == (2, 0)
+
+
+def test_cubed_budget_refuses_any_block_list_before_it_is_built(
+        monkeypatch):
+    # the one block-solve budget holds for every list the builder returns,
+    # and refuses before the loop draws a single block
+    def no_block():
+        raise AssertionError("block built")
+        yield
+
+    monkeypatch.setattr(coherence_forge.distill, "_spin_blocks",
+                        lambda *args: (None, [1024, 1], no_block(), 2, 0.0,
+                                       0.0, 0.0))
+    with pytest.raises(ValidationError) as info:
+        iid_fidelity(qubit(0.6), H01, CBIT, H01, 3)
+    assert str(info.value) == (
+        "3 copies make spin blocks that are no closed-form chain, and the "
+        "cubed sides of their Omega_j sum past the budget of 1024**3")
+
+
+def test_dense_omega_at_the_side_budget_passes_the_block_budget(
+        monkeypatch):
+    # a 512-level diagonal source into |+> is one dense block of side
+    # 1024, the widest iid_omega_state admits: it never reaches the spin
+    # builder, and passes the cubed budget that every block list shares
+    def no_spin_blocks(*args):
+        raise AssertionError("spin builder picked")
+
+    monkeypatch.setattr(coherence_forge.distill, "_spin_blocks",
+                        no_spin_blocks)
+    d = 512
+    p = np.arange(1.0, d + 1) / (d * (d + 1) / 2)
+    levels = np.arange(d, dtype=float)
+    eye = np.eye(d, dtype=complex)
+    sigma = DensityMatrix(matrix=np.diag(p).astype(complex), spectrum=p,
+                          eigenbasis=eye)
+    H = HermitianObservable(matrix=np.diag(levels).astype(complex),
+                            spectrum=levels, eigenbasis=eye)
+    res = iid_fidelity(sigma, H, CBIT, H01, 1)
+    assert res.certificate == "dense"
+    assert (res.blocks, res.blocks_dropped, res.newton_steps) == (1, 0, 0)
+    assert abs(res.fidelity - 0.5) < 1e-12 and res.gap < 1e-12
+
+
 def _frozen_requests():
     """(id, sigma, H, psi_B, H_B, copies) for the BlockSum freeze: the
     chain, the Schur fallback at reach 1 and 2, and the dense path, its

@@ -1,15 +1,21 @@
+import ast
+import collections
 import importlib.util
 import os
 from pathlib import Path
 
-TIER1 = Path(__file__).resolve().parents[1] / "tools" / "tier1.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def _tier1():
-    spec = importlib.util.spec_from_file_location("tier1", TIER1)
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tier1():
+    return _tool("tier1")
 
 
 def test_tier1_reads_failed_and_errored_node_ids():
@@ -63,3 +69,32 @@ def test_tier1_runs_pytest_at_one_blas_thread():
                               "PYTHONPATH": "lib"})
     assert env["OMP_NUM_THREADS"] == env["OPENBLAS_NUM_THREADS"] == "1"
     assert env["PYTHONPATH"].split(os.pathsep) == ["src", "lib"]
+
+
+def test_blocksum_grid_holds_two_grids_of_unique_ids():
+    # built without solving: the 519- and the 180-request grid, each id
+    # once, none with a space, since the printed line splits on spaces
+    requests = _tool("blocksum_grid").requests()
+    counts = collections.Counter(grid for grid, _, _ in requests)
+    assert counts == {"g519": 519, "g180": 180}
+    ids = [(grid, name) for grid, name, _ in requests]
+    assert len(set(ids)) == len(ids)
+    assert not any(" " in name for _, name in ids)
+
+
+def test_blocksum_grid_prints_one_line_per_request():
+    grid = _tool("blocksum_grid")
+    requests = grid.requests()
+    for request, head in zip(requests, [
+            "g519 lam0.1/plus/n1", "g519 lam0.1/plus/n2",
+            "g519 lam0.1/plus/n3"]):
+        line = grid.line(*request)
+        assert line.startswith(head + " ")
+        # repr(astuple(BlockSum)): ten fields, the certificate eighth
+        fields = ast.literal_eval(line[len(head) + 1:])
+        assert len(fields) == 10 and fields[7] == "schur-chain"
+    # a refusal prints its class and message in place of the fields
+    refused = [r for r in requests if r[1] == "lam0.1/plus/n1447"][0]
+    assert grid.line(*refused) == (
+        "g519 lam0.1/plus/n1447 ValidationError: 1447 copies make spin "
+        "blocks whose sides sum past the budget of 1024**2")
