@@ -74,7 +74,7 @@ from .convert import (
     best_shift,
     coherence_cost,
     iid_sweep,
-    intrinsic_period,
+    intrinsic_clock,
     max_rate,
 )
 from .channels import (

@@ -147,10 +147,10 @@ def extract_distribution(psi, H, tau: float) -> PeriodicClockState:
     """Integer energy distribution of psi under H for reference period tau.
 
     Occupied levels must sit on the grid E_min + (2*pi/tau) * n within
-    level_rel grid units, else IncommensurateSpectrum.  The lowest occupied
-    level maps to n = 0.  psi and H are coerced by occupied_levels, which
-    reads H's spectrum through one cached eigensolve.  ValidationError
-    when the levels span more than MAX_CONV_WINDOW integers.
+    level_rel grid units, else IncommensurateSpectrumError.  The lowest
+    occupied level maps to n = 0; psi and H are coerced by occupied_levels
+    (one cached eigensolve of H).  ValidationError when the levels span
+    more than MAX_CONV_WINDOW integers.
     """
     energies, masses = occupied_levels(psi, H)
     ns = snap_levels(energies, energies[0], tau).tolist()

@@ -1,11 +1,11 @@
 """Planning covariant pure-state conversions at the distribution level.
 
-A covariant operation can turn m copies of psi1 into roughly R*m copies of
-psi2 exactly when the integer energy distributions can be convolved and
-shifted onto each other; the achievable rate is the variance ratio
-V(psi1)/V(psi2).  The planner works entirely with those distributions:
-it never synthesizes the channel, it certifies how close the conversion
-can get (total variation -> fidelity floor 1 - 2*eps).
+Each pure state has one clock (intrinsic_clock): its integer energy
+distribution on the grid of its own period.  m copies of psi1 turn into
+about R*m copies of psi2 by a covariant operation when the clocks share a
+period; R is the ratio V1/V2 of their integer variances, so neither the
+period nor the rate depends on the zero or the unit of H.  The planner
+certifies how close a conversion gets (tv -> fidelity floor 1 - 2*eps).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .config import DEFAULT
 from .errors import PeriodMismatchError, ValidationError
 from .clockdist import (
     IntegerDistribution,
+    PeriodicClockState,
     convolve_n,
     extract_distribution,
     occupied_levels,
@@ -28,7 +29,7 @@ from .clockdist import (
 )
 from .linalg import (HermitianObservable, density_matrix, observable,
                      require_count)
-from .measures import energy_variance, qfi
+from .measures import qfi
 from .purification import coherence_sectors
 
 @dataclass(frozen=True)
@@ -44,49 +45,45 @@ class ConversionPlan:
     fidelity_lower_bound: float
 
 
-def intrinsic_period(psi, H) -> float:
-    """Recurrence time of a pure state from its occupied energy gaps.
+def intrinsic_clock(psi, H) -> PeriodicClockState:
+    """The clock of a pure state: its integer distribution on the grid
+    of its own period.
 
-    The gaps between the mean energies of the occupied levels (see
-    clockdist.occupied_levels) are divided by the smallest gap, and each
-    ratio is snapped to a rational (denominator <= max_denominator) only
-    to pick a candidate grid: with k the lcm of those denominators, the
-    period is the one extract_distribution gives at tau' = 2*pi*k /
-    (smallest gap), so snap_levels accepts or rejects the levels in grid
-    units and the rule does not depend on the units of H.  0.0 flags an
-    energy eigenstate.  IncommensurateSpectrum when a level is off that
-    grid.
+    The occupied levels' gaps (clockdist.occupied_levels) over the least
+    gap are snapped to rationals a/b (b <= max_denominator) only to pick
+    a grid: with k the lcm of the b, extract_distribution gives the clock
+    at tau' = 2*pi*k / (least gap).  There the levels k*a/b have gcd 1,
+    so the period is tau' in any zero or unit of H.  An energy eigenstate
+    has period 0.0.  IncommensurateSpectrumError when a level is off
+    that grid.
     """
     H = observable(H)   # one eigensolve serves both reads of H
     energies, _ = occupied_levels(psi, H)
     gaps = energies[1:] - energies[0]
-    if not gaps.size:
-        return 0.0
+    unit = gaps[0] if gaps.size else 1.0   # one level fits any grid
     k = math.lcm(*(Fraction(x).limit_denominator(DEFAULT.max_denominator)
-                   .denominator for x in (gaps / gaps[0]).tolist()))
-    return extract_distribution(psi, H, 2.0 * math.pi * k / gaps[0]).period
+                   .denominator for x in (gaps / unit).tolist()))
+    return extract_distribution(psi, H, 2.0 * math.pi * k / unit)
 
 
-def _common_period(psi1, H1, psi2, H2) -> float:
-    t1 = intrinsic_period(psi1, H1)
-    t2 = intrinsic_period(psi2, H2)
+def _common_period(c1: PeriodicClockState, c2: PeriodicClockState) -> None:
+    t1, t2 = c1.period, c2.period
     if t1 <= 0.0 or t2 <= 0.0:
         raise PeriodMismatchError("an energy eigenstate has no period")
     if abs(t1 - t2) > DEFAULT.level_rel * max(t1, t2):
         raise PeriodMismatchError(f"periods differ: {t1:.12g} vs {t2:.12g}")
-    return t1
 
 
 def max_rate(psi1, H1, psi2, H2) -> float:
-    """Asymptotically achievable copies of psi2 per copy of psi1:
-    the variance ratio V1/V2.  Both states must share a period."""
-    H1, H2 = observable(H1), observable(H2)
-    v2 = energy_variance(psi2, H2)
+    """Asymptotically achievable copies of psi2 per copy of psi1: the
+    ratio V1/V2 of the clocks' integer variances.  Both clocks must share
+    a period, and the target's variance must pass num grid units^2."""
+    c1, c2 = intrinsic_clock(psi1, H1), intrinsic_clock(psi2, H2)
+    v2 = c2.distribution.variance()
     if v2 <= DEFAULT.num:
         raise ValidationError("target state has no energy spread")
-    _common_period(psi1, H1, psi2, H2)
-    v1 = energy_variance(psi1, H1)
-    return float(v1 / v2)
+    _common_period(c1, c2)
+    return c1.distribution.variance() / v2
 
 
 def _shift_bounds(p: IntegerDistribution, q: IntegerDistribution):
@@ -165,10 +162,9 @@ def iid_sweep(psi1, H1, psi2, H2, R: float, m_list):
     if r == 0:
         raise ValidationError(f"rate {R} snaps to 0 at denominator "
                               f"<= {DEFAULT.max_denominator}")
-    H1, H2 = observable(H1), observable(H2)
-    tau = _common_period(psi1, H1, psi2, H2)
-    p = extract_distribution(psi1, H1, tau).distribution
-    q = extract_distribution(psi2, H2, tau).distribution
+    c1, c2 = intrinsic_clock(psi1, H1), intrinsic_clock(psi2, H2)
+    _common_period(c1, c2)
+    p, q = c1.distribution, c2.distribution
     plans = []
     for m in m_list:
         m = require_count(m, "copy counts")

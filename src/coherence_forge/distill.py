@@ -64,7 +64,8 @@ BARRIER_FACTOR = 0.05
 # normalised barrier function, lambda^2 = decrement / mu, is at most this
 CENTRING_DECREMENT = 1.0
 # iid_omega_state refuses n copies whose Omega side d**n * d_B, or whose
-# count of tau parameters, exceeds these: the side bounds the d**n sums of
+# count of tau parameters, exceeds these (and _Sectors refuses any Omega
+# past the count, since K is P x P dense): the side bounds the d**n sums of
 # the n-copy spectrum and the N product states that _sectors pairs, and 924
 # parameters (six qubit copies) take about 0.11 s per Newton step at one
 # BLAS thread, 0.08 s of it the complex solve.  _spin_blocks bounds the
@@ -214,7 +215,7 @@ def iid_omega_state(sigma, H, psi_B, H_B, copies: int) -> OmegaState:
     MAX_SDP_PARAMS.  Eigenvalue differences form levels by level_labels
     at gap_cutoff; a step between sorted differences that is at least
     gap_cutoff yet below sqrt(gap_cutoff) makes the levels ill-defined
-    and raises IncommensurateSpectrum."""
+    and raises IncommensurateSpectrumError."""
     copies = require_count(copies, "copies")
     H, H_B = observable(H), observable(H_B)
     sigma, psi = density_matrix(sigma), pure_state(psi_B)
@@ -278,9 +279,10 @@ class _Sectors:
     identity row of the slack and zero elsewhere.  Omega's entries are
     summed into their places, and one off the sector mask raises
     CertificateError before any Newton step.  tau is held as the vector
-    x of its P block entries, unit q being tau[ui[q], uk[q]].  The live
-    Newton terms are counted first: past MAX_NEWTON_TERMS, ValidationError
-    comes before any stack or map is built.
+    x of its P block entries, unit q being tau[ui[q], uk[q]].  P, the
+    sum of the blocks' squared sizes, and then the live Newton terms are
+    counted first: past MAX_SDP_PARAMS or MAX_NEWTON_TERMS,
+    ValidationError comes before any stack or map is built.
 
     A's levels i and k share a tau block when (i, j) and (k, j) share a
     sector.  iid_omega_state's grouping makes that hold for every j or for
@@ -295,8 +297,11 @@ class _Sectors:
             raise CertificateError("Omega has an entry off the sector mask")
         sizes = np.bincount(lmi)
         block = labels[:, 0]
+        P = int(np.square(np.bincount(block)).sum())
+        if P > MAX_SDP_PARAMS:
+            raise ValidationError(f"tau has {P} unknowns, above the budget "
+                                  f"of {MAX_SDP_PARAMS}")
         ui, uk = np.nonzero(block[:, None] == block[None, :])
-        P = ui.size
         # unit q = (i, k) at column j is the pair (q, j), flat, with product
         # indices r = (i, j) and c = (k, j).  K[q, q'] for q' = (l, m) is
         # sum_{j, j'} S^-1[(i,j),(l,j')] S^-1[(m,j'),(k,j)]; a term lives
@@ -431,9 +436,10 @@ def _min_trace_sdp(omega: OmegaState) -> SdpResult:
     per sector, C X C is the gram of C Y.
 
     Raises CertificateError when Omega has an entry off the sector mask
-    and ValidationError past MAX_NEWTON_TERMS live terms of K, each before
-    any sector stack is built; SolverStallError past sdp_max_newton
-    steps in all stages, on leaving the cone, or on a gap not below sdp_gap."""
+    and ValidationError past MAX_SDP_PARAMS unknowns of tau or
+    MAX_NEWTON_TERMS live terms of K, each before any sector stack is
+    built; SolverStallError past sdp_max_newton steps in all stages, on
+    leaving the cone, or on a gap not below sdp_gap."""
     N = omega.sectors.size
     sectors = _Sectors(np.asarray(omega.sectors), omega.matrix)
     # Omega's spectrum is its sector blocks'; each pad adds an eigenvalue -1

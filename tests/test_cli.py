@@ -492,14 +492,37 @@ def test_convert_max_rate_note_prints_a_plain_float(fixtures, capsys):
 def test_convert_does_not_move_with_the_zero_of_energy(fixtures, tmp_path,
                                                        capsys):
     # |+> on levels {1e8, 1e8 + 1} is |+> on {0, 1} moved by 1e8 I, so
-    # its variance and every row of the sweep are the same
-    rows = []
+    # its clock, the rate in the note and every row of the sweep are the
+    # same
+    outs = []
     for levels in ([0, 1], [1e8, 1e8 + 1]):
         assert cli.main(["convert", "--in", fixtures["cbit"],
                          _levels_file(tmp_path, levels),
                          "--out", fixtures["cbit"], fixtures["h2"]]) == 0
-        rows.append(capsys.readouterr().out)
-    assert rows[1] == rows[0]
+        outs.append(capsys.readouterr())
+    assert outs[1] == outs[0]
+    assert outs[0].err == "note: using max rate 1.0\n"
+
+
+@pytest.mark.parametrize("tau", [1.0, 1e5])
+def test_convert_at_the_max_rate_is_independent_of_the_files_tau(
+        fixtures, capsys, tau):
+    # the clocks of u023 and |+> are the same on every grid 2*pi/tau, so
+    # are the rate and the certificates
+    def dump(name, levels, tau):
+        path = fixtures["dir"] / name
+        path.write_text(json.dumps({"levels_in_2pi_over_tau": levels,
+                                    "tau": tau}))
+        return str(path)
+
+    outs = []
+    for t in (TAU, tau):
+        h4, h2 = dump("h4t.json", [0, 1, 2, 3], t), dump("h2t.json", [0, 1], t)
+        assert cli.main(["convert", "--in", fixtures["u023"], h4,
+                         "--out", fixtures["cbit"], h2,
+                         "--copies", "16,64"]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[1] == outs[0]
 
 
 def test_convert_is_independent_of_the_files_tau(fixtures, capsys):

@@ -8,6 +8,7 @@ from coherence_forge import convert
 from coherence_forge.clockdist import (
     IntegerDistribution,
     convolve_n,
+    extract_distribution,
     integer_distribution,
     occupied_levels,
     shift,
@@ -17,7 +18,7 @@ from coherence_forge.config import DEFAULT
 from coherence_forge.convert import (
     best_shift,
     coherence_cost,
-    intrinsic_period,
+    intrinsic_clock,
     iid_sweep,
     max_rate,
 )
@@ -26,6 +27,7 @@ from coherence_forge.errors import (
     PeriodMismatchError,
     ValidationError,
 )
+from coherence_forge.linalg import HermitianObservable
 
 TAU = 2 * math.pi
 # reference two-level state: H = pi/tau sigma_z, state (|0> + |1>)/sqrt(2)
@@ -37,17 +39,19 @@ U023 = np.array([1.0, 0.0, 1.0, 1.0]) / math.sqrt(3)
 
 
 def test_intrinsic_period():
-    assert abs(intrinsic_period(CBIT, H_CBIT) - TAU) < 1e-9
-    assert intrinsic_period(np.array([1.0, 0.0]), H_CBIT) == 0.0
+    assert abs(intrinsic_clock(CBIT, H_CBIT).period - TAU) < 1e-9
+    assert intrinsic_clock(np.array([1.0, 0.0]), H_CBIT).period == 0.0
     psi02 = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
-    assert abs(intrinsic_period(psi02, np.diag([0.0, 1.0, 2.0])) - math.pi) < 1e-9
+    assert abs(intrinsic_clock(psi02, np.diag([0.0, 1.0, 2.0])).period
+               - math.pi) < 1e-9
     # a lone gap is commensurate with itself, whatever its value
     gap = math.sqrt(2.0)
-    assert abs(intrinsic_period(CBIT, np.diag([0.0, gap])) - TAU / gap) < 1e-8
+    assert abs(intrinsic_clock(CBIT, np.diag([0.0, gap])).period
+               - TAU / gap) < 1e-8
     # a second gap that no denominator <= 1e6 can hit must be rejected
     psi = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
     with pytest.raises(IncommensurateSpectrumError):
-        intrinsic_period(psi, np.diag([0.0, 1.0, 1.0 + 5e-7]))
+        intrinsic_clock(psi, np.diag([0.0, 1.0, 1.0 + 5e-7])).period
 
 
 def _rational_period(psi, H, tols=DEFAULT):
@@ -83,7 +87,7 @@ def test_intrinsic_period_matches_rational_reference():
         amp[int(rng.integers(d))] += 1.0
         psi = B @ (amp / np.linalg.norm(amp))
         ref = _rational_period(psi, H)
-        got = intrinsic_period(psi, H)
+        got = intrinsic_clock(psi, H).period
         assert abs(got - ref) <= 1e-12 * ref, (i, got, ref)
 
 
@@ -92,7 +96,7 @@ def test_intrinsic_period_is_scale_free(s):
     # a rule with an absolute slack per gap refuses 1e-7, and gives u023
     # at sqrt(2) or pi a period near 1.2e12 * 2*pi
     for psi, H in ((CBIT, np.diag([0.0, 1.0])), (U023, H4)):
-        assert abs(intrinsic_period(psi, s * H) * s / TAU - 1.0) < 1e-12
+        assert abs(intrinsic_clock(psi, s * H).period * s / TAU - 1.0) < 1e-12
 
 
 def test_intrinsic_period_rejects_irrational_gap_ratio():
@@ -100,14 +104,14 @@ def test_intrinsic_period_rejects_irrational_gap_ratio():
     # within an absolute slack of 1e-9
     psi = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
     with pytest.raises(IncommensurateSpectrumError):
-        intrinsic_period(psi, np.diag([0.0, 1.0, 1.0 + math.sqrt(2)]))
+        intrinsic_clock(psi, np.diag([0.0, 1.0, 1.0 + math.sqrt(2)])).period
 
 
 def test_intrinsic_period_refuses_a_grid_wider_than_the_budget():
     # gaps 2**-18 and 1 put the levels at 0, 1 and 2**18 on the grid
     psi = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
     with pytest.raises(ValidationError):
-        intrinsic_period(psi, np.diag([0.0, 2.0 ** -18, 1.0]))
+        intrinsic_clock(psi, np.diag([0.0, 2.0 ** -18, 1.0])).period
 
 
 def test_plain_hamiltonians_are_eigendecomposed_once(monkeypatch):
@@ -119,7 +123,7 @@ def test_plain_hamiltonians_are_eigendecomposed_once(monkeypatch):
         return eigh(M, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    intrinsic_period(U023, H4)
+    intrinsic_clock(U023, H4).period
     assert len(calls) == 1
     calls.clear()
     # one solve per Hamiltonian serves both its period and its distribution
@@ -147,6 +151,46 @@ def test_max_rate_rejects_period_mismatch():
         max_rate(CBIT, H_CBIT, np.array([1.0, 0.0]), H_CBIT)
     with pytest.raises(PeriodMismatchError):
         max_rate(np.array([1.0, 0.0]), H_CBIT, CBIT, H_CBIT)
+
+
+def _levels_observable(levels, B):
+    """The observable a levels-form file builds: its spectrum exactly the
+    levels, its eigenbasis the columns of B."""
+    levels = np.asarray(levels, dtype=float)
+    return HermitianObservable((B * levels) @ B.conj().T, levels, B)
+
+
+@pytest.mark.parametrize("basis", ["identity", "random"])
+def test_max_rate_does_not_move_with_the_zero_or_the_unit(basis):
+    # u023 -> |+> on levels scaled by 1e-6, 1 and 1e6 and moved by 1e8:
+    # the clocks are the same, so the rate is the same to the bit
+    rng = np.random.default_rng(54)
+    B4, B2 = np.eye(4, dtype=complex), np.eye(2, dtype=complex)
+    if basis == "random":
+        B4, B2 = (np.linalg.qr(rng.normal(size=(d, d))
+                               + 1j * rng.normal(size=(d, d)))[0]
+                  for d in (4, 2))
+    rates = [max_rate(B4 @ U023, _levels_observable(f(np.arange(4.0)), B4),
+                      B2 @ CBIT, _levels_observable(f(np.arange(2.0)), B2))
+             for f in (lambda n: 1e-6 * n, lambda n: n, lambda n: 1e6 * n,
+                       lambda n: n + 1e8)]
+    assert rates == [rates[1]] * 4
+    assert abs(rates[1] - 56.0 / 9.0) < 1e-12
+
+
+def test_sweep_and_rate_extract_each_clock_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return extract_distribution(*args)
+
+    monkeypatch.setattr(convert, "extract_distribution", counted)
+    iid_sweep(U023, H4, CBIT, H_CBIT, 5.0, (4,))
+    assert len(calls) == 2
+    calls.clear()
+    max_rate(U023, H4, CBIT, H_CBIT)
+    assert len(calls) == 2
 
 
 def test_best_shift():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -672,6 +673,27 @@ def test_newton_term_budget_is_checked_before_any_stack(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_unknowns_budget_guards_a_hand_built_omega(monkeypatch):
+    # a diagonal Omega of 1,001 levels and d_B = 1 gives tau 1,001
+    # unknowns, one past MAX_SDP_PARAMS, though no iid_omega_state built
+    # it: the solver refuses it before any eigensolve or P x P system
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an eigensolve was run")
+
+    n = 1001
+    q = np.arange(n)
+    om = OmegaState(SectorMatrix(q, q, np.full(n, 1.0 / n)),
+                    q.reshape(n, 1))
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=(
+            f"tau has {n} unknowns, above the budget of "
+            f"{coherence_forge.distill.MAX_SDP_PARAMS}$")):
+        conditional_min_entropy(om)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_newton_steps_build_no_full_space_matrix(monkeypatch):

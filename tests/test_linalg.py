@@ -15,7 +15,7 @@ from coherence_forge.clockdist import (
     tp_distance,
 )
 from coherence_forge.config import DEFAULT
-from coherence_forge.convert import intrinsic_period, iid_sweep
+from coherence_forge.convert import intrinsic_clock, iid_sweep
 from coherence_forge.distill import iid_omega_state
 from coherence_forge.errors import (
     CoherenceForgeError,
@@ -337,7 +337,7 @@ def test_eig_hermitian_refuses_a_wrong_basis(monkeypatch):
     lambda: coherence_sectors(np.eye(2) / 2, H_1D, 2 * math.pi),
     lambda: iid_omega_state(np.eye(2) / 2, H_1D, PLUS, H_QUBIT, 1),
     lambda: iid_omega_state(np.eye(2) / 2, H_QUBIT, PLUS, H_1D, 1),
-    lambda: intrinsic_period(PLUS, H_1D),
+    lambda: intrinsic_clock(PLUS, H_1D).period,
     lambda: twirl(random_channel(2, 2, 2, 0), H_1D, H_QUBIT, 2 * math.pi),
     lambda: twirl(random_channel(2, 2, 2, 0), H_QUBIT, H_1D, 2 * math.pi),
 ], ids=["coherence_sectors", "omega_state_A", "omega_state_B",

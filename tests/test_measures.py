@@ -13,7 +13,7 @@ from coherence_forge.clockdist import (
     tp_distance,
     tv_distance,
 )
-from coherence_forge.convert import coherence_cost, intrinsic_period, max_rate
+from coherence_forge.convert import coherence_cost, intrinsic_clock, max_rate
 from coherence_forge.distill import (
     cirac_comparison,
     distillation_copy_floor,
@@ -124,7 +124,7 @@ PAIR = integer_distribution(0, [0.5, 0.5])
     lambda: barbour_bound(PAIR, 4),
     lambda: tp_distance(PAIR, 4, convolve_n(PAIR, 4)),
     lambda: extract_distribution(PLUS, SZ_HALF, 2 * math.pi).period,
-    lambda: intrinsic_period(PLUS, SZ_HALF),
+    lambda: intrinsic_clock(PLUS, SZ_HALF).period,
     lambda: max_rate(PLUS, SZ_HALF, PLUS, SZ_HALF),
     lambda: coherence_cost(QUBIT, SZ_HALF, 2 * math.pi),
     lambda: distillation_copy_floor(QUBIT, SZ_HALF, PLUS, SZ_HALF, 0.1),

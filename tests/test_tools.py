@@ -1,6 +1,7 @@
 import ast
 import collections
 import importlib.util
+import json
 import os
 from pathlib import Path
 
@@ -98,3 +99,31 @@ def test_blocksum_grid_prints_one_line_per_request():
     assert grid.line(*refused) == (
         "g519 lam0.1/plus/n1447 ValidationError: 1447 copies make spin "
         "blocks whose sides sum past the budget of 1024**2")
+
+
+def test_cli_grid_holds_126_requests_of_unique_ids(tmp_path):
+    # 3 states x 6 forms x (measures, 3 dist, 3 convert); the printed
+    # line splits on spaces, so no id holds one
+    requests = _tool("cli_grid").requests(tmp_path)
+    ids = [name for name, _ in requests]
+    assert len(ids) == 126 and len(set(ids)) == 126
+    assert not any(" " in name for name in ids)
+    assert collections.Counter(name.split("/")[0] for name in ids) == {
+        "measures": 18, "dist": 54, "convert": 54}
+
+
+def test_cli_grid_prints_id_exit_code_and_both_streams(tmp_path):
+    grid = _tool("cli_grid")
+    requests = dict(grid.requests(tmp_path))
+    name, code, texts = grid.line(
+        "convert/u01/tau2pi/max", requests["convert/u01/tau2pi/max"],
+        tmp_path).split(" ", 2)
+    assert (name, code) == ("convert/u01/tau2pi/max", "0")
+    assert json.loads(texts) == [
+        "m,k,tv_error,fidelity_floor\n16,0,0.0,1.0\n64,0,0.0,1.0\n",
+        "note: using max rate 1.0\n"]
+    # a refusal prints exit 1 and its message, the directory as <dir>
+    argv = requests["measures/u01/tau2pi"][:2] + [str(tmp_path / "none")]
+    assert grid.line("x", argv + ["--ham", "h"], tmp_path).startswith(
+        'x 1 ["", "error: [Errno 2] No such file or directory: '
+        "'<dir>/none'")
