@@ -211,16 +211,15 @@ def _rate_threshold():
     """Conversion rate threshold trend at 0.9x and 1.1x the limit."""
     u023 = np.sqrt(np.array([1, 1, 1]) / 3.0)
     H_023 = np.diag([0.0, 2.0, 3.0])
+    plus = convert.intrinsic_clock(_PLUS, _H01)
     ok = True
     notes = []
     for name, psi, H in (("cbit", _PLUS, _H01), ("u023", u023, H_023)):
-        R = convert.max_rate(psi, H, _PLUS, _H01)
-        lo = convert.iid_sweep(psi, H, _PLUS, _H01, 0.9 * R, (256,))[0]
-        hi = convert.iid_sweep(psi, H, _PLUS, _H01, 1.1 * R, (256,))[0]
-        if not lo.tv_error < 0.05:
-            ok = False
-        if not hi.tv_error >= 0.1:
-            ok = False
+        clock = convert.intrinsic_clock(psi, H)
+        R = convert.max_rate(clock, plus)
+        lo = convert.iid_sweep(clock, plus, 0.9 * R, (256,))[0]
+        hi = convert.iid_sweep(clock, plus, 1.1 * R, (256,))[0]
+        ok = ok and lo.tv_error < 0.05 and hi.tv_error >= 0.1
         notes.append(f"{name}->cbit 0.9R tv={lo.tv_error:.4f}, "
                      f"1.1R tv={hi.tv_error:.4f}")
     return ok, "; ".join(notes)

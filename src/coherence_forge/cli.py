@@ -238,8 +238,7 @@ def cmd_convert(args) -> int:
     H2, _, dense2 = load_hamiltonian(args.outfiles[1], args.tau)
     _dense_warning(dense1 or dense2, "conversion planning",
                    "the grid of the pair's common period")
-    v1 = _pure_vec(s1, "--in")
-    v2 = _pure_vec(s2, "--out")
+    v1, v2 = _pure_vec(s1, "--in"), _pure_vec(s2, "--out")
     try:
         copies = [int(tok) for tok in args.copies.split(",") if tok]
     except ValueError:
@@ -247,11 +246,12 @@ def cmd_convert(args) -> int:
     if not copies:
         raise ValidationError("--copies must be comma-separated integers, "
                               f"got {args.copies!r}")
+    c1, c2 = convert.intrinsic_clock(v1, H1), convert.intrinsic_clock(v2, H2)
     rate = args.rate
     if rate is None:
-        rate = convert.max_rate(v1, H1, v2, H2)
+        rate = convert.max_rate(c1, c2)
         print(f"note: using max rate {rate!r}", file=sys.stderr)
-    plans = convert.iid_sweep(v1, H1, v2, H2, rate, copies)
+    plans = convert.iid_sweep(c1, c2, rate, copies)
     print("m,k,tv_error,fidelity_floor")
     for plan in plans:
         print(f"{plan.copies_in},{plan.shift_k},{plan.tv_error!r},"

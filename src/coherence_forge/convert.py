@@ -5,7 +5,8 @@ distribution on the grid of its own period.  m copies of psi1 turn into
 about R*m copies of psi2 by a covariant operation when the clocks share a
 period; R is the ratio V1/V2 of their integer variances, so neither the
 period nor the rate depends on the zero or the unit of H.  The planner
-certifies how close a conversion gets (tv -> fidelity floor 1 - 2*eps).
+takes the clocks, read once per state, and certifies how close a
+conversion gets (tv -> fidelity floor 1 - 2*eps).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class ConversionPlan:
     """One certified conversion: m copies in, m2 copies out, output
     distribution shifted by k, total-variation error eps."""
 
-    rate: float
     copies_in: int
     copies_out: int
     shift_k: int
@@ -74,11 +74,11 @@ def _common_period(c1: PeriodicClockState, c2: PeriodicClockState) -> None:
         raise PeriodMismatchError(f"periods differ: {t1:.12g} vs {t2:.12g}")
 
 
-def max_rate(psi1, H1, psi2, H2) -> float:
-    """Asymptotically achievable copies of psi2 per copy of psi1: the
-    ratio V1/V2 of the clocks' integer variances.  Both clocks must share
-    a period, and the target's variance must pass num grid units^2."""
-    c1, c2 = intrinsic_clock(psi1, H1), intrinsic_clock(psi2, H2)
+def max_rate(c1: PeriodicClockState, c2: PeriodicClockState) -> float:
+    """Asymptotically achievable copies of the state of clock c2 per copy
+    of the state of clock c1: the ratio V1/V2 of the two intrinsic clocks'
+    integer variances.  Both clocks must share a period, and the target's
+    variance must pass num grid units^2."""
     v2 = c2.distribution.variance()
     if v2 <= DEFAULT.num:
         raise ValidationError("target state has no energy spread")
@@ -148,8 +148,9 @@ def best_shift(p: IntegerDistribution, q: IntegerDistribution):
     return int(best_k), float(best_e)
 
 
-def iid_sweep(psi1, H1, psi2, H2, R: float, m_list):
-    """Conversion certificates at rate R for each copy count in m_list.
+def iid_sweep(c1, c2, R: float, m_list):
+    """Conversion certificates at rate R for each copy count in m_list,
+    from intrinsic clock c1 into intrinsic clock c2.
 
     For each m the planner compares the m-fold convolution of the input
     distribution against the ceil(R*m)-fold convolution of the target
@@ -162,7 +163,6 @@ def iid_sweep(psi1, H1, psi2, H2, R: float, m_list):
     if r == 0:
         raise ValidationError(f"rate {R} snaps to 0 at denominator "
                               f"<= {DEFAULT.max_denominator}")
-    c1, c2 = intrinsic_clock(psi1, H1), intrinsic_clock(psi2, H2)
     _common_period(c1, c2)
     p, q = c1.distribution, c2.distribution
     plans = []
@@ -171,8 +171,8 @@ def iid_sweep(psi1, H1, psi2, H2, R: float, m_list):
         m2 = -((-r.numerator * m) // r.denominator)   # exact ceil(R m)
         k, eps = best_shift(convolve_n(p, m), convolve_n(q, m2))
         plans.append(ConversionPlan(
-            rate=float(R), copies_in=m, copies_out=m2, shift_k=k,
-            tv_error=eps, fidelity_lower_bound=max(0.0, 1.0 - 2.0 * eps)))
+            copies_in=m, copies_out=m2, shift_k=k, tv_error=eps,
+            fidelity_lower_bound=max(0.0, 1.0 - 2.0 * eps)))
     return plans
 
 

@@ -10,7 +10,7 @@ than being loosened; a proper replacement needs a converse bound.
 
 import pytest
 
-from coherence_forge import acceptance
+from coherence_forge import acceptance, convert
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +24,23 @@ def test_criterion(results, index):
     assert r.index == index
     print(acceptance.format_result(r))
     assert r.passed, acceptance.format_result(r)
+
+
+def test_criterion_8_reads_each_clock_once(monkeypatch):
+    # |+>'s clock once and each source's once, for the same detail line
+    calls = []
+    clock = convert.intrinsic_clock
+
+    def counted(psi, H):
+        calls.append(len(psi))
+        return clock(psi, H)
+
+    monkeypatch.setattr(convert, "intrinsic_clock", counted)
+    name, _, check = acceptance.CRITERIA[7]
+    assert name == "rate threshold trend"
+    assert check()[1] == ("cbit->cbit 0.9R tv=0.0339, 1.1R tv=0.0234; "
+                          "u023->cbit 0.9R tv=0.0258, 1.1R tv=0.0236")
+    assert calls == [2, 2, 3]
 
 
 def test_all_twelve_reported(results):

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coherence_forge import cli, linalg
+from coherence_forge import cli, convert, linalg
 from coherence_forge.config import DEFAULT
 from coherence_forge.errors import CertificateError, SolverStallError
 from coherence_forge.linalg import (
@@ -487,6 +487,24 @@ def test_convert_max_rate_note_prints_a_plain_float(fixtures, capsys):
                      "--out", fixtures["cbit"], fixtures["h2"],
                      "--copies", "8"]) == 0
     assert capsys.readouterr().err == "note: using max rate 1.0\n"
+
+
+@pytest.mark.parametrize("rate", [[], ["--rate", "5.0"]],
+                         ids=["max", "given"])
+def test_convert_reads_each_clock_once(fixtures, capsys, monkeypatch, rate):
+    # the max rate and the sweep take the same two clocks
+    calls = []
+    clock = convert.intrinsic_clock
+
+    def counted(psi, H):
+        calls.append(len(psi))
+        return clock(psi, H)
+
+    monkeypatch.setattr(convert, "intrinsic_clock", counted)
+    assert cli.main(["convert", "--in", fixtures["u023"], fixtures["h4"],
+                     "--out", fixtures["cbit"], fixtures["h2"],
+                     "--copies", "16,64", *rate]) == 0
+    assert calls == [4, 2]
 
 
 def test_convert_does_not_move_with_the_zero_of_energy(fixtures, tmp_path,

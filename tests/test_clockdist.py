@@ -243,8 +243,10 @@ def test_criterion_8_tv_errors_are_frozen(pair, factor):
     psi, H = {"cbit": (cbit, H_cbit),
               "u023": (np.sqrt(np.array([1, 1, 1]) / 3.0),
                        np.diag([0.0, 2.0, 3.0]))}[pair]
-    rate = factor * convert.max_rate(psi, H, cbit, H_cbit)
-    plans = convert.iid_sweep(psi, H, cbit, H_cbit, rate, (256, 1024, 4096))
+    c1, c2 = convert.intrinsic_clock(psi, H), convert.intrinsic_clock(
+        cbit, H_cbit)
+    rate = factor * convert.max_rate(c1, c2)
+    plans = convert.iid_sweep(c1, c2, rate, (256, 1024, 4096))
     assert tuple(plan.tv_error for plan in plans) == CRITERION_8_TV[
         (pair, factor)]
 

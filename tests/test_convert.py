@@ -8,7 +8,6 @@ from coherence_forge import convert
 from coherence_forge.clockdist import (
     IntegerDistribution,
     convolve_n,
-    extract_distribution,
     integer_distribution,
     occupied_levels,
     shift,
@@ -36,6 +35,8 @@ CBIT = np.array([1.0, 1.0]) / math.sqrt(2)
 # uniform superposition on levels {0, 2, 3} of a four-level ladder
 H4 = np.diag([0.0, 1.0, 2.0, 3.0])
 U023 = np.array([1.0, 0.0, 1.0, 1.0]) / math.sqrt(3)
+# their clocks, the operands of max_rate and iid_sweep
+C_CBIT, C_U023 = intrinsic_clock(CBIT, H_CBIT), intrinsic_clock(U023, H4)
 
 
 def test_intrinsic_period():
@@ -127,30 +128,31 @@ def test_plain_hamiltonians_are_eigendecomposed_once(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     # one solve per Hamiltonian serves both its period and its distribution
-    iid_sweep(U023, H4, CBIT, H_CBIT, 5.0, (4,))
+    c1, c2 = intrinsic_clock(U023, H4), intrinsic_clock(CBIT, H_CBIT)
     assert calls == [4, 2]
     calls.clear()
-    # and both variances and both periods in max_rate
-    max_rate(U023, H4, CBIT, H_CBIT)
-    assert calls == [4, 2]
+    # and the planner reads the clocks, never a Hamiltonian
+    iid_sweep(c1, c2, 5.0, (4,))
+    max_rate(c1, c2)
+    assert calls == []
 
 
 def test_max_rate_reference_values():
-    assert abs(max_rate(CBIT, H_CBIT, CBIT, H_CBIT) - 1.0) < 1e-12
-    assert type(max_rate(CBIT, H_CBIT, CBIT, H_CBIT)) is float
-    assert abs(max_rate(U023, H4, CBIT, H_CBIT) - 56.0 / 9.0) < 1e-9
-    assert abs(max_rate(CBIT, H_CBIT, U023, H4) - 9.0 / 56.0) < 1e-9
+    assert abs(max_rate(C_CBIT, C_CBIT) - 1.0) < 1e-12
+    assert type(max_rate(C_CBIT, C_CBIT)) is float
+    assert abs(max_rate(C_U023, C_CBIT) - 56.0 / 9.0) < 1e-9
+    assert abs(max_rate(C_CBIT, C_U023) - 9.0 / 56.0) < 1e-9
 
 
 def test_max_rate_rejects_period_mismatch():
     psi02 = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
     with pytest.raises(PeriodMismatchError):
-        max_rate(psi02, np.diag([0.0, 1.0, 2.0]), CBIT, H_CBIT)
+        max_rate(intrinsic_clock(psi02, np.diag([0.0, 1.0, 2.0])), C_CBIT)
     with pytest.raises(ValidationError,
                        match="target state has no energy spread"):
-        max_rate(CBIT, H_CBIT, np.array([1.0, 0.0]), H_CBIT)
+        max_rate(C_CBIT, intrinsic_clock(np.array([1.0, 0.0]), H_CBIT))
     with pytest.raises(PeriodMismatchError):
-        max_rate(np.array([1.0, 0.0]), H_CBIT, CBIT, H_CBIT)
+        max_rate(intrinsic_clock(np.array([1.0, 0.0]), H_CBIT), C_CBIT)
 
 
 def _levels_observable(levels, B):
@@ -170,27 +172,26 @@ def test_max_rate_does_not_move_with_the_zero_or_the_unit(basis):
         B4, B2 = (np.linalg.qr(rng.normal(size=(d, d))
                                + 1j * rng.normal(size=(d, d)))[0]
                   for d in (4, 2))
-    rates = [max_rate(B4 @ U023, _levels_observable(f(np.arange(4.0)), B4),
-                      B2 @ CBIT, _levels_observable(f(np.arange(2.0)), B2))
-             for f in (lambda n: 1e-6 * n, lambda n: n, lambda n: 1e6 * n,
-                       lambda n: n + 1e8)]
+    rates = [max_rate(
+        intrinsic_clock(B4 @ U023, _levels_observable(f(np.arange(4.0)), B4)),
+        intrinsic_clock(B2 @ CBIT, _levels_observable(f(np.arange(2.0)), B2)))
+        for f in (lambda n: 1e-6 * n, lambda n: n, lambda n: 1e6 * n,
+                  lambda n: n + 1e8)]
     assert rates == [rates[1]] * 4
     assert abs(rates[1] - 56.0 / 9.0) < 1e-12
 
 
 def test_sweep_and_rate_extract_each_clock_once(monkeypatch):
-    calls = []
+    # the planner reads only the clocks it is given
+    def refused(*args):
+        raise AssertionError("the planner read a state")
 
-    def counted(*args):
-        calls.append(args)
-        return extract_distribution(*args)
-
-    monkeypatch.setattr(convert, "extract_distribution", counted)
-    iid_sweep(U023, H4, CBIT, H_CBIT, 5.0, (4,))
-    assert len(calls) == 2
-    calls.clear()
-    max_rate(U023, H4, CBIT, H_CBIT)
-    assert len(calls) == 2
+    monkeypatch.setattr(convert, "extract_distribution", refused)
+    monkeypatch.setattr(convert, "occupied_levels", refused)
+    assert iid_sweep(C_U023, C_CBIT, 5.0, (4,)) == [convert.ConversionPlan(
+        copies_in=4, copies_out=20, shift_k=-3, tv_error=0.09931100445029181,
+        fidelity_lower_bound=0.8013779910994163)]
+    assert max_rate(C_U023, C_CBIT) == 6.222222222222223
 
 
 def test_best_shift():
@@ -276,10 +277,10 @@ def test_best_shift_matches_exhaustive(monkeypatch):
         return got
 
     monkeypatch.setattr(convert, "best_shift", checked)
-    for psi, H in ((CBIT, H_CBIT), (U023, H4)):
-        R = max_rate(psi, H, CBIT, H_CBIT)
+    for clock in (C_CBIT, C_U023):
+        R = max_rate(clock, C_CBIT)
         for f in (0.9, 1.1):
-            iid_sweep(psi, H, CBIT, H_CBIT, f * R, (16, 64, 256, 1024))
+            iid_sweep(clock, C_CBIT, f * R, (16, 64, 256, 1024))
     assert len(seen) == 16
 
 
@@ -308,14 +309,14 @@ def test_best_shift_budget(monkeypatch):
         return tv_distance(p, q)
 
     monkeypatch.setattr(convert, "tv_distance", counted)
-    (plan,) = iid_sweep(U023, H4, CBIT, H_CBIT, 0.9 * 56.0 / 9.0, (4096,))
+    (plan,) = iid_sweep(C_U023, C_CBIT, 0.9 * 56.0 / 9.0, (4096,))
     assert (plan.shift_k, plan.tv_error) == (-4642, 0.025507420161638858)
     assert len(calls) <= 64
 
 
 def test_iid_sweep_copy_accounting():
     R = 0.9 * 56.0 / 9.0
-    plans = iid_sweep(U023, H4, CBIT, H_CBIT, R, (4, 16, 64))
+    plans = iid_sweep(C_U023, C_CBIT, R, (4, 16, 64))
     for plan, m in zip(plans, (4, 16, 64)):
         assert plan.copies_in == m
         assert plan.copies_out == math.ceil(R * m) or abs(
@@ -324,7 +325,7 @@ def test_iid_sweep_copy_accounting():
     errs = [pl.tv_error for pl in plans]
     assert errs[2] < errs[0]
     # one copy of a state into one copy of itself is exact
-    (plan,) = iid_sweep(CBIT, H_CBIT, CBIT, H_CBIT, 1.0, (1,))
+    (plan,) = iid_sweep(C_CBIT, C_CBIT, 1.0, (1,))
     assert plan.tv_error < 1e-12
     assert plan.fidelity_lower_bound > 1.0 - 1e-11
     assert plan.copies_in == 1 and plan.copies_out == 1
@@ -332,7 +333,7 @@ def test_iid_sweep_copy_accounting():
 
 def test_iid_sweep_below_rate_converges():
     R = 0.9 * 56.0 / 9.0
-    (plan,) = iid_sweep(U023, H4, CBIT, H_CBIT, R, (256,))
+    (plan,) = iid_sweep(C_U023, C_CBIT, R, (256,))
     assert plan.tv_error < 0.05
 
 

@@ -380,7 +380,8 @@ COUNTED = [
     (lambda n: convolve_n(_P, n), "m"),
     (lambda n: barbour_bound(_P, n), "m"),
     (lambda n: tp_distance(_P, n, _P), "m"),
-    (lambda n: iid_sweep(PLUS, H_QUBIT, PLUS, H_QUBIT, 1.0, [n]),
+    (lambda n: iid_sweep(intrinsic_clock(PLUS, H_QUBIT),
+                         intrinsic_clock(PLUS, H_QUBIT), 1.0, [n]),
      "copy counts"),
     (lambda n: monotonicity_suite("F", n), "trials"),
 ]

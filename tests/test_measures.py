@@ -125,7 +125,8 @@ PAIR = integer_distribution(0, [0.5, 0.5])
     lambda: tp_distance(PAIR, 4, convolve_n(PAIR, 4)),
     lambda: extract_distribution(PLUS, SZ_HALF, 2 * math.pi).period,
     lambda: intrinsic_clock(PLUS, SZ_HALF).period,
-    lambda: max_rate(PLUS, SZ_HALF, PLUS, SZ_HALF),
+    lambda: max_rate(intrinsic_clock(PLUS, SZ_HALF),
+                     intrinsic_clock(PLUS, SZ_HALF)),
     lambda: coherence_cost(QUBIT, SZ_HALF, 2 * math.pi),
     lambda: distillation_copy_floor(QUBIT, SZ_HALF, PLUS, SZ_HALF, 0.1),
     lambda: qubit_infidelity_bound(0.6, 4)[0],
@@ -135,7 +136,7 @@ PAIR = integer_distribution(0, [0.5, 0.5])
         "purity_of_coherence", "skew_information", "renyi_purity_monotone",
         "qfi_via_fidelity", "fidelity", "kkt_residual", "mean", "variance",
         "tv_distance", "barbour_bound", "tp_distance", "period",
-        "intrinsic_period", "max_rate", "coherence_cost",
+        "intrinsic_clock", "max_rate", "coherence_cost",
         "distillation_copy_floor", "qubit_infidelity_bound_exact",
         "qubit_infidelity_bound_asymptotic", "cirac_comparison"])
 def test_public_scalars_are_plain_floats(call):

@@ -3,6 +3,8 @@ import collections
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -127,3 +129,19 @@ def test_cli_grid_prints_id_exit_code_and_both_streams(tmp_path):
     assert grid.line("x", argv + ["--ham", "h"], tmp_path).startswith(
         'x 1 ["", "error: [Errno 2] No such file or directory: '
         "'<dir>/none'")
+
+
+def test_grid_tools_refuse_to_run_off_one_blas_thread():
+    # at two threads some lines print other bits, so a diff across thread
+    # counts would report false changes; the tools refuse before any work
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   [str(TOOLS.parent / "src"), os.environ.get("PYTHONPATH",
+                                                              "")]))
+    for name in ("blocksum_grid", "cli_grid"):
+        run = subprocess.run([sys.executable, str(TOOLS / f"{name}.py")],
+                             env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr.startswith("error: ")
+        assert run.stderr.count("\n") == 1

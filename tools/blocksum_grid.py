@@ -8,7 +8,10 @@ iid_fidelity answers, or ``<grid> <id> <Class>: <message>`` for one it
 refuses with a CoherenceForgeError.  Warnings are errors.  Run it on two
 checkouts (PYTHONPATH=<checkout>/src) and ``diff`` the outputs: an empty
 diff shows that every field of every BlockSum kept its bits and every
-refusal its class and message.  A pass takes a few minutes.
+refusal its class and message.  A pass takes a few minutes.  main()
+exits 2 unless OMP_NUM_THREADS and OPENBLAS_NUM_THREADS are both 1: at
+two BLAS threads g180's rand3s*-012/plus/n3 lines print another gap and
+min_slack, so a diff across thread counts shows changes that are not.
 
 The grids:
 
@@ -28,6 +31,7 @@ The grids:
 from __future__ import annotations
 
 import math
+import os
 import sys
 import warnings
 from dataclasses import astuple
@@ -102,6 +106,11 @@ def line(grid: str, name: str, args: tuple) -> str:
 
 
 def main() -> int:
+    if not (os.environ.get("OMP_NUM_THREADS")
+            == os.environ.get("OPENBLAS_NUM_THREADS") == "1"):
+        print("error: set OMP_NUM_THREADS=1 and OPENBLAS_NUM_THREADS=1",
+              file=sys.stderr)
+        return 2
     warnings.simplefilter("error")
     for grid, name, args in requests():
         print(line(grid, name, args), flush=True)

@@ -8,7 +8,9 @@ temporary directory that holds the request files shown as ``<dir>``.
 Every request runs in process through ``cli.main``, with warnings as
 errors.  Run it on two checkouts (PYTHONPATH=<checkout>/src) and ``diff``
 the outputs: the diff names every request whose output or exit code
-moved.  A pass takes about a second.
+moved.  A pass takes about a second.  main() exits 2 unless
+OMP_NUM_THREADS and OPENBLAS_NUM_THREADS are both 1, so that two outputs
+are never compared across BLAS thread counts.
 
 The grid: three pure states, uniform on the levels {0, 1}, {0, 2, 3} and
 {0, 1, 2} of their own Hamiltonians, each in six forms of the Hamiltonian
@@ -26,6 +28,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 import warnings
@@ -106,6 +109,11 @@ def line(name: str, argv: list, root: Path) -> str:
 
 
 def main() -> int:
+    if not (os.environ.get("OMP_NUM_THREADS")
+            == os.environ.get("OPENBLAS_NUM_THREADS") == "1"):
+        print("error: set OMP_NUM_THREADS=1 and OPENBLAS_NUM_THREADS=1",
+              file=sys.stderr)
+        return 2
     warnings.simplefilter("error")
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
